@@ -113,7 +113,7 @@ bench-queueing:
 
 # Frontier-engine benchmarks over the paper's footnote-4 space (36,380
 # configurations), distilled into BENCH_frontier.json: sweep and
-# per-evaluation speedups of the memoized engine versus the preserved
+# per-evaluation speedups of the memoized engine versus the serial
 # per-config reference, configs/s throughput, and the allocs/op proof
 # that the hot path stays off the heap.
 bench-frontier:
@@ -123,9 +123,9 @@ bench-frontier:
 	@echo wrote BENCH_frontier.json
 
 # bench-frontier-smoke is the CI variant: one iteration each of the
-# sweep benchmarks (serial, warm-table, and the parallel worker ladder)
-# piped through the benchfrontier distiller — proves the measurement
-# harness and the parallel engine end to end without committing numbers.
+# sweep benchmarks (cold, warm-table, NoPrune and reference) piped
+# through the benchfrontier distiller — proves the measurement harness
+# and the engine end to end without committing numbers.
 bench-frontier-smoke:
 	$(GO) test -bench 'BenchmarkFrontierSweep' -benchmem -benchtime=1x \
 		-run '^$$' ./internal/pareto/ | $(GO) run ./internal/tools/benchfrontier > /dev/null

@@ -105,7 +105,7 @@ func run(wlName, mix, refMix string, pct float64, plot, frontier bool, nodesPath
 	}
 
 	if frontier {
-		if err := placeOnFrontier(cfg, wl, workers); err != nil {
+		if err := placeOnFrontier(cfg, wl); err != nil {
 			return err
 		}
 	}
@@ -140,7 +140,7 @@ func run(wlName, mix, refMix string, pct float64, plot, frontier bool, nodesPath
 // types (up to the mix's node counts, cores and DVFS free) with the
 // memoized engine and reports where the mix sits relative to the
 // time-energy Pareto frontier of that space.
-func placeOnFrontier(cfg cluster.Config, wl *workload.Profile, workers int) error {
+func placeOnFrontier(cfg cluster.Config, wl *workload.Profile) error {
 	limits := make([]cluster.Limit, 0, len(cfg.Groups))
 	for _, g := range cfg.Groups {
 		limits = append(limits, cluster.Limit{Type: g.Type, MaxNodes: g.Count})
@@ -149,7 +149,7 @@ func placeOnFrontier(cfg cluster.Config, wl *workload.Profile, workers int) erro
 
 	var st pareto.SweepStats
 	front, err := pareto.FrontierSweep(limits, wl, model.Options{},
-		pareto.SweepOptions{Workers: workers, Stats: &st})
+		pareto.SweepOptions{Stats: &st})
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,7 @@ func main() {
 	queue := flag.Int("queue", 0, "max requests waiting for a slot before shedding (0 = 4*inflight, negative = no queue)")
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = 10s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested ?timeout= (0 = 60s)")
-	workers := flag.Int("workers", 0, "sweep worker-pool width for /v1/frontier (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker-pool width for batch items, frontier latency annotation and replay steps (0 = GOMAXPROCS)")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 	slow := flag.Duration("slow-request", 0, "latency threshold for sampled slow-request warn logs (0 = 1s, negative disables)")
 	logs := cli.AddLogFlags(nil)

@@ -46,7 +46,6 @@ func main() {
 	showPlan := flag.Bool("plan", false, "print the per-load configuration plan table")
 	nodes := flag.String("nodes", "", "JSON file with extra node types")
 	wls := flag.String("workloads", "", "JSON file with extra workload profiles")
-	workers := flag.Int("workers", 0, "parallel workers for the -frontier-candidates sweep (0 = GOMAXPROCS)")
 	tel := cli.AddTelemetryFlags(nil)
 	flag.Parse()
 
@@ -54,7 +53,7 @@ func main() {
 		cli.Fatal("eptrace", err)
 	}
 	err := run(*wlName, *mixes, *shapeName, *mean, *amplitude, *base, *peak, *levels,
-		*duration, *step, *slo, *hysteresis, *showPlan, *frontierN, *maxA9, *maxK10, *dvfs, *nodes, *wls, *workers)
+		*duration, *step, *slo, *hysteresis, *showPlan, *frontierN, *maxA9, *maxK10, *dvfs, *nodes, *wls)
 	if cerr := tel.Close(); err == nil {
 		err = cerr
 	}
@@ -65,7 +64,7 @@ func main() {
 
 func run(wlName, mixes, shapeName string, mean, amplitude, base, peak float64, levels string,
 	duration, step, slo time.Duration, hysteresis float64, showPlan bool,
-	frontierN, maxA9, maxK10 int, dvfs bool, nodesPath, wlsPath string, workers int) error {
+	frontierN, maxA9, maxK10 int, dvfs bool, nodesPath, wlsPath string) error {
 	catalog, registry, err := cli.LoadEnvironment(nodesPath, wlsPath)
 	if err != nil {
 		return err
@@ -91,7 +90,7 @@ func run(wlName, mixes, shapeName string, mean, amplitude, base, peak float64, l
 			{Type: a9, MaxNodes: maxA9, FixCoresAndFreq: !dvfs},
 			{Type: k10, MaxNodes: maxK10, FixCoresAndFreq: !dvfs},
 		}
-		cands, err = adaptive.FrontierCandidates(limits, wl, model.Options{}, frontierN, 100, workers)
+		cands, err = adaptive.FrontierCandidates(limits, wl, model.Options{}, frontierN, 100)
 		if err != nil {
 			return err
 		}

@@ -40,14 +40,13 @@ func main() {
 	nodes := flag.String("nodes", "", "JSON file with extra node types")
 	wls := flag.String("workloads", "", "JSON file with extra workload profiles")
 	progress := flag.Int("progress", 0, "print exploration progress to stderr every N configurations (0 disables)")
-	workers := flag.Int("workers", 0, "parallel evaluation workers (0 = GOMAXPROCS)")
 	tel := cli.AddTelemetryFlags(nil)
 	flag.Parse()
 
 	if err := tel.Start(); err != nil {
 		cli.Fatal("sweetspot", err)
 	}
-	err := run(*wlName, *deadline, *energyJ, *powerW, *maxA9, *maxK10, *dvfs, *noPrune, *nodes, *wls, *progress, *workers)
+	err := run(*wlName, *deadline, *energyJ, *powerW, *maxA9, *maxK10, *dvfs, *noPrune, *nodes, *wls, *progress)
 	if cerr := tel.Close(); err == nil {
 		err = cerr
 	}
@@ -56,7 +55,7 @@ func main() {
 	}
 }
 
-func run(wlName string, deadline time.Duration, energyJ, powerW float64, maxA9, maxK10 int, dvfs, noPrune bool, nodesPath, wlsPath string, progressEvery, workers int) error {
+func run(wlName string, deadline time.Duration, energyJ, powerW float64, maxA9, maxK10 int, dvfs, noPrune bool, nodesPath, wlsPath string, progressEvery int) error {
 	catalog, registry, err := cli.LoadEnvironment(nodesPath, wlsPath)
 	if err != nil {
 		return err
@@ -103,7 +102,6 @@ func run(wlName string, deadline time.Duration, energyJ, powerW float64, maxA9, 
 	prunedC := reg.Counter("pareto.configs_pruned")
 	prunedBefore := prunedC.Value()
 	frontier, err := pareto.FrontierSweep(limits, wl, model.Options{}, pareto.SweepOptions{
-		Workers:  workers,
 		Progress: pr,
 		Filter:   filter,
 		NoPrune:  noPrune,

@@ -20,13 +20,11 @@ import (
 // This replaces hand-picked -mixes lists: the frontier is exactly the
 // set of configurations worth switching between, since any off-frontier
 // mix is dominated at every load by some frontier point.
-//
-// workers is the sweep fan-out width; <= 0 uses GOMAXPROCS.
-func FrontierCandidates(limits []cluster.Limit, wl *workload.Profile, opt model.Options, n, samples, workers int) ([]*energyprop.Analysis, error) {
+func FrontierCandidates(limits []cluster.Limit, wl *workload.Profile, opt model.Options, n, samples int) ([]*energyprop.Analysis, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("adaptive: need at least 2 candidates, asked for %d", n)
 	}
-	front, err := pareto.FrontierSweep(limits, wl, opt, pareto.SweepOptions{Workers: workers})
+	front, err := pareto.FrontierSweep(limits, wl, opt, pareto.SweepOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func TestFrontierCandidates(t *testing.T) {
 		{Type: k10, MaxNodes: 4},
 	}
 
-	cands, err := FrontierCandidates(limits, wl, model.Options{}, 4, 50, 2)
+	cands, err := FrontierCandidates(limits, wl, model.Options{}, 4, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFrontierCandidates(t *testing.T) {
 		t.Error("frontier candidates left grid points infeasible")
 	}
 
-	if _, err := FrontierCandidates(limits, wl, model.Options{}, 1, 50, 1); err == nil {
+	if _, err := FrontierCandidates(limits, wl, model.Options{}, 1, 50); err == nil {
 		t.Error("n=1 should be rejected")
 	}
 }

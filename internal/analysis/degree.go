@@ -70,7 +70,7 @@ func (s *Suite) DegreeStudy(maxPerType int, seed uint64) ([]DegreeRow, error) {
 		}
 		row := DegreeRow{Degree: len(names), Types: names, SpaceSize: cluster.SpaceSize(limits)}
 
-		frontier, err := pareto.FrontierSweep(limits, p, s.Opt, pareto.SweepOptions{Workers: s.Workers})
+		frontier, err := pareto.FrontierSweep(limits, p, s.Opt, pareto.SweepOptions{})
 		if err != nil {
 			return nil, err
 		}

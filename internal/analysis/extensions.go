@@ -145,7 +145,7 @@ func (s *Suite) FullSpaceFrontier(wl string, maxA9, maxK10 int) (*FullSpaceResul
 	// the running frontier already dominates, and only survivors get a
 	// materialized model.Result.
 	pr := s.progress("full-space "+wl, res.SpaceSize)
-	front, err := pareto.FrontierSweep(limits, p, s.Opt, pareto.SweepOptions{Progress: pr, Workers: s.Workers})
+	front, err := pareto.FrontierSweep(limits, p, s.Opt, pareto.SweepOptions{Progress: pr})
 	if err != nil {
 		return nil, err
 	}

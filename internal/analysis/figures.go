@@ -201,7 +201,6 @@ func (s *Suite) FigurePareto(wl string, maxCurves int) (*ParetoFigure, error) {
 		{Type: amd, MaxNodes: 12, FixCoresAndFreq: true},
 	}
 	frontier, err := pareto.FrontierSweep(limits, p, s.Opt, pareto.SweepOptions{
-		Workers:  s.Workers,
 		Progress: s.progress("pareto "+wl, cluster.SpaceSize(limits)),
 	})
 	if err != nil {

@@ -36,8 +36,9 @@ type Suite struct {
 	ProgressEvery int
 	// ProgressW receives the progress lines; nil disables reporting.
 	ProgressW io.Writer
-	// Workers is the fan-out of the parallel sweeps (configuration
-	// frontiers, response-percentile grids); <= 0 uses GOMAXPROCS.
+	// Workers is the fan-out of the response-percentile grids; <= 0
+	// uses GOMAXPROCS. Frontier sweeps run serially on the caller's
+	// goroutine.
 	Workers int
 }
 

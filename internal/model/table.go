@@ -68,7 +68,7 @@ type tableKey struct {
 
 // Table memoizes UnitCalc entries for one (workload, Options) sweep.
 // It is safe for concurrent use; the /v1/frontier handler shares one
-// table across its worker pool.
+// table across concurrent requests.
 type Table struct {
 	wl       *workload.Profile
 	opt      Options
@@ -108,10 +108,9 @@ func (t *Table) Matches(wl *workload.Profile, opt Options) bool {
 // Snapshot is an immutable, lock-free view of a Table's unit-calc memo.
 // It is created after pre-warming every operating point a sweep can
 // touch, so readers never hit the Table's RWMutex: the map is copied
-// once under the lock and never mutated again, and the goroutine
-// creating the snapshot happens-before every worker that reads it
-// (workers are started after the snapshot exists). The parallel
-// frontier engine shares one Snapshot across all of its workers.
+// once under the lock and never mutated again, so any goroutine the
+// snapshot is handed to may read it. The frontier engine takes one
+// Snapshot per sweep.
 type Snapshot struct {
 	jobUnits float64
 	calcs    map[tableKey]*UnitCalc

@@ -1,8 +1,6 @@
 package pareto
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -11,26 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/workload"
 )
-
-// benchWorkerLadder is 1/2/4/GOMAXPROCS with duplicates removed, so the
-// ladder stays meaningful on small boxes (on a 1-core machine it is
-// just [1]).
-func benchWorkerLadder() []int {
-	ladder := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	out := ladder[:0]
-	seen := make(map[int]bool, len(ladder))
-	for _, w := range ladder {
-		if w > 0 && !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-func benchWorkerName(workers int) string {
-	return fmt.Sprintf("workers=%d", workers)
-}
 
 // paperBenchSpace returns the paper's footnote-4 design space (36,380
 // configurations: 10 A9 and 10 K10 nodes with free cores and DVFS) and
@@ -98,43 +76,28 @@ func benchSweep(b *testing.B, sw SweepOptions) {
 	}
 }
 
-// BenchmarkFrontierSweepFast is the serial headline number: the
-// memoized closed-form engine with subtree pruning over the footnote-4
-// space on a single worker (Workers zero now means GOMAXPROCS, so the
-// serial baseline must be pinned explicitly).
+// BenchmarkFrontierSweepFast is the headline number: the memoized
+// closed-form engine with subtree pruning over the footnote-4 space.
 func BenchmarkFrontierSweepFast(b *testing.B) {
-	benchSweep(b, SweepOptions{Workers: 1})
+	benchSweep(b, SweepOptions{})
 }
 
-// BenchmarkFrontierSweepFastWarm is the steady-state number: serial
-// sweep with a caller-provided warm table, so the memo is already
-// populated and the scratch pool is hot — the configuration the
-// allocation guard pins.
+// BenchmarkFrontierSweepFastWarm is the steady-state number: a sweep
+// with a caller-provided warm table, so the memo is already populated
+// and the scratch pool is hot — the configuration the allocation guard
+// pins.
 func BenchmarkFrontierSweepFastWarm(b *testing.B) {
 	_, wl := paperBenchSpace(b)
-	benchSweep(b, SweepOptions{Workers: 1, Table: model.NewTable(wl, model.Options{})})
-}
-
-// BenchmarkFrontierSweepParallel sweeps the worker ladder over a shared
-// warm table; on a multi-core box the configs/s metric should scale
-// with the worker count until the 1+choices(A9) top-level tasks run out.
-func BenchmarkFrontierSweepParallel(b *testing.B) {
-	_, wl := paperBenchSpace(b)
-	table := model.NewTable(wl, model.Options{})
-	for _, workers := range benchWorkerLadder() {
-		b.Run(benchWorkerName(workers), func(b *testing.B) {
-			benchSweep(b, SweepOptions{Workers: workers, Table: table})
-		})
-	}
+	benchSweep(b, SweepOptions{Table: model.NewTable(wl, model.Options{})})
 }
 
 // BenchmarkFrontierSweepFastNoPrune isolates the pruning contribution.
 func BenchmarkFrontierSweepFastNoPrune(b *testing.B) {
-	benchSweep(b, SweepOptions{Workers: 1, NoPrune: true})
+	benchSweep(b, SweepOptions{NoPrune: true})
 }
 
-// BenchmarkFrontierSweepReference is the preserved pre-memoization
-// baseline: one full model.Evaluate per configuration.
+// BenchmarkFrontierSweepReference is the serial reference baseline:
+// one full model.Evaluate per configuration.
 func BenchmarkFrontierSweepReference(b *testing.B) {
 	benchSweep(b, SweepOptions{Reference: true})
 }
@@ -180,16 +143,17 @@ func BenchmarkEvaluateReference(b *testing.B) {
 // TestFrontierSweepFastAllocs pins the steady-state allocation budget
 // of the fast sweep: with a warm shared table and a hot scratch pool,
 // a full footnote-4 sweep (36,380 configurations) must stay within a
-// small fixed number of allocations — the survivor materialization,
-// the table snapshot maps, and telemetry scaffolding. The old engine
-// cost ~4,300 allocs per sweep; a regression back to per-configuration
-// allocation would blow through this bound by orders of magnitude.
+// small fixed number of allocations — the frontier materialization,
+// the table snapshot maps, and telemetry scaffolding (70 at the time of
+// writing). A per-configuration engine costs ~4,300 allocs per sweep;
+// a regression back to per-configuration or per-admission allocation
+// would blow through this bound.
 func TestFrontierSweepFastAllocs(t *testing.T) {
 	limits, wl := paperBenchSpace(t)
 	table := model.NewTable(wl, model.Options{})
 	sweep := func() {
 		front, err := FrontierSweep(limits, wl, model.Options{},
-			SweepOptions{Workers: 1, Table: table})
+			SweepOptions{Table: table})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,47 +162,7 @@ func TestFrontierSweepFastAllocs(t *testing.T) {
 		}
 	}
 	sweep() // warm the memo table and the scratch pool
-	if allocs := testing.AllocsPerRun(10, sweep); allocs > 200 {
-		t.Errorf("fast sweep allocates %.0f objects/op warm, want <= 200 (~87 expected)", allocs)
-	}
-}
-
-// TestEvaluateParallelPerConfigAllocs verifies the satellite fix: the
-// value-slice result buffer removed the per-configuration *Point heap
-// allocation, so evaluateParallel's per-config allocations are bounded
-// by model.Evaluate's own internals (calc slice + group growth), with
-// no extra object per evaluated configuration.
-func TestEvaluateParallelPerConfigAllocs(t *testing.T) {
-	limits, wl := paperBenchSpace(t)
-	var configs []cluster.Config
-	err := cluster.Enumerate(limits, func(cfg cluster.Config) bool {
-		configs = append(configs, cfg)
-		return len(configs) < 512
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Baseline: what model.Evaluate itself costs per configuration.
-	perEval := testing.AllocsPerRun(5, func() {
-		for _, cfg := range configs {
-			if _, err := model.Evaluate(cfg, wl, model.Options{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}) / float64(len(configs))
-
-	perSweep := testing.AllocsPerRun(5, func() {
-		if out := EvaluateParallel(configs, wl, model.Options{}, 2); len(out) != len(configs) {
-			t.Fatalf("evaluated %d of %d", len(out), len(configs))
-		}
-	}) / float64(len(configs))
-
-	// Allow the amortized slot slice, output slice and pool scaffolding
-	// on top of the model's own allocations — but not the one-Point-
-	// per-config overhead the slice of pointers used to cost.
-	if perSweep > perEval+0.5 {
-		t.Errorf("evaluateParallel allocates %.2f objects/config, model.Evaluate alone %.2f: per-config overhead returned",
-			perSweep, perEval)
+	if allocs := testing.AllocsPerRun(10, sweep); allocs > 90 {
+		t.Errorf("fast sweep allocates %.0f objects/op warm, want <= 90 (~70 expected)", allocs)
 	}
 }

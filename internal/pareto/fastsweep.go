@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/model"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -23,8 +21,8 @@ import (
 //
 //  1. memoizes a model.UnitCalc per distinct (type, cores, freq)
 //     operating point (tens of entries for tens of thousands of
-//     configurations), snapshotted once into an immutable, lock-free
-//     view every worker shares,
+//     configurations), snapshotted once per sweep into an immutable,
+//     lock-free view,
 //  2. flattens the per-type choice space into columnar (structure-of-
 //     arrays) slices — count, node rate, energy-per-unit, support bit,
 //     unit-calc pointer — so the inner DFS loop walks cache-linear
@@ -32,46 +30,38 @@ import (
 //  3. evaluates each configuration allocation-free through
 //     model.EvaluateCalcs, whose scalars are bitwise-identical to
 //     model.Evaluate (same expression shapes and accumulation order),
-//  4. prunes whole enumeration subtrees with monotone lower bounds:
+//  4. tests every evaluated point against a running Pareto staircase
+//     that is updated on every admission (time strictly ascending,
+//     energy strictly descending): a binary search rejects a covered
+//     point, and an admitted point evicts the contiguous run of
+//     staircase points it strictly dominates,
+//  5. prunes whole enumeration subtrees with monotone lower bounds:
 //     fixing a prefix of per-type choices bounds the best reachable
 //     time by JobUnits/(rate_prefix + max remaining rate) and the best
-//     reachable energy by JobUnits * min EnergyPerUnit — if a running
-//     frontier point is at least as good on both axes, no completion
-//     of the prefix can ever be accepted by Frontier, so the subtree
-//     is skipped without evaluation (counted in pareto.configs_pruned),
-//  5. partitions the DFS at the top of the choice tree — one task per
-//     first-type decision (skip, or one of its (count, cores, freq)
-//     choices), largest-remainder balanced into one contiguous chunk
-//     per worker — and runs a private engine per chunk on the shared
-//     internal/sweep pool.
+//     reachable energy by JobUnits * min EnergyPerUnit — if a staircase
+//     point is at least as good on both axes, no completion of the
+//     prefix can ever be accepted by Frontier, so the subtree is
+//     skipped without evaluation (counted in pareto.configs_pruned).
 //
-// Exactness argument, serial. The final frontier is computed by one
-// Frontier-equivalent fold over the surviving points. A point is
-// dropped early only when some retained point q has q.Time <= p.Time
-// and q.Energy <= p.Energy (admission), or when the subtree bounds
-// guarantee such a q exists for every completion (pruning, with a
-// relative slack covering the model's floating-point rounding). In
-// Frontier's scan, acceptance of p would require
-// p.Energy < bestEnergy*(1-1e-9) <= q.Energy — a contradiction — and
-// rejected points never mutate the scan state (bestEnergy, lastTime),
-// so removing them leaves the output unchanged: the result equals
+// The walk is one depth-first pass on the caller's goroutine.
+// Parallelism lives above it — across requests, batch items and
+// workloads — where it pays; partitioning one sweep across workers
+// measured slower than the serial walk even on two real cores.
+//
+// Exactness argument. A point is dropped only when a point retained at
+// that moment weakly dominates it: q.Time <= p.Time and q.Energy <=
+// p.Energy, with q enumerated first (admission, which also rejects
+// exact duplicates so the first representative wins), or q strictly
+// better on one axis (eviction), or the subtree bounds guarantee such
+// a q for every completion (pruning, with a relative slack covering
+// the model's floating-point rounding). Domination is transitive, so
+// the final staircase weakly dominates every dropped point. In
+// Frontier's scan, acceptance of p would require p.Energy <
+// bestEnergy*(1-1e-9) <= q.Energy — a contradiction — and rejected
+// points never mutate the scan state (bestEnergy, lastTime), so
+// removing them leaves the output unchanged: the result equals
 // Frontier over every evaluated point, which (by bitwise-equal
 // scalars) equals the reference path's frontier point for point.
-//
-// Exactness argument, parallel. Each chunk's engine sees only its own
-// running frontier, which is a subset of what the serial engine would
-// have accumulated at the same leaf — so pruning and early drops can
-// only become *weaker*: every point the serial engine retains is
-// retained by some chunk, and any extra points a chunk retains are
-// dominated or duplicate, which the final fold removes by the serial
-// argument above. Concatenating the per-chunk survivors in chunk order
-// preserves global enumeration order (chunks are contiguous task
-// ranges of the top-level loop), so the fold's stable sort breaks ties
-// exactly as the serial sweep does ("first representative" is the same
-// point). The output is therefore bitwise-identical for every worker
-// count, including 1 — only the pruned/evaluated split in the
-// accounting may shift between worker counts (their sum is invariant:
-// evaluated + skipped + filtered + pruned == SpaceSize).
 
 // boundSlack is the relative safety margin applied to the pruning
 // lower bounds. The bounds are exact in real arithmetic; the evaluated
@@ -79,10 +69,6 @@ import (
 // 1e-9 haircut keeps the bounds strictly conservative with eight
 // orders of magnitude to spare.
 const boundSlack = 1e-9
-
-// fastFoldChunk is how many admitted points accumulate before the
-// running frontier is re-compacted.
-const fastFoldChunk = 2048
 
 // cancelCheckEvery is how many accounted configurations pass between
 // polls of the cancellation channel: a channel select per
@@ -100,9 +86,8 @@ func grow[T any](s []T, n int) []T {
 
 // spaceSoA is the columnar (structure-of-arrays) form of the
 // configuration space: every per-type choice flattened into parallel
-// slices, segmented by typeOff. It is built once per sweep by the
-// coordinator and then shared read-only by every worker — together
-// with the model.Snapshot it embeds, it is the immutable view that
+// slices, segmented by typeOff. It is built once per sweep and read
+// only by the walk; together with the model.Snapshot it embeds, it
 // keeps the hot path free of the table's RWMutex.
 type spaceSoA struct {
 	snap     *model.Snapshot
@@ -210,18 +195,16 @@ func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table) {
 	}
 }
 
-// fastPoint is a survivor before materialization: coordinates plus an
-// index into the engine's flat selection buffer. Configs and Results
-// are built only for the final frontier points, never per survivor.
+// fastPoint is a staircase point before materialization: coordinates
+// plus an index into the engine's flat selection buffer. Configs and
+// Results are built only for the final frontier points.
 type fastPoint struct {
 	t   units.Seconds
 	e   units.Joules
 	sel int32
 }
 
-// fastEngine walks one contiguous range of top-level tasks. Every
-// worker owns a private engine; the only shared state is the read-only
-// spaceSoA (and the atomic Progress reporter).
+// fastEngine is one sweep's depth-first walk over a spaceSoA.
 type fastEngine struct {
 	sp      *spaceSoA
 	filter  func(cluster.Config) bool
@@ -238,17 +221,13 @@ type fastEngine struct {
 	sel    []int32
 	gcsBuf []model.GroupCalc
 
-	// Running frontier: survivors in enumeration order, the pending
-	// batch, the flat selection blocks (stride nTypes) the survivors
-	// reference, and the compacted (time ascending, energy descending)
-	// coordinate arrays used for domination tests.
-	survivors []fastPoint
-	batch     []fastPoint
-	sels      []int32
-	runT      []float64
-	runE      []float64
-	foldIdx   []int32
-	foldKeep  []bool
+	// front is the running Pareto staircase: time strictly ascending,
+	// energy strictly descending. sels holds every admitted point's
+	// selection block (stride nTypes, -1 = skip); evicted points leave
+	// their blocks behind — admissions are a tiny fraction of the
+	// space, so the slack stays in the kilobytes.
+	front []fastPoint
+	sels  []int32
 
 	nEvaluated int64
 	nSkipped   int64
@@ -271,11 +250,8 @@ func (e *fastEngine) reset(sp *spaceSoA, sw *SweepOptions, cancel <-chan struct{
 	if cap(e.gcsBuf) < sp.nTypes {
 		e.gcsBuf = make([]model.GroupCalc, 0, sp.nTypes)
 	}
-	e.survivors = e.survivors[:0]
-	e.batch = e.batch[:0]
+	e.front = e.front[:0]
 	e.sels = e.sels[:0]
-	e.runT = e.runT[:0]
-	e.runE = e.runE[:0]
 	e.nEvaluated, e.nSkipped, e.nFiltered, e.nPruned = 0, 0, 0, 0
 }
 
@@ -288,9 +264,10 @@ func (e *fastEngine) release() {
 	e.cancel = nil
 }
 
-// noteProgress batches the cancellation poll over n newly accounted
-// configurations.
-func (e *fastEngine) noteProgress(n int64) {
+// account ticks progress for n newly accounted configurations and
+// batches the cancellation poll over them.
+func (e *fastEngine) account(n int64) {
+	e.pr.Add(n)
 	if e.cancel == nil {
 		return
 	}
@@ -306,28 +283,62 @@ func (e *fastEngine) noteProgress(n int64) {
 	}
 }
 
-// covered reports whether some running-frontier point is at least as
-// good as (t, en) on both axes.
+// covered reports whether some staircase point is at least as good as
+// (t, en) on both axes: the last point with time <= t has the lowest
+// energy among all such points.
 func (e *fastEngine) covered(t, en float64) bool {
-	j := sort.SearchFloat64s(e.runT, t)
-	// SearchFloat64s returns the first index with runT >= t; the last
-	// index with runT <= t is j when runT[j] == t, else j-1.
-	if j == len(e.runT) || e.runT[j] != t {
-		j--
+	f := e.front
+	lo, hi := 0, len(f)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if float64(f[m].t) <= t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	if j < 0 {
-		return false
+	return lo > 0 && float64(f[lo-1].e) <= en
+}
+
+// admit places (t, en), with the DFS's current selection, on the
+// staircase unless a staircase point covers it. From k, the first
+// index with time >= t, the new point evicts the contiguous run whose
+// energy is >= en — each strictly dominated by it, since the point
+// before k (and a same-time point at k) has energy > en when the new
+// point is uncovered.
+func (e *fastEngine) admit(t units.Seconds, en units.Joules) {
+	if e.covered(float64(t), float64(en)) {
+		return
 	}
-	return e.runE[j] <= en
+	f := e.front
+	lo, hi := 0, len(f)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if f[m].t < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	k, end := lo, lo
+	for end < len(f) && f[end].e >= en {
+		end++
+	}
+	if end == k {
+		f = append(f, fastPoint{})
+		copy(f[k+1:], f[k:])
+	} else {
+		f = append(f[:k+1], f[end:]...)
+	}
+	f[k] = fastPoint{t: t, e: en, sel: int32(len(e.sels) / e.sp.nTypes)}
+	e.sels = append(e.sels, e.sel...)
+	e.front = f
 }
 
 // pruneBound reports whether every completion of the current prefix
-// (types before i chosen, types i.. free) is covered by the running
-// frontier, using the monotone lower bounds on time and energy.
+// (types before i chosen, types i.. free) is covered by the staircase,
+// using the monotone lower bounds on time and energy.
 func (e *fastEngine) pruneBound(i int, partialRate, partialMinEPU float64) bool {
-	if len(e.runT) == 0 {
-		return false
-	}
 	ub := partialRate + e.sp.maxRateSuffix[i]
 	if !(ub > 0) {
 		return false
@@ -342,44 +353,6 @@ func (e *fastEngine) pruneBound(i int, partialRate, partialMinEPU float64) bool 
 	}
 	eLB := e.sp.jobUnits * mEPU * (1 - boundSlack)
 	return e.covered(tLB, eLB)
-}
-
-// runTasks executes the top-level tasks [lo, hi): task 0 skips the
-// first type (as Enumerate does first), task t >= 1 fixes the first
-// type to its choice t-1. The bodies replicate rec's level-0 loop
-// statement for statement, so a single chunk spanning every task is
-// exactly the serial sweep.
-func (e *fastEngine) runTasks(lo, hi int) {
-	sp := e.sp
-	for t := lo; t < hi; t++ {
-		if e.stop {
-			return
-		}
-		if t == 0 {
-			e.rec(1, 0, 0, math.Inf(1))
-			continue
-		}
-		j := sp.typeOff[0] + int32(t-1)
-		if !sp.sup[j] && e.filter == nil {
-			// Every completion fails evaluation on the missing demand
-			// vector; account the whole subtree as skipped. (With a
-			// Filter installed the walk must continue so filtered
-			// configurations are counted as filtered, as on the
-			// reference path.)
-			n := sp.suffixSpace[1]
-			e.nSkipped += n
-			e.pr.Add(n)
-			e.noteProgress(n)
-			continue
-		}
-		e.sel[0] = j
-		mEPU := math.Inf(1)
-		if v := sp.epu[j]; v < mEPU {
-			mEPU = v
-		}
-		e.rec(1, 1, sp.rate[j], mEPU)
-		e.sel[0] = -1
-	}
 }
 
 func (e *fastEngine) rec(i, depth int, partialRate, partialMinEPU float64) {
@@ -400,8 +373,7 @@ func (e *fastEngine) rec(i, depth int, partialRate, partialMinEPU float64) {
 		}
 		if n > 0 {
 			e.nPruned += n
-			e.pr.Add(n)
-			e.noteProgress(n)
+			e.account(n)
 		}
 		return
 	}
@@ -412,10 +384,14 @@ func (e *fastEngine) rec(i, depth int, partialRate, partialMinEPU float64) {
 			return
 		}
 		if !sp.sup[j] && e.filter == nil {
+			// Every completion fails evaluation on the missing demand
+			// vector; account the whole subtree as skipped. (With a
+			// Filter installed the walk must continue so filtered
+			// configurations are counted as filtered, as on the
+			// reference path.)
 			n := sp.suffixSpace[i+1]
 			e.nSkipped += n
-			e.pr.Add(n)
-			e.noteProgress(n)
+			e.account(n)
 			continue
 		}
 		e.sel[i] = j
@@ -429,30 +405,13 @@ func (e *fastEngine) rec(i, depth int, partialRate, partialMinEPU float64) {
 	}
 }
 
-// curConfig materializes the DFS's current selection as a canonical
-// Config (groups in node-type-name order). Only the Filter path pays
-// this allocation; filters may retain the Config, as on the reference
-// path.
-func (e *fastEngine) curConfig() cluster.Config {
+// configOf materializes a selection block as a canonical Config
+// (groups in node-type-name order).
+func (e *fastEngine) configOf(sel []int32) cluster.Config {
 	sp := e.sp
 	groups := make([]cluster.Group, 0, sp.nTypes)
 	for _, ti := range sp.byRank {
-		if j := e.sel[ti]; j >= 0 {
-			groups = append(groups, sp.groups[j])
-		}
-	}
-	return cluster.Config{Groups: groups}
-}
-
-// configAt materializes survivor i's Config from its flat selection
-// block — deferred until the final frontier is known, so dropped
-// survivors never allocate.
-func (e *fastEngine) configAt(i int32) cluster.Config {
-	sp := e.sp
-	base := int(e.survivors[i].sel) * sp.nTypes
-	groups := make([]cluster.Group, 0, sp.nTypes)
-	for _, ti := range sp.byRank {
-		if j := e.sels[base+int(ti)]; j >= 0 {
+		if j := sel[ti]; j >= 0 {
 			groups = append(groups, sp.groups[j])
 		}
 	}
@@ -467,280 +426,62 @@ func (e *fastEngine) leaf() {
 			gcs = append(gcs, model.GroupCalc{Calc: sp.calcs[j], Count: int(sp.count[j])})
 		}
 	}
-	if e.filter != nil {
-		if !e.filter(e.curConfig()) {
-			e.nFiltered++
-			e.pr.Tick()
-			e.noteProgress(1)
-			return
-		}
+	// Only the Filter path pays a Config allocation per leaf; filters
+	// may retain the Config, as on the reference path.
+	if e.filter != nil && !e.filter(e.configOf(e.sel)) {
+		e.nFiltered++
+		e.account(1)
+		return
 	}
 	fr, ok := sp.snap.EvaluateCalcs(gcs)
 	if !ok {
 		e.nSkipped++
-		e.pr.Tick()
-		e.noteProgress(1)
+		e.account(1)
 		return
 	}
 	e.nEvaluated++
-	e.pr.Tick()
-	e.noteProgress(1)
-	if len(e.runT) > 0 && e.covered(float64(fr.Time), float64(fr.Energy)) {
-		return
-	}
-	// Record the selection (stride nTypes, -1 = skip). The buffer keeps
-	// blocks of points later folded away — admitted points are a tiny
-	// fraction of the space, so the slack stays in the kilobytes.
-	off := int32(len(e.sels) / sp.nTypes)
-	e.sels = append(e.sels, e.sel...)
-	e.batch = append(e.batch, fastPoint{t: fr.Time, e: fr.Energy, sel: off})
-	if len(e.batch) >= fastFoldChunk {
-		e.fold()
-	}
+	e.account(1)
+	e.admit(fr.Time, fr.Energy)
 }
 
-// fold merges the pending batch into the survivors and re-compacts
-// them with plainFrontier's exact semantics (no noise epsilon, input
-// order and duplicates preserved), in place on pooled buffers.
-func (e *fastEngine) fold() {
-	if len(e.batch) == 0 {
-		return
-	}
-	e.survivors = append(e.survivors, e.batch...)
-	e.batch = e.batch[:0]
-	pts := e.survivors
-	idx := grow(e.foldIdx, len(pts))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := pts[idx[a]], pts[idx[b]]
-		if pa.t != pb.t {
-			return pa.t < pb.t
+// frontier applies Frontier's admission rule to the staircase — the
+// first point, then any point improving energy by more than the 1e-9
+// noise margin — materializing Configs and Results only for the
+// points that make the cut. The staircase holds one point per time
+// class, each its class's first lowest-energy representative, so no
+// sort is needed.
+func (e *fastEngine) frontier(table *model.Table) []Point {
+	var out []Point
+	bestEnergy := units.Joules(0)
+	for _, p := range e.front {
+		if len(out) > 0 && !(float64(p.e) < float64(bestEnergy)*(1-1e-9)) {
+			continue
 		}
-		return pa.e < pb.e
-	})
-	keep := grow(e.foldKeep, len(pts))
-	for i := range keep {
-		keep[i] = false
-	}
-	minPrev := math.Inf(1) // min energy over strictly earlier time classes
-	i := 0
-	for i < len(idx) {
-		j := i
-		classMin := math.Inf(1)
-		for j < len(idx) && pts[idx[j]].t == pts[idx[i]].t {
-			if en := float64(pts[idx[j]].e); en < classMin {
-				classMin = en
-			}
-			j++
+		base := int(p.sel) * e.sp.nTypes
+		cfg := e.configOf(e.sels[base : base+e.sp.nTypes])
+		pt := Point{Config: cfg, Time: p.t, Energy: p.e}
+		if res, err := table.Materialize(cfg); err == nil {
+			pt.Result = res
 		}
-		for k := i; k < j; k++ {
-			en := float64(pts[idx[k]].e)
-			// Dominated by an earlier (strictly faster) class, or by a
-			// strictly cheaper same-time point.
-			if minPrev <= en || en > classMin {
-				continue
-			}
-			keep[idx[k]] = true
-		}
-		if classMin < minPrev {
-			minPrev = classMin
-		}
-		i = j
-	}
-	e.foldIdx = idx
-	e.foldKeep = keep
-	kept := pts[:0]
-	for k := range pts {
-		if keep[k] {
-			kept = append(kept, pts[k])
-		}
-	}
-	e.survivors = kept
-
-	// Rebuild the compacted domination arrays. Survivors are mutually
-	// non-dominated, so same-time survivors have equal energy and any
-	// representative works.
-	e.runT = e.runT[:0]
-	e.runE = e.runE[:0]
-	idx = idx[:len(kept)]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool { return kept[idx[a]].t < kept[idx[b]].t })
-	for _, ii := range idx {
-		t := float64(kept[ii].t)
-		if n := len(e.runT); n > 0 && e.runT[n-1] == t {
-			continue // same time class, equal energy by non-domination
-		}
-		e.runT = append(e.runT, t)
-		e.runE = append(e.runE, float64(kept[ii].e))
-	}
-}
-
-// plainFrontier keeps every point not strictly dominated by another
-// (no noise epsilon), preserving input order and exact duplicates. It
-// is the compaction step of the fast sweep (fold inlines the same
-// scan over fastPoints); the final epsilon-aware Frontier semantics
-// run once over its output.
-func plainFrontier(pts []Point) []Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := pts[idx[a]], pts[idx[b]]
-		if pa.Time != pb.Time {
-			return pa.Time < pb.Time
-		}
-		return pa.Energy < pb.Energy
-	})
-	keep := make([]bool, len(pts))
-	minPrev := math.Inf(1) // min energy over strictly earlier time classes
-	i := 0
-	for i < len(idx) {
-		j := i
-		classMin := math.Inf(1)
-		for j < len(idx) && pts[idx[j]].Time == pts[idx[i]].Time {
-			if en := float64(pts[idx[j]].Energy); en < classMin {
-				classMin = en
-			}
-			j++
-		}
-		for k := i; k < j; k++ {
-			en := float64(pts[idx[k]].Energy)
-			// Dominated by an earlier (strictly faster) class, or by a
-			// strictly cheaper same-time point.
-			if minPrev <= en || en > classMin {
-				continue
-			}
-			keep[idx[k]] = true
-		}
-		if classMin < minPrev {
-			minPrev = classMin
-		}
-		i = j
-	}
-	out := make([]Point, 0, len(pts))
-	for i, p := range pts {
-		if keep[i] {
-			out = append(out, p)
-		}
+		out = append(out, pt)
+		bestEnergy = p.e
 	}
 	return out
 }
 
-// mergeRef addresses one survivor: chunk engine index plus its
-// position in that engine's (enumeration-ordered) survivor slice.
-type mergeRef struct {
-	chunk int32
-	idx   int32
-}
-
-// sweepScratch is the pooled per-sweep state: the columnar space, the
-// per-chunk engines (whose buffers persist across sweeps), the task
-// chunk bounds, and the merge reference buffer. Steady-state sweeps
-// reuse all of it, keeping allocations near zero.
+// sweepScratch is the pooled per-sweep state. Steady-state sweeps
+// reuse its buffers, keeping allocations near zero.
 type sweepScratch struct {
-	sp      spaceSoA
-	engines []fastEngine
-	bounds  []int32
-	refs    []mergeRef
+	sp  spaceSoA
+	eng fastEngine
 }
 
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
-// apportionTasks splits nTasks into nChunks contiguous ranges by
-// largest-remainder rounding of the equal quota nTasks/nChunks (equal
-// remainders tie-break by chunk index, so the first nTasks%nChunks
-// chunks take the extra task). Every top-level task spans an equal
-// slice of the configuration space, so equal task counts are
-// weight-balanced. Returns bounds with len nChunks+1.
-func apportionTasks(nTasks, nChunks int, bounds []int32) []int32 {
-	base, rem := nTasks/nChunks, nTasks%nChunks
-	bounds = append(bounds[:0], 0)
-	for c := 0; c < nChunks; c++ {
-		sz := base
-		if c < rem {
-			sz++
-		}
-		bounds = append(bounds, bounds[c]+int32(sz))
-	}
-	return bounds
-}
-
-// mergeFrontier folds the per-chunk partial frontiers into the final
-// frontier with Frontier's exact semantics — stable sort by (time,
-// energy) over the chunk-order concatenation, lowest-energy (first on
-// ties) representative per time class, 1e-9 relative energy-improvement
-// admission — materializing Configs and Results only for the points
-// that make the cut.
-func mergeFrontier(engines []fastEngine, sc *sweepScratch, table *model.Table) []Point {
-	total := 0
-	for c := range engines {
-		total += len(engines[c].survivors)
-	}
-	if total == 0 {
-		return nil
-	}
-	refs := grow(sc.refs, total)
-	k := 0
-	for c := range engines {
-		for i := range engines[c].survivors {
-			refs[k] = mergeRef{chunk: int32(c), idx: int32(i)}
-			k++
-		}
-	}
-	at := func(r mergeRef) fastPoint { return engines[r.chunk].survivors[r.idx] }
-	sort.SliceStable(refs, func(a, b int) bool {
-		pa, pb := at(refs[a]), at(refs[b])
-		if pa.t != pb.t {
-			return pa.t < pb.t
-		}
-		return pa.e < pb.e
-	})
-	sc.refs = refs
-
-	var out []Point
-	bestEnergy := units.Joules(0)
-	i := 0
-	for i < len(refs) {
-		j := i
-		rep := i
-		for j < len(refs) && at(refs[j]).t == at(refs[i]).t {
-			if at(refs[j]).e < at(refs[rep]).e {
-				rep = j
-			}
-			j++
-		}
-		p := at(refs[rep])
-		admit := len(out) == 0 ||
-			float64(p.e) < float64(bestEnergy)*(1-1e-9)
-		if admit {
-			r := refs[rep]
-			cfg := engines[r.chunk].configAt(r.idx)
-			pt := Point{Config: cfg, Time: p.t, Energy: p.e}
-			if res, err := table.Materialize(cfg); err == nil {
-				pt.Result = res
-			}
-			out = append(out, pt)
-			bestEnergy = p.e
-		}
-		i = j
-	}
-	return out
-}
-
 // frontierSweepFast is the memoized closed-form sweep behind
 // FrontierSweep: identical results to the reference path, orders of
-// magnitude faster, and parallel across SweepOptions.Workers — the
-// top-level choice loop is partitioned into per-worker chunks whose
-// private partial frontiers merge into the exact serial output (see
-// the parallel exactness argument at the top of this file).
+// magnitude faster (see the exactness argument at the top of this
+// file).
 func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
 	span := telemetry.StartSpan("pareto.frontier_sweep").
 		Arg("workload", wl.Name).Arg("engine", "fast")
@@ -777,11 +518,6 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 	} else if !table.Matches(wl, opt) {
 		return nil, fmt.Errorf("pareto: SweepOptions.Table was built for a different workload or options")
 	}
-
-	workers := sw.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ctx := sw.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -801,58 +537,19 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 		return nil, nil
 	}
 
-	// One task per top-level decision: skip the first type, or fix it
-	// to one of its choices. Chunks are contiguous task ranges, one
-	// per worker (fewer when tasks run out).
-	nTasks := 1 + int(sp.typeOff[1]-sp.typeOff[0])
-	nChunks := workers
-	if nChunks > nTasks {
-		nChunks = nTasks
-	}
-	sc.bounds = apportionTasks(nTasks, nChunks, sc.bounds)
-
-	if cap(sc.engines) < nChunks {
-		engines := make([]fastEngine, nChunks)
-		copy(engines, sc.engines) // carry over the old engines' buffers
-		sc.engines = engines
-	} else {
-		sc.engines = sc.engines[:nChunks]
-	}
-	engines := sc.engines
-	cancel := ctx.Done()
-	for c := range engines {
-		engines[c].reset(sp, &sw, cancel)
-	}
-	defer func() {
-		for c := range engines {
-			engines[c].release()
-		}
-	}()
-
-	span.Arg("workers", workers).Arg("chunks", nChunks)
-	derr := sweep.BlocksContext(ctx, nChunks, workers, 1, func(_, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			engines[c].runTasks(int(sc.bounds[c]), int(sc.bounds[c+1]))
-			engines[c].fold()
-		}
-	})
-	if derr == nil {
-		// A worker may have latched stop mid-chunk after the last
-		// dispatch; the accounting would be incomplete.
-		derr = ctx.Err()
-	}
-	if derr != nil {
-		return nil, derr
+	e := &sc.eng
+	e.reset(sp, &sw, ctx.Done())
+	defer e.release()
+	e.rec(0, 0, 0, math.Inf(1))
+	// A walk stopped by cancellation is incomplete; one cancelled after
+	// its last poll fails too, so a cancelled context always yields its
+	// error.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
-	var st SweepStats
-	for c := range engines {
-		st.Evaluated += engines[c].nEvaluated
-		st.Skipped += engines[c].nSkipped
-		st.Filtered += engines[c].nFiltered
-		st.Pruned += engines[c].nPruned
-	}
-	out := mergeFrontier(engines, sc, table)
+	st := SweepStats{Evaluated: e.nEvaluated, Skipped: e.nSkipped, Filtered: e.nFiltered, Pruned: e.nPruned}
+	out := e.frontier(table)
 
 	evaluated.Add(uint64(st.Evaluated))
 	skipped.Add(uint64(st.Skipped))

@@ -89,27 +89,3 @@ func TestFrontierEnergyNoise1Ulp(t *testing.T) {
 		t.Fatalf("head tie: got %+v, want the lower-energy 7-node point", f)
 	}
 }
-
-// TestPlainFrontierKeepsNonDominated pins the fast engine's compaction
-// step: strict dominance only, input order preserved, duplicates kept.
-func TestPlainFrontierKeepsNonDominated(t *testing.T) {
-	points := []Point{
-		mkPoint(2, 5),
-		mkPoint(1, 10),
-		mkPoint(2, 5), // duplicate: kept (never accepted later, but harmless)
-		mkPoint(3, 6), // dominated by (2,5)
-		mkPoint(2, 7), // dominated by (2,5)
-		mkPoint(4, 4),
-	}
-	got := plainFrontier(points)
-	want := []Point{mkPoint(2, 5), mkPoint(1, 10), mkPoint(2, 5), mkPoint(4, 4)}
-	if len(got) != len(want) {
-		t.Fatalf("plainFrontier kept %d points, want %d: %+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i].Time != want[i].Time || got[i].Energy != want[i].Energy {
-			t.Errorf("plainFrontier[%d] = (%v,%v), want (%v,%v)",
-				i, got[i].Time, got[i].Energy, want[i].Time, want[i].Energy)
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -672,9 +673,9 @@ func (s *Server) tableFor(wl *workload.Profile) *model.Table {
 	return t.(*model.Table)
 }
 
-// sweepFrontier runs the memoized parallel frontier engine over the
-// space under ctx — peak-power budget applied as a pre-evaluation
-// filter, per-workload unit-calc table shared across requests, pruning
+// sweepFrontier runs the memoized frontier engine over the space
+// under ctx — peak-power budget applied as a pre-evaluation filter,
+// per-workload unit-calc table shared across requests, pruning
 // disabled so the explored/evaluated/filtered accounting in the
 // response covers the full space — and folds the results into the
 // frontier and sweet region. When the params ask for it, every
@@ -709,7 +710,6 @@ func (s *Server) sweepFrontier(ctx context.Context, fp frontierParams, limits []
 	// sweep phase to rc itself.
 	var st pareto.SweepStats
 	frontier, err := pareto.FrontierSweep(limits, wl, model.Options{}, pareto.SweepOptions{
-		Workers: s.cfg.Workers,
 		Filter:  filter,
 		NoPrune: true,
 		Context: ctx,
@@ -845,13 +845,27 @@ func parseFloatParam(w http.ResponseWriter, raw, name string, required bool) (fl
 		}
 		return 0, true
 	}
-	v, err := strconv.ParseFloat(raw, 64)
+	v, err := parseFinite(raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("invalid %s=%q: %v", name, raw, err))
 		return 0, false
 	}
 	return v, true
+}
+
+// errNotFinite rejects NaN and ±Inf query values: NaN slips through
+// every range check and ±Inf through most, and neither can be encoded
+// in a JSON response.
+var errNotFinite = errors.New("must be a finite number")
+
+// parseFinite is strconv.ParseFloat restricted to finite values.
+func parseFinite(raw string) (float64, error) {
+	v, err := strconv.ParseFloat(raw, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, errNotFinite
+	}
+	return v, err
 }
 
 // parseIntParam parses an integer query parameter with a default for
@@ -883,7 +897,7 @@ func parsePercentiles(w http.ResponseWriter, raw string) ([]float64, bool) {
 	}
 	ps := make([]float64, 0, len(parts))
 	for _, part := range parts {
-		p, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		p, err := parseFinite(strings.TrimSpace(part))
 		if err != nil || p < 0 || p >= 100 {
 			writeError(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("invalid percentile %q: want a number in [0, 100)", part))
@@ -897,11 +911,13 @@ func parsePercentiles(w http.ResponseWriter, raw string) ([]float64, bool) {
 // parseDurationOrSeconds accepts both Go duration syntax ("1.5s",
 // "300ms") and a bare number of seconds ("1.5").
 func parseDurationOrSeconds(raw string) (float64, error) {
-	if v, err := strconv.ParseFloat(raw, 64); err == nil {
+	if v, err := parseFinite(raw); err == nil {
 		if v < 0 {
 			return 0, errors.New("must be non-negative")
 		}
 		return v, nil
+	} else if err == errNotFinite {
+		return 0, err
 	}
 	d, err := time.ParseDuration(raw)
 	if err != nil {

@@ -179,7 +179,9 @@ func TestSanitizeRequestID(t *testing.T) {
 }
 
 // TestAccessLogFrontierAttribution: a frontier request's line must
-// carry the sweep attribution accumulated below the handler.
+// carry the sweep attribution accumulated below the handler. The sweep
+// itself runs on the request's goroutine, so pool items (sweep_items)
+// appear only when the request fans out latency annotation.
 func TestAccessLogFrontierAttribution(t *testing.T) {
 	srv, buf := newLoggedServer(t, Config{})
 	rec := do(t, srv, http.MethodGet, "/v1/frontier?workload=EP&max_a9=3&max_k10=2", nil)
@@ -190,16 +192,23 @@ func TestAccessLogFrontierAttribution(t *testing.T) {
 	if n, _ := line["configs_evaluated"].(float64); n <= 0 {
 		t.Fatalf("configs_evaluated = %v, want > 0: %v", line["configs_evaluated"], line)
 	}
+	if v, ok := line["sweep_items"]; ok {
+		t.Fatalf("plain frontier request logged sweep_items = %v: %v", v, line)
+	}
+
+	rec = do(t, srv, http.MethodGet, "/v1/frontier?workload=EP&max_a9=3&max_k10=2&u=0.5", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	line = accessLine(t, buf, "frontier")
 	if n, _ := line["sweep_items"].(float64); n <= 0 {
-		t.Fatalf("sweep_items = %v, want > 0: %v", line["sweep_items"], line)
+		t.Fatalf("annotated request: sweep_items = %v, want > 0: %v", line["sweep_items"], line)
 	}
 }
 
-// TestSlowRequestLogFires: with a tiny threshold every request is
-// "slow"; the sampled warn line with the phase timeline must appear.
-func TestSlowRequestLogFires(t *testing.T) {
-	srv, buf := newLoggedServer(t, Config{SlowRequest: time.Nanosecond})
-	do(t, srv, http.MethodGet, "/v1/frontier?workload=EP&max_a9=2&max_k10=1", nil)
+// slowLine returns the single slow-request line in buf.
+func slowLine(t *testing.T, buf *logBuffer) map[string]any {
+	t.Helper()
 	var slow map[string]any
 	for _, line := range buf.Lines() {
 		var rec map[string]any
@@ -213,15 +222,33 @@ func TestSlowRequestLogFires(t *testing.T) {
 	if slow == nil {
 		t.Fatalf("no slow-request line in:\n%s", buf.String())
 	}
-	if slow["level"] != "WARN" {
-		t.Fatalf("slow request logged at %v, want WARN", slow["level"])
-	}
-	timeline, _ := slow["timeline"].(string)
-	if !strings.Contains(timeline, "sweep.blocks@") {
-		t.Fatalf("slow-request timeline %q missing sweep phase", timeline)
-	}
-	if _, ok := slow["request_id"]; !ok {
-		t.Fatalf("slow-request line missing request_id: %v", slow)
+	return slow
+}
+
+// TestSlowRequestLogFires: with a tiny threshold every request is
+// "slow"; the sampled warn line with the phase timeline must appear.
+// A plain frontier request shows the sweep phase; an annotated one
+// also shows the pool phase its latency fan-out runs in.
+func TestSlowRequestLogFires(t *testing.T) {
+	for _, tc := range []struct {
+		query, phase string
+	}{
+		{"workload=EP&max_a9=2&max_k10=1", "pareto.frontier_sweep@"},
+		{"workload=EP&max_a9=2&max_k10=1&u=0.5", "sweep.blocks@"},
+	} {
+		srv, buf := newLoggedServer(t, Config{SlowRequest: time.Nanosecond})
+		do(t, srv, http.MethodGet, "/v1/frontier?"+tc.query, nil)
+		slow := slowLine(t, buf)
+		if slow["level"] != "WARN" {
+			t.Fatalf("slow request logged at %v, want WARN", slow["level"])
+		}
+		timeline, _ := slow["timeline"].(string)
+		if !strings.Contains(timeline, tc.phase) {
+			t.Fatalf("%s: slow-request timeline %q missing %s", tc.query, timeline, tc.phase)
+		}
+		if _, ok := slow["request_id"]; !ok {
+			t.Fatalf("slow-request line missing request_id: %v", slow)
+		}
 	}
 }
 

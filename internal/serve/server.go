@@ -86,8 +86,10 @@ type Config struct {
 	// may ask to replay (each step costs percentile solves); 0 means
 	// 65536.
 	MaxReplaySteps int
-	// Workers is the sweep worker-pool width for frontier requests;
-	// 0 means GOMAXPROCS.
+	// Workers is the worker-pool width for the work a request fans out:
+	// batch items, frontier latency annotation and replay steps; 0
+	// means GOMAXPROCS. A frontier sweep itself runs serially on its
+	// request's goroutine.
 	Workers int
 }
 

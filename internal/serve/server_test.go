@@ -91,6 +91,38 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
+// TestNonFiniteQueryParams: every float query parameter of
+// /v1/percentiles and /v1/frontier answers NaN, Inf and -Inf with 400
+// bad_request — never a 500 from the JSON encoder, and never a 200
+// that silently ignores the value.
+func TestNonFiniteQueryParams(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// Each entry is a valid request with one float parameter left open.
+	params := []struct{ name, query string }{
+		{"percentiles u", "/v1/percentiles?d=1&u="},
+		{"percentiles d", "/v1/percentiles?u=0.5&d="},
+		{"percentiles p", "/v1/percentiles?d=1&u=0.5&p="},
+		{"percentiles p list", "/v1/percentiles?d=1&u=0.5&p=50,"},
+		{"percentiles scv", "/v1/percentiles?d=1&u=0.5&kernel=mg1&scv="},
+		{"frontier power", "/v1/frontier?max_a9=2&max_k10=1&power="},
+		{"frontier deadline", "/v1/frontier?max_a9=2&max_k10=1&deadline="},
+		{"frontier energy", "/v1/frontier?max_a9=2&max_k10=1&energy="},
+		{"frontier u", "/v1/frontier?max_a9=2&max_k10=1&u="},
+		{"frontier p", "/v1/frontier?max_a9=2&max_k10=1&u=0.5&p="},
+		{"frontier scv", "/v1/frontier?max_a9=2&max_k10=1&u=0.5&kernel=mg1&scv="},
+	}
+	for _, p := range params {
+		for _, v := range []string{"NaN", "Inf", "-Inf"} {
+			t.Run(p.name+"="+v, func(t *testing.T) {
+				status, body := get(t, ts.URL+p.query+v)
+				if status != http.StatusBadRequest || !strings.Contains(body, "bad_request") {
+					t.Fatalf("GET %s%s: status %d (body %s), want 400 bad_request", p.query, v, status, body)
+				}
+			})
+		}
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/percentiles?d=1&u=0.5", nil)

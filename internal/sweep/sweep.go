@@ -1,12 +1,12 @@
 // Package sweep is the shared worker pool behind the repository's
-// parallel sweeps: the Pareto configuration sweeps, the energyprop
-// utilization/percentile grids and the adaptive planner's candidate
-// matrix all fan out through it. It generalizes the block-dispatch
-// pattern that previously lived inside pareto.evaluateParallel: work is
-// handed to workers in contiguous index blocks over a channel — a single
-// item can be microseconds, so per-item channel traffic would dominate —
-// and each index is written by exactly one worker, so callers can use
-// fixed-slot result slices with no locking and deterministic order.
+// parallel fan-outs: epserve's batch items, frontier latency
+// annotation, the energyprop utilization/percentile grids, replay steps
+// and the adaptive planner's candidate matrix all run through it. Work
+// is handed to workers in contiguous index blocks over a channel — a
+// single item can be microseconds, so per-item channel traffic would
+// dominate — and each index is written by exactly one worker, so
+// callers can use fixed-slot result slices with no locking and
+// deterministic order.
 package sweep
 
 import (
@@ -52,12 +52,13 @@ func BlocksContext(ctx context.Context, n, workers, block int, fn func(worker, l
 	if workers > nblocks {
 		workers = nblocks
 	}
-	// Request-scoped sweeps (epserve's frontier fan-out) attribute the
-	// items they dispatch and their wall-clock phase to the owning
-	// request. The RequestContext rides ctx into every worker through
-	// fn's closure — workers are shared across requests over time, but
-	// each dispatched block belongs to exactly one request's call, so
-	// attribution cannot bleed between concurrent requests.
+	// Request-scoped fan-outs (epserve's batch items and frontier
+	// latency annotation) attribute the items they dispatch and their
+	// wall-clock phase to the owning request. The RequestContext rides
+	// ctx into every worker through fn's closure — workers are shared
+	// across requests over time, but each dispatched block belongs to
+	// exactly one request's call, so attribution cannot bleed between
+	// concurrent requests.
 	rc := telemetry.RequestFrom(ctx)
 	dispatched := 0
 	if rc != nil {

@@ -2,13 +2,11 @@
 // sweep engine into the JSON summary committed as BENCH_frontier.json:
 // per-benchmark ns/op, B/op, allocs/op and the configs/s throughput
 // metric the sweep benchmarks report, plus the derived headline
-// speedups of the memoized engine over the preserved per-config
-// reference sweep and the parallel worker-ladder scaling of
-// BenchmarkFrontierSweepParallel. The GOMAXPROCS the benchmarks ran
-// under (go test's -N name suffix; absent means 1) is recorded so the
-// ladder can be judged against the core count that produced it.
-// Invoked by `make bench-frontier`; reads the benchmark output on
-// stdin (or a file argument) and writes JSON to stdout.
+// speedups of the memoized engine over the per-config reference sweep.
+// The GOMAXPROCS the benchmarks ran under (go test's -N name suffix;
+// absent means 1) is recorded with the numbers. Invoked by
+// `make bench-frontier`; reads the benchmark output on stdin (or a
+// file argument) and writes JSON to stdout.
 //
 // Unlike benchjson's, the line regex here must accept a custom metric
 // between ns/op and B/op — the testing package prints ReportMetric
@@ -34,10 +32,6 @@ var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op` +
 		`(?:\s+([\d.eE+-]+) configs/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
-// ladderName extracts the worker count from the parallel ladder's
-// sub-benchmark names.
-var ladderName = regexp.MustCompile(`^BenchmarkFrontierSweepParallel/workers=(\d+)$`)
-
 type result struct {
 	Name          string  `json:"name"`
 	Iterations    int64   `json:"iterations"`
@@ -47,25 +41,13 @@ type result struct {
 	AllocsPerOp   int64   `json:"allocs_per_op"`
 }
 
-type ladderRung struct {
-	Workers         int     `json:"workers"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	ConfigsPerSec   float64 `json:"configs_per_sec,omitempty"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-}
-
 type summary struct {
-	// GoMaxProcs is the scheduler width the benchmarks ran under; the
-	// parallel ladder cannot scale past it, so rungs above it measure
-	// oversubscription overhead, not speedup.
+	// GoMaxProcs is the scheduler width the benchmarks ran under.
 	GoMaxProcs int `json:"gomaxprocs"`
-	// Speedups pit the preserved per-configuration reference sweep
-	// (one model.Evaluate per point) against the memoized engine.
+	// Speedups pit the per-configuration reference sweep (one
+	// model.Evaluate per point) against the memoized engine.
 	Speedups map[string]float64 `json:"speedups"`
-	// WorkerLadder is BenchmarkFrontierSweepParallel normalized to its
-	// own workers=1 rung.
-	WorkerLadder []ladderRung `json:"worker_ladder,omitempty"`
-	Results      []result     `json:"results"`
+	Results  []result           `json:"results"`
 }
 
 func parse(r io.Reader) ([]result, int, error) {
@@ -104,35 +86,6 @@ func parse(r io.Reader) ([]result, int, error) {
 
 // round2 keeps headline ratios at two significant decimals.
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
-
-func ladder(results []result) []ladderRung {
-	var rungs []ladderRung
-	for _, r := range results {
-		m := ladderName.FindStringSubmatch(r.Name)
-		if m == nil {
-			continue
-		}
-		w, _ := strconv.Atoi(m[1])
-		rungs = append(rungs, ladderRung{
-			Workers:       w,
-			NsPerOp:       r.NsPerOp,
-			ConfigsPerSec: r.ConfigsPerSec,
-		})
-	}
-	sort.Slice(rungs, func(i, j int) bool { return rungs[i].Workers < rungs[j].Workers })
-	var serial float64
-	for _, r := range rungs {
-		if r.Workers == 1 {
-			serial = r.NsPerOp
-		}
-	}
-	for i := range rungs {
-		if serial > 0 && rungs[i].NsPerOp > 0 {
-			rungs[i].SpeedupVsSerial = round2(serial / rungs[i].NsPerOp)
-		}
-	}
-	return rungs
-}
 
 func main() {
 	in := io.Reader(os.Stdin)
@@ -183,10 +136,9 @@ func main() {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	out := summary{
-		GoMaxProcs:   gomaxprocs,
-		Speedups:     speedups,
-		WorkerLadder: ladder(results),
-		Results:      results,
+		GoMaxProcs: gomaxprocs,
+		Speedups:   speedups,
+		Results:    results,
 	}
 	if err := enc.Encode(out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchfrontier:", err)
