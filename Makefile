@@ -73,12 +73,13 @@ race: test-race
 
 # ci is the full gate the workflow runs: formatting, vet, tier-1
 # build+test, targeted race runs over the concurrency-heavy packages
-# (queueing percentile cache, serve streaming, replay fan-out, and the
-# memoized frontier engine's shared unit-calc table), the frontier
+# (queueing percentile cache, serve streaming, replay fan-out, the
+# sweep worker pool, and the memoized frontier engine's shared
+# unit-calc table), the frontier
 # fast-vs-reference differential smoke over the full footnote-4 space,
 # the epserve end-to-end smoke, the fleet-scenario smoke (schema checks
-# plus race-detected runs), and a short fuzz smoke over the parser and
-# kernel differential targets.
+# plus race-detected runs), and a short fuzz smoke over the parser,
+# kernel differential and epserve GET targets.
 ci:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -86,7 +87,7 @@ ci:
 	$(MAKE) staticcheck
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/queueing/ ./internal/serve/ ./internal/replay/
+	$(GO) test -race ./internal/queueing/ ./internal/serve/ ./internal/replay/ ./internal/sweep/
 	$(GO) test -run TestTableDifferentialPaperSpace ./internal/model/
 	$(GO) test -race -short -run 'TestFastSweep|TestFrontier' ./internal/pareto/
 	$(MAKE) bench-frontier-smoke
@@ -166,6 +167,7 @@ fuzz:
 	$(GO) test -run '^$$' ./internal/replay/ -fuzz FuzzParseJSON -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/queueing/ -fuzz FuzzPercentileCacheDifferential -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/queueing/ -fuzz FuzzKernelDifferential -fuzztime $(FUZZTIME)
+	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServeGET -fuzztime $(FUZZTIME)
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=5s

@@ -191,18 +191,19 @@ type normState struct {
 	flo float64
 }
 
-// cachedNormalizedPercentile returns the normalized wait percentile
-// w(rho, target) for the queue MD1{Lambda: rho, D: 1}, memoized across
-// the process. st may be nil (single query) or shared batch state; rc,
-// when non-nil, receives the request-scoped hit/miss attribution beside
-// the process-global counters (epserve's access log reports the cache
-// behavior of each individual request from it).
-func cachedNormalizedPercentile(rho, target float64, st *normState, rc *telemetry.RequestContext) (float64, error) {
+// percentileCell is the one entry point of the memo: it quantizes rho,
+// keys the cell on (rho, target) plus the kernel identity, finds or
+// creates it in its shard, counts the hit or miss (process-wide, and
+// into rc when a request scope is attached: epserve's access log reports
+// each request's cache behavior from it), and drops the generation when
+// the shard overflows. The caller solves inside the returned cell's
+// Once, from the quantized rho it also returns, so concurrent misses on
+// one key run one solve.
+func percentileCell(kind uint8, shapeBits uint64, rho, target float64, rc *telemetry.RequestContext) (*pctEntry, float64) {
 	ins := instruments()
 	rhoQ := quantizeRho(rho)
-	key := pctKey{rho: rhoQ, target: math.Float64bits(target)}
-	gen := pctCache.Load()
-	sh := gen.shard(key)
+	key := pctKey{rho: rhoQ, target: math.Float64bits(target), kind: kind, shape: shapeBits}
+	sh := pctCache.Load().shard(key)
 	e, loaded := sh.lookup(key)
 	if loaded {
 		ins.cacheHits.Inc()
@@ -214,6 +215,15 @@ func cachedNormalizedPercentile(rho, target float64, st *normState, rc *telemetr
 			resetPercentileCache()
 		}
 	}
+	return e, rhoQ
+}
+
+// cachedNormalizedPercentile returns the normalized wait percentile
+// w(rho, target) for the queue MD1{Lambda: rho, D: 1}, memoized across
+// the process under the zero kernel tag. st may be nil (single query)
+// or shared batch state.
+func cachedNormalizedPercentile(rho, target float64, st *normState, rc *telemetry.RequestContext) (float64, error) {
+	e, rhoQ := percentileCell(pctKindMD1, 0, rho, target, rc)
 	e.once.Do(func() {
 		e.w, e.err = solveNormalizedPercentile(rhoQ, target, st)
 	})
@@ -230,30 +240,14 @@ func cachedNormalizedPercentile(rho, target float64, st *normState, rc *telemetr
 // path its zero-allocation guarantee.
 type kernelSolver func(rho, shape, target float64) (float64, error)
 
-// cachedKernelPercentile is the memo entry point for non-M/D/1 kernels:
-// kind and shapeBits extend the key with the kernel identity (for
-// M/G/1, the curve tag plus the raw SCV bits), so two kernels at the
-// same (rho, target) can never share a cell — the cross-kernel bleed
-// test in cache_test.go pins this. solve receives the quantized rho the
-// entry is keyed on plus the shape value, and runs singleflight inside
-// the cell's Once, exactly like the M/D/1 path.
+// cachedKernelPercentile is the memo for non-M/D/1 kernels: kind and
+// shapeBits extend the key with the kernel identity (for M/G/1, the
+// curve tag plus the raw SCV bits), so two kernels at the same (rho,
+// target) can never share a cell — the cross-kernel bleed test in
+// cache_test.go pins this. solve receives the quantized rho the cell is
+// keyed on plus the shape value.
 func cachedKernelPercentile(kind uint8, shapeBits uint64, shape, rho, target float64, rc *telemetry.RequestContext, solve kernelSolver) (float64, error) {
-	ins := instruments()
-	rhoQ := quantizeRho(rho)
-	key := pctKey{rho: rhoQ, target: math.Float64bits(target), kind: kind, shape: shapeBits}
-	gen := pctCache.Load()
-	sh := gen.shard(key)
-	e, loaded := sh.lookup(key)
-	if loaded {
-		ins.cacheHits.Inc()
-		rc.Add(telemetry.AttrCacheHits, 1)
-	} else {
-		ins.cacheMisses.Inc()
-		rc.Add(telemetry.AttrCacheMisses, 1)
-		if sh.size.Add(1) > pctShardMaxEntries {
-			resetPercentileCache()
-		}
-	}
+	e, rhoQ := percentileCell(kind, shapeBits, rho, target, rc)
 	e.once.Do(func() {
 		e.w, e.err = solve(rhoQ, shape, target)
 	})

@@ -1,33 +1,42 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 
+	"repro/internal/cluster"
+	"repro/internal/energyprop"
 	"repro/internal/queueing"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
-// The batch evaluation plane: POST on /v1/percentiles, /v1/epmetrics
-// and /v1/frontier carries many evaluations in one HTTP exchange. The
-// point is amortization — one connection, one JSON decode, one admission
-// pass and one response encode for N evaluations that would otherwise
-// each pay the full per-request overhead — without letting batches dodge
-// the load shedder: the admission weigher below decodes the body exactly
-// once, computes the batch's expanded item count, and charges that many
-// units, so a batch of 512 items sheds exactly like 512 scalar requests
-// would.
+// The model routes — /v1/percentiles, /v1/epmetrics and /v1/frontier —
+// have one serving path each. A request is decoded once, by the route's
+// admission weigher, into the route's batch request type: a POST from
+// its JSON body, a GET from its query as a batch of one item. The query
+// decoders check syntax only; from the decoded request on, both methods
+// share the route's per-item resolver (defaults, range checks, plan),
+// its evaluator and the one status→code mapping in failure. A GET
+// evaluates its item inline on the request goroutine and answers the
+// bare result or the error envelope; a POST fans its items out through
+// runBatch.
 //
-// Item failures are per-item: one bad mix in a batch of 100 yields 99
-// results and one error envelope, not a failed batch. Only context
-// errors (deadline, client disconnect) abort the whole batch, because
-// every remaining item would fail the same way.
+// The batch form exists for amortization — one connection, one JSON
+// decode, one admission pass and one response encode for N evaluations
+// — without letting batches dodge the load shedder: a batch is charged
+// its expanded item count, so a batch of 512 items sheds exactly like
+// 512 GETs would. Item failures are per-item: one bad mix in a batch of
+// 100 yields 99 results and one error envelope. Only context errors
+// (deadline, client disconnect) abort the whole batch, because every
+// remaining item would fail the same way.
 
 // maxBatchItems bounds the expanded per-item evaluation count of one
 // batch request (items × utilization points for percentiles). The bound
@@ -42,33 +51,61 @@ const maxBatchBodyBytes = 1 << 20
 // frontierAdmissionUnit converts a frontier sweep's configuration-space
 // size into admission units: one unit per 4096 configurations, matching
 // roughly the cost ratio between one memoized-table sweep block and one
-// scalar percentile evaluation. Both the scalar GET weigher and the
-// batch weigher use it, so a 100k-configuration sweep can no longer
-// slip past admission for the price of one percentile lookup.
+// percentile evaluation, so a 100k-configuration sweep cannot slip past
+// admission for the price of one percentile lookup.
 const frontierAdmissionUnit = 4096
 
-// batchBodyKey carries the weigher-decoded batch request through the
-// request context to the handler, so the body is decoded exactly once.
-type batchBodyKey struct{}
-
-func stashBatch(r *http.Request, v any) *http.Request {
-	return r.WithContext(context.WithValue(r.Context(), batchBodyKey{}, v))
+// batchRequest is the decoded form of a model route's request.
+type batchRequest[Req any] interface {
+	*Req
+	// price checks the request's structure and returns its admission
+	// weight.
+	price(s *Server) (int64, error)
 }
 
-func batchBody(r *http.Request) any {
-	return r.Context().Value(batchBodyKey{})
-}
-
-// decodeBatchBody decodes r's JSON body into dst, bounded by
-// maxBatchBodyBytes, writing the 400 envelope on failure.
-func decodeBatchBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("invalid JSON body: %v", err))
-		return false
+// weigh is the admission weigher of every model route. It decodes the
+// request once — a POST's JSON body, or a GET's (or HEAD's) query as a
+// batch of one — and prices it; the route's handler receives the
+// decoded request. Decode and structure failures answer 400 before
+// admission, other methods 405.
+func weigh[Req any, P batchRequest[Req]](s *Server, w http.ResponseWriter, r *http.Request, query func(url.Values) (P, error)) (int64, any, bool) {
+	var req P
+	var err error
+	switch r.Method {
+	case http.MethodPost:
+		req = new(Req)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
+		if err = json.NewDecoder(r.Body).Decode(req); err != nil {
+			err = fmt.Errorf("invalid JSON body: %v", err)
+		}
+	case http.MethodGet, http.MethodHead:
+		req, err = query(r.URL.Query())
+	default:
+		w.Header().Set("Allow", "GET, HEAD, POST")
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+			fmt.Sprintf("method %s not allowed", r.Method))
+		return 0, nil, false
 	}
-	return true
+	var n int64
+	if err == nil {
+		n, err = req.price(s)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return 0, nil, false
+	}
+	return n, req, true
+}
+
+// checkItems is the structural check every batch shares.
+func checkItems(n int) error {
+	if n == 0 {
+		return errors.New("batch has no items")
+	}
+	if n > maxBatchItems {
+		return fmt.Errorf("batch has %d items, more than the per-request cap %d", n, maxBatchItems)
+	}
+	return nil
 }
 
 // BatchItemError is the per-item error envelope inside a batch
@@ -79,12 +116,89 @@ type BatchItemError struct {
 	Message string `json:"message"`
 }
 
-func itemError(status int, err error) *BatchItemError {
-	code := "bad_request"
-	if status == http.StatusNotFound {
-		code = "not_found"
+// statusError is an evaluation error that maps to a status other than
+// 400: a lookup that found nothing (404), or a coalesced computation
+// that panicked (500).
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+
+// failure is the one status→code mapping of the model routes, shared by
+// a GET's error response and a batch item's error slot: a context error
+// is 504, a statusError carries its own status, anything else is 400.
+func failure(err error) (int, *BatchItemError) {
+	status := http.StatusBadRequest
+	var se *statusError
+	switch {
+	case errors.As(err, &se):
+		status = se.status
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		status = http.StatusGatewayTimeout
 	}
-	return &BatchItemError{Code: code, Message: err.Error()}
+	code := "bad_request"
+	switch status {
+	case http.StatusNotFound:
+		code = "not_found"
+	case http.StatusInternalServerError:
+		code = "internal"
+	case http.StatusGatewayTimeout:
+		code = "deadline_exceeded"
+	}
+	return status, &BatchItemError{Code: code, Message: err.Error()}
+}
+
+// writeFailure answers a failed evaluation with the error envelope; a
+// context error goes through deadlineError, which counts it.
+func (s *Server) writeFailure(w http.ResponseWriter, r *http.Request, err error) {
+	status, e := failure(err)
+	if status == http.StatusGatewayTimeout {
+		s.deadlineError(w, r, err)
+		return
+	}
+	writeError(w, status, e.Code, e.Message)
+}
+
+// answer writes a GET's one result bare, or its error envelope.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, v any, err error) {
+	if err != nil {
+		s.writeFailure(w, r, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
+// runBatch serves the POST of every model route. It evaluates the n
+// result slots of the batch across the sweep pool — eval fills slot
+// i and returns its error, fail stores a failed slot's envelope — and
+// answers the envelope respond builds from the error count. A context
+// error in any slot aborts the whole batch with 504.
+func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, n int,
+	eval func(ctx context.Context, i int) error, fail func(i int, e *BatchItemError), respond func(errs int) any) {
+	ctx := r.Context()
+	var errs atomic.Int64
+	var aborted atomic.Bool
+	ferr := sweep.ForEachContext(ctx, n, s.cfg.Workers, func(i int) {
+		err := eval(ctx, i)
+		if err == nil {
+			return
+		}
+		if status, e := failure(err); status != http.StatusGatewayTimeout {
+			fail(i, e)
+			errs.Add(1)
+			return
+		}
+		aborted.Store(true)
+	})
+	if ferr != nil || aborted.Load() {
+		s.deadlineError(w, r, cmp.Or(ferr, ctx.Err()))
+		return
+	}
+	nerr := int(errs.Load())
+	s.batchMeta(w, r, n, nerr)
+	writeJSON(w, http.StatusOK, respond(nerr))
 }
 
 // batchMeta is the shared bookkeeping of one batch response: counters,
@@ -99,7 +213,7 @@ func (s *Server) batchMeta(w http.ResponseWriter, r *http.Request, items, itemEr
 	w.Header().Set("X-Batch-Errors", strconv.Itoa(itemErrors))
 }
 
-// --- /v1/percentiles batch ---
+// --- /v1/percentiles ---
 
 // PercentilesBatchItem is one configuration of a percentiles batch:
 // either a (workload, mix) pair in model mode or a raw service time d,
@@ -131,6 +245,60 @@ type PercentilesBatchRequest struct {
 	SCV     float64                `json:"scv,omitempty"`
 	Servers int                    `json:"servers,omitempty"`
 	Items   []PercentilesBatchItem `json:"items"`
+}
+
+// PercentilesBatchResult is one expanded (item, utilization) evaluation
+// in a PercentilesBatchResponse: exactly one of Result and Error is
+// set.
+type PercentilesBatchResult struct {
+	// Item indexes the request item this evaluation came from.
+	Item int `json:"item"`
+	// U is the utilization point evaluated.
+	U      float64              `json:"u"`
+	Result *PercentilesResponse `json:"result,omitempty"`
+	Error  *BatchItemError      `json:"error,omitempty"`
+}
+
+// PercentilesBatchResponse is the POST /v1/percentiles response body.
+// Results holds one entry per expanded (item, utilization) pair in
+// deterministic item-major order.
+type PercentilesBatchResponse struct {
+	Count   int                      `json:"count"`
+	Errors  int                      `json:"errors"`
+	Results []PercentilesBatchResult `json:"results"`
+}
+
+// percentilesQuery decodes the GET query of /v1/percentiles into a
+// one-item batch: the item carries the configuration and the one
+// utilization point, the request level the percentile list and the
+// kernel triple. A request-level triple applies wholly even without a
+// kernel name, so scv= or servers= alone is still checked against the
+// M/D/1 default.
+func percentilesQuery(q url.Values) (*PercentilesBatchRequest, error) {
+	u, err := queryFloat(q, "u", true)
+	if err != nil {
+		return nil, err
+	}
+	ps, err := queryPercentiles(q.Get("p"))
+	if err != nil {
+		return nil, err
+	}
+	scv, err := queryFloat(q, "scv", false)
+	if err != nil {
+		return nil, err
+	}
+	servers, _, err := queryInt(q, "servers")
+	if err != nil {
+		return nil, err
+	}
+	d, err := queryFloat(q, "d", false)
+	if err != nil {
+		return nil, err
+	}
+	return &PercentilesBatchRequest{
+		P: ps, Kernel: q.Get("kernel"), SCV: scv, Servers: servers,
+		Items: []PercentilesBatchItem{{Workload: q.Get("workload"), Mix: q.Get("mix"), D: d, U: []float64{u}}},
+	}, nil
 }
 
 // uFor returns item i's utilization list after defaulting.
@@ -165,12 +333,12 @@ func (req *PercentilesBatchRequest) kernelFor(i int) (queueing.Spec, error) {
 	return kernelSpecFrom(kernel, scv, servers)
 }
 
-// expandedCount validates the batch's structure and returns the
-// expanded evaluation count (= the admission weight): the sum over
-// items of their utilization-point counts.
-func (req *PercentilesBatchRequest) expandedCount() (int, error) {
-	if len(req.Items) == 0 {
-		return 0, errors.New("batch has no items")
+// price validates the request's structure and returns the expanded
+// evaluation count, which is its admission weight: the sum over items
+// of their utilization-point counts.
+func (req *PercentilesBatchRequest) price(*Server) (int64, error) {
+	if err := checkItems(len(req.Items)); err != nil {
+		return 0, err
 	}
 	total := 0
 	for i := range req.Items {
@@ -178,175 +346,114 @@ func (req *PercentilesBatchRequest) expandedCount() (int, error) {
 		if n == 0 {
 			return 0, fmt.Errorf("item %d has no utilization points (set item u or request-level u)", i)
 		}
-		if len(req.pFor(i)) > maxPercentiles {
-			return 0, fmt.Errorf("item %d asks for more than %d percentiles", i, maxPercentiles)
+		if np := len(req.pFor(i)); np > maxPercentiles {
+			return 0, fmt.Errorf("item %d asks for %d percentiles, more than the cap %d", i, np, maxPercentiles)
 		}
 		total += n
 	}
 	if total > maxBatchItems {
 		return 0, fmt.Errorf("batch expands to %d evaluations, more than the per-request cap %d", total, maxBatchItems)
 	}
-	return total, nil
+	return int64(total), nil
 }
 
-// PercentilesBatchResult is one expanded (item, utilization) evaluation
-// in a PercentilesBatchResponse: exactly one of Result and Error is
-// set.
-type PercentilesBatchResult struct {
-	// Item indexes the request item this evaluation came from.
-	Item int `json:"item"`
-	// U is the utilization point evaluated.
-	U      float64              `json:"u"`
-	Result *PercentilesResponse `json:"result,omitempty"`
-	Error  *BatchItemError      `json:"error,omitempty"`
-}
-
-// PercentilesBatchResponse is the POST /v1/percentiles response body.
-// Results holds one entry per expanded (item, utilization) pair in
-// deterministic item-major order.
-type PercentilesBatchResponse struct {
-	Count   int                      `json:"count"`
-	Errors  int                      `json:"errors"`
-	Results []PercentilesBatchResult `json:"results"`
-}
-
-// weighPercentiles is the admission weigher of /v1/percentiles: GET
-// costs 1 unit, POST decodes the batch body once and costs its expanded
-// evaluation count.
-func (s *Server) weighPercentiles(w http.ResponseWriter, r *http.Request) (int64, *http.Request, bool) {
-	if r.Method != http.MethodPost {
-		return 1, r, true
-	}
-	req := new(PercentilesBatchRequest)
-	if !decodeBatchBody(w, r, req) {
-		return 0, r, false
-	}
-	n, err := req.expandedCount()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return 0, r, false
-	}
-	return int64(n), stashBatch(r, req), true
-}
-
-// pctBatchEntry is one expanded evaluation after per-item resolution:
-// the service time is resolved once per item (one model analysis for
-// all of the item's utilization points) before the fan-out.
-type pctBatchEntry struct {
-	item        int
-	u           float64
-	ps          []float64
+// pctItem is one /v1/percentiles item after resolution, shared by all
+// its utilization points: the service time (one model analysis per
+// item), the percentiles and the kernel — or the error that fails every
+// point.
+type pctItem struct {
 	wlName, mix string
 	serviceTime float64
+	ps          []float64
 	spec        queueing.Spec
-	err         *BatchItemError // resolution failure, set before fan-out
+	err         error
 }
 
-// handlePercentilesBatch serves POST /v1/percentiles: the batch body
-// was decoded (and admission-charged) by weighPercentiles; here the
-// expanded evaluations fan out across the sweep pool into fixed result
-// slots, each entering the same singleflight group and percentile cache
-// as a scalar GET would.
-func (s *Server) handlePercentilesBatch(w http.ResponseWriter, r *http.Request) {
-	req, ok := batchBody(r).(*PercentilesBatchRequest)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "bad_request", "POST /v1/percentiles requires a JSON batch body")
+// resolvePercentiles is the per-item resolver of /v1/percentiles:
+// defaults, the percentile, kernel and mode checks, and in model mode
+// the service time.
+func (s *Server) resolvePercentiles(req *PercentilesBatchRequest, i int) pctItem {
+	it := &req.Items[i]
+	pi := pctItem{ps: req.pFor(i)}
+	for _, p := range pi.ps {
+		if pi.err = checkPercentile(p); pi.err != nil {
+			return pi
+		}
+	}
+	if pi.spec, pi.err = req.kernelFor(i); pi.err != nil {
+		return pi
+	}
+	switch {
+	case it.Mix != "" && it.D != 0:
+		pi.err = errors.New("pass either mix= (model mode) or d= (raw service time), not both")
+	case it.Mix != "":
+		pi.wlName, pi.mix = cmp.Or(it.Workload, "EP"), it.Mix
+		var a *energyprop.Analysis
+		if a, pi.err = s.analysisFor(pi.wlName, pi.mix); pi.err == nil {
+			pi.serviceTime = float64(a.Result.Time)
+		}
+	case it.D > 0:
+		pi.serviceTime = it.D
+	case it.D < 0:
+		pi.err = errors.New("service time d must be positive")
+	default:
+		pi.err = errors.New("missing mix= (model mode) or d= (raw service time)")
+	}
+	return pi
+}
+
+// evalPercentiles evaluates a resolved item at utilization u.
+func (s *Server) evalPercentiles(ctx context.Context, pi *pctItem, u float64) (*PercentilesResponse, error) {
+	if u < 0 || u >= 1 {
+		return nil, fmt.Errorf("utilization u=%g outside [0, 1)", u)
+	}
+	if pi.err != nil {
+		return nil, pi.err
+	}
+	return s.percentilesShared(ctx, pi.wlName, pi.mix, pi.serviceTime, u, pi.ps, pi.spec)
+}
+
+func (s *Server) weighPercentiles(w http.ResponseWriter, r *http.Request) (int64, any, bool) {
+	return weigh(s, w, r, percentilesQuery)
+}
+
+// handlePercentiles serves /v1/percentiles: waiting/response-time
+// percentiles at a target utilization, for either a (workload, mix)
+// pair run through the time-energy model or a raw service time d. The
+// queueing kernel defaults to the exact M/D/1; kernel=mg1&scv= selects
+// the two-moment M/G/1 and kernel=mmk&servers= the Erlang-C M/M/k. A
+// POST crosses every item with its utilization points, item-major.
+func (s *Server) handlePercentiles(w http.ResponseWriter, r *http.Request, decoded any) {
+	req := decoded.(*PercentilesBatchRequest)
+	if r.Method != http.MethodPost {
+		pi := s.resolvePercentiles(req, 0)
+		v, err := s.evalPercentiles(r.Context(), &pi, req.Items[0].U[0])
+		s.answer(w, r, v, err)
 		return
 	}
-
-	// Resolve each item once, then expand to (item, u) entries.
-	entries := make([]pctBatchEntry, 0, len(req.Items))
+	items := make([]pctItem, len(req.Items))
+	n := 0
 	for i := range req.Items {
-		it := &req.Items[i]
-		proto := pctBatchEntry{item: i, ps: req.pFor(i)}
-		switch {
-		case it.Mix != "" && it.D != 0:
-			proto.err = &BatchItemError{Code: "bad_request",
-				Message: "pass either mix (model mode) or d (raw service time), not both"}
-		case it.Mix != "":
-			proto.wlName, proto.mix = it.Workload, it.Mix
-			if proto.wlName == "" {
-				proto.wlName = "EP"
-			}
-			a, status, err := s.analysisFor(proto.wlName, proto.mix)
-			if err != nil {
-				proto.err = itemError(status, err)
-			} else {
-				proto.serviceTime = float64(a.Result.Time)
-			}
-		case it.D > 0:
-			proto.serviceTime = it.D
-		case it.D < 0:
-			proto.err = &BatchItemError{Code: "bad_request", Message: "service time d must be positive"}
-		default:
-			proto.err = &BatchItemError{Code: "bad_request", Message: "missing mix (model mode) or d (raw service time)"}
-		}
-		for _, p := range proto.ps {
-			if p < 0 || p >= 100 {
-				proto.err = &BatchItemError{Code: "bad_request",
-					Message: fmt.Sprintf("invalid percentile %g: want a number in [0, 100)", p)}
-				break
-			}
-		}
-		if spec, err := req.kernelFor(i); err != nil {
-			if proto.err == nil {
-				proto.err = &BatchItemError{Code: "bad_request", Message: err.Error()}
-			}
-		} else {
-			proto.spec = spec
-		}
+		n += len(req.uFor(i))
+	}
+	results := make([]PercentilesBatchResult, 0, n)
+	for i := range req.Items {
+		items[i] = s.resolvePercentiles(req, i)
 		for _, u := range req.uFor(i) {
-			e := proto
-			e.u = u
-			entries = append(entries, e)
+			results = append(results, PercentilesBatchResult{Item: i, U: u})
 		}
 	}
-
-	results := make([]PercentilesBatchResult, len(entries))
-	var aborted atomic.Bool
-	ctx := r.Context()
-	ferr := sweep.ForEachContext(ctx, len(entries), s.cfg.Workers, func(i int) {
-		e := &entries[i]
-		results[i] = PercentilesBatchResult{Item: e.item, U: e.u}
-		if e.err != nil {
-			results[i].Error = e.err
-			return
-		}
-		if e.u < 0 || e.u >= 1 {
-			results[i].Error = &BatchItemError{Code: "bad_request",
-				Message: fmt.Sprintf("utilization u=%g outside [0, 1)", e.u)}
-			return
-		}
-		v, err := s.percentilesShared(ctx, e.wlName, e.mix, e.serviceTime, e.u, e.ps, e.spec)
-		switch {
-		case err == nil:
-			results[i].Result = v
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-			aborted.Store(true)
-		default:
-			results[i].Error = &BatchItemError{Code: "bad_request", Message: err.Error()}
-		}
-	})
-	if ferr != nil || aborted.Load() {
-		err := ferr
-		if err == nil {
-			err = ctx.Err()
-		}
-		s.deadlineError(w, r, err)
-		return
-	}
-
-	resp := PercentilesBatchResponse{Count: len(results), Results: results}
-	for i := range results {
-		if results[i].Error != nil {
-			resp.Errors++
-		}
-	}
-	s.batchMeta(w, r, resp.Count, resp.Errors)
-	writeJSON(w, http.StatusOK, resp)
+	s.runBatch(w, r, n,
+		func(ctx context.Context, k int) (err error) {
+			res := &results[k]
+			res.Result, err = s.evalPercentiles(ctx, &items[res.Item], res.U)
+			return err
+		},
+		func(k int, e *BatchItemError) { results[k].Error = e },
+		func(errs int) any { return PercentilesBatchResponse{Count: n, Errors: errs, Results: results} })
 }
 
-// --- /v1/epmetrics batch ---
+// --- /v1/epmetrics ---
 
 // EPMetricsBatchItem is one (workload, mix, ref) evaluation of an
 // EP-metrics batch; Workload and Ref fall back to the request level.
@@ -378,71 +485,51 @@ type EPMetricsBatchResponse struct {
 	Results []EPMetricsBatchResult `json:"results"`
 }
 
-// weighEpmetrics is the admission weigher of /v1/epmetrics: GET costs
-// 1 unit, POST costs one unit per item.
-func (s *Server) weighEpmetrics(w http.ResponseWriter, r *http.Request) (int64, *http.Request, bool) {
-	if r.Method != http.MethodPost {
-		return 1, r, true
-	}
-	req := new(EPMetricsBatchRequest)
-	if !decodeBatchBody(w, r, req) {
-		return 0, r, false
-	}
-	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "batch has no items")
-		return 0, r, false
-	}
-	if len(req.Items) > maxBatchItems {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch has %d items, more than the per-request cap %d", len(req.Items), maxBatchItems))
-		return 0, r, false
-	}
-	return int64(len(req.Items)), stashBatch(r, req), true
+// epmetricsQuery decodes the GET query of /v1/epmetrics into a one-item
+// batch.
+func epmetricsQuery(q url.Values) (*EPMetricsBatchRequest, error) {
+	return &EPMetricsBatchRequest{Workload: q.Get("workload"), Ref: q.Get("ref"),
+		Items: []EPMetricsBatchItem{{Mix: q.Get("mix")}}}, nil
 }
 
-// handleEpmetricsBatch serves POST /v1/epmetrics, fanning the items out
-// across the sweep pool into fixed result slots.
-func (s *Server) handleEpmetricsBatch(w http.ResponseWriter, r *http.Request) {
-	req, ok := batchBody(r).(*EPMetricsBatchRequest)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "bad_request", "POST /v1/epmetrics requires a JSON batch body")
+// price charges one unit per item.
+func (req *EPMetricsBatchRequest) price(*Server) (int64, error) {
+	return int64(len(req.Items)), checkItems(len(req.Items))
+}
+
+// epmetricsItem resolves item i — the request-level workload and ref
+// are its defaults — and evaluates it.
+func (s *Server) epmetricsItem(req *EPMetricsBatchRequest, i int) (*EPMetricsResponse, error) {
+	it := &req.Items[i]
+	return s.epmetricsFor(cmp.Or(it.Workload, req.Workload, "EP"), it.Mix, cmp.Or(it.Ref, req.Ref))
+}
+
+func (s *Server) weighEpmetrics(w http.ResponseWriter, r *http.Request) (int64, any, bool) {
+	return weigh(s, w, r, epmetricsQuery)
+}
+
+// handleEpmetrics serves /v1/epmetrics: the Table 3 energy
+// proportionality metrics of one (workload, mix), optionally normalized
+// against a reference mix to expose sub-linear proportionality.
+func (s *Server) handleEpmetrics(w http.ResponseWriter, r *http.Request, decoded any) {
+	req := decoded.(*EPMetricsBatchRequest)
+	if r.Method != http.MethodPost {
+		v, err := s.epmetricsItem(req, 0)
+		s.answer(w, r, v, err)
 		return
 	}
 	results := make([]EPMetricsBatchResult, len(req.Items))
-	ctx := r.Context()
-	ferr := sweep.ForEachContext(ctx, len(req.Items), s.cfg.Workers, func(i int) {
-		it := &req.Items[i]
-		wlName, refMix := it.Workload, it.Ref
-		if wlName == "" {
-			wlName = req.Workload
-		}
-		if refMix == "" {
-			refMix = req.Ref
-		}
-		results[i] = EPMetricsBatchResult{Item: i}
-		resp, status, err := s.epmetricsFor(wlName, it.Mix, refMix)
-		if err != nil {
-			results[i].Error = itemError(status, err)
-			return
-		}
-		results[i].Result = &resp
-	})
-	if ferr != nil {
-		s.deadlineError(w, r, ferr)
-		return
-	}
-
-	resp := EPMetricsBatchResponse{Count: len(results), Results: results}
-	for i := range results {
-		if results[i].Error != nil {
-			resp.Errors++
-		}
-	}
-	s.batchMeta(w, r, resp.Count, resp.Errors)
-	writeJSON(w, http.StatusOK, resp)
+	s.runBatch(w, r, len(results),
+		func(_ context.Context, i int) (err error) {
+			results[i].Item = i
+			results[i].Result, err = s.epmetricsItem(req, i)
+			return err
+		},
+		func(i int, e *BatchItemError) { results[i].Error = e },
+		func(errs int) any { return EPMetricsBatchResponse{Count: len(results), Errors: errs, Results: results} })
 }
 
-// --- /v1/frontier batch ---
+// --- /v1/frontier ---
 
 // FrontierBatchItem is one frontier sweep of a batch. MaxA9/MaxK10
 // default to 32/12 when omitted (nil), matching the GET defaults.
@@ -456,17 +543,20 @@ type FrontierBatchItem struct {
 	EnergyJoules    float64 `json:"energy_joules,omitempty"`
 	// U > 0 annotates every frontier point with the P-th percentile
 	// response time at that utilization under the selected kernel
-	// (P defaults to 95, the kernel triple to M/D/1).
-	U       float64 `json:"u,omitempty"`
-	P       float64 `json:"p,omitempty"`
-	Kernel  string  `json:"kernel,omitempty"`
-	SCV     float64 `json:"scv,omitempty"`
-	Servers int     `json:"servers,omitempty"`
+	// (P defaults to 95 when omitted, the kernel triple to M/D/1).
+	U       float64  `json:"u,omitempty"`
+	P       *float64 `json:"p,omitempty"`
+	Kernel  string   `json:"kernel,omitempty"`
+	SCV     float64  `json:"scv,omitempty"`
+	Servers int      `json:"servers,omitempty"`
 }
 
 // FrontierBatchRequest is the POST /v1/frontier body.
 type FrontierBatchRequest struct {
 	Items []FrontierBatchItem `json:"items"`
+	// plans holds every item resolved, by price: the weigher charges
+	// their spaces and the handler runs them.
+	plans []frontierItem
 }
 
 // FrontierBatchResult is one item's outcome: exactly one of Result and
@@ -484,167 +574,198 @@ type FrontierBatchResponse struct {
 	Results []FrontierBatchResult `json:"results"`
 }
 
-// params maps item i onto the canonical frontierParams. Latency
-// annotation fields are validated here (the GET form validates in
-// frontierQueryParams); an invalid triple is reported through the
-// returned error and fails the item.
-func (req *FrontierBatchRequest) params(i int) (frontierParams, error) {
-	it := &req.Items[i]
-	p := frontierParams{
-		workload: it.Workload,
-		maxA9:    32, maxK10: 12,
-		dvfs:     it.DVFS,
-		powerW:   it.PowerWatts,
-		deadline: it.DeadlineSeconds,
-		energy:   it.EnergyJoules,
+// frontierQuery decodes the GET query of /v1/frontier into a one-item
+// batch. The annotation parameters p, kernel, scv and servers are read
+// only with a nonzero u, the only case in which the resolver uses them.
+func frontierQuery(q url.Values) (*FrontierBatchRequest, error) {
+	it := FrontierBatchItem{Workload: q.Get("workload"), DVFS: q.Get("dvfs") == "true" || q.Get("dvfs") == "1"}
+	a9, hasA9, err := queryInt(q, "max_a9")
+	if err != nil {
+		return nil, err
 	}
-	if p.workload == "" {
-		p.workload = "EP"
+	k10, hasK10, err := queryInt(q, "max_k10")
+	if err != nil {
+		return nil, err
 	}
-	if it.MaxA9 != nil {
-		p.maxA9 = *it.MaxA9
+	if hasA9 {
+		it.MaxA9 = &a9
 	}
-	if it.MaxK10 != nil {
-		p.maxK10 = *it.MaxK10
+	if hasK10 {
+		it.MaxK10 = &k10
+	}
+	if it.PowerWatts, err = queryFloat(q, "power", false); err != nil {
+		return nil, err
+	}
+	if raw := q.Get("deadline"); raw != "" {
+		if it.DeadlineSeconds, err = parseDurationOrSeconds(raw); err != nil {
+			return nil, fmt.Errorf("invalid deadline %q: %v", raw, err)
+		}
+	}
+	if it.EnergyJoules, err = queryFloat(q, "energy", false); err != nil {
+		return nil, err
+	}
+	if it.U, err = queryFloat(q, "u", false); err != nil {
+		return nil, err
 	}
 	if it.U != 0 {
-		if it.U < 0 || it.U >= 1 {
-			return p, fmt.Errorf("utilization u=%g outside (0, 1)", it.U)
-		}
-		p.u = it.U
-		p.pct = 95
-		if it.P != 0 {
-			if it.P < 0 || it.P >= 100 {
-				return p, fmt.Errorf("invalid percentile %g: want a number in [0, 100)", it.P)
+		if q.Get("p") != "" {
+			p, err := queryFloat(q, "p", false)
+			if err != nil {
+				return nil, err
 			}
-			p.pct = it.P
+			it.P = &p
 		}
-		spec, err := kernelSpecFrom(it.Kernel, it.SCV, it.Servers)
-		if err != nil {
-			return p, err
+		it.Kernel = q.Get("kernel")
+		if it.SCV, err = queryFloat(q, "scv", false); err != nil {
+			return nil, err
 		}
-		p.spec = spec
+		if it.Servers, _, err = queryInt(q, "servers"); err != nil {
+			return nil, err
+		}
 	}
-	return p, nil
+	return &FrontierBatchRequest{Items: []FrontierBatchItem{it}}, nil
 }
 
 // frontierUnits converts a configuration-space size into admission
 // units.
 func frontierUnits(space int) int64 {
-	u := int64((space + frontierAdmissionUnit - 1) / frontierAdmissionUnit)
-	if u < 1 {
-		u = 1
-	}
-	return u
+	return int64(max(1, (space+frontierAdmissionUnit-1)/frontierAdmissionUnit))
 }
 
-// weighFrontier is the admission weigher of /v1/frontier. A GET sweep
-// charges units proportional to the configuration space it spans —
-// before this weigher existed a 100k-configuration sweep cost the same
-// single unit as one percentile lookup, so a handful of sweeps could
-// multiply the service's concurrent work by orders of magnitude without
-// moving the shed threshold. A POST batch charges the sum of its items'
-// sweep costs. Parse or plan failures fall back to weight 1 and let the
-// handler produce the error response.
-func (s *Server) weighFrontier(w http.ResponseWriter, r *http.Request) (int64, *http.Request, bool) {
-	if r.Method != http.MethodPost {
-		p, ok := frontierQueryParams(discardResponseWriter{}, r.URL.Query())
-		if !ok {
-			return 1, r, true
-		}
-		if _, space, _, err := s.frontierPlan(p); err == nil {
-			return frontierUnits(space), r, true
-		}
-		return 1, r, true
+// price resolves every item and charges the sum of their sweep costs:
+// one unit per frontierAdmissionUnit configurations of the item's
+// space, one unit for an item that fails to resolve (it fails per-item
+// in the handler).
+func (req *FrontierBatchRequest) price(s *Server) (int64, error) {
+	if err := checkItems(len(req.Items)); err != nil {
+		return 0, err
 	}
-	req := new(FrontierBatchRequest)
-	if !decodeBatchBody(w, r, req) {
-		return 0, r, false
-	}
-	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "batch has no items")
-		return 0, r, false
-	}
-	if len(req.Items) > maxBatchItems {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch has %d items, more than the per-request cap %d", len(req.Items), maxBatchItems))
-		return 0, r, false
-	}
+	req.plans = make([]frontierItem, len(req.Items))
 	var weight int64
 	for i := range req.Items {
-		p, err := req.params(i)
-		if err != nil {
-			weight++ // invalid item: costs one unit, fails per-item below
-			continue
-		}
-		if _, space, _, err := s.frontierPlan(p); err == nil {
-			weight += frontierUnits(space)
-		} else {
-			weight++
-		}
+		req.plans[i] = s.resolveFrontier(&req.Items[i])
+		weight += frontierUnits(req.plans[i].space)
 	}
-	return weight, stashBatch(r, req), true
+	return weight, nil
 }
 
-// discardResponseWriter swallows the error responses
-// frontierQueryParams would write when the weigher probes the query
-// form; the handler re-parses and writes the real error.
-type discardResponseWriter struct{}
+// frontierItem is one /v1/frontier item after resolution: the canonical
+// sweep parameters, which also key its flight, and the sweep plan — or
+// the error that fails the item.
+type frontierItem struct {
+	workload      string
+	maxA9, maxK10 int
+	dvfs          bool
+	powerW        float64
+	deadline      float64
+	energy        float64
+	// u > 0 enables the tail-latency annotation: every frontier point
+	// gains the pct-th percentile response time at utilization u under
+	// the spec kernel.
+	u, pct float64
+	spec   queueing.Spec
 
-func (discardResponseWriter) Header() http.Header         { return http.Header{} }
-func (discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (discardResponseWriter) WriteHeader(int)             {}
+	limits []cluster.Limit
+	space  int // 0 unless the item resolved
+	err    error
+}
 
-// handleFrontierBatch serves POST /v1/frontier. Items fan out across
-// the sweep pool; each item's sweep itself fans out through the shared
-// pool and the singleflight group, so identical sweeps inside one batch
-// (or across concurrent requests) run once.
-func (s *Server) handleFrontierBatch(w http.ResponseWriter, r *http.Request) {
-	req, ok := batchBody(r).(*FrontierBatchRequest)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "bad_request", "POST /v1/frontier requires a JSON batch body")
+// resolveFrontier is the per-item resolver of /v1/frontier: defaults,
+// range checks, and the sweep plan under the per-request
+// configuration-space cap.
+func (s *Server) resolveFrontier(it *FrontierBatchItem) frontierItem {
+	fi := frontierItem{workload: cmp.Or(it.Workload, "EP"), maxA9: 32, maxK10: 12, dvfs: it.DVFS,
+		powerW: it.PowerWatts, deadline: it.DeadlineSeconds, energy: it.EnergyJoules}
+	if it.MaxA9 != nil {
+		fi.maxA9 = *it.MaxA9
+	}
+	if it.MaxK10 != nil {
+		fi.maxK10 = *it.MaxK10
+	}
+	fi.err = s.planFrontier(&fi, it)
+	return fi
+}
+
+// planFrontier range-checks the counts and deadline of fi and the
+// annotation fields of it, then fills in fi's annotation and sweep plan.
+func (s *Server) planFrontier(fi *frontierItem, it *FrontierBatchItem) error {
+	// Node counts are bounded before they multiply into
+	// cluster.SpaceSize: a count above the space cap already implies a
+	// space above it, and the bound keeps the product far from overflow.
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"max_a9", fi.maxA9}, {"max_k10", fi.maxK10}} {
+		if c.n < 0 || c.n > s.cfg.MaxFrontierConfigs {
+			return fmt.Errorf("invalid %s=%d: want a non-negative integer at most %d", c.name, c.n, s.cfg.MaxFrontierConfigs)
+		}
+	}
+	if fi.deadline < 0 {
+		return fmt.Errorf("invalid deadline %gs: must be non-negative", fi.deadline)
+	}
+	if it.U != 0 {
+		if it.U < 0 || it.U >= 1 {
+			return fmt.Errorf("utilization u=%g outside (0, 1)", it.U)
+		}
+		fi.u, fi.pct = it.U, 95
+		if it.P != nil {
+			if err := checkPercentile(*it.P); err != nil {
+				return err
+			}
+			fi.pct = *it.P
+		}
+		var err error
+		if fi.spec, err = kernelSpecFrom(it.Kernel, it.SCV, it.Servers); err != nil {
+			return err
+		}
+	}
+	if _, err := s.cfg.Workloads.Lookup(fi.workload); err != nil {
+		return &statusError{http.StatusNotFound, err}
+	}
+	a9, err := s.cfg.Catalog.Lookup("A9")
+	if err != nil {
+		return &statusError{http.StatusNotFound, err}
+	}
+	k10, err := s.cfg.Catalog.Lookup("K10")
+	if err != nil {
+		return &statusError{http.StatusNotFound, err}
+	}
+	fi.limits = []cluster.Limit{
+		{Type: a9, MaxNodes: fi.maxA9, FixCoresAndFreq: !fi.dvfs},
+		{Type: k10, MaxNodes: fi.maxK10, FixCoresAndFreq: !fi.dvfs},
+	}
+	space := cluster.SpaceSize(fi.limits)
+	if space > s.cfg.MaxFrontierConfigs {
+		return fmt.Errorf("configuration space %d exceeds the per-request cap %d; lower max_a9/max_k10 or disable dvfs",
+			space, s.cfg.MaxFrontierConfigs)
+	}
+	fi.space = space
+	return nil
+}
+
+func (s *Server) weighFrontier(w http.ResponseWriter, r *http.Request) (int64, any, bool) {
+	return weigh(s, w, r, frontierQuery)
+}
+
+// handleFrontier serves /v1/frontier: the energy-deadline Pareto
+// frontier over the A9/K10 mix space, with optional power budget,
+// deadline and energy-budget constraints and tail-latency annotation.
+// Each sweep runs on its caller's goroutine under the request deadline;
+// a POST fans its sweeps out across the worker pool.
+func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request, decoded any) {
+	req := decoded.(*FrontierBatchRequest)
+	if r.Method != http.MethodPost {
+		v, err := s.frontierShared(r.Context(), &req.plans[0])
+		s.answer(w, r, v, err)
 		return
 	}
-	results := make([]FrontierBatchResult, len(req.Items))
-	var aborted atomic.Bool
-	ctx := r.Context()
-	ferr := sweep.ForEachContext(ctx, len(req.Items), s.cfg.Workers, func(i int) {
-		results[i] = FrontierBatchResult{Item: i}
-		p, err := req.params(i)
-		if err != nil {
-			results[i].Error = &BatchItemError{Code: "bad_request", Message: err.Error()}
-			return
-		}
-		limits, _, status, err := s.frontierPlan(p)
-		if err != nil {
-			results[i].Error = itemError(status, err)
-			return
-		}
-		v, err := s.frontierShared(ctx, p, limits)
-		switch {
-		case err == nil:
-			results[i].Result = v
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-			aborted.Store(true)
-		default:
-			results[i].Error = &BatchItemError{Code: "bad_request", Message: err.Error()}
-		}
-	})
-	if ferr != nil || aborted.Load() {
-		err := ferr
-		if err == nil {
-			err = ctx.Err()
-		}
-		s.deadlineError(w, r, err)
-		return
-	}
-
-	resp := FrontierBatchResponse{Count: len(results), Results: results}
-	for i := range results {
-		if results[i].Error != nil {
-			resp.Errors++
-		}
-	}
-	s.batchMeta(w, r, resp.Count, resp.Errors)
-	writeJSON(w, http.StatusOK, resp)
+	results := make([]FrontierBatchResult, len(req.plans))
+	s.runBatch(w, r, len(results),
+		func(ctx context.Context, i int) (err error) {
+			results[i].Item = i
+			results[i].Result, err = s.frontierShared(ctx, &req.plans[i])
+			return err
+		},
+		func(i int, e *BatchItemError) { results[i].Error = e },
+		func(errs int) any { return FrontierBatchResponse{Count: len(results), Errors: errs, Results: results} })
 }

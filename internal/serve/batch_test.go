@@ -244,6 +244,25 @@ func TestFrontierBatch(t *testing.T) {
 	if r := resp.Results[2]; r.Error == nil || r.Error.Code != "not_found" {
 		t.Fatalf("result[2] = %+v, want not_found", r)
 	}
+
+	// Counts and deadlines the GET form rejects fail their item the same
+	// way: negative, or a count large enough to overflow the
+	// configuration-space product.
+	huge, one, minus3 := 4611686018427387904, 1, -3
+	bad := postJSON(t, srv, "/v1/frontier", FrontierBatchRequest{Items: []FrontierBatchItem{
+		{MaxA9: &huge, MaxK10: &one},
+		{MaxA9: &minus3, MaxK10: &two},
+		{MaxA9: &four, MaxK10: &two, DeadlineSeconds: -5},
+	}})
+	var badResp FrontierBatchResponse
+	if err := json.Unmarshal(bad.Body.Bytes(), &badResp); err != nil || bad.Code != http.StatusOK {
+		t.Fatalf("status %d, decoding %v: %s", bad.Code, err, bad.Body.String())
+	}
+	for i, r := range badResp.Results {
+		if r.Error == nil || r.Error.Code != "bad_request" {
+			t.Fatalf("result[%d] = %+v, want bad_request", i, r)
+		}
+	}
 }
 
 // TestBatchWeightedAdmission: a batch of N items charges N units, so it
@@ -330,14 +349,15 @@ func TestFrontierAdmissionWeight(t *testing.T) {
 	// DVFS sweep: the space multiplies past frontierAdmissionUnit, and
 	// the weigher must agree with the plan's own space count.
 	req = httptest.NewRequest(http.MethodGet, "/v1/frontier?max_a9=16&max_k10=8&dvfs=1", nil)
-	p, ok := frontierQueryParams(discardResponseWriter{}, req.URL.Query())
-	if !ok {
-		t.Fatal("parsing dvfs query")
-	}
-	_, space, _, err := srv.frontierPlan(p)
+	freq, err := frontierQuery(req.URL.Query())
 	if err != nil {
-		t.Fatalf("frontierPlan: %v", err)
+		t.Fatalf("parsing dvfs query: %v", err)
 	}
+	plan := srv.resolveFrontier(&freq.Items[0])
+	if plan.err != nil {
+		t.Fatalf("resolveFrontier: %v", plan.err)
+	}
+	space := plan.space
 	w, _, ok = srv.weighFrontier(httptest.NewRecorder(), req)
 	if !ok || w != frontierUnits(space) {
 		t.Fatalf("dvfs sweep weight = %d, want %d (space %d)", w, frontierUnits(space), space)

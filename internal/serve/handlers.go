@@ -25,7 +25,7 @@ import (
 	"repro/internal/workload"
 )
 
-// maxPercentiles bounds the p= list of one /v1/percentiles request.
+// maxPercentiles bounds the percentile list of one /v1/percentiles item.
 const maxPercentiles = 32
 
 // analysisCacheMax bounds the (workload, mix) -> Analysis memo; past it
@@ -35,69 +35,54 @@ const analysisCacheMax = 4096
 
 // analysisCache memoizes model evaluations per (workload, mix): the
 // model is pure, so a warm entry turns /v1/percentiles and
-// /v1/epmetrics into a map lookup plus (cached) percentile queries.
+// /v1/epmetrics into a map lookup plus (cached) percentile queries. The
+// key is the (workload, mix) pair itself, so a lookup allocates nothing.
 type analysisCache struct {
 	mu sync.Mutex
-	m  map[string]*energyprop.Analysis
+	m  map[[2]string]*energyprop.Analysis
 }
 
-func (c *analysisCache) get(key string) (*energyprop.Analysis, bool) {
+func (c *analysisCache) get(key [2]string) (*energyprop.Analysis, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.m[key]
 	return a, ok
 }
 
-func (c *analysisCache) put(key string, a *energyprop.Analysis) {
+func (c *analysisCache) put(key [2]string, a *energyprop.Analysis) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.m) >= analysisCacheMax {
 		c.m = nil
 	}
 	if c.m == nil {
-		c.m = make(map[string]*energyprop.Analysis)
+		c.m = make(map[[2]string]*energyprop.Analysis)
 	}
 	c.m[key] = a
 }
 
 // analysisFor resolves the cached Analysis for (workload, mix),
-// computing and memoizing it on miss. On failure the returned status
-// is the HTTP status the error maps to: lookup failures 404,
-// everything else 400. It never touches the ResponseWriter, so both
-// the scalar handlers and the batch per-item paths share it.
-func (s *Server) analysisFor(wlName, mix string) (*energyprop.Analysis, int, error) {
-	key := wlName + "|" + mix
+// computing and memoizing it on miss. An unknown workload or node type
+// is a 404 statusError, every other failure a plain (400) error.
+func (s *Server) analysisFor(wlName, mix string) (*energyprop.Analysis, error) {
+	key := [2]string{wlName, mix}
 	if a, ok := s.analyses.get(key); ok {
-		return a, 0, nil
+		return a, nil
 	}
 	wl, err := s.cfg.Workloads.Lookup(wlName)
 	if err != nil {
-		return nil, http.StatusNotFound, err
+		return nil, &statusError{http.StatusNotFound, err}
 	}
 	cfg, err := cli.ParseMix(s.cfg.Catalog, mix, 0, 0)
 	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("invalid mix %q: %v", mix, err)
+		return nil, fmt.Errorf("invalid mix %q: %v", mix, err)
 	}
 	a, err := energyprop.Analyze(cfg, wl, model.Options{}, 200)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, err
 	}
 	s.analyses.put(key, a)
-	return a, 0, nil
-}
-
-// analysis is analysisFor with the scalar handlers' error writing.
-func (s *Server) analysis(w http.ResponseWriter, wlName, mix string) (*energyprop.Analysis, bool) {
-	a, status, err := s.analysisFor(wlName, mix)
-	if err != nil {
-		code := "bad_request"
-		if status == http.StatusNotFound {
-			code = "not_found"
-		}
-		writeError(w, status, code, err.Error())
-		return nil, false
-	}
-	return a, true
+	return a, nil
 }
 
 // PercentilePoint is one percentile of the waiting/response-time
@@ -157,54 +142,38 @@ func kernelSpecFrom(kernel string, scv float64, servers int) (queueing.Spec, err
 	return spec, nil
 }
 
-// parseKernelParams parses the kernel=/scv=/servers= GET query form of
-// kernelSpecFrom, writing the error response on failure.
-func parseKernelParams(w http.ResponseWriter, q url.Values) (queueing.Spec, bool) {
-	scv, ok := parseFloatParam(w, q.Get("scv"), "scv", false)
-	if !ok {
-		return queueing.Spec{}, false
-	}
-	servers, ok := parseIntParam(w, q.Get("servers"), "servers", 0)
-	if !ok {
-		return queueing.Spec{}, false
-	}
-	spec, err := kernelSpecFrom(q.Get("kernel"), scv, servers)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return queueing.Spec{}, false
-	}
-	return spec, true
-}
-
-// pctFlightKey is the singleflight key of one percentile evaluation:
-// scalar GET requests and every item of a POST batch build the same key
-// from the same canonical fields (workload, mix, service time, the
-// cache-quantized utilization, the kernel identity, and the parsed
-// percentile list), so a scalar caller and a batched caller asking the
-// same question coalesce onto one computation. The M/D/1 default omits
-// the kernel tag, keeping pre-kernel keys (and their coalescing
-// behavior) unchanged; any other kernel appends its CacheTag so two
-// kernels at the same load can never share a flight.
+// pctFlightKey is the singleflight key of one percentile evaluation,
+// built from the canonical fields (workload, mix, service time, the
+// cache-quantized utilization, the kernel identity, and the percentile
+// list), so a GET and a batch item asking the same question coalesce
+// onto one computation. The M/D/1 default omits the kernel tag, keeping
+// pre-kernel keys (and their coalescing behavior) unchanged; any other
+// kernel appends its CacheTag so two kernels at the same load can never
+// share a flight.
 func pctFlightKey(wlName, mix string, serviceTime, u float64, ps []float64, spec queueing.Spec) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "pct|%s|%s|%g|%g|", wlName, mix, serviceTime, queueing.QuantizedRho(u))
+	// Appending in place of fmt keeps the key to one allocation; 'g' with
+	// precision -1 is exactly fmt's %g.
+	b := make([]byte, 0, 64)
+	b = append(b, "pct|"...)
+	b = append(append(b, wlName...), '|')
+	b = append(append(b, mix...), '|')
+	b = append(strconv.AppendFloat(b, serviceTime, 'g', -1, 64), '|')
+	b = append(strconv.AppendFloat(b, queueing.QuantizedRho(u), 'g', -1, 64), '|')
 	for i, p := range ps {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%g", p)
+		b = strconv.AppendFloat(b, p, 'g', -1, 64)
 	}
 	if !spec.IsDefault() {
-		b.WriteByte('|')
-		b.WriteString(spec.CacheTag())
+		b = append(append(b, '|'), spec.CacheTag()...)
 	}
-	return b.String()
+	return string(b)
 }
 
-// computePercentiles is the percentile evaluation core shared by the
-// scalar handler and the batch per-item path: build the selected kernel
-// at (u, serviceTime), run the batched percentile solves under ctx, and
-// materialize the response. With the default spec the output is
+// computePercentiles is the percentile evaluation core of
+// /v1/percentiles: build the selected kernel at (u, serviceTime), run
+// the batched percentile solves under ctx, and materialize the response. With the default spec the output is
 // byte-identical to the pre-kernel M/D/1 path.
 func computePercentiles(ctx context.Context, wlName, mix string, serviceTime, u float64, ps []float64, spec queueing.Spec) (*PercentilesResponse, error) {
 	queue, err := spec.Build(u, serviceTime)
@@ -245,9 +214,9 @@ func computePercentiles(ctx context.Context, wlName, mix string, serviceTime, u 
 }
 
 // percentilesShared runs computePercentiles under the singleflight
-// group, attributing coalesced followers. Both the scalar handler and
-// every batch item enter here, so identical questions across transports
-// share one computation and one set of cache lookups.
+// group, attributing coalesced followers, so identical questions from
+// GETs and batch items share one computation and one set of cache
+// lookups.
 func (s *Server) percentilesShared(ctx context.Context, wlName, mix string, serviceTime, u float64, ps []float64, spec queueing.Spec) (*PercentilesResponse, error) {
 	key := pctFlightKey(wlName, mix, serviceTime, u, ps, spec)
 	v, shared, err := s.flights.do(ctx, key, func() (any, error) {
@@ -261,83 +230,6 @@ func (s *Server) percentilesShared(ctx context.Context, wlName, mix string, serv
 		return nil, err
 	}
 	return v.(*PercentilesResponse), nil
-}
-
-// handlePercentiles serves /v1/percentiles: waiting/response-time
-// percentiles at a target utilization, for either a (workload, mix)
-// pair run through the time-energy model or a raw service time d. The
-// queueing kernel defaults to the exact M/D/1; kernel=mg1&scv= selects
-// the two-moment M/G/1 and kernel=mmk&servers= the Erlang-C M/M/k. GET
-// answers one (configuration, utilization) pair; POST takes a batch
-// (see handlePercentilesBatch).
-func (s *Server) handlePercentiles(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost {
-		s.handlePercentilesBatch(w, r)
-		return
-	}
-	if !allowGetBatch(w, r) {
-		return
-	}
-	q := r.URL.Query()
-	u, ok := parseFloatParam(w, q.Get("u"), "u", true)
-	if !ok {
-		return
-	}
-	if u < 0 || u >= 1 {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("utilization u=%g outside [0, 1)", u))
-		return
-	}
-	ps, ok := parsePercentiles(w, q.Get("p"))
-	if !ok {
-		return
-	}
-	spec, ok := parseKernelParams(w, q)
-	if !ok {
-		return
-	}
-
-	mix, rawD := q.Get("mix"), q.Get("d")
-	var serviceTime float64
-	var wlName string
-	switch {
-	case mix != "" && rawD != "":
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"pass either mix= (model mode) or d= (raw service time), not both")
-		return
-	case mix != "":
-		wlName = q.Get("workload")
-		if wlName == "" {
-			wlName = "EP"
-		}
-		a, ok := s.analysis(w, wlName, mix)
-		if !ok {
-			return
-		}
-		serviceTime = float64(a.Result.Time)
-	case rawD != "":
-		d, ok := parseFloatParam(w, rawD, "d", true)
-		if !ok {
-			return
-		}
-		if d <= 0 {
-			writeError(w, http.StatusBadRequest, "bad_request",
-				"service time d must be positive")
-			return
-		}
-		serviceTime = d
-	default:
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"missing mix= (model mode) or d= (raw service time)")
-		return
-	}
-
-	v, err := s.percentilesShared(r.Context(), wlName, mix, serviceTime, u, ps, spec)
-	if err != nil {
-		s.computeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // MetricsBlock carries the Table 3 cumulative proportionality metrics
@@ -385,22 +277,17 @@ type EPMetricsResponse struct {
 	Reference *ReferenceBlock `json:"reference,omitempty"`
 }
 
-// epmetricsFor is the EP-metrics evaluation core shared by the scalar
-// handler and the batch per-item path. On failure the returned status
-// is the HTTP status the error maps to.
-func (s *Server) epmetricsFor(wlName, mix, refMix string) (EPMetricsResponse, int, error) {
+// epmetricsFor is the EP-metrics evaluation core of /v1/epmetrics.
+func (s *Server) epmetricsFor(wlName, mix, refMix string) (*EPMetricsResponse, error) {
 	if mix == "" {
-		return EPMetricsResponse{}, http.StatusBadRequest, errors.New("missing mix=")
+		return nil, errors.New("missing mix=")
 	}
-	if wlName == "" {
-		wlName = "EP"
-	}
-	a, status, err := s.analysisFor(wlName, mix)
+	a, err := s.analysisFor(wlName, mix)
 	if err != nil {
-		return EPMetricsResponse{}, status, err
+		return nil, err
 	}
 	m := a.Metrics()
-	resp := EPMetricsResponse{
+	resp := &EPMetricsResponse{
 		Workload:            wlName,
 		Mix:                 mix,
 		TimeSeconds:         float64(a.Result.Time),
@@ -413,9 +300,9 @@ func (s *Server) epmetricsFor(wlName, mix, refMix string) (EPMetricsResponse, in
 		},
 	}
 	if refMix != "" {
-		refA, status, err := s.analysisFor(wlName, refMix)
+		refA, err := s.analysisFor(wlName, refMix)
 		if err != nil {
-			return EPMetricsResponse{}, status, err
+			return nil, err
 		}
 		ref := energyprop.Reference{PeakPower: float64(refA.Result.BusyPower)}
 		block := &ReferenceBlock{Mix: refMix, PeakWatts: ref.PeakPower}
@@ -426,32 +313,7 @@ func (s *Server) epmetricsFor(wlName, mix, refMix string) (EPMetricsResponse, in
 		}
 		resp.Reference = block
 	}
-	return resp, 0, nil
-}
-
-// handleEpmetrics serves /v1/epmetrics: the Table 3 energy
-// proportionality metrics of one (workload, mix), optionally normalized
-// against a reference mix to expose sub-linear proportionality. GET
-// answers one configuration; POST takes a batch.
-func (s *Server) handleEpmetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost {
-		s.handleEpmetricsBatch(w, r)
-		return
-	}
-	if !allowGetBatch(w, r) {
-		return
-	}
-	q := r.URL.Query()
-	resp, status, err := s.epmetricsFor(q.Get("workload"), q.Get("mix"), q.Get("ref"))
-	if err != nil {
-		code := "bad_request"
-		if status == http.StatusNotFound {
-			code = "not_found"
-		}
-		writeError(w, status, code, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // FrontierPoint is one configuration on the energy-deadline Pareto
@@ -493,127 +355,23 @@ type FrontierResponse struct {
 	Recommended *FrontierPoint `json:"recommended,omitempty"`
 }
 
-// frontierParams is the canonical parameter set of one frontier sweep,
-// shared by the GET handler, the batch per-item path and the admission
-// weigher (which charges units proportional to the configuration-space
-// size these parameters span).
-type frontierParams struct {
-	workload      string
-	maxA9, maxK10 int
-	dvfs          bool
-	powerW        float64
-	deadline      float64
-	energy        float64
-	// u > 0 enables the tail-latency annotation: every frontier point
-	// gains the pct-th percentile response time at utilization u under
-	// the spec kernel.
-	u    float64
-	pct  float64
-	spec queueing.Spec
-}
-
-// frontierQueryParams parses the GET query form of frontierParams,
-// writing the error response on failure.
-func frontierQueryParams(w http.ResponseWriter, q url.Values) (frontierParams, bool) {
-	p := frontierParams{workload: q.Get("workload")}
-	if p.workload == "" {
-		p.workload = "EP"
+// frontierShared runs a resolved item's sweep under the singleflight
+// group, or returns the item's resolution error. The key is built from
+// the canonical parameters, so a GET and a batch item asking for the
+// same sweep coalesce onto one computation.
+func (s *Server) frontierShared(ctx context.Context, fi *frontierItem) (*FrontierResponse, error) {
+	if fi.err != nil {
+		return nil, fi.err
 	}
-	var ok bool
-	if p.maxA9, ok = parseIntParam(w, q.Get("max_a9"), "max_a9", 32); !ok {
-		return p, false
-	}
-	if p.maxK10, ok = parseIntParam(w, q.Get("max_k10"), "max_k10", 12); !ok {
-		return p, false
-	}
-	p.dvfs = q.Get("dvfs") == "true" || q.Get("dvfs") == "1"
-	if p.powerW, ok = parseFloatParam(w, q.Get("power"), "power", false); !ok {
-		return p, false
-	}
-	if raw := q.Get("deadline"); raw != "" {
-		d, err := parseDurationOrSeconds(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("invalid deadline %q: %v", raw, err))
-			return p, false
-		}
-		p.deadline = d
-	}
-	if p.energy, ok = parseFloatParam(w, q.Get("energy"), "energy", false); !ok {
-		return p, false
-	}
-	if p.u, ok = parseFloatParam(w, q.Get("u"), "u", false); !ok {
-		return p, false
-	}
-	if p.u != 0 {
-		if p.u < 0 || p.u >= 1 {
-			writeError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("utilization u=%g outside (0, 1)", p.u))
-			return p, false
-		}
-		p.pct = 95
-		if raw := q.Get("p"); raw != "" {
-			pct, ok := parseFloatParam(w, raw, "p", false)
-			if !ok {
-				return p, false
-			}
-			if pct < 0 || pct >= 100 {
-				writeError(w, http.StatusBadRequest, "bad_request",
-					fmt.Sprintf("invalid percentile %g: want a number in [0, 100)", pct))
-				return p, false
-			}
-			p.pct = pct
-		}
-		if p.spec, ok = parseKernelParams(w, q); !ok {
-			return p, false
-		}
-	}
-	return p, true
-}
-
-// frontierPlan resolves the sweep limits for p and checks the
-// configuration-space cap. On failure the returned status is the HTTP
-// status the error maps to. It never touches the ResponseWriter, so the
-// scalar handler, the batch per-item path and the admission weigher all
-// share it.
-func (s *Server) frontierPlan(p frontierParams) (limits []cluster.Limit, space, status int, err error) {
-	if _, err := s.cfg.Workloads.Lookup(p.workload); err != nil {
-		return nil, 0, http.StatusNotFound, err
-	}
-	a9, err := s.cfg.Catalog.Lookup("A9")
-	if err != nil {
-		return nil, 0, http.StatusNotFound, err
-	}
-	k10, err := s.cfg.Catalog.Lookup("K10")
-	if err != nil {
-		return nil, 0, http.StatusNotFound, err
-	}
-	limits = []cluster.Limit{
-		{Type: a9, MaxNodes: p.maxA9, FixCoresAndFreq: !p.dvfs},
-		{Type: k10, MaxNodes: p.maxK10, FixCoresAndFreq: !p.dvfs},
-	}
-	space = cluster.SpaceSize(limits)
-	if space > s.cfg.MaxFrontierConfigs {
-		return nil, 0, http.StatusBadRequest,
-			fmt.Errorf("configuration space %d exceeds the per-request cap %d; lower max_a9/max_k10 or disable dvfs",
-				space, s.cfg.MaxFrontierConfigs)
-	}
-	return limits, space, 0, nil
-}
-
-// frontierShared runs the sweep for p under the singleflight group. The
-// key is built from the canonical parameters, so a scalar GET and a
-// batch item asking for the same sweep coalesce onto one computation.
-func (s *Server) frontierShared(ctx context.Context, p frontierParams, limits []cluster.Limit) (*FrontierResponse, error) {
 	key := fmt.Sprintf("frontier|%s|%d|%d|%t|%g|%g|%g",
-		p.workload, p.maxA9, p.maxK10, p.dvfs, p.powerW, p.deadline, p.energy)
-	if p.u > 0 {
+		fi.workload, fi.maxA9, fi.maxK10, fi.dvfs, fi.powerW, fi.deadline, fi.energy)
+	if fi.u > 0 {
 		// Annotated sweeps key on the annotation point and kernel too, so
 		// they never coalesce with (or poison) an unannotated sweep.
-		key += fmt.Sprintf("|lat|%g|%g|%s", queueing.QuantizedRho(p.u), p.pct, p.spec.CacheTag())
+		key += fmt.Sprintf("|lat|%g|%g|%s", queueing.QuantizedRho(fi.u), fi.pct, fi.spec.CacheTag())
 	}
 	v, shared, err := s.flights.do(ctx, key, func() (any, error) {
-		return s.sweepFrontier(ctx, p, limits)
+		return s.sweepFrontier(ctx, fi)
 	})
 	if shared {
 		s.ins.coalesced.Inc()
@@ -623,40 +381,6 @@ func (s *Server) frontierShared(ctx context.Context, p frontierParams, limits []
 		return nil, err
 	}
 	return v.(*FrontierResponse), nil
-}
-
-// handleFrontier serves /v1/frontier: the energy-deadline Pareto
-// frontier over the A9/K10 mix space, with optional power budget,
-// deadline and energy-budget constraints. The sweep fans out across the
-// worker pool and honors the request deadline. GET answers one sweep;
-// POST takes a batch.
-func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost {
-		s.handleFrontierBatch(w, r)
-		return
-	}
-	if !allowGetBatch(w, r) {
-		return
-	}
-	p, ok := frontierQueryParams(w, r.URL.Query())
-	if !ok {
-		return
-	}
-	limits, _, status, err := s.frontierPlan(p)
-	if err != nil {
-		code := "bad_request"
-		if status == http.StatusNotFound {
-			code = "not_found"
-		}
-		writeError(w, status, code, err.Error())
-		return
-	}
-	v, err := s.frontierShared(r.Context(), p, limits)
-	if err != nil {
-		s.computeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // tableFor returns the server's shared memoized unit-calc table for
@@ -681,7 +405,7 @@ func (s *Server) tableFor(wl *workload.Profile) *model.Table {
 // frontier and sweet region. When the params ask for it, every
 // frontier point is annotated with its tail latency under the selected
 // kernel.
-func (s *Server) sweepFrontier(ctx context.Context, fp frontierParams, limits []cluster.Limit) (*FrontierResponse, error) {
+func (s *Server) sweepFrontier(ctx context.Context, fp *frontierItem) (*FrontierResponse, error) {
 	wlName, powerW, deadline, energy := fp.workload, fp.powerW, fp.deadline, fp.energy
 	// On the singleflight leader's request the sweep is attributed to its
 	// RequestContext (followers only record coalesced=1); nil-safe
@@ -692,7 +416,7 @@ func (s *Server) sweepFrontier(ctx context.Context, fp frontierParams, limits []
 	if err != nil {
 		return nil, err
 	}
-	resp := &FrontierResponse{Workload: wlName, Explored: cluster.SpaceSize(limits)}
+	resp := &FrontierResponse{Workload: wlName, Explored: fp.space}
 
 	var filter func(cluster.Config) bool
 	if powerW > 0 {
@@ -709,7 +433,7 @@ func (s *Server) sweepFrontier(ctx context.Context, fp frontierParams, limits []
 	// meaning. The engine attributes configs_evaluated/filtered and the
 	// sweep phase to rc itself.
 	var st pareto.SweepStats
-	frontier, err := pareto.FrontierSweep(limits, wl, model.Options{}, pareto.SweepOptions{
+	frontier, err := pareto.FrontierSweep(fp.limits, wl, model.Options{}, pareto.SweepOptions{
 		Filter:  filter,
 		NoPrune: true,
 		Context: ctx,
@@ -800,18 +524,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ready"})
 }
 
-// computeError maps a computation error onto the HTTP error envelope:
-// context errors (deadline, disconnect) become 504, everything else
-// 400 — by the time computation starts, inputs were syntactically valid,
-// so remaining failures are semantic (e.g. unstable queue).
-func (s *Server) computeError(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.deadlineError(w, r, err)
-		return
-	}
-	writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-}
-
 // allowGet enforces GET/HEAD on read-only endpoints.
 func allowGet(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -821,37 +533,6 @@ func allowGet(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	return true
-}
-
-// allowGetBatch enforces GET/HEAD on the batch-capable endpoints, whose
-// POST form was already dispatched; the Allow header advertises it.
-func allowGetBatch(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET, HEAD, POST")
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("method %s not allowed", r.Method))
-		return false
-	}
-	return true
-}
-
-// parseFloatParam parses a float query parameter. With required=false
-// an empty raw value yields (0, true).
-func parseFloatParam(w http.ResponseWriter, raw, name string, required bool) (float64, bool) {
-	if raw == "" {
-		if required {
-			writeError(w, http.StatusBadRequest, "bad_request", "missing "+name+"=")
-			return 0, false
-		}
-		return 0, true
-	}
-	v, err := parseFinite(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("invalid %s=%q: %v", name, raw, err))
-		return 0, false
-	}
-	return v, true
 }
 
 // errNotFinite rejects NaN and ±Inf query values: NaN slips through
@@ -868,63 +549,71 @@ func parseFinite(raw string) (float64, error) {
 	return v, err
 }
 
-// parseIntParam parses an integer query parameter with a default for
-// the empty value.
-func parseIntParam(w http.ResponseWriter, raw, name string, def int) (int, bool) {
+// queryFloat parses the float query parameter name; absent or empty
+// yields 0, or with required an error.
+func queryFloat(q url.Values, name string, required bool) (float64, error) {
+	raw := q.Get(name)
 	if raw == "" {
-		return def, true
+		if required {
+			return 0, errors.New("missing " + name + "=")
+		}
+		return 0, nil
 	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 0 {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("invalid %s=%q: want a non-negative integer", name, raw))
-		return 0, false
+	v, err := parseFinite(raw)
+	if err != nil {
+		return 0, fmt.Errorf("invalid %s=%q: %v", name, raw, err)
 	}
-	return v, true
+	return v, nil
 }
 
-// parsePercentiles parses the comma-separated p= list, defaulting to
-// 50,95,99.
-func parsePercentiles(w http.ResponseWriter, raw string) ([]float64, bool) {
+// queryInt parses the integer query parameter name; ok is false when it
+// is absent or empty.
+func queryInt(q url.Values, name string) (v int, ok bool, err error) {
+	raw := q.Get(name)
 	if raw == "" {
-		return []float64{50, 95, 99}, true
+		return 0, false, nil
 	}
-	parts := strings.Split(raw, ",")
-	if len(parts) > maxPercentiles {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("at most %d percentiles per request, got %d", maxPercentiles, len(parts)))
-		return nil, false
+	if v, err = strconv.Atoi(raw); err != nil {
+		return 0, false, fmt.Errorf("invalid %s=%q: want a non-negative integer", name, raw)
 	}
-	ps := make([]float64, 0, len(parts))
-	for _, part := range parts {
+	return v, true, nil
+}
+
+// queryPercentiles parses the comma-separated p= list; empty yields nil
+// (the default list).
+func queryPercentiles(raw string) ([]float64, error) {
+	if raw == "" {
+		return nil, nil
+	}
+	ps := make([]float64, 0, strings.Count(raw, ",")+1)
+	for rest, more := raw, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		p, err := parseFinite(strings.TrimSpace(part))
-		if err != nil || p < 0 || p >= 100 {
-			writeError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("invalid percentile %q: want a number in [0, 100)", part))
-			return nil, false
+		if err != nil {
+			return nil, fmt.Errorf("invalid percentile %q: want a number in [0, 100)", part)
 		}
 		ps = append(ps, p)
 	}
-	return ps, true
+	return ps, nil
 }
 
-// parseDurationOrSeconds accepts both Go duration syntax ("1.5s",
-// "300ms") and a bare number of seconds ("1.5").
+// checkPercentile is the one range check of a percentile, shared by
+// /v1/percentiles and the /v1/frontier latency annotation.
+func checkPercentile(p float64) error {
+	if p < 0 || p >= 100 {
+		return fmt.Errorf("invalid percentile %g: want a number in [0, 100)", p)
+	}
+	return nil
+}
+
+// parseDurationOrSeconds parses both Go duration syntax ("1.5s",
+// "300ms") and a bare number of seconds ("1.5"). The sign is the
+// resolver's to check.
 func parseDurationOrSeconds(raw string) (float64, error) {
-	if v, err := parseFinite(raw); err == nil {
-		if v < 0 {
-			return 0, errors.New("must be non-negative")
-		}
-		return v, nil
-	} else if err == errNotFinite {
-		return 0, err
+	if v, err := parseFinite(raw); err == nil || err == errNotFinite {
+		return v, err
 	}
 	d, err := time.ParseDuration(raw)
-	if err != nil {
-		return 0, err
-	}
-	if d < 0 {
-		return 0, errors.New("must be non-negative")
-	}
-	return d.Seconds(), nil
+	return d.Seconds(), err
 }

@@ -214,7 +214,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	res, err := replay.Run(r.Context(), cands, tr, opt)
 	if err != nil {
 		if !streaming {
-			s.computeError(w, r, err)
+			s.writeFailure(w, r, err)
 			return
 		}
 		// The 200 is on the wire; the error line is the only way to tell
@@ -326,8 +326,10 @@ func (s *Server) replayCandidates(w http.ResponseWriter, req ReplayRequest) ([]*
 	}
 	cands := make([]*energyprop.Analysis, 0, len(mixes))
 	for _, mix := range mixes {
-		a, ok := s.analysis(w, wlName, mix)
-		if !ok {
+		a, err := s.analysisFor(wlName, mix)
+		if err != nil {
+			status, e := failure(err)
+			writeError(w, status, e.Code, e.Message)
 			return nil, false
 		}
 		cands = append(cands, a)

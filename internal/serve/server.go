@@ -269,15 +269,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // request ID as exemplar), panic recovery, the per-request deadline,
 // then admission at the default cost of 1 unit.
 func (s *Server) api(route string, h http.HandlerFunc) http.Handler {
-	return s.apiWeighted(route, nil, h)
+	return s.apiWeighted(route, nil, func(w http.ResponseWriter, r *http.Request, _ any) { h(w, r) })
 }
 
 // apiWeighted is api with a per-route admission weigher: weigh runs
-// inside the deadline but before admission, computes the request's
-// admission cost, and may rewrite the request (the batch endpoints
-// decode their JSON body exactly once here and hand the parsed form to
-// the handler through the request context).
-func (s *Server) apiWeighted(route string, weigh admissionWeigher, h http.HandlerFunc) http.Handler {
+// inside the deadline but before admission, decodes the request exactly
+// once and computes its admission cost, and the handler receives what
+// it decoded.
+func (s *Server) apiWeighted(route string, weigh admissionWeigher, h decodedHandler) http.Handler {
 	s.routes = append(s.routes, route)
 	inner := s.deadline(s.admission(weigh, h))
 	return s.requestScope(route, false,
@@ -340,25 +339,26 @@ func (s *Server) deadline(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// admissionWeigher computes a request's admission cost before the
-// semaphore is consulted. It may reject the request itself (writing
-// the error and returning ok=false) and may return a rewritten
-// *http.Request — the batch endpoints use this to decode the body once
-// and stash the parsed form in the request context. A nil weigher
-// costs 1 unit.
-type admissionWeigher func(w http.ResponseWriter, r *http.Request) (weight int64, req *http.Request, ok bool)
+// admissionWeigher decodes a request and computes its admission cost
+// before the semaphore is consulted. It may reject the request itself
+// (writing the error and returning ok=false); what it decoded goes to
+// the route's handler. A nil weigher costs 1 unit and decodes nothing.
+type admissionWeigher func(w http.ResponseWriter, r *http.Request) (weight int64, decoded any, ok bool)
+
+// decodedHandler is a route handler that receives what its weigher
+// decoded (nil without a weigher).
+type decodedHandler func(w http.ResponseWriter, r *http.Request, decoded any)
 
 // admission applies the bounded weighted semaphore: shed with 429 +
 // Retry-After when the queue is full, 504 when the deadline expires
 // while queued. The weigher runs first, so a batch of N items charges
 // N units and sheds exactly like N scalar requests would.
-func (s *Server) admission(weigh admissionWeigher, next http.HandlerFunc) http.HandlerFunc {
+func (s *Server) admission(weigh admissionWeigher, next decodedHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		weight := int64(1)
+		weight, decoded := int64(1), any(nil)
 		if weigh != nil {
 			var ok bool
-			weight, r, ok = weigh(w, r)
-			if !ok {
+			if weight, decoded, ok = weigh(w, r); !ok {
 				return
 			}
 		}
@@ -375,7 +375,7 @@ func (s *Server) admission(weigh admissionWeigher, next http.HandlerFunc) http.H
 			return
 		}
 		defer release()
-		next(w, r)
+		next(w, r, decoded)
 	}
 }
 

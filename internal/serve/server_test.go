@@ -72,6 +72,9 @@ func TestEndpoints(t *testing.T) {
 		{"frontier sweet region", "/v1/frontier?workload=EP&max_a9=4&max_k10=2&deadline=10", 200, `"recommended"`},
 		{"frontier too large", "/v1/frontier?max_a9=100000&max_k10=100000", 400, "exceeds the per-request cap"},
 		{"frontier bad int", "/v1/frontier?max_a9=-3", 400, "non-negative"},
+		{"frontier negative count", "/v1/frontier?max_a9=-3&max_k10=2", 400, "non-negative"},
+		{"frontier count overflows the space", "/v1/frontier?max_a9=4611686018427387904&max_k10=1", 400, "non-negative integer at most"},
+		{"frontier negative deadline", "/v1/frontier?max_a9=4&max_k10=2&deadline=-5", 400, "must be non-negative"},
 		{"healthz", "/v1/healthz", 200, `"ok"`},
 		{"readyz", "/v1/readyz", 200, `"ready"`},
 		{"index", "/", 200, "epserve"},
@@ -467,6 +470,49 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		t.Fatalf("cancelled follower err = %v, want context.Canceled", err)
 	}
 	close(release2)
+}
+
+// TestFlightGroupLeaderPanic: a panicking leader must not poison its
+// key. The panic still reaches the leader's caller, a blocked follower
+// is released promptly with a 500-class error, and the next do on the
+// key runs its own fn.
+func TestFlightGroupLeaderPanic(t *testing.T) {
+	var g flightGroup
+	release := make(chan struct{})
+	leaderIn := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		g.do(context.Background(), "k", func() (any, error) { //nolint:errcheck // panics
+			close(leaderIn)
+			<-release
+			panic("kaboom")
+		})
+	}()
+	<-leaderIn
+	followerErr := make(chan error, 1)
+	go func() {
+		_, _, err := g.do(context.Background(), "k", func() (any, error) { return nil, nil })
+		followerErr <- err
+	}()
+	waitFor(t, "follower parked", func() bool { return g.waiting("k") == 1 })
+	close(release)
+
+	if got := <-leaderPanic; got != "kaboom" {
+		t.Fatalf("leader recovered %v, want the fn's panic", got)
+	}
+	select {
+	case err := <-followerErr:
+		if status, e := failure(err); status != http.StatusInternalServerError || e.Code != "internal" {
+			t.Fatalf("follower err %v maps to %d %q, want 500 internal", err, status, e.Code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still blocked after the leader panicked")
+	}
+	v, shared, err := g.do(context.Background(), "k", func() (any, error) { return 7, nil })
+	if v != 7 || shared || err != nil {
+		t.Fatalf("next do on the key = (%v, %v, %v), want its own (7, false, nil)", v, shared, err)
+	}
 }
 
 // TestServeRaceHammer drives the full serve path from many goroutines;

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"sync"
 	"sync/atomic"
 )
@@ -51,14 +53,28 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)
 	g.m[key] = c
 	g.mu.Unlock()
 
+	// Settle in a defer so a panicking fn still frees the key and
+	// releases its followers (with errFlightPanicked); the panic itself
+	// carries on up the leader's stack to the recovery middleware.
+	settled := false
+	defer func() {
+		if !settled {
+			c.val, c.err = nil, errFlightPanicked
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
+	settled = true
 	return c.val, false, c.err
 }
+
+// errFlightPanicked is what the followers of a panicking leader get: a
+// 500, as the leader's own request answers.
+var errFlightPanicked = &statusError{http.StatusInternalServerError,
+	errors.New("internal error: the coalesced computation panicked")}
 
 // waiting reports how many followers are currently blocked on key's
 // in-flight call (0 when key is not in flight). Tests use it to

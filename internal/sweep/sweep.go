@@ -38,6 +38,11 @@ func Blocks(n, workers, block int, fn func(worker, lo, hi int)) {
 // error is returned after every started block has finished. It returns
 // nil when all n items were processed. Long-running fn bodies that want
 // finer-grained cancellation should check ctx themselves.
+//
+// A panic in fn never escapes on a pool goroutine, where no caller
+// could recover it: the worker recovers it, dispatch stops, and once
+// every started block has finished the first panic value is raised
+// again on the caller's goroutine.
 func BlocksContext(ctx context.Context, n, workers, block int, fn func(worker, lo, hi int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -85,13 +90,23 @@ func BlocksContext(ctx context.Context, n, workers, block int, fn func(worker, l
 		return nil
 	}
 
-	var wg sync.WaitGroup
+	var (
+		wg        sync.WaitGroup
+		panicOnce sync.Once
+		panicked  = make(chan struct{})
+		panicVal  any
+	)
 	next := make(chan [2]int)
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if rec := recover(); rec != nil {
+					panicOnce.Do(func() { panicVal = rec; close(panicked) })
+				}
+			}()
 			for r := range next {
 				fn(w, r[0], r[1])
 			}
@@ -110,10 +125,15 @@ dispatch:
 		case <-done:
 			err = ctx.Err()
 			break dispatch
+		case <-panicked:
+			break dispatch
 		}
 	}
 	close(next)
 	wg.Wait()
+	if panicVal != nil {
+		panic(panicVal)
+	}
 	return err
 }
 

@@ -1,8 +1,11 @@
 package sweep
 
 import (
+	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestBlocksCoversEveryIndexOnce: each index must be visited exactly
@@ -63,5 +66,31 @@ func TestBlocksSingleWorkerInline(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("blocks %v, want %v", order, want)
 		}
+	}
+}
+
+// TestForEachContextWorkerPanic: a panic on a pool worker must not kill
+// the process. It stops dispatch, is raised again on the caller's
+// goroutine, where a recover can catch it, and leaves no worker behind.
+func TestForEachContextWorkerPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ForEachContext(context.Background(), 100, 2, func(i int) { //nolint:errcheck // panics
+			if i == 3 {
+				panic("boom at 3")
+			}
+		})
+	}()
+	if got != "boom at 3" {
+		t.Fatalf("recovered %v on the caller's goroutine, want the worker's panic value", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after the panic", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
