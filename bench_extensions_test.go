@@ -130,8 +130,9 @@ func BenchmarkAblationServiceJitter(b *testing.B) {
 	b.ReportMetric(100*cv, "service-CV-%")
 }
 
-// BenchmarkCrommelinPrecisionScaling measures the exact M/D/1 CDF cost
-// across utilizations (the adaptive precision grows with lambda*t).
+// BenchmarkCrommelinPrecisionScaling measures the exact M/D/1 p99 cost
+// as utilization grows. With -benchtime=1x each sub-benchmark is one
+// cold solve; longer runs measure the percentile-cache hit.
 func BenchmarkCrommelinPrecisionScaling(b *testing.B) {
 	for _, rho := range []float64{0.5, 0.8, 0.95} {
 		rho := rho

@@ -147,7 +147,9 @@ func BenchmarkEvaluateReference(b *testing.B) {
 // the table snapshot maps, and telemetry scaffolding (70 at the time of
 // writing). A per-configuration engine costs ~4,300 allocs per sweep;
 // a regression back to per-configuration or per-admission allocation
-// would blow through this bound.
+// would blow through this bound. Under the race detector the sweep
+// still runs, but the bound is not asserted: the detector makes the
+// scratch pool miss.
 func TestFrontierSweepFastAllocs(t *testing.T) {
 	limits, wl := paperBenchSpace(t)
 	table := model.NewTable(wl, model.Options{})
@@ -162,7 +164,12 @@ func TestFrontierSweepFastAllocs(t *testing.T) {
 		}
 	}
 	sweep() // warm the memo table and the scratch pool
-	if allocs := testing.AllocsPerRun(10, sweep); allocs > 90 {
+	allocs := testing.AllocsPerRun(10, sweep)
+	if raceEnabled {
+		t.Logf("race detector drops sync.Pool items; bound not asserted (%.0f allocs/op)", allocs)
+		return
+	}
+	if allocs > 90 {
 		t.Errorf("fast sweep allocates %.0f objects/op warm, want <= 90 (~70 expected)", allocs)
 	}
 }

@@ -1,7 +1,6 @@
 package queueing
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -180,17 +179,6 @@ func resetPercentileCache() {
 	pctCache.Store(new(pctGeneration))
 }
 
-// normState carries warm search state across the queries of one batch:
-// the shared normalized-queue evaluator (whose e^{-rho} step factor is
-// computed once per precision) and the best known lower bracket. With
-// targets visited in ascending order, each solved percentile becomes
-// the lower bracket of the next.
-type normState struct {
-	ev  *cdfEvaluator
-	lo  float64 // known wait with cdf(lo) = flo
-	flo float64
-}
-
 // percentileCell is the one entry point of the memo: it quantizes rho,
 // keys the cell on (rho, target) plus the kernel identity, finds or
 // creates it in its shard, counts the hit or miss (process-wide, and
@@ -220,18 +208,13 @@ func percentileCell(kind uint8, shapeBits uint64, rho, target float64, rc *telem
 
 // cachedNormalizedPercentile returns the normalized wait percentile
 // w(rho, target) for the queue MD1{Lambda: rho, D: 1}, memoized across
-// the process under the zero kernel tag. st may be nil (single query)
-// or shared batch state.
-func cachedNormalizedPercentile(rho, target float64, st *normState, rc *telemetry.RequestContext) (float64, error) {
+// the process under the zero kernel tag. The solve is a pure function
+// of the quantized rho and the target, so every caller — scalar, batch
+// or M/G/1 bracket — reads the same bits.
+func cachedNormalizedPercentile(rho, target float64, rc *telemetry.RequestContext) float64 {
 	e, rhoQ := percentileCell(pctKindMD1, 0, rho, target, rc)
-	e.once.Do(func() {
-		e.w, e.err = solveNormalizedPercentile(rhoQ, target, st)
-	})
-	if e.err == nil && st != nil && e.w > st.lo {
-		// Warm the batch bracket even on cache hits: cdf(w) = target.
-		st.lo, st.flo = e.w, target
-	}
-	return e.w, e.err
+	e.once.Do(func() { e.w = md1Percentile(rhoQ, target) })
+	return e.w
 }
 
 // kernelSolver solves a normalized percentile for a kernel identified
@@ -254,50 +237,14 @@ func cachedKernelPercentile(kind uint8, shapeBits uint64, shape, rho, target flo
 	return e.w, e.err
 }
 
-// solveNormalizedPercentile brackets and solves F(w) = target on the
-// normalized queue. st, when non-nil, seeds the lower bracket and
-// supplies the shared evaluator.
-func solveNormalizedPercentile(rho, target float64, st *normState) (float64, error) {
-	var ev *cdfEvaluator
-	lo, flo := 0.0, 1-rho
-	if st != nil {
-		if st.ev == nil {
-			st.ev = &cdfEvaluator{q: MD1{Lambda: rho, D: 1}, rho: rho}
-		}
-		ev = st.ev
-		if st.lo > 0 && st.flo <= target {
-			lo, flo = st.lo, st.flo
-		}
-	} else {
-		ev = &cdfEvaluator{q: MD1{Lambda: rho, D: 1}, rho: rho}
-	}
-
-	// Bracket: grow the upper bound geometrically from the mean wait,
-	// promoting each failed bound to the lower bracket.
-	hi := rho / (2 * (1 - rho)) // normalized mean wait
-	if hi <= lo {
-		hi = lo + 1
-	}
-	fhi := ev.cdf(hi)
-	for i := 0; fhi < target; i++ {
-		lo, flo = hi, fhi
-		hi *= 2
-		fhi = ev.cdf(hi)
-		if i > 60 {
-			return 0, errors.New("queueing: percentile bracket failed to converge")
-		}
-	}
-	return solveCDF(ev.cdf, target, lo, flo, hi, fhi), nil
-}
-
 // solveCDF finds w with F(w) = target inside a bracket by regula falsi
 // with the Illinois modification: the next probe interpolates the
 // monotone CDF linearly between the bracket ends (far faster than
 // bisection on the smooth, near-exponential tail), and halving the
 // retained end's residual whenever the same side survives twice keeps
 // the superlinear convergence guarantee bisection would otherwise be
-// needed for. cdf may be any monotone CDF — the M/D/1 evaluator, the
-// M/G/1 mixtures, or the M/M/k sojourn.
+// needed for. cdf may be any monotone CDF: the M/G/1 mixtures or the
+// M/M/k sojourn.
 func solveCDF(cdf func(float64) float64, target, lo, flo, hi, fhi float64) float64 {
 	glo, ghi := flo-target, fhi-target
 	side := 0

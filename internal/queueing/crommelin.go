@@ -1,266 +1,188 @@
 package queueing
 
-import (
-	"math"
-	"math/big"
-	"sync"
-)
+import "math"
 
-// This file holds the fast Crommelin kernel. The classical formula
+// This file holds the M/D/1 waiting-time distribution on the
+// normalized queue (D = 1, lambda = rho; W/D depends only on rho), as
+// two float64 evaluators chosen by a stated error bound on (rho, t):
 //
-//	P(W <= t) = (1-rho) * sum_{j=0}^{k} T_j,  T_j = x_j^j/j! * e^{-x_j},
-//	x_j = lambda*(jD - t) <= 0,  k = floor(t/D)
+//   - the body, Crommelin's finite sum, for small rho*t;
+//   - the tail, the root expansion in roots.go, past it.
 //
-// was previously evaluated term by term from scratch: an O(j) power loop
-// per term (O(k^2) big.Float multiplications overall) plus one full
-// extended-precision exponential per term — and the exponential, at
-// prec/2 multiplications each, dominated everything. The kernel below
-// carries both factors forward across terms:
+// The body is the classical formula
 //
-//   - exponentials: x_{j+1} = x_j + lambda*D, so e^{-x_{j+1}} =
-//     e^{-x_j} * e^{-lambda*D}. Two bigExpBig calls per CDF evaluation
-//     (e^{lambda*t} for j=0 and the per-step factor e^{-lambda*D},
-//     cached per precision across a percentile search) replace k+1.
-//   - powers: P_{j+1} = x_{j+1}^{j+1}/(j+1)! is carried forward as
-//     P_j * (x_{j+1}/x_j)^j * x_{j+1}/(j+1); the ratio power runs in
-//     O(log j) multiplications by binary exponentiation, so a CDF call
-//     costs O(k log k) big.Float multiplications in place of O(k^2)
-//     plus k exponentials. When x_j lands exactly on zero (t an exact
-//     multiple of D) the carried product is zero and the next term is
-//     rebuilt directly — the only O(j) step, and it cannot repeat.
+//	F(t) = (1-rho) * sum_{j=0}^{k} T_j,  T_j = x_j^j/j! * e^{-x_j},
+//	x_j = rho*(j - t) <= 0,  k = floor(t)
 //
-// For small lambda*t the alternating sum fits inside float64 headroom
-// and the big.Float machinery is skipped entirely: see waitCDFFloat64
-// for the error bound that gates the fast path.
+// F is analytic on each segment [k, k+1). Its terms are built by
+// recurrence: e^{-x_j} = e^{rho*t} * (e^{-rho})^j is carried forward
+// from two exp calls per pass, and x_j^j/j! is a product of j factors.
+// The density costs nothing extra. By the M/D/1 identity
+// f(t) = rho*(F(t) - F(t-1)), and F(t-1)'s terms are G_j = T_j*j/x_j
+// (x_j^{j-1}/(j-1)! * e^{-x_j}), the partial products of the same pass.
+//
+// Hand-off bound. The terms alternate in sign and cancel: |T_j| <=
+// e^{2*|x_j|} <= e^{2*rho*t}, while S = F/(1-rho) >= F(0)/(1-rho) = 1.
+// Each term is formed with O(j) roundings (relative error eps_term), so
+// the pass carries an absolute error of at most about
+// (J+2)*e^{2*rho*t}*eps_term on S, and that is also F's relative error,
+// whatever rho is: (1-rho) multiplies F and S alike, so it must not
+// appear in the gate a second time. J = min(k, bodyMaxTerms) counts the
+// terms actually summed. The body serves t while
+// 2*rho*t + ln(J+2) <= bodyLogBound, an amplification of at most 1e5;
+// against the big.Float oracle it stays within 1.2e-13
+// (TestWaitCDFAcrossHandOff).
 
-// crommelinBasePrec is the minimum big.Float mantissa precision for the
-// alternating Crommelin sum. The term magnitudes grow like e^(2*lambda*t)
-// while the result stays in [0,1], so the working precision must scale
-// with lambda*t; crommelinPrec computes the required bits.
-const crommelinBasePrec = 256
+// bodyLogBound is ln(1e5), the largest cancellation amplification the
+// float64 body accepts.
+const bodyLogBound = 11.5
 
-// crommelinMaxPrec caps the working precision (and therefore the largest
-// lambda*t the exact formula serves; beyond it the CDF is within 1e-12
-// of its asymptotic tail for every utilization the repository sweeps).
-const crommelinMaxPrec = 1 << 13
+// bodyMaxTerms truncates the body sum. Inside the gate rho*t <= 5.75,
+// and |T_j| <= (rho*t)^j/j! * e^{rho*t}, so the terms past j = 48 add
+// up to below 1e-22 of S >= 1: the sum stays O(min(k, 48)) however
+// large k = floor(t) grows at small rho.
+const bodyMaxTerms = 48
 
-// crommelinPrec returns the working precision for arguments lambda and t:
-// enough bits to absorb e^(2*lambda*t) cancellation plus guard bits.
-func crommelinPrec(lambda, t float64) uint {
-	// log2(e^(2*lambda*t)) = 2*lambda*t/ln2 ≈ 2.885*lambda*t bits.
-	need := uint(3*lambda*t) + crommelinBasePrec
-	if need > crommelinMaxPrec {
-		return crommelinMaxPrec
+// lnTermCount[j] = ln(j+2), the gate's term-count factor.
+var lnTermCount = func() (a [bodyMaxTerms + 1]float64) {
+	for j := range a {
+		a[j] = math.Log(float64(j + 2))
 	}
-	// Round up to a multiple of 64 so repeated queries share precisions.
-	return (need + 63) &^ 63
+	return a
+}()
+
+// bodyTerms returns J = min(floor(t), bodyMaxTerms), the index of the
+// last term the body sums at t >= 0.
+func bodyTerms(t float64) int {
+	if t < bodyMaxTerms {
+		return int(t)
+	}
+	return bodyMaxTerms
 }
 
-// fastPathLogBound gates the float64 fast path. The float64 sum loses at
-// most (k+2)*maxTerm*eps absolutely with maxTerm <= e^{2*lambda*t}, and
-// the result is at least F(0) = 1-rho, so the relative error is bounded
-// by (k+2)*e^{2c}/(1-rho) * eps with c = lambda*t and eps ~ 1e-15 per
-// term (exp/lgamma round-off). Requiring that amplification factor to
-// stay under 1e5 keeps the fast path at least ~1e-10 accurate — an
-// order of magnitude inside the 1e-9 differential-test budget.
-const fastPathLogBound = 11.5 // ln(1e5)
+// inBody reports whether the body's cancellation bound holds at t.
+// The condition is monotone in t, so the body serves [0, t_h(rho)).
+func inBody(rho, t float64) bool {
+	return 2*rho*t+lnTermCount[bodyTerms(t)] <= bodyLogBound
+}
 
-// waitCDFFloat64 evaluates the Crommelin sum directly in float64 when
-// the cancellation bound above holds. Terms are formed in log space
-// (j*ln|x| - lgamma(j+1) - x), which is O(1) per term, and accumulated
-// with Kahan compensation. Returns ok=false outside the proven region.
-func waitCDFFloat64(lambda, d, t, rho float64, k int) (float64, bool) {
-	c := lambda * t
-	if 2*c+math.Log(float64(k+2))-math.Log(1-rho) > fastPathLogBound {
-		return 0, false
-	}
-	var sum, comp float64
-	for j := 0; j <= k; j++ {
-		x := lambda * (float64(j)*d - t) // <= 0 for j <= k
-		var term float64
-		switch {
-		case x == 0:
-			if j == 0 {
-				term = 1
-			}
-		default:
-			lg, _ := math.Lgamma(float64(j) + 1)
-			term = math.Exp(float64(j)*math.Log(-x) - lg - x)
-			if j&1 == 1 {
-				term = -term
-			}
+// bodyEval returns F(t) and f(t) for 0 <= t inside the body gate by one
+// recurrence pass over Crommelin's terms.
+func bodyEval(rho, t float64) (cdf, pdf float64) {
+	e := math.Exp(rho * t) // e^{-x_j}, carried down by e^{-rho} per term
+	step := math.Exp(-rho)
+	s, s1 := e, 0.0 // sum T_j and sum G_j
+	for j, n := 1, bodyTerms(t); j <= n; j++ {
+		e *= step
+		x := rho * (float64(j) - t)
+		g := e // G_j = x^{j-1}/(j-1)! * e^{-x}
+		for i := 1; i < j; i++ {
+			g *= x / float64(i)
 		}
-		y := term - comp
-		s := sum + y
-		comp = (s - sum) - y
-		sum = s
+		s1 += g
+		s += g * x / float64(j)
 	}
-	v := (1 - rho) * sum
+	c := 1 - rho
+	return clamp01(c * s), rho * c * (s - s1)
+}
+
+func clamp01(v float64) float64 {
 	if v < 0 {
-		return 0, true
+		return 0
 	}
 	if v > 1 {
-		return 1, true
+		return 1
 	}
-	return v, true
+	return v
 }
 
-// crommelinScratch is the big.Float working set of one extended-precision
-// CDF evaluation, pooled across calls so the hot percentile searches do
-// not re-allocate ~a dozen mantissas per evaluation.
-type crommelinScratch struct {
-	lb, db, tb           *big.Float // exactly-embedded inputs
-	ab                   *big.Float // lambda*D
-	x, prevX             *big.Float // x_j, x_{j-1}
-	expFac               *big.Float // e^{-x_j}
-	p                    *big.Float // x_j^j / j!
-	sum, ratio, rpow, sq *big.Float
-	tmp, term            *big.Float
+// md1Dist evaluates the normalized M/D/1 wait distribution at one
+// utilization 0 <= rho < 1, routing each t to the body or the tail. The
+// tail's roots are solved lazily, once per md1Dist and only as many as
+// the evaluated t need. A percentile solve or a CDF batch holds one
+// md1Dist for its own lifetime, so root memory stays bounded by one
+// solve's; no cache cell keeps roots.
+type md1Dist struct {
+	rho       float64
+	gamma, c0 float64 // dominant root and coefficient; 0 until needed
+	n         int     // conjugate pairs solved so far
+	z, c      [maxPairs]complex128
 }
 
-var crommelinPool = sync.Pool{New: func() any {
-	s := &crommelinScratch{}
-	for _, f := range s.fields() {
-		*f = new(big.Float)
-	}
-	return s
-}}
-
-func (s *crommelinScratch) fields() []**big.Float {
-	return []**big.Float{&s.lb, &s.db, &s.tb, &s.ab, &s.x, &s.prevX,
-		&s.expFac, &s.p, &s.sum, &s.ratio, &s.rpow, &s.sq, &s.tmp, &s.term}
-}
-
-func getScratch(prec uint) *crommelinScratch {
-	s := crommelinPool.Get().(*crommelinScratch)
-	for _, f := range s.fields() {
-		// Reset before re-precisioning: SetPrec would otherwise round the
-		// stale mantissa, which is wasted work at 8k-bit precisions.
-		(*f).SetInt64(0).SetPrec(prec)
-	}
-	return s
-}
-
-func putScratch(s *crommelinScratch) { crommelinPool.Put(s) }
-
-// powBig sets dst = base^n (n >= 1) by binary exponentiation, using sq
-// as the running-square scratch. dst must not alias base or sq.
-func powBig(dst, base, sq *big.Float, n int) *big.Float {
-	dst.SetInt64(1)
-	sq.Set(base)
-	for n > 0 {
-		if n&1 == 1 {
-			dst.Mul(dst, sq)
-		}
-		n >>= 1
-		if n > 0 {
-			sq.Mul(sq, sq)
-		}
-	}
-	return dst
-}
-
-// cdfEvaluator evaluates P(W <= t) for one queue, caching the per-step
-// exponential factor e^{-lambda*D} across calls (per working precision,
-// which varies with t). Percentile searches and batch CDF evaluations
-// hold one evaluator for their whole run; the zero-cost construction in
-// MD1.WaitCDF makes a transient one.
-type cdfEvaluator struct {
-	q    MD1
-	rho  float64
-	expQ map[uint]*big.Float // e^{-lambda*D} keyed by working precision
-}
-
-// cdf returns P(W <= t); semantics identical to the classical evaluation.
-func (ev *cdfEvaluator) cdf(t float64) float64 {
+// at returns F(t), 1 - F(t) and f(t) for t >= 0. On the tail side the
+// complement is the series itself, precise however small it gets. Each
+// call is one evaluation of F and counts into queueing.wait_cdf_calls.
+func (d *md1Dist) at(t float64) (cdf, tail, pdf float64) {
 	instruments().cdfCalls.Inc()
-	if t < 0 {
-		return 0
+	if inBody(d.rho, t) {
+		cdf, pdf = bodyEval(d.rho, t)
+		return cdf, 1 - cdf, pdf
 	}
-	if ev.rho >= 1 {
+	tail, pdf = d.tailEval(t)
+	return clamp01(1 - tail), tail, pdf
+}
+
+// cdf returns P(W <= t) on the normalized queue, for any t.
+func (d *md1Dist) cdf(t float64) float64 {
+	switch {
+	case t < 0:
 		return 0
-	}
-	if ev.q.Lambda == 0 {
+	case d.rho <= 0:
 		return 1
 	}
-	k := int(math.Floor(t / ev.q.D))
-	if v, ok := waitCDFFloat64(ev.q.Lambda, ev.q.D, t, ev.rho, k); ok {
-		return v
-	}
-	return ev.cdfBig(t, k)
+	f, _, _ := d.at(t)
+	return f
 }
 
-// stepFactor returns e^{-lambda*D} at the given precision, memoized on
-// the evaluator. ab must already hold lambda*D at that precision.
-func (ev *cdfEvaluator) stepFactor(prec uint, ab *big.Float) *big.Float {
-	if v, ok := ev.expQ[prec]; ok {
-		return v
+// md1Percentile returns the normalized wait w with F(w) = target, for
+// 1-rho < target < 1. It is a pure function of (rho, target).
+//
+// Segment 0 is closed form, F(t) = (1-rho)*e^{rho*t}. Past it, the
+// solve is safeguarded Newton on ln(1 - F), which is nearly linear in
+// t, with the density from the same pass. The start is one Newton step
+// from t = 1, where F and f are closed form, while that lands in the
+// body. Otherwise the dominant tail term gives the start,
+// t0 = ln(C0/(1-p))/gamma, and where that term alone is exact to the
+// tail tolerance at t0, t0 is the answer and no pass runs.
+func md1Percentile(rho, target float64) float64 {
+	c := 1 - rho
+	f1 := c * math.Exp(rho) // F(1)
+	if target <= f1 {
+		return math.Log1p((target-c)/c) / rho
 	}
-	neg := new(big.Float).SetPrec(prec).Neg(ab)
-	v := bigExpBig(neg, prec)
-	if ev.expQ == nil {
-		ev.expQ = make(map[uint]*big.Float, 4)
-	}
-	ev.expQ[prec] = v
-	return v
-}
-
-// cdfBig runs the incremental recurrence in extended precision.
-func (ev *cdfEvaluator) cdfBig(t float64, k int) float64 {
-	prec := crommelinPrec(ev.q.Lambda, t)
-	s := getScratch(prec)
-	defer putScratch(s)
-
-	// Every intermediate must be formed in extended precision from the
-	// exactly-embedded float64 inputs. Forming x_j = lambda*(jD - t) in
-	// float64 first perturbs each alternating term by ~1e-16 relative,
-	// which the huge term magnitudes amplify into O(1) error in the sum.
-	s.lb.SetFloat64(ev.q.Lambda)
-	s.db.SetFloat64(ev.q.D)
-	s.tb.SetFloat64(t)
-	s.ab.Mul(s.lb, s.db)
-
-	// j = 0: x_0 = -lambda*t, T_0 = e^{lambda*t}.
-	s.x.Mul(s.lb, s.tb)
-	s.x.Neg(s.x)
-	s.tmp.Neg(s.x)
-	s.expFac.Set(bigExpBig(s.tmp, prec))
-	qb := ev.stepFactor(prec, s.ab)
-	s.sum.Set(s.expFac)
-	s.p.SetInt64(1)
-
-	for j := 1; j <= k; j++ {
-		s.prevX.Set(s.x)
-		s.x.Add(s.x, s.ab)
-		s.expFac.Mul(s.expFac, qb)
-		switch {
-		case j == 1:
-			s.p.Set(s.x)
-		case s.prevX.Sign() == 0:
-			// The carried product is zero (x_{j-1} = 0 exactly); rebuild
-			// P_j = x^j/j! directly. Happens at most once per call.
-			powBig(s.p, s.x, s.sq, j)
-			for i := 2; i <= j; i++ {
-				s.p.Quo(s.p, s.tmp.SetInt64(int64(i)))
-			}
-		default:
-			s.ratio.Quo(s.x, s.prevX)
-			powBig(s.rpow, s.ratio, s.sq, j-1)
-			s.p.Mul(s.p, s.rpow)
-			s.p.Mul(s.p, s.x)
-			s.p.Quo(s.p, s.tmp.SetInt64(int64(j)))
+	lq := math.Log1p(-target)
+	q1 := 1 - f1
+	t := 1 + q1*(math.Log(q1)-lq)/(rho*c*math.Expm1(rho)) // f(1) = rho*(F(1) - F(0))
+	d := md1Dist{rho: rho}
+	if !inBody(rho, t) {
+		d.dominant()
+		t = math.Max(1, (math.Log(d.c0)-lq)/d.gamma)
+		if !inBody(rho, t) && d.pairsFor(t) == 0 {
+			return t
 		}
-		s.term.Mul(s.p, s.expFac)
-		s.sum.Add(s.sum, s.term)
 	}
-	s.sum.Mul(s.sum, s.tmp.SetFloat64(1-ev.rho))
-	v, _ := s.sum.Float64()
-	// Round-off can push the exact result a hair outside [0,1].
-	if v < 0 {
-		return 0
+	lo, hi := 1.0, math.Inf(1)
+	for range 100 {
+		_, q, pdf := d.at(t)
+		g := math.Log(q) - lq // > 0 while F(t) < target
+		step := q * g / pdf
+		if math.Abs(step) <= 1e-8*t {
+			return t + step
+		}
+		if g > 0 {
+			lo = t
+		} else {
+			hi = t
+		}
+		next := t + step
+		if !(next > lo && next < hi) {
+			if math.IsInf(hi, 1) {
+				next = 2 * lo
+			} else {
+				next = lo + (hi-lo)/2
+			}
+		}
+		t = next
 	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return t
 }

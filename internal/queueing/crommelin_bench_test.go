@@ -12,8 +12,8 @@ import (
 // benchSink defeats dead-code elimination.
 var benchSink float64
 
-// BenchmarkWaitCDF: one extended-precision CDF evaluation on the fast
-// recurrence, at a tail point representative of a p95 search probe.
+// BenchmarkWaitCDF: one CDF evaluation at a tail point representative
+// of a p95 search probe: the root expansion, solving its roots per call.
 func BenchmarkWaitCDF(b *testing.B) {
 	q := MD1{Lambda: 0.9, D: 1}
 	b.ReportAllocs()
@@ -32,8 +32,8 @@ func BenchmarkWaitCDFReference(b *testing.B) {
 	}
 }
 
-// BenchmarkWaitCDFFloat64Path: a point inside the float64 fast-path
-// region, where the big.Float machinery is skipped entirely.
+// BenchmarkWaitCDFFloat64Path: a point inside the float64 body, one
+// recurrence pass over Crommelin's terms.
 func BenchmarkWaitCDFFloat64Path(b *testing.B) {
 	q := MD1{Lambda: 0.9, D: 1}
 	b.ReportAllocs()
@@ -43,20 +43,20 @@ func BenchmarkWaitCDFFloat64Path(b *testing.B) {
 }
 
 // coldRho yields a distinct utilization per iteration (golden-ratio
-// stride over [0.85, 0.95)) so every query misses the percentile cache.
-func coldRho(i int) float64 {
+// stride over [lo, hi)) so every query misses the percentile cache.
+func coldRho(i int, lo, hi float64) float64 {
 	const phi = 0.6180339887498949
 	f := float64(i) * phi
-	return 0.85 + 0.1*(f-math.Floor(f))
+	return lo + (hi-lo)*(f-math.Floor(f))
 }
 
-// BenchmarkResponsePercentileCold: every iteration is a never-seen rho —
-// full bracket plus regula-falsi search on the fast kernel.
-func BenchmarkResponsePercentileCold(b *testing.B) {
+// benchColdP95 runs one never-seen rho from [lo, hi) per iteration
+// through the full cold path: cache miss plus solve.
+func benchColdP95(b *testing.B, lo, hi float64) {
 	resetPercentileCache()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := MD1{Lambda: coldRho(i), D: 1}
+		q := MD1{Lambda: coldRho(i, lo, hi), D: 1}
 		v, err := q.ResponsePercentile(95)
 		if err != nil {
 			b.Fatal(err)
@@ -64,6 +64,15 @@ func BenchmarkResponsePercentileCold(b *testing.B) {
 		benchSink = v
 	}
 }
+
+// BenchmarkResponsePercentileCold: cold p95 solves at rho in
+// [0.85, 0.95), all in the tail (t/D from 8 to 30).
+func BenchmarkResponsePercentileCold(b *testing.B) { benchColdP95(b, 0.85, 0.95) }
+
+// BenchmarkResponsePercentileColdBody: cold p95 solves at rho in
+// [0.1, 0.7), all in the body: the closed-form first segment below
+// rho ~ 0.29, segment Newton above.
+func BenchmarkResponsePercentileColdBody(b *testing.B) { benchColdP95(b, 0.1, 0.7) }
 
 // BenchmarkResponsePercentileWarm: repeated same-rho queries — the
 // cache-hit path every sweep consumer rides once a utilization has been
@@ -85,13 +94,13 @@ func BenchmarkResponsePercentileWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkResponsePercentileReference: the pre-PR implementation —
-// bisection over the term-by-term CDF, no caching — on the same cold
-// query stream as BenchmarkResponsePercentileCold.
+// BenchmarkResponsePercentileReference: the reference oracle —
+// bisection over the term-by-term big.Float CDF, no caching — on the
+// same cold query stream as BenchmarkResponsePercentileCold.
 func BenchmarkResponsePercentileReference(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := MD1{Lambda: coldRho(i), D: 1}
+		q := MD1{Lambda: coldRho(i, 0.85, 0.95), D: 1}
 		w, err := q.waitPercentileReference(95)
 		if err != nil {
 			b.Fatal(err)
@@ -101,14 +110,13 @@ func BenchmarkResponsePercentileReference(b *testing.B) {
 }
 
 // BenchmarkResponsePercentilesBatch: five percentiles in one batched
-// call sharing brackets and scratch, cold cache, per-call cost shown
-// per percentile via b.N scaling of the whole batch.
+// call, cold cache; the cost is per batch.
 func BenchmarkResponsePercentilesBatch(b *testing.B) {
 	resetPercentileCache()
 	ps := []float64{50, 90, 95, 99, 99.9}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := MD1{Lambda: coldRho(i), D: 1}
+		q := MD1{Lambda: coldRho(i, 0.85, 0.95), D: 1}
 		vs, err := q.ResponsePercentiles(ps)
 		if err != nil {
 			b.Fatal(err)

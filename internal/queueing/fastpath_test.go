@@ -41,7 +41,7 @@ func TestWaitCDFMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFloat64FastPathAccuracy drives the float64 path directly over its
+// TestFloat64FastPathAccuracy drives the float64 body directly over its
 // whole admissible region and checks the claimed 1e-9 bound against the
 // extended-precision reference.
 func TestFloat64FastPathAccuracy(t *testing.T) {
@@ -49,11 +49,10 @@ func TestFloat64FastPathAccuracy(t *testing.T) {
 	for _, rho := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
 		q := MD1{Lambda: rho, D: 1}
 		for _, x := range stats.Linspace(0, 12, 121) {
-			k := int(math.Floor(x / q.D))
-			got, ok := waitCDFFloat64(q.Lambda, q.D, x, rho, k)
-			if !ok {
+			if !inBody(rho, x/q.D) {
 				continue
 			}
+			got, _ := bodyEval(rho, x/q.D)
 			covered++
 			want := q.waitCDFReference(x)
 			if relOrAbs(got, want) > 1e-9 {

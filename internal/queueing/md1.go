@@ -6,23 +6,22 @@
 // percentiles, a Lindley-recursion Monte-Carlo simulator used for
 // cross-validation, and an M/M/1 reference model.
 //
-// The distribution kernel is built for sweeps: WaitCDF runs an
-// incremental Crommelin recurrence (two extended-precision exponentials
-// per call instead of one per term) with a float64 fast path where
-// cancellation is provably bounded; WaitPercentile resolves through a
+// The distribution kernel is all float64 and built for sweeps. WaitCDF
+// sums Crommelin's formula (the body) while its alternating terms
+// provably cancel within float64 headroom, and the root expansion of the
+// tail over the roots of rho*(e^z - 1) = z past that point; crommelin.go
+// states the hand-off bound. WaitPercentile resolves through a
 // process-wide scale-invariant cache — W/D depends only on rho, so all
-// configurations at the same utilization share one search — and the
-// search itself is bracketed regula falsi rather than blind bisection.
-// WaitPercentiles/ResponsePercentiles/WaitCDFBatch amortize brackets and
-// scratch across batched queries.
+// configurations at the same utilization share one solve. The solve is
+// closed form in the first segment and in the far tail, and a few
+// safeguarded Newton steps on ln(1 - F) elsewhere, with the density from
+// the same pass. math/big serves only the reference oracle.
 package queueing
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
-	"sync"
 )
 
 // MD1 is an M/D/1 queue: Poisson arrivals at rate Lambda, deterministic
@@ -79,90 +78,19 @@ func (q MD1) MeanWait() float64 {
 func (q MD1) MeanResponse() float64 { return q.MeanWait() + q.D }
 
 // WaitCDF returns P(W <= t), the probability an arriving job waits at
-// most t before service begins, by Crommelin's classical formula
+// most t before service begins. Crommelin's classical formula
 //
 //	P(W <= t) = (1-rho) * sum_{j=0}^{k} [lambda(jD - t)]^j / j! * e^{-lambda(jD - t)}
 //
-// with k = floor(t/D). The terms alternate in sign and grow large before
-// cancelling, so the sum is evaluated in extended precision — except for
-// small lambda·t, where the cancellation is provably within float64
-// headroom and a plain float64 pass suffices (see crommelin.go).
+// with k = floor(t/D) serves small rho*t/D; past the point where its
+// alternating terms would cancel beyond float64 headroom, the root
+// expansion of the tail takes over (see crommelin.go and roots.go).
 func (q MD1) WaitCDF(t float64) float64 {
-	ev := cdfEvaluator{q: q, rho: q.Rho()}
-	return ev.cdf(t)
-}
-
-// ln2Cache memoizes ln 2 at the highest precision requested so far. The
-// argument reduction in bigExpBig must happen in extended precision:
-// reducing with float64 ln2 caps the whole CDF at float64 accuracy,
-// which the alternating sum then amplifies catastrophically for large t.
-var ln2Cache struct {
-	mu   sync.Mutex
-	prec uint
-	val  *big.Float
-}
-
-// bigLn2 returns ln 2 accurate to at least prec bits, computed from the
-// fast-converging series ln 2 = 2*atanh(1/3) = 2*sum (1/3)^(2k+1)/(2k+1),
-// which gains ~3.17 bits per term.
-func bigLn2(prec uint) *big.Float {
-	ln2Cache.mu.Lock()
-	defer ln2Cache.mu.Unlock()
-	if ln2Cache.val != nil && ln2Cache.prec >= prec {
-		return ln2Cache.val
+	d := md1Dist{rho: q.Rho()}
+	if d.rho >= 1 {
+		return 0
 	}
-	work := prec + 32
-	sum := new(big.Float).SetPrec(work)
-	x := new(big.Float).SetPrec(work)
-	x.Quo(new(big.Float).SetPrec(work).SetInt64(1), new(big.Float).SetPrec(work).SetInt64(3))
-	nine := new(big.Float).SetPrec(work).SetInt64(9)
-	pow := new(big.Float).SetPrec(work).Copy(x) // (1/3)^(2k+1)
-	term := new(big.Float).SetPrec(work)
-	div := new(big.Float).SetPrec(work)
-	// Each term shrinks by 9x (3.17 bits); iterate until below precision.
-	iters := int(work/3) + 4
-	for k := 0; k < iters; k++ {
-		term.Quo(pow, div.SetInt64(int64(2*k+1)))
-		sum.Add(sum, term)
-		pow.Quo(pow, nine)
-	}
-	sum.Mul(sum, new(big.Float).SetPrec(work).SetInt64(2))
-	ln2Cache.prec = prec
-	ln2Cache.val = sum
-	return sum
-}
-
-// bigExpBig computes e^x at the given precision via argument reduction
-// and Taylor series: x = n*ln2 + r with |r| <= ln2/2, e^x = 2^n * e^r.
-func bigExpBig(x *big.Float, prec uint) *big.Float {
-	if x.Sign() == 0 {
-		return new(big.Float).SetPrec(prec).SetFloat64(1)
-	}
-	xf, _ := x.Float64()
-	n := int(math.Round(xf / math.Ln2))
-	rb := new(big.Float).SetPrec(prec).SetInt64(int64(n))
-	rb.Mul(rb, bigLn2(prec))
-	rb.Sub(x, rb) // r = x - n*ln2, |r| <= ~0.35
-	// Taylor series for e^r: term k contributes ~|r|^k/k!; stop once the
-	// term vanishes or cannot affect the result at this precision.
-	sum := new(big.Float).SetPrec(prec).SetFloat64(1)
-	term := new(big.Float).SetPrec(prec).SetFloat64(1)
-	div := new(big.Float).SetPrec(prec)
-	// |r| <= 0.35 shrinks terms by >= ~1.5 bits plus log2(k) each step;
-	// prec/1.4 iterations are always enough.
-	iters := int(prec/2) + 16
-	for i := 1; i <= iters; i++ {
-		term.Mul(term, rb)
-		term.Quo(term, div.SetInt64(int64(i)))
-		sum.Add(sum, term)
-		if term.Sign() == 0 || term.MantExp(nil) < -int(prec)-8 {
-			break
-		}
-	}
-	// Scale by 2^n.
-	mant := new(big.Float).SetPrec(prec)
-	exp := sum.MantExp(mant)
-	return sum.SetMantExp(mant, exp+n)
+	return d.cdf(t / q.D)
 }
 
 // WaitPercentile returns the p-th percentile (p in [0,100)) of the
@@ -192,11 +120,7 @@ func (q MD1) WaitPercentile(p float64) (float64, error) {
 	if 1-rho >= target {
 		return 0, nil
 	}
-	w, err := cachedNormalizedPercentile(rho, target, nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	return w * q.D, nil
+	return cachedNormalizedPercentile(rho, target, nil) * q.D, nil
 }
 
 // ResponsePercentile returns the p-th percentile of the sojourn time.

@@ -204,17 +204,10 @@ func (q MG1) waitPercentile(p float64, rc *telemetry.RequestContext) (float64, e
 // M/D/1 percentile (itself cached) is a valid lower bracket and the
 // M/M/1 closed form an upper one.
 func solveMG1WaitPercentile(rho, scv, target float64) (float64, error) {
-	st := &normState{flo: 1 - rho}
-	lo, err := cachedNormalizedPercentile(rho, target, st, nil)
-	if err != nil {
-		return 0, err
-	}
-	ev := st.ev
-	if ev == nil {
-		ev = &cdfEvaluator{q: MD1{Lambda: rho, D: 1}, rho: rho}
-	}
+	lo := cachedNormalizedPercentile(rho, target, nil)
+	d := md1Dist{rho: rho}
 	mix := func(t float64) float64 {
-		return (1-scv)*ev.cdf(t) + scv*mm1WaitCDF(rho, 1, t)
+		return (1-scv)*d.cdf(t) + scv*mm1WaitCDF(rho, 1, t)
 	}
 	hi := math.Log(rho/(1-target)) / (1 - rho)
 	if hi <= lo {
@@ -279,19 +272,12 @@ func (q MG1) responsePercentile(p float64, rc *telemetry.RequestContext) (float6
 // time), so the search starts from zero and only the upper bracket
 // comes from the component percentiles.
 func solveMG1ResponsePercentile(rho, scv, target float64) (float64, error) {
-	st := &normState{flo: 1 - rho}
-	wd, err := cachedNormalizedPercentile(rho, target, st, nil)
-	if err != nil {
-		return 0, err
-	}
-	ev := st.ev
-	if ev == nil {
-		ev = &cdfEvaluator{q: MD1{Lambda: rho, D: 1}, rho: rho}
-	}
+	wd := cachedNormalizedPercentile(rho, target, nil)
+	d := md1Dist{rho: rho}
 	mix := func(t float64) float64 {
 		var fd float64
 		if t >= 1 {
-			fd = ev.cdf(t - 1)
+			fd = d.cdf(t - 1)
 		}
 		return (1-scv)*fd + scv*(1-math.Exp(-(1-rho)*t))
 	}

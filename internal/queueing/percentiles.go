@@ -3,28 +3,25 @@ package queueing
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/telemetry"
 )
 
 // WaitPercentiles returns the waiting-time percentiles for every p in ps
-// (each in [0, 100)), in the input order. The batch visits the targets
-// in ascending order so each solved percentile becomes the lower bracket
-// of the next, and shares one normalized-queue evaluator — its cached
-// per-step exponential and pooled big.Float scratch — across all
-// searches. Results are identical to calling WaitPercentile per entry.
+// (each in [0, 100)), in the input order. Each entry resolves through
+// the same percentile cache as WaitPercentile, so the results are
+// bit-identical to calling it per entry.
 func (q MD1) WaitPercentiles(ps []float64) ([]float64, error) {
 	return q.WaitPercentilesContext(context.Background(), ps)
 }
 
 // WaitPercentilesContext is WaitPercentiles with cancellation: the batch
 // checks ctx between percentile searches and stops with ctx's error as
-// soon as it is done. A search already under way (microseconds on the
-// fast path, milliseconds at extreme utilization) completes before the
-// check, so cancellation granularity is one search. This is the entry
-// point request-scoped callers (the epserve handlers) use to propagate
-// per-request deadlines into the kernel.
+// soon as it is done. A search already under way (a few microseconds at
+// any utilization) completes before the check, so cancellation
+// granularity is one search. This is the entry point request-scoped
+// callers (the epserve handlers) use to propagate per-request deadlines
+// into the kernel.
 func (q MD1) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -44,30 +41,18 @@ func (q MD1) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float6
 	rc := telemetry.RequestFrom(ctx)
 	defer rc.Phase("queueing.percentiles")()
 
-	order := make([]int, len(ps))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return ps[order[a]] < ps[order[b]] })
-
 	rho := q.Rho()
-	st := &normState{flo: 1 - rho}
 	out := make([]float64, len(ps))
-	for _, idx := range order {
+	for i, p := range ps {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("queueing: percentile batch: %w", err)
 		}
 		ins.searches.Inc()
-		target := ps[idx] / 100
+		target := p / 100
 		if 1-rho >= target {
-			out[idx] = 0
 			continue
 		}
-		w, err := cachedNormalizedPercentile(rho, target, st, rc)
-		if err != nil {
-			return nil, err
-		}
-		out[idx] = w * q.D
+		out[i] = cachedNormalizedPercentile(rho, target, rc) * q.D
 	}
 	return out, nil
 }
@@ -93,14 +78,16 @@ func (q MD1) ResponsePercentilesContext(ctx context.Context, ps []float64) ([]fl
 }
 
 // WaitCDFBatch returns P(W <= t) for every t in ts, sharing one
-// evaluator — and therefore one e^{-lambda*D} step factor per working
-// precision — across the evaluations. Results are identical to calling
-// WaitCDF per entry.
+// evaluator, and so one set of tail roots, across the evaluations.
+// Results are identical to calling WaitCDF per entry.
 func (q MD1) WaitCDFBatch(ts []float64) []float64 {
-	ev := cdfEvaluator{q: q, rho: q.Rho()}
 	out := make([]float64, len(ts))
+	d := md1Dist{rho: q.Rho()}
+	if d.rho >= 1 {
+		return out
+	}
 	for i, t := range ts {
-		out[i] = ev.cdf(t)
+		out[i] = d.cdf(t / q.D)
 	}
 	return out
 }

@@ -402,7 +402,9 @@ func (s *Server) resolvePercentiles(req *PercentilesBatchRequest, i int) pctItem
 	return pi
 }
 
-// evalPercentiles evaluates a resolved item at utilization u.
+// evalPercentiles evaluates a resolved item at utilization u. A result
+// that overflows float64 fails the item with 400, for GET and POST
+// alike.
 func (s *Server) evalPercentiles(ctx context.Context, pi *pctItem, u float64) (*PercentilesResponse, error) {
 	if u < 0 || u >= 1 {
 		return nil, fmt.Errorf("utilization u=%g outside [0, 1)", u)
@@ -410,7 +412,14 @@ func (s *Server) evalPercentiles(ctx context.Context, pi *pctItem, u float64) (*
 	if pi.err != nil {
 		return nil, pi.err
 	}
-	return s.percentilesShared(ctx, pi.wlName, pi.mix, pi.serviceTime, u, pi.ps, pi.spec)
+	v, err := s.percentilesShared(ctx, pi.wlName, pi.mix, pi.serviceTime, u, pi.ps, pi.spec)
+	if err == nil {
+		err = v.checkFinite()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 func (s *Server) weighPercentiles(w http.ResponseWriter, r *http.Request) (int64, any, bool) {

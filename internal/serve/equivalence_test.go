@@ -30,6 +30,8 @@ func TestGetIsBatchOfOne(t *testing.T) {
 		{"/v1/percentiles?d=-2&u=0.9", `{"items":[{"d":-2,"u":[0.9]}]}`},
 		{"/v1/percentiles?d=1&mix=32xA9&u=0.5", `{"items":[{"d":1,"mix":"32xA9","u":[0.5]}]}`},
 		{"/v1/percentiles?workload=nope&mix=32xA9&u=0.5", `{"items":[{"workload":"nope","mix":"32xA9","u":[0.5]}]}`},
+		{"/v1/percentiles?d=1e308&u=0.5&p=95", `{"p":[95],"items":[{"d":1e308,"u":[0.5]}]}`},
+		{"/v1/percentiles?d=1e308&u=0.99&p=99", `{"p":[99],"items":[{"d":1e308,"u":[0.99]}]}`},
 		{"/v1/epmetrics?workload=EP&mix=32xA9,12xK10", `{"items":[{"workload":"EP","mix":"32xA9,12xK10"}]}`},
 		{"/v1/epmetrics?workload=EP&mix=16xA9,2xK10&ref=32xA9,12xK10", `{"items":[{"workload":"EP","mix":"16xA9,2xK10","ref":"32xA9,12xK10"}]}`},
 		{"/v1/epmetrics?workload=EP", `{"items":[{"workload":"EP","mix":""}]}`},
@@ -53,6 +55,7 @@ func TestGetIsBatchOfOne(t *testing.T) {
 		{"/v1/frontier?workload=EP&max_a9=4&max_k10=2&u=0.6&deadline=1000", `{"items":[{"workload":"EP","max_a9":4,"max_k10":2,"u":0.6,"deadline_seconds":1000}]}`},
 		{"/v1/frontier?max_a9=4&max_k10=2&u=1.2", `{"items":[{"max_a9":4,"max_k10":2,"u":1.2}]}`},
 		{"/v1/frontier?max_a9=4&max_k10=2&u=0.5&kernel=zzz", `{"items":[{"max_a9":4,"max_k10":2,"u":0.5,"kernel":"zzz"}]}`},
+		{"/v1/frontier?max_a9=4&max_k10=2&u=0.9999999999999999&p=99.99999999999999&kernel=mg1&scv=1e300", `{"items":[{"max_a9":4,"max_k10":2,"u":0.9999999999999999,"p":99.99999999999999,"kernel":"mg1","scv":1e300}]}`},
 		// Negative counts and deadlines, and a count that overflows the
 		// configuration space: both methods must reject them.
 		{"/v1/frontier?max_a9=4&max_k10=2&deadline=-5", `{"items":[{"max_a9":4,"max_k10":2,"deadline_seconds":-5}]}`},

@@ -42,6 +42,9 @@ func FuzzServeGET(f *testing.F) {
 		"/v1/frontier?max_a9=-3",
 		"/v1/frontier?max_a9=4&max_k10=2&u=0.6&p=95&kernel=mg1&scv=4",
 		"/v1/percentiles?d=1&u=0.5&timeout=zzz",
+		"/v1/percentiles?d=1e308&u=0.5&p=95",
+		"/v1/percentiles?d=1e308&u=0.99&p=99",
+		"/v1/frontier?max_a9=4&max_k10=2&u=0.9999999999999999&p=99.99999999999999&kernel=mg1&scv=1e300",
 		// TestNonFiniteQueryParams
 		"/v1/percentiles?d=1&u=NaN",
 		"/v1/percentiles?u=0.5&d=Inf",
@@ -56,6 +59,11 @@ func FuzzServeGET(f *testing.F) {
 		"/v1/frontier?max_a9=2&max_k10=1&u=0.5&kernel=mg1&scv=NaN",
 		// A count whose configuration space overflows.
 		"/v1/frontier?max_a9=4611686018427387904&max_k10=1",
+		// TestNearSaturationPercentiles
+		"/v1/percentiles?d=1&u=0.999&p=99",
+		"/v1/percentiles?d=1&u=0.9995&p=99",
+		"/v1/percentiles?d=1&u=0.9999999&p=99.9999",
+		"/v1/percentiles?d=1&u=0.99999999999&p=99.99999999",
 	} {
 		route, query, _ := strings.Cut(path, "?")
 		for i, r := range fuzzRoutes {

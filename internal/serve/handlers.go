@@ -127,6 +127,39 @@ type PercentilesResponse struct {
 	Percentiles []PercentilePoint `json:"percentiles"`
 }
 
+// checkFinite names the first float of the result that is not finite.
+// A service time near the float64 limit can scale a finite normalized
+// wait or mean past it; JSON cannot carry the result, so the request is
+// answered as a bad one rather than failing in the encoder.
+func (r *PercentilesResponse) checkFinite() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	for _, f := range [...]field{{"utilization", r.Utilization}, {"service_time_seconds", r.ServiceTimeSeconds},
+		{"scv", r.SCV}, {"arrival_rate_per_second", r.ArrivalRatePerSecond},
+		{"mean_wait_seconds", r.MeanWaitSeconds}, {"mean_response_seconds", r.MeanResponseSeconds}} {
+		if !isFinite(f.v) {
+			return overflowError(f.name, f.v)
+		}
+	}
+	for i, pt := range r.Percentiles {
+		for _, f := range [...]field{{"p", pt.P}, {"wait_seconds", pt.WaitSeconds}, {"response_seconds", pt.ResponseSeconds}} {
+			if !isFinite(f.v) {
+				return overflowError(fmt.Sprintf("percentiles[%d].%s", i, f.name), f.v)
+			}
+		}
+	}
+	return nil
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// overflowError is the 400 for a result field that left float64's range.
+func overflowError(field string, v float64) error {
+	return fmt.Errorf("result field %s is %g: the inputs overflow float64", field, v)
+}
+
 // kernelSpecFrom maps the request-level kernel selector fields onto a
 // validated queueing.Spec. The empty kernel name is the M/D/1 default,
 // keeping every pre-kernel request shape working unchanged.
@@ -456,6 +489,13 @@ func (s *Server) sweepFrontier(ctx context.Context, fp *frontierItem) (*Frontier
 		lat, err = pareto.AnnotateLatencies(ctx, frontier, fp.u, fp.pct, fp.spec, s.cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("serve: frontier latency annotation: %w", err)
+		}
+		// A huge scv near saturation scales the latency past float64,
+		// which JSON cannot carry: a bad request, as for percentiles.
+		for i, v := range lat {
+			if !isFinite(v) {
+				return nil, overflowError(fmt.Sprintf("frontier[%d].response_seconds", i), v)
+			}
 		}
 	}
 	latFor := make(map[string]float64, len(lat))

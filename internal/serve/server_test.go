@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -80,6 +81,9 @@ func TestEndpoints(t *testing.T) {
 		{"index", "/", 200, "epserve"},
 		{"unknown path", "/v2/nope", 404, "no such endpoint"},
 		{"bad timeout", "/v1/percentiles?d=1&u=0.5&timeout=zzz", 400, "invalid timeout"},
+		{"percentile overflows float64", "/v1/percentiles?d=1e308&u=0.5&p=95", 400, "percentiles[0].wait_seconds is +Inf"},
+		{"mean wait overflows float64", "/v1/percentiles?d=1e308&u=0.99&p=99", 400, "mean_wait_seconds is +Inf"},
+		{"frontier latency overflows float64", "/v1/frontier?max_a9=4&max_k10=2&u=0.9999999999999999&p=99.99999999999999&kernel=mg1&scv=1e300", 400, "frontier[0].response_seconds is +Inf"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,6 +95,45 @@ func TestEndpoints(t *testing.T) {
 				t.Fatalf("GET %s: body %q does not contain %q", tc.path, body, tc.contains)
 			}
 		})
+	}
+}
+
+// nearSaturationQueries are M/D/1 percentile queries within 1e-3 to
+// 1e-11 of saturation. An extended-precision Crommelin kernel ran them
+// for seconds to minutes, past any request deadline, or panicked.
+var nearSaturationQueries = []string{
+	"d=1&u=0.999&p=99",
+	"d=1&u=0.9995&p=99",
+	"d=1&u=0.9999999&p=99.9999",
+	"d=1&u=0.99999999999&p=99.99999999",
+}
+
+// TestNearSaturationPercentiles: each near-saturation query answers 200
+// with finite percentiles inside a 1s request deadline, and, without
+// the race detector, within 10 ms.
+func TestNearSaturationPercentiles(t *testing.T) {
+	srv, err := New(Config{Telemetry: telemetry.New()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, q := range nearSaturationQueries {
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/percentiles?timeout=1s&"+q, nil))
+		elapsed := time.Since(start)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d, want 200: %s", q, rec.Code, rec.Body.String())
+		}
+		var resp PercentilesResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("GET %s: %v", q, err)
+		}
+		if w := resp.Percentiles[0].WaitSeconds; !(w > 0) || math.IsInf(w, 0) {
+			t.Errorf("GET %s: wait %g, want finite and positive", q, w)
+		}
+		if !raceEnabled && elapsed > 10*time.Millisecond {
+			t.Errorf("GET %s took %v, want under 10ms", q, elapsed)
+		}
 	}
 }
 
