@@ -79,7 +79,7 @@ race: test-race
 # fast-vs-reference differential smoke over the full footnote-4 space,
 # the epserve end-to-end smoke, the fleet-scenario smoke (schema checks
 # plus race-detected runs), and a short fuzz smoke over the parser,
-# kernel differential and epserve GET targets.
+# kernel differential and epserve GET and POST targets.
 ci:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -168,6 +168,7 @@ fuzz:
 	$(GO) test -run '^$$' ./internal/queueing/ -fuzz FuzzPercentileCacheDifferential -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/queueing/ -fuzz FuzzKernelDifferential -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServeGET -fuzztime $(FUZZTIME)
+	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServePOST -fuzztime $(FUZZTIME)
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=5s

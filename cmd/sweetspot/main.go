@@ -36,7 +36,7 @@ func main() {
 	maxA9 := flag.Int("maxA9", 32, "maximum wimpy nodes")
 	maxK10 := flag.Int("maxK10", 12, "maximum brawny nodes")
 	dvfs := flag.Bool("dvfs", false, "also explore reduced cores and frequencies")
-	noPrune := flag.Bool("noprune", false, "disable bound-based subtree pruning in the sweep")
+	noPrune := flag.Bool("noprune", false, "walk every configuration instead of the per-type dominance staircases")
 	nodes := flag.String("nodes", "", "JSON file with extra node types")
 	wls := flag.String("workloads", "", "JSON file with extra workload profiles")
 	progress := flag.Int("progress", 0, "print exploration progress to stderr every N configurations (0 disables)")
@@ -82,14 +82,11 @@ func run(wlName string, deadline time.Duration, energyJ, powerW float64, maxA9, 
 	fmt.Printf("exploring %d configurations for %s...\n", total, wl.Name)
 	pr := telemetry.NewProgress(os.Stderr, "sweetspot", int64(total), int64(progressEvery))
 
-	// The peak-power budget prunes before model evaluation via the sweep
-	// filter; everything surviving it fans out across the worker pool.
-	var filter func(cluster.Config) bool
+	// The peak-power budget (nodes plus the A9 side's switches) rejects
+	// configurations before model evaluation.
+	var powerCap *cluster.PowerBudget
 	if powerW > 0 {
-		filter = func(cfg cluster.Config) bool {
-			peak := float64(cfg.NominalPeak()) + float64(sw.Power(cfg.Count("A9")))
-			return peak <= powerW
-		}
+		powerCap = &cluster.PowerBudget{Cap: units.Watts(powerW), Switched: "A9", Switch: sw}
 	}
 	// Install an ephemeral registry when telemetry is off so the pruning
 	// counter is still observable in the summary line.
@@ -103,14 +100,14 @@ func run(wlName string, deadline time.Duration, energyJ, powerW float64, maxA9, 
 	prunedBefore := prunedC.Value()
 	frontier, err := pareto.FrontierSweep(limits, wl, model.Options{}, pareto.SweepOptions{
 		Progress: pr,
-		Filter:   filter,
+		Budget:   powerCap,
 		NoPrune:  noPrune,
 	})
 	if err != nil {
 		return err
 	}
 	if pruned := prunedC.Value() - prunedBefore; pruned > 0 {
-		fmt.Printf("pruned %d configurations via frontier lower bounds\n", pruned)
+		fmt.Printf("pruned %d configurations off the per-type dominance staircases\n", pruned)
 	}
 	if len(frontier) == 0 {
 		return fmt.Errorf("no feasible configuration under the power budget")

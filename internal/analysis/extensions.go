@@ -141,9 +141,9 @@ func (s *Suite) FullSpaceFrontier(wl string, maxA9, maxK10 int) (*FullSpaceResul
 	res := &FullSpaceResult{Workload: wl, SpaceSize: cluster.SpaceSize(limits)}
 
 	// The memoized sweep engine streams the space itself: unit-calc
-	// tables replace per-config Evaluate, subtree pruning skips regions
-	// the running frontier already dominates, and only survivors get a
-	// materialized model.Result.
+	// tables replace per-config Evaluate, the walk covers only each node
+	// type's dominance staircase, and only survivors get a materialized
+	// model.Result.
 	pr := s.progress("full-space "+wl, res.SpaceSize)
 	front, err := pareto.FrontierSweep(limits, p, s.Opt, pareto.SweepOptions{Progress: pr})
 	if err != nil {

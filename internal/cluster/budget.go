@@ -45,9 +45,8 @@ func DefaultBudget(catalog *hardware.Catalog) (BudgetSpec, error) {
 // PeakWithSwitches returns the budget-accounted peak power of a wimpy/
 // brawny mix: rated node peaks plus switch power for the wimpy side.
 func (b BudgetSpec) PeakWithSwitches(nWimpy, nBrawny int) units.Watts {
-	return units.Watts(float64(b.Wimpy.NominalPeak)*float64(nWimpy)+
-		float64(b.Brawny.NominalPeak)*float64(nBrawny)) +
-		b.Switch.Power(nWimpy)
+	pb := PowerBudget{Switched: b.Wimpy.Name, Switch: b.Switch}
+	return pb.GroupPeak(b.Wimpy, nWimpy) + pb.GroupPeak(b.Brawny, nBrawny)
 }
 
 // Fits reports whether the mix stays within the budget.
@@ -151,3 +150,43 @@ func (b BudgetSpec) MaximalMixes() []Mix {
 	}
 	return mixes
 }
+
+// PowerBudget caps a configuration's budget-accounted peak power, as
+// Section III-C holds mixes under a fixed envelope: every node at its
+// rated peak, plus the switches that connect the nodes of the Switched
+// type. The peak adds up group by group, and a group's share depends
+// only on its type and node count, so a search can count and prune
+// whole slices of a configuration space against the cap instead of
+// testing one configuration at a time.
+type PowerBudget struct {
+	// Cap is the peak-power envelope.
+	Cap units.Watts
+	// Switched names the node type whose nodes hang off Switch (the
+	// wimpy side, A9 in the paper).
+	Switched string
+	// Switch models the aggregation switches of the Switched nodes.
+	Switch hardware.SwitchModel
+}
+
+// GroupPeak returns the budget-accounted peak power of n nodes of type
+// t.
+func (b PowerBudget) GroupPeak(t *hardware.NodeType, n int) units.Watts {
+	p := units.Watts(float64(t.NominalPeak) * float64(n))
+	if t.Name == b.Switched {
+		p += b.Switch.Power(n)
+	}
+	return p
+}
+
+// Peak returns cfg's budget-accounted peak power: the GroupPeak of its
+// groups, summed in group order.
+func (b PowerBudget) Peak(cfg Config) units.Watts {
+	var p units.Watts
+	for _, g := range cfg.Groups {
+		p += b.GroupPeak(g.Type, g.Count)
+	}
+	return p
+}
+
+// Fits reports whether cfg's peak stays within the cap.
+func (b PowerBudget) Fits(cfg Config) bool { return b.Peak(cfg) <= b.Cap }

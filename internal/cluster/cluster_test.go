@@ -141,6 +141,35 @@ func TestBudgetLadderMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestPowerBudgetPeak: a PowerBudget over the paper's switch model
+// accounts every A9/K10 mix exactly as the budget ladder does and as a
+// filter adding the A9 switches to the configuration's nominal peak
+// did, bit for bit, so a sweep under it filters the same
+// configurations.
+func TestPowerBudgetPeak(t *testing.T) {
+	spec, err := DefaultBudget(hardware.DefaultCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := PowerBudget{Cap: spec.Budget, Switched: spec.Wimpy.Name, Switch: spec.Switch}
+	for nW := 0; nW <= 40; nW++ {
+		for nB := 0; nB <= 16; nB++ {
+			if nW+nB == 0 {
+				continue
+			}
+			cfg := MustConfig(FullNodes(spec.Wimpy, nW), FullNodes(spec.Brawny, nB))
+			got := b.Peak(cfg)
+			filter := units.Watts(float64(cfg.NominalPeak()) + float64(spec.Switch.Power(cfg.Count("A9"))))
+			if got != spec.PeakWithSwitches(nW, nB) || got != filter {
+				t.Fatalf("%d A9 + %d K10: peak %v, ladder %v, filter %v", nW, nB, got, spec.PeakWithSwitches(nW, nB), filter)
+			}
+			if b.Fits(cfg) != spec.Fits(nW, nB) {
+				t.Fatalf("%d A9 + %d K10: Fits %v, ladder %v", nW, nB, b.Fits(cfg), spec.Fits(nW, nB))
+			}
+		}
+	}
+}
+
 func TestBudgetMaximalMixesWithinBudget(t *testing.T) {
 	cat := hardware.DefaultCatalog()
 	spec, err := DefaultBudget(cat)

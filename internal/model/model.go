@@ -127,7 +127,13 @@ func Evaluate(cfg cluster.Config, p *workload.Profile, opt Options) (Result, err
 		nodeRate  float64 // units per second per node
 		groupRate float64
 	}
-	calcs := make([]groupCalc, 0, len(cfg.Groups))
+	// The per-group scratch stays on the stack for real catalogs, as in
+	// evaluateCalcs.
+	var buf [maxStackGroups]groupCalc
+	calcs := buf[:0]
+	if len(cfg.Groups) > maxStackGroups {
+		calcs = make([]groupCalc, 0, len(cfg.Groups))
+	}
 	totalRate := 0.0
 	for _, g := range cfg.Groups {
 		d, err := p.Demand(g.Type.Name)
@@ -147,7 +153,8 @@ func Evaluate(cfg cluster.Config, p *workload.Profile, opt Options) (Result, err
 		return Result{}, errors.New("model: configuration has zero execution rate for this workload")
 	}
 
-	res := Result{Config: cfg, Workload: p.Name, IdlePower: cfg.IdlePower()}
+	res := Result{Config: cfg, Workload: p.Name, IdlePower: cfg.IdlePower(),
+		Groups: make([]GroupResult, 0, len(calcs))}
 	var totalEnergy units.Joules
 	var tp units.Seconds
 	for _, gc := range calcs {

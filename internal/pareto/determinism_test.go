@@ -10,6 +10,7 @@ import (
 	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/stats"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -116,8 +117,8 @@ func TestFrontierParallelDeterminism(t *testing.T) {
 // footnote-4 space (10 A9 x 10 K10 with DVFS, 36,380 configurations)
 // and the fixed-core 32x12 and DVFS 16x12 spaces, the fast engine
 // matches the Reference sweep bitwise for all six paper workloads —
-// pruned, NoPrune, and under a peak-power Filter (against the
-// Reference sweep with the same Filter).
+// reduced, NoPrune, and under a peak-power budget with switches
+// (against the Reference sweep with the same budget).
 func TestFrontierSweepFullSpaceDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-space differential; run without -short")
@@ -136,8 +137,8 @@ func TestFrontierSweepFullSpaceDifferential(t *testing.T) {
 		maxCfg := cluster.MustConfig(
 			cluster.FullNodes(limits[0].Type, s.maxA9),
 			cluster.FullNodes(limits[1].Type, s.maxK10))
-		budget := maxCfg.NominalPeak() / 2
-		filter := func(cfg cluster.Config) bool { return cfg.NominalPeak() <= budget }
+		budget := &cluster.PowerBudget{Switched: "A9", Switch: hardware.DefaultSwitch()}
+		budget.Cap = budget.Peak(maxCfg) / 2
 		for _, wl := range paperWorkloads(t) {
 			label := fmt.Sprintf("%s (%d configs) %s", s.label, cluster.SpaceSize(limits), wl.Name)
 			ref, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true})
@@ -153,11 +154,11 @@ func TestFrontierSweepFullSpaceDifferential(t *testing.T) {
 			}
 
 			refFiltered, err := FrontierSweep(limits, wl, model.Options{},
-				SweepOptions{Reference: true, Filter: filter})
+				SweepOptions{Reference: true, Budget: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fastFiltered, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Filter: filter})
+			fastFiltered, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Budget: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,10 +169,11 @@ func TestFrontierSweepFullSpaceDifferential(t *testing.T) {
 
 // TestFrontierParallelAccountingInvariant: on randomized spaces, the
 // SpaceSize accounting invariant — evaluated + skipped + filtered +
-// pruned == SpaceSize — holds with and without pruning and with a
-// Filter installed, and the NoPrune frontier is bitwise-identical to
-// the pruned one. The spaces sweep in parallel subtests, as in
-// TestFrontierParallelDeterminism.
+// pruned == SpaceSize — holds with and without the reduction and under
+// a random peak-power cap; the counts match the Reference sweep's
+// (evaluated + pruned against its evaluated), and the NoPrune frontier
+// is bitwise-identical to the reduced one. The spaces sweep in
+// parallel subtests, as in TestFrontierParallelDeterminism.
 func TestFrontierParallelAccountingInvariant(t *testing.T) {
 	iterations := 25
 	if testing.Short() {
@@ -184,27 +186,35 @@ func TestFrontierParallelAccountingInvariant(t *testing.T) {
 			limits, wl := randomSpace(t, rng)
 			space := int64(cluster.SpaceSize(limits))
 
+			budget := &cluster.PowerBudget{Cap: units.Watts(50 + rng.Float64()*400),
+				Switched: "A9", Switch: hardware.DefaultSwitch()}
 			var pruned []Point
 			for _, mode := range []struct {
 				label   string
 				noPrune bool
-				filter  func(cluster.Config) bool
+				budget  *cluster.PowerBudget
 			}{
 				{label: "pruned"},
 				{label: "noprune", noPrune: true},
-				{label: "filtered", filter: func(cfg cluster.Config) bool {
-					return cfg.Nodes()%2 == 0
-				}},
+				{label: "budget", budget: budget},
+				{label: "budget noprune", noPrune: true, budget: budget},
 			} {
 				label := fmt.Sprintf("iter %d %s (space %d)", iter, mode.label, space)
-				var st SweepStats
+				var st, ref SweepStats
 				front, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{
 					NoPrune: mode.noPrune,
-					Filter:  mode.filter,
+					Budget:  mode.budget,
 					Stats:   &st,
 				})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if _, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{
+					Reference: true, Budget: mode.budget, Stats: &ref}); err != nil {
+					t.Fatal(err)
+				}
+				if st.Evaluated+st.Pruned != ref.Evaluated || st.Skipped != ref.Skipped || st.Filtered != ref.Filtered {
+					t.Fatalf("%s: stats %+v, reference %+v", label, st, ref)
 				}
 				if sum := st.Evaluated + st.Skipped + st.Filtered + st.Pruned; sum != space {
 					t.Fatalf("%s: evaluated %d + skipped %d + filtered %d + pruned %d = %d != space %d",
@@ -213,10 +223,10 @@ func TestFrontierParallelAccountingInvariant(t *testing.T) {
 				if mode.noPrune && st.Pruned != 0 {
 					t.Fatalf("%s: NoPrune sweep pruned %d configurations", label, st.Pruned)
 				}
-				if mode.filter == nil && st.Filtered != 0 {
-					t.Fatalf("%s: filterless sweep filtered %d configurations", label, st.Filtered)
+				if mode.budget == nil && st.Filtered != 0 {
+					t.Fatalf("%s: unbudgeted sweep filtered %d configurations", label, st.Filtered)
 				}
-				if mode.filter == nil {
+				if mode.budget == nil {
 					if !mode.noPrune {
 						pruned = front
 					} else {

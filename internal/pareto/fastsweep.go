@@ -1,10 +1,12 @@
 package pareto
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/cluster"
@@ -21,13 +23,15 @@ import (
 //
 //  1. memoizes a model.UnitCalc per distinct (type, cores, freq)
 //     operating point (tens of entries for tens of thousands of
-//     configurations), snapshotted once per sweep into an immutable,
-//     lock-free view,
-//  2. flattens the per-type choice space into columnar (structure-of-
-//     arrays) slices — count, node rate, energy-per-unit, support bit,
-//     unit-calc pointer — so the inner DFS loop walks cache-linear
-//     arrays instead of chasing per-choice structs,
-//  3. evaluates each configuration allocation-free through
+//     configurations), resolved once per sweep into the columns below,
+//     so the walk never touches the table's map or lock,
+//  2. reduces each node type's (count, cores, freq) choices to its
+//     dominance staircase (below) and flattens the survivors into
+//     columnar (structure-of-arrays) slices — count, rate, budget
+//     cost, unit-calc pointer — so the walk covers only the product of
+//     the staircases (about a thousand of the footnote-4 space's
+//     36,380 configurations) through cache-linear arrays,
+//  3. evaluates each walked configuration allocation-free through
 //     model.EvaluateCalcs, whose scalars are bitwise-identical to
 //     model.Evaluate (same expression shapes and accumulation order),
 //  4. tests every evaluated point against a running Pareto staircase
@@ -35,26 +39,52 @@ import (
 //     energy strictly descending): a binary search rejects a covered
 //     point, and an admitted point evicts the contiguous run of
 //     staircase points it strictly dominates,
-//  5. prunes whole enumeration subtrees with monotone lower bounds:
-//     fixing a prefix of per-type choices bounds the best reachable
-//     time by JobUnits/(rate_prefix + max remaining rate) and the best
-//     reachable energy by JobUnits * min EnergyPerUnit — if a staircase
-//     point is at least as good on both axes, no completion of the
-//     prefix can ever be accepted by Frontier, so the subtree is
-//     skipped without evaluation (counted in pareto.configs_pruned).
+//  5. counts the rest of the space in closed form (tally): how many
+//     configurations a walk of all of them would have filtered,
+//     skipped or evaluated, so the accounting still partitions
+//     cluster.SpaceSize and the evaluated ones the walk left out are
+//     reported as pruned.
 //
 // The walk is one depth-first pass on the caller's goroutine.
 // Parallelism lives above it — across requests, batch items and
 // workloads — where it pays; partitioning one sweep across workers
 // measured slower than the serial walk even on two real cores.
 //
-// Exactness argument. A point is dropped only when a point retained at
-// that moment weakly dominates it: q.Time <= p.Time and q.Energy <=
-// p.Energy, with q enumerated first (admission, which also rejects
-// exact duplicates so the first representative wins), or q strictly
-// better on one axis (eviction), or the subtree bounds guarantee such
-// a q for every completion (pruning, with a relative slack covering
-// the model's floating-point rounding). Domination is transitive, so
+// Why the per-type reduction is exact. The model's rate-matched split
+// gives every group the same finish time, so a configuration has
+// T = J/R and E = J*P/R, where R and P sum, over its groups, the rate
+// (NodeRate * count) and p = rate * EnergyPerUnit. Choice b of a type
+// dominates choice a of the same type when
+//
+//   - rate_b - rate_a > domSlack*Rmax, or b has a's node count and a
+//     bitwise-equal UnitTotal (then every configuration's computed T is
+//     bitwise the same with a or b: NICs cap many operating points at
+//     one rate, and without this class those points would all stay);
+//   - p_a - p_b > domSlack*Pmax; and
+//   - b costs no more than a under the budget,
+//
+// where Rmax and Pmax bound the R and P of any configuration of the
+// space. Swapping b for a keeps a configuration within the budget (its
+// peak adds up per group, and rounding is monotone), raises R by more
+// than domSlack*R or leaves T bitwise as it was, and lowers P by more
+// than domSlack*P: the real E falls, and the real T does not rise, by
+// a relative 1e-9 or more — a million times the model's rounding
+// (~1e-15) — so the computed values order the same way. A margin
+// relative to a's own rate would not carry over: a small group's 1e-9
+// gain can be 1e-15 of the total. Dominance is transitive, so every
+// dropped configuration is beaten — lower energy, time no later — by
+// one of the staircase product, which Frontier's scan meets first (or
+// in the same time class, as the cheaper representative): it could
+// never accept the dropped one, and removing it leaves the scan
+// unchanged. Unsupported choices never enter the walk either, since
+// every configuration holding one fails, and neither do zero-rate ones
+// (a unit time past float64's range), which take no share of the work.
+//
+// Why the walk is exact. A walked point is dropped only when a point
+// retained at that moment weakly dominates it: q.Time <= p.Time and
+// q.Energy <= p.Energy, with q enumerated first (admission, which also
+// rejects exact duplicates so the first representative wins), or q
+// strictly better on one axis (eviction). Domination is transitive, so
 // the final staircase weakly dominates every dropped point. In
 // Frontier's scan, acceptance of p would require p.Energy <
 // bestEnergy*(1-1e-9) <= q.Energy — a contradiction — and rejected
@@ -63,12 +93,9 @@ import (
 // Frontier over every evaluated point, which (by bitwise-equal
 // scalars) equals the reference path's frontier point for point.
 
-// boundSlack is the relative safety margin applied to the pruning
-// lower bounds. The bounds are exact in real arithmetic; the evaluated
-// scalars carry a few tens of ulps of rounding (~1e-14 relative), so a
-// 1e-9 haircut keeps the bounds strictly conservative with eight
-// orders of magnitude to spare.
-const boundSlack = 1e-9
+// domSlack is the relative dominance margin of the per-type reduction,
+// eight orders of magnitude above the model's rounding.
+const domSlack = 1e-9
 
 // cancelCheckEvery is how many accounted configurations pass between
 // polls of the cancellation channel: a channel select per
@@ -84,114 +111,191 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// spaceSoA is the columnar (structure-of-arrays) form of the
-// configuration space: every per-type choice flattened into parallel
-// slices, segmented by typeOff. It is built once per sweep and read
-// only by the walk; together with the model.Snapshot it embeds, it
-// keeps the hot path free of the table's RWMutex.
+// typeClass sizes one node type's operating points for the closed-form
+// count: all of them, the supported ones, and the supported ones with
+// zero execution rate. Node counts multiply each alike.
+type typeClass struct{ ops, sup, zero int64 }
+
+// spaceSoA is the columnar (structure-of-arrays) form of the walked
+// configuration space: every walked per-type choice flattened into
+// parallel slices, segmented by typeOff. It is built once per sweep
+// and read only by the walk, whose evaluations need nothing of the
+// table but its job size.
 type spaceSoA struct {
-	snap     *model.Snapshot
-	jobUnits float64
-	nTypes   int
+	table  *model.Table
+	nTypes int
 
 	// byRank walks type indices in node-type-name order — the canonical
-	// cluster.NewConfig group order the bitwise-exact evaluator
-	// requires.
+	// cluster.NewConfig group order the bitwise-exact evaluator and
+	// PowerBudget.Peak sum in.
 	byRank []int32
 	// typeOff[i]..typeOff[i+1] is type i's segment of the columns.
 	typeOff []int32
 	count   []int32
 	rate    []float64 // NodeRate * Count, the choice's rate contribution
-	epu     []float64 // busy energy-per-unit; +Inf when unsupported
-	sup     []bool
+	cost    []float64 // the budget's GroupPeak; 0 without a budget
 	calcs   []*model.UnitCalc
-	// groups keeps the AoS form for Config materialization and Filter.
+	// groups keeps the AoS form for Config materialization.
 	groups []cluster.Group
+	cls    []typeClass
 
-	// maxRateSuffix[i] bounds the execution rate types i.. can add;
-	// minEPUSuffix[i] is the lowest busy energy-per-unit any of their
-	// choices offers; suffixSpace[i] counts the completions of a
-	// non-empty prefix (product of 1+segment length over types i..).
-	maxRateSuffix []float64
-	minEPUSuffix  []float64
-	suffixSpace   []int64
+	// Reduction scratch: each choice's p = rate * EnergyPerUnit, the
+	// sort order, and one type's resolved operating points.
+	p       []float64
+	order   []int32
+	opCalcs []*model.UnitCalc
 }
 
-func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table) {
+// build lays out the walked choices of every type in enumeration order
+// (count, then cores, then frequency, as Limit.Choices lists them):
+// each type's dominance staircase when reduce is set, else every
+// supported choice.
+func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table, b *cluster.PowerBudget, reduce bool) {
 	n := len(limits)
 	sp.nTypes = n
-	sp.snap = table.Snapshot(limits)
-	sp.jobUnits = sp.snap.JobUnits()
-
+	sp.table = table
 	sp.typeOff = grow(sp.typeOff, n+1)
-	sp.count = sp.count[:0]
-	sp.rate = sp.rate[:0]
-	sp.epu = sp.epu[:0]
-	sp.sup = sp.sup[:0]
-	sp.calcs = sp.calcs[:0]
-	sp.groups = sp.groups[:0]
+	sp.cls = grow(sp.cls, n)
+	sp.count, sp.rate, sp.cost, sp.p = sp.count[:0], sp.rate[:0], sp.cost[:0], sp.p[:0]
+	sp.calcs, sp.groups = sp.calcs[:0], sp.groups[:0]
+	var rMax, pMax float64
 	for i, l := range limits {
 		sp.typeOff[i] = int32(len(sp.groups))
-		for _, g := range l.Choices() {
-			uc, ok := sp.snap.Calc(g)
-			if !ok {
-				// Snapshot pre-warmed every operating point of limits;
-				// Choices only expands node counts over the same points.
-				panic("pareto: choice missing from table snapshot")
-			}
-			sp.groups = append(sp.groups, g)
-			sp.calcs = append(sp.calcs, uc)
-			sp.count = append(sp.count, int32(g.Count))
-			// Same expression as the reference prefix accumulation, so
-			// the precomputed column is bitwise-identical to computing
-			// it at the tree node.
-			sp.rate = append(sp.rate, uc.NodeRate*float64(g.Count))
-			sp.sup = append(sp.sup, uc.Supported)
+		ops := l.OperatingPoints()
+		c := typeClass{ops: int64(len(ops))}
+		sp.opCalcs = sp.opCalcs[:0]
+		for _, op := range ops {
+			uc := table.Calc(op)
+			sp.opCalcs = append(sp.opCalcs, uc)
 			if uc.Supported {
-				sp.epu = append(sp.epu, uc.EnergyPerUnit)
-			} else {
-				// +Inf keeps the min-EPU update branch-free: an
-				// unsupported choice can never lower the bound.
-				sp.epu = append(sp.epu, math.Inf(1))
+				c.sup++
+				if !(uc.NodeRate > 0) {
+					c.zero++
+				}
 			}
 		}
+		sp.cls[i] = c
+		var typeR, typeP float64
+		for cnt := 1; cnt <= l.MaxNodes; cnt++ {
+			cost := 0.0
+			if b != nil {
+				cost = float64(b.GroupPeak(l.Type, cnt))
+			}
+			for k, uc := range sp.opCalcs {
+				// The group rate exactly as the model computes it.
+				rate := uc.NodeRate * float64(cnt)
+				if !uc.Supported || reduce && !(rate > 0) {
+					continue
+				}
+				g, p := ops[k], rate*uc.EnergyPerUnit
+				g.Count = cnt
+				sp.groups = append(sp.groups, g)
+				sp.calcs = append(sp.calcs, uc)
+				sp.count = append(sp.count, int32(cnt))
+				sp.rate = append(sp.rate, rate)
+				sp.cost = append(sp.cost, cost)
+				sp.p = append(sp.p, p)
+				typeR, typeP = max(typeR, rate), max(typeP, p)
+			}
+		}
+		rMax, pMax = rMax+typeR, pMax+typeP
 	}
 	sp.typeOff[n] = int32(len(sp.groups))
+	if reduce {
+		dst := int32(0)
+		for i := range n {
+			lo, hi := sp.typeOff[i], sp.typeOff[i+1]
+			sp.typeOff[i] = dst
+			dst = sp.reduce(lo, hi, dst, domSlack*rMax, domSlack*pMax)
+		}
+		sp.typeOff[n] = dst
+	}
 
 	sp.byRank = grow(sp.byRank, n)
 	for i := range sp.byRank {
 		sp.byRank[i] = int32(i)
 	}
-	sort.SliceStable(sp.byRank, func(a, b int) bool {
-		return limits[sp.byRank[a]].Type.Name < limits[sp.byRank[b]].Type.Name
+	slices.SortStableFunc(sp.byRank, func(a, b int32) int {
+		return strings.Compare(limits[a].Type.Name, limits[b].Type.Name)
 	})
+}
 
-	sp.maxRateSuffix = grow(sp.maxRateSuffix, n+1)
-	sp.minEPUSuffix = grow(sp.minEPUSuffix, n+1)
-	sp.suffixSpace = grow(sp.suffixSpace, n+1)
-	sp.maxRateSuffix[n] = 0
-	sp.minEPUSuffix[n] = math.Inf(1)
-	sp.suffixSpace[n] = 1
-	for i := n - 1; i >= 0; i-- {
-		maxRate := 0.0
-		minEPU := math.Inf(1)
-		for j := sp.typeOff[i]; j < sp.typeOff[i+1]; j++ {
-			if !sp.sup[j] {
-				continue
-			}
-			if r := sp.rate[j]; r > maxRate {
-				maxRate = r
-			}
-			if e := sp.epu[j]; e < minEPU {
-				minEPU = e
-			}
+// reduce keeps the choices of the segment [lo,hi) that no other choice
+// of it dominates (see the exactness argument above) and moves them,
+// in enumeration order, to start at dst; it returns the segment's new
+// end. Sorted by rate descending, then count, unit time and p
+// ascending, every dominator of a choice precedes it — equal-time
+// classes share one rate and lead with their cheapest member — and
+// dominance is transitive, so checking each choice against the
+// survivors before it is enough.
+func (sp *spaceSoA) reduce(lo, hi, dst int32, dR, dP float64) int32 {
+	ord := sp.order[:0]
+	for j := lo; j < hi; j++ {
+		ord = append(ord, j)
+	}
+	slices.SortFunc(ord, func(a, b int32) int {
+		if sp.rate[a] != sp.rate[b] {
+			return cmp.Compare(sp.rate[b], sp.rate[a])
 		}
-		sp.maxRateSuffix[i] = sp.maxRateSuffix[i+1] + maxRate
-		sp.minEPUSuffix[i] = sp.minEPUSuffix[i+1]
-		if minEPU < sp.minEPUSuffix[i] {
-			sp.minEPUSuffix[i] = minEPU
+		if sp.count[a] != sp.count[b] {
+			return int(sp.count[a] - sp.count[b])
 		}
-		sp.suffixSpace[i] = sp.suffixSpace[i+1] * int64(1+int(sp.typeOff[i+1]-sp.typeOff[i]))
+		if ua, ub := sp.calcs[a].UnitTotal, sp.calcs[b].UnitTotal; ua != ub {
+			return cmp.Compare(ua, ub)
+		}
+		return cmp.Or(cmp.Compare(sp.p[a], sp.p[b]), int(a-b))
+	})
+	kept := ord[:0]
+	for _, a := range ord {
+		if !slices.ContainsFunc(kept, func(b int32) bool {
+			sameTime := sp.count[b] == sp.count[a] && sp.calcs[b].UnitTotal == sp.calcs[a].UnitTotal
+			return (sp.rate[b]-sp.rate[a] > dR || sameTime) && sp.p[a]-sp.p[b] > dP && sp.cost[b] <= sp.cost[a]
+		}) {
+			kept = append(kept, a)
+		}
+	}
+	slices.Sort(kept)
+	for _, j := range kept {
+		sp.count[dst], sp.rate[dst], sp.cost[dst] = sp.count[j], sp.rate[j], sp.cost[j]
+		sp.calcs[dst], sp.groups[dst] = sp.calcs[j], sp.groups[j]
+		dst++
+	}
+	sp.order = ord
+	return dst
+}
+
+// tally counts, in closed form, how a walk of every configuration
+// would account it: over the budget, filtered; else skipped when a
+// group has no demand vector or no group a positive rate; else
+// evaluated. It enumerates node-count vectors in node-type-name order
+// (r indexes byRank), summing the budget's peak as PowerBudget.Peak
+// does, and weighs each vector by how many configurations share it:
+// all of them, those of supported choices only, and those of
+// zero-rate choices only. Without a budget every count of a type is
+// alike, so a type takes one step.
+func (sp *spaceSoA) tally(limits []cluster.Limit, b *cluster.PowerBudget, r int, nonEmpty bool, peak float64, all, sup, zero int64, st *SweepStats) {
+	if r == sp.nTypes {
+		if !nonEmpty {
+			return
+		}
+		if b != nil && !(peak <= float64(b.Cap)) {
+			st.Filtered += all
+		} else {
+			st.Evaluated += sup - zero
+			st.Skipped += all - sup + zero
+		}
+		return
+	}
+	sp.tally(limits, b, r+1, nonEmpty, peak, all, sup, zero, st)
+	l, c := limits[sp.byRank[r]], sp.cls[sp.byRank[r]]
+	if b == nil {
+		if m := int64(l.MaxNodes); m > 0 {
+			sp.tally(limits, b, r+1, true, 0, all*m*c.ops, sup*m*c.sup, zero*m*c.zero, st)
+		}
+		return
+	}
+	for cnt := 1; cnt <= l.MaxNodes; cnt++ {
+		sp.tally(limits, b, r+1, true, peak+float64(b.GroupPeak(l.Type, cnt)), all*c.ops, sup*c.sup, zero*c.zero, st)
 	}
 }
 
@@ -206,9 +310,10 @@ type fastPoint struct {
 
 // fastEngine is one sweep's depth-first walk over a spaceSoA.
 type fastEngine struct {
-	sp      *spaceSoA
-	filter  func(cluster.Config) bool
-	noPrune bool
+	sp *spaceSoA
+	// peakCap is the budget's cap, +Inf without a budget (whose cost
+	// columns are all 0).
+	peakCap float64
 	pr      *telemetry.Progress
 
 	// cancel is the sweep context's Done channel (nil when the sweep is
@@ -230,36 +335,23 @@ type fastEngine struct {
 	sels  []int32
 
 	nEvaluated int64
-	nSkipped   int64
-	nFiltered  int64
-	nPruned    int64
 }
 
 func (e *fastEngine) reset(sp *spaceSoA, sw *SweepOptions, cancel <-chan struct{}) {
-	e.sp = sp
-	e.filter = sw.Filter
-	e.noPrune = sw.NoPrune
-	e.pr = sw.Progress
-	e.cancel = cancel
-	e.stop = false
-	e.sinceCheck = 0
-	e.sel = grow(e.sel, sp.nTypes)
+	*e = fastEngine{sp: sp, peakCap: math.Inf(1), pr: sw.Progress, cancel: cancel,
+		sel: grow(e.sel, sp.nTypes), gcsBuf: slices.Grow(e.gcsBuf[:0], sp.nTypes), front: e.front[:0], sels: e.sels[:0]}
+	if sw.Budget != nil {
+		e.peakCap = float64(sw.Budget.Cap)
+	}
 	for i := range e.sel {
 		e.sel[i] = -1
 	}
-	if cap(e.gcsBuf) < sp.nTypes {
-		e.gcsBuf = make([]model.GroupCalc, 0, sp.nTypes)
-	}
-	e.front = e.front[:0]
-	e.sels = e.sels[:0]
-	e.nEvaluated, e.nSkipped, e.nFiltered, e.nPruned = 0, 0, 0, 0
 }
 
 // release drops references into caller-owned state so pooled scratch
-// does not pin filters, progress reporters or the space across sweeps.
+// does not pin progress reporters or the space across sweeps.
 func (e *fastEngine) release() {
 	e.sp = nil
-	e.filter = nil
 	e.pr = nil
 	e.cancel = nil
 }
@@ -335,74 +427,26 @@ func (e *fastEngine) admit(t units.Seconds, en units.Joules) {
 	e.front = f
 }
 
-// pruneBound reports whether every completion of the current prefix
-// (types before i chosen, types i.. free) is covered by the staircase,
-// using the monotone lower bounds on time and energy.
-func (e *fastEngine) pruneBound(i int, partialRate, partialMinEPU float64) bool {
-	ub := partialRate + e.sp.maxRateSuffix[i]
-	if !(ub > 0) {
-		return false
-	}
-	tLB := e.sp.jobUnits / ub * (1 - boundSlack)
-	mEPU := partialMinEPU
-	if s := e.sp.minEPUSuffix[i]; s < mEPU {
-		mEPU = s
-	}
-	if math.IsInf(mEPU, 1) {
-		return false
-	}
-	eLB := e.sp.jobUnits * mEPU * (1 - boundSlack)
-	return e.covered(tLB, eLB)
-}
-
-func (e *fastEngine) rec(i, depth int, partialRate, partialMinEPU float64) {
+// rec walks types i.. of the product in Enumerate's order, so the
+// first representative of a tie is the reference path's.
+func (e *fastEngine) rec(i int, nonEmpty bool) {
 	if e.stop {
 		return
 	}
 	sp := e.sp
 	if i == sp.nTypes {
-		if depth > 0 {
+		if nonEmpty {
 			e.leaf()
 		}
 		return
 	}
-	if !e.noPrune && e.pruneBound(i, partialRate, partialMinEPU) {
-		n := sp.suffixSpace[i]
-		if depth == 0 {
-			n-- // the all-skip completion is not a configuration
-		}
-		if n > 0 {
-			e.nPruned += n
-			e.account(n)
-		}
-		return
-	}
 	// Skip this type, as Enumerate does first.
-	e.rec(i+1, depth, partialRate, partialMinEPU)
-	for j := sp.typeOff[i]; j < sp.typeOff[i+1]; j++ {
-		if e.stop {
-			return
-		}
-		if !sp.sup[j] && e.filter == nil {
-			// Every completion fails evaluation on the missing demand
-			// vector; account the whole subtree as skipped. (With a
-			// Filter installed the walk must continue so filtered
-			// configurations are counted as filtered, as on the
-			// reference path.)
-			n := sp.suffixSpace[i+1]
-			e.nSkipped += n
-			e.account(n)
-			continue
-		}
+	e.rec(i+1, nonEmpty)
+	for j := sp.typeOff[i]; j < sp.typeOff[i+1] && !e.stop; j++ {
 		e.sel[i] = j
-		rate := partialRate + sp.rate[j]
-		mEPU := partialMinEPU
-		if v := sp.epu[j]; v < mEPU {
-			mEPU = v
-		}
-		e.rec(i+1, depth+1, rate, mEPU)
-		e.sel[i] = -1
+		e.rec(i+1, true)
 	}
+	e.sel[i] = -1
 }
 
 // configOf materializes a selection block as a canonical Config
@@ -418,30 +462,27 @@ func (e *fastEngine) configOf(sel []int32) cluster.Config {
 	return cluster.Config{Groups: groups}
 }
 
+// leaf evaluates the selected configuration. One over the budget, or
+// with no positive rate (walked only under NoPrune), is left to the
+// closed-form count.
 func (e *fastEngine) leaf() {
 	sp := e.sp
 	gcs := e.gcsBuf[:0]
+	peak := 0.0
 	for _, ti := range sp.byRank {
 		if j := e.sel[ti]; j >= 0 {
 			gcs = append(gcs, model.GroupCalc{Calc: sp.calcs[j], Count: int(sp.count[j])})
+			peak += sp.cost[j]
 		}
 	}
-	// Only the Filter path pays a Config allocation per leaf; filters
-	// may retain the Config, as on the reference path.
-	if e.filter != nil && !e.filter(e.configOf(e.sel)) {
-		e.nFiltered++
-		e.account(1)
-		return
-	}
-	fr, ok := sp.snap.EvaluateCalcs(gcs)
-	if !ok {
-		e.nSkipped++
-		e.account(1)
-		return
-	}
-	e.nEvaluated++
 	e.account(1)
-	e.admit(fr.Time, fr.Energy)
+	if !(peak <= e.peakCap) {
+		return
+	}
+	if fr, ok := sp.table.EvaluateCalcs(gcs); ok {
+		e.nEvaluated++
+		e.admit(fr.Time, fr.Energy)
+	}
 }
 
 // frontier applies Frontier's admission rule to the staircase — the
@@ -451,7 +492,7 @@ func (e *fastEngine) leaf() {
 // class, each its class's first lowest-energy representative, so no
 // sort is needed.
 func (e *fastEngine) frontier(table *model.Table) []Point {
-	var out []Point
+	out := slices.Grow([]Point(nil), len(e.front))
 	bestEnergy := units.Joules(0)
 	for _, p := range e.front {
 		if len(out) > 0 && !(float64(p.e) < float64(bestEnergy)*(1-1e-9)) {
@@ -496,22 +537,6 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 	filtered := reg.Counter("pareto.configs_filtered")
 	pruned := reg.Counter("pareto.configs_pruned")
 
-	if wl.Validate() != nil {
-		// The reference path skips every configuration when the profile
-		// is invalid (model.Evaluate fails each one); mirror its
-		// accounting without walking the space one leaf at a time.
-		n := int64(cluster.SpaceSize(limits))
-		if n > 0 {
-			skipped.Add(uint64(n))
-			sw.Progress.Add(n)
-		}
-		if sw.Stats != nil {
-			*sw.Stats = SweepStats{Skipped: n}
-		}
-		sw.Progress.Done()
-		return nil, nil
-	}
-
 	table := sw.Table
 	if table == nil {
 		table = model.NewTable(wl, opt)
@@ -525,30 +550,32 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 
 	sc := sweepScratchPool.Get().(*sweepScratch)
 	defer sweepScratchPool.Put(sc)
-	defer func() { sc.sp.snap = nil }()
+	defer func() { sc.sp.table = nil }()
 
 	sp := &sc.sp
-	sp.build(limits, table)
-	if sp.nTypes == 0 {
-		if sw.Stats != nil {
-			*sw.Stats = SweepStats{}
-		}
-		sw.Progress.Done()
-		return nil, nil
+	// An invalid profile leaves every operating point unsupported, so
+	// the closed form skips the whole space, as the reference path does.
+	sp.build(limits, table, sw.Budget, !sw.NoPrune)
+	var st SweepStats
+	sp.tally(limits, sw.Budget, 0, false, 0, 1, 1, 1, &st)
+	product := int64(1) // configurations the walk visits, plus the empty one
+	for i := range sp.nTypes {
+		product *= int64(1 + sp.typeOff[i+1] - sp.typeOff[i])
 	}
 
 	e := &sc.eng
 	e.reset(sp, &sw, ctx.Done())
 	defer e.release()
-	e.rec(0, 0, 0, math.Inf(1))
+	// Tick what the closed form counted and the walk will not visit.
+	e.account(st.Evaluated + st.Skipped + st.Filtered - (product - 1))
+	e.rec(0, false)
 	// A walk stopped by cancellation is incomplete; one cancelled after
 	// its last poll fails too, so a cancelled context always yields its
 	// error.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	st := SweepStats{Evaluated: e.nEvaluated, Skipped: e.nSkipped, Filtered: e.nFiltered, Pruned: e.nPruned}
+	st.Evaluated, st.Pruned = e.nEvaluated, st.Evaluated-e.nEvaluated
 	out := e.frontier(table)
 
 	evaluated.Add(uint64(st.Evaluated))

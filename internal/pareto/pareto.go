@@ -23,15 +23,6 @@ type Point struct {
 	Result model.Result
 }
 
-// dominates reports whether a is at least as good as b on both axes and
-// strictly better on one.
-func dominates(a, b Point) bool {
-	if a.Time > b.Time || a.Energy > b.Energy {
-		return false
-	}
-	return a.Time < b.Time || a.Energy < b.Energy
-}
-
 // Frontier extracts the Pareto-optimal subset of points, sorted by
 // ascending time (and therefore descending energy along the frontier).
 // Duplicate (time, energy) pairs keep their first representative.

@@ -16,6 +16,15 @@ func mkPoint(t, e float64) Point {
 	return Point{Time: units.Seconds(t), Energy: units.Joules(e)}
 }
 
+// dominates reports whether a is at least as good as b on both axes and
+// strictly better on one.
+func dominates(a, b Point) bool {
+	if a.Time > b.Time || a.Energy > b.Energy {
+		return false
+	}
+	return a.Time < b.Time || a.Energy < b.Energy
+}
+
 func TestFrontierBasic(t *testing.T) {
 	points := []Point{
 		mkPoint(1, 10), // fast, expensive: on frontier

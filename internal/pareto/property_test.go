@@ -94,7 +94,8 @@ func frontiersEqual(t *testing.T, label string, got, want []Point) {
 }
 
 // TestFastSweepPropertyRandomSpaces: on randomized small spaces, the
-// fast engine (with and without pruning, with and without a Filter)
+// fast engine (with and without the reduction, with and without a
+// peak-power budget)
 // returns exactly the frontier of evaluating the enumerated space
 // through the reference model — config identity included.
 func TestFastSweepPropertyRandomSpaces(t *testing.T) {
@@ -126,18 +127,17 @@ func TestFastSweepPropertyRandomSpaces(t *testing.T) {
 		}
 		frontiersEqual(t, label+" noprune", noPrune, want)
 
-		// With a power-budget filter: the reference is the frontier of
-		// the filtered evaluation.
-		budget := units.Watts(50 + rng.Float64()*400)
-		filter := func(cfg cluster.Config) bool { return cfg.NominalPeak() <= budget }
+		// Under a peak-power budget: the reference is the frontier of
+		// the in-budget evaluation.
+		budget := &cluster.PowerBudget{Cap: units.Watts(50 + rng.Float64()*400)}
 		kept := configs[:0:0]
 		for _, cfg := range configs {
-			if filter(cfg) {
+			if budget.Fits(cfg) {
 				kept = append(kept, cfg)
 			}
 		}
 		wantFiltered := Frontier(Evaluate(kept, wl, model.Options{}))
-		fastFiltered, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Filter: filter})
+		fastFiltered, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}

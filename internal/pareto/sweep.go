@@ -16,15 +16,17 @@ import (
 type SweepStats struct {
 	// Evaluated configurations reached the model and produced a result.
 	Evaluated int64
-	// Skipped configurations failed evaluation (missing demand vectors),
-	// individually or as bulk-accounted subtrees.
+	// Skipped configurations fit the budget but cannot run: a group has
+	// no demand vector, or no group has a positive execution rate.
 	Skipped int64
-	// Filtered configurations were rejected by SweepOptions.Filter
-	// before evaluation.
+	// Filtered configurations exceed SweepOptions.Budget.
 	Filtered int64
-	// Pruned configurations were eliminated by bound-based subtree
-	// pruning without being enumerated (always 0 on the Reference path
-	// and with NoPrune set).
+	// Pruned configurations fit the budget and can run, but hold a
+	// choice off its node type's dominance staircase, so the fast
+	// engine proved them off the frontier without evaluating them
+	// (always 0 on the Reference path and with NoPrune set).
+	// Evaluated+Pruned is what a sweep evaluating every configuration
+	// would count as evaluated.
 	Pruned int64
 }
 
@@ -34,21 +36,20 @@ type SweepOptions struct {
 	//
 	// Deprecated: ignored; the sweep runs on the caller's goroutine.
 	Workers int
-	// Progress, when non-nil, is ticked once per enumerated (evaluated,
-	// skipped or filtered) configuration — the count-based reporter
-	// behind the CLIs' -progress flag.
+	// Progress, when non-nil, is ticked once per configuration of the
+	// space (in bulk for those the fast engine counts in closed form) —
+	// the count-based reporter behind the CLIs' -progress flag.
 	Progress *telemetry.Progress
-	// Filter, when non-nil, prunes configurations before evaluation
-	// (e.g. a peak-power budget): configurations it rejects are counted
-	// and ticked but never reach the model. The fast engine must
-	// materialize a Config per candidate to apply it, so filtered
-	// sweeps trade some of the allocation-free speedup for the budget
-	// check.
-	Filter func(cluster.Config) bool
-	// NoPrune disables bound-based subtree pruning in the fast engine.
-	// The frontier is identical either way (pruned subtrees are provably
-	// outside it); the flag exists for A/B measurement, paranoia, and
-	// callers that report the evaluated count.
+	// Budget, when non-nil, caps the configurations' peak power: those
+	// over the cap are counted as filtered and never reach the model.
+	// Its cost adds up per group, so the fast engine counts filtered
+	// configurations in closed form and keeps its reduction exact.
+	Budget *cluster.PowerBudget
+	// NoPrune makes the fast engine walk every configuration instead of
+	// the product of the per-type dominance staircases. The frontier is
+	// identical either way. It is kept only for the repository
+	// benchmark's full-walk comparison and goes with Workers once that
+	// benchmark stops setting both.
 	NoPrune bool
 	// Reference forces the serial reference sweep (one full
 	// model.Evaluate per configuration) instead of the memoized fast
@@ -79,11 +80,11 @@ type SweepOptions struct {
 }
 
 // FrontierSweep is the instrumented frontier pipeline. By default it
-// runs the memoized closed-form engine (see fastsweep.go): columnar
-// choice space over a snapshotted unit-calc table, allocation-free
-// evaluation, a running Pareto staircase and bound-based subtree
-// pruning — with results identical, point for point, to evaluating
-// the full space through model.Evaluate. SweepOptions.Reference
+// runs the memoized closed-form engine (see fastsweep.go): per-type
+// dominance staircases over a snapshotted unit-calc table, an
+// allocation-free walk of their product and a running Pareto staircase
+// — with results identical, point for point, to evaluating the full
+// space through model.Evaluate. SweepOptions.Reference
 // selects that serial reference sweep instead.
 func FrontierSweep(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
 	if !sw.Reference {
@@ -94,7 +95,7 @@ func FrontierSweep(limits []cluster.Limit, wl *workload.Profile, opt model.Optio
 
 // frontierSweepReference is the obviously correct pipeline the fast
 // engine is tested and benchmarked against: enumerate every
-// configuration, apply the Filter, evaluate the survivors through
+// configuration, apply the Budget, evaluate the survivors through
 // model.Evaluate and take the Frontier of the evaluated points.
 func frontierSweepReference(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
 	span := telemetry.StartSpan("pareto.frontier_sweep").
@@ -112,7 +113,7 @@ func frontierSweepReference(limits []cluster.Limit, wl *workload.Profile, opt mo
 	var st SweepStats
 	var points []Point
 	err := cluster.Enumerate(limits, func(cfg cluster.Config) bool {
-		if sw.Filter != nil && !sw.Filter(cfg) {
+		if sw.Budget != nil && !sw.Budget.Fits(cfg) {
 			filtered.Inc()
 			st.Filtered++
 		} else if res, err := model.Evaluate(cfg, wl, opt); err != nil {

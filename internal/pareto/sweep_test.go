@@ -7,7 +7,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/hardware"
 	"repro/internal/model"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -139,14 +141,14 @@ func TestFastSweepAccounting(t *testing.T) {
 		}
 	}
 
-	// With a filter installed, rejected configurations count as
-	// filtered (never skipped or evaluated), exactly as on the
-	// reference path.
-	_, c3 := run(SweepOptions{Filter: func(cfg cluster.Config) bool {
-		return cfg.Nodes()%2 == 0
-	}})
+	// Under a random peak-power cap below the largest configuration's
+	// 300 W, configurations over it count as filtered (never skipped or
+	// evaluated), exactly as on the reference path.
+	budget := &cluster.PowerBudget{Cap: units.Watts(60 + 190*stats.NewRNG(0xB0D6E7).Float64()),
+		Switched: "A9", Switch: hardware.DefaultSwitch()}
+	_, c3 := run(SweepOptions{Budget: budget})
 	if c3.filtered == 0 {
-		t.Error("filter rejected nothing")
+		t.Errorf("budget %v rejected nothing", budget.Cap)
 	}
 	if sum := c3.evaluated + c3.skipped + c3.filtered + c3.pruned; sum != uint64(total) {
 		t.Errorf("filtered sweep counters sum %d != space %d", sum, total)

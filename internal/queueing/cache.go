@@ -27,11 +27,20 @@ import (
 // rhoQuantBits is the rho quantization: 2^-40 ≈ 9.1e-13.
 const rhoQuantBits = 40
 
-// pctCacheMaxEntries bounds the memo; past it the map is dropped and
-// refilled (sweeps touch a few thousand (rho, p) pairs at most, so the
-// bound exists only to keep pathological callers from growing it
-// without limit).
-const pctCacheMaxEntries = 1 << 15
+// pctCacheMaxEntries bounds one generation of the memo; when a shard
+// outgrows its share the generation is dropped and refilled. The
+// working set that pays across requests fits: an epserve load over a
+// fixed grid of 256 utilizations and three percentiles holds 768
+// M/D/1 cells, at most 55 of them in one shard of 64. Other hits come
+// from inside one request — a frontier annotation's points share one
+// cell, an adaptive replay's ~880 cells serve its ~1,100 hits — and
+// what such a request leaves behind is never read again: a frontier
+// annotation at a fresh utilization leaves one ~111-byte cell. A
+// larger generation only holds more of those dead cells between
+// resets, and the garbage collector's heap target doubles them in
+// resident memory, while a smaller one cuts into a replay request's
+// own hits whenever a reset falls inside it.
+const pctCacheMaxEntries = 1 << 10
 
 // pctShardCount lock-stripes the memo. One RWMutex serializes every
 // warm epserve percentile request through a single cache line; under
@@ -172,9 +181,10 @@ var pctCache atomic.Pointer[pctGeneration]
 func init() { pctCache.Store(new(pctGeneration)) }
 
 // resetPercentileCache drops every memoized percentile by installing a
-// fresh generation. Used when the map outgrows pctCacheMaxEntries, and
-// by tests that need a cold cache. In-flight lookups against the old
-// generation complete against it and are then unreachable.
+// fresh generation. Used when the map outgrows pctCacheMaxEntries (each
+// such overflow counted in queueing.cache_resets), and by tests that
+// need a cold cache. In-flight lookups against the old generation
+// complete against it and are then unreachable.
 func resetPercentileCache() {
 	pctCache.Store(new(pctGeneration))
 }
@@ -200,6 +210,7 @@ func percentileCell(kind uint8, shapeBits uint64, rho, target float64, rc *telem
 		ins.cacheMisses.Inc()
 		rc.Add(telemetry.AttrCacheMisses, 1)
 		if sh.size.Add(1) > pctShardMaxEntries {
+			ins.cacheResets.Inc()
 			resetPercentileCache()
 		}
 	}

@@ -169,12 +169,16 @@ func TestPercentileCacheHitPathZeroAlloc(t *testing.T) {
 }
 
 // TestPercentileCacheResetOnOverflow: filling any shard past its bound
-// drops the generation instead of growing without limit, and queries
-// keep answering.
+// drops the generation instead of growing without limit, counts the
+// overflow in queueing.cache_resets (a reset asked for directly is not
+// an overflow), and queries keep answering.
 func TestPercentileCacheResetOnOverflow(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
 	resetPercentileCache()
 	defer resetPercentileCache()
-	// Simulate a full cache rather than solving 32k percentiles: every
+	// Simulate a full cache rather than solving 1k percentiles: every
 	// shard at its bound, so whichever stripe the next miss lands in
 	// overflows.
 	gen := pctCache.Load()
@@ -195,6 +199,10 @@ func TestPercentileCacheResetOnOverflow(t *testing.T) {
 	}
 	if w1 != w2 {
 		t.Errorf("answers diverged across reset: %g vs %g", w1, w2)
+	}
+	resetPercentileCache()
+	if got := reg.Counter("queueing.cache_resets").Value(); got != 1 {
+		t.Errorf("queueing.cache_resets = %d, want 1 (one overflow)", got)
 	}
 }
 

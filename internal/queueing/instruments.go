@@ -18,6 +18,7 @@ type queueingInstruments struct {
 	searches    *telemetry.Counter
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
+	cacheResets *telemetry.Counter
 	tracer      *telemetry.Tracer
 }
 
@@ -37,6 +38,7 @@ func instruments() *queueingInstruments {
 		searches:    reg.Counter("queueing.percentile_searches"),
 		cacheHits:   reg.Counter("queueing.percentile_cache_hits"),
 		cacheMisses: reg.Counter("queueing.percentile_cache_misses"),
+		cacheResets: reg.Counter("queueing.cache_resets"),
 		tracer:      reg.Tracer(),
 	}
 	instrumentsCache.Store(ins)

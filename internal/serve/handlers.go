@@ -431,10 +431,9 @@ func (s *Server) tableFor(wl *workload.Profile) *model.Table {
 }
 
 // sweepFrontier runs the memoized frontier engine over the space
-// under ctx — peak-power budget applied as a pre-evaluation filter,
-// per-workload unit-calc table shared across requests, pruning
-// disabled so the explored/evaluated/filtered accounting in the
-// response covers the full space — and folds the results into the
+// under ctx — peak-power budget applied before evaluation, per-workload
+// unit-calc table shared across requests, explored/evaluated/filtered
+// counted over the full space — and folds the results into the
 // frontier and sweet region. When the params ask for it, every
 // frontier point is annotated with its tail latency under the selected
 // kernel.
@@ -451,24 +450,19 @@ func (s *Server) sweepFrontier(ctx context.Context, fp *frontierItem) (*Frontier
 	}
 	resp := &FrontierResponse{Workload: wlName, Explored: fp.space}
 
-	var filter func(cluster.Config) bool
+	var budget *cluster.PowerBudget
 	if powerW > 0 {
-		swt := hardware.DefaultSwitch()
-		filter = func(cfg cluster.Config) bool {
-			peak := float64(cfg.NominalPeak()) + float64(swt.Power(cfg.Count("A9")))
-			return peak <= powerW
-		}
+		budget = &cluster.PowerBudget{Cap: units.Watts(powerW), Switched: "A9", Switch: hardware.DefaultSwitch()}
 	}
 
-	// NoPrune keeps the response accounting exact: every in-budget
-	// configuration is evaluated (or skipped as unsupported), never
-	// bulk-pruned, so Evaluated + Filtered keep their documented API
-	// meaning. The engine attributes configs_evaluated/filtered and the
-	// sweep phase to rc itself.
+	// The engine attributes configs_evaluated/filtered/pruned and the
+	// sweep phase to rc itself. Pruned configurations fit the budget
+	// and can run, so the response counts them as evaluated: the
+	// documented meaning of evaluated is every in-budget configuration
+	// the model can run.
 	var st pareto.SweepStats
 	frontier, err := pareto.FrontierSweep(fp.limits, wl, model.Options{}, pareto.SweepOptions{
-		Filter:  filter,
-		NoPrune: true,
+		Budget:  budget,
 		Context: ctx,
 		Table:   s.tableFor(wl),
 		Request: rc,
@@ -478,7 +472,7 @@ func (s *Server) sweepFrontier(ctx context.Context, fp *frontierItem) (*Frontier
 		return nil, fmt.Errorf("serve: frontier sweep: %w", err)
 	}
 	resp.Filtered = int(st.Filtered)
-	resp.Evaluated = int(st.Evaluated)
+	resp.Evaluated = int(st.Evaluated + st.Pruned)
 	// Tail-latency annotation: one response-percentile solve per frontier
 	// point (not per explored configuration — the frontier is small), all
 	// through the shared kernel percentile cache. latFor carries the

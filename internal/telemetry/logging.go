@@ -16,11 +16,11 @@ const (
 	// AttrConfigsEvaluated counts configurations run through the
 	// time-energy model on behalf of the request.
 	AttrConfigsEvaluated = "configs_evaluated"
-	// AttrConfigsPruned counts configurations skipped by bound-based
-	// subtree pruning during a frontier sweep.
+	// AttrConfigsPruned counts configurations a frontier sweep proved
+	// dominated off the per-type staircases, without evaluating them.
 	AttrConfigsPruned = "configs_pruned"
-	// AttrConfigsFiltered counts configurations a budget filter rejected
-	// before evaluation.
+	// AttrConfigsFiltered counts configurations over a sweep's
+	// peak-power budget.
 	AttrConfigsFiltered = "configs_filtered"
 	// AttrCacheHits / AttrCacheMisses count the request's
 	// percentile-cache lookups in the queueing kernel.
