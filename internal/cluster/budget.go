@@ -45,8 +45,9 @@ func DefaultBudget(catalog *hardware.Catalog) (BudgetSpec, error) {
 // PeakWithSwitches returns the budget-accounted peak power of a wimpy/
 // brawny mix: rated node peaks plus switch power for the wimpy side.
 func (b BudgetSpec) PeakWithSwitches(nWimpy, nBrawny int) units.Watts {
-	pb := PowerBudget{Switched: b.Wimpy.Name, Switch: b.Switch}
-	return pb.GroupPeak(b.Wimpy, nWimpy) + pb.GroupPeak(b.Brawny, nBrawny)
+	return units.Watts(float64(b.Wimpy.NominalPeak)*float64(nWimpy)+
+		float64(b.Brawny.NominalPeak)*float64(nBrawny)) +
+		b.Switch.Power(nWimpy)
 }
 
 // Fits reports whether the mix stays within the budget.
@@ -154,7 +155,7 @@ func (b BudgetSpec) MaximalMixes() []Mix {
 // PowerBudget caps a configuration's budget-accounted peak power, as
 // Section III-C holds mixes under a fixed envelope: every node at its
 // rated peak, plus the switches that connect the nodes of the Switched
-// type. The peak adds up group by group, and a group's share depends
+// type. Both parts add up group by group, and a group's share depends
 // only on its type and node count, so a search can count and prune
 // whole slices of a configuration space against the cap instead of
 // testing one configuration at a time.
@@ -168,24 +169,22 @@ type PowerBudget struct {
 	Switch hardware.SwitchModel
 }
 
-// GroupPeak returns the budget-accounted peak power of n nodes of type
-// t.
-func (b PowerBudget) GroupPeak(t *hardware.NodeType, n int) units.Watts {
-	p := units.Watts(float64(t.NominalPeak) * float64(n))
+// Shares returns the two parts of n nodes of type t in the budget: the
+// nodes at their rated peak, as Config.NominalPeak counts a group, and
+// the switches they hang off (0 unless t is the Switched type).
+func (b PowerBudget) Shares(t *hardware.NodeType, n int) (nodes, switches units.Watts) {
+	nodes = units.Watts(float64(t.NominalPeak) * float64(n))
 	if t.Name == b.Switched {
-		p += b.Switch.Power(n)
+		switches = b.Switch.Power(n)
 	}
-	return p
+	return nodes, switches
 }
 
-// Peak returns cfg's budget-accounted peak power: the GroupPeak of its
-// groups, summed in group order.
+// Peak returns cfg's budget-accounted peak power: its nominal peak
+// (the groups' rated peaks, summed in group order), then the power of
+// the switches its Switched nodes hang off.
 func (b PowerBudget) Peak(cfg Config) units.Watts {
-	var p units.Watts
-	for _, g := range cfg.Groups {
-		p += b.GroupPeak(g.Type, g.Count)
-	}
-	return p
+	return cfg.NominalPeak() + b.Switch.Power(cfg.Count(b.Switched))
 }
 
 // Fits reports whether cfg's peak stays within the cap.

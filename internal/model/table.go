@@ -53,10 +53,13 @@ type UnitCalc struct {
 	MemW, NetW, IdleW units.Watts
 
 	// EnergyPerUnit is the per-node busy energy per assigned work unit
-	// in joules, computed free-form (not bitwise against Evaluate). It
-	// is a valid lower-bound ingredient for pruning — total energy is a
-	// units-weighted mean of EnergyPerUnit plus non-negative idle
-	// extension — but must never feed reported results.
+	// in joules: in real arithmetic exactly what Evaluate charges a node
+	// per unit (core, stall, memory, NIC and idle energy over the unit
+	// time), computed free-form rather than bitwise against Evaluate, so
+	// it rounds differently within a few ulps. The frontier sweep's
+	// per-type reduction ranks operating points by it and relies on that
+	// rounding staying far below its 1e-9 dominance margin; it never
+	// feeds a reported result.
 	EnergyPerUnit float64
 }
 
@@ -92,10 +95,6 @@ func NewTable(wl *workload.Profile, opt Options) *Table {
 	}
 }
 
-// JobUnits returns the workload's job size (the sweep engine's pruning
-// bounds need it).
-func (t *Table) JobUnits() float64 { return t.jobUnits }
-
 // Matches reports whether the table was built for exactly this
 // (workload, options) pair — the precondition for reusing a
 // caller-owned table across sweeps (pareto.SweepOptions.Table).
@@ -105,51 +104,18 @@ func (t *Table) Matches(wl *workload.Profile, opt Options) bool {
 	return t.wl == wl && t.opt == opt
 }
 
-// Snapshot is an immutable, lock-free view of a Table's unit-calc memo.
-// It is created after pre-warming every operating point a sweep can
-// touch, so readers never hit the Table's RWMutex: the map is copied
-// once under the lock and never mutated again, so any goroutine the
-// snapshot is handed to may read it. The frontier engine takes one
-// Snapshot per sweep.
-type Snapshot struct {
-	jobUnits float64
-	calcs    map[tableKey]*UnitCalc
-}
-
-// Snapshot pre-warms the table with every (type, cores, freq) operating
-// point reachable under limits and returns the immutable view. Node
-// counts never participate in the memo key, so warming iterates each
-// type's distinct (cores, freq) pairs, not the full choice space.
-func (t *Table) Snapshot(limits []cluster.Limit) *Snapshot {
+// Snapshot warms the table with every (type, cores, freq) operating
+// point reachable under limits, so later sweeps find each UnitCalc
+// memoized. Node counts never participate in the memo key, so warming
+// iterates each type's distinct (cores, freq) pairs, not the full
+// choice space. The repository benchmark's set-up times table
+// construction through it.
+func (t *Table) Snapshot(limits []cluster.Limit) {
 	for _, l := range limits {
 		for _, g := range l.OperatingPoints() {
 			t.Calc(g)
 		}
 	}
-	t.mu.RLock()
-	calcs := make(map[tableKey]*UnitCalc, len(t.calcs))
-	for k, v := range t.calcs {
-		calcs[k] = v
-	}
-	t.mu.RUnlock()
-	return &Snapshot{jobUnits: t.jobUnits, calcs: calcs}
-}
-
-// JobUnits returns the workload's job size.
-func (s *Snapshot) JobUnits() float64 { return s.jobUnits }
-
-// Calc returns the memoized UnitCalc for the group's operating point
-// without taking any lock, and ok=false when the point was not warmed
-// into the snapshot.
-func (s *Snapshot) Calc(g cluster.Group) (*UnitCalc, bool) {
-	uc, ok := s.calcs[tableKey{t: g.Type, cores: g.Cores, freq: g.Freq}]
-	return uc, ok
-}
-
-// EvaluateCalcs is Table.EvaluateCalcs on the snapshot: identical
-// scalars, no shared mutable state.
-func (s *Snapshot) EvaluateCalcs(gcs []GroupCalc) (FastResult, bool) {
-	return evaluateCalcs(s.jobUnits, gcs)
 }
 
 // Calc returns the memoized UnitCalc for the group's operating point,

@@ -222,11 +222,11 @@ func TestEvaluateFastZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTableSnapshotAndMatches: the snapshot covers every choice of the
-// limits it was warmed with, returns pointer-identical UnitCalcs and
-// bitwise-identical evaluation results without touching the table's
-// lock, and Matches enforces the (profile pointer, options) identity
-// the shared-table sweep option relies on.
+// TestTableSnapshotAndMatches: Snapshot warms exactly the operating
+// points of the limits it is given — one memoized UnitCalc per (type,
+// cores, freq), which Calc then returns for every node count — and
+// Matches enforces the (profile pointer, options) identity the
+// shared-table sweep option relies on.
 func TestTableSnapshotAndMatches(t *testing.T) {
 	limits, reg := footnote4Limits(t)
 	wl, err := reg.Lookup(workload.NameEP)
@@ -234,33 +234,23 @@ func TestTableSnapshotAndMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := NewTable(wl, Options{})
-	snap := table.Snapshot(limits)
+	table.Snapshot(limits)
 
-	if snap.JobUnits() != table.JobUnits() {
-		t.Fatalf("snapshot JobUnits %g != table %g", snap.JobUnits(), table.JobUnits())
+	warmed := make(map[*UnitCalc]bool, len(table.calcs))
+	for _, uc := range table.calcs {
+		warmed[uc] = true
 	}
+	points := 0
 	for _, l := range limits {
+		points += len(l.OperatingPoints())
 		for _, g := range l.Choices() {
-			uc, ok := snap.Calc(g)
-			if !ok {
-				t.Fatalf("snapshot missing calc for %v", g)
-			}
-			if uc != table.Calc(g) {
-				t.Fatalf("snapshot calc for %v is not the table's instance", g)
-			}
-			fast, ok := table.EvaluateFast(cluster.Config{Groups: []cluster.Group{g}})
-			if !ok {
-				continue
-			}
-			sf, ok := snap.EvaluateCalcs([]GroupCalc{{Calc: uc, Count: g.Count}})
-			if !ok {
-				t.Fatalf("snapshot evaluation failed for %v", g)
-			}
-			if math.Float64bits(float64(sf.Time)) != math.Float64bits(float64(fast.Time)) ||
-				math.Float64bits(float64(sf.Energy)) != math.Float64bits(float64(fast.Energy)) {
-				t.Fatalf("snapshot evaluation of %v differs bitwise from the table's", g)
+			if uc := table.Calc(g); !warmed[uc] {
+				t.Fatalf("Calc(%v) was not warmed by Snapshot", g)
 			}
 		}
+	}
+	if len(table.calcs) != points {
+		t.Fatalf("Snapshot memoized %d operating points, want the limits' %d", len(table.calcs), points)
 	}
 
 	if !table.Matches(wl, Options{}) {

@@ -28,7 +28,7 @@ import (
 //  2. reduces each node type's (count, cores, freq) choices to its
 //     dominance staircase (below) and flattens the survivors into
 //     columnar (structure-of-arrays) slices — count, rate, budget
-//     cost, unit-calc pointer — so the walk covers only the product of
+//     shares, unit-calc pointer — so the walk covers only the product of
 //     the staircases (about a thousand of the footnote-4 space's
 //     36,380 configurations) through cache-linear arrays,
 //  3. evaluates each walked configuration allocation-free through
@@ -61,11 +61,13 @@ import (
 //     bitwise the same with a or b: NICs cap many operating points at
 //     one rate, and without this class those points would all stay);
 //   - p_a - p_b > domSlack*Pmax; and
-//   - b costs no more than a under the budget,
+//   - under a budget, b costs no more than a: no more rated peak and no
+//     more switch power,
 //
 // where Rmax and Pmax bound the R and P of any configuration of the
 // space. Swapping b for a keeps a configuration within the budget (its
-// peak adds up per group, and rounding is monotone), raises R by more
+// peak sums the groups' rated peaks, then adds the switches, and
+// rounding is monotone in every term), raises R by more
 // than domSlack*R or leaves T bitwise as it was, and lowers P by more
 // than domSlack*P: the real E falls, and the real T does not rise, by
 // a relative 1e-9 or more — a million times the model's rounding
@@ -133,17 +135,23 @@ type spaceSoA struct {
 	typeOff []int32
 	count   []int32
 	rate    []float64 // NodeRate * Count, the choice's rate contribution
-	cost    []float64 // the budget's GroupPeak; 0 without a budget
-	calcs   []*model.UnitCalc
+	// The choice's two budget shares (PowerBudget.Shares): its nodes at
+	// their rated peak, and its switches; both 0 without a budget.
+	nodesW, switchW []float64
+	calcs           []*model.UnitCalc
 	// groups keeps the AoS form for Config materialization.
 	groups []cluster.Group
 	cls    []typeClass
 
-	// Reduction scratch: each choice's p = rate * EnergyPerUnit, the
-	// sort order, and one type's resolved operating points.
+	// Reduction scratch: each choice's p = rate * EnergyPerUnit, one
+	// type's resolved operating points, and reduce's sort order, cost
+	// keys, prefix minima and verdicts.
 	p       []float64
-	order   []int32
 	opCalcs []*model.UnitCalc
+	order   []int32
+	key     []int32
+	minP    []float64
+	keep    []bool
 }
 
 // build lays out the walked choices of every type in enumeration order
@@ -156,7 +164,8 @@ func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table, b *cluster
 	sp.table = table
 	sp.typeOff = grow(sp.typeOff, n+1)
 	sp.cls = grow(sp.cls, n)
-	sp.count, sp.rate, sp.cost, sp.p = sp.count[:0], sp.rate[:0], sp.cost[:0], sp.p[:0]
+	sp.count, sp.rate, sp.p = sp.count[:0], sp.rate[:0], sp.p[:0]
+	sp.nodesW, sp.switchW = sp.nodesW[:0], sp.switchW[:0]
 	sp.calcs, sp.groups = sp.calcs[:0], sp.groups[:0]
 	var rMax, pMax float64
 	for i, l := range limits {
@@ -177,9 +186,9 @@ func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table, b *cluster
 		sp.cls[i] = c
 		var typeR, typeP float64
 		for cnt := 1; cnt <= l.MaxNodes; cnt++ {
-			cost := 0.0
+			var nodesW, switchW units.Watts
 			if b != nil {
-				cost = float64(b.GroupPeak(l.Type, cnt))
+				nodesW, switchW = b.Shares(l.Type, cnt)
 			}
 			for k, uc := range sp.opCalcs {
 				// The group rate exactly as the model computes it.
@@ -193,7 +202,8 @@ func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table, b *cluster
 				sp.calcs = append(sp.calcs, uc)
 				sp.count = append(sp.count, int32(cnt))
 				sp.rate = append(sp.rate, rate)
-				sp.cost = append(sp.cost, cost)
+				sp.nodesW = append(sp.nodesW, float64(nodesW))
+				sp.switchW = append(sp.switchW, float64(switchW))
 				sp.p = append(sp.p, p)
 				typeR, typeP = max(typeR, rate), max(typeP, p)
 			}
@@ -221,46 +231,84 @@ func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table, b *cluster
 }
 
 // reduce keeps the choices of the segment [lo,hi) that no other choice
-// of it dominates (see the exactness argument above) and moves them,
-// in enumeration order, to start at dst; it returns the segment's new
-// end. Sorted by rate descending, then count, unit time and p
-// ascending, every dominator of a choice precedes it — equal-time
-// classes share one rate and lead with their cheapest member — and
-// dominance is transitive, so checking each choice against the
-// survivors before it is enough.
+// of it dominates (see the exactness argument above) and moves them, in
+// enumeration order, to start at dst; it returns the segment's new end.
+//
+// Under a budget both of a choice's shares grow with its node count,
+// so key ranks their pairs in count order and b costs no more than a
+// exactly when key_b <= key_a. A type whose share falls as nodes are
+// added (a negative rated peak or switch power) keeps every choice.
+//
+// Sorted by rate descending, then count, unit time and p ascending,
+// every dominator of a choice precedes it: a faster one by its rate, an
+// equal-time one (same rate, count and unit time, so adjacent) by its
+// p. The choices faster than a by more than dR form a prefix of that
+// order, which only grows as the rate falls, so one pass feeds each
+// choice into prefix minima of p over cost keys (a Fenwick tree) once
+// it clears the current choice's slack. A choice is dominated when the
+// minimum up to its key, or the p of its equal-time class's first
+// member, beats its own by more than dP; a NaN p (from an overflowed
+// rate) poisons the minima it enters, which only keeps more choices.
+// Testing against every earlier choice keeps what testing against the
+// survivors would, since dominance is transitive. The pass is
+// O(n log n).
 func (sp *spaceSoA) reduce(lo, hi, dst int32, dR, dP float64) int32 {
+	n := int(hi - lo)
+	key, keep := grow(sp.key, n), grow(sp.keep, n)
+	mono := true
+	for i := range n {
+		key[i], keep[i] = 0, true
+		if j := lo + int32(i); i > 0 {
+			key[i] = key[i-1]
+			if sp.nodesW[j] != sp.nodesW[j-1] || sp.switchW[j] != sp.switchW[j-1] {
+				key[i]++
+				mono = mono && sp.nodesW[j] >= sp.nodesW[j-1] && sp.switchW[j] >= sp.switchW[j-1]
+			}
+		}
+	}
 	ord := sp.order[:0]
+	if mono && n > 0 {
+		for j := lo; j < hi; j++ {
+			ord = append(ord, j)
+		}
+		slices.SortFunc(ord, func(a, b int32) int {
+			if c := cmp.Compare(sp.rate[b], sp.rate[a]); c != 0 {
+				return c // rates rarely tie: spare the other keys
+			}
+			return cmp.Or(cmp.Compare(sp.count[a], sp.count[b]), cmp.Compare(sp.calcs[a].UnitTotal, sp.calcs[b].UnitTotal),
+				cmp.Compare(sp.p[a], sp.p[b]), cmp.Compare(a, b))
+		})
+		minP := grow(sp.minP, int(key[n-1])+1)
+		for k := range minP {
+			minP[k] = math.Inf(1)
+		}
+		fed, cls := 0, 0
+		for i, a := range ord {
+			for ; fed < i && sp.rate[ord[fed]]-sp.rate[a] > dR; fed++ {
+				b := ord[fed]
+				for k := int(key[b-lo]); k < len(minP); k |= k + 1 {
+					minP[k] = min(minP[k], sp.p[b])
+				}
+			}
+			if prev := ord[max(i-1, 0)]; sp.count[a] != sp.count[prev] || sp.calcs[a].UnitTotal != sp.calcs[prev].UnitTotal {
+				cls = i
+			}
+			best := sp.p[ord[cls]]
+			for k := int(key[a-lo]); k >= 0; k = k&(k+1) - 1 {
+				best = min(best, minP[k])
+			}
+			keep[a-lo] = !(sp.p[a]-best > dP)
+		}
+		sp.minP = minP
+	}
 	for j := lo; j < hi; j++ {
-		ord = append(ord, j)
-	}
-	slices.SortFunc(ord, func(a, b int32) int {
-		if sp.rate[a] != sp.rate[b] {
-			return cmp.Compare(sp.rate[b], sp.rate[a])
-		}
-		if sp.count[a] != sp.count[b] {
-			return int(sp.count[a] - sp.count[b])
-		}
-		if ua, ub := sp.calcs[a].UnitTotal, sp.calcs[b].UnitTotal; ua != ub {
-			return cmp.Compare(ua, ub)
-		}
-		return cmp.Or(cmp.Compare(sp.p[a], sp.p[b]), int(a-b))
-	})
-	kept := ord[:0]
-	for _, a := range ord {
-		if !slices.ContainsFunc(kept, func(b int32) bool {
-			sameTime := sp.count[b] == sp.count[a] && sp.calcs[b].UnitTotal == sp.calcs[a].UnitTotal
-			return (sp.rate[b]-sp.rate[a] > dR || sameTime) && sp.p[a]-sp.p[b] > dP && sp.cost[b] <= sp.cost[a]
-		}) {
-			kept = append(kept, a)
+		if keep[j-lo] {
+			sp.count[dst], sp.rate[dst], sp.calcs[dst], sp.groups[dst] = sp.count[j], sp.rate[j], sp.calcs[j], sp.groups[j]
+			sp.nodesW[dst], sp.switchW[dst] = sp.nodesW[j], sp.switchW[j]
+			dst++
 		}
 	}
-	slices.Sort(kept)
-	for _, j := range kept {
-		sp.count[dst], sp.rate[dst], sp.cost[dst] = sp.count[j], sp.rate[j], sp.cost[j]
-		sp.calcs[dst], sp.groups[dst] = sp.calcs[j], sp.groups[j]
-		dst++
-	}
-	sp.order = ord
+	sp.order, sp.key, sp.keep = ord, key, keep
 	return dst
 }
 
@@ -268,17 +316,18 @@ func (sp *spaceSoA) reduce(lo, hi, dst int32, dR, dP float64) int32 {
 // would account it: over the budget, filtered; else skipped when a
 // group has no demand vector or no group a positive rate; else
 // evaluated. It enumerates node-count vectors in node-type-name order
-// (r indexes byRank), summing the budget's peak as PowerBudget.Peak
-// does, and weighs each vector by how many configurations share it:
-// all of them, those of supported choices only, and those of
-// zero-rate choices only. Without a budget every count of a type is
-// alike, so a type takes one step.
-func (sp *spaceSoA) tally(limits []cluster.Limit, b *cluster.PowerBudget, r int, nonEmpty bool, peak float64, all, sup, zero int64, st *SweepStats) {
+// (r indexes byRank), summing the budget's shares as PowerBudget.Peak
+// does (the rated peaks in group order, then the switches), and weighs
+// each vector by how many configurations share it: all of them, those
+// of supported choices only, and those of zero-rate choices only.
+// Without a budget every count of a type is alike, so a type takes one
+// step.
+func (sp *spaceSoA) tally(limits []cluster.Limit, b *cluster.PowerBudget, r int, nonEmpty bool, nodesW, switchW float64, all, sup, zero int64, st *SweepStats) {
 	if r == sp.nTypes {
 		if !nonEmpty {
 			return
 		}
-		if b != nil && !(peak <= float64(b.Cap)) {
+		if b != nil && !(nodesW+switchW <= float64(b.Cap)) {
 			st.Filtered += all
 		} else {
 			st.Evaluated += sup - zero
@@ -286,16 +335,17 @@ func (sp *spaceSoA) tally(limits []cluster.Limit, b *cluster.PowerBudget, r int,
 		}
 		return
 	}
-	sp.tally(limits, b, r+1, nonEmpty, peak, all, sup, zero, st)
+	sp.tally(limits, b, r+1, nonEmpty, nodesW, switchW, all, sup, zero, st)
 	l, c := limits[sp.byRank[r]], sp.cls[sp.byRank[r]]
 	if b == nil {
 		if m := int64(l.MaxNodes); m > 0 {
-			sp.tally(limits, b, r+1, true, 0, all*m*c.ops, sup*m*c.sup, zero*m*c.zero, st)
+			sp.tally(limits, b, r+1, true, 0, 0, all*m*c.ops, sup*m*c.sup, zero*m*c.zero, st)
 		}
 		return
 	}
 	for cnt := 1; cnt <= l.MaxNodes; cnt++ {
-		sp.tally(limits, b, r+1, true, peak+float64(b.GroupPeak(l.Type, cnt)), all*c.ops, sup*c.sup, zero*c.zero, st)
+		n, sw := b.Shares(l.Type, cnt)
+		sp.tally(limits, b, r+1, true, nodesW+float64(n), switchW+float64(sw), all*c.ops, sup*c.sup, zero*c.zero, st)
 	}
 }
 
@@ -311,7 +361,7 @@ type fastPoint struct {
 // fastEngine is one sweep's depth-first walk over a spaceSoA.
 type fastEngine struct {
 	sp *spaceSoA
-	// peakCap is the budget's cap, +Inf without a budget (whose cost
+	// peakCap is the budget's cap, +Inf without a budget (whose share
 	// columns are all 0).
 	peakCap float64
 	pr      *telemetry.Progress
@@ -468,15 +518,18 @@ func (e *fastEngine) configOf(sel []int32) cluster.Config {
 func (e *fastEngine) leaf() {
 	sp := e.sp
 	gcs := e.gcsBuf[:0]
-	peak := 0.0
+	// The peak as PowerBudget.Peak sums it: only the switched type has
+	// a nonzero switch share, so switchW sums exactly.
+	nodesW, switchW := 0.0, 0.0
 	for _, ti := range sp.byRank {
 		if j := e.sel[ti]; j >= 0 {
 			gcs = append(gcs, model.GroupCalc{Calc: sp.calcs[j], Count: int(sp.count[j])})
-			peak += sp.cost[j]
+			nodesW += sp.nodesW[j]
+			switchW += sp.switchW[j]
 		}
 	}
 	e.account(1)
-	if !(peak <= e.peakCap) {
+	if !(nodesW+switchW <= e.peakCap) {
 		return
 	}
 	if fr, ok := sp.table.EvaluateCalcs(gcs); ok {
@@ -557,7 +610,7 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 	// the closed form skips the whole space, as the reference path does.
 	sp.build(limits, table, sw.Budget, !sw.NoPrune)
 	var st SweepStats
-	sp.tally(limits, sw.Budget, 0, false, 0, 1, 1, 1, &st)
+	sp.tally(limits, sw.Budget, 0, false, 0, 0, 1, 1, 1, &st)
 	product := int64(1) // configurations the walk visits, plus the empty one
 	for i := range sp.nTypes {
 		product *= int64(1 + sp.typeOff[i+1] - sp.typeOff[i])

@@ -17,8 +17,9 @@ import (
 // aggregate service time is its model job time, so the annotation ranks
 // frontier configurations by how their time-energy trade-off holds up
 // once queueing delay is priced in. The searches fan out through the
-// shared sweep pool and resolve through the kernel percentile cache;
-// the result is aligned with points. workers <= 0 uses GOMAXPROCS.
+// shared sweep pool and resolve through the kernel percentile cache,
+// whose cell for (u, p) is dropped on return; the result is aligned
+// with points. workers <= 0 uses GOMAXPROCS.
 func AnnotateLatencies(ctx context.Context, points []Point, u, p float64, spec queueing.Spec, workers int) ([]float64, error) {
 	span := telemetry.StartSpan("pareto.annotate_latencies").
 		Arg("points", len(points)).Arg("u", u).Arg("p", p).Arg("kernel", spec.String())
@@ -32,6 +33,11 @@ func AnnotateLatencies(ctx context.Context, points []Point, u, p float64, spec q
 	if p < 0 || p >= 100 {
 		return nil, fmt.Errorf("pareto: latency annotation needs percentile in [0,100), got %g", p)
 	}
+	// Every point's kernel keys its solve on u's memo cell (its rho,
+	// (u/t)*t, lies within an ulp or two of u and so quantizes alike
+	// unless u sits on a lattice midpoint), dropped once the points are
+	// done: at a fresh utilization nothing reads it again.
+	defer spec.ForgetResponsePercentile(u, p)
 	out := make([]float64, len(points))
 	errs := make([]error, len(points))
 	if err := sweep.ForEachContext(ctx, len(points), workers, func(i int) {

@@ -262,3 +262,169 @@ func TestFastSweepUnrunnableAccounting(t *testing.T) {
 		}
 	}
 }
+
+// undominated is the reduction's definition checked choice against
+// choice, quadratically: the supported positive-rate choices of each
+// type of an unreduced build that no other choice of the type
+// dominates (faster by more than the slack or in the same equal-time
+// class, cheaper in p by more than the slack, and, under a budget, no
+// larger in either share).
+func undominated(limits []cluster.Limit, wl *workload.Profile, b *cluster.PowerBudget) []cluster.Group {
+	full := &spaceSoA{}
+	full.build(limits, model.NewTable(wl, model.Options{}), b, false)
+	var rMax, pMax float64
+	for i := range full.nTypes {
+		var r, p float64
+		for j := full.typeOff[i]; j < full.typeOff[i+1]; j++ {
+			r, p = max(r, full.rate[j]), max(p, full.p[j])
+		}
+		rMax, pMax = rMax+r, pMax+p
+	}
+	dR, dP := domSlack*rMax, domSlack*pMax
+	var out []cluster.Group
+	for i := range full.nTypes {
+		lo, hi := full.typeOff[i], full.typeOff[i+1]
+		for a := lo; a < hi; a++ {
+			if !(full.rate[a] > 0) {
+				continue
+			}
+			dominated := false
+			for c := lo; c < hi; c++ {
+				sameTime := full.count[c] == full.count[a] && full.calcs[c].UnitTotal == full.calcs[a].UnitTotal
+				if full.rate[c] > 0 && (full.rate[c]-full.rate[a] > dR || sameTime) && full.p[a]-full.p[c] > dP &&
+					full.nodesW[c] <= full.nodesW[a] && full.switchW[c] <= full.switchW[a] {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				out = append(out, full.groups[a])
+			}
+		}
+	}
+	return out
+}
+
+// TestFrontierStaircaseUndominatedSet: the reduction keeps exactly the
+// undominated choices, in enumeration order, on random spaces with and
+// without a budget (switches on a random type), and on the paper's
+// DVFS space with and without the paper's budget at 1 kW.
+func TestFrontierStaircaseUndominatedSet(t *testing.T) {
+	check := func(label string, limits []cluster.Limit, wl *workload.Profile, b *cluster.PowerBudget) {
+		t.Helper()
+		sp := &spaceSoA{}
+		sp.build(limits, model.NewTable(wl, model.Options{}), b, true)
+		got, want := sp.groups[:sp.typeOff[sp.nTypes]], undominated(limits, wl, b)
+		if len(got) != len(want) {
+			t.Fatalf("%s: kept %d choices, want %d", label, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("%s: choice %d is %+v, want %+v", label, k, got[k], want[k])
+			}
+		}
+	}
+	for iter := range metamorphicIterations() {
+		rng := stats.NewRNG(0x5EED0006 + uint64(iter))
+		limits, wl := randomSpace(t, rng)
+		budget := &cluster.PowerBudget{Cap: units.Watts(50 + rng.Float64()*400),
+			Switched: limits[rng.Intn(len(limits))].Type.Name, Switch: hardware.DefaultSwitch()}
+		for _, b := range []*cluster.PowerBudget{nil, budget} {
+			check(fmt.Sprintf("iter %d budget %v", iter, b != nil), limits, wl, b)
+		}
+	}
+	limits := paperLimits(t, 10, 10, true)
+	paper := &cluster.PowerBudget{Cap: 1000, Switched: "A9", Switch: hardware.DefaultSwitch()}
+	for _, wl := range paperWorkloads(t) {
+		for _, b := range []*cluster.PowerBudget{nil, paper} {
+			check(fmt.Sprintf("%s budget %v", wl.Name, b != nil), limits, wl, b)
+		}
+	}
+}
+
+// TestFrontierStaircaseSizes pins the per-type staircases of the
+// paper's 10x10 DVFS space (DESIGN.md §16): kept A9/K10 choices and the
+// configurations the walk visits, of 36,380.
+func TestFrontierStaircaseSizes(t *testing.T) {
+	want := map[string][3]int32{
+		workload.NameEP: {28, 30, 898}, "memcached": {43, 31, 1407}, workload.NameX264: {35, 28, 1043},
+		"blackscholes": {28, 30, 898}, "Julius": {32, 30, 1022}, "RSA-2048": {29, 32, 989},
+	}
+	limits := paperLimits(t, 10, 10, true)
+	for _, wl := range paperWorkloads(t) {
+		sp := &spaceSoA{}
+		sp.build(limits, model.NewTable(wl, model.Options{}), nil, true)
+		a9, k10 := sp.typeOff[1]-sp.typeOff[0], sp.typeOff[2]-sp.typeOff[1]
+		if got := [3]int32{a9, k10, (1+a9)*(1+k10) - 1}; got != want[wl.Name] {
+			t.Errorf("%s: kept A9/K10 and walked %v, want %v", wl.Name, got, want[wl.Name])
+		}
+	}
+}
+
+// TestFrontierStaircaseFallingShare: a type whose rated peak is
+// negative (meaningless, but not rejected) has a budget share that
+// falls as nodes are added, so a choice with fewer nodes may cost more
+// than one with more. One fast X node beats two slow ones on rate (2.4
+// vs 2) and p (80 vs ~102 W) but costs more, and under the cap only
+// two X nodes fit beside the fast, frugal Y; there two slow X nodes
+// draw less than two fast ones, so Y with them is on the frontier. The
+// type keeps every choice and the sweep equals the Reference.
+func TestFrontierStaircaseFallingShare(t *testing.T) {
+	x := &hardware.NodeType{Name: "X", Cores: 1,
+		Freq:         hardware.DVFS{Steps: []units.Hertz{0.5 * units.GHz, 1.2 * units.GHz}, DynamicExponent: 1},
+		NICBandwidth: 1e9, Power: hardware.PowerParams{CPUActPerCore: 50, Idle: 30}, NominalPeak: -60}
+	y := &hardware.NodeType{Name: "Y", Cores: 1,
+		Freq:         hardware.DVFS{Steps: []units.Hertz{1 * units.GHz}, DynamicExponent: 1},
+		NICBandwidth: 1e9, Power: hardware.PowerParams{CPUActPerCore: 0.5, Idle: 0.5}, NominalPeak: 100}
+	wl := workload.NewProfile("falling", workload.DomainSynthetic, "units", 1e3)
+	for name, cycles := range map[string]units.Cycles{"X": 1e9, "Y": 1e7} {
+		if err := wl.SetDemand(name, workload.Demand{CoreCycles: cycles, Intensity: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	limits := []cluster.Limit{{Type: x, MaxNodes: 2}, {Type: y, MaxNodes: 1}}
+	b := &cluster.PowerBudget{Cap: 30}
+	want := referenceSweep(t, limits, wl, b)
+	if slow := want[len(want)-1].Config; len(want) != 2 || slow.Count("Y") != 1 || slow.Count("X") != 2 || slow.Groups[0].Freq != 0.5*units.GHz {
+		t.Fatalf("reference frontier %v, want Y with two fast X, then Y with two slow X", want)
+	}
+	got, _ := fastSweep(t, limits, wl, b)
+	frontiersBitIdentical(t, "falling share", got, want)
+}
+
+// TestFrontierBudgetFractionalBoundary: with fractional rated peaks
+// (4.7 W A9, 61.3 W K10, whose sums round differently in different
+// orders), a cap set to exactly each mix's PowerBudget.Peak filters the
+// same configurations on the fast path, whose walk and closed form sum
+// the shares themselves, as on the Reference path, with the same
+// frontier.
+func TestFrontierBudgetFractionalBoundary(t *testing.T) {
+	limits := paperLimits(t, 24, 4, false)
+	a9, k10 := *limits[0].Type, *limits[1].Type
+	a9.NominalPeak, k10.NominalPeak = 4.7, 61.3
+	limits[0].Type, limits[1].Type = &a9, &k10
+	wl := paperWorkloads(t)[0]
+	for nW := 0; nW <= limits[0].MaxNodes; nW++ {
+		for nB := 0; nB <= limits[1].MaxNodes; nB++ {
+			if nW+nB == 0 {
+				continue
+			}
+			b := &cluster.PowerBudget{Switched: "A9", Switch: hardware.DefaultSwitch()}
+			b.Cap = b.Peak(cluster.MustConfig(cluster.FullNodes(&a9, nW), cluster.FullNodes(&k10, nB)))
+			label := fmt.Sprintf("cap %v (%d A9 + %d K10)", b.Cap, nW, nB)
+			var st, ref SweepStats
+			got, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Budget: b, Stats: &st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true, Budget: b, Stats: &ref})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frontiersBitIdentical(t, label, got, want)
+			if st.Evaluated+st.Pruned != ref.Evaluated || st.Skipped != ref.Skipped || st.Filtered != ref.Filtered {
+				t.Fatalf("%s: stats %+v, reference %+v", label, st, ref)
+			}
+		}
+	}
+}

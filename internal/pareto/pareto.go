@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // Point is one evaluated configuration.
@@ -74,31 +73,6 @@ func Frontier(points []Point) []Point {
 		i = j
 	}
 	return out
-}
-
-// Evaluate runs the model over every configuration and returns the
-// evaluated points, skipping configurations the workload cannot run on
-// (missing demand vectors).
-func Evaluate(configs []cluster.Config, wl *workload.Profile, opt model.Options) []Point {
-	out := make([]Point, 0, len(configs))
-	for _, cfg := range configs {
-		res, err := model.Evaluate(cfg, wl, opt)
-		if err != nil {
-			continue
-		}
-		out = append(out, Point{Config: cfg, Time: res.Time, Energy: res.Energy, Result: res})
-	}
-	return out
-}
-
-// FrontierFor is the common pipeline: enumerate limits, evaluate the
-// workload, return the frontier.
-func FrontierFor(limits []cluster.Limit, wl *workload.Profile, opt model.Options) ([]Point, error) {
-	configs, err := cluster.EnumerateAll(limits)
-	if err != nil {
-		return nil, err
-	}
-	return Frontier(Evaluate(configs, wl, opt)), nil
 }
 
 // SweetRegion returns the frontier points meeting a deadline within an

@@ -25,6 +25,19 @@ func dominates(a, b Point) bool {
 	return a.Time < b.Time || a.Energy < b.Energy
 }
 
+// evaluateAll runs the model over every configuration, skipping those
+// the workload cannot run: the plain oracle some tests need every
+// evaluated point of.
+func evaluateAll(configs []cluster.Config, wl *workload.Profile) []Point {
+	var out []Point
+	for _, cfg := range configs {
+		if res, err := model.Evaluate(cfg, wl, model.Options{}); err == nil {
+			out = append(out, Point{Config: cfg, Time: res.Time, Energy: res.Energy, Result: res})
+		}
+	}
+	return out
+}
+
 func TestFrontierBasic(t *testing.T) {
 	points := []Point{
 		mkPoint(1, 10), // fast, expensive: on frontier
@@ -120,7 +133,7 @@ func paperFrontier(t *testing.T, wlName string) []Point {
 		{Type: a9, MaxNodes: 32, FixCoresAndFreq: true},
 		{Type: k10, MaxNodes: 12, FixCoresAndFreq: true},
 	}
-	front, err := FrontierFor(limits, wl, model.Options{})
+	front, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +234,7 @@ func TestMinEDPOnFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := Evaluate(configs, wl, model.Options{})
+	all := evaluateAll(configs, wl)
 	bestAll, ok := MinEDP(all)
 	if !ok {
 		t.Fatal("no EDP optimum")
@@ -249,12 +262,15 @@ func TestEvaluateSkipsUnsupportedConfigs(t *testing.T) {
 	if err := p.SetDemand("A9", workload.Demand{CoreCycles: 100, Intensity: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	configs := []cluster.Config{
-		cluster.MustConfig(cluster.FullNodes(a9, 2)),
-		cluster.MustConfig(cluster.FullNodes(a15, 2)), // unsupported
-	}
-	pts := Evaluate(configs, p, model.Options{})
-	if len(pts) != 1 {
-		t.Errorf("evaluated %d configs, want 1 (unsupported skipped)", len(pts))
+	// Of the 8 configurations, the 6 holding A15 nodes are unsupported.
+	limits := []cluster.Limit{{Type: a9, MaxNodes: 2, FixCoresAndFreq: true}, {Type: a15, MaxNodes: 2, FixCoresAndFreq: true}}
+	for _, reference := range []bool{true, false} {
+		var st SweepStats
+		if _, err := FrontierSweep(limits, p, model.Options{}, SweepOptions{Reference: reference, Stats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		if st.Evaluated+st.Pruned != 2 || st.Skipped != 6 {
+			t.Errorf("reference %v: stats %+v, want 2 evaluated and 6 skipped", reference, st)
+		}
 	}
 }

@@ -113,7 +113,7 @@ func TestFastSweepPropertyRandomSpaces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Frontier(Evaluate(configs, wl, model.Options{}))
+		want := Frontier(evaluateAll(configs, wl))
 
 		fast, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{})
 		if err != nil {
@@ -136,7 +136,7 @@ func TestFastSweepPropertyRandomSpaces(t *testing.T) {
 				kept = append(kept, cfg)
 			}
 		}
-		wantFiltered := Frontier(Evaluate(kept, wl, model.Options{}))
+		wantFiltered := Frontier(evaluateAll(kept, wl))
 		fastFiltered, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Budget: budget})
 		if err != nil {
 			t.Fatal(err)

@@ -81,7 +81,7 @@ type SweepOptions struct {
 
 // FrontierSweep is the instrumented frontier pipeline. By default it
 // runs the memoized closed-form engine (see fastsweep.go): per-type
-// dominance staircases over a snapshotted unit-calc table, an
+// dominance staircases over a memoized unit-calc table, an
 // allocation-free walk of their product and a running Pareto staircase
 // — with results identical, point for point, to evaluating the full
 // space through model.Evaluate. SweepOptions.Reference

@@ -181,7 +181,7 @@ func TestSweepMatchesUninstrumented(t *testing.T) {
 }
 
 // TestFrontierSweepMatchesSequential: the sweep-engine frontier equals
-// the sequential FrontierFor one.
+// the sequential Reference one.
 func TestFrontierSweepMatchesSequential(t *testing.T) {
 	reg, err := workload.PaperRegistry(hardware.DefaultCatalog())
 	if err != nil {
@@ -192,7 +192,7 @@ func TestFrontierSweepMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	limits := paperLimits(t, 6, 3, true)
-	seq, err := FrontierFor(limits, wl, model.Options{})
+	seq, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}

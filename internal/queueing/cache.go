@@ -28,19 +28,20 @@ import (
 const rhoQuantBits = 40
 
 // pctCacheMaxEntries bounds one generation of the memo; when a shard
-// outgrows its share the generation is dropped and refilled. The
-// working set that pays across requests fits: an epserve load over a
-// fixed grid of 256 utilizations and three percentiles holds 768
-// M/D/1 cells, at most 55 of them in one shard of 64. Other hits come
-// from inside one request — a frontier annotation's points share one
-// cell, an adaptive replay's ~880 cells serve its ~1,100 hits — and
-// what such a request leaves behind is never read again: a frontier
-// annotation at a fresh utilization leaves one ~111-byte cell. A
-// larger generation only holds more of those dead cells between
-// resets, and the garbage collector's heap target doubles them in
-// resident memory, while a smaller one cuts into a replay request's
-// own hits whenever a reset falls inside it.
-const pctCacheMaxEntries = 1 << 10
+// outgrows its share (256 cells) the generation is dropped and
+// refilled, and queueing.cache_resets counts the drop. The working sets
+// that pay fit one generation: an epserve load over a fixed grid of 256
+// utilizations and three percentiles holds 768 M/D/1 cells, and a
+// sweep grid of 189 utilizations by five percentiles 945, at most 68
+// in one shard (TestPercentileCacheShardSpread); an adaptive replay
+// request makes ~880 cells that serve its ~1,100 hits. What a request
+// leaves behind is mostly never read again — a frontier annotation at a
+// fresh utilization leaves one ~111-byte cell, a replay its ~880 — so a
+// larger generation would only hold more dead cells between resets
+// (2^15 cells lifted frontier-dvfs peak RSS by 15% at a sweep's
+// request rate), while a smaller one drops a replay's own cells in the
+// middle of the request (at 2^10 its hit ratio fell from 0.56 to 0.35).
+const pctCacheMaxEntries = 1 << 12
 
 // pctShardCount lock-stripes the memo. One RWMutex serializes every
 // warm epserve percentile request through a single cache line; under
@@ -187,6 +188,22 @@ func init() { pctCache.Store(new(pctGeneration)) }
 // complete against it and are then unreachable.
 func resetPercentileCache() {
 	pctCache.Store(new(pctGeneration))
+}
+
+// forgetCell drops the cell of (kind, shapeBits, rho, target) from the
+// current generation if it is there, for a caller whose query will not
+// come back (Spec.ForgetResponsePercentile). A lookup that already
+// holds the cell completes against it; a later one misses and solves
+// again, to the same bits.
+func forgetCell(kind uint8, shapeBits uint64, rho, target float64) {
+	key := pctKey{rho: quantizeRho(rho), target: math.Float64bits(target), kind: kind, shape: shapeBits}
+	sh := pctCache.Load().shard(key)
+	sh.mu.Lock()
+	if _, ok := sh.m[key]; ok {
+		delete(sh.m, key)
+		sh.size.Add(-1)
+	}
+	sh.mu.Unlock()
 }
 
 // percentileCell is the one entry point of the memo: it quantizes rho,

@@ -209,7 +209,10 @@ func TestPercentileCacheResetOnOverflow(t *testing.T) {
 // TestPercentileCacheShardSpread: a realistic utilization grid must not
 // collapse onto one stripe — the whole point of sharding is spreading
 // the lock. A loose bound (no empty majority, no stripe holding more
-// than half the keys) keeps the test robust to hash tweaks.
+// than half the keys) keeps the test robust to hash tweaks. The grid's
+// 945 keys must also fit one generation with room to spare: a client
+// cycling through them would otherwise reset the whole cache over and
+// over.
 func TestPercentileCacheShardSpread(t *testing.T) {
 	resetPercentileCache()
 	defer resetPercentileCache()
@@ -226,11 +229,17 @@ func TestPercentileCacheShardSpread(t *testing.T) {
 	if len(counts) < pctShardCount/2 {
 		t.Fatalf("grid of %d keys landed in only %d/%d shards", total, len(counts), pctShardCount)
 	}
+	fullest := 0
 	for _, n := range counts {
 		if n > total/2 {
 			t.Fatalf("one shard holds %d of %d keys", n, total)
 		}
+		fullest = max(fullest, n)
 	}
+	if 2*fullest > pctShardMaxEntries {
+		t.Fatalf("the fullest shard holds %d of the grid's %d keys, over half its bound of %d", fullest, total, pctShardMaxEntries)
+	}
+	t.Logf("fullest shard: %d keys of %d (bound %d)", fullest, total, pctShardMaxEntries)
 }
 
 // TestPercentileCacheGenerationInvariants: entries created in a
@@ -460,4 +469,74 @@ func TestPercentileCacheNoCrossKernelBleed(t *testing.T) {
 	if got := reg.Counter("queueing.percentile_cache_hits").Value(); got != hitsBefore+8 {
 		t.Errorf("warm kernel repeats: hits %d, want %d", got, hitsBefore+8)
 	}
+}
+
+// TestForgetResponsePercentile: ForgetResponsePercentile drops exactly
+// the cells a response-percentile solve at (rho, p) created — the
+// M/D/1 cell, plus the sojourn cell for M/G/1; M/M/k keeps none — and
+// the next solve misses, refills and returns the same bits.
+func TestForgetResponsePercentile(t *testing.T) {
+	resetPercentileCache()
+	defer resetPercentileCache()
+	for _, tc := range []struct {
+		spec  Spec
+		cells int64
+	}{{Spec{Kind: KindMD1}, 1}, {Spec{Kind: KindMG1, SCV: 0.5}, 2}, {Spec{Kind: KindMMK, Servers: 4}, 0}} {
+		solve := func() float64 {
+			t.Helper()
+			k, err := tc.spec.Build(0.63, 2.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := k.ResponsePercentile(95)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		first := solve()
+		if got := pctCache.Load().size(); got != tc.cells {
+			t.Fatalf("%v: solve left %d cells, want %d", tc.spec, got, tc.cells)
+		}
+		tc.spec.ForgetResponsePercentile(0.63, 95)
+		if got := pctCache.Load().size(); got != 0 {
+			t.Fatalf("%v: %d cells left after forgetting", tc.spec, got)
+		}
+		if again := solve(); math.Float64bits(again) != math.Float64bits(first) {
+			t.Fatalf("%v: %g after forgetting, %g before", tc.spec, again, first)
+		}
+		if got := pctCache.Load().size(); got != tc.cells {
+			t.Fatalf("%v: re-solve left %d cells, want %d", tc.spec, got, tc.cells)
+		}
+		tc.spec.ForgetResponsePercentile(0.63, 95)
+	}
+
+	// Solves and forgets racing on shared cells: every answer keeps its
+	// bits, whether it found the cell, refilled it or solved into one
+	// already dropped.
+	spec := Spec{Kind: KindMG1, SCV: 0.5}
+	want := map[float64]float64{}
+	for _, u := range []float64{0.31, 0.63, 0.87} {
+		k, _ := spec.Build(u, 2.5)
+		want[u], _ = k.ResponsePercentile(95)
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				u := []float64{0.31, 0.63, 0.87}[(g+i)%3]
+				k, _ := spec.Build(u, 2.5)
+				if r, err := k.ResponsePercentile(95); err != nil || math.Float64bits(r) != math.Float64bits(want[u]) {
+					t.Errorf("u=%g: %g (%v), want %g", u, r, err, want[u])
+					return
+				}
+				if i%2 == 0 {
+					spec.ForgetResponsePercentile(u, 95)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -189,6 +189,24 @@ func (s Spec) Build(rho, serviceTime float64) (Kernel, error) {
 	return NewMD1FromUtilization(rho, serviceTime)
 }
 
+// ForgetResponsePercentile drops from the percentile memo the cells a
+// kernel built by s.Build(rho, ·) keys its p-th response percentile on,
+// whatever its service time: the M/D/1 wait cell, and for M/G/1 also
+// the sojourn cell. It is for callers whose (rho, p) will not come
+// back: a frontier annotation's points share one cell, which a stream
+// of frontiers at fresh utilizations would otherwise leave dead in the
+// memo until a generation overflows. M/M/k solves keep no cells.
+func (s Spec) ForgetResponsePercentile(rho, p float64) {
+	target := p / 100
+	switch s.Kind {
+	case KindMMK:
+		return
+	case KindMG1:
+		forgetCell(pctKindMG1Resp, math.Float64bits(s.SCV), rho, target)
+	}
+	forgetCell(pctKindMD1, 0, rho, target)
+}
+
 // ConformanceSpecs returns the registered kernel parameterizations the
 // shared conformance suite pins: the M/D/1 default, M/G/1 across the
 // SCV ladder (deterministic, Erlang-like, exponential, hyperexponential)

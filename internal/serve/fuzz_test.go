@@ -57,6 +57,10 @@ func FuzzServeGET(f *testing.F) {
 		"/v1/frontier?max_a9=2&max_k10=1&u=NaN",
 		"/v1/frontier?max_a9=2&max_k10=1&u=0.5&p=Inf",
 		"/v1/frontier?max_a9=2&max_k10=1&u=0.5&kernel=mg1&scv=NaN",
+		// Spaces at the per-request cap whose one type keeps nearly
+		// every choice on its staircase (TestFrontierLargeSingleType).
+		"/v1/frontier?workload=EP&max_a9=131071&max_k10=0",
+		"/v1/frontier?workload=EP&dvfs=1&max_a9=6553&max_k10=0",
 		// A count whose configuration space overflows.
 		"/v1/frontier?max_a9=4611686018427387904&max_k10=1",
 		// TestNearSaturationPercentiles

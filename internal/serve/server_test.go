@@ -137,6 +137,46 @@ func TestNearSaturationPercentiles(t *testing.T) {
 	}
 }
 
+// TestFrontierLargeSingleType: a space at the per-request cap whose
+// one node type keeps nearly every choice on its staircase (a single
+// operating point, or all of them at one frequency, where rate and p
+// both grow with the node count) answers 200 inside a 1s deadline — 10s
+// under the race detector, which slows the sweep about tenfold — and,
+// without it, in under a second of wall time.
+func TestFrontierLargeSingleType(t *testing.T) {
+	srv, err := New(Config{Telemetry: telemetry.New()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	timeout := "1s"
+	if raceEnabled {
+		timeout = "10s"
+	}
+	for _, q := range []string{
+		"workload=EP&max_a9=131071&max_k10=0",
+		"workload=EP&dvfs=1&max_a9=6553&max_k10=0",
+		"workload=memcached&dvfs=1&max_a9=6553&max_k10=0&power=1000",
+	} {
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/frontier?timeout="+timeout+"&"+q, nil))
+		elapsed := time.Since(start)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d, want 200: %s", q, rec.Code, rec.Body.String())
+		}
+		var resp FrontierResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("GET %s: %v", q, err)
+		}
+		if resp.Explored < 131000 || len(resp.Frontier) == 0 {
+			t.Errorf("GET %s: explored %d with %d frontier points", q, resp.Explored, len(resp.Frontier))
+		}
+		if !raceEnabled && elapsed > time.Second {
+			t.Errorf("GET %s took %v, want under 1s", q, elapsed)
+		}
+	}
+}
+
 // TestNonFiniteQueryParams: every float query parameter of
 // /v1/percentiles and /v1/frontier answers NaN, Inf and -Inf with 400
 // bad_request — never a 500 from the JSON encoder, and never a 200
