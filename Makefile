@@ -63,19 +63,19 @@ test-race:
 	$(GO) test -race ./...
 
 # Alias: the observability docs and CI refer to `make race`. The extra
-# invocations hammer the queueing percentile cache and the full serve
-# path specifically — the shared-mutable structures concurrent HTTP
-# load contends on.
+# invocations hammer concurrent percentile solves (which must share no
+# state) and the full serve path specifically — what concurrent HTTP
+# load exercises.
 race: test-race
-	$(GO) test -race -run TestPercentileCacheConcurrent -count 2 ./internal/queueing/
+	$(GO) test -race -run TestPercentileConcurrentSameBits -count 2 ./internal/queueing/
 	$(GO) test -race -run TestServeRaceHammer -count 2 ./internal/serve/
 	$(GO) test -race -count 2 ./internal/replay/
 
 # ci is the full gate the workflow runs: formatting, vet, tier-1
 # build+test, targeted race runs over the concurrency-heavy packages
-# (queueing percentile cache, serve streaming, replay fan-out, the
-# sweep worker pool, and the memoized frontier engine's shared
-# unit-calc table), the frontier
+# (concurrent percentile solves, serve streaming and its frontier
+# flight, replay, the sweep worker pool, and the memoized frontier
+# engine's shared unit-calc table), the frontier
 # fast-vs-reference differential smoke over the full footnote-4 space,
 # the epserve end-to-end smoke, the fleet-scenario smoke (schema checks
 # plus race-detected runs), and a short fuzz smoke over the parser,
@@ -103,9 +103,9 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./... | tee bench.out
 
 # Queueing-kernel benchmarks with the headline speedups distilled into
-# BENCH_queueing.json (fast Crommelin kernel and percentile cache versus
-# the preserved reference implementation, plus the M/G/1 and Erlang-C
-# kernels behind the same interface).
+# BENCH_queueing.json (the float64 M/D/1 kernel versus the preserved
+# reference implementation, plus the M/G/1 and Erlang-C kernels behind
+# the same interface).
 bench-queueing:
 	$(GO) test -bench 'BenchmarkWaitCDF|BenchmarkResponsePercentile|BenchmarkMG1|BenchmarkMMK|BenchmarkErlangC' \
 		-benchmem -run '^$$' ./internal/queueing/ | tee bench_queueing.out

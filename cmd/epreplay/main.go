@@ -60,7 +60,6 @@ type options struct {
 	percentiles  string
 	hysteresis   float64
 	switchEnergy float64
-	workers      int
 	format       string
 	nodes        string
 	workloads    string
@@ -89,7 +88,6 @@ func main() {
 	flag.StringVar(&o.percentiles, "percentiles", "95,99", "comma-separated response percentiles to evaluate")
 	flag.Float64Var(&o.hysteresis, "hysteresis", 0.05, "switching hysteresis margin")
 	flag.Float64Var(&o.switchEnergy, "switch-energy", 0, "joules charged per configuration switch")
-	flag.IntVar(&o.workers, "workers", 0, "parallel workers for the percentile evaluation (0 = GOMAXPROCS)")
 	flag.StringVar(&o.format, "format", "text", "output format: text, json or csv")
 	flag.StringVar(&o.nodes, "nodes", "", "JSON file with extra node types")
 	flag.StringVar(&o.workloads, "workloads", "", "JSON file with extra workload profiles")
@@ -172,7 +170,6 @@ func run(ctx context.Context, o options, w io.Writer) error {
 		Adaptive:      o.adaptive,
 		Policy:        adaptive.Policy{SLO: o.slo.Seconds(), Percentile: o.sloPct, Hysteresis: o.hysteresis},
 		SwitchEnergy:  o.switchEnergy,
-		Workers:       o.workers,
 	}
 
 	switch o.format {

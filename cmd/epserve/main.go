@@ -43,7 +43,6 @@ func main() {
 	queue := flag.Int("queue", 0, "max requests waiting for a slot before shedding (0 = 4*inflight, negative = no queue)")
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = 10s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested ?timeout= (0 = 60s)")
-	workers := flag.Int("workers", 0, "worker-pool width for batch items, frontier latency annotation and replay steps (0 = GOMAXPROCS)")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 	slow := flag.Duration("slow-request", 0, "latency threshold for sampled slow-request warn logs (0 = 1s, negative disables)")
 	logs := cli.AddLogFlags(nil)
@@ -53,12 +52,12 @@ func main() {
 	if err != nil {
 		cli.Fatal("epserve", err)
 	}
-	if err := run(*addr, *addrFile, *nodes, *wls, *inflight, *queue, *timeout, *maxTimeout, *workers, *drain, *slow, logger); err != nil {
+	if err := run(*addr, *addrFile, *nodes, *wls, *inflight, *queue, *timeout, *maxTimeout, *drain, *slow, logger); err != nil {
 		cli.Fatal("epserve", err)
 	}
 }
 
-func run(addr, addrFile, nodesPath, wlsPath string, inflight, queue int, timeout, maxTimeout time.Duration, workers int, drain, slow time.Duration, logger *slog.Logger) error {
+func run(addr, addrFile, nodesPath, wlsPath string, inflight, queue int, timeout, maxTimeout, drain, slow time.Duration, logger *slog.Logger) error {
 	catalog, registry, err := cli.LoadEnvironment(nodesPath, wlsPath)
 	if err != nil {
 		return err
@@ -76,7 +75,6 @@ func run(addr, addrFile, nodesPath, wlsPath string, inflight, queue int, timeout
 		MaxQueue:       queue,
 		DefaultTimeout: timeout,
 		MaxTimeout:     maxTimeout,
-		Workers:        workers,
 	})
 	if err != nil {
 		return err

@@ -148,8 +148,7 @@ func Plan(candidates []*energyprop.Analysis, policy Policy, grid []float64) (*En
 
 	// Phase 1 — precompute: every (grid point, candidate) evaluation is
 	// pure, so the utilization/power/response matrix fans out across a
-	// worker pool; the queueing layer's percentile cache deduplicates
-	// repeated (rho, p) searches underneath.
+	// worker pool.
 	evals := evaluateCandidates(candidates, policy, grid, refRate)
 
 	// Phase 2 — decide: the sequential pass that carries hysteresis

@@ -128,11 +128,8 @@ func (a *Analysis) SweepParallel(grid []float64, workers int, f func(u float64) 
 
 // ResponsePercentilesAt computes the p-th percentile response time at
 // every utilization of the grid — the U x percentile surface behind
-// Figures 11/12 — fanning the searches across a worker pool. Each point
-// resolves through the queueing package's scale-invariant percentile
-// cache, so across many configurations on a shared utilization grid only
-// the first sweep at each (rho, p) pays for a search. workers <= 0 uses
-// GOMAXPROCS.
+// Figures 11/12 — fanning the searches across a worker pool. workers
+// <= 0 uses GOMAXPROCS.
 func (a *Analysis) ResponsePercentilesAt(grid []float64, p float64, workers int) ([]float64, error) {
 	return a.ResponsePercentilesAtContext(context.Background(), grid, p, workers)
 }
@@ -149,7 +146,7 @@ func (a *Analysis) ResponsePercentilesAtContext(ctx context.Context, grid []floa
 // ResponsePercentilesAtKernelContext is the kernel-agnostic grid sweep:
 // the same fan-out as ResponsePercentilesAtContext, but each point
 // evaluates the kernel selected by spec. With the default spec it is
-// ResponsePercentilesAtContext exactly (same cache, same bits).
+// ResponsePercentilesAtContext exactly (same solves, same bits).
 func (a *Analysis) ResponsePercentilesAtKernelContext(ctx context.Context, grid []float64, p float64, spec queueing.Spec, workers int) ([]float64, error) {
 	span := telemetry.StartSpan("energyprop.response_sweep").
 		Arg("points", len(grid)).Arg("p", p).Arg("kernel", spec.String())

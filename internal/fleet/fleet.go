@@ -513,9 +513,8 @@ func (s *Simulator) schedulePowerSampler() {
 // service rate is the alive capacity, loaded with the offered rate; a
 // fleet that cannot carry the offered load (rho >= 1, or no capacity
 // at all) counts a saturated sample instead of a latency. Utilization
-// is quantized so steady stretches of a run resolve through the shared
-// kernel percentile cache rather than re-running the solver, keeping
-// the probe a pure deterministic function of fleet state.
+// is quantized to 1e-4, keeping the probe a pure deterministic function
+// of fleet state.
 func (s *Simulator) sampleLatency(aliveCap float64, alive int) {
 	ls := s.spec.Latency
 	if aliveCap <= 0 {

@@ -2,11 +2,9 @@ package pareto
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/queueing"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -16,14 +14,16 @@ import (
 // selected by spec (the zero spec is the paper's M/D/1). Each point's
 // aggregate service time is its model job time, so the annotation ranks
 // frontier configurations by how their time-energy trade-off holds up
-// once queueing delay is priced in. The searches fan out through the
-// shared sweep pool and resolve through the kernel percentile cache,
-// whose cell for (u, p) is dropped on return; the result is aligned
-// with points. workers <= 0 uses GOMAXPROCS.
+// once queueing delay is priced in. The points are solved in order on
+// the caller's goroutine, a microsecond or two each, checking ctx
+// between them; the result is aligned with points. A request-scoped
+// caller sees the annotation as the pareto.annotate_latencies phase.
+// workers is ignored.
 func AnnotateLatencies(ctx context.Context, points []Point, u, p float64, spec queueing.Spec, workers int) ([]float64, error) {
 	span := telemetry.StartSpan("pareto.annotate_latencies").
 		Arg("points", len(points)).Arg("u", u).Arg("p", p).Arg("kernel", spec.String())
 	defer span.End()
+	defer telemetry.RequestFrom(ctx).Phase("pareto.annotate_latencies")()
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("pareto: latency annotation: %w", err)
 	}
@@ -33,31 +33,21 @@ func AnnotateLatencies(ctx context.Context, points []Point, u, p float64, spec q
 	if p < 0 || p >= 100 {
 		return nil, fmt.Errorf("pareto: latency annotation needs percentile in [0,100), got %g", p)
 	}
-	// Every point's kernel keys its solve on u's memo cell (its rho,
-	// (u/t)*t, lies within an ulp or two of u and so quantizes alike
-	// unless u sits on a lattice midpoint), dropped once the points are
-	// done: at a fresh utilization nothing reads it again.
-	defer spec.ForgetResponsePercentile(u, p)
 	out := make([]float64, len(points))
-	errs := make([]error, len(points))
-	if err := sweep.ForEachContext(ctx, len(points), workers, func(i int) {
-		t := float64(points[i].Result.Time)
+	for i, pt := range points {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("pareto: latency annotation: %w", err)
+		}
+		t := float64(pt.Result.Time)
 		if t <= 0 {
-			errs[i] = errors.New("zero service time")
-			return
+			return nil, fmt.Errorf("pareto: latency for %s: zero service time", pt.Config)
 		}
 		k, err := spec.Build(u, t)
-		if err != nil {
-			errs[i] = err
-			return
+		if err == nil {
+			out[i], err = k.ResponsePercentile(p)
 		}
-		out[i], errs[i] = k.ResponsePercentile(p)
-	}); err != nil {
-		return nil, fmt.Errorf("pareto: latency annotation: %w", err)
-	}
-	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("pareto: latency for %s: %w", points[i].Config, err)
+			return nil, fmt.Errorf("pareto: latency for %s: %w", pt.Config, err)
 		}
 	}
 	return out, nil

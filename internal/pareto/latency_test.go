@@ -2,7 +2,9 @@ package pareto
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -10,14 +12,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestAnnotateLatenciesDropsItsCell: an annotation solves its (u, p)
-// once — one percentile-cache miss, a hit for every other point — and
-// drops the cell on return, so the same annotation again misses once
-// more and returns the same bits.
-func TestAnnotateLatenciesDropsItsCell(t *testing.T) {
-	reg := telemetry.New()
-	telemetry.SetGlobal(reg)
-	defer telemetry.SetGlobal(nil)
+// TestAnnotateLatenciesBitwise: each point's annotation is exactly its
+// own kernel's answer, spec.Build(u, t).ResponsePercentile(p), for
+// every kernel family; a request-scoped annotation records its phase,
+// and one whose context is done answers the context error.
+func TestAnnotateLatenciesBitwise(t *testing.T) {
 	front, err := FrontierSweep(paperLimits(t, 4, 2, true), paperWorkloads(t)[0], model.Options{}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -25,24 +24,38 @@ func TestAnnotateLatenciesDropsItsCell(t *testing.T) {
 	if len(front) < 2 {
 		t.Fatalf("frontier of %d points", len(front))
 	}
-	misses, hits := reg.Counter("queueing.percentile_cache_misses"), reg.Counter("queueing.percentile_cache_hits")
-	var first []float64
-	for round := uint64(1); round <= 2; round++ {
-		lat, err := AnnotateLatencies(context.Background(), front, 0.5371, 95, queueing.Spec{}, 1)
+	const u, p = 0.5371, 95
+	for _, spec := range []queueing.Spec{{}, {Kind: queueing.KindMG1, SCV: 0.5}, {Kind: queueing.KindMG1, SCV: 4},
+		{Kind: queueing.KindMMK, Servers: 4}} {
+		lat, err := AnnotateLatencies(context.Background(), front, u, p, spec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if misses.Value() != round || hits.Value() != round*uint64(len(front)-1) {
-			t.Fatalf("round %d: %d misses and %d hits over %d points", round, misses.Value(), hits.Value(), len(front))
-		}
-		if first == nil {
-			first = lat
-			continue
-		}
-		for i := range lat {
-			if math.Float64bits(lat[i]) != math.Float64bits(first[i]) {
-				t.Fatalf("point %d: %g, then %g", i, first[i], lat[i])
+		for i, pt := range front {
+			k, err := spec.Build(u, float64(pt.Result.Time))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := k.ResponsePercentile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(lat[i]) != math.Float64bits(want) {
+				t.Fatalf("%v point %d (%s): annotated %.17g, own solve %.17g", spec, i, pt.Config, lat[i], want)
 			}
 		}
+	}
+
+	rc := telemetry.NewRequestContext("r1", "frontier")
+	if _, err := AnnotateLatencies(telemetry.WithRequest(context.Background(), rc), front, u, p, queueing.Spec{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if tl := rc.TimelineString(); !strings.Contains(tl, "pareto.annotate_latencies@") {
+		t.Fatalf("timeline %q lacks the annotation phase", tl)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := AnnotateLatencies(ctx, front, u, p, queueing.Spec{}, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled annotation: %v, want context.Canceled", err)
 	}
 }

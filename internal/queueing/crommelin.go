@@ -101,7 +101,7 @@ func clamp01(v float64) float64 {
 // tail's roots are solved lazily, once per md1Dist and only as many as
 // the evaluated t need. A percentile solve or a CDF batch holds one
 // md1Dist for its own lifetime, so root memory stays bounded by one
-// solve's; no cache cell keeps roots.
+// solve's.
 type md1Dist struct {
 	rho       float64
 	gamma, c0 float64 // dominant root and coefficient; 0 until needed
@@ -136,15 +136,23 @@ func (d *md1Dist) cdf(t float64) float64 {
 
 // md1Percentile returns the normalized wait w with F(w) = target, for
 // 1-rho < target < 1. It is a pure function of (rho, target).
+func md1Percentile(rho, target float64) float64 {
+	d := md1Dist{rho: rho}
+	return d.percentile(target)
+}
+
+// percentile is md1Percentile on d, whose tail roots a caller may share
+// with later evaluations at the same rho.
 //
 // Segment 0 is closed form, F(t) = (1-rho)*e^{rho*t}. Past it, the
-// solve is safeguarded Newton on ln(1 - F), which is nearly linear in
-// t, with the density from the same pass. The start is one Newton step
-// from t = 1, where F and f are closed form, while that lands in the
-// body. Otherwise the dominant tail term gives the start,
+// solve is safeguarded Newton on ln(1 - F) (solveTail), with the
+// density from the same pass. The start is one Newton step from t = 1,
+// where F and f are closed form, while that lands in the body.
+// Otherwise the dominant tail term gives the start,
 // t0 = ln(C0/(1-p))/gamma, and where that term alone is exact to the
 // tail tolerance at t0, t0 is the answer and no pass runs.
-func md1Percentile(rho, target float64) float64 {
+func (d *md1Dist) percentile(target float64) float64 {
+	rho := d.rho
 	c := 1 - rho
 	f1 := c * math.Exp(rho) // F(1)
 	if target <= f1 {
@@ -153,7 +161,6 @@ func md1Percentile(rho, target float64) float64 {
 	lq := math.Log1p(-target)
 	q1 := 1 - f1
 	t := 1 + q1*(math.Log(q1)-lq)/(rho*c*math.Expm1(rho)) // f(1) = rho*(F(1) - F(0))
-	d := md1Dist{rho: rho}
 	if !inBody(rho, t) {
 		d.dominant()
 		t = math.Max(1, (math.Log(d.c0)-lq)/d.gamma)
@@ -161,9 +168,21 @@ func md1Percentile(rho, target float64) float64 {
 			return t
 		}
 	}
-	lo, hi := 1.0, math.Inf(1)
-	for range 100 {
+	return solveTail(func(t float64) (float64, float64) {
 		_, q, pdf := d.at(t)
+		return q, pdf
+	}, lq, t, 1, math.Inf(1))
+}
+
+// solveTail returns the t in (lo, hi) with ln Q(t) = lq, where at
+// returns the complement Q = 1 - F and the density f of a continuous
+// CDF there. It runs Newton on ln Q from t: ln Q is nearly linear in a
+// queue's tail, so a few steps settle it. A step that leaves the
+// bracket bisects it instead, or doubles lo while hi is unbounded. The
+// first step shorter than 1e-8*t ends the solve.
+func solveTail(at func(t float64) (q, pdf float64), lq, t, lo, hi float64) float64 {
+	for range 100 {
+		q, pdf := at(t)
 		g := math.Log(q) - lq // > 0 while F(t) < target
 		step := q * g / pdf
 		if math.Abs(step) <= 1e-8*t {

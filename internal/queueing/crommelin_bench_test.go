@@ -43,7 +43,7 @@ func BenchmarkWaitCDFFloat64Path(b *testing.B) {
 }
 
 // coldRho yields a distinct utilization per iteration (golden-ratio
-// stride over [lo, hi)) so every query misses the percentile cache.
+// stride over [lo, hi)), so no two queries solve at the same point.
 func coldRho(i int, lo, hi float64) float64 {
 	const phi = 0.6180339887498949
 	f := float64(i) * phi
@@ -51,9 +51,8 @@ func coldRho(i int, lo, hi float64) float64 {
 }
 
 // benchColdP95 runs one never-seen rho from [lo, hi) per iteration
-// through the full cold path: cache miss plus solve.
+// through the full path: validation, the lattice and the solve.
 func benchColdP95(b *testing.B, lo, hi float64) {
-	resetPercentileCache()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := MD1{Lambda: coldRho(i, lo, hi), D: 1}
@@ -74,29 +73,9 @@ func BenchmarkResponsePercentileCold(b *testing.B) { benchColdP95(b, 0.85, 0.95)
 // rho ~ 0.29, segment Newton above.
 func BenchmarkResponsePercentileColdBody(b *testing.B) { benchColdP95(b, 0.1, 0.7) }
 
-// BenchmarkResponsePercentileWarm: repeated same-rho queries — the
-// cache-hit path every sweep consumer rides once a utilization has been
-// seen by any configuration.
-func BenchmarkResponsePercentileWarm(b *testing.B) {
-	resetPercentileCache()
-	q := MD1{Lambda: 0.9, D: 1}
-	if _, err := q.ResponsePercentile(95); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := q.ResponsePercentile(95)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = v
-	}
-}
-
 // BenchmarkResponsePercentileReference: the reference oracle —
-// bisection over the term-by-term big.Float CDF, no caching — on the
-// same cold query stream as BenchmarkResponsePercentileCold.
+// bisection over the term-by-term big.Float CDF — on the same query
+// stream as BenchmarkResponsePercentileCold.
 func BenchmarkResponsePercentileReference(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -110,9 +89,8 @@ func BenchmarkResponsePercentileReference(b *testing.B) {
 }
 
 // BenchmarkResponsePercentilesBatch: five percentiles in one batched
-// call, cold cache; the cost is per batch.
+// call; the cost is per batch.
 func BenchmarkResponsePercentilesBatch(b *testing.B) {
-	resetPercentileCache()
 	ps := []float64{50, 90, 95, 99, 99.9}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -27,9 +27,9 @@ func ExampleMD1_WaitPercentiles() {
 	// p99 wait = 21.898 s
 }
 
-// W/D depends only on the utilization rho, so the percentile cache is
-// keyed by (rho, p) alone: after the 1-second-job query above, this
-// 4-millisecond-job query at the same rho is a cache hit scaled by D.
+// W/D depends only on the utilization rho, so the percentile is solved
+// on the normalized queue: this 4-millisecond-job query at the same rho
+// as the 1-second-job query above is that solve scaled by D.
 func ExampleMD1_WaitPercentile() {
 	fast, err := queueing.NewMD1FromUtilization(0.9, 0.004)
 	if err != nil {

@@ -92,7 +92,7 @@ func TestWaitPercentileMatchesReference(t *testing.T) {
 
 // TestDScalingInvariance: WaitPercentile(p; lambda, D) must equal
 // D * WaitPercentile(p; lambda*D, 1) — the scale invariance the
-// percentile cache is built on.
+// normalized solve is built on.
 func TestDScalingInvariance(t *testing.T) {
 	for _, rho := range []float64{0.25, 0.6, 0.9} {
 		for _, d := range []float64{0.125, 0.9, 4, 17.5} {
@@ -186,8 +186,8 @@ func TestWaitPercentilesRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestQuantizeRho: the cache lattice must never round onto the unstable
-// boundary or the empty queue.
+// TestQuantizeRho: the rho lattice must never round onto the unstable
+// boundary or the empty queue, and leaves rho exact near saturation.
 func TestQuantizeRho(t *testing.T) {
 	for _, rho := range []float64{1e-16, 0.5, 1 - 1e-15} {
 		q := quantizeRho(rho)
@@ -198,9 +198,18 @@ func TestQuantizeRho(t *testing.T) {
 	if got := quantizeRho(0.75); got != 0.75 {
 		t.Errorf("exactly-representable rho moved: %g", got)
 	}
-	// Perturbations below the lattice spacing collapse onto one key.
+	// Perturbations below the lattice spacing collapse onto one point.
 	a, b := quantizeRho(0.7), quantizeRho(0.7+1e-15)
 	if a != b {
-		t.Errorf("adjacent rhos map to different keys: %g vs %g", a, b)
+		t.Errorf("adjacent rhos map to different points: %g vs %g", a, b)
+	}
+	// Past 0.9909 the lattice would move a percentile by over 1e-10.
+	for _, rho := range []float64{0.9910 + 1e-15, 0.999, 1 - 1e-11} {
+		if got := quantizeRho(rho); got != rho {
+			t.Errorf("quantizeRho(%.17g) = %.17g, want rho exact", rho, got)
+		}
+	}
+	if got := quantizeRho(0.9908 + 1e-15); got == 0.9908+1e-15 {
+		t.Errorf("quantizeRho(0.9908+1e-15) left rho off the lattice")
 	}
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // FuzzPercentileCacheDifferential drives the fast percentile kernel —
-// quantized-rho key, shared normalized-queue memo, incremental Crommelin
-// CDF — against the original big.Float reference search at the *exact*
-// rho, across randomized (rho, p, D). The 1e-9 relative budget covers
-// both the solver tolerance and the 2^-40 rho quantization (see cache.go
-// for the sensitivity bound). `make fuzz` runs this as a short smoke;
-// longer -fuzztime runs explore deeper.
+// rho on its 2^-40 lattice, the normalized-queue float64 solve — against
+// the original big.Float reference search at the *exact* rho, across
+// randomized (rho, p, D). The 1e-9 relative budget covers both the
+// solver tolerance and the lattice (see quantizeRho for the sensitivity
+// bound). `make fuzz` runs this as a short smoke; longer -fuzztime runs
+// explore deeper.
 func FuzzPercentileCacheDifferential(f *testing.F) {
 	f.Add(0.5, 95.0, 1.0)
 	f.Add(0.7, 99.0, 0.008765)

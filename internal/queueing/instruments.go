@@ -13,13 +13,10 @@ import (
 // was resolved against: telemetry.SetGlobal swaps are detected by a
 // single atomic load plus pointer compare per call.
 type queueingInstruments struct {
-	reg         *telemetry.Registry
-	cdfCalls    *telemetry.Counter
-	searches    *telemetry.Counter
-	cacheHits   *telemetry.Counter
-	cacheMisses *telemetry.Counter
-	cacheResets *telemetry.Counter
-	tracer      *telemetry.Tracer
+	reg      *telemetry.Registry
+	cdfCalls *telemetry.Counter
+	searches *telemetry.Counter
+	tracer   *telemetry.Tracer
 }
 
 var instrumentsCache atomic.Pointer[queueingInstruments]
@@ -33,13 +30,10 @@ func instruments() *queueingInstruments {
 		return ins
 	}
 	ins := &queueingInstruments{
-		reg:         reg,
-		cdfCalls:    reg.Counter("queueing.wait_cdf_calls"),
-		searches:    reg.Counter("queueing.percentile_searches"),
-		cacheHits:   reg.Counter("queueing.percentile_cache_hits"),
-		cacheMisses: reg.Counter("queueing.percentile_cache_misses"),
-		cacheResets: reg.Counter("queueing.cache_resets"),
-		tracer:      reg.Tracer(),
+		reg:      reg,
+		cdfCalls: reg.Counter("queueing.wait_cdf_calls"),
+		searches: reg.Counter("queueing.percentile_searches"),
+		tracer:   reg.Tracer(),
 	}
 	instrumentsCache.Store(ins)
 	return ins

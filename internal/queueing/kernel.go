@@ -110,8 +110,8 @@ type Spec struct {
 // DefaultSpec returns the M/D/1 default.
 func DefaultSpec() Spec { return Spec{Kind: KindMD1} }
 
-// IsDefault reports whether the spec selects the M/D/1 default, the
-// case request coalescing and golden outputs key on.
+// IsDefault reports whether the spec selects the M/D/1 default, whose
+// responses and golden outputs carry no kernel fields.
 func (s Spec) IsDefault() bool { return s.Kind == KindMD1 }
 
 // Validate checks the spec's shape parameters for the selected kind.
@@ -158,8 +158,7 @@ func (s Spec) String() string {
 
 // CacheTag returns a stable token naming the kernel identity, for
 // callers that build coalescing keys above the kernel (the epserve
-// singleflight layer), mirroring how the percentile cache keys on the
-// kernel kind and shape below.
+// frontier flight).
 func (s Spec) CacheTag() string {
 	switch s.Kind {
 	case KindMG1:
@@ -187,24 +186,6 @@ func (s Spec) Build(rho, serviceTime float64) (Kernel, error) {
 		return NewMMKFromUtilization(rho, serviceTime, s.Servers)
 	}
 	return NewMD1FromUtilization(rho, serviceTime)
-}
-
-// ForgetResponsePercentile drops from the percentile memo the cells a
-// kernel built by s.Build(rho, ·) keys its p-th response percentile on,
-// whatever its service time: the M/D/1 wait cell, and for M/G/1 also
-// the sojourn cell. It is for callers whose (rho, p) will not come
-// back: a frontier annotation's points share one cell, which a stream
-// of frontiers at fresh utilizations would otherwise leave dead in the
-// memo until a generation overflows. M/M/k solves keep no cells.
-func (s Spec) ForgetResponsePercentile(rho, p float64) {
-	target := p / 100
-	switch s.Kind {
-	case KindMMK:
-		return
-	case KindMG1:
-		forgetCell(pctKindMG1Resp, math.Float64bits(s.SCV), rho, target)
-	}
-	forgetCell(pctKindMD1, 0, rho, target)
 }
 
 // ConformanceSpecs returns the registered kernel parameterizations the

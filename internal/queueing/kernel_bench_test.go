@@ -10,20 +10,20 @@ import (
 // bench-queueing` picks these up alongside the Crommelin benchmarks
 // and appends them to BENCH_queueing.json.
 
-// BenchmarkMG1WaitPercentileWarm measures the cached mixture solve for
-// a low-SCV M/G/1 — the steady-state cost once the memo is primed.
-func BenchmarkMG1WaitPercentileWarm(b *testing.B) {
-	q, err := NewMG1FromUtilization(0.85, 3.5, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := q.WaitPercentile(99); err != nil {
-		b.Fatal(err)
-	}
+// benchMG1Cold runs one never-seen rho from [0.3, 0.95) per iteration
+// through an M/G/1 mixture solve at SCV 0.5: the M/D/1 percentile, then
+// Newton on the mixture.
+func benchMG1Cold(b *testing.B, resp bool) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := q.WaitPercentile(99)
+		q := MG1{Lambda: coldRho(i, 0.3, 0.95) / 3.5, D: 3.5, SCV: 0.5}
+		var v float64
+		var err error
+		if resp {
+			v, err = q.ResponsePercentile(99)
+		} else {
+			v, err = q.WaitPercentile(99)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -31,8 +31,14 @@ func BenchmarkMG1WaitPercentileWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkMG1WaitPercentileCold measures the mixture wait solve.
+func BenchmarkMG1WaitPercentileCold(b *testing.B) { benchMG1Cold(b, false) }
+
+// BenchmarkMG1ResponsePercentileCold measures the mixture sojourn solve.
+func BenchmarkMG1ResponsePercentileCold(b *testing.B) { benchMG1Cold(b, true) }
+
 // BenchmarkMG1WaitPercentileClosedForm measures the SCV >= 1 branch,
-// a pure closed form that bypasses the cache entirely.
+// a pure closed form.
 func BenchmarkMG1WaitPercentileClosedForm(b *testing.B) {
 	q, err := NewMG1FromUtilization(0.85, 3.5, 4)
 	if err != nil {
@@ -42,27 +48,6 @@ func BenchmarkMG1WaitPercentileClosedForm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, err := q.WaitPercentile(99)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = v
-	}
-}
-
-// BenchmarkMG1ResponsePercentileWarm measures the cached sojourn solve
-// on the mixture branch.
-func BenchmarkMG1ResponsePercentileWarm(b *testing.B) {
-	q, err := NewMG1FromUtilization(0.85, 3.5, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := q.ResponsePercentile(99); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := q.ResponsePercentile(99)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,13 +109,11 @@ func BenchmarkMMKResponsePercentile(b *testing.B) {
 }
 
 // TestKernelWarmPathZeroAlloc extends the M/D/1 zero-alloc guarantee to
-// the new kernels: once the memo is primed (or when the path is a pure
-// closed form), an unscoped percentile query must not allocate. The
-// fleet latency twin and the epserve warm path both lean on this.
+// the other kernels: a repeated unscoped percentile query, a mixture
+// solve or a pure closed form, must not allocate. The fleet latency
+// twin and the epserve hot path both lean on this.
 func TestKernelWarmPathZeroAlloc(t *testing.T) {
 	telemetry.SetGlobal(nil)
-	resetPercentileCache()
-	defer resetPercentileCache()
 
 	mg1Mix, err := NewMG1FromUtilization(0.847213, 3.5, 0.5)
 	if err != nil {
@@ -155,7 +138,7 @@ func TestKernelWarmPathZeroAlloc(t *testing.T) {
 		{"mmk wait", func() (float64, error) { return mmk.WaitPercentile(99) }},
 	}
 	for _, tc := range cases {
-		if _, err := tc.call(); err != nil { // warm the memo where one exists
+		if _, err := tc.call(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		allocs := testing.AllocsPerRun(1000, func() {

@@ -98,7 +98,7 @@ func TestKernelPercentileMonotoneInP(t *testing.T) {
 
 // TestKernelScaleInvariance: every kernel is scale free in the service
 // time at fixed rho — W(rho, c*d) = c*W(rho, d) — the identity the
-// shared normalized percentile cache depends on.
+// normalized percentile solves depend on.
 func TestKernelScaleInvariance(t *testing.T) {
 	for _, spec := range propertySpecs() {
 		spec := spec

@@ -10,12 +10,12 @@
 // sums Crommelin's formula (the body) while its alternating terms
 // provably cancel within float64 headroom, and the root expansion of the
 // tail over the roots of rho*(e^z - 1) = z past that point; crommelin.go
-// states the hand-off bound. WaitPercentile resolves through a
-// process-wide scale-invariant cache — W/D depends only on rho, so all
-// configurations at the same utilization share one solve. The solve is
-// closed form in the first segment and in the far tail, and a few
-// safeguarded Newton steps on ln(1 - F) elsewhere, with the density from
-// the same pass. math/big serves only the reference oracle.
+// states the hand-off bound. WaitPercentile solves on the normalized
+// queue — W/D depends only on rho — at rho rounded onto a fixed lattice
+// (quantizeRho). The solve is closed form in the first segment and in
+// the far tail, and a few safeguarded Newton steps on ln(1 - F)
+// elsewhere, with the density from the same pass. It keeps no state
+// between calls. math/big serves only the reference oracle.
 package queueing
 
 import (
@@ -96,8 +96,7 @@ func (q MD1) WaitCDF(t float64) float64 {
 // WaitPercentile returns the p-th percentile (p in [0,100)) of the
 // waiting time. M/D/1 is scale free in D at fixed rho — W/D depends only
 // on the utilization — so the search runs on the normalized queue (D=1)
-// through a process-wide memo shared by every configuration at the same
-// utilization, and the result is rescaled by D.
+// at the lattice point of rho, and the result is rescaled by D.
 func (q MD1) WaitPercentile(p float64) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -110,7 +109,7 @@ func (q MD1) WaitPercentile(p float64) (float64, error) {
 	span := ins.tracer.Start("queueing.wait_percentile")
 	if span != nil {
 		// Attach only on a live span: boxing p into `any` unconditionally
-		// would cost the warm hit path its zero-allocation guarantee.
+		// would cost the solve its zero-allocation guarantee.
 		span.Arg("p", p)
 	}
 	defer span.End()
@@ -120,7 +119,30 @@ func (q MD1) WaitPercentile(p float64) (float64, error) {
 	if 1-rho >= target {
 		return 0, nil
 	}
-	return cachedNormalizedPercentile(rho, target, nil) * q.D, nil
+	return md1Percentile(quantizeRho(rho), target) * q.D, nil
+}
+
+// rhoQuantBits is the rho lattice: 2^-40 ≈ 9.1e-13.
+const rhoQuantBits = 40
+
+// quantizeRho rounds rho to the nearest multiple of 2^-rhoQuantBits
+// before a percentile solve. Two utilizations that differ only in
+// float64 round-off (0.7 given directly versus recovered as lambda*D)
+// then solve at the same point and answer the same bits, as every
+// served and golden percentile has since the lattice was introduced.
+// The rounding moves a percentile by about 2^-40/(1-rho) relative, so
+// past rho ≈ 0.9909, where that exceeds 1e-10, rho is left exact; the
+// extremes where rounding would cross 0 or 1 are left exact too.
+func quantizeRho(rho float64) float64 {
+	const scale = 1 << rhoQuantBits
+	if (1-rho)*1e-10*scale < 1 {
+		return rho
+	}
+	q := math.Round(rho*scale) / scale
+	if q <= 0 {
+		return rho
+	}
+	return q
 }
 
 // ResponsePercentile returns the p-th percentile of the sojourn time.

@@ -157,14 +157,9 @@ func (q MG1) ResponseCDF(t float64) float64 {
 
 // WaitPercentile returns the p-th percentile (p in [0,100)) of the
 // waiting time. Like M/D/1, the model is scale free in D at fixed rho,
-// so mixture solves run on the normalized queue through the process-wide
-// percentile cache — keyed by the kernel kind and the SCV bits, so
-// kernels at the same (rho, p) never share a cell.
+// so mixture solves run on the normalized queue at the lattice point of
+// rho (quantizeRho).
 func (q MG1) WaitPercentile(p float64) (float64, error) {
-	return q.waitPercentile(p, nil)
-}
-
-func (q MG1) waitPercentile(p float64, rc *telemetry.RequestContext) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
@@ -188,49 +183,37 @@ func (q MG1) waitPercentile(p float64, rc *telemetry.RequestContext) (float64, e
 		return 0, nil
 	}
 	if q.SCV >= 1 {
-		// Closed-form exponential tail; no search, no cache entry.
+		// Closed-form exponential tail; no search.
 		return q.tailTheta() * math.Log(rho/(1-target)), nil
 	}
-	w, err := cachedKernelPercentile(pctKindMG1Wait, math.Float64bits(q.SCV), q.SCV, rho, target, rc, solveMG1WaitPercentile)
-	if err != nil {
-		return 0, err
-	}
-	return w * q.D, nil
+	return mg1WaitPercentile(quantizeRho(rho), q.SCV, target) * q.D, nil
 }
 
-// solveMG1WaitPercentile solves the mixture CDF for the normalized
-// (D = 1) wait percentile at 0 < scv < 1. The component percentiles
-// bracket the mixture exactly: F_MD1 >= F_mix >= F_MM1 pointwise, so the
-// M/D/1 percentile (itself cached) is a valid lower bracket and the
-// M/M/1 closed form an upper one.
-func solveMG1WaitPercentile(rho, scv, target float64) (float64, error) {
-	lo := cachedNormalizedPercentile(rho, target, nil)
+// mg1WaitPercentile solves the mixture CDF for the normalized (D = 1)
+// wait percentile at 0 < scv < 1 and 1-rho < target < 1. The component
+// percentiles bracket the mixture exactly: F_MD1 >= F_mix >= F_MM1
+// pointwise, so the M/D/1 percentile is a lower bound and the M/M/1
+// closed form an upper one. Newton on ln(1 - F_mix) starts at the lower
+// bound, with the M/D/1 density from the evaluator's own pass plus the
+// M/M/1 term. Where rho's lattice point puts target inside the atom at
+// zero, both bounds, and so the answer, are 0.
+func mg1WaitPercentile(rho, scv, target float64) float64 {
+	c := 1 - rho
 	d := md1Dist{rho: rho}
-	mix := func(t float64) float64 {
-		return (1-scv)*d.cdf(t) + scv*mm1WaitCDF(rho, 1, t)
+	lo := math.Max(0, d.percentile(target))
+	hi := math.Log(rho/(1-target)) / c
+	if lo >= hi {
+		return lo
 	}
-	hi := math.Log(rho/(1-target)) / (1 - rho)
-	if hi <= lo {
-		hi = lo + 1
-	}
-	flo, fhi := mix(lo), mix(hi)
-	for i := 0; fhi < target; i++ {
-		lo, flo = hi, fhi
-		hi *= 2
-		fhi = mix(hi)
-		if i > 60 {
-			return 0, errors.New("queueing: percentile bracket failed to converge")
-		}
-	}
-	return solveCDF(mix, target, lo, flo, hi, fhi), nil
+	return solveTail(func(t float64) (float64, float64) {
+		_, qd, fd := d.at(t)
+		qm := scv * rho * math.Exp(-c*t) // scv * P(W_MM1 > t)
+		return (1-scv)*qd + qm, (1-scv)*fd + c*qm
+	}, math.Log1p(-target), lo, lo, hi)
 }
 
 // ResponsePercentile returns the p-th percentile of the sojourn time.
 func (q MG1) ResponsePercentile(p float64) (float64, error) {
-	return q.responsePercentile(p, nil)
-}
-
-func (q MG1) responsePercentile(p float64, rc *telemetry.RequestContext) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
@@ -259,38 +242,40 @@ func (q MG1) responsePercentile(p float64, rc *telemetry.RequestContext) (float6
 		}
 		return q.tailTheta() * math.Log(beta/(1-target)), nil
 	}
-	r, err := cachedKernelPercentile(pctKindMG1Resp, math.Float64bits(q.SCV), q.SCV, rho, target, rc, solveMG1ResponsePercentile)
-	if err != nil {
-		return 0, err
-	}
-	return r * q.D, nil
+	return mg1ResponsePercentile(quantizeRho(rho), q.SCV, target) * q.D, nil
 }
 
-// solveMG1ResponsePercentile solves the mixture sojourn CDF on the
-// normalized queue at 0 < scv < 1. Unlike the wait, the component
-// sojourn CDFs cross (M/M/1 has mass below the deterministic service
-// time), so the search starts from zero and only the upper bracket
-// comes from the component percentiles.
-func solveMG1ResponsePercentile(rho, scv, target float64) (float64, error) {
-	wd := cachedNormalizedPercentile(rho, target, nil)
+// mg1ResponsePercentile solves the mixture sojourn CDF on the
+// normalized queue at 0 < scv < 1 and 0 < target < 1. Below the service
+// time only the exponential component has mass, so the percentile is
+// closed form there; the M/D/1 wait's atom puts a jump at t = 1. Past
+// it, Newton on ln(1 - F_mix) runs between the component percentiles,
+// which bracket the mixture (both components have reached target at
+// the larger one and neither at the smaller), from the smaller one.
+func mg1ResponsePercentile(rho, scv, target float64) float64 {
+	c := 1 - rho
+	f1 := -scv * math.Expm1(-c) // F(1-)
+	if target <= f1 {
+		return -math.Log1p(-target/scv) / c
+	}
+	if target <= f1+(1-scv)*c { // F(1)
+		return 1
+	}
 	d := md1Dist{rho: rho}
-	mix := func(t float64) float64 {
-		var fd float64
-		if t >= 1 {
-			fd = d.cdf(t - 1)
-		}
-		return (1-scv)*fd + scv*(1-math.Exp(-(1-rho)*t))
+	wd := 1.0 // M/D/1 sojourn percentile: the service time while the wait's atom covers target
+	if target > c {
+		wd += d.percentile(target)
 	}
-	hi := math.Max(wd+1, math.Log(1/(1-target))/(1-rho))
-	fhi := mix(hi)
-	for i := 0; fhi < target; i++ {
-		hi *= 2
-		fhi = mix(hi)
-		if i > 60 {
-			return 0, errors.New("queueing: percentile bracket failed to converge")
-		}
+	wm := -math.Log1p(-target) / c // M/M/1 sojourn percentile
+	lo, hi := math.Max(1, math.Min(wd, wm)), math.Max(wd, wm)
+	if lo >= hi {
+		return lo
 	}
-	return solveCDF(mix, target, 0, 0, hi, fhi), nil
+	return solveTail(func(t float64) (float64, float64) {
+		_, qd, fd := d.at(t - 1)
+		qm := scv * math.Exp(-c*t) // scv * P(R_MM1 > t)
+		return (1-scv)*qd + qm, (1-scv)*fd + c*qm
+	}, math.Log1p(-target), lo, lo, hi)
 }
 
 // WaitPercentiles returns the waiting-time percentiles for every p in
@@ -310,14 +295,13 @@ func (q MG1) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float6
 	if q.SCV <= 0 {
 		return q.md1().WaitPercentilesContext(ctx, ps)
 	}
-	rc := telemetry.RequestFrom(ctx)
-	defer rc.Phase("queueing.percentiles")()
+	defer telemetry.RequestFrom(ctx).Phase("queueing.percentiles")()
 	out := make([]float64, len(ps))
 	for i, p := range ps {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("queueing: percentile batch: %w", err)
 		}
-		w, err := q.waitPercentile(p, rc)
+		w, err := q.WaitPercentile(p)
 		if err != nil {
 			return nil, err
 		}
@@ -341,14 +325,13 @@ func (q MG1) ResponsePercentilesContext(ctx context.Context, ps []float64) ([]fl
 	if q.SCV <= 0 {
 		return q.md1().ResponsePercentilesContext(ctx, ps)
 	}
-	rc := telemetry.RequestFrom(ctx)
-	defer rc.Phase("queueing.percentiles")()
+	defer telemetry.RequestFrom(ctx).Phase("queueing.percentiles")()
 	out := make([]float64, len(ps))
 	for i, p := range ps {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("queueing: percentile batch: %w", err)
 		}
-		r, err := q.responsePercentile(p, rc)
+		r, err := q.ResponsePercentile(p)
 		if err != nil {
 			return nil, err
 		}

@@ -169,7 +169,7 @@ func (q MMK) ResponseCDF(t float64) float64 {
 // WaitPercentile returns the p-th percentile (p in [0,100)) of the
 // waiting time in closed form: the distribution has the atom
 // P(W = 0) = 1 - C, above which the percentile is
-// ln(C/(1-p/100)) * D/(k-a). No search and no cache entry are needed.
+// ln(C/(1-p/100)) * D/(k-a). No search is needed.
 func (q MMK) WaitPercentile(p float64) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -188,8 +188,8 @@ func (q MMK) WaitPercentile(p float64) (float64, error) {
 }
 
 // ResponsePercentile returns the p-th percentile of the sojourn time by
-// a bracketed regula-falsi solve of the exact ResponseCDF — a handful
-// of float64 exponentials, cheap enough to skip the percentile cache.
+// a bracketed regula-falsi solve of the exact ResponseCDF, a handful of
+// float64 exponentials.
 func (q MMK) ResponsePercentile(p float64) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -267,4 +267,40 @@ func (q MMK) ResponsePercentilesContext(ctx context.Context, ps []float64) ([]fl
 		out[i] = r
 	}
 	return out, nil
+}
+
+// solveCDF finds w with F(w) = target inside a bracket by regula falsi
+// with the Illinois modification: the next probe interpolates the
+// monotone CDF linearly between the bracket ends (far faster than
+// bisection on the smooth, near-exponential tail), and halving the
+// retained end's residual whenever the same side survives twice keeps
+// the superlinear convergence guarantee bisection would otherwise be
+// needed for. cdf may be any monotone CDF; the M/M/k sojourn uses it.
+func solveCDF(cdf func(float64) float64, target, lo, flo, hi, fhi float64) float64 {
+	glo, ghi := flo-target, fhi-target
+	side := 0
+	for i := 0; i < 200 && hi-lo > 1e-12*math.Max(1, hi); i++ {
+		var mid float64
+		if ghi != glo {
+			mid = lo - glo*(hi-lo)/(ghi-glo)
+		}
+		if !(mid > lo && mid < hi) {
+			mid = lo + 0.5*(hi-lo)
+		}
+		g := cdf(mid) - target
+		if g < 0 {
+			lo, glo = mid, g
+			if side == -1 {
+				ghi *= 0.5
+			}
+			side = -1
+		} else {
+			hi, ghi = mid, g
+			if side == 1 {
+				glo *= 0.5
+			}
+			side = 1
+		}
+	}
+	return lo + 0.5*(hi-lo)
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // WaitPercentiles returns the waiting-time percentiles for every p in ps
-// (each in [0, 100)), in the input order. Each entry resolves through
-// the same percentile cache as WaitPercentile, so the results are
-// bit-identical to calling it per entry.
+// (each in [0, 100)), in the input order. Each entry is the same solve
+// as WaitPercentile, so the results are bit-identical to calling it per
+// entry.
 func (q MD1) WaitPercentiles(ps []float64) ([]float64, error) {
 	return q.WaitPercentilesContext(context.Background(), ps)
 }
@@ -35,13 +35,12 @@ func (q MD1) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float6
 	span := ins.tracer.Start("queueing.wait_percentiles").Arg("n", len(ps))
 	defer span.End()
 	// Request-scoped callers (the epserve handlers) carry a
-	// RequestContext in ctx; resolve it once per batch so every cache
-	// lookup below attributes to the owning request. Nil outside a
-	// request scope, where Add/Phase are no-ops.
-	rc := telemetry.RequestFrom(ctx)
-	defer rc.Phase("queueing.percentiles")()
+	// RequestContext in ctx, which times the batch as a phase; nil
+	// outside a request scope, where Phase is a no-op.
+	defer telemetry.RequestFrom(ctx).Phase("queueing.percentiles")()
 
 	rho := q.Rho()
+	rhoQ := quantizeRho(rho)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
 		if err := ctx.Err(); err != nil {
@@ -52,7 +51,7 @@ func (q MD1) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float6
 		if 1-rho >= target {
 			continue
 		}
-		out[i] = cachedNormalizedPercentile(rho, target, rc) * q.D
+		out[i] = md1Percentile(rhoQ, target) * q.D
 	}
 	return out, nil
 }

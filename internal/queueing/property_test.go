@@ -11,7 +11,7 @@ import (
 // wait-percentile kernel on randomized inputs: percentiles must be
 // nondecreasing in both utilization and percentile level, and the
 // distribution scales exactly with the service time (the invariance the
-// percentile cache is built on).
+// normalized solve is built on).
 
 // TestWaitPercentileMonotoneInRho: at any fixed percentile, pushing the
 // server harder can only lengthen the wait.

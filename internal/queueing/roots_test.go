@@ -209,12 +209,9 @@ func TestTailPairsAtHandOff(t *testing.T) {
 	}
 }
 
-// TestBatchScalarSameBitsAcrossReset: the solve is a pure function of
-// (quantized rho, target), so a batch and scalar calls read the same
-// bits whichever fills the cache, before and after a reset.
-func TestBatchScalarSameBitsAcrossReset(t *testing.T) {
-	resetPercentileCache()
-	defer resetPercentileCache()
+// TestBatchScalarSameBits: the solve is a pure function of (rho on its
+// lattice, target), so a batch and scalar calls read the same bits.
+func TestBatchScalarSameBits(t *testing.T) {
 	ps := []float64{99.9, 50, 95, 90, 99}
 	for _, rho := range accuracyRhos {
 		q := MD1{Lambda: rho / 2.5, D: 2.5}
@@ -222,7 +219,6 @@ func TestBatchScalarSameBitsAcrossReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resetPercentileCache()
 		for i, p := range ps {
 			w, err := q.WaitPercentile(p)
 			if err != nil {

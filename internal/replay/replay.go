@@ -10,16 +10,8 @@ import (
 	"repro/internal/energyprop"
 	"repro/internal/queueing"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
-
-// chunkSteps is the number of trace steps processed per engine pass: the
-// sequential decision walk and the parallel percentile fan-out alternate
-// at this granularity, so streaming consumers (the /v1/replay NDJSON
-// endpoint) see results while later steps still compute, and the fan-out
-// still amortizes across a worker pool.
-const chunkSteps = 256
 
 // defaultMaxUtilization caps how hot a configuration may run when the
 // policy does not say otherwise, matching adaptive.Policy's default (an
@@ -50,11 +42,8 @@ type Options struct {
 	// joules (node power-state transitions are not free; the paper's
 	// static analysis models switching as free, this surfaces the cost).
 	SwitchEnergy float64
-	// Workers is the fan-out of the per-step percentile evaluation;
-	// <= 0 uses GOMAXPROCS.
-	Workers int
 	// OnStep, when set, receives every step result in trace order as
-	// soon as its chunk completes; returning an error aborts the run.
+	// soon as it is evaluated; returning an error aborts the run.
 	OnStep func(Step) error
 	// DiscardSteps drops per-step results from the returned Result
 	// (streaming callers consume them through OnStep instead).
@@ -171,9 +160,11 @@ type decision struct {
 // available configurations; the reference for load normalization is the
 // fastest one, as in adaptive.Plan. In static mode the reference serves
 // every step; in adaptive mode a planner stepper re-decides each step.
-// Per-step response percentiles come from the same cached queueing batch
-// APIs the static sweeps use, fanned out across a worker pool, so a
-// replayed step matches a direct point evaluation exactly.
+// Each step is decided, solved, booked and emitted before the next is
+// decided, so a run that fails has emitted every step before the
+// failing one. Per-step response percentiles come from the same
+// queueing batch APIs the static sweeps use, so a replayed step matches
+// a direct point evaluation exactly.
 func Run(ctx context.Context, candidates []*energyprop.Analysis, tr Trace, opt Options) (*Result, error) {
 	if len(candidates) == 0 {
 		return nil, errors.New("replay: no candidates")
@@ -246,96 +237,71 @@ func Run(ctx context.Context, candidates []*energyprop.Analysis, tr Trace, opt O
 	meanResp := make([]stats.KahanSum, len(opt.Percentiles))
 	prev := -1
 
-	decisions := make([]decision, chunkSteps)
-	resps := make([][]float64, chunkSteps)
-	errsAt := make([]error, chunkSteps)
-	for lo := 0; lo < n; lo += chunkSteps {
-		hi := min(lo+chunkSteps, n)
-
-		// Phase 1 — decide (sequential: hysteresis carries across steps).
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("replay: %w", err)
-			}
-			load := tr.Points[i].Load
-			d, err := decideStep(stepper, candidates, load, opt)
-			if err != nil {
-				return nil, err
-			}
-			d.switched = prev >= 0 && d.chosen != prev
-			prev = d.chosen
-			decisions[i-lo] = d
-		}
-
-		// Phase 2 — percentiles: each step's batch is independent, so the
-		// chunk fans out across the pool; the scale-invariant percentile
-		// cache deduplicates repeated (rho, p) searches underneath.
-		if err := sweep.ForEachContext(ctx, hi-lo, opt.Workers, func(j int) {
-			d := decisions[j]
-			c := candidates[d.chosen]
-			q, err := queueing.NewMD1FromUtilization(d.rho, float64(c.Result.Time))
-			if err != nil {
-				resps[j], errsAt[j] = nil, err
-				return
-			}
-			resps[j], errsAt[j] = q.ResponsePercentilesContext(ctx, ps)
-		}); err != nil {
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("replay: %w", err)
 		}
+		load := tr.Points[i].Load
+		d, err := decideStep(stepper, candidates, load, opt) // hysteresis carries across steps
+		if err != nil {
+			return nil, err
+		}
+		d.switched = prev >= 0 && d.chosen != prev
+		prev = d.chosen
 
-		// Phase 3 — ledger and emission (sequential, trace order).
-		for i := lo; i < hi; i++ {
-			j := i - lo
-			if errsAt[j] != nil {
-				return nil, fmt.Errorf("replay: step %d (load %g): %w", i, tr.Points[i].Load, errsAt[j])
-			}
-			d := decisions[j]
-			dt := tr.dwell(i)
-			load := tr.Points[i].Load
-			st := Step{
-				T: tr.Points[i].T, DT: dt, Load: load,
-				Chosen:          d.chosen,
-				Config:          res.Summary.Candidates[d.chosen],
-				Utilization:     d.rho,
-				PowerWatts:      d.power,
-				EnergyJoules:    d.power * dt,
-				ResponseSeconds: resps[j][:len(opt.Percentiles):len(opt.Percentiles)],
-				Saturated:       d.saturated,
-				Switched:        d.switched,
-			}
-			if d.infeasible || d.saturated {
-				st.SLOViolated = true
-			} else if opt.SLO > 0 && resps[j][sloIdx] > opt.SLO {
-				st.SLOViolated = true
-			}
+		q, err := queueing.NewMD1FromUtilization(d.rho, float64(candidates[d.chosen].Result.Time))
+		var resps []float64
+		if err == nil {
+			resps, err = q.ResponsePercentilesContext(ctx, ps)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("replay: step %d (load %g): %w", i, load, err)
+		}
 
-			totalE.Add(st.EnergyJoules)
-			idealE.Add(refPeak * load * dt)
-			for k := range opt.Percentiles {
-				if v := st.ResponseSeconds[k]; v > maxResp[k] {
-					maxResp[k] = v
-				}
-				meanResp[k].Add(st.ResponseSeconds[k] * dt)
+		dt := tr.dwell(i)
+		st := Step{
+			T: tr.Points[i].T, DT: dt, Load: load,
+			Chosen:          d.chosen,
+			Config:          res.Summary.Candidates[d.chosen],
+			Utilization:     d.rho,
+			PowerWatts:      d.power,
+			EnergyJoules:    d.power * dt,
+			ResponseSeconds: resps[:len(opt.Percentiles):len(opt.Percentiles)],
+			Saturated:       d.saturated,
+			Switched:        d.switched,
+		}
+		if d.infeasible || d.saturated {
+			st.SLOViolated = true
+		} else if opt.SLO > 0 && resps[sloIdx] > opt.SLO {
+			st.SLOViolated = true
+		}
+
+		totalE.Add(st.EnergyJoules)
+		idealE.Add(refPeak * load * dt)
+		for k := range opt.Percentiles {
+			if v := st.ResponseSeconds[k]; v > maxResp[k] {
+				maxResp[k] = v
 			}
-			if st.SLOViolated {
-				res.Summary.SLOViolations++
-				violationCnt.Inc()
+			meanResp[k].Add(st.ResponseSeconds[k] * dt)
+		}
+		if st.SLOViolated {
+			res.Summary.SLOViolations++
+			violationCnt.Inc()
+		}
+		if st.Saturated {
+			res.Summary.SaturatedSteps++
+		}
+		if st.Switched {
+			switchCnt.Inc()
+		}
+		stepCnt.Inc()
+		if opt.OnStep != nil {
+			if err := opt.OnStep(st); err != nil {
+				return nil, fmt.Errorf("replay: step consumer: %w", err)
 			}
-			if st.Saturated {
-				res.Summary.SaturatedSteps++
-			}
-			if st.Switched {
-				switchCnt.Inc()
-			}
-			stepCnt.Inc()
-			if opt.OnStep != nil {
-				if err := opt.OnStep(st); err != nil {
-					return nil, fmt.Errorf("replay: step consumer: %w", err)
-				}
-			}
-			if !opt.DiscardSteps {
-				res.Steps = append(res.Steps, st)
-			}
+		}
+		if !opt.DiscardSteps {
+			res.Steps = append(res.Steps, st)
 		}
 	}
 

@@ -364,6 +364,9 @@ func TestOnStepStreaming(t *testing.T) {
 	}
 }
 
+// TestRunCancellation: a run whose context is done does no work, and a
+// run cancelled mid-trace stops before the next step: steps are
+// decided, solved and emitted one at a time.
 func TestRunCancellation(t *testing.T) {
 	cands := ladderCandidates(t)
 	tr := diurnalTrace(t, 288)
@@ -371,6 +374,19 @@ func TestRunCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, cands, tr, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v", err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	emitted := 0
+	_, err := Run(ctx, cands, tr, Options{Adaptive: true, OnStep: func(Step) error {
+		if emitted++; emitted == 6 {
+			cancel()
+		}
+		return nil
+	}})
+	if !errors.Is(err, context.Canceled) || emitted != 6 {
+		t.Fatalf("run cancelled after step 6: %d steps emitted, err %v", emitted, err)
 	}
 }
 

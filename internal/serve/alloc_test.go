@@ -23,7 +23,7 @@ import (
 // logging.
 func allocServer(t *testing.T) *Server {
 	t.Helper()
-	srv, err := New(Config{Telemetry: telemetry.New(), MaxInflight: 256, Workers: 1})
+	srv, err := New(Config{Telemetry: telemetry.New(), MaxInflight: 256})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestBatchPercentilesPerItemAllocs(t *testing.T) {
 // same warm paths the alloc guards pin, for profiling the serving hot
 // path (`go test -bench BenchmarkBatch -cpuprofile ...`).
 func BenchmarkScalarPercentiles(b *testing.B) {
-	srv, err := New(Config{Telemetry: telemetry.New(), MaxInflight: 256, Workers: 1})
+	srv, err := New(Config{Telemetry: telemetry.New(), MaxInflight: 256})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
@@ -117,7 +117,7 @@ func BenchmarkScalarPercentiles(b *testing.B) {
 }
 
 func BenchmarkBatchPercentiles64(b *testing.B) {
-	srv, err := New(Config{Telemetry: telemetry.New(), MaxInflight: 256, Workers: 1})
+	srv, err := New(Config{Telemetry: telemetry.New(), MaxInflight: 256})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}

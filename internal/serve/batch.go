@@ -9,12 +9,10 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/energyprop"
 	"repro/internal/queueing"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -25,9 +23,9 @@ import (
 // decoders check syntax only; from the decoded request on, both methods
 // share the route's per-item resolver (defaults, range checks, plan),
 // its evaluator and the one status→code mapping in failure. A GET
-// evaluates its item inline on the request goroutine and answers the
-// bare result or the error envelope; a POST fans its items out through
-// runBatch.
+// evaluates its item on the request goroutine and answers the bare
+// result or the error envelope; a POST evaluates its items in order,
+// on the same goroutine, through runBatch.
 //
 // The batch form exists for amortization — one connection, one JSON
 // decode, one admission pass and one response encode for N evaluations
@@ -171,32 +169,31 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, v any, err error
 }
 
 // runBatch serves the POST of every model route. It evaluates the n
-// result slots of the batch across the sweep pool — eval fills slot
-// i and returns its error, fail stores a failed slot's envelope — and
-// answers the envelope respond builds from the error count. A context
-// error in any slot aborts the whole batch with 504.
+// result slots of the batch in order on the request goroutine — eval
+// fills slot i and returns its error, fail stores a failed slot's
+// envelope — and answers the envelope respond builds from the error
+// count. The context is checked before every item, so a batch whose
+// deadline has passed evaluates nothing more; a context error aborts
+// the whole batch with 504.
 func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, n int,
 	eval func(ctx context.Context, i int) error, fail func(i int, e *BatchItemError), respond func(errs int) any) {
 	ctx := r.Context()
-	var errs atomic.Int64
-	var aborted atomic.Bool
-	ferr := sweep.ForEachContext(ctx, n, s.cfg.Workers, func(i int) {
-		err := eval(ctx, i)
+	nerr := 0
+	for i := range n {
+		err := ctx.Err()
 		if err == nil {
+			if err = eval(ctx, i); err == nil {
+				continue
+			}
+		}
+		status, e := failure(err)
+		if status == http.StatusGatewayTimeout {
+			s.deadlineError(w, r, ctx.Err())
 			return
 		}
-		if status, e := failure(err); status != http.StatusGatewayTimeout {
-			fail(i, e)
-			errs.Add(1)
-			return
-		}
-		aborted.Store(true)
-	})
-	if ferr != nil || aborted.Load() {
-		s.deadlineError(w, r, cmp.Or(ferr, ctx.Err()))
-		return
+		fail(i, e)
+		nerr++
 	}
-	nerr := int(errs.Load())
 	s.batchMeta(w, r, n, nerr)
 	writeJSON(w, http.StatusOK, respond(nerr))
 }
@@ -412,7 +409,7 @@ func (s *Server) evalPercentiles(ctx context.Context, pi *pctItem, u float64) (*
 	if pi.err != nil {
 		return nil, pi.err
 	}
-	v, err := s.percentilesShared(ctx, pi.wlName, pi.mix, pi.serviceTime, u, pi.ps, pi.spec)
+	v, err := computePercentiles(ctx, pi.wlName, pi.mix, pi.serviceTime, u, pi.ps, pi.spec)
 	if err == nil {
 		err = v.checkFinite()
 	}
@@ -759,8 +756,8 @@ func (s *Server) weighFrontier(w http.ResponseWriter, r *http.Request) (int64, a
 // handleFrontier serves /v1/frontier: the energy-deadline Pareto
 // frontier over the A9/K10 mix space, with optional power budget,
 // deadline and energy-budget constraints and tail-latency annotation.
-// Each sweep runs on its caller's goroutine under the request deadline;
-// a POST fans its sweeps out across the worker pool.
+// Each sweep runs on its request's goroutine under the request
+// deadline, a POST's one after another.
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request, decoded any) {
 	req := decoded.(*FrontierBatchRequest)
 	if r.Method != http.MethodPost {

@@ -9,8 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/queueing"
 	"repro/internal/telemetry"
 )
 
@@ -379,29 +379,30 @@ func TestFrontierAdmissionWeight(t *testing.T) {
 	}
 }
 
-// TestScalarBatchCoalescing: a scalar GET and a batch item asking the
-// same question while an identical computation is in flight both join
-// it as followers — the flight key is canonical across transports.
+// TestScalarBatchCoalescing: a scalar GET and a one-item POST asking
+// for the same frontier sweep while an identical sweep is in flight
+// both join it as followers — the flight key is canonical across
+// transports.
 func TestScalarBatchCoalescing(t *testing.T) {
 	reg := telemetry.New()
 	srv, ts := newTestServer(t, Config{Telemetry: reg})
 
-	// Install a gated leader under the exact flight key both the scalar
-	// parse path and the batch expansion produce for (d=1, u=0.7, p
-	// default). The sentinel mean is impossible for a real computation.
-	key := pctFlightKey("", "", 1, 0.7, []float64{50, 95, 99}, queueing.DefaultSpec())
+	// Install a gated leader under the flight key both the GET query and
+	// the POST item resolve to. The sentinel explored count is
+	// impossible for a real sweep of this space.
+	two, one := 2, 1
+	fi := srv.resolveFrontier(&FrontierBatchItem{MaxA9: &two, MaxK10: &one})
+	if fi.err != nil {
+		t.Fatal(fi.err)
+	}
+	key := fi.flightKey()
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
 		srv.flights.do(context.Background(), key, func() (any, error) { //nolint:errcheck // sentinel flight
 			<-gate
-			return &PercentilesResponse{
-				Utilization:        0.7,
-				ServiceTimeSeconds: 1,
-				MeanWaitSeconds:    123456,
-				Percentiles:        []PercentilePoint{{P: 50}, {P: 95}, {P: 99}},
-			}, nil
+			return &FrontierResponse{Workload: "EP", Explored: 123456, Frontier: []FrontierPoint{}}, nil
 		})
 	}()
 	waitFor(t, "leader in flight", func() bool {
@@ -417,14 +418,14 @@ func TestScalarBatchCoalescing(t *testing.T) {
 	}
 	results := make(chan result, 2)
 	go func() { // scalar follower
-		status, body := get(t, ts.URL+"/v1/percentiles?d=1&u=0.7")
+		status, body := get(t, ts.URL+"/v1/frontier?workload=EP&max_a9=2&max_k10=1")
 		results <- result{status, body}
 	}()
 	go func() { // batch follower
 		raw, _ := json.Marshal(map[string]any{
-			"items": []map[string]any{{"d": 1.0, "u": []float64{0.7}}},
+			"items": []map[string]any{{"max_a9": 2, "max_k10": 1}},
 		})
-		resp, err := http.Post(ts.URL+"/v1/percentiles", "application/json", bytes.NewReader(raw))
+		resp, err := http.Post(ts.URL+"/v1/frontier", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			results <- result{-1, err.Error()}
 			return
@@ -452,5 +453,39 @@ func TestScalarBatchCoalescing(t *testing.T) {
 	}
 	if got := srv.ins.coalesced.Value(); got != 2 {
 		t.Fatalf("serve.coalesced = %d, want 2", got)
+	}
+}
+
+// TestBatchPastDeadlineEvaluatesNothing: runBatch checks the context
+// before every item, so a POST whose deadline has already passed
+// answers 504 without evaluating an item — directly, and end to end
+// with ?timeout=1ns, where no percentile solve runs.
+func TestBatchPastDeadlineEvaluatesNothing(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	t.Cleanup(func() { telemetry.SetGlobal(nil) })
+	srv, _ := newTestServer(t, Config{Telemetry: reg})
+
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/percentiles", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	evaluated := 0
+	srv.runBatch(rec, req, 8,
+		func(context.Context, int) error { evaluated++; return nil },
+		func(int, *BatchItemError) { t.Error("a slot failed") },
+		func(int) any { t.Error("the batch answered"); return nil })
+	if rec.Code != http.StatusGatewayTimeout || evaluated != 0 {
+		t.Fatalf("status %d after %d evaluations, want 504 after none: %s", rec.Code, evaluated, rec.Body)
+	}
+
+	rec = postJSON(t, srv, "/v1/percentiles?timeout=1ns", map[string]any{
+		"u": []float64{0.5, 0.7, 0.9}, "items": []map[string]any{{"d": 1.0}, {"d": 2.0}},
+	})
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("POST past its deadline: status %d, want 504: %s", rec.Code, rec.Body)
+	}
+	if n := reg.Counter("queueing.percentile_searches").Value(); n != 0 {
+		t.Fatalf("POST past its deadline ran %d percentile searches, want 0", n)
 	}
 }

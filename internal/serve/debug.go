@@ -118,7 +118,7 @@ type AdmissionStats struct {
 // DebugStatsResponse is the /v1/debug/stats body: one JSON snapshot of
 // everything an operator reaches for first — build identity, uptime,
 // in-flight load, per-route RED + SLO standing, and the kernel-level
-// counters (percentile cache, frontier sweep) behind them.
+// counters (percentile searches, frontier sweep) behind them.
 type DebugStatsResponse struct {
 	Service       string    `json:"service"`
 	Build         BuildInfo `json:"build"`
@@ -130,7 +130,7 @@ type DebugStatsResponse struct {
 	// Routes maps route label -> RED/SLO stats.
 	Routes map[string]RouteStats `json:"routes"`
 	// Counters carries every non-HTTP counter (serve.*, queueing.*,
-	// pareto.*, ...) so cache and sweep behavior is inspectable without
+	// pareto.*, ...) so kernel and sweep behavior is inspectable without
 	// parsing the Prometheus exposition. HTTP and SLO counters are
 	// omitted: Routes already folds them in.
 	Counters map[string]uint64 `json:"counters,omitempty"`

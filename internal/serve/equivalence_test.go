@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/queueing"
 	"repro/internal/telemetry"
 )
 
@@ -100,25 +99,5 @@ func TestGetIsBatchOfOne(t *testing.T) {
 	}
 	if got, want := srv.ins.batchItems.Value(), uint64(len(cases)); got != want {
 		t.Errorf("serve.batch.items = %d, want %d", got, want)
-	}
-}
-
-// TestPercentilesFlightKeyFormat pins the singleflight key bytes, which
-// GETs and batch items must keep building identically.
-func TestPercentilesFlightKeyFormat(t *testing.T) {
-	mg1, err := kernelSpecFrom("mg1", 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		got, want string
-	}{
-		{pctFlightKey("", "", 1, 0.75, []float64{50, 95, 99}, queueing.DefaultSpec()), "pct|||1|0.75|50,95,99"},
-		{pctFlightKey("EP", "32xA9,12xK10", 0.004, 0.5, []float64{99.9}, mg1), "pct|EP|32xA9,12xK10|0.004|0.5|99.9|" + mg1.CacheTag()},
-		{pctFlightKey("", "", 1e-300, 0.25, nil, queueing.DefaultSpec()), "pct|||1e-300|0.25|"},
-	} {
-		if tc.got != tc.want {
-			t.Errorf("flight key %q, want %q", tc.got, tc.want)
-		}
 	}
 }

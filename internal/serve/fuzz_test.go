@@ -76,7 +76,7 @@ func FuzzServeGET(f *testing.F) {
 			}
 		}
 	}
-	srv, err := New(Config{Telemetry: telemetry.New(), Workers: 1})
+	srv, err := New(Config{Telemetry: telemetry.New()})
 	if err != nil {
 		f.Fatalf("New: %v", err)
 	}
@@ -144,7 +144,7 @@ func FuzzServePOST(f *testing.F) {
 	} {
 		f.Add(uint8(seed.route), seed.body)
 	}
-	srv, err := New(Config{Telemetry: telemetry.New(), Workers: 1})
+	srv, err := New(Config{Telemetry: telemetry.New()})
 	if err != nil {
 		f.Fatalf("New: %v", err)
 	}

@@ -29,13 +29,12 @@ import (
 const maxPercentiles = 32
 
 // analysisCacheMax bounds the (workload, mix) -> Analysis memo; past it
-// the map is dropped and refilled, mirroring the queueing percentile
-// cache's overflow policy.
+// the map is dropped and refilled.
 const analysisCacheMax = 4096
 
 // analysisCache memoizes model evaluations per (workload, mix): the
 // model is pure, so a warm entry turns /v1/percentiles and
-// /v1/epmetrics into a map lookup plus (cached) percentile queries. The
+// /v1/epmetrics into a map lookup plus percentile solves. The
 // key is the (workload, mix) pair itself, so a lookup allocates nothing.
 type analysisCache struct {
 	mu sync.Mutex
@@ -175,39 +174,12 @@ func kernelSpecFrom(kernel string, scv float64, servers int) (queueing.Spec, err
 	return spec, nil
 }
 
-// pctFlightKey is the singleflight key of one percentile evaluation,
-// built from the canonical fields (workload, mix, service time, the
-// cache-quantized utilization, the kernel identity, and the percentile
-// list), so a GET and a batch item asking the same question coalesce
-// onto one computation. The M/D/1 default omits the kernel tag, keeping
-// pre-kernel keys (and their coalescing behavior) unchanged; any other
-// kernel appends its CacheTag so two kernels at the same load can never
-// share a flight.
-func pctFlightKey(wlName, mix string, serviceTime, u float64, ps []float64, spec queueing.Spec) string {
-	// Appending in place of fmt keeps the key to one allocation; 'g' with
-	// precision -1 is exactly fmt's %g.
-	b := make([]byte, 0, 64)
-	b = append(b, "pct|"...)
-	b = append(append(b, wlName...), '|')
-	b = append(append(b, mix...), '|')
-	b = append(strconv.AppendFloat(b, serviceTime, 'g', -1, 64), '|')
-	b = append(strconv.AppendFloat(b, queueing.QuantizedRho(u), 'g', -1, 64), '|')
-	for i, p := range ps {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendFloat(b, p, 'g', -1, 64)
-	}
-	if !spec.IsDefault() {
-		b = append(append(b, '|'), spec.CacheTag()...)
-	}
-	return string(b)
-}
-
 // computePercentiles is the percentile evaluation core of
 // /v1/percentiles: build the selected kernel at (u, serviceTime), run
-// the batched percentile solves under ctx, and materialize the response. With the default spec the output is
-// byte-identical to the pre-kernel M/D/1 path.
+// the batched percentile solves under ctx, and materialize the
+// response. Identical questions are not coalesced: the solves cost a
+// few microseconds, less than a flight's key and lock. With the default
+// spec the output is byte-identical to the pre-kernel M/D/1 path.
 func computePercentiles(ctx context.Context, wlName, mix string, serviceTime, u float64, ps []float64, spec queueing.Spec) (*PercentilesResponse, error) {
 	queue, err := spec.Build(u, serviceTime)
 	if err != nil {
@@ -244,25 +216,6 @@ func computePercentiles(ctx context.Context, wlName, mix string, serviceTime, u 
 		}
 	}
 	return resp, nil
-}
-
-// percentilesShared runs computePercentiles under the singleflight
-// group, attributing coalesced followers, so identical questions from
-// GETs and batch items share one computation and one set of cache
-// lookups.
-func (s *Server) percentilesShared(ctx context.Context, wlName, mix string, serviceTime, u float64, ps []float64, spec queueing.Spec) (*PercentilesResponse, error) {
-	key := pctFlightKey(wlName, mix, serviceTime, u, ps, spec)
-	v, shared, err := s.flights.do(ctx, key, func() (any, error) {
-		return computePercentiles(ctx, wlName, mix, serviceTime, u, ps, spec)
-	})
-	if shared {
-		s.ins.coalesced.Inc()
-		telemetry.RequestFrom(ctx).Add(telemetry.AttrCoalesced, 1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v.(*PercentilesResponse), nil
 }
 
 // MetricsBlock carries the Table 3 cumulative proportionality metrics
@@ -391,19 +344,14 @@ type FrontierResponse struct {
 // frontierShared runs a resolved item's sweep under the singleflight
 // group, or returns the item's resolution error. The key is built from
 // the canonical parameters, so a GET and a batch item asking for the
-// same sweep coalesce onto one computation.
+// same sweep coalesce onto one computation. It is the server's one
+// flight: a sweep costs hundreds of microseconds, a percentile solve
+// microseconds.
 func (s *Server) frontierShared(ctx context.Context, fi *frontierItem) (*FrontierResponse, error) {
 	if fi.err != nil {
 		return nil, fi.err
 	}
-	key := fmt.Sprintf("frontier|%s|%d|%d|%t|%g|%g|%g",
-		fi.workload, fi.maxA9, fi.maxK10, fi.dvfs, fi.powerW, fi.deadline, fi.energy)
-	if fi.u > 0 {
-		// Annotated sweeps key on the annotation point and kernel too, so
-		// they never coalesce with (or poison) an unannotated sweep.
-		key += fmt.Sprintf("|lat|%g|%g|%s", queueing.QuantizedRho(fi.u), fi.pct, fi.spec.CacheTag())
-	}
-	v, shared, err := s.flights.do(ctx, key, func() (any, error) {
+	v, shared, err := s.flights.do(ctx, fi.flightKey(), func() (any, error) {
 		return s.sweepFrontier(ctx, fi)
 	})
 	if shared {
@@ -414,6 +362,19 @@ func (s *Server) frontierShared(ctx context.Context, fi *frontierItem) (*Frontie
 		return nil, err
 	}
 	return v.(*FrontierResponse), nil
+}
+
+// flightKey is the singleflight key of a resolved frontier item, built
+// from its canonical parameters.
+func (fi *frontierItem) flightKey() string {
+	key := fmt.Sprintf("frontier|%s|%d|%d|%t|%g|%g|%g",
+		fi.workload, fi.maxA9, fi.maxK10, fi.dvfs, fi.powerW, fi.deadline, fi.energy)
+	if fi.u > 0 {
+		// Annotated sweeps key on the annotation point and kernel too, so
+		// they never coalesce with (or poison) an unannotated sweep.
+		key += fmt.Sprintf("|lat|%g|%g|%s", fi.u, fi.pct, fi.spec.CacheTag())
+	}
+	return key
 }
 
 // tableFor returns the server's shared memoized unit-calc table for
@@ -474,13 +435,13 @@ func (s *Server) sweepFrontier(ctx context.Context, fp *frontierItem) (*Frontier
 	resp.Filtered = int(st.Filtered)
 	resp.Evaluated = int(st.Evaluated + st.Pruned)
 	// Tail-latency annotation: one response-percentile solve per frontier
-	// point (not per explored configuration — the frontier is small), all
-	// through the shared kernel percentile cache. latFor carries the
-	// figure onto the sweet-region and recommended copies of a point.
+	// point (not per explored configuration — the frontier is small).
+	// latFor carries the figure onto the sweet-region and recommended
+	// copies of a point.
 	var lat []float64
 	if fp.u > 0 {
 		var err error
-		lat, err = pareto.AnnotateLatencies(ctx, frontier, fp.u, fp.pct, fp.spec, s.cfg.Workers)
+		lat, err = pareto.AnnotateLatencies(ctx, frontier, fp.u, fp.pct, fp.spec, 0)
 		if err != nil {
 			return nil, fmt.Errorf("serve: frontier latency annotation: %w", err)
 		}

@@ -20,9 +20,9 @@ const slowLogInterval = time.Second
 // X-Request-ID so IDs survive proxy hops), stamps the ID on the
 // response header, and — after the inner chain returns — feeds the SLO
 // tracker and writes the one access-log line that summarizes the
-// request: route, status, duration, bytes, outcome, and the kernel
+// request: route, status, duration, bytes, outcome, and the
 // attribution the layers below accumulated (configurations evaluated,
-// percentile-cache hits, coalescing). Requests slower than the
+// coalescing, replay steps). Requests slower than the
 // configured threshold additionally get a sampled warn line with the
 // request's phase timeline inlined.
 //
@@ -66,13 +66,10 @@ func (s *Server) requestScope(route string, probe bool, next http.Handler) http.
 				// any sweep/replay attribution that actually occurred.
 				attrs = append(attrs,
 					slog.Int64(telemetry.AttrConfigsEvaluated, rc.Attr(telemetry.AttrConfigsEvaluated)),
-					slog.Int64(telemetry.AttrCacheHits, rc.Attr(telemetry.AttrCacheHits)),
-					slog.Int64(telemetry.AttrCacheMisses, rc.Attr(telemetry.AttrCacheMisses)),
 					slog.Int64(telemetry.AttrCoalesced, rc.Attr(telemetry.AttrCoalesced)),
 				)
 				for _, key := range []string{
-					telemetry.AttrConfigsPruned, telemetry.AttrConfigsFiltered,
-					telemetry.AttrSweepItems, telemetry.AttrReplaySteps,
+					telemetry.AttrConfigsPruned, telemetry.AttrConfigsFiltered, telemetry.AttrReplaySteps,
 				} {
 					if v := rc.Attr(key); v != 0 {
 						attrs = append(attrs, slog.Int64(key, v))

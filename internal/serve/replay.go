@@ -175,7 +175,6 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			Hysteresis: req.Hysteresis,
 		},
 		SwitchEnergy: req.SwitchEnergyJoules,
-		Workers:      s.cfg.Workers,
 		DiscardSteps: true,
 	}
 	for _, p := range req.Percentiles {
@@ -187,7 +186,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Validation is done: switch to the NDJSON stream. Every frame is
-	// flushed so clients watch the replay progress chunk by chunk.
+	// flushed so clients watch the replay progress step by step.
 	flusher, _ := w.(http.Flusher)
 	streaming := false
 	enc := json.NewEncoder(w)

@@ -8,9 +8,9 @@
 // The service is built to stay up under overload: a bounded admission
 // semaphore sized off GOMAXPROCS with queue-depth load shedding
 // (429 + Retry-After), per-request deadlines propagated through
-// context.Context into the queueing kernel and the sweep worker pool,
-// singleflight coalescing of identical in-flight requests layered on
-// the kernel's scale-invariant percentile cache, panic recovery that
+// context.Context into the queueing kernel and the frontier engine,
+// singleflight coalescing of identical in-flight frontier sweeps,
+// panic recovery that
 // converts handler panics into 500s without killing the process, and
 // graceful shutdown in which readiness flips before the listener
 // drains. See docs/API.md for the endpoint reference and
@@ -86,11 +86,6 @@ type Config struct {
 	// may ask to replay (each step costs percentile solves); 0 means
 	// 65536.
 	MaxReplaySteps int
-	// Workers is the worker-pool width for the work a request fans out:
-	// batch items, frontier latency annotation and replay steps; 0
-	// means GOMAXPROCS. A frontier sweep itself runs serially on its
-	// request's goroutine.
-	Workers int
 }
 
 // withDefaults returns cfg with every zero field resolved.
@@ -314,8 +309,9 @@ func (s *Server) recovery(next http.HandlerFunc) http.HandlerFunc {
 
 // deadline attaches the per-request deadline to the request context:
 // the client's ?timeout= (clamped to MaxTimeout) or DefaultTimeout.
-// Handlers pass the context into the kernel and sweep pool, so the
-// deadline cancels percentile searches and frontier sweeps mid-flight.
+// Handlers pass the context into the kernel and the frontier engine,
+// and batches check it between items, so the deadline cancels
+// percentile batches and frontier sweeps mid-flight.
 func (s *Server) deadline(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		d := s.cfg.DefaultTimeout

@@ -17,13 +17,10 @@ type flightCall struct {
 	err     error
 }
 
-// flightGroup coalesces concurrent identical requests: the first caller
-// for a key runs fn, later callers for the same key block until the
-// leader finishes and share its result. This sits one layer above the
-// queueing package's per-(rho, p) percentile cache — it dedupes whole
-// requests (model evaluation plus percentile batch plus frontier
-// sweeps), so a thundering herd on one hot query costs one computation
-// and one admission slot per herd, not per request.
+// flightGroup coalesces concurrent identical frontier sweeps: the first
+// caller for a key runs fn, later callers for the same key block until
+// the leader finishes and share its result, so a thundering herd on
+// one hot sweep costs one computation per herd, not per request.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall

@@ -1,7 +1,9 @@
-// Package sweep is the shared worker pool behind the repository's
-// parallel fan-outs: epserve's batch items, frontier latency
-// annotation, the energyprop utilization/percentile grids, replay steps
-// and the adaptive planner's candidate matrix all run through it. Work
+// Package sweep is the shared worker pool behind the command-line
+// grids: the energyprop utilization/percentile sweeps (epprop -workers,
+// the reproduction suite) and the adaptive planner's candidate matrix
+// run through it. The request paths of epserve and replay do not: a
+// percentile solve is a microsecond or two, less than handing it to a
+// pool costs. Work
 // is handed to workers in contiguous index blocks over a channel — a
 // single item can be microseconds, so per-item channel traffic would
 // dominate — and each index is written by exactly one worker, so
@@ -13,8 +15,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-
-	"repro/internal/telemetry"
 )
 
 // DefaultBlock is the block size used when callers pass block <= 0:
@@ -57,21 +57,6 @@ func BlocksContext(ctx context.Context, n, workers, block int, fn func(worker, l
 	if workers > nblocks {
 		workers = nblocks
 	}
-	// Request-scoped fan-outs (epserve's batch items and frontier
-	// latency annotation) attribute the items they dispatch and their
-	// wall-clock phase to the owning request. The RequestContext rides
-	// ctx into every worker through fn's closure — workers are shared
-	// across requests over time, but each dispatched block belongs to
-	// exactly one request's call, so attribution cannot bleed between
-	// concurrent requests.
-	rc := telemetry.RequestFrom(ctx)
-	dispatched := 0
-	if rc != nil {
-		defer func() {
-			rc.Add(telemetry.AttrSweepItems, int64(dispatched))
-		}()
-		defer rc.Phase("sweep.blocks")()
-	}
 	done := ctx.Done()
 	if workers == 1 {
 		for lo := 0; lo < n; lo += block {
@@ -85,7 +70,6 @@ func BlocksContext(ctx context.Context, n, workers, block int, fn func(worker, l
 				hi = n
 			}
 			fn(0, lo, hi)
-			dispatched += hi - lo
 		}
 		return nil
 	}
@@ -121,7 +105,6 @@ dispatch:
 		}
 		select {
 		case next <- [2]int{lo, hi}:
-			dispatched += hi - lo
 		case <-done:
 			err = ctx.Err()
 			break dispatch

@@ -9,9 +9,8 @@ import (
 )
 
 // Standard attribute keys the instrumented layers accumulate into a
-// RequestContext, shared here so the producers (queueing, pareto,
-// sweep, replay, serve) and the consumers (access log, /v1/debug/stats)
-// agree on spelling.
+// RequestContext, shared here so the producers (pareto, replay, serve)
+// and the consumers (access log, /v1/debug/stats) agree on spelling.
 const (
 	// AttrConfigsEvaluated counts configurations run through the
 	// time-energy model on behalf of the request.
@@ -22,18 +21,11 @@ const (
 	// AttrConfigsFiltered counts configurations over a sweep's
 	// peak-power budget.
 	AttrConfigsFiltered = "configs_filtered"
-	// AttrCacheHits / AttrCacheMisses count the request's
-	// percentile-cache lookups in the queueing kernel.
-	AttrCacheHits   = "cache_hits"
-	AttrCacheMisses = "cache_misses"
 	// AttrCoalesced marks a request served from another identical
 	// in-flight request's result (singleflight follower).
 	AttrCoalesced = "coalesced"
 	// AttrReplaySteps counts trace steps replayed for the request.
 	AttrReplaySteps = "replay_steps"
-	// AttrSweepItems counts work items dispatched through the sweep
-	// worker pool on behalf of the request.
-	AttrSweepItems = "sweep_items"
 	// AttrBatchItems counts the expanded per-item evaluations a batch
 	// (POST) request carried.
 	AttrBatchItems = "batch_items"

@@ -11,8 +11,8 @@ import (
 // promName maps a registry instrument name onto the Prometheus metric
 // name charset [a-zA-Z0-9_:]: dots (the registry's namespace separator)
 // and any other disallowed rune become underscores, so
-// "queueing.percentile_cache_hits" exports as
-// "queueing_percentile_cache_hits".
+// "queueing.percentile_searches" exports as
+// "queueing_percentile_searches".
 func promName(name string) string {
 	var b strings.Builder
 	b.Grow(len(name))

@@ -26,7 +26,7 @@ import (
 // Like the rest of the package, absence is free: code below the
 // middleware asks the context.Context via RequestFrom, which returns
 // nil when no request scope is attached, and every method is a no-op on
-// a nil receiver — hot paths (Table.EvaluateFast, the percentile cache)
+// a nil receiver — hot paths (Table.EvaluateFast, the percentile solves)
 // stay allocation-free when nobody is watching. All methods are safe
 // for concurrent use: a frontier sweep's workers attribute into the
 // same RequestContext from many goroutines.

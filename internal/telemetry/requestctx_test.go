@@ -27,17 +27,17 @@ func TestRequestContextBasics(t *testing.T) {
 
 	rc.Add(AttrConfigsEvaluated, 5)
 	rc.Add(AttrConfigsEvaluated, 3)
-	rc.Add(AttrCacheHits, 1)
+	rc.Add(AttrReplaySteps, 1)
 	if got := rc.Attr(AttrConfigsEvaluated); got != 8 {
 		t.Fatalf("configs_evaluated = %d, want 8", got)
 	}
 	attrs := rc.Attrs()
-	if attrs[AttrCacheHits] != 1 || len(attrs) != 2 {
+	if attrs[AttrReplaySteps] != 1 || len(attrs) != 2 {
 		t.Fatalf("attrs = %v", attrs)
 	}
 	// The copy must not alias the live bag.
-	attrs[AttrCacheHits] = 99
-	if rc.Attr(AttrCacheHits) != 1 {
+	attrs[AttrReplaySteps] = 99
+	if rc.Attr(AttrReplaySteps) != 1 {
 		t.Fatal("Attrs returned an aliased map")
 	}
 }
@@ -161,9 +161,9 @@ func TestContextHandlerNoBleed(t *testing.T) {
 			defer wg.Done()
 			rc := NewRequestContext(fmt.Sprintf("req-%04d", i), "percentiles")
 			ctx := WithRequest(context.Background(), rc)
-			rc.Add(AttrCacheHits, int64(i))
+			rc.Add(AttrReplaySteps, int64(i))
 			logger.InfoContext(ctx, "request",
-				slog.Int64(AttrCacheHits, rc.Attr(AttrCacheHits)))
+				slog.Int64(AttrReplaySteps, rc.Attr(AttrReplaySteps)))
 		}()
 	}
 	wg.Wait()
@@ -179,7 +179,7 @@ func TestContextHandlerNoBleed(t *testing.T) {
 		var rec struct {
 			Msg       string `json:"msg"`
 			RequestID string `json:"request_id"`
-			CacheHits int    `json:"cache_hits"`
+			Steps     int    `json:"replay_steps"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("line %q not JSON: %v", line, err)
@@ -190,8 +190,8 @@ func TestContextHandlerNoBleed(t *testing.T) {
 		}
 		// The attribute on the line must be the one its own request
 		// accumulated, not a neighbor's.
-		if rec.CacheHits != n {
-			t.Fatalf("request %s logged cache_hits=%d — attribute bled across requests", rec.RequestID, rec.CacheHits)
+		if rec.Steps != n {
+			t.Fatalf("request %s logged replay_steps=%d — attribute bled across requests", rec.RequestID, rec.Steps)
 		}
 		if seen[rec.RequestID] {
 			t.Fatalf("request_id %s appears twice", rec.RequestID)

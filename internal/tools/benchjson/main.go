@@ -100,7 +100,6 @@ func main() {
 	for out, pair := range map[string][2]string{
 		"wait_cdf":                  {"BenchmarkWaitCDFReference", "BenchmarkWaitCDF"},
 		"response_percentile_cold":  {"BenchmarkResponsePercentileReference", "BenchmarkResponsePercentileCold"},
-		"response_percentile_warm":  {"BenchmarkResponsePercentileReference", "BenchmarkResponsePercentileWarm"},
 		"response_percentile_batch": {"BenchmarkResponsePercentileReference", "BenchmarkResponsePercentilesBatch"},
 	} {
 		if v, ok := ratio(pair[0], pair[1]); ok {

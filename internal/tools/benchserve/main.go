@@ -194,8 +194,8 @@ func batchBody(us []float64) ([]byte, error) {
 	})
 }
 
-// warmup issues every target once so the percentile cache and analysis
-// memo are hot before the first probe.
+// warmup issues every target once so the analysis memo and frontier
+// tables are hot before the first probe.
 func warmup(client *http.Client, baseURL string, targets []loadgen.Target) {
 	for _, tgt := range targets {
 		var resp *http.Response
