@@ -188,7 +188,7 @@ func run(ctx context.Context, o options, w io.Writer) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	case "csv":
-		// Steps stream as CSV rows as chunks complete; the summary goes
+		// Steps stream as CSV rows as they are evaluated; the summary goes
 		// to stderr so the data stays machine-readable.
 		opt.DiscardSteps = true
 		var emitErr error
