@@ -3,6 +3,8 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -12,13 +14,18 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/fleet"
+	"repro/internal/hardware"
 	"repro/internal/pareto"
 	"repro/internal/queueing"
+	"repro/internal/scenario"
+	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // golden_test.go pins the rendered paper artifacts (Table 7, Table 8,
-// and the Figure 9/10 Pareto sub-linearity classification) to files in
-// testdata/. The analytical pipeline is fully deterministic, so any
+// and the Figure 9/10 Pareto sub-linearity classification) and the
+// fleet simulator's seeded scenario runs to files in testdata/. The analytical pipeline is fully deterministic, so any
 // diff here is a real behavioural change, not noise. Regenerate with
 //
 //	go test -run TestGolden -update ./...
@@ -173,4 +180,91 @@ func TestGoldenKernelFrontierMMK(t *testing.T) {
 			{Kind: queueing.KindMMK, Servers: 16},
 		},
 		[]string{"k=1", "k=4", "k=16"})
+}
+
+// TestGoldenFleetScenarios pins the fleet simulator's output: for every
+// shipped scenario at three seeds, and for chaos-fleet.yaml cut to
+// other sizes, horizons and slices, the summary JSON and the SHA-256 of
+// the chaos log and power trace JSON. A run is a pure function of its
+// spec, so any change here is a change in event order or arithmetic.
+func TestGoldenFleetScenarios(t *testing.T) {
+	catalog := hardware.DefaultCatalog()
+	registry, err := workload.PaperRegistry(catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join("examples", "scenarios", "*.yaml"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenario files (%v)", err)
+	}
+	type variant struct {
+		label string
+		path  string
+		cut   func(*scenario.Scenario)
+	}
+	var variants []variant
+	for _, p := range paths {
+		variants = append(variants, variant{label: filepath.Base(p), path: p, cut: func(*scenario.Scenario) {}})
+	}
+	chaos := filepath.Join("examples", "scenarios", "chaos-fleet.yaml")
+	for _, c := range []struct {
+		nodes    int
+		duration units.Seconds
+		slice    units.Seconds
+	}{
+		{1200, 180, 0},
+		{50, 2 * 3600, 0.5},
+		{300, 3600, 7},
+	} {
+		c := c
+		label := fmt.Sprintf("chaos-fleet.yaml nodes=%d duration=%gs", c.nodes, float64(c.duration))
+		if c.slice > 0 {
+			label += fmt.Sprintf(" slice=%gs", float64(c.slice))
+		}
+		variants = append(variants, variant{label: label, path: chaos, cut: func(sc *scenario.Scenario) {
+			sc.Nodes, sc.Duration = c.nodes, c.duration
+			if c.slice > 0 {
+				sc.Slice = c.slice
+			}
+		}})
+	}
+
+	hash := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(b))
+	}
+	var buf bytes.Buffer
+	for _, v := range variants {
+		sc, err := scenario.Load(v.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.cut(sc)
+		base := sc.Seed
+		for _, seed := range []uint64{base, base + 1, base + 2} {
+			sc.Seed = seed
+			spec, err := sc.Build(catalog, registry)
+			if err != nil {
+				t.Fatalf("%s: %v", v.label, err)
+			}
+			sim, err := fleet.New(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", v.label, err)
+			}
+			res, err := sim.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", v.label, err)
+			}
+			sum, err := json.Marshal(res.Summary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&buf, "%s seed=%d\n  summary %s\n  chaos_log %d records sha256 %s\n  power_trace %d samples sha256 %s\n",
+				v.label, seed, sum, len(res.ChaosLog), hash(res.ChaosLog), len(res.PowerTrace), hash(res.PowerTrace))
+		}
+	}
+	checkGolden(t, "fleet_scenarios", buf.String())
 }
