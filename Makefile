@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race vet staticcheck check ci serve-smoke fleet-smoke logs-demo bench bench-queueing bench-frontier bench-frontier-smoke bench-serve bench-serve-smoke reproduce examples fuzz fuzz-smoke golden clean
+.PHONY: all build test test-race race vet staticcheck check ci serve-smoke fleet-smoke logs-demo bench bench-queueing bench-frontier bench-frontier-smoke bench-serve bench-serve-smoke bench-fleet bench-fleet-smoke reproduce examples fuzz fuzz-smoke golden clean
 
 all: build vet test
 
@@ -91,6 +91,7 @@ ci:
 	$(GO) test -run TestTableDifferentialPaperSpace ./internal/model/
 	$(GO) test -race -short -run 'TestFastSweep|TestFrontier' ./internal/pareto/
 	$(MAKE) bench-frontier-smoke
+	$(MAKE) bench-fleet-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) bench-serve-smoke
@@ -131,6 +132,24 @@ bench-frontier-smoke:
 	$(GO) test -bench 'BenchmarkFrontierSweep' -benchmem -benchtime=1x \
 		-run '^$$' ./internal/pareto/ | $(GO) run ./internal/tools/benchfrontier > /dev/null
 	@echo bench-frontier smoke ok
+
+# Fleet-simulator benchmarks: chaos-fleet.yaml cut to 180 simulated
+# seconds at 100, 1,200 and 10,000 nodes, distilled into
+# BENCH_fleet.json with node-seconds per wall-second, events/op and the
+# GOMAXPROCS, Go version and commit they were measured at.
+# bench-fleet-smoke is the CI variant: one iteration of each size
+# through the distiller, committing nothing.
+bench-fleet:
+	{ echo "goversion: $$($(GO) env GOVERSION)"; \
+	  echo "commit: $$(git rev-parse HEAD 2>/dev/null || echo unknown)"; \
+	  $(GO) test -bench 'BenchmarkFleetRun' -benchmem -run '^$$' ./internal/fleet/; } | tee bench_fleet.out
+	$(GO) run ./internal/tools/benchjson bench_fleet.out > BENCH_fleet.json
+	@echo wrote BENCH_fleet.json
+
+bench-fleet-smoke:
+	$(GO) test -bench 'BenchmarkFleetRun' -benchmem -benchtime=1x \
+		-run '^$$' ./internal/fleet/ | $(GO) run ./internal/tools/benchjson > /dev/null
+	@echo bench-fleet smoke ok
 
 # Serving-capacity benchmark: boots epserve in-process and binary-
 # searches the max sustained open-loop arrival rate at the p99 SLO for
@@ -181,4 +200,4 @@ golden:
 	$(GO) test -run TestGolden -update .
 
 clean:
-	rm -rf results bench.out bench_queueing.out bench_frontier.out
+	rm -rf results bench.out bench_queueing.out bench_frontier.out bench_fleet.out

@@ -1,9 +1,15 @@
-// Command benchjson turns `go test -bench` output for the queueing
-// kernel into the small JSON summary committed as BENCH_queueing.json:
-// per-benchmark ns/op, B/op and allocs/op, plus the derived headline
-// speedups of the fast paths over the preserved reference
-// implementation. Invoked by `make bench-queueing`; reads the benchmark
-// output on stdin (or a file argument) and writes JSON to stdout.
+// Command benchjson turns `go test -bench` output into the small JSON
+// summaries committed as BENCH_queueing.json and BENCH_fleet.json:
+// per-benchmark ns/op, B/op and allocs/op, every custom b.ReportMetric
+// column (the fleet's node-s/s and events/op), the headline speedups of
+// the queueing fast paths over the preserved reference implementation,
+// and how the numbers were measured: GOMAXPROCS (go test's -N name
+// suffix; absent means 1), the Go version and the commit. The last two
+// come from `goversion:` and `commit:` header lines, which the Makefile
+// writes ahead of the benchmark output the way go test writes `cpu:`.
+// Invoked by `make bench-queueing` and `make bench-fleet`; reads the
+// benchmark output on stdin (or a file argument) and writes JSON to
+// stdout.
 package main
 
 import (
@@ -15,13 +21,12 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
-// benchLine matches one `go test -bench` result row, e.g.
-//
-//	BenchmarkWaitCDF-8   	   18276	     65792 ns/op	   41234 B/op	     469 allocs/op
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// procsSuffix is go test's GOMAXPROCS suffix on a benchmark name, e.g.
+// the -8 of BenchmarkWaitCDF-8.
+var procsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 type result struct {
 	Name        string  `json:"name"`
@@ -29,38 +34,75 @@ type result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds the custom columns, keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type summary struct {
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"goversion,omitempty"`
+	Commit     string `json:"commit,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
 	// Speedups pit the preserved pre-PR reference implementation
 	// against the rewritten kernel on the same inputs.
-	Speedups map[string]float64 `json:"speedups"`
+	Speedups map[string]float64 `json:"speedups,omitempty"`
 	Results  []result           `json:"results"`
 }
 
-func parse(r io.Reader) ([]result, error) {
-	var out []result
+// parse reads the header lines and result rows of a benchmark run. A
+// row is the name, the iteration count, then (value, unit) pairs, e.g.
+//
+//	BenchmarkFleetRun/nodes=100-2  1000  1.2e+06 ns/op  1.5e+07 node-s/s  1820 events/op  257776 B/op  3970 allocs/op
+func parse(r io.Reader) (summary, error) {
+	sum := summary{GoMaxProcs: 1}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
+		line := sc.Text()
+		if key, v, ok := strings.Cut(line, ": "); ok {
+			switch v = strings.TrimSpace(v); key {
+			case "goversion":
+				sum.GoVersion = v
+			case "commit":
+				sum.Commit = v
+			case "cpu":
+				sum.CPU = v
+			}
+		}
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || len(f)%2 != 0 {
 			continue
 		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, err := strconv.ParseFloat(m[3], 64)
+		iters, err := strconv.ParseInt(f[1], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("benchjson: bad ns/op in %q: %w", sc.Text(), err)
+			continue
 		}
-		res := result{Name: m[1], Iterations: iters, NsPerOp: ns}
-		if m[4] != "" {
-			res.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
+		res := result{Name: f[0], Iterations: iters}
+		if m := procsSuffix.FindStringSubmatch(res.Name); m != nil {
+			res.Name = strings.TrimSuffix(res.Name, m[0])
+			sum.GoMaxProcs, _ = strconv.Atoi(m[1])
 		}
-		if m[5] != "" {
-			res.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return sum, fmt.Errorf("benchjson: bad %s value in %q: %w", f[i+1], line, err)
+			}
+			switch unit := f[i+1]; unit {
+			case "ns/op":
+				res.NsPerOp = v
+			case "B/op":
+				res.BytesPerOp = int64(v)
+			case "allocs/op":
+				res.AllocsPerOp = int64(v)
+			default:
+				if res.Metrics == nil {
+					res.Metrics = map[string]float64{}
+				}
+				res.Metrics[unit] = v
+			}
 		}
-		out = append(out, res)
+		sum.Results = append(sum.Results, res)
 	}
-	return out, sc.Err()
+	return sum, sc.Err()
 }
 
 func main() {
@@ -74,18 +116,18 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	results, err := parse(in)
+	sum, err := parse(in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	if len(results) == 0 {
+	if len(sum.Results) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on input")
 		os.Exit(1)
 	}
 
 	byName := map[string]float64{}
-	for _, r := range results {
+	for _, r := range sum.Results {
 		byName[r.Name] = r.NsPerOp
 	}
 	ratio := func(num, den string) (float64, bool) {
@@ -96,23 +138,25 @@ func main() {
 		}
 		return n / d, true
 	}
-	speedups := map[string]float64{}
 	for out, pair := range map[string][2]string{
 		"wait_cdf":                  {"BenchmarkWaitCDFReference", "BenchmarkWaitCDF"},
 		"response_percentile_cold":  {"BenchmarkResponsePercentileReference", "BenchmarkResponsePercentileCold"},
 		"response_percentile_batch": {"BenchmarkResponsePercentileReference", "BenchmarkResponsePercentilesBatch"},
 	} {
 		if v, ok := ratio(pair[0], pair[1]); ok {
+			if sum.Speedups == nil {
+				sum.Speedups = map[string]float64{}
+			}
 			// Two significant digits: these are headline ratios, not
 			// benchstat-grade measurements.
-			speedups[out] = float64(int64(v*100+0.5)) / 100
+			sum.Speedups[out] = float64(int64(v*100+0.5)) / 100
 		}
 	}
 
-	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
+	sort.Slice(sum.Results, func(i, j int) bool { return sum.Results[i].Name < sum.Results[j].Name })
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(summary{Speedups: speedups, Results: results}); err != nil {
+	if err := enc.Encode(sum); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
