@@ -52,8 +52,14 @@ func (c Chaos) Validate() error {
 	if !c.Enabled {
 		return nil
 	}
-	if c.MTBF < 0 || c.MTTR < 0 || c.ThrottleEvery < 0 || c.ThrottleFor < 0 ||
-		c.CapEvery < 0 || c.CapFor < 0 {
+	// The mean times set exponential rates: NaN or infinite ones have
+	// none. An infinite episode length lasts past any horizon.
+	for _, d := range []units.Seconds{c.MTBF, c.MTTR, c.ThrottleEvery, c.CapEvery} {
+		if d < 0 || !d.IsFinite() {
+			return fmt.Errorf("fleet: chaos mean times must be finite and non-negative")
+		}
+	}
+	if !(c.ThrottleFor >= 0) || !(c.CapFor >= 0) {
 		return fmt.Errorf("fleet: chaos durations must be non-negative")
 	}
 	if c.MTBF > 0 && c.MTTR <= 0 {
@@ -63,7 +69,7 @@ func (c Chaos) Validate() error {
 		if c.ThrottleFor <= 0 {
 			return fmt.Errorf("fleet: chaos throttling needs a positive duration")
 		}
-		if c.ThrottleFactor <= 0 || c.ThrottleFactor >= 1 {
+		if !(c.ThrottleFactor > 0 && c.ThrottleFactor < 1) {
 			return fmt.Errorf("fleet: chaos throttle factor %g outside (0, 1)", c.ThrottleFactor)
 		}
 	}
@@ -71,14 +77,14 @@ func (c Chaos) Validate() error {
 		if c.CapFor <= 0 {
 			return fmt.Errorf("fleet: chaos power caps need a positive duration")
 		}
-		if c.CapFraction <= 0 || c.CapFraction > 1 {
+		if !(c.CapFraction > 0 && c.CapFraction <= 1) {
 			return fmt.Errorf("fleet: chaos cap fraction %g outside (0, 1]", c.CapFraction)
 		}
 	}
-	if c.StragglerProb < 0 || c.StragglerProb > 1 {
+	if !(c.StragglerProb >= 0 && c.StragglerProb <= 1) {
 		return fmt.Errorf("fleet: straggler probability %g outside [0, 1]", c.StragglerProb)
 	}
-	if c.StragglerProb > 0 && c.StragglerSlowdown < 1 {
+	if c.StragglerProb > 0 && !(c.StragglerSlowdown >= 1) {
 		return fmt.Errorf("fleet: straggler slowdown %g below 1", c.StragglerSlowdown)
 	}
 	return nil
@@ -91,13 +97,10 @@ type ChaosRecord struct {
 	Kind string  `json:"kind"`
 }
 
-type recorder func(ChaosRecord)
-
-// armChaos seeds node n's chaos processes on its own engine. Every
-// schedule happens from within the node's events, preserving the fleet
-// invariant that an action only touches the queue of the engine that
-// runs it.
-func (s *Simulator) armChaos(n *node, record recorder) {
+// armChaos draws node n's straggler fate and books the first episode
+// of each enabled background process on its engine. Each episode books
+// its successor when it fires (Simulator.fire).
+func (s *Simulator) armChaos(n *node) {
 	c := s.spec.Chaos
 	if !c.Enabled {
 		return
@@ -112,156 +115,95 @@ func (s *Simulator) armChaos(n *node, record recorder) {
 			n.straggler = true
 			n.recalc()
 			s.counters.stragglers++
-			record(ChaosRecord{Time: 0, Node: n.index, Kind: "straggler"})
+			s.log = append(s.log, ChaosRecord{Time: 0, Node: n.index, Kind: "straggler"})
 		}
 	}
 
+	engine := n.index + 1
 	if c.MTBF > 0 {
-		var fail, repair func()
-		fail = func() {
-			now := n.eng.Now()
-			s.applyFail(now, n, record)
-			if _, err := n.eng.Schedule(n.rng.ExpFloat64(1/float64(c.MTTR)), repair); err != nil {
-				panic(err)
-			}
-		}
-		repair = func() {
-			now := n.eng.Now()
-			s.applyRepair(now, n, record)
-			if _, err := n.eng.Schedule(n.rng.ExpFloat64(1/float64(c.MTBF)), fail); err != nil {
-				panic(err)
-			}
-		}
-		if _, err := n.eng.Schedule(n.rng.ExpFloat64(1/float64(c.MTBF)), fail); err != nil {
-			panic(err)
-		}
+		s.after(n.rng.ExpFloat64(1/float64(c.MTBF)), engine, evFail, 0)
 	}
-
 	if c.ThrottleEvery > 0 {
-		var onset, clear func()
-		onset = func() {
-			now := n.eng.Now()
-			s.applyThrottle(now, n, c.ThrottleFactor, record)
-			if _, err := n.eng.Schedule(float64(c.ThrottleFor), clear); err != nil {
-				panic(err)
-			}
-		}
-		clear = func() {
-			now := n.eng.Now()
-			s.applyThrottle(now, n, 1, record)
-			if _, err := n.eng.Schedule(n.rng.ExpFloat64(1/float64(c.ThrottleEvery)), onset); err != nil {
-				panic(err)
-			}
-		}
-		if _, err := n.eng.Schedule(n.rng.ExpFloat64(1/float64(c.ThrottleEvery)), onset); err != nil {
-			panic(err)
-		}
+		s.after(n.rng.ExpFloat64(1/float64(c.ThrottleEvery)), engine, evThrottle, 0)
 	}
-
 	if c.CapEvery > 0 {
-		watts := c.CapFraction * float64(n.group.Type.NominalPeak)
-		var impose, lift func()
-		impose = func() {
-			now := n.eng.Now()
-			s.applyPowerCap(now, n, watts, record)
-			if _, err := n.eng.Schedule(float64(c.CapFor), lift); err != nil {
-				panic(err)
-			}
+		s.after(n.rng.ExpFloat64(1/float64(c.CapEvery)), engine, evCap, 0)
+	}
+}
+
+// applyChaos runs one background chaos episode on n: when it changes
+// n's state, advance all lazy accounting to now, mutate, rederive,
+// rebalance.
+func (s *Simulator) applyChaos(n *node, act Action, v float64) {
+	if n.inState(act, v) {
+		return
+	}
+	s.advanceAll(s.now)
+	s.mutate(n, act, v)
+	n.recalc()
+	s.rebalance(s.now)
+}
+
+// inState reports whether n already is where act with value v would
+// put it: v is the throttle factor, the cap in watts or the straggle
+// slowdown, and is ignored by fail and repair.
+func (n *node) inState(act Action, v float64) bool {
+	switch act {
+	case ActionFail:
+		return n.failed
+	case ActionRepair:
+		return !n.failed
+	case ActionThrottle, ActionUnthrottle:
+		return n.throttleFactor == v
+	case ActionPowerCap, ActionUncap:
+		return n.capWatts == v
+	default: // straggle, unstraggle
+		return n.stragglerFactor == v
+	}
+}
+
+// mutate is the single write path for a node's chaos state, shared by
+// the background chaos processes and the scenario's timed events: it
+// applies act with value v (see inState), counts and logs it, and does
+// nothing when n is already in that state. The caller advances the
+// accounting before and rederives and rebalances after.
+func (s *Simulator) mutate(n *node, act Action, v float64) {
+	if n.inState(act, v) {
+		return
+	}
+	kind := string(act)
+	switch act {
+	case ActionFail:
+		n.failed = true
+		n.failures++
+		s.counters.failures++
+	case ActionRepair:
+		n.failed = false
+		n.repairs++
+		s.counters.repairs++
+	case ActionThrottle, ActionUnthrottle:
+		n.throttleFactor = v
+		if act == ActionThrottle {
+			n.throttles++
+			s.counters.throttles++
 		}
-		lift = func() {
-			now := n.eng.Now()
-			s.applyPowerCap(now, n, 0, record)
-			if _, err := n.eng.Schedule(n.rng.ExpFloat64(1/float64(c.CapEvery)), impose); err != nil {
-				panic(err)
-			}
+	case ActionPowerCap, ActionUncap:
+		n.capWatts = v
+		if act == ActionPowerCap {
+			n.caps++
+			s.counters.caps++
 		}
-		if _, err := n.eng.Schedule(n.rng.ExpFloat64(1/float64(c.CapEvery)), impose); err != nil {
-			panic(err)
+	case ActionStraggle:
+		n.stragglerFactor = v
+		if !n.straggler {
+			n.straggler = true
+			s.counters.stragglers++
 		}
-	}
-}
-
-// The apply* mutators are the single write path for chaos state, shared
-// by the background chaos processes and the scenario's timed events:
-// advance all lazy accounting to now, mutate, rederive, rebalance.
-
-func (s *Simulator) applyFail(now float64, n *node, record recorder) {
-	if n.failed {
-		return
-	}
-	s.advanceAll(now)
-	n.failed = true
-	n.failures++
-	s.counters.failures++
-	n.recalc()
-	s.rebalance(now)
-	record(ChaosRecord{Time: now, Node: n.index, Kind: "fail"})
-}
-
-func (s *Simulator) applyRepair(now float64, n *node, record recorder) {
-	if !n.failed {
-		return
-	}
-	s.advanceAll(now)
-	n.failed = false
-	n.repairs++
-	s.counters.repairs++
-	n.recalc()
-	s.rebalance(now)
-	record(ChaosRecord{Time: now, Node: n.index, Kind: "repair"})
-}
-
-func (s *Simulator) applyThrottle(now float64, n *node, factor float64, record recorder) {
-	if n.throttleFactor == factor {
-		return
-	}
-	s.advanceAll(now)
-	n.throttleFactor = factor
-	kind := "throttle"
-	if factor >= 1 {
-		kind = "unthrottle"
-	} else {
-		n.throttles++
-		s.counters.throttles++
-	}
-	n.recalc()
-	s.rebalance(now)
-	record(ChaosRecord{Time: now, Node: n.index, Kind: kind})
-}
-
-func (s *Simulator) applyPowerCap(now float64, n *node, watts float64, record recorder) {
-	if n.capWatts == watts {
-		return
-	}
-	s.advanceAll(now)
-	n.capWatts = watts
-	kind := "power_cap"
-	if watts <= 0 {
-		kind = "uncap"
-	} else {
-		n.caps++
-		s.counters.caps++
-	}
-	n.recalc()
-	s.rebalance(now)
-	record(ChaosRecord{Time: now, Node: n.index, Kind: kind})
-}
-
-func (s *Simulator) applyStraggle(now float64, n *node, slowdown float64, record recorder) {
-	if n.stragglerFactor == slowdown {
-		return
-	}
-	s.advanceAll(now)
-	n.stragglerFactor = slowdown
-	kind := "straggler"
-	if slowdown <= 1 {
-		kind = "unstraggler"
+		kind = "straggler"
+	case ActionUnstraggle:
+		n.stragglerFactor = v
 		n.straggler = false
-	} else if !n.straggler {
-		n.straggler = true
-		s.counters.stragglers++
+		kind = "unstraggler"
 	}
-	n.recalc()
-	s.rebalance(now)
-	record(ChaosRecord{Time: now, Node: n.index, Kind: kind})
+	s.log = append(s.log, ChaosRecord{Time: s.now, Node: n.index, Kind: kind})
 }

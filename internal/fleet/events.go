@@ -126,11 +126,11 @@ func (e *TimedEvent) Validate(horizon units.Seconds) error {
 	case ActionFail, ActionRepair, ActionUnthrottle, ActionUncap, ActionUnstraggle:
 		// No parameters.
 	case ActionThrottle:
-		if e.Factor <= 0 || e.Factor >= 1 {
+		if !(e.Factor > 0 && e.Factor < 1) {
 			return fmt.Errorf("fleet: throttle factor %g outside (0, 1)", e.Factor)
 		}
 	case ActionStraggle:
-		if e.Slowdown < 1 {
+		if !(e.Slowdown >= 1) {
 			return fmt.Errorf("fleet: straggle slowdown %g below 1", e.Slowdown)
 		}
 	case ActionPowerCap:
@@ -171,29 +171,17 @@ func revertAction(a Action) (Action, bool) {
 	return "", false
 }
 
-// scheduleTimedEvents arms the scenario's interventions on the
-// coordinator engine. Events fire in (time, spec order); a For-scoped
-// event schedules its own revert against the same resolved target.
-func (s *Simulator) scheduleTimedEvents(record recorder) {
-	for i := range s.spec.Events {
-		ev := s.spec.Events[i] // copy: the closure outlives the loop
-		if _, err := s.coord.ScheduleAt(float64(ev.At), func() {
-			s.applyTimedEvent(&ev, record)
-		}); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// applyTimedEvent executes one intervention: one accounting advance and
-// one rebalance for the whole batch, however many nodes it touches.
-func (s *Simulator) applyTimedEvent(ev *TimedEvent, record recorder) {
-	now := s.coord.Now()
+// applyTimedEvent executes intervention i (ev is Spec.Events[i], or its
+// revert): one accounting advance and one rebalance for the whole
+// batch, however many nodes it touches. A For-scoped event books its
+// own revert, which resolves the same target again when it fires.
+func (s *Simulator) applyTimedEvent(ev TimedEvent, i int) {
+	now := s.now
 	if ev.Action == ActionSetUtilization {
 		s.advanceAll(now)
 		s.utilization = ev.Utilization
 		s.rebalance(now)
-		record(ChaosRecord{Time: now, Node: AllNodes, Kind: string(ev.Action)})
+		s.log = append(s.log, ChaosRecord{Time: now, Node: AllNodes, Kind: string(ev.Action)})
 		return
 	}
 
@@ -203,79 +191,26 @@ func (s *Simulator) applyTimedEvent(ev *TimedEvent, record recorder) {
 	}
 	s.advanceAll(now)
 	for _, n := range targets {
+		v := 0.0
 		switch ev.Action {
-		case ActionFail:
-			if !n.failed {
-				n.failed = true
-				n.failures++
-				s.counters.failures++
-				record(ChaosRecord{Time: now, Node: n.index, Kind: "fail"})
-			}
-		case ActionRepair:
-			if n.failed {
-				n.failed = false
-				n.repairs++
-				s.counters.repairs++
-				record(ChaosRecord{Time: now, Node: n.index, Kind: "repair"})
-			}
 		case ActionThrottle:
-			if n.throttleFactor != ev.Factor {
-				n.throttleFactor = ev.Factor
-				n.throttles++
-				s.counters.throttles++
-				record(ChaosRecord{Time: now, Node: n.index, Kind: "throttle"})
-			}
-		case ActionUnthrottle:
-			if n.throttleFactor != 1 {
-				n.throttleFactor = 1
-				record(ChaosRecord{Time: now, Node: n.index, Kind: "unthrottle"})
-			}
+			v = ev.Factor
+		case ActionUnthrottle, ActionUnstraggle:
+			v = 1
 		case ActionPowerCap:
-			watts := float64(ev.Watts)
+			v = float64(ev.Watts)
 			if ev.Fraction > 0 {
-				watts = ev.Fraction * float64(n.group.Type.NominalPeak)
-			}
-			if n.capWatts != watts {
-				n.capWatts = watts
-				n.caps++
-				s.counters.caps++
-				record(ChaosRecord{Time: now, Node: n.index, Kind: "power_cap"})
-			}
-		case ActionUncap:
-			if n.capWatts != 0 {
-				n.capWatts = 0
-				record(ChaosRecord{Time: now, Node: n.index, Kind: "uncap"})
+				v = ev.Fraction * float64(n.group.Type.NominalPeak)
 			}
 		case ActionStraggle:
-			if n.stragglerFactor != ev.Slowdown {
-				n.stragglerFactor = ev.Slowdown
-				if !n.straggler {
-					n.straggler = true
-					s.counters.stragglers++
-				}
-				record(ChaosRecord{Time: now, Node: n.index, Kind: "straggler"})
-			}
-		case ActionUnstraggle:
-			if n.stragglerFactor != 1 {
-				n.stragglerFactor = 1
-				n.straggler = false
-				record(ChaosRecord{Time: now, Node: n.index, Kind: "unstraggler"})
-			}
+			v = ev.Slowdown
 		}
+		s.mutate(n, ev.Action, v)
 		n.recalc()
 	}
 	s.rebalance(now)
 
-	if ev.For > 0 {
-		if inverse, ok := revertAction(ev.Action); ok {
-			revert := *ev
-			revert.Action = inverse
-			revert.For = 0
-			if _, err := s.coord.Schedule(float64(ev.For), func() {
-				s.applyTimedEvent(&revert, record)
-			}); err != nil {
-				panic(err)
-			}
-		}
+	if _, ok := revertAction(ev.Action); ok && ev.For > 0 {
+		s.after(float64(ev.For), 0, evRevert, i)
 	}
 }

@@ -1,10 +1,7 @@
 // Package fleet promotes the per-node measurement substrate
-// (internal/des + internal/simulator) to a shared-clock multi-node
-// fleet simulator: thousands of heterogeneous nodes, each owning its
-// own discrete-event engine, advanced in global timestamp order by a
-// coordinator that repeatedly selects the engine whose next event is
-// earliest (the HasPendingEvents / PeekNextEventTime / ProcessNextEvent
-// primitives of internal/des).
+// (internal/simulator) to a shared-clock multi-node fleet simulator:
+// thousands of heterogeneous nodes, each with its own chaos stream,
+// advanced in global timestamp order on one fleet calendar.
 //
 // Where internal/simulator executes one job on one configuration and
 // stops, the fleet runs a continuous offered load against a long-lived
@@ -15,22 +12,28 @@
 // re-asking the paper's energy-proportionality questions under
 // failures rather than steady state.
 //
+// The calendar is a binary min-heap of value events (calendar.go)
+// holding the coordinator's work (power samples, timed scenario events
+// and their reverts) and each node's chaos episodes. Heartbeats stay
+// out of it: every node beats on one shared grid (t1 = slice, tk+1 =
+// tk + slice) in node-index order, so the run loop sweeps them with a
+// cursor and merges each against the heap head in O(1).
+//
 // Determinism contract: a fleet run is a pure function of its Spec
-// (including Seed). Events across engines are ordered by (virtual
-// time, engine index, per-engine schedule order); chaos draws come
-// from per-node streams derived only from (Seed, node index); and all
-// summary aggregation iterates in node-index or sorted-type order.
-// Two runs of the same Spec produce bitwise-identical summaries.
+// (including Seed). Events are ordered by (virtual time, engine,
+// schedule order), engine 0 being the coordinator and engine i+1 node
+// i; chaos draws come from per-node streams derived only from (Seed,
+// node index); and all summary aggregation iterates in node-index or
+// sorted-type order. Two runs of the same Spec produce
+// bitwise-identical summaries.
 package fleet
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/queueing"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -51,8 +54,8 @@ type Spec struct {
 	Templates []cluster.Group
 	// Duration is the virtual horizon of the run.
 	Duration units.Seconds
-	// Slice is the heartbeat period of each node's engine and the
-	// fleet-wide power sampling interval. Zero defaults to 1 s.
+	// Slice is the heartbeat period of every node and the fleet-wide
+	// power sampling interval. Zero defaults to 1 s.
 	Slice units.Seconds
 	// Utilization is the offered load as a fraction of the fleet's
 	// nominal (healthy, uncapped) processing capacity. Values above 1
@@ -69,7 +72,7 @@ type Spec struct {
 	// Chaos configures the background chaos injection processes.
 	Chaos Chaos
 	// Events are the scenario's timed interventions, applied in time
-	// order on the coordinator engine.
+	// order by the coordinator.
 	Events []TimedEvent
 }
 
@@ -93,7 +96,7 @@ func (s *Spec) Validate() error {
 	if !(s.Duration > 0) || !s.Duration.IsFinite() {
 		return fmt.Errorf("fleet: non-positive duration %v", s.Duration)
 	}
-	if s.Slice < 0 || (s.Slice > 0 && s.Duration/s.Slice > 50e6) {
+	if !(s.Slice >= 0) || (s.Slice > 0 && s.Duration/s.Slice > 50e6) {
 		return fmt.Errorf("fleet: slice %v yields more than 50M heartbeats over %v", s.Slice, s.Duration)
 	}
 	if s.Utilization < 0 || math.IsNaN(s.Utilization) {
@@ -177,8 +180,15 @@ func (s *Spec) NodeCount() int {
 type Simulator struct {
 	spec  Spec
 	nodes []*node
-	coord *des.Engine // engine 0: scenario events, chaos-free fleet work
-	heap  engineHeap
+	cal   calendar
+	now   float64 // time of the event being run
+	log   []ChaosRecord
+
+	// The heartbeat sweep: node beatNode beats next, at beatT; beatSeq
+	// holds each node's pending heartbeat's schedule seq.
+	beatT    float64
+	beatNode int
+	beatSeq  []uint64
 
 	slice       float64
 	horizon     float64
@@ -233,7 +243,6 @@ func New(spec Spec) (*Simulator, error) {
 	}
 	s := &Simulator{
 		spec:        spec,
-		coord:       des.New(),
 		slice:       slice,
 		horizon:     float64(spec.Duration),
 		utilization: spec.Utilization,
@@ -242,13 +251,16 @@ func New(spec Spec) (*Simulator, error) {
 	s.aliveGauge = reg.Gauge("fleet.alive_nodes")
 	s.powerGauge = reg.Gauge("fleet.power_watts")
 
+	slab := make([]node, spec.NodeCount())
+	s.nodes = make([]*node, 0, len(slab))
 	for ti, g := range spec.Templates {
 		d, err := spec.Workload.Demand(g.Type.Name)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < g.Count; i++ {
-			n := newNode(len(s.nodes), ti, g, d, spec.Workload, spec.Seed)
+			n := &slab[len(s.nodes)]
+			initNode(n, len(s.nodes), ti, g, d, spec.Workload, spec.Seed)
 			s.nominalRate += n.nominalRate
 			s.nodes = append(s.nodes, n)
 		}
@@ -271,42 +283,48 @@ func (s *Simulator) Run() (*Result, error) {
 	defer span.End()
 	reg.Counter("fleet.runs").Inc()
 
-	var log []ChaosRecord
-	record := func(r ChaosRecord) { log = append(log, r) }
-
-	// Seed the engines: heartbeats and chaos streams per node, timed
-	// scenario events and the fleet power sampler on the coordinator.
+	// Seed the schedule: per node, its first heartbeat's seq (the time
+	// is the grid's) and its chaos processes, then the timed scenario
+	// events and the power sampler.
+	s.beatSeq = make([]uint64, len(s.nodes))
 	for _, n := range s.nodes {
-		n.scheduleHeartbeat(s.slice)
-		s.armChaos(n, record)
+		s.beatSeq[n.index] = s.cal.next()
+		s.armChaos(n)
 	}
-	s.scheduleTimedEvents(record)
-	s.schedulePowerSampler()
+	for i := range s.spec.Events {
+		s.after(float64(s.spec.Events[i].At)-s.now, 0, evTimed, i)
+	}
+	s.after(0, 0, evSample, 0)
 	s.rebalance(0)
+	s.beatT = s.now + s.slice
 
-	// The shared-clock loop: engine 0 is the coordinator, engines 1..N
-	// the nodes. Repeatedly advance the engine whose next event is
-	// earliest; ties break by engine index, making the interleaving a
-	// pure function of the spec.
-	engines := make([]stepEngine, 0, len(s.nodes)+1)
-	engines = append(engines, stepEngine{eng: s.coord})
-	for _, n := range s.nodes {
-		engines = append(engines, stepEngine{eng: n.eng})
-	}
-	s.heap.init(engines)
-
+	// The shared-clock loop. The next heartbeat is node beatNode's at
+	// beatT, keyed (beatT, beatNode+1, its seq); it runs unless the
+	// calendar head comes first under the same key. Every calendar
+	// event is due by the horizon (after drops later ones), so the run
+	// ends when the calendar is empty and the grid has passed the
+	// horizon.
 	events := uint64(0)
 	for {
-		idx, t, ok := s.heap.min()
-		if !ok || t > s.horizon {
-			break
+		beat := event{t: s.beatT, engine: s.beatNode + 1, seq: s.beatSeq[s.beatNode]}
+		if len(s.cal.q) > 0 && s.cal.q[0].before(&beat) {
+			ev := s.cal.pop()
+			s.now = ev.t
+			s.fire(ev)
+		} else {
+			if s.beatT > s.horizon {
+				break
+			}
+			s.now = s.beatT
+			s.nodes[s.beatNode].advanceTo(s.now)
+			s.beatSeq[s.beatNode] = s.cal.next()
+			if s.beatNode++; s.beatNode == len(s.nodes) {
+				s.beatNode, s.beatT = 0, s.beatT+s.slice
+			}
 		}
-		engines[idx].eng.ProcessNextEvent()
 		events++
-		// Only the processed engine may have changed its own queue:
-		// actions schedule exclusively on the engine that runs them.
-		s.heap.fix(idx)
 	}
+	reg.Counter("fleet.events").Add(events)
 
 	// Close the books at the horizon.
 	for _, n := range s.nodes {
@@ -315,103 +333,57 @@ func (s *Simulator) Run() (*Result, error) {
 	s.integrateFlows(s.horizon)
 
 	res := s.summarize(events)
-	res.ChaosLog = log
+	res.ChaosLog = s.log
 	res.PowerTrace = s.powerSample
 	s.nodes = nil
 	return res, nil
 }
 
-// stepEngine pairs an engine with its heap bookkeeping.
-type stepEngine struct {
-	eng *des.Engine
-}
-
-// engineHeap is an indexed min-heap over engines keyed by next event
-// time, ties broken by engine index. Engines with no pending events
-// leave the heap and re-enter on fix if they gained events.
-type engineHeap struct {
-	engines []stepEngine
-	keys    []float64 // next event time per heap slot
-	idx     []int     // heap slot -> engine index
-	pos     []int     // engine index -> heap slot (-1 when absent)
-}
-
-func (h *engineHeap) init(engines []stepEngine) {
-	h.engines = engines
-	h.keys = h.keys[:0]
-	h.idx = h.idx[:0]
-	h.pos = make([]int, len(engines))
-	for i := range h.pos {
-		h.pos[i] = -1
+// after books an event of kind on engine delay seconds after now. An
+// event past the horizon would never run, so it is dropped.
+func (s *Simulator) after(delay float64, engine int, kind eventKind, arg int) {
+	if t := s.now + delay; t <= s.horizon {
+		s.cal.push(event{t: t, engine: engine, kind: kind, arg: int32(arg)})
 	}
-	for i := range engines {
-		if t, ok := engines[i].eng.PeekNextEventTime(); ok {
-			h.pos[i] = len(h.idx)
-			h.keys = append(h.keys, t)
-			h.idx = append(h.idx, i)
-		}
-	}
-	heap.Init(h)
 }
 
-func (h *engineHeap) Len() int { return len(h.idx) }
-func (h *engineHeap) Less(i, j int) bool {
-	if h.keys[i] != h.keys[j] {
-		return h.keys[i] < h.keys[j]
+// fire runs one calendar event at s.now. A background chaos episode
+// books its successor with a draw from the node's own stream, so each
+// stream's draws follow its node's event order.
+func (s *Simulator) fire(ev event) {
+	c := &s.spec.Chaos
+	var n *node
+	if ev.engine > 0 {
+		n = s.nodes[ev.engine-1]
 	}
-	return h.idx[i] < h.idx[j]
-}
-func (h *engineHeap) Swap(i, j int) {
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
-	h.pos[h.idx[i]] = i
-	h.pos[h.idx[j]] = j
-}
-func (h *engineHeap) Push(x any) {
-	i := x.(int)
-	t, _ := h.engines[i].eng.PeekNextEventTime()
-	h.pos[i] = len(h.idx)
-	h.keys = append(h.keys, t)
-	h.idx = append(h.idx, i)
-}
-func (h *engineHeap) Pop() any {
-	n := len(h.idx) - 1
-	i := h.idx[n]
-	h.pos[i] = -1
-	h.idx = h.idx[:n]
-	h.keys = h.keys[:n]
-	return i
-}
-
-// min returns the engine index and key of the earliest pending event.
-func (h *engineHeap) min() (int, float64, bool) {
-	if len(h.idx) == 0 {
-		return 0, 0, false
-	}
-	return h.idx[0], h.keys[0], true
-}
-
-// fix re-reads engine i's next event time and restores heap order,
-// inserting or removing the engine as its queue filled or drained.
-func (h *engineHeap) fix(i int) {
-	t, ok := h.engines[i].eng.PeekNextEventTime()
-	slot := h.pos[i]
-	switch {
-	case ok && slot >= 0:
-		h.keys[slot] = t
-		heap.Fix(h, slot)
-	case ok && slot < 0:
-		heap.Push(h, i)
-	case !ok && slot >= 0:
-		// Drained: remove by swapping to the end.
-		n := len(h.idx) - 1
-		h.Swap(slot, n)
-		h.pos[i] = -1
-		h.idx = h.idx[:n]
-		h.keys = h.keys[:n]
-		if slot < n {
-			heap.Fix(h, slot)
-		}
+	switch ev.kind {
+	case evSample:
+		s.sample()
+	case evTimed:
+		s.applyTimedEvent(s.spec.Events[ev.arg], int(ev.arg))
+	case evRevert:
+		rev := s.spec.Events[ev.arg]
+		rev.Action, _ = revertAction(rev.Action)
+		rev.For = 0
+		s.applyTimedEvent(rev, int(ev.arg))
+	case evFail:
+		s.applyChaos(n, ActionFail, 0)
+		s.after(n.rng.ExpFloat64(1/float64(c.MTTR)), ev.engine, evRepair, 0)
+	case evRepair:
+		s.applyChaos(n, ActionRepair, 0)
+		s.after(n.rng.ExpFloat64(1/float64(c.MTBF)), ev.engine, evFail, 0)
+	case evThrottle:
+		s.applyChaos(n, ActionThrottle, c.ThrottleFactor)
+		s.after(float64(c.ThrottleFor), ev.engine, evUnthrottle, 0)
+	case evUnthrottle:
+		s.applyChaos(n, ActionUnthrottle, 1)
+		s.after(n.rng.ExpFloat64(1/float64(c.ThrottleEvery)), ev.engine, evThrottle, 0)
+	case evCap:
+		s.applyChaos(n, ActionPowerCap, c.CapFraction*float64(n.group.Type.NominalPeak))
+		s.after(float64(c.CapFor), ev.engine, evUncap, 0)
+	case evUncap:
+		s.applyChaos(n, ActionUncap, 0)
+		s.after(n.rng.ExpFloat64(1/float64(c.CapEvery)), ev.engine, evCap, 0)
 	}
 }
 
@@ -467,45 +439,34 @@ func (s *Simulator) integrateFlows(now float64) {
 	s.flowLastT = now
 }
 
-// schedulePowerSampler samples fleet-wide power draw every slice on the
-// coordinator engine, tracking the peak and an optional trace. The
-// trace is capped so multi-day scenarios cannot exhaust memory.
-func (s *Simulator) schedulePowerSampler() {
+// sample reads fleet-wide power draw every slice, tracking the peak and
+// an optional trace, and books the next sample. The trace is capped so
+// multi-day scenarios cannot exhaust memory.
+func (s *Simulator) sample() {
 	const maxSamples = 100000
-	var sample func()
-	sample = func() {
-		now := s.coord.Now()
-		total := 0.0
-		alive := 0
+	total := 0.0
+	alive := 0
+	for _, n := range s.nodes {
+		total += n.power
+		if !n.failed {
+			alive++
+		}
+	}
+	if total > s.peakPower {
+		s.peakPower = total
+	}
+	s.powerGauge.Set(total)
+	if len(s.powerSample) < maxSamples {
+		s.powerSample = append(s.powerSample, PowerSample{Time: s.now, Power: total, Alive: alive})
+	}
+	if s.spec.Latency != nil {
+		aliveCap := 0.0
 		for _, n := range s.nodes {
-			total += n.power
-			if !n.failed {
-				alive++
-			}
+			aliveCap += n.capacity()
 		}
-		if total > s.peakPower {
-			s.peakPower = total
-		}
-		s.powerGauge.Set(total)
-		if len(s.powerSample) < maxSamples {
-			s.powerSample = append(s.powerSample, PowerSample{Time: now, Power: total, Alive: alive})
-		}
-		if s.spec.Latency != nil {
-			aliveCap := 0.0
-			for _, n := range s.nodes {
-				aliveCap += n.capacity()
-			}
-			s.sampleLatency(aliveCap, alive)
-		}
-		if next := now + s.slice; next <= s.horizon {
-			if _, err := s.coord.Schedule(s.slice, sample); err != nil {
-				panic(err)
-			}
-		}
+		s.sampleLatency(aliveCap, alive)
 	}
-	if _, err := s.coord.Schedule(0, sample); err != nil {
-		panic(err)
-	}
+	s.after(s.slice, 0, evSample, 0)
 }
 
 // sampleLatency runs the analytic tail-latency probe at one power

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/hardware"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -274,5 +275,25 @@ func TestMetricAccessors(t *testing.T) {
 	}
 	if v, _ := res.Summary.Metric("nodes"); v != 10 {
 		t.Errorf("nodes metric = %g, want 10", v)
+	}
+}
+
+// TestRunTelemetry: with a registry installed, a run adds its event
+// count to fleet.events and counts itself in fleet.runs. The fleet runs
+// no des engine, so the des.* counters stay at zero.
+func TestRunTelemetry(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
+
+	res := runSpec(t, chaosSpec(t, 7))
+	if got, want := reg.Counter("fleet.events").Value(), res.Summary.Events; got != want {
+		t.Errorf("fleet.events = %d, want Summary.Events = %d", got, want)
+	}
+	if got := reg.Counter("fleet.runs").Value(); got != 1 {
+		t.Errorf("fleet.runs = %d, want 1", got)
+	}
+	if got := reg.Counter("des.events_fired").Value(); got != 0 {
+		t.Errorf("des.events_fired = %d after a fleet run, want 0", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -12,7 +11,7 @@ import (
 
 // node is one fleet member: a single machine of a template's type,
 // running at the template's (cores, frequency) operating point, with
-// its own discrete-event engine and chaos stream.
+// its own chaos stream.
 //
 // Work and power are integrated lazily: the node keeps the current
 // (power, unit-completion) derivatives and accrues energy and units on
@@ -25,7 +24,6 @@ type node struct {
 	group    cluster.Group
 	demand   workload.Demand
 	wl       *workload.Profile
-	eng      *des.Engine
 	rng      *stats.RNG // chaos stream, derived from (seed, index) only
 
 	// Chaos state. The zero state is a healthy node: factor 1, no cap.
@@ -35,17 +33,16 @@ type node struct {
 	capWatts        float64 // whole-node power cap; 0 disables
 
 	// Derived per-state quantities, recomputed by recalc.
-	nominalRate   float64 // healthy full-speed capacity, units/s
-	idealUnitJ    float64 // healthy energy per unit at u=1 (incl. idle share)
-	unitTime      float64 // seconds per unit in the current state
-	rate          float64 // 1/unitTime (0 when failed)
-	idlePower     float64
-	dynPower      float64 // watts above idle at full utilization
-	maxU          float64 // power-cap-limited max busy fraction
-	u             float64 // assigned busy fraction
-	power         float64 // current draw, watts
-	unitsPerSec   float64 // current completion rate
-	sliceDeadline float64 // next heartbeat time (diagnostics only)
+	nominalRate float64 // healthy full-speed capacity, units/s
+	idealUnitJ  float64 // healthy energy per unit at u=1 (incl. idle share)
+	unitTime    float64 // seconds per unit in the current state
+	rate        float64 // 1/unitTime (0 when failed)
+	idlePower   float64
+	dynPower    float64 // watts above idle at full utilization
+	maxU        float64 // power-cap-limited max busy fraction
+	u           float64 // assigned busy fraction
+	power       float64 // current draw, watts
+	unitsPerSec float64 // current completion rate
 
 	// Accounting.
 	lastT     float64
@@ -85,14 +82,14 @@ func chaosStream(seed uint64, index int) uint64 {
 	return h
 }
 
-func newNode(index, template int, g cluster.Group, d workload.Demand, wl *workload.Profile, seed uint64) *node {
-	n := &node{
+// initNode sets n up as fleet member index, healthy and unloaded.
+func initNode(n *node, index, template int, g cluster.Group, d workload.Demand, wl *workload.Profile, seed uint64) {
+	*n = node{
 		index:           index,
 		template:        template,
 		group:           g,
 		demand:          d,
 		wl:              wl,
-		eng:             des.New(),
 		rng:             stats.NewRNG(chaosStream(seed, index)),
 		throttleFactor:  1,
 		stragglerFactor: 1,
@@ -102,7 +99,6 @@ func newNode(index, template int, g cluster.Group, d workload.Demand, wl *worklo
 	if n.rate > 0 {
 		n.idealUnitJ = n.unitTime * (n.idlePower + n.dynPower)
 	}
-	return n
 }
 
 // recalc rebuilds the per-unit time and power derivatives from the
@@ -227,22 +223,4 @@ func (n *node) advanceTo(now float64) {
 	n.energy.Add(n.power * dt)
 	n.done.Add(n.unitsPerSec * dt)
 	n.busyTime.Add(n.u * dt)
-}
-
-// scheduleHeartbeat starts the node's recurring heartbeat: advance the
-// lazy accounting every slice so accumulators stay fresh and the power
-// sampler reads a current draw. The stream is unbounded; the fleet's
-// run loop stops consuming it at the horizon.
-func (n *node) scheduleHeartbeat(slice float64) {
-	var beat func()
-	beat = func() {
-		n.advanceTo(n.eng.Now())
-		n.sliceDeadline = n.eng.Now() + slice
-		if _, err := n.eng.Schedule(slice, beat); err != nil {
-			panic(err)
-		}
-	}
-	if _, err := n.eng.Schedule(slice, beat); err != nil {
-		panic(err)
-	}
 }

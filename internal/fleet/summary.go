@@ -30,7 +30,8 @@ type Summary struct {
 	Nodes    int    `json:"nodes"`
 	// DurationSeconds is the virtual horizon.
 	DurationSeconds float64 `json:"duration_seconds"`
-	// Events counts discrete events processed across all engines.
+	// Events counts the discrete events processed: heartbeats, power
+	// samples, timed events and chaos episodes.
 	Events uint64 `json:"events"`
 
 	// Work accounting. Offered = Completed + Lost up to float error.
