@@ -96,7 +96,10 @@ func (s *Spec) Validate() error {
 	if !(s.Duration > 0) || !s.Duration.IsFinite() {
 		return fmt.Errorf("fleet: non-positive duration %v", s.Duration)
 	}
-	if !(s.Slice >= 0) || (s.Slice > 0 && s.Duration/s.Slice > 50e6) {
+	if !(s.Slice >= 0) {
+		return fmt.Errorf("fleet: slice %g s is negative or NaN", float64(s.Slice))
+	}
+	if s.Slice > 0 && s.Duration/s.Slice > 50e6 {
 		return fmt.Errorf("fleet: slice %v yields more than 50M heartbeats over %v", s.Slice, s.Duration)
 	}
 	if s.Utilization < 0 || math.IsNaN(s.Utilization) {

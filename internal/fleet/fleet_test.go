@@ -216,6 +216,18 @@ func TestSpecValidation(t *testing.T) {
 		{"bad chaos", func(s *Spec) {
 			s.Chaos = Chaos{Enabled: true, MTBF: 10} // missing MTTR
 		}},
+		// Non-finite times the scenario language's bare numbers admit
+		// ("nan", "inf"): none has a schedule.
+		{"NaN slice", func(s *Spec) { s.Slice = units.Seconds(math.NaN()) }},
+		{"infinite mtbf", func(s *Spec) {
+			s.Chaos = Chaos{Enabled: true, MTBF: units.Seconds(math.Inf(1)), MTTR: 10}
+		}},
+		{"NaN mttr", func(s *Spec) {
+			s.Chaos = Chaos{Enabled: true, MTBF: 10, MTTR: units.Seconds(math.NaN())}
+		}},
+		{"NaN throttle duration", func(s *Spec) {
+			s.Chaos = Chaos{Enabled: true, ThrottleEvery: 10, ThrottleFor: units.Seconds(math.NaN()), ThrottleFactor: 0.5}
+		}},
 		{"bad event action", func(s *Spec) {
 			s.Events = []TimedEvent{{At: 1, Action: "explode", Target: EveryNode()}}
 		}},
