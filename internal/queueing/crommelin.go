@@ -144,8 +144,10 @@ func md1Percentile(rho, target float64) float64 {
 // percentile is md1Percentile on d, whose tail roots a caller may share
 // with later evaluations at the same rho.
 //
-// Segment 0 is closed form, F(t) = (1-rho)*e^{rho*t}. Past it, the
-// solve is safeguarded Newton on ln(1 - F) (solveTail), with the
+// Segment 0 is closed form, F(t) = (1-rho)*e^{rho*t}. A target at or
+// below its atom F(0) = 1-rho answers 0: callers check the atom at
+// their own rho, which can sit just past this lattice point. Past
+// segment 0, the solve is safeguarded Newton on ln(1 - F) (solveTail), with the
 // density from the same pass. The start is one Newton step from t = 1,
 // where F and f are closed form, while that lands in the body.
 // Otherwise the dominant tail term gives the start,
@@ -155,6 +157,9 @@ func (d *md1Dist) percentile(target float64) float64 {
 	rho := d.rho
 	c := 1 - rho
 	f1 := c * math.Exp(rho) // F(1)
+	if target <= c {
+		return 0
+	}
 	if target <= f1 {
 		return math.Log1p((target-c)/c) / rho
 	}

@@ -206,3 +206,44 @@ func TestSimulateMD1InvalidOptions(t *testing.T) {
 		t.Error("expected error for warmup >= jobs")
 	}
 }
+
+// TestWaitPercentileAtAtomNeverNegative: the atom P(W = 0) = 1-rho is
+// checked at the queue's own rho and the solve runs at rho's lattice
+// point, so where p/100 sits within the lattice spacing of 1-rho the
+// target can fall inside the solve's atom. The wait there is 0, never
+// negative; u = 0.70000000000001 at p = 30.000000000000004 answered
+// -8.66e-13 from a solve that took the atom's logarithm.
+func TestWaitPercentileAtAtomNeverNegative(t *testing.T) {
+	check := func(u, p float64) {
+		t.Helper()
+		q, err := NewMD1FromUtilization(u, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := q.WaitPercentile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := q.WaitPercentiles([]float64{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w < 0 || ws[0] < 0 {
+			t.Fatalf("u=%v p=%v: wait %g, batch %g, want >= 0", u, p, w, ws[0])
+		}
+		mg, err := MG1{Lambda: u, D: 1, SCV: 0.5}.WaitPercentile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mg < 0 {
+			t.Fatalf("u=%v p=%v: M/G/1 wait %g, want >= 0", u, p, mg)
+		}
+	}
+	check(0.70000000000001, 30.000000000000004)
+	for _, p := range []float64{1, 5, 30.000000000000004, 50, 70, 90, 95, 99} {
+		atom := 1 - p/100
+		for k := -50; k <= 50; k++ {
+			check(atom+float64(k)*1e-14, p)
+		}
+	}
+}

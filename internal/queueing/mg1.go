@@ -200,7 +200,7 @@ func (q MG1) WaitPercentile(p float64) (float64, error) {
 func mg1WaitPercentile(rho, scv, target float64) float64 {
 	c := 1 - rho
 	d := md1Dist{rho: rho}
-	lo := math.Max(0, d.percentile(target))
+	lo := d.percentile(target)
 	hi := math.Log(rho/(1-target)) / c
 	if lo >= hi {
 		return lo
@@ -262,10 +262,7 @@ func mg1ResponsePercentile(rho, scv, target float64) float64 {
 		return 1
 	}
 	d := md1Dist{rho: rho}
-	wd := 1.0 // M/D/1 sojourn percentile: the service time while the wait's atom covers target
-	if target > c {
-		wd += d.percentile(target)
-	}
+	wd := 1 + d.percentile(target) // M/D/1 sojourn percentile
 	wm := -math.Log1p(-target) / c // M/M/1 sojourn percentile
 	lo, hi := math.Max(1, math.Min(wd, wm)), math.Max(wd, wm)
 	if lo >= hi {

@@ -68,6 +68,9 @@ func FuzzServeGET(f *testing.F) {
 		"/v1/percentiles?d=1&u=0.9995&p=99",
 		"/v1/percentiles?d=1&u=0.9999999&p=99.9999",
 		"/v1/percentiles?d=1&u=0.99999999999&p=99.99999999",
+		// TestWaitPercentileAtAtomNeverNegative: the target sits inside
+		// the atom at rho's lattice point, but not at rho.
+		"/v1/percentiles?d=1&u=0.70000000000001&p=30.000000000000004",
 	} {
 		route, query, _ := strings.Cut(path, "?")
 		for i, r := range fuzzRoutes {
