@@ -72,9 +72,13 @@ type Config struct {
 	// silently slowing the generator down (coordinated omission). 0
 	// keeps the closed loop.
 	Rate float64
-	// DrainGrace bounds how long past Duration an open-loop run may keep
-	// working through its arrival backlog before the remaining arrivals
-	// are dropped (and reported as Dropped); 0 means 5s.
+	// DrainGrace bounds how long past Duration a run may keep working;
+	// 0 means 5s. Neither loop issues a request after Duration. The
+	// closed loop lets requests in flight at Duration finish within the
+	// grace, so the end of a run never cancels one a server is still
+	// serving. The open loop also works through its arrival backlog
+	// until the grace runs out, then drops the remaining arrivals (and
+	// reports them as Dropped).
 	DrainGrace time.Duration
 	// Client issues the requests; nil uses a client with a 30s timeout.
 	Client *http.Client
@@ -330,32 +334,38 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if dur <= 0 {
 		dur = 5 * time.Second
 	}
+	grace := cfg.DrainGrace
+	if grace <= 0 {
+		grace = 5 * time.Second
+	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if cfg.Rate > 0 {
-		return runOpen(ctx, cfg, targets, workers, dur, client)
+		return runOpen(ctx, cfg, targets, workers, dur, grace, client)
 	}
-	return runClosed(ctx, cfg, targets, workers, dur, client)
+	return runClosed(ctx, cfg, targets, workers, dur, grace, client)
 }
 
 // runClosed is the closed loop: workers issue back-to-back until the
-// duration elapses; latency runs from each request's send time.
-func runClosed(ctx context.Context, cfg Config, targets []Target, workers int, dur time.Duration, client *http.Client) (*Result, error) {
-	ctx, cancel := context.WithTimeout(ctx, dur)
+// duration elapses, and the requests then in flight finish within the
+// drain grace; latency runs from each request's send time.
+func runClosed(ctx context.Context, cfg Config, targets []Target, workers int, dur, grace time.Duration, client *http.Client) (*Result, error) {
+	ctx, cancel := context.WithTimeout(ctx, dur+grace)
 	defer cancel()
 
 	tallies := make([]tally, workers)
 	var wg sync.WaitGroup
 	start := time.Now()
+	stop := start.Add(dur)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			t := &tallies[w]
 			t.status = make(map[int]int)
-			for i := 0; ctx.Err() == nil; i++ {
+			for i := 0; ctx.Err() == nil && time.Now().Before(stop); i++ {
 				if !issue(ctx, client, cfg.BaseURL, targets[(w+i)%len(targets)], time.Now(), t) {
 					return
 				}
@@ -373,11 +383,7 @@ func runClosed(ctx context.Context, cfg Config, targets []Target, workers int, d
 // scheduled time. A server past saturation therefore accumulates
 // backlog that shows up as latency — the generator never slows its
 // arrival process to match the server (coordinated omission).
-func runOpen(ctx context.Context, cfg Config, targets []Target, workers int, dur time.Duration, client *http.Client) (*Result, error) {
-	grace := cfg.DrainGrace
-	if grace <= 0 {
-		grace = 5 * time.Second
-	}
+func runOpen(ctx context.Context, cfg Config, targets []Target, workers int, dur, grace time.Duration, client *http.Client) (*Result, error) {
 	total := int64(cfg.Rate * dur.Seconds())
 	if total < 1 {
 		total = 1

@@ -2,8 +2,10 @@ package loadgen_test
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,5 +137,38 @@ func TestOpenLoopNon2xx(t *testing.T) {
 	}
 	if res.TransportErrors != 0 {
 		t.Fatalf("transport errors %d, want 0", res.TransportErrors)
+	}
+}
+
+// TestClosedLoopDrainsInFlight: the closed loop stops issuing at
+// Duration but lets the requests then in flight finish within
+// DrainGrace, so a handler slower than the whole run still completes
+// every request it was sent and never sees one cancelled.
+func TestClosedLoopDrainsInFlight(t *testing.T) {
+	var served, cancelled atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(150 * time.Millisecond):
+			served.Add(1)
+		case <-r.Context().Done():
+			cancelled.Add(1)
+		}
+	}))
+	res, err := loadgen.Run(context.Background(), loadgen.Config{
+		BaseURL:     ts.URL,
+		Concurrency: 2,
+		Duration:    50 * time.Millisecond,
+		DrainGrace:  5 * time.Second,
+	})
+	ts.Close() // waits for every handler to return
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n := cancelled.Load(); n != 0 {
+		t.Fatalf("%d requests cancelled in flight", n)
+	}
+	if res.Requests != 2 || res.Status[200] != 2 || served.Load() != 2 {
+		t.Fatalf("requests %d, statuses %v, served %d; want each worker's one request answered 200",
+			res.Requests, res.Status, served.Load())
 	}
 }
