@@ -69,7 +69,7 @@ func (c Chaos) Validate() error {
 		if c.ThrottleFor <= 0 {
 			return fmt.Errorf("fleet: chaos throttling needs a positive duration")
 		}
-		if !(c.ThrottleFactor > 0 && c.ThrottleFactor < 1) {
+		if c.ThrottleFactor <= 0 || c.ThrottleFactor >= 1 {
 			return fmt.Errorf("fleet: chaos throttle factor %g outside (0, 1)", c.ThrottleFactor)
 		}
 	}
@@ -77,14 +77,14 @@ func (c Chaos) Validate() error {
 		if c.CapFor <= 0 {
 			return fmt.Errorf("fleet: chaos power caps need a positive duration")
 		}
-		if !(c.CapFraction > 0 && c.CapFraction <= 1) {
+		if c.CapFraction <= 0 || c.CapFraction > 1 {
 			return fmt.Errorf("fleet: chaos cap fraction %g outside (0, 1]", c.CapFraction)
 		}
 	}
-	if !(c.StragglerProb >= 0 && c.StragglerProb <= 1) {
+	if c.StragglerProb < 0 || c.StragglerProb > 1 {
 		return fmt.Errorf("fleet: straggler probability %g outside [0, 1]", c.StragglerProb)
 	}
-	if c.StragglerProb > 0 && !(c.StragglerSlowdown >= 1) {
+	if c.StragglerProb > 0 && c.StragglerSlowdown < 1 {
 		return fmt.Errorf("fleet: straggler slowdown %g below 1", c.StragglerSlowdown)
 	}
 	return nil

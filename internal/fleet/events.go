@@ -126,11 +126,11 @@ func (e *TimedEvent) Validate(horizon units.Seconds) error {
 	case ActionFail, ActionRepair, ActionUnthrottle, ActionUncap, ActionUnstraggle:
 		// No parameters.
 	case ActionThrottle:
-		if !(e.Factor > 0 && e.Factor < 1) {
+		if e.Factor <= 0 || e.Factor >= 1 {
 			return fmt.Errorf("fleet: throttle factor %g outside (0, 1)", e.Factor)
 		}
 	case ActionStraggle:
-		if !(e.Slowdown >= 1) {
+		if e.Slowdown < 1 {
 			return fmt.Errorf("fleet: straggle slowdown %g below 1", e.Slowdown)
 		}
 	case ActionPowerCap:
