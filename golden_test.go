@@ -216,7 +216,6 @@ func TestGoldenFleetScenarios(t *testing.T) {
 		{50, 2 * 3600, 0.5},
 		{300, 3600, 7},
 	} {
-		c := c
 		label := fmt.Sprintf("chaos-fleet.yaml nodes=%d duration=%gs", c.nodes, float64(c.duration))
 		if c.slice > 0 {
 			label += fmt.Sprintf(" slice=%gs", float64(c.slice))

@@ -184,7 +184,7 @@ type Simulator struct {
 	spec  Spec
 	nodes []*node
 	cal   calendar
-	now   float64 // time of the event being run
+	now   float64 // time of the calendar event being run
 	log   []ChaosRecord
 
 	// The heartbeat sweep: node beatNode beats next, at beatT; beatSeq
@@ -318,8 +318,7 @@ func (s *Simulator) Run() (*Result, error) {
 			if s.beatT > s.horizon {
 				break
 			}
-			s.now = s.beatT
-			s.nodes[s.beatNode].advanceTo(s.now)
+			s.nodes[s.beatNode].advanceTo(s.beatT)
 			s.beatSeq[s.beatNode] = s.cal.next()
 			if s.beatNode++; s.beatNode == len(s.nodes) {
 				s.beatNode, s.beatT = 0, s.beatT+s.slice
