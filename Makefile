@@ -77,9 +77,10 @@ race: test-race
 # flight, replay, the sweep worker pool, and the memoized frontier
 # engine's shared unit-calc table), the frontier
 # fast-vs-reference differential smoke over the full footnote-4 space,
-# the epserve end-to-end smoke, the fleet-scenario smoke (schema checks
-# plus race-detected runs), and a short fuzz smoke over the parser,
-# kernel differential and epserve GET and POST targets.
+# one iteration of the frontier and fleet benchmarks, the epserve
+# end-to-end smoke, the fleet-scenario smoke (schema checks plus
+# race-detected runs), and a short fuzz smoke over the parser, kernel
+# differential, epserve GET and POST and fleet-run targets.
 ci:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
