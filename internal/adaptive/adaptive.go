@@ -28,7 +28,6 @@ import (
 	"repro/internal/energyprop"
 	"repro/internal/queueing"
 	"repro/internal/report"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -48,10 +47,6 @@ type Policy struct {
 	// fraction of the current configuration's power (e.g. 0.05 = 5%).
 	// Zero switches greedily.
 	Hysteresis float64
-	// Workers is the fan-out of the candidate-evaluation precompute
-	// (every candidate's utilization, power and response percentile at
-	// every grid point is independent); <= 0 uses GOMAXPROCS.
-	Workers int
 }
 
 func (p Policy) withDefaults() Policy {
@@ -99,7 +94,9 @@ type Ensemble struct {
 
 // Plan computes the ensemble over the load grid (fractions of the
 // reference capacity in (0, 1]; ascending). Every grid point must be
-// feasible for the reference candidate or an error is returned.
+// feasible for the reference candidate or an error is returned. The
+// grid is stepped in order through one Stepper, so hysteresis compares
+// each point against the configuration chosen at the point before.
 func Plan(candidates []*energyprop.Analysis, policy Policy, grid []float64) (*Ensemble, error) {
 	if len(candidates) == 0 {
 		return nil, errors.New("adaptive: no candidates")
@@ -107,7 +104,6 @@ func Plan(candidates []*energyprop.Analysis, policy Policy, grid []float64) (*En
 	if len(grid) == 0 {
 		return nil, errors.New("adaptive: empty load grid")
 	}
-	policy = policy.withDefaults()
 
 	// Telemetry: the reconfiguration behaviour of the planner —
 	// decisions taken, switches, hysteresis suppressions (a thrashing
@@ -117,24 +113,11 @@ func Plan(candidates []*energyprop.Analysis, policy Policy, grid []float64) (*En
 	span := reg.Tracer().Start("adaptive.plan").
 		Arg("candidates", len(candidates)).Arg("grid", len(grid))
 	defer span.End()
-	decisionsCnt := reg.Counter("adaptive.decisions")
-	switchCnt := reg.Counter("adaptive.switches")
-	suppressedCnt := reg.Counter("adaptive.hysteresis_suppressions")
-	infeasibleCnt := reg.Counter("adaptive.infeasible_points")
 
-	// The reference is the candidate with the highest job throughput
-	// (lowest service time).
-	ref := 0
-	for i, c := range candidates {
-		if c.Result.Time <= 0 {
-			return nil, fmt.Errorf("adaptive: candidate %d has no service time", i)
-		}
-		if c.Result.Time < candidates[ref].Result.Time {
-			ref = i
-		}
+	st, err := NewStepper(candidates, policy)
+	if err != nil {
+		return nil, err
 	}
-	refRate := 1 / float64(candidates[ref].Result.Time) // jobs/s at u=1
-
 	lastLoad := 0.0
 	for _, load := range grid {
 		if load <= 0 || load > 1 {
@@ -146,79 +129,33 @@ func Plan(candidates []*energyprop.Analysis, policy Policy, grid []float64) (*En
 		lastLoad = load
 	}
 
-	// Phase 1 — precompute: every (grid point, candidate) evaluation is
-	// pure, so the utilization/power/response matrix fans out across a
-	// worker pool.
-	evals := evaluateCandidates(candidates, policy, grid, refRate)
-
-	// Phase 2 — decide: the sequential pass that carries hysteresis
-	// state along the grid is now just lookups into the matrix.
-	e := &Ensemble{Candidates: candidates, Reference: ref}
-	prevChoice := -2
-	for gi, load := range grid {
-		arrival := load * refRate
-		row := evals[gi*len(candidates) : (gi+1)*len(candidates)]
-
-		best := -1
-		var bestEval candEval
-		for i, ev := range row {
-			if !ev.ok {
-				continue
-			}
-			if best == -1 || ev.power < bestEval.power {
-				best, bestEval = i, ev
-			}
-		}
-		// Hysteresis: stay with the previous configuration unless the
-		// best alternative beats it by more than the threshold.
-		if policy.Hysteresis > 0 && prevChoice >= 0 && best >= 0 && best != prevChoice {
-			if cur := row[prevChoice]; cur.ok {
-				if bestEval.power > cur.power*(1-policy.Hysteresis) {
-					best, bestEval = prevChoice, cur
-					suppressedCnt.Inc()
-				}
-			}
+	decisionsCnt := reg.Counter("adaptive.decisions")
+	infeasibleCnt := reg.Counter("adaptive.infeasible_points")
+	e := &Ensemble{Candidates: candidates, Reference: st.Reference(),
+		Decisions: make([]Decision, 0, len(grid))}
+	for _, load := range grid {
+		d, err := st.Step(load)
+		if err != nil {
+			return nil, err
 		}
 		decisionsCnt.Inc()
-		if best < 0 {
+		if d.Chosen < 0 {
 			infeasibleCnt.Inc()
-		}
-		d := Decision{LoadFrac: load, Arrival: arrival, Chosen: best}
-		if best >= 0 {
-			d.Utilization = bestEval.rho
-			d.Power = bestEval.power
-			d.Response = bestEval.resp
-			if prevChoice >= 0 && prevChoice != best {
-				e.Switches++
-				switchCnt.Inc()
-			}
-			prevChoice = best
 		}
 		e.Decisions = append(e.Decisions, d)
 	}
+	e.Switches = st.Switches()
+	reg.Counter("adaptive.switches").Add(uint64(st.Switches()))
+	reg.Counter("adaptive.hysteresis_suppressions").Add(uint64(st.Suppressed()))
 	return e, nil
 }
 
-// candEval is one cell of the precomputed (grid point, candidate)
-// matrix: the candidate's own utilization, power and response time at
-// that offered load, plus whether the policy admits it.
+// candEval scores one candidate at one offered load: its own
+// utilization, power and response time, plus whether the policy admits
+// it.
 type candEval struct {
 	power, rho, resp float64
 	ok               bool
-}
-
-// evaluateCandidates fills the grid x candidates matrix in parallel.
-// Row-major: evals[gi*len(candidates)+ci].
-func evaluateCandidates(candidates []*energyprop.Analysis, policy Policy, grid []float64, refRate float64) []candEval {
-	span := telemetry.Global().Tracer().Start("adaptive.precompute").
-		Arg("cells", len(grid)*len(candidates)).Arg("workers", policy.Workers)
-	defer span.End()
-	evals := make([]candEval, len(grid)*len(candidates))
-	sweep.ForEach(len(evals), policy.Workers, func(idx int) {
-		gi, ci := idx/len(candidates), idx%len(candidates)
-		evals[idx] = evaluateCandidate(candidates[ci], grid[gi]*refRate, policy)
-	})
-	return evals
 }
 
 // evaluateCandidate scores one candidate at one arrival rate. The

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// FrontierCandidates builds the planner's candidate matrix from the
+// FrontierCandidates builds the planner's candidate set from the
 // design space itself: it sweeps the limits with the memoized frontier
 // engine, thins the time-energy Pareto frontier to at most n points
 // (keeping both endpoints — the fastest and the lowest-energy

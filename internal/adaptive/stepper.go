@@ -9,11 +9,10 @@ import (
 
 // Stepper carries the planner's switching state across successive load
 // points. Plan answers "which configuration serves each load on a static
-// grid"; a trace replay instead feeds loads one at a time, in trace
-// order, and the hysteresis comparison must be against the configuration
-// actually running from the previous step — state Plan's grid-local pass
-// cannot provide. The replay engine (internal/replay) drives one Stepper
-// per run.
+// grid" by stepping its grid through one; a trace replay instead feeds
+// loads one at a time, in trace order, and the hysteresis comparison is
+// against the configuration actually running from the previous step.
+// The replay engine (internal/replay) drives one Stepper per run.
 //
 // A Stepper is not safe for concurrent use: steps are inherently
 // ordered (each decision depends on the previous one).
@@ -25,6 +24,12 @@ type Stepper struct {
 	prev       int
 	switches   int
 	suppressed int
+
+	// Per-step scratch, reused across steps: each candidate's power at
+	// the step's load, and the candidates under the utilization cap in
+	// ascending (power, index) order.
+	power []float64
+	order []int
 }
 
 // NewStepper validates the candidates (same rules as Plan) and returns a
@@ -49,6 +54,8 @@ func NewStepper(candidates []*energyprop.Analysis, policy Policy) (*Stepper, err
 		ref:        ref,
 		refRate:    1 / float64(candidates[ref].Result.Time),
 		prev:       -1,
+		power:      make([]float64, len(candidates)),
+		order:      make([]int, 0, len(candidates)),
 	}, nil
 }
 
@@ -60,6 +67,10 @@ func (s *Stepper) Reference() int { return s.ref }
 // (jobs per second at utilization 1).
 func (s *Stepper) RefRate() float64 { return s.refRate }
 
+// Percentile returns the response-time percentile every Decision's
+// Response is taken at: the policy's, defaulted.
+func (s *Stepper) Percentile() float64 { return s.policy.Percentile }
+
 // Switches returns how many configuration changes the steps so far made.
 func (s *Stepper) Switches() int { return s.switches }
 
@@ -67,33 +78,56 @@ func (s *Stepper) Switches() int { return s.switches }
 func (s *Stepper) Suppressed() int { return s.suppressed }
 
 // Step decides the configuration for one load fraction (of the reference
-// capacity, in [0, 1]) and advances the switching state. Chosen is -1
-// when no candidate is feasible under the policy; the previous choice is
-// retained for the next step's hysteresis comparison, mirroring Plan.
+// capacity, in [0, 1]) and advances the switching state: the cheapest
+// candidate the policy admits, lowest index first among equal powers,
+// unless hysteresis keeps the running one. Chosen is -1 when no
+// candidate is feasible; the previous choice is then retained for the
+// next step's hysteresis comparison.
+//
+// Utilization and power are curve lookups; only the response percentile
+// costs a queueing solve. Step therefore orders the candidates under the
+// utilization cap by power and solves them in that order only until one
+// is feasible, and solves the running configuration only when
+// hysteresis has to weigh it.
 func (s *Stepper) Step(load float64) (Decision, error) {
 	if load < 0 || load > 1 {
 		return Decision{}, fmt.Errorf("adaptive: load fraction %g outside [0,1]", load)
 	}
 	arrival := load * s.refRate
-	best, prevEval := -1, candEval{}
-	var bestEval candEval
+	s.order = s.order[:0]
 	for i, c := range s.candidates {
-		ev := evaluateCandidate(c, arrival, s.policy)
-		if i == s.prev {
-			prevEval = ev
-		}
-		if !ev.ok {
+		rho := arrival * float64(c.Result.Time)
+		if rho > s.policy.MaxUtilization {
 			continue
 		}
-		if best == -1 || ev.power < bestEval.power {
+		s.power[i] = c.PowerAt(rho)
+		// Insertion sort: at most a few dozen candidates, no allocation,
+		// and equal powers stay in index order.
+		j := len(s.order)
+		s.order = append(s.order, i)
+		for ; j > 0 && s.power[s.order[j-1]] > s.power[i]; j-- {
+			s.order[j] = s.order[j-1]
+		}
+		s.order[j] = i
+	}
+
+	best := -1
+	var bestEval candEval
+	for _, i := range s.order {
+		if ev := evaluateCandidate(s.candidates[i], arrival, s.policy); ev.ok {
 			best, bestEval = i, ev
+			break
 		}
 	}
 	// Hysteresis: stay with the running configuration unless the best
-	// alternative beats it by more than the threshold.
-	if s.policy.Hysteresis > 0 && s.prev >= 0 && best >= 0 && best != s.prev && prevEval.ok {
-		if bestEval.power > prevEval.power*(1-s.policy.Hysteresis) {
-			best, bestEval = s.prev, prevEval
+	// alternative beats it by more than the threshold. The running
+	// configuration is solved only when it is under the cap and its
+	// power would keep it, the one case its feasibility decides.
+	if h := s.policy.Hysteresis; h > 0 && s.prev >= 0 && best >= 0 && best != s.prev &&
+		arrival*float64(s.candidates[s.prev].Result.Time) <= s.policy.MaxUtilization &&
+		bestEval.power > s.power[s.prev]*(1-h) {
+		if cur := evaluateCandidate(s.candidates[s.prev], arrival, s.policy); cur.ok {
+			best, bestEval = s.prev, cur
 			s.suppressed++
 		}
 	}

@@ -147,10 +147,14 @@ type Result struct {
 }
 
 // decision is the per-step serving choice before percentile evaluation.
+// When the stepper chose the candidate, solved marks resp as its
+// response at the stepper's policy percentile.
 type decision struct {
 	chosen     int
 	rho        float64
 	power      float64
+	resp       float64
+	solved     bool
 	infeasible bool
 	saturated  bool
 	switched   bool
@@ -249,11 +253,7 @@ func Run(ctx context.Context, candidates []*energyprop.Analysis, tr Trace, opt O
 		d.switched = prev >= 0 && d.chosen != prev
 		prev = d.chosen
 
-		q, err := queueing.NewMD1FromUtilization(d.rho, float64(candidates[d.chosen].Result.Time))
-		var resps []float64
-		if err == nil {
-			resps, err = q.ResponsePercentilesContext(ctx, ps)
-		}
+		resps, err := stepResponses(ctx, candidates[d.chosen], d, ps, stepper.Percentile())
 		if err != nil {
 			return nil, fmt.Errorf("replay: step %d (load %g): %w", i, load, err)
 		}
@@ -342,7 +342,8 @@ func decideStep(stepper *adaptive.Stepper, candidates []*energyprop.Analysis, lo
 			return decision{}, err
 		}
 		if d.Chosen >= 0 {
-			return decision{chosen: d.Chosen, rho: d.Utilization, power: d.Power}, nil
+			return decision{chosen: d.Chosen, rho: d.Utilization, power: d.Power,
+				resp: d.Response, solved: true}, nil
 		}
 		// No feasible candidate: keep the reference running and eat the
 		// latency, as loadtrace.Evaluate does.
@@ -351,6 +352,36 @@ func decideStep(stepper *adaptive.Stepper, candidates []*energyprop.Analysis, lo
 		return dec, nil
 	}
 	return referenceDecision(candidates[ref], ref, load, opt), nil
+}
+
+// stepResponses returns the serving candidate's response percentiles at
+// the step's utilization, one per entry of ps. An entry at the stepper's
+// policy percentile is taken from its decision when it chose the
+// candidate: that is the same solve of the same queue, so the same
+// bits. (A policy percentile outside [0, 100) failed its solve there
+// and is solved here, to fail the same way.) The rest are solved one at
+// a time with ctx checked before each, and record no request phase of
+// their own: the run's replay.run phase covers them.
+func stepResponses(ctx context.Context, c *energyprop.Analysis, d decision, ps []float64, policyPct float64) ([]float64, error) {
+	q, err := queueing.NewMD1FromUtilization(d.rho, float64(c.Result.Time))
+	if err != nil {
+		return nil, err
+	}
+	reuse := d.solved && policyPct >= 0 && policyPct < 100
+	out := make([]float64, len(ps))
+	for k, p := range ps {
+		if reuse && p == policyPct {
+			out[k] = d.resp
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if out[k], err = q.ResponsePercentile(p); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // referenceDecision evaluates the reference candidate at the load, with

@@ -14,6 +14,7 @@ import (
 	"repro/internal/loadtrace"
 	"repro/internal/model"
 	"repro/internal/queueing"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -451,5 +452,59 @@ func TestSummaryRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDiurnalReplaySolvesTwicePerStep: on the 1 kW budget ladder's
+// diurnal replay under a p95 SLO, each step solves the chosen rung's
+// p95 once, in the stepper, and its p99 once beside it. The step
+// decision solves only down the power order to the first feasible rung,
+// and the run takes the policy percentile from the decision.
+func TestDiurnalReplaySolvesTwicePerStep(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
+
+	const steps = 288
+	res, err := Run(context.Background(), ladderCandidates(t), diurnalTrace(t, steps), Options{
+		Adaptive: true,
+		SLO:      0.05,
+		Policy:   adaptive.Policy{Hysteresis: 0.05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.Steps != steps || res.Summary.SLOViolations == steps {
+		t.Fatalf("summary %+v", res.Summary)
+	}
+	searches := reg.Counter("queueing.percentile_searches").Value()
+	per := float64(searches) / steps
+	if per > 2 {
+		t.Fatalf("%d percentile searches over %d steps = %.3f per step, want <= 2", searches, steps, per)
+	}
+	t.Logf("%.3f percentile searches per step", per)
+}
+
+// TestReplayTimelineHoldsRun: a request-scoped replay records one phase,
+// replay.run, however many steps it solves; per-step solves would fill
+// the request's bounded timeline and drop the run phase itself.
+func TestReplayTimelineHoldsRun(t *testing.T) {
+	rc := telemetry.NewRequestContext("", "replay")
+	ctx := telemetry.WithRequest(context.Background(), rc)
+	for _, adapt := range []bool{false, true} {
+		if _, err := Run(ctx, ladderCandidates(t), diurnalTrace(t, 288), Options{Adaptive: adapt, SLO: 0.05}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	for _, ev := range rc.Timeline() {
+		names = append(names, ev.Name)
+	}
+	if got := strings.Join(names, " "); got != "replay.run replay.run" || rc.DroppedPhases() != 0 {
+		if len(got) > 80 {
+			got = got[:80] + "..."
+		}
+		t.Fatalf("timeline holds %d phases (%s), %d dropped; want two replay.run phases and none dropped",
+			len(names), got, rc.DroppedPhases())
 	}
 }
