@@ -180,6 +180,11 @@ func kernelSpecFrom(kernel string, scv float64, servers int) (queueing.Spec, err
 // response. Identical questions are not coalesced: the solves cost a
 // few microseconds, less than a flight's key and lock. With the default
 // spec the output is byte-identical to the pre-kernel M/D/1 path.
+//
+// Service is deterministic under M/D/1 and under M/G/1 at SCV 0, which
+// is M/D/1: there the sojourn percentile is the wait percentile plus
+// the service time, bit for bit what the kernel's own sojourn batch
+// computes, so each percentile is solved once.
 func computePercentiles(ctx context.Context, wlName, mix string, serviceTime, u float64, ps []float64, spec queueing.Spec) (*PercentilesResponse, error) {
 	queue, err := spec.Build(u, serviceTime)
 	if err != nil {
@@ -189,9 +194,12 @@ func computePercentiles(ctx context.Context, wlName, mix string, serviceTime, u 
 	if err != nil {
 		return nil, err
 	}
-	responses, err := queue.ResponsePercentilesContext(ctx, ps)
-	if err != nil {
-		return nil, err
+	deterministic := spec.Kind == queueing.KindMD1 || spec.Kind == queueing.KindMG1 && spec.SCV == 0
+	var responses []float64
+	if !deterministic {
+		if responses, err = queue.ResponsePercentilesContext(ctx, ps); err != nil {
+			return nil, err
+		}
 	}
 	resp := &PercentilesResponse{
 		Workload:             wlName,
@@ -209,11 +217,13 @@ func computePercentiles(ctx context.Context, wlName, mix string, serviceTime, u 
 		resp.Servers = spec.Servers
 	}
 	for i, p := range ps {
-		resp.Percentiles[i] = PercentilePoint{
-			P:               p,
-			WaitSeconds:     waits[i],
-			ResponseSeconds: responses[i],
+		pt := PercentilePoint{P: p, WaitSeconds: waits[i]}
+		if deterministic {
+			pt.ResponseSeconds = waits[i] + serviceTime
+		} else {
+			pt.ResponseSeconds = responses[i]
 		}
+		resp.Percentiles[i] = pt
 	}
 	return resp, nil
 }

@@ -2,11 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/queueing"
 )
 
 // kernel_test.go covers the kernel selector plumbing of the serving
@@ -196,5 +202,113 @@ func TestBatchKernelFields(t *testing.T) {
 	if !(r[0].Result.MeanWaitSeconds > r[1].Result.MeanWaitSeconds) {
 		t.Fatalf("mg1 mean wait %g not above md1 %g",
 			r[0].Result.MeanWaitSeconds, r[1].Result.MeanWaitSeconds)
+	}
+}
+
+// TestPercentilesSojournBytes pins /v1/percentiles' GET and POST bytes
+// over a kernel × p × u × d probe grid to the kernels' own batch
+// answers. Under M/D/1 and M/G/1 at SCV 0 the handler derives each
+// sojourn percentile from the wait batch (wait + d) instead of solving
+// it again; every served body must still be byte for byte the body
+// carrying the kernel's WaitPercentilesContext and
+// ResponsePercentilesContext answers, and each one-point POST result
+// the GET body.
+func TestPercentilesSojournBytes(t *testing.T) {
+	srv, err := New(Config{MaxInflight: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernels := []struct {
+		query string
+		spec  queueing.Spec
+	}{
+		{"", queueing.Spec{}},
+		{"&kernel=md1", queueing.Spec{}},
+		{"&kernel=mg1", queueing.Spec{Kind: queueing.KindMG1}},
+		{"&kernel=mg1&scv=0", queueing.Spec{Kind: queueing.KindMG1}},
+		{"&kernel=mg1&scv=0.25", queueing.Spec{Kind: queueing.KindMG1, SCV: 0.25}},
+		{"&kernel=mg1&scv=0.5", queueing.Spec{Kind: queueing.KindMG1, SCV: 0.5}},
+		{"&kernel=mg1&scv=0.9", queueing.Spec{Kind: queueing.KindMG1, SCV: 0.9}},
+		{"&kernel=mg1&scv=1", queueing.Spec{Kind: queueing.KindMG1, SCV: 1}},
+		{"&kernel=mg1&scv=4", queueing.Spec{Kind: queueing.KindMG1, SCV: 4}},
+		{"&kernel=mmk&servers=1", queueing.Spec{Kind: queueing.KindMMK, Servers: 1}},
+		{"&kernel=mmk&servers=2", queueing.Spec{Kind: queueing.KindMMK, Servers: 2}},
+		{"&kernel=mmk&servers=4", queueing.Spec{Kind: queueing.KindMMK, Servers: 4}},
+		{"&kernel=mmk&servers=16", queueing.Spec{Kind: queueing.KindMMK, Servers: 16}},
+	}
+	pLists := []string{"", "50", "95", "99.9", "50,95,99", "0,30.000000000000004,99.99999999", "99.9999"}
+	us := []float64{0, 0.05, 0.1, 0.3, 0.5, 0.5000000000000001, 0.7, 0.70000000000001,
+		0.9, 0.95, 0.99, 0.995, 0.999, 0.9999999, 0.99999999999, 1.5}
+	for _, d := range []float64{1, 0.0042, 3.7} {
+		for _, k := range kernels {
+			for _, pl := range pLists {
+				ps := defaultPercentiles
+				pq := ""
+				if pl != "" {
+					pq = "&p=" + pl
+					ps = nil
+					for _, f := range strings.Split(pl, ",") {
+						v, _ := strconv.ParseFloat(f, 64)
+						ps = append(ps, v)
+					}
+				}
+				var gets [][]byte
+				var ok []bool
+				for _, u := range us {
+					target := fmt.Sprintf("/v1/percentiles?d=%v&u=%v%s%s", d, u, pq, k.query)
+					rec := httptest.NewRecorder()
+					srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+					body := bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n"))
+					gets = append(gets, body)
+					ok = append(ok, rec.Code == http.StatusOK)
+					if rec.Code != http.StatusOK {
+						continue
+					}
+					q, err := k.spec.Build(u, d)
+					if err != nil {
+						t.Fatalf("%s: served 200, kernel build failed: %v", target, err)
+					}
+					waits, err1 := q.WaitPercentilesContext(context.Background(), ps)
+					resps, err2 := q.ResponsePercentilesContext(context.Background(), ps)
+					if err1 != nil || err2 != nil {
+						t.Fatalf("%s: %v, %v", target, err1, err2)
+					}
+					var want PercentilesResponse
+					if err := json.Unmarshal(body, &want); err != nil || len(want.Percentiles) != len(ps) {
+						t.Fatalf("%s: %v: %s", target, err, body)
+					}
+					for i := range ps {
+						want.Percentiles[i].WaitSeconds = waits[i]
+						want.Percentiles[i].ResponseSeconds = resps[i]
+					}
+					if wb, _ := json.Marshal(want); !bytes.Equal(wb, body) {
+						t.Fatalf("%s:\n served %s\n kernel %s", target, body, wb)
+					}
+				}
+				// The same points as one POST: results in u order, each
+				// the GET body (or, for a rejected u, an item error).
+				req := PercentilesBatchRequest{U: us, P: ps, Items: []PercentilesBatchItem{{D: d}}}
+				if k.query != "" {
+					req.Kernel = k.spec.Kind.String()
+					req.SCV, req.Servers = k.spec.SCV, k.spec.Servers
+				}
+				rb, _ := json.Marshal(req)
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/percentiles", bytes.NewReader(rb)))
+				var batch struct {
+					Results []struct {
+						Result json.RawMessage `json:"result"`
+					} `json:"results"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil || len(batch.Results) != len(us) {
+					t.Fatalf("POST %s: %d %v: %s", rb, rec.Code, err, rec.Body.Bytes())
+				}
+				for i, r := range batch.Results {
+					if (r.Result != nil) != ok[i] || r.Result != nil && !bytes.Equal(r.Result, gets[i]) {
+						t.Fatalf("POST %s result %d:\n %s\nGET body\n %s", rb, i, r.Result, gets[i])
+					}
+				}
+			}
+		}
 	}
 }
