@@ -189,13 +189,17 @@ func (d *decoder) boolean(v yamlValue, path string) bool {
 }
 
 // duration accepts Go duration strings ("90s", "10m", "1h30m") and bare
-// numbers meaning seconds.
+// finite numbers meaning seconds.
 func (d *decoder) duration(v yamlValue, path string) units.Seconds {
 	s, ok := d.scalarAt(v, path)
 	if !ok {
 		return 0
 	}
 	if f, err := strconv.ParseFloat(s.text, 64); err == nil {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			d.fail(path, "line %d: %q is not a number", s.line, s.text)
+			return 0
+		}
 		return units.Seconds(f)
 	}
 	dur, err := time.ParseDuration(s.text)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-func testEnv(t *testing.T) (*hardware.Catalog, *workload.Registry) {
+func testEnv(t testing.TB) (*hardware.Catalog, *workload.Registry) {
 	t.Helper()
 	catalog := hardware.DefaultCatalog()
 	registry, err := workload.PaperRegistry(catalog)
@@ -249,6 +250,43 @@ func TestSchemaErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestNonFiniteDurations: a bare number in a duration field must be
+// finite. strconv.ParseFloat accepts nan, inf and infinity; each one, in
+// every duration field, fails at parse time with the field path and the
+// same line-numbered message a non-finite float field gets.
+func TestNonFiniteDurations(t *testing.T) {
+	base := "workload: EP\nfleet:\n  - type: A9\n    count: 1\n"
+	fields := []struct {
+		path, src string
+		line      int
+	}{
+		{"duration", "duration: %s\n", 5},
+		{"slice", "duration: 10s\nslice: %s\n", 6},
+		{"chaos.mtbf", "duration: 10s\nchaos:\n  mtbf: %s\n", 7},
+		{"chaos.mttr", "duration: 10s\nchaos:\n  mttr: %s\n", 7},
+		{"chaos.throttle_every", "duration: 10s\nchaos:\n  throttle_every: %s\n", 7},
+		{"chaos.throttle_for", "duration: 10s\nchaos:\n  throttle_for: %s\n", 7},
+		{"chaos.cap_every", "duration: 10s\nchaos:\n  cap_every: %s\n", 7},
+		{"chaos.cap_for", "duration: 10s\nchaos:\n  cap_for: %s\n", 7},
+		{"events[0].at", "duration: 10s\nevents:\n  - at: %s\n    action: fail\n", 7},
+		{"events[0].for", "duration: 10s\nevents:\n  - at: 1s\n    action: fail\n    for: %s\n", 9},
+	}
+	for _, f := range fields {
+		for _, v := range []string{"nan", "NaN", "inf", "+Inf", "-inf", "infinity", "-Infinity"} {
+			src := base + fmt.Sprintf(f.src, v)
+			_, err := Parse([]byte(src))
+			want := fmt.Sprintf("%s: line %d: %q is not a number", f.path, f.line, v)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s = %s: error %v, want %q", f.path, v, err, want)
+			}
+		}
+		// A finite bare number still reads as seconds.
+		if _, err := Parse([]byte(base + fmt.Sprintf(f.src, "2.5"))); err != nil {
+			t.Errorf("%s = 2.5: %v", f.path, err)
 		}
 	}
 }
