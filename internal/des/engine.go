@@ -146,19 +146,18 @@ func (e *Engine) purgeDead() {
 	}
 }
 
-// HasPendingEvents reports whether any live (non-cancelled) event is
-// still queued. Together with PeekNextEventTime and ProcessNextEvent it
-// forms the step interface a multi-engine coordinator (internal/fleet)
-// uses to interleave several engines in global timestamp order.
-func (e *Engine) HasPendingEvents() bool {
+// hasPendingEvents reports whether any live (non-cancelled) event is
+// still queued. Together with peekNextEventTime and processNextEvent it
+// is the step loop Run is built from.
+func (e *Engine) hasPendingEvents() bool {
 	e.purgeDead()
 	return len(e.queue) > 0
 }
 
-// PeekNextEventTime returns the virtual time of the earliest live event
+// peekNextEventTime returns the virtual time of the earliest live event
 // without executing it. The second return is false when no live event
 // is pending.
-func (e *Engine) PeekNextEventTime() (float64, bool) {
+func (e *Engine) peekNextEventTime() (float64, bool) {
 	e.purgeDead()
 	if len(e.queue) == 0 {
 		return 0, false
@@ -166,11 +165,11 @@ func (e *Engine) PeekNextEventTime() (float64, bool) {
 	return e.queue[0].Time, true
 }
 
-// ProcessNextEvent advances the clock to the earliest live event and
+// processNextEvent advances the clock to the earliest live event and
 // executes it. It returns false (executing nothing) when the queue holds
 // no live event. Unlike Run it ignores any horizon: the caller decides
-// when to stop by inspecting PeekNextEventTime first.
-func (e *Engine) ProcessNextEvent() bool {
+// when to stop by inspecting peekNextEventTime first.
+func (e *Engine) processNextEvent() bool {
 	e.purgeDead()
 	if len(e.queue) == 0 {
 		return false
@@ -190,14 +189,14 @@ func (e *Engine) ProcessNextEvent() bool {
 func (e *Engine) Run(until float64) uint64 {
 	executed := uint64(0)
 	for {
-		t, ok := e.PeekNextEventTime()
+		t, ok := e.peekNextEventTime()
 		if !ok || t > until {
 			break
 		}
-		e.ProcessNextEvent()
+		e.processNextEvent()
 		executed++
 	}
-	if until > e.now && !math.IsInf(until, 1) && !e.HasPendingEvents() {
+	if until > e.now && !math.IsInf(until, 1) && !e.hasPendingEvents() {
 		// Advance the clock to the horizon once idle, so observation
 		// windows longer than the workload read the correct duration.
 		e.now = until

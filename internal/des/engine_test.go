@@ -194,20 +194,20 @@ func TestStepPrimitives(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !e.HasPendingEvents() {
-		t.Fatal("HasPendingEvents = false with 3 queued events")
+	if !e.hasPendingEvents() {
+		t.Fatal("hasPendingEvents = false with 3 queued events")
 	}
-	tm, ok := e.PeekNextEventTime()
+	tm, ok := e.peekNextEventTime()
 	if !ok || tm != 1 {
-		t.Fatalf("PeekNextEventTime = %g, %v; want 1, true", tm, ok)
+		t.Fatalf("peekNextEventTime = %g, %v; want 1, true", tm, ok)
 	}
 	if e.Now() != 0 {
 		t.Errorf("peek advanced the clock to %g", e.Now())
 	}
 	steps := 0
-	for e.HasPendingEvents() {
-		if !e.ProcessNextEvent() {
-			t.Fatal("ProcessNextEvent = false with pending events")
+	for e.hasPendingEvents() {
+		if !e.processNextEvent() {
+			t.Fatal("processNextEvent = false with pending events")
 		}
 		steps++
 	}
@@ -223,11 +223,11 @@ func TestStepPrimitives(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("clock = %g, want 3", e.Now())
 	}
-	if e.ProcessNextEvent() {
-		t.Error("ProcessNextEvent = true on an empty queue")
+	if e.processNextEvent() {
+		t.Error("processNextEvent = true on an empty queue")
 	}
-	if _, ok := e.PeekNextEventTime(); ok {
-		t.Error("PeekNextEventTime ok on an empty queue")
+	if _, ok := e.peekNextEventTime(); ok {
+		t.Error("peekNextEventTime ok on an empty queue")
 	}
 }
 
@@ -241,31 +241,31 @@ func TestPeekSkipsCancelledEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Cancel(ev)
-	tm, ok := e.PeekNextEventTime()
+	tm, ok := e.peekNextEventTime()
 	if !ok || tm != 2 {
-		t.Fatalf("PeekNextEventTime = %g, %v; want 2, true (cancelled head skipped)", tm, ok)
+		t.Fatalf("peekNextEventTime = %g, %v; want 2, true (cancelled head skipped)", tm, ok)
 	}
-	if !e.ProcessNextEvent() {
-		t.Fatal("ProcessNextEvent = false with a live event queued")
+	if !e.processNextEvent() {
+		t.Fatal("processNextEvent = false with a live event queued")
 	}
-	if e.HasPendingEvents() {
-		t.Error("HasPendingEvents = true after draining")
+	if e.hasPendingEvents() {
+		t.Error("hasPendingEvents = true after draining")
 	}
 	// An all-cancelled queue reads as empty.
 	e2 := New()
 	ev2, _ := e2.Schedule(1, func() {})
 	e2.Cancel(ev2)
-	if e2.HasPendingEvents() {
-		t.Error("HasPendingEvents = true with only cancelled events")
+	if e2.hasPendingEvents() {
+		t.Error("hasPendingEvents = true with only cancelled events")
 	}
-	if e2.ProcessNextEvent() {
-		t.Error("ProcessNextEvent executed a cancelled event")
+	if e2.processNextEvent() {
+		t.Error("processNextEvent executed a cancelled event")
 	}
 }
 
 // TestStepLoopMatchesRun drives two identical schedules, one via Run and
-// one via the step primitives, and requires identical traces — the
-// contract internal/fleet depends on when interleaving engines.
+// one via the step primitives, and requires identical traces: Run is
+// nothing but the step loop plus its horizon rule.
 func TestStepLoopMatchesRun(t *testing.T) {
 	build := func() (*Engine, *[]float64) {
 		e := New()
@@ -289,8 +289,8 @@ func TestStepLoopMatchesRun(t *testing.T) {
 	e1, t1 := build()
 	e1.Run(math.Inf(1))
 	e2, t2 := build()
-	for e2.HasPendingEvents() {
-		e2.ProcessNextEvent()
+	for e2.hasPendingEvents() {
+		e2.processNextEvent()
 	}
 	if len(*t1) != len(*t2) {
 		t.Fatalf("Run fired %d events, step loop %d", len(*t1), len(*t2))
