@@ -80,7 +80,8 @@ race: test-race
 # one iteration of the frontier and fleet benchmarks, the epserve
 # end-to-end smoke, the fleet-scenario smoke (schema checks plus
 # race-detected runs), and a short fuzz smoke over the parser, kernel
-# differential, epserve GET and POST and fleet-run targets.
+# differential, epserve GET and POST, fleet-run, scenario-parse and
+# lazy-stepper targets.
 ci:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -190,6 +191,8 @@ fuzz:
 	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServeGET -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServePOST -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/fleet/ -fuzz FuzzFleetRun -fuzztime $(FUZZTIME)
+	$(GO) test -run '^$$' ./internal/scenario/ -fuzz FuzzScenarioParse -fuzztime $(FUZZTIME)
+	$(GO) test -run '^$$' ./internal/adaptive/ -fuzz FuzzStepper -fuzztime $(FUZZTIME)
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=5s

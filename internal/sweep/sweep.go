@@ -1,9 +1,8 @@
 // Package sweep is the shared worker pool behind the command-line
 // grids: the energyprop utilization/percentile sweeps (epprop -workers,
-// the reproduction suite) and the adaptive planner's candidate matrix
-// run through it. The request paths of epserve and replay do not: a
-// percentile solve is a microsecond or two, less than handing it to a
-// pool costs. Work
+// the reproduction suite) run through it. The request paths of epserve
+// and replay and the adaptive planner do not: a percentile solve is a
+// microsecond or two, less than handing it to a pool costs. Work
 // is handed to workers in contiguous index blocks over a channel — a
 // single item can be microseconds, so per-item channel traffic would
 // dominate — and each index is written by exactly one worker, so
