@@ -74,8 +74,8 @@ race: test-race
 # ci is the full gate the workflow runs: formatting, vet, tier-1
 # build+test, targeted race runs over the concurrency-heavy packages
 # (concurrent percentile solves, serve streaming and its frontier
-# flight, replay, the sweep worker pool, and the memoized frontier
-# engine's shared unit-calc table), the frontier
+# flight, replay, and the memoized frontier engine's shared unit-calc
+# table), the frontier
 # fast-vs-reference differential smoke over the full footnote-4 space,
 # one iteration of the frontier and fleet benchmarks, the epserve
 # end-to-end smoke, the fleet-scenario smoke (schema checks plus
@@ -89,7 +89,7 @@ ci:
 	$(MAKE) staticcheck
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/queueing/ ./internal/serve/ ./internal/replay/ ./internal/sweep/
+	$(GO) test -race ./internal/queueing/ ./internal/serve/ ./internal/replay/
 	$(GO) test -run TestTableDifferentialPaperSpace ./internal/model/
 	$(GO) test -race -short -run 'TestFastSweep|TestFrontier' ./internal/pareto/
 	$(MAKE) bench-frontier-smoke

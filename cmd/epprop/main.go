@@ -32,15 +32,14 @@ func main() {
 	frontier := flag.Bool("frontier", false, "place the mix against the Pareto frontier of its own design space")
 	nodes := flag.String("nodes", "", "JSON file with extra node types")
 	wls := flag.String("workloads", "", "JSON file with extra workload profiles")
-	workers := flag.Int("workers", 0, "parallel workers for the percentile sweep (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	if err := run(*wlName, *mix, *ref, *pct, *plot, *frontier, *nodes, *wls, *workers); err != nil {
+	if err := run(*wlName, *mix, *ref, *pct, *plot, *frontier, *nodes, *wls); err != nil {
 		cli.Fatal("epprop", err)
 	}
 }
 
-func run(wlName, mix, refMix string, pct float64, plot, frontier bool, nodesPath, wlsPath string, workers int) error {
+func run(wlName, mix, refMix string, pct float64, plot, frontier bool, nodesPath, wlsPath string) error {
 	catalog, registry, err := cli.LoadEnvironment(nodesPath, wlsPath)
 	if err != nil {
 		return err
@@ -78,10 +77,8 @@ func run(wlName, mix, refMix string, pct float64, plot, frontier bool, nodesPath
 		fmt.Printf("normalizing against reference %s (peak %v)\n\n", refCfg, refA.Result.BusyPower)
 	}
 
-	// The percentile column is the expensive part of the table (one
-	// root-find per utilization); fan it out before printing serially.
 	us := stats.Linspace(0.1, 0.95, 18)
-	resps, err := a.ResponsePercentilesAt(us, pct, workers)
+	resps, err := a.ResponsePercentilesAt(us, pct)
 	if err != nil {
 		return err
 	}

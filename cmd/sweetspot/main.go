@@ -36,7 +36,6 @@ func main() {
 	maxA9 := flag.Int("maxA9", 32, "maximum wimpy nodes")
 	maxK10 := flag.Int("maxK10", 12, "maximum brawny nodes")
 	dvfs := flag.Bool("dvfs", false, "also explore reduced cores and frequencies")
-	noPrune := flag.Bool("noprune", false, "walk every configuration instead of the per-type dominance staircases")
 	nodes := flag.String("nodes", "", "JSON file with extra node types")
 	wls := flag.String("workloads", "", "JSON file with extra workload profiles")
 	progress := flag.Int("progress", 0, "print exploration progress to stderr every N configurations (0 disables)")
@@ -46,7 +45,7 @@ func main() {
 	if err := tel.Start(); err != nil {
 		cli.Fatal("sweetspot", err)
 	}
-	err := run(*wlName, *deadline, *energyJ, *powerW, *maxA9, *maxK10, *dvfs, *noPrune, *nodes, *wls, *progress)
+	err := run(*wlName, *deadline, *energyJ, *powerW, *maxA9, *maxK10, *dvfs, *nodes, *wls, *progress)
 	if cerr := tel.Close(); err == nil {
 		err = cerr
 	}
@@ -55,7 +54,7 @@ func main() {
 	}
 }
 
-func run(wlName string, deadline time.Duration, energyJ, powerW float64, maxA9, maxK10 int, dvfs, noPrune bool, nodesPath, wlsPath string, progressEvery int) error {
+func run(wlName string, deadline time.Duration, energyJ, powerW float64, maxA9, maxK10 int, dvfs bool, nodesPath, wlsPath string, progressEvery int) error {
 	catalog, registry, err := cli.LoadEnvironment(nodesPath, wlsPath)
 	if err != nil {
 		return err
@@ -101,7 +100,6 @@ func run(wlName string, deadline time.Duration, energyJ, powerW float64, maxA9, 
 	frontier, err := pareto.FrontierSweep(limits, wl, model.Options{}, pareto.SweepOptions{
 		Progress: pr,
 		Budget:   powerCap,
-		NoPrune:  noPrune,
 	})
 	if err != nil {
 		return err

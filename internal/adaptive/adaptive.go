@@ -120,7 +120,7 @@ func Plan(candidates []*energyprop.Analysis, policy Policy, grid []float64) (*En
 	}
 	lastLoad := 0.0
 	for _, load := range grid {
-		if load <= 0 || load > 1 {
+		if !(load > 0 && load <= 1) { // NaN fails too
 			return nil, fmt.Errorf("adaptive: load fraction %g outside (0,1]", load)
 		}
 		if load < lastLoad {

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -260,5 +261,10 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := Plan(cands, Policy{}, []float64{0.8, 0.2}); err == nil {
 		t.Error("descending grid accepted")
+	}
+	for _, grid := range [][]float64{{math.NaN()}, {0.2, math.NaN()}, {math.NaN(), 0.8}} {
+		if e, err := Plan(cands, Policy{SLO: 0.5}, grid); err == nil {
+			t.Errorf("grid %v accepted: %+v", grid, e.Decisions)
+		}
 	}
 }

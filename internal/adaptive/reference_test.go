@@ -92,6 +92,15 @@ func checkAgainstReference(t *testing.T, cands []*energyprop.Analysis, policy Po
 	ref := newRefStepper(cands, policy)
 	for k, load := range loads {
 		got, err := st.Step(load)
+		if math.IsNaN(load) || math.IsInf(load, 0) {
+			// Rejected, and the stepper's state left as it was: the
+			// reference never sees the load, and later steps must
+			// still match it.
+			if err == nil {
+				t.Fatalf("step %d: load %g accepted: %+v", k, load, got)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("step %d (load %g): %v", k, load, err)
 		}
@@ -166,20 +175,27 @@ func fuzzCandidates(spec []byte) []*energyprop.Analysis {
 
 // FuzzStepper differentially checks the lazy Stepper against the eager
 // reference: candidates (service times and power curves), the load
-// sequence (0 and 1 included), the SLO on or off with its percentile,
-// the utilization cap and hysteresis are all fuzzed. Every Decision must
-// be bitwise equal and so must the switch and suppression counts.
+// sequence (0 and 1 included, optionally with one NaN or infinite load),
+// the SLO on or off with its percentile, the utilization cap and
+// hysteresis are all fuzzed. Every Decision must be bitwise equal and so
+// must the switch and suppression counts; a non-finite load must be
+// rejected and leave the stepper's state untouched.
 func FuzzStepper(f *testing.F) {
-	f.Add([]byte{2, 1, 5, 2, 5, 0, 3, 4, 3, 4, 4, 0}, []byte{0, 40, 90, 160, 255, 200, 60, 0}, uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add([]byte{2, 1, 5, 2, 5, 0, 3, 4, 3, 4, 4, 0}, []byte{10, 80, 10, 80, 10, 250}, uint8(3), uint8(2), uint8(4), uint8(1))
-	f.Add([]byte{3, 2, 2, 0, 3, 2, 2, 0, 4, 2, 2, 0, 0, 7, 0, 0}, []byte{0, 255, 128, 128, 1, 254}, uint8(0), uint8(0), uint8(2), uint8(0))
-	f.Add([]byte{0, 0, 7, 4, 7, 7, 0, 0, 1, 3, 3, 2}, []byte{5, 100, 200, 240, 180, 90, 30}, uint8(9), uint8(4), uint8(5), uint8(3))
-	f.Add([]byte{6, 1, 1, 1}, []byte{0, 1, 2, 255}, uint8(1), uint8(1), uint8(1), uint8(2))
+	f.Add([]byte{2, 1, 5, 2, 5, 0, 3, 4, 3, 4, 4, 0}, []byte{0, 40, 90, 160, 255, 200, 60, 0}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{2, 1, 5, 2, 5, 0, 3, 4, 3, 4, 4, 0}, []byte{10, 80, 10, 80, 10, 250}, uint8(3), uint8(2), uint8(4), uint8(1), uint8(0))
+	f.Add([]byte{3, 2, 2, 0, 3, 2, 2, 0, 4, 2, 2, 0, 0, 7, 0, 0}, []byte{0, 255, 128, 128, 1, 254}, uint8(0), uint8(0), uint8(2), uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 7, 4, 7, 7, 0, 0, 1, 3, 3, 2}, []byte{5, 100, 200, 240, 180, 90, 30}, uint8(9), uint8(4), uint8(5), uint8(3), uint8(0))
+	f.Add([]byte{6, 1, 1, 1}, []byte{0, 1, 2, 255}, uint8(1), uint8(1), uint8(1), uint8(2), uint8(0))
+	// A NaN, a +Inf and a -Inf load mid-sequence (bad%4 picks the value,
+	// bad/4 the step).
+	f.Add([]byte{2, 1, 5, 2, 5, 0, 3, 4, 3, 4, 4, 0}, []byte{10, 80, 10, 80, 10, 250}, uint8(1), uint8(2), uint8(4), uint8(1), uint8(1+4*2))
+	f.Add([]byte{2, 1, 5, 2, 5, 0, 3, 4, 3, 4, 4, 0}, []byte{0, 40, 90, 160, 255, 200, 60, 0}, uint8(1), uint8(0), uint8(0), uint8(0), uint8(2+4*3))
+	f.Add([]byte{0, 0, 7, 4, 7, 7, 0, 0, 1, 3, 3, 2}, []byte{5, 100, 200, 240, 180, 90, 30}, uint8(9), uint8(4), uint8(5), uint8(3), uint8(3+4*1))
 	// A 20 W fast candidate and a 10 W slow one under hysteresis 0.5:
 	// dropping to low load makes the switch save exactly the margin,
 	// which is not enough to switch.
-	f.Add([]byte{0, 2, 0, 0, 2, 1, 0, 0}, []byte{230, 25, 230, 25}, uint8(0), uint8(0), uint8(5), uint8(0))
-	f.Fuzz(func(t *testing.T, spec, loadBytes []byte, slo, pct, hyst, capCode uint8) {
+	f.Add([]byte{0, 2, 0, 0, 2, 1, 0, 0}, []byte{230, 25, 230, 25}, uint8(0), uint8(0), uint8(5), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, spec, loadBytes []byte, slo, pct, hyst, capCode, bad uint8) {
 		cands := fuzzCandidates(spec)
 		if len(cands) == 0 || len(loadBytes) == 0 {
 			return
@@ -190,6 +206,9 @@ func FuzzStepper(f *testing.F) {
 		loads := make([]float64, len(loadBytes))
 		for i, b := range loadBytes {
 			loads[i] = float64(b) / 255
+		}
+		if k := bad % 4; k != 0 {
+			loads[int(bad/4)%len(loads)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[k-1]
 		}
 		policy := Policy{
 			Percentile:     []float64{0, 50, 90, 95, 99, 99.9}[pct%6],

@@ -90,7 +90,7 @@ func (s *Stepper) Suppressed() int { return s.suppressed }
 // is feasible, and solves the running configuration only when
 // hysteresis has to weigh it.
 func (s *Stepper) Step(load float64) (Decision, error) {
-	if load < 0 || load > 1 {
+	if !(load >= 0 && load <= 1) { // NaN fails too
 		return Decision{}, fmt.Errorf("adaptive: load fraction %g outside [0,1]", load)
 	}
 	arrival := load * s.refRate

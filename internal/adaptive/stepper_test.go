@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -131,6 +132,13 @@ func TestStepperValidation(t *testing.T) {
 	}
 	if _, err := st.Step(1.1); err == nil {
 		t.Fatal("load > 1 accepted")
+	}
+	// A NaN load must fail the range check too: it would otherwise
+	// decide a "feasible" step with NaN utilization, power and response.
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if d, err := st.Step(load); err == nil {
+			t.Fatalf("load %g accepted: %+v", load, d)
+		}
 	}
 	if st.Reference() < 0 || st.RefRate() <= 0 {
 		t.Fatalf("reference %d, rate %g", st.Reference(), st.RefRate())

@@ -144,7 +144,7 @@ func frontierFixed(s *Suite, p *workload.Profile, arm, amd *hardware.NodeType, m
 		{Type: arm, MaxNodes: maxA9, FixCoresAndFreq: true},
 		{Type: amd, MaxNodes: maxK10, FixCoresAndFreq: true},
 	}
-	return pareto.FrontierSweep(limits, p, s.Opt, pareto.SweepOptions{Reference: true})
+	return pareto.FrontierSweep(limits, p, s.Opt, pareto.SweepOptions{})
 }
 
 func TestSensitivityMonotonePowerSaving(t *testing.T) {

@@ -308,7 +308,7 @@ func (s *Suite) FigureResponse(wl string, percentile float64) ([]report.Series, 
 		if err != nil {
 			return nil, err
 		}
-		y, err := a.ResponsePercentilesAt(grid, percentile, s.Workers)
+		y, err := a.ResponsePercentilesAt(grid, percentile)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: response percentiles for %s: %w", cfg, err)
 		}

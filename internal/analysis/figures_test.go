@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/report"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -135,6 +136,50 @@ func TestRenderTable6Content(t *testing.T) {
 	for _, frag := range []string{"(random numbers/s)/W", "6.048e+06", "1091"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("table 6 render missing %q", frag)
+		}
+	}
+}
+
+// TestResponsePercentilesAtMatchesPointwise pins the grid form to one
+// scalar solve per point, bit for bit, on the Figure 11 and 12 mixes at
+// the figures' grid and epprop's, and checks that a point past
+// saturation fails the whole grid with its utilization named.
+func TestResponsePercentilesAtMatchesPointwise(t *testing.T) {
+	s := suite(t)
+	grids := [][]float64{respGrid(), stats.Linspace(0.1, 0.95, 18)}
+	for _, wl := range []string{workload.NameEP, workload.NameX264} {
+		for _, mix := range ResponseMixes {
+			cfg, err := s.mix(mix[0], mix[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := s.analyze(cfg, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, grid := range grids {
+				for _, p := range []float64{50, 95, 99} {
+					got, err := a.ResponsePercentilesAt(grid, p)
+					if err != nil {
+						t.Fatalf("%s on %s p%g: %v", wl, cfg, p, err)
+					}
+					if len(got) != len(grid) {
+						t.Fatalf("%s on %s: %d values for %d points", wl, cfg, len(got), len(grid))
+					}
+					for i, u := range grid {
+						want, err := a.ResponsePercentileAt(u, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Errorf("%s on %s u=%g p%g: grid %.17g, point %.17g", wl, cfg, u, p, got[i], want)
+						}
+					}
+				}
+			}
+			if _, err := a.ResponsePercentilesAt([]float64{0.5, 1}, 95); err == nil || !strings.Contains(err.Error(), "u=1") {
+				t.Errorf("%s on %s: saturated grid point: err = %v", wl, cfg, err)
+			}
 		}
 	}
 }

@@ -36,10 +36,6 @@ type Suite struct {
 	ProgressEvery int
 	// ProgressW receives the progress lines; nil disables reporting.
 	ProgressW io.Writer
-	// Workers is the fan-out of the response-percentile grids; <= 0
-	// uses GOMAXPROCS. Frontier sweeps run serially on the caller's
-	// goroutine.
-	Workers int
 }
 
 // NewSuite builds the default paper setup: A9/K10 catalog, the six
@@ -57,15 +53,6 @@ func NewSuite() (*Suite, error) {
 		Meter:       powermeter.DefaultMeter(),
 		CurvePanels: 100,
 	}, nil
-}
-
-// MustNewSuite panics on setup failure (the default setup is static).
-func MustNewSuite() *Suite {
-	s, err := NewSuite()
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // node returns a catalog node or an error with experiment context.

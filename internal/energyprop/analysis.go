@@ -1,15 +1,12 @@
 package energyprop
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/queueing"
-	"repro/internal/sweep"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -69,18 +66,6 @@ func (a *Analysis) Queue(u float64) (queueing.MD1, error) {
 	return queueing.NewMD1FromUtilization(u, float64(a.Result.Time))
 }
 
-// KernelAt returns the queueing kernel selected by spec at utilization
-// u, with the configuration's job time T_P as the aggregate service
-// time. The default (zero) spec reproduces Queue's M/D/1 exactly; an
-// M/G/1 spec adds service-time variability on top of the same mean, and
-// an M/M/k spec spreads the capacity over k servers.
-func (a *Analysis) KernelAt(u float64, spec queueing.Spec) (queueing.Kernel, error) {
-	if a.Result.Time <= 0 {
-		return nil, errors.New("energyprop: zero service time")
-	}
-	return spec.Build(u, float64(a.Result.Time))
-}
-
 // ResponsePercentileAt returns the p-th percentile response time at
 // utilization u, from the exact M/D/1 waiting-time distribution
 // (Figures 11 and 12 plot p=95).
@@ -90,18 +75,6 @@ func (a *Analysis) ResponsePercentileAt(u, p float64) (float64, error) {
 		return 0, err
 	}
 	return q.ResponsePercentile(p)
-}
-
-// ResponsePercentileAtKernel is ResponsePercentileAt under an arbitrary
-// kernel spec — the sensitivity axis behind the SCV sweeps in
-// EXPERIMENTS.md. The default spec matches ResponsePercentileAt bit for
-// bit.
-func (a *Analysis) ResponsePercentileAtKernel(u, p float64, spec queueing.Spec) (float64, error) {
-	k, err := a.KernelAt(u, spec)
-	if err != nil {
-		return 0, err
-	}
-	return k.ResponsePercentile(p)
 }
 
 // Sweep evaluates f at each utilization of the grid and returns the
@@ -114,57 +87,17 @@ func (a *Analysis) Sweep(grid []float64, f func(u float64) float64) []float64 {
 	return out
 }
 
-// SweepParallel is Sweep with a worker pool: f must be pure in u. Used
-// for the per-point-expensive curves (percentile sweeps); trivially
-// cheap f (linear power lookups) gains nothing over Sweep. workers <= 0
-// uses GOMAXPROCS.
-func (a *Analysis) SweepParallel(grid []float64, workers int, f func(u float64) float64) []float64 {
-	span := telemetry.StartSpan("energyprop.sweep").Arg("points", len(grid))
-	defer span.End()
+// ResponsePercentilesAt returns the p-th percentile response time at
+// every utilization of the grid, in order: the U x percentile surface
+// behind Figures 11 and 12, one ResponsePercentileAt solve per point.
+func (a *Analysis) ResponsePercentilesAt(grid []float64, p float64) ([]float64, error) {
 	out := make([]float64, len(grid))
-	sweep.ForEach(len(grid), workers, func(i int) { out[i] = f(grid[i]) })
-	return out
-}
-
-// ResponsePercentilesAt computes the p-th percentile response time at
-// every utilization of the grid — the U x percentile surface behind
-// Figures 11/12 — fanning the searches across a worker pool. workers
-// <= 0 uses GOMAXPROCS.
-func (a *Analysis) ResponsePercentilesAt(grid []float64, p float64, workers int) ([]float64, error) {
-	return a.ResponsePercentilesAtContext(context.Background(), grid, p, workers)
-}
-
-// ResponsePercentilesAtContext is ResponsePercentilesAt with
-// cancellation: the sweep pool stops dispatching grid points once ctx is
-// done and the ctx error is returned — the path by which a serving
-// deadline reaches the percentile searches. Points already dispatched
-// complete (one per worker at most).
-func (a *Analysis) ResponsePercentilesAtContext(ctx context.Context, grid []float64, p float64, workers int) ([]float64, error) {
-	return a.ResponsePercentilesAtKernelContext(ctx, grid, p, queueing.DefaultSpec(), workers)
-}
-
-// ResponsePercentilesAtKernelContext is the kernel-agnostic grid sweep:
-// the same fan-out as ResponsePercentilesAtContext, but each point
-// evaluates the kernel selected by spec. With the default spec it is
-// ResponsePercentilesAtContext exactly (same solves, same bits).
-func (a *Analysis) ResponsePercentilesAtKernelContext(ctx context.Context, grid []float64, p float64, spec queueing.Spec, workers int) ([]float64, error) {
-	span := telemetry.StartSpan("energyprop.response_sweep").
-		Arg("points", len(grid)).Arg("p", p).Arg("kernel", spec.String())
-	defer span.End()
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("energyprop: response sweep: %w", err)
-	}
-	out := make([]float64, len(grid))
-	errs := make([]error, len(grid))
-	if err := sweep.ForEachContext(ctx, len(grid), workers, func(i int) {
-		out[i], errs[i] = a.ResponsePercentileAtKernel(grid[i], p, spec)
-	}); err != nil {
-		return nil, fmt.Errorf("energyprop: response sweep: %w", err)
-	}
-	for i, err := range errs {
+	for i, u := range grid {
+		r, err := a.ResponsePercentileAt(u, p)
 		if err != nil {
-			return nil, fmt.Errorf("energyprop: response percentile at u=%g: %w", grid[i], err)
+			return nil, fmt.Errorf("energyprop: response percentile at u=%g: %w", u, err)
 		}
+		out[i] = r
 	}
 	return out, nil
 }

@@ -245,10 +245,3 @@ func (r Result) EnergyPerUnit(jobUnits float64) units.Joules {
 func (r Result) EDP() float64 {
 	return float64(r.Energy) * float64(r.Time)
 }
-
-// ED2P returns the energy-delay-squared product E_P * T_P^2, which
-// weights latency more heavily than EDP (appropriate when deadlines
-// dominate, as in the paper's response-time analysis).
-func (r Result) ED2P() float64 {
-	return float64(r.Energy) * float64(r.Time) * float64(r.Time)
-}

@@ -56,13 +56,13 @@ func paperBenchSpace(tb testing.TB) ([]cluster.Limit, *workload.Profile) {
 	return benchSpaceLimits, benchSpaceWL
 }
 
-func benchSweep(b *testing.B, sw SweepOptions) {
+func benchSweep(b *testing.B, sweep func([]cluster.Limit, *workload.Profile, model.Options, SweepOptions) ([]Point, error), sw SweepOptions) {
 	limits, wl := paperBenchSpace(b)
 	total := cluster.SpaceSize(limits)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		front, err := FrontierSweep(limits, wl, model.Options{}, sw)
+		front, err := sweep(limits, wl, model.Options{}, sw)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func benchSweep(b *testing.B, sw SweepOptions) {
 // closed-form engine over the footnote-4 space, walking the product of
 // the per-type dominance staircases.
 func BenchmarkFrontierSweepFast(b *testing.B) {
-	benchSweep(b, SweepOptions{})
+	benchSweep(b, FrontierSweep, SweepOptions{})
 }
 
 // BenchmarkFrontierSweepFastWarm is the steady-state number: a sweep
@@ -89,19 +89,19 @@ func BenchmarkFrontierSweepFast(b *testing.B) {
 // pins.
 func BenchmarkFrontierSweepFastWarm(b *testing.B) {
 	_, wl := paperBenchSpace(b)
-	benchSweep(b, SweepOptions{Table: model.NewTable(wl, model.Options{})})
+	benchSweep(b, FrontierSweep, SweepOptions{Table: model.NewTable(wl, model.Options{})})
 }
 
 // BenchmarkFrontierSweepFastNoPrune isolates the reduction's
 // contribution: the same engine walking all 36,380 configurations.
 func BenchmarkFrontierSweepFastNoPrune(b *testing.B) {
-	benchSweep(b, SweepOptions{NoPrune: true})
+	benchSweep(b, FrontierSweep, SweepOptions{NoPrune: true})
 }
 
 // BenchmarkFrontierSweepReference is the serial reference baseline:
 // one full model.Evaluate per configuration.
 func BenchmarkFrontierSweepReference(b *testing.B) {
-	benchSweep(b, SweepOptions{Reference: true})
+	benchSweep(b, frontierSweepReference, SweepOptions{})
 }
 
 // BenchmarkEvaluateFast measures the allocation-free hot path on a

@@ -76,7 +76,7 @@ func paperWorkloads(t testing.TB) []*workload.Profile {
 
 // TestFrontierParallelDeterminism: for every paper workload, the fast
 // engine's frontier, pruned and NoPrune, is bitwise-identical to the
-// Reference sweep. The workloads sweep in parallel subtests, as
+// reference sweep. The workloads sweep in parallel subtests, as
 // epserve runs concurrent requests over the pooled sweep scratch, so
 // state leaking from one sweep into the next user of a pooled engine
 // would show here (and under -race). The -short form shrinks the space
@@ -91,7 +91,7 @@ func TestFrontierParallelDeterminism(t *testing.T) {
 	for _, wl := range paperWorkloads(t) {
 		t.Run(wl.Name, func(t *testing.T) {
 			t.Parallel()
-			ref, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true})
+			ref, err := frontierSweepReference(limits, wl, model.Options{}, SweepOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,9 +116,9 @@ func TestFrontierParallelDeterminism(t *testing.T) {
 // TestFrontierSweepFullSpaceDifferential: on the paper's full
 // footnote-4 space (10 A9 x 10 K10 with DVFS, 36,380 configurations)
 // and the fixed-core 32x12 and DVFS 16x12 spaces, the fast engine
-// matches the Reference sweep bitwise for all six paper workloads —
+// matches the reference sweep bitwise for all six paper workloads —
 // reduced, NoPrune, and under a peak-power budget with switches
-// (against the Reference sweep with the same budget).
+// (against the reference sweep with the same budget).
 func TestFrontierSweepFullSpaceDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-space differential; run without -short")
@@ -141,7 +141,7 @@ func TestFrontierSweepFullSpaceDifferential(t *testing.T) {
 		budget.Cap = budget.Peak(maxCfg) / 2
 		for _, wl := range paperWorkloads(t) {
 			label := fmt.Sprintf("%s (%d configs) %s", s.label, cluster.SpaceSize(limits), wl.Name)
-			ref, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true})
+			ref, err := frontierSweepReference(limits, wl, model.Options{}, SweepOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,8 +153,8 @@ func TestFrontierSweepFullSpaceDifferential(t *testing.T) {
 				frontiersBitIdentical(t, fmt.Sprintf("%s noprune=%v", label, noPrune), fast, ref)
 			}
 
-			refFiltered, err := FrontierSweep(limits, wl, model.Options{},
-				SweepOptions{Reference: true, Budget: budget})
+			refFiltered, err := frontierSweepReference(limits, wl, model.Options{},
+				SweepOptions{Budget: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestFrontierSweepFullSpaceDifferential(t *testing.T) {
 // TestFrontierParallelAccountingInvariant: on randomized spaces, the
 // SpaceSize accounting invariant — evaluated + skipped + filtered +
 // pruned == SpaceSize — holds with and without the reduction and under
-// a random peak-power cap; the counts match the Reference sweep's
+// a random peak-power cap; the counts match the reference sweep's
 // (evaluated + pruned against its evaluated), and the NoPrune frontier
 // is bitwise-identical to the reduced one. The spaces sweep in
 // parallel subtests, as in TestFrontierParallelDeterminism.
@@ -209,8 +209,8 @@ func TestFrontierParallelAccountingInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{
-					Reference: true, Budget: mode.budget, Stats: &ref}); err != nil {
+				if _, err := frontierSweepReference(limits, wl, model.Options{}, SweepOptions{
+					Budget: mode.budget, Stats: &ref}); err != nil {
 					t.Fatal(err)
 				}
 				if st.Evaluated+st.Pruned != ref.Evaluated || st.Skipped != ref.Skipped || st.Filtered != ref.Filtered {
@@ -291,8 +291,8 @@ func TestFrontierSweepContextCancel(t *testing.T) {
 	if front != nil {
 		t.Fatalf("fast: cancelled sweep returned %d points", len(front))
 	}
-	if _, err := FrontierSweep(limits, wl, model.Options{},
-		SweepOptions{Reference: true, Context: ctx}); err != context.Canceled {
+	if _, err := frontierSweepReference(limits, wl, model.Options{},
+		SweepOptions{Context: ctx}); err != context.Canceled {
 		t.Fatalf("reference: err = %v, want context.Canceled", err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // Metamorphic relations of the frontier engine over randomized spaces
 // (randomSpace limits and workloads, not only the paper's six): each
 // transformed sweep through the fast engine is checked against the
-// Reference sweep of the untransformed space.
+// reference sweep of the untransformed space.
 
 // metamorphicIterations is how many random spaces each relation sees.
 func metamorphicIterations() int {
@@ -25,11 +25,11 @@ func metamorphicIterations() int {
 	return 40
 }
 
-// referenceSweep is the Reference frontier of (limits, wl), optionally
+// referenceSweep is the reference frontier of (limits, wl), optionally
 // under a budget.
 func referenceSweep(t *testing.T, limits []cluster.Limit, wl *workload.Profile, b *cluster.PowerBudget) []Point {
 	t.Helper()
-	ref, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true, Budget: b})
+	ref, err := frontierSweepReference(limits, wl, model.Options{}, SweepOptions{Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFrontierMetamorphicSlackBudget(t *testing.T) {
 	}
 }
 
-// TestFrontierStaircaseMembership: every group of every Reference
+// TestFrontierStaircaseMembership: every group of every reference
 // frontier point, with and without a random budget, is one of its
 // type's staircase choices — the property the reduction rests on.
 func TestFrontierStaircaseMembership(t *testing.T) {
@@ -220,7 +220,7 @@ func TestFrontierStaircaseCostDimension(t *testing.T) {
 }
 
 // TestFastSweepUnrunnableAccounting: configurations the model cannot
-// run are counted as the Reference sweep counts them — over the budget
+// run are counted as the reference sweep counts them — over the budget
 // as filtered, the rest as skipped — both when the profile is invalid
 // and when a node type's unit time overflows float64 (zero rate: alone
 // it cannot run, beside a positive-rate group it runs with no share of
@@ -251,7 +251,7 @@ func TestFastSweepUnrunnableAccounting(t *testing.T) {
 				if _, err := FrontierSweep(tc.limits, tc.wl, model.Options{}, SweepOptions{Budget: b, NoPrune: noPrune, Stats: &st}); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := FrontierSweep(tc.limits, tc.wl, model.Options{}, SweepOptions{Reference: true, Budget: b, Stats: &ref}); err != nil {
+				if _, err := frontierSweepReference(tc.limits, tc.wl, model.Options{}, SweepOptions{Budget: b, Stats: &ref}); err != nil {
 					t.Fatal(err)
 				}
 				if st.Evaluated+st.Pruned != ref.Evaluated || st.Skipped != ref.Skipped || st.Filtered != ref.Filtered ||
@@ -368,7 +368,7 @@ func TestFrontierStaircaseSizes(t *testing.T) {
 // vs 2) and p (80 vs ~102 W) but costs more, and under the cap only
 // two X nodes fit beside the fast, frugal Y; there two slow X nodes
 // draw less than two fast ones, so Y with them is on the frontier. The
-// type keeps every choice and the sweep equals the Reference.
+// type keeps every choice and the sweep equals the reference.
 func TestFrontierStaircaseFallingShare(t *testing.T) {
 	x := &hardware.NodeType{Name: "X", Cores: 1,
 		Freq:         hardware.DVFS{Steps: []units.Hertz{0.5 * units.GHz, 1.2 * units.GHz}, DynamicExponent: 1},
@@ -396,7 +396,7 @@ func TestFrontierStaircaseFallingShare(t *testing.T) {
 // (4.7 W A9, 61.3 W K10, whose sums round differently in different
 // orders), a cap set to exactly each mix's PowerBudget.Peak filters the
 // same configurations on the fast path, whose walk and closed form sum
-// the shares themselves, as on the Reference path, with the same
+// the shares themselves, as on the reference path, with the same
 // frontier.
 func TestFrontierBudgetFractionalBoundary(t *testing.T) {
 	limits := paperLimits(t, 24, 4, false)
@@ -417,7 +417,7 @@ func TestFrontierBudgetFractionalBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true, Budget: b, Stats: &ref})
+			want, err := frontierSweepReference(limits, wl, model.Options{}, SweepOptions{Budget: b, Stats: &ref})
 			if err != nil {
 				t.Fatal(err)
 			}

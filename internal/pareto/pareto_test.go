@@ -133,7 +133,7 @@ func paperFrontier(t *testing.T, wlName string) []Point {
 		{Type: a9, MaxNodes: 32, FixCoresAndFreq: true},
 		{Type: k10, MaxNodes: 12, FixCoresAndFreq: true},
 	}
-	front, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true})
+	front, err := frontierSweepReference(limits, wl, model.Options{}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,13 +264,16 @@ func TestEvaluateSkipsUnsupportedConfigs(t *testing.T) {
 	}
 	// Of the 8 configurations, the 6 holding A15 nodes are unsupported.
 	limits := []cluster.Limit{{Type: a9, MaxNodes: 2, FixCoresAndFreq: true}, {Type: a15, MaxNodes: 2, FixCoresAndFreq: true}}
-	for _, reference := range []bool{true, false} {
+	for _, engine := range []struct {
+		name  string
+		sweep func([]cluster.Limit, *workload.Profile, model.Options, SweepOptions) ([]Point, error)
+	}{{"reference", frontierSweepReference}, {"fast", FrontierSweep}} {
 		var st SweepStats
-		if _, err := FrontierSweep(limits, p, model.Options{}, SweepOptions{Reference: reference, Stats: &st}); err != nil {
+		if _, err := engine.sweep(limits, p, model.Options{}, SweepOptions{Stats: &st}); err != nil {
 			t.Fatal(err)
 		}
 		if st.Evaluated+st.Pruned != 2 || st.Skipped != 6 {
-			t.Errorf("reference %v: stats %+v, want 2 evaluated and 6 skipped", reference, st)
+			t.Errorf("%s: stats %+v, want 2 evaluated and 6 skipped", engine.name, st)
 		}
 	}
 }

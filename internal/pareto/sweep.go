@@ -10,9 +10,9 @@ import (
 )
 
 // SweepStats is one sweep's accounting, filled through
-// SweepOptions.Stats by both the fast and the Reference engines. The
-// four counts always sum to cluster.SpaceSize(limits) (the invariant
-// the pareto.configs_* counters obey globally).
+// SweepOptions.Stats. The four counts always sum to
+// cluster.SpaceSize(limits) (the invariant the pareto.configs_*
+// counters obey globally).
 type SweepStats struct {
 	// Evaluated configurations reached the model and produced a result.
 	Evaluated int64
@@ -24,7 +24,7 @@ type SweepStats struct {
 	// Pruned configurations fit the budget and can run, but hold a
 	// choice off its node type's dominance staircase, so the fast
 	// engine proved them off the frontier without evaluating them
-	// (always 0 on the Reference path and with NoPrune set).
+	// (always 0 with NoPrune set).
 	// Evaluated+Pruned is what a sweep evaluating every configuration
 	// would count as evaluated.
 	Pruned int64
@@ -51,10 +51,6 @@ type SweepOptions struct {
 	// benchmark's full-walk comparison and goes with Workers once that
 	// benchmark stops setting both.
 	NoPrune bool
-	// Reference forces the serial reference sweep (one full
-	// model.Evaluate per configuration) instead of the memoized fast
-	// engine — the differential-testing baseline.
-	Reference bool
 	// Request, when non-nil, receives request-scoped attribution
 	// (configurations evaluated/pruned/filtered and the sweep phase on
 	// the request timeline) beside the process-global pareto.* counters.
@@ -71,74 +67,20 @@ type SweepOptions struct {
 	// model.NewTable for exactly this sweep's workload pointer and
 	// options (checked; mismatch is an error). Serving callers use it
 	// to amortize table construction and memo warm-up across repeated
-	// sweeps of the same workload. Fast path only; Reference sweeps
-	// evaluate through model.Evaluate and take no table.
+	// sweeps of the same workload.
 	Table *model.Table
 	// Stats, when non-nil, receives this sweep's own accounting —
 	// per-call counts beside the process-global pareto.* counters.
 	Stats *SweepStats
 }
 
-// FrontierSweep is the instrumented frontier pipeline. By default it
-// runs the memoized closed-form engine (see fastsweep.go): per-type
-// dominance staircases over a memoized unit-calc table, an
-// allocation-free walk of their product and a running Pareto staircase
-// — with results identical, point for point, to evaluating the full
-// space through model.Evaluate. SweepOptions.Reference
-// selects that serial reference sweep instead.
+// FrontierSweep is the instrumented frontier pipeline: the memoized
+// closed-form engine (see fastsweep.go), with per-type dominance
+// staircases over a memoized unit-calc table, an allocation-free walk of
+// their product and a running Pareto staircase. Its results are
+// identical, point for point, to evaluating the full space through
+// model.Evaluate; the serial oracle that does so lives in the package's
+// tests.
 func FrontierSweep(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
-	if !sw.Reference {
-		return frontierSweepFast(limits, wl, opt, sw)
-	}
-	return frontierSweepReference(limits, wl, opt, sw)
-}
-
-// frontierSweepReference is the obviously correct pipeline the fast
-// engine is tested and benchmarked against: enumerate every
-// configuration, apply the Budget, evaluate the survivors through
-// model.Evaluate and take the Frontier of the evaluated points.
-func frontierSweepReference(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
-	span := telemetry.StartSpan("pareto.frontier_sweep").
-		Arg("workload", wl.Name).Arg("engine", "reference")
-	defer span.End()
-	defer sw.Request.Phase("pareto.frontier_sweep")()
-	reg := telemetry.Global()
-	evaluated := reg.Counter("pareto.configs_evaluated")
-	skipped := reg.Counter("pareto.configs_skipped")
-	filtered := reg.Counter("pareto.configs_filtered")
-	ctx := sw.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var st SweepStats
-	var points []Point
-	err := cluster.Enumerate(limits, func(cfg cluster.Config) bool {
-		if sw.Budget != nil && !sw.Budget.Fits(cfg) {
-			filtered.Inc()
-			st.Filtered++
-		} else if res, err := model.Evaluate(cfg, wl, opt); err != nil {
-			skipped.Inc()
-			st.Skipped++
-		} else {
-			evaluated.Inc()
-			st.Evaluated++
-			points = append(points, Point{Config: cfg, Time: res.Time, Energy: res.Energy, Result: res})
-		}
-		sw.Progress.Tick()
-		// Stop enumerating once cancelled; the error surfaces below.
-		return ctx.Err() == nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sw.Request.Add(telemetry.AttrConfigsEvaluated, st.Evaluated)
-	sw.Request.Add(telemetry.AttrConfigsFiltered, st.Filtered)
-	if sw.Stats != nil {
-		*sw.Stats = st
-	}
-	sw.Progress.Done()
-	return Frontier(points), nil
+	return frontierSweepFast(limits, wl, opt, sw)
 }

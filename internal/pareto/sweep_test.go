@@ -54,8 +54,8 @@ func TestSweepTelemetryAndProgress(t *testing.T) {
 	var buf bytes.Buffer
 	pr := telemetry.NewProgress(&buf, "test sweep", int64(total), 50)
 
-	front, err := FrontierSweep(limits, wl, model.Options{},
-		SweepOptions{Progress: pr, Reference: true})
+	front, err := frontierSweepReference(limits, wl, model.Options{},
+		SweepOptions{Progress: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSweepMatchesUninstrumented(t *testing.T) {
 }
 
 // TestFrontierSweepMatchesSequential: the sweep-engine frontier equals
-// the sequential Reference one.
+// the sequential reference one.
 func TestFrontierSweepMatchesSequential(t *testing.T) {
 	reg, err := workload.PaperRegistry(hardware.DefaultCatalog())
 	if err != nil {
@@ -192,7 +192,7 @@ func TestFrontierSweepMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	limits := paperLimits(t, 6, 3, true)
-	seq, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Reference: true})
+	seq, err := frontierSweepReference(limits, wl, model.Options{}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -95,7 +96,7 @@ func BenchmarkResponsePercentilesBatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := MD1{Lambda: coldRho(i, 0.85, 0.95), D: 1}
-		vs, err := q.ResponsePercentiles(ps)
+		vs, err := q.ResponsePercentilesContext(context.Background(), ps)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,20 +1,21 @@
 package queueing_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/queueing"
 )
 
-// The percentile batch API shares one bracket and CDF evaluator across
-// all requested percentiles of a queue — ask for the whole list at
-// once rather than looping over WaitPercentile.
-func ExampleMD1_WaitPercentiles() {
+// The percentile batch API answers a whole list of percentiles of one
+// queue in input order, each by the same solve as WaitPercentile, and
+// stops between solves once its context is done.
+func ExampleMD1_WaitPercentilesContext() {
 	q, err := queueing.NewMD1FromUtilization(0.9, 1)
 	if err != nil {
 		panic(err)
 	}
-	ws, err := q.WaitPercentiles([]float64{50, 95, 99})
+	ws, err := q.WaitPercentilesContext(context.Background(), []float64{50, 95, 99})
 	if err != nil {
 		panic(err)
 	}
@@ -44,14 +45,14 @@ func ExampleMD1_WaitPercentile() {
 	// 4ms jobs: p95 wait = 0.0565 s
 }
 
-// ResponsePercentiles adds the deterministic service time to each
-// waiting-time percentile, yielding sojourn-time percentiles.
-func ExampleMD1_ResponsePercentiles() {
+// With deterministic service each sojourn-time percentile is the
+// waiting-time percentile plus the service time.
+func ExampleMD1_ResponsePercentilesContext() {
 	q, err := queueing.NewMD1FromUtilization(0.9, 1)
 	if err != nil {
 		panic(err)
 	}
-	rs, err := q.ResponsePercentiles([]float64{50, 99})
+	rs, err := q.ResponsePercentilesContext(context.Background(), []float64{50, 99})
 	if err != nil {
 		panic(err)
 	}

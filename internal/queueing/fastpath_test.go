@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestDScalingInvariance(t *testing.T) {
 func TestWaitPercentilesBatchMatchesSingle(t *testing.T) {
 	q := MD1{Lambda: 0.82 / 1.3, D: 1.3}
 	ps := []float64{95, 10, 99, 50, 95, 0, 80.5}
-	batch, err := q.WaitPercentiles(ps)
+	batch, err := q.WaitPercentilesContext(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestWaitPercentilesBatchMatchesSingle(t *testing.T) {
 func TestResponsePercentilesBatch(t *testing.T) {
 	q := MD1{Lambda: 0.7, D: 1}
 	ps := []float64{50, 95, 99}
-	rs, err := q.ResponsePercentiles(ps)
+	rs, err := q.ResponsePercentilesContext(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := q.WaitPercentiles(ps)
+	ws, err := q.WaitPercentilesContext(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,29 +160,16 @@ func TestResponsePercentilesBatch(t *testing.T) {
 	}
 }
 
-// TestWaitCDFBatchMatchesSingle: the shared-evaluator batch matches
-// per-call WaitCDF bit for bit.
-func TestWaitCDFBatchMatchesSingle(t *testing.T) {
-	q := MD1{Lambda: 0.9, D: 1}
-	ts := stats.Linspace(-1, 25, 53)
-	batch := q.WaitCDFBatch(ts)
-	for i, x := range ts {
-		if single := q.WaitCDF(x); batch[i] != single {
-			t.Errorf("t=%g: batch %g vs single %g", x, batch[i], single)
-		}
-	}
-}
-
 // TestWaitPercentilesRejectsBadInput mirrors the single-query contract.
 func TestWaitPercentilesRejectsBadInput(t *testing.T) {
 	q := MD1{Lambda: 0.5, D: 1}
-	if _, err := q.WaitPercentiles([]float64{50, 100}); err == nil {
+	if _, err := q.WaitPercentilesContext(context.Background(), []float64{50, 100}); err == nil {
 		t.Error("expected error for p = 100")
 	}
-	if _, err := q.WaitPercentiles([]float64{-1}); err == nil {
+	if _, err := q.WaitPercentilesContext(context.Background(), []float64{-1}); err == nil {
 		t.Error("expected error for negative percentile")
 	}
-	if _, err := (MD1{Lambda: 2, D: 1}).WaitPercentiles([]float64{50}); err == nil {
+	if _, err := (MD1{Lambda: 2, D: 1}).WaitPercentilesContext(context.Background(), []float64{50}); err == nil {
 		t.Error("expected error for unstable queue")
 	}
 }

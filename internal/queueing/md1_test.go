@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -224,7 +225,7 @@ func TestWaitPercentileAtAtomNeverNegative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, err := q.WaitPercentiles([]float64{p})
+		ws, err := q.WaitPercentilesContext(context.Background(), []float64{p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,9 @@
 package queueing
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/telemetry"
 )
 
 // MG1 is a two-moment M/G/1 queue: Poisson arrivals at rate Lambda,
@@ -273,66 +270,4 @@ func mg1ResponsePercentile(rho, scv, target float64) float64 {
 		qm := scv * math.Exp(-c*t) // scv * P(R_MM1 > t)
 		return (1-scv)*qd + qm, (1-scv)*fd + c*qm
 	}, math.Log1p(-target), lo, lo, hi)
-}
-
-// WaitPercentiles returns the waiting-time percentiles for every p in
-// ps, in input order; results are identical to calling WaitPercentile
-// per entry.
-func (q MG1) WaitPercentiles(ps []float64) ([]float64, error) {
-	return q.WaitPercentilesContext(context.Background(), ps)
-}
-
-// WaitPercentilesContext is the batch API with cancellation, checked
-// between percentile searches like the M/D/1 batch. The SCV = 0 case
-// delegates to the M/D/1 batch and its shared-bracket optimization.
-func (q MG1) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if q.SCV <= 0 {
-		return q.md1().WaitPercentilesContext(ctx, ps)
-	}
-	defer telemetry.RequestFrom(ctx).Phase("queueing.percentiles")()
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("queueing: percentile batch: %w", err)
-		}
-		w, err := q.WaitPercentile(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-// ResponsePercentiles returns the sojourn-time percentiles for every p
-// in ps, in input order.
-func (q MG1) ResponsePercentiles(ps []float64) ([]float64, error) {
-	return q.ResponsePercentilesContext(context.Background(), ps)
-}
-
-// ResponsePercentilesContext is the batched sojourn percentiles with
-// cancellation.
-func (q MG1) ResponsePercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if q.SCV <= 0 {
-		return q.md1().ResponsePercentilesContext(ctx, ps)
-	}
-	defer telemetry.RequestFrom(ctx).Phase("queueing.percentiles")()
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("queueing: percentile batch: %w", err)
-		}
-		r, err := q.ResponsePercentile(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
 }

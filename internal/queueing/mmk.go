@@ -1,12 +1,9 @@
 package queueing
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/telemetry"
 )
 
 // MMK is an M/M/k queue: Poisson arrivals at rate Lambda served FIFO by
@@ -216,57 +213,6 @@ func (q MMK) ResponsePercentile(p float64) (float64, error) {
 		}
 	}
 	return solveCDF(q.ResponseCDF, target, 0, 0, hi, fhi), nil
-}
-
-// WaitPercentiles returns the waiting-time percentiles for every p in
-// ps, in input order.
-func (q MMK) WaitPercentiles(ps []float64) ([]float64, error) {
-	return q.WaitPercentilesContext(context.Background(), ps)
-}
-
-// WaitPercentilesContext is the batch API with cancellation. Every
-// entry is a closed form, so the batch is a plain loop with the same
-// per-entry results as WaitPercentile.
-func (q MMK) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
-	rc := telemetry.RequestFrom(ctx)
-	defer rc.Phase("queueing.percentiles")()
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("queueing: percentile batch: %w", err)
-		}
-		w, err := q.WaitPercentile(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-// ResponsePercentiles returns the sojourn-time percentiles for every p
-// in ps, in input order.
-func (q MMK) ResponsePercentiles(ps []float64) ([]float64, error) {
-	return q.ResponsePercentilesContext(context.Background(), ps)
-}
-
-// ResponsePercentilesContext is the batched sojourn percentiles with
-// cancellation.
-func (q MMK) ResponsePercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
-	rc := telemetry.RequestFrom(ctx)
-	defer rc.Phase("queueing.percentiles")()
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("queueing: percentile batch: %w", err)
-		}
-		r, err := q.ResponsePercentile(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
 }
 
 // solveCDF finds w with F(w) = target inside a bracket by regula falsi

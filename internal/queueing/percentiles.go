@@ -7,86 +7,71 @@ import (
 	"repro/internal/telemetry"
 )
 
-// WaitPercentiles returns the waiting-time percentiles for every p in ps
-// (each in [0, 100)), in the input order. Each entry is the same solve
-// as WaitPercentile, so the results are bit-identical to calling it per
-// entry.
-func (q MD1) WaitPercentiles(ps []float64) ([]float64, error) {
-	return q.WaitPercentilesContext(context.Background(), ps)
-}
-
-// WaitPercentilesContext is WaitPercentiles with cancellation: the batch
-// checks ctx between percentile searches and stops with ctx's error as
-// soon as it is done. A search already under way (a few microseconds at
-// any utilization) completes before the check, so cancellation
-// granularity is one search. This is the entry point request-scoped
-// callers (the epserve handlers) use to propagate per-request deadlines
-// into the kernel.
-func (q MD1) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+// percentiles is every kernel's batch: the percentiles for each p in
+// ps, in input order, each answered by the kernel's own scalar solve, so
+// a batch entry keeps the scalar's bits. It rejects an invalid queue
+// (invalid is the kernel's Validate result) and every p outside [0, 100)
+// before the first solve, and checks ctx before each entry, so
+// cancellation granularity is one solve (a few microseconds at any
+// utilization). A request-scoped ctx (the epserve handlers) times the
+// batch as one queueing.percentiles phase; outside a request scope the
+// phase is a no-op.
+func percentiles(ctx context.Context, invalid error, ps []float64, solve func(p float64) (float64, error)) ([]float64, error) {
+	if invalid != nil {
+		return nil, invalid
 	}
 	for _, p := range ps {
 		if p < 0 || p >= 100 {
 			return nil, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 		}
 	}
-	ins := instruments()
-	span := ins.tracer.Start("queueing.wait_percentiles").Arg("n", len(ps))
-	defer span.End()
-	// Request-scoped callers (the epserve handlers) carry a
-	// RequestContext in ctx, which times the batch as a phase; nil
-	// outside a request scope, where Phase is a no-op.
 	defer telemetry.RequestFrom(ctx).Phase("queueing.percentiles")()
-
-	rho := q.Rho()
-	rhoQ := quantizeRho(rho)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("queueing: percentile batch: %w", err)
 		}
-		ins.searches.Inc()
-		target := p / 100
-		if 1-rho >= target {
-			continue
+		v, err := solve(p)
+		if err != nil {
+			return nil, err
 		}
-		out[i] = md1Percentile(rhoQ, target) * q.D
+		out[i] = v
 	}
 	return out, nil
 }
 
-// ResponsePercentiles returns the sojourn-time percentiles for every p
-// in ps, in the input order: the batched waiting-time percentiles
-// shifted by the deterministic service time.
-func (q MD1) ResponsePercentiles(ps []float64) ([]float64, error) {
-	return q.ResponsePercentilesContext(context.Background(), ps)
+// WaitPercentilesContext returns the waiting-time percentiles for every
+// p in ps through the shared batch (see percentiles).
+func (q MD1) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
+	return percentiles(ctx, q.Validate(), ps, q.WaitPercentile)
 }
 
-// ResponsePercentilesContext is ResponsePercentiles with cancellation,
-// with the same per-search granularity as WaitPercentilesContext.
+// ResponsePercentilesContext returns the sojourn-time percentiles for
+// every p in ps through the shared batch (see percentiles).
 func (q MD1) ResponsePercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
-	ws, err := q.WaitPercentilesContext(ctx, ps)
-	if err != nil {
-		return nil, err
-	}
-	for i := range ws {
-		ws[i] += q.D
-	}
-	return ws, nil
+	return percentiles(ctx, q.Validate(), ps, q.ResponsePercentile)
 }
 
-// WaitCDFBatch returns P(W <= t) for every t in ts, sharing one
-// evaluator, and so one set of tail roots, across the evaluations.
-// Results are identical to calling WaitCDF per entry.
-func (q MD1) WaitCDFBatch(ts []float64) []float64 {
-	out := make([]float64, len(ts))
-	d := md1Dist{rho: q.Rho()}
-	if d.rho >= 1 {
-		return out
-	}
-	for i, t := range ts {
-		out[i] = d.cdf(t / q.D)
-	}
-	return out
+// WaitPercentilesContext returns the waiting-time percentiles for every
+// p in ps through the shared batch (see percentiles).
+func (q MG1) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
+	return percentiles(ctx, q.Validate(), ps, q.WaitPercentile)
+}
+
+// ResponsePercentilesContext returns the sojourn-time percentiles for
+// every p in ps through the shared batch (see percentiles).
+func (q MG1) ResponsePercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
+	return percentiles(ctx, q.Validate(), ps, q.ResponsePercentile)
+}
+
+// WaitPercentilesContext returns the waiting-time percentiles for every
+// p in ps through the shared batch (see percentiles).
+func (q MMK) WaitPercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
+	return percentiles(ctx, q.Validate(), ps, q.WaitPercentile)
+}
+
+// ResponsePercentilesContext returns the sojourn-time percentiles for
+// every p in ps through the shared batch (see percentiles).
+func (q MMK) ResponsePercentilesContext(ctx context.Context, ps []float64) ([]float64, error) {
+	return percentiles(ctx, q.Validate(), ps, q.ResponsePercentile)
 }

@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -215,7 +216,7 @@ func TestBatchScalarSameBits(t *testing.T) {
 	ps := []float64{99.9, 50, 95, 90, 99}
 	for _, rho := range accuracyRhos {
 		q := MD1{Lambda: rho / 2.5, D: 2.5}
-		batch, err := q.WaitPercentiles(ps)
+		batch, err := q.WaitPercentilesContext(context.Background(), ps)
 		if err != nil {
 			t.Fatal(err)
 		}

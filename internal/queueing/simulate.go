@@ -20,12 +20,6 @@ type SimOptions struct {
 	Seed uint64
 }
 
-// DefaultSimOptions returns settings adequate for 95th-percentile
-// estimates at moderate utilization.
-func DefaultSimOptions() SimOptions {
-	return SimOptions{Jobs: 200000, Warmup: 5000, Seed: 1}
-}
-
 // SimResult holds the simulated sojourn-time distribution.
 type SimResult struct {
 	// Responses are the retained sojourn times, sorted ascending.

@@ -232,13 +232,3 @@ func PaperRegistry(catalog *hardware.Catalog) (*Registry, error) {
 	}
 	return r, nil
 }
-
-// MustPaperRegistry is PaperRegistry for static setups known to be valid;
-// it panics on calibration failure.
-func MustPaperRegistry(catalog *hardware.Catalog) *Registry {
-	r, err := PaperRegistry(catalog)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
