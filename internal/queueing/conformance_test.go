@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // The shared kernel conformance suite: every registered kernel
@@ -235,6 +236,51 @@ func TestKernelConformanceBatchMatchesScalar(t *testing.T) {
 				t.Error("canceled response batch succeeded")
 			}
 		})
+	}
+}
+
+// TestKernelConformanceBatchRejectsBeforeSolving: every kernel's batch
+// checks the queue and every p before its first solve, so a bad entry
+// anywhere in the list fails the batch with no solve counted, and an
+// unstable queue fails it even with an empty list.
+func TestKernelConformanceBatchRejectsBeforeSolving(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
+	searches := reg.Counter("queueing.percentile_searches")
+	ctx := context.Background()
+	for _, spec := range ConformanceSpecs() {
+		k := buildKernel(t, spec, 0.7, 2.5)
+		var unstable Kernel
+		switch spec.Kind {
+		case KindMD1:
+			unstable = MD1{Lambda: 1, D: 1}
+		case KindMG1:
+			unstable = MG1{Lambda: 1, D: 1, SCV: spec.SCV}
+		case KindMMK:
+			unstable = MMK{Lambda: 1, D: float64(spec.Servers), K: spec.Servers}
+		}
+		batches := []func(context.Context, []float64) ([]float64, error){
+			k.WaitPercentilesContext, k.ResponsePercentilesContext,
+		}
+		for _, batch := range batches {
+			for _, ps := range [][]float64{{50, 100}, {95, 99, -1}} {
+				before := searches.Value()
+				if _, err := batch(ctx, ps); err == nil {
+					t.Errorf("%v: batch %v succeeded", spec, ps)
+				}
+				if n := searches.Value() - before; n != 0 {
+					t.Errorf("%v: batch %v solved %d entries before failing", spec, ps, n)
+				}
+			}
+		}
+		for _, batch := range []func(context.Context, []float64) ([]float64, error){
+			unstable.WaitPercentilesContext, unstable.ResponsePercentilesContext,
+		} {
+			if _, err := batch(ctx, nil); err == nil {
+				t.Errorf("%v: empty batch on an unstable queue succeeded", spec)
+			}
+		}
 	}
 }
 
