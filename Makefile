@@ -43,11 +43,13 @@ serve-smoke:
 # fleet-smoke schema-checks every shipped scenario file, then runs the
 # fleet simulator's scenario pipeline under the race detector on a tiny
 # scenario (the shared-clock loop and chaos layer are the structures a
-# data race would corrupt silently).
+# data race would corrupt silently), and checks every golden fleet run
+# against the serial reference oracle.
 fleet-smoke:
 	$(GO) run ./cmd/epfleet -check examples/scenarios/*.yaml
 	$(GO) test -race -run 'TestExamplesRun|TestSeedOverrideChangesChaos' ./cmd/epfleet/
 	$(GO) test -race -run 'TestSeedReproducibility$$|TestChaosBackgroundThrottleAndCaps' ./internal/fleet/
+	$(GO) test -run 'TestReferenceGoldenRuns|TestNeverSaturatedRunLosesNothing' ./internal/fleet/
 
 # logs-demo boots epserve with debug-level JSON logs on an ephemeral
 # port, drives a short loadgen burst, and prints the structured access

@@ -53,7 +53,7 @@ func (p Policy) withDefaults() Policy {
 	if p.Percentile <= 0 {
 		p.Percentile = 95
 	}
-	if p.MaxUtilization <= 0 || p.MaxUtilization >= 1 {
+	if !(p.MaxUtilization > 0 && p.MaxUtilization < 1) {
 		p.MaxUtilization = 0.95
 	}
 	return p

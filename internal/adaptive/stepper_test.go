@@ -144,3 +144,36 @@ func TestStepperValidation(t *testing.T) {
 		t.Fatalf("reference %d, rate %g", st.Reference(), st.RefRate())
 	}
 }
+
+// TestNaNMaxUtilizationFallsBack: a NaN utilization cap is out of range
+// like any other and falls back to the 0.95 default. Kept, it would
+// admit every candidate however hot it runs.
+func TestNaNMaxUtilizationFallsBack(t *testing.T) {
+	cands := candidates(t, workload.NameEP, ladderMixes)
+	grid := stats.Linspace(0.05, 1, 20)
+	want, err := Plan(cands, Policy{}, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := Policy{MaxUtilization: math.NaN()}
+	got, err := Plan(cands, nan, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStepper(cands, nan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, load := range grid {
+		w := want.Decisions[i]
+		d, err := st.Step(load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []Decision{got.Decisions[i], d} {
+			if g.Chosen != w.Chosen || g.Utilization != w.Utilization || g.Power != w.Power {
+				t.Fatalf("load %g: NaN cap decided %+v, default cap %+v", load, g, w)
+			}
+		}
+	}
+}

@@ -4,8 +4,9 @@ package fleet
 type eventKind uint8
 
 // The coordinator's kinds (engine 0) and the background chaos kinds of
-// a node's engine. Heartbeats never enter the calendar: the run loop
-// sweeps them off the shared grid (Simulator.Run).
+// a node's engine. These are all the events a run has: nodes accrue
+// their accounting lazily from the fleet's load integral (node.go), so
+// no event exists only to advance one.
 const (
 	evSample     eventKind = iota // fleet power sample
 	evTimed                       // scenario event Spec.Events[arg]

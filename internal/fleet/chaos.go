@@ -114,6 +114,7 @@ func (s *Simulator) armChaos(n *node) {
 			n.stragglerFactor = c.StragglerSlowdown
 			n.straggler = true
 			n.recalc()
+			s.capacity.set(n.index, n.capacity())
 			s.counters.stragglers++
 			s.log = append(s.log, ChaosRecord{Time: 0, Node: n.index, Kind: "straggler"})
 		}
@@ -132,16 +133,14 @@ func (s *Simulator) armChaos(n *node) {
 }
 
 // applyChaos runs one background chaos episode on n: when it changes
-// n's state, advance all lazy accounting to now, mutate, rederive,
-// rebalance.
+// n's state, integrate the fleet's flows to now, change n, rescale.
 func (s *Simulator) applyChaos(n *node, act Action, v float64) {
 	if n.inState(act, v) {
 		return
 	}
-	s.advanceAll(s.now)
-	s.mutate(n, act, v)
-	n.recalc()
-	s.rebalance(s.now)
+	s.integrate()
+	s.change(n, act, v)
+	s.rebalance()
 }
 
 // inState reports whether n already is where act with value v would
@@ -165,8 +164,8 @@ func (n *node) inState(act Action, v float64) bool {
 // mutate is the single write path for a node's chaos state, shared by
 // the background chaos processes and the scenario's timed events: it
 // applies act with value v (see inState), counts and logs it, and does
-// nothing when n is already in that state. The caller advances the
-// accounting before and rederives and rebalances after.
+// nothing when n is already in that state. The caller advances n's
+// accounting before and rederives n and rebalances after.
 func (s *Simulator) mutate(n *node, act Action, v float64) {
 	if n.inState(act, v) {
 		return
@@ -176,21 +175,20 @@ func (s *Simulator) mutate(n *node, act Action, v float64) {
 	case ActionFail:
 		n.failed = true
 		n.failures++
+		s.alive--
 		s.counters.failures++
 	case ActionRepair:
 		n.failed = false
-		n.repairs++
+		s.alive++
 		s.counters.repairs++
 	case ActionThrottle, ActionUnthrottle:
 		n.throttleFactor = v
 		if act == ActionThrottle {
-			n.throttles++
 			s.counters.throttles++
 		}
 	case ActionPowerCap, ActionUncap:
 		n.capWatts = v
 		if act == ActionPowerCap {
-			n.caps++
 			s.counters.caps++
 		}
 	case ActionStraggle:

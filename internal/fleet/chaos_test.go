@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/units"
@@ -248,4 +249,65 @@ func TestPowerSampleTrace(t *testing.T) {
 			t.Fatalf("degenerate sample %+v", p)
 		}
 	}
+}
+
+// TestFailEveryNode: failing the whole fleet leaves the alive capacity
+// exactly 0 and no node up. After every event the capacity tree's root
+// equals a fresh pairwise rebuild over the nodes' current capacities,
+// so its incremental updates carry no history.
+func TestFailEveryNode(t *testing.T) {
+	spec := chaosSpec(t, 3)
+	spec.Templates[0].Count, spec.Templates[1].Count = 37, 6
+	spec.Chaos.MTBF = 0 // no background repair brings a node back
+	spec.Events = []TimedEvent{
+		{At: 100, Action: ActionFail, Target: Target{Node: AllNodes, Fraction: 0.5}, For: 150},
+		{At: 450, Action: ActionFail, Target: EveryNode()},
+	}
+	sim, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.start()
+	for len(sim.cal.q) > 0 {
+		sim.step()
+		alive := 0
+		for i := range sim.nodes {
+			if !sim.nodes[i].failed {
+				alive++
+			}
+		}
+		fresh := newCapTree(len(sim.nodes), func(i int) float64 { return sim.nodes[i].capacity() })
+		got, want := sim.capacity.sum(), fresh.sum()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("t=%g: capacity root %v, fresh rebuild %v", sim.now, got, want)
+		}
+		if sim.alive != alive {
+			t.Fatalf("t=%g: alive count %d, %d nodes up", sim.now, sim.alive, alive)
+		}
+		if sim.now >= 450 && (got != 0 || sim.alive != 0 || sim.lostRate != sim.offeredRate) {
+			t.Fatalf("t=%g after failing every node: capacity %v, %d alive, lost %v of %v units/s",
+				sim.now, got, sim.alive, sim.lostRate, sim.offeredRate)
+		}
+	}
+	if sim.now < 450 {
+		t.Fatalf("run ended at t=%g, before the whole fleet failed", sim.now)
+	}
+}
+
+// TestBriefLateUptimeMatchesReference: the only K10 is up for half a
+// second near the end of a two-day run, so its books hold one ΔG of
+// ~0.35 taken from a G of ~1.7e5. A plain running sum of G rounds that
+// difference to within an ulp of G, 1.7e-11 of the node's work; the
+// compensated integral keeps it within the oracle's bound.
+func TestBriefLateUptimeMatchesReference(t *testing.T) {
+	spec := testSpec(t, "EP", 0.7, 2*86400)
+	spec.Slice = 3600
+	spec.Templates[1].Count = 1
+	k10 := Target{Node: 8}
+	spec.Events = []TimedEvent{
+		{At: 0, Action: ActionFail, Target: k10},
+		{At: 172000, Action: ActionRepair, Target: k10},
+		{At: 172000.5, Action: ActionFail, Target: k10},
+	}
+	CheckReference(t, spec)
 }

@@ -60,9 +60,10 @@ func (t Target) Validate() error {
 }
 
 // selectNodes resolves the target against the fleet, in index order.
-func (t Target) selectNodes(nodes []*node) []*node {
+func (t Target) selectNodes(nodes []node) []*node {
 	out := make([]*node, 0, len(nodes))
-	for _, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if t.Type != "" && n.group.Type.Name != t.Type {
 			continue
 		}
@@ -171,17 +172,36 @@ func revertAction(a Action) (Action, bool) {
 	return "", false
 }
 
+// level returns the value ev's action sets on n: the throttle factor,
+// the cap in watts or the straggle slowdown (see node.inState).
+func (e *TimedEvent) level(n *node) float64 {
+	switch e.Action {
+	case ActionThrottle:
+		return e.Factor
+	case ActionUnthrottle, ActionUnstraggle:
+		return 1
+	case ActionPowerCap:
+		if e.Fraction > 0 {
+			return e.Fraction * float64(n.group.Type.NominalPeak)
+		}
+		return float64(e.Watts)
+	case ActionStraggle:
+		return e.Slowdown
+	}
+	return 0
+}
+
 // applyTimedEvent executes intervention i (ev is Spec.Events[i], or its
-// revert): one accounting advance and one rebalance for the whole
-// batch, however many nodes it touches. A For-scoped event books its
-// own revert, which resolves the same target again when it fires.
+// revert): each targeted node it changes is advanced and rederived, and
+// the fleet is rescaled once for the whole batch. A For-scoped event
+// books its own revert, which resolves the same target again when it
+// fires.
 func (s *Simulator) applyTimedEvent(ev TimedEvent, i int) {
-	now := s.now
 	if ev.Action == ActionSetUtilization {
-		s.advanceAll(now)
+		s.integrate()
 		s.utilization = ev.Utilization
-		s.rebalance(now)
-		s.log = append(s.log, ChaosRecord{Time: now, Node: AllNodes, Kind: string(ev.Action)})
+		s.rebalance()
+		s.log = append(s.log, ChaosRecord{Time: s.now, Node: AllNodes, Kind: string(ev.Action)})
 		return
 	}
 
@@ -189,26 +209,11 @@ func (s *Simulator) applyTimedEvent(ev TimedEvent, i int) {
 	if len(targets) == 0 {
 		return
 	}
-	s.advanceAll(now)
+	s.integrate()
 	for _, n := range targets {
-		v := 0.0
-		switch ev.Action {
-		case ActionThrottle:
-			v = ev.Factor
-		case ActionUnthrottle, ActionUnstraggle:
-			v = 1
-		case ActionPowerCap:
-			v = float64(ev.Watts)
-			if ev.Fraction > 0 {
-				v = ev.Fraction * float64(n.group.Type.NominalPeak)
-			}
-		case ActionStraggle:
-			v = ev.Slowdown
-		}
-		s.mutate(n, ev.Action, v)
-		n.recalc()
+		s.change(n, ev.Action, ev.level(n))
 	}
-	s.rebalance(now)
+	s.rebalance()
 
 	if _, ok := revertAction(ev.Action); ok && ev.For > 0 {
 		s.after(float64(ev.For), 0, evRevert, i)

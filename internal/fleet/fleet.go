@@ -14,10 +14,14 @@
 //
 // The calendar is a binary min-heap of value events (calendar.go)
 // holding the coordinator's work (power samples, timed scenario events
-// and their reverts) and each node's chaos episodes. Heartbeats stay
-// out of it: every node beats on one shared grid (t1 = slice, tk+1 =
-// tk + slice) in node-index order, so the run loop sweeps them with a
-// cursor and merges each against the heap head in O(1).
+// and their reverts) and each node's chaos episodes. Every alive node
+// runs at one fleet-wide load scale of its own capacity, so the run
+// keeps the scale's integral G(t) and each node accrues its energy and
+// work from G only at its own state changes (node.go). An event
+// therefore advances only the nodes it changes, at O(log N) each for
+// their leaves of the alive-capacity tree, plus O(1) to rescale the
+// fleet. Only the power sampler folds over every node, and a timed
+// event scans the fleet once to resolve its target.
 //
 // Determinism contract: a fleet run is a pure function of its Spec
 // (including Seed). Events are ordered by (virtual time, engine,
@@ -54,8 +58,8 @@ type Spec struct {
 	Templates []cluster.Group
 	// Duration is the virtual horizon of the run.
 	Duration units.Seconds
-	// Slice is the heartbeat period of every node and the fleet-wide
-	// power sampling interval. Zero defaults to 1 s.
+	// Slice is the fleet-wide power sampling interval. Zero defaults to
+	// 1 s.
 	Slice units.Seconds
 	// Utilization is the offered load as a fraction of the fleet's
 	// nominal (healthy, uncapped) processing capacity. Values above 1
@@ -100,7 +104,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("fleet: slice %g s is negative or NaN", float64(s.Slice))
 	}
 	if s.Slice > 0 && s.Duration/s.Slice > 50e6 {
-		return fmt.Errorf("fleet: slice %v yields more than 50M heartbeats over %v", s.Slice, s.Duration)
+		return fmt.Errorf("fleet: slice %v yields more than 50M power samples over %v", s.Slice, s.Duration)
 	}
 	if s.Utilization < 0 || math.IsNaN(s.Utilization) {
 		return fmt.Errorf("fleet: negative utilization %g", s.Utilization)
@@ -182,24 +186,26 @@ func (s *Spec) NodeCount() int {
 // with Run.
 type Simulator struct {
 	spec  Spec
-	nodes []*node
+	nodes []node
 	cal   calendar
 	now   float64 // time of the calendar event being run
 	log   []ChaosRecord
-
-	// The heartbeat sweep: node beatNode beats next, at beatT; beatSeq
-	// holds each node's pending heartbeat's schedule seq.
-	beatT    float64
-	beatNode int
-	beatSeq  []uint64
 
 	slice       float64
 	horizon     float64
 	utilization float64
 	nominalRate float64 // healthy full-speed fleet capacity, units/s
 
-	// Lazily integrated work flows: offered load, and the part of it
-	// beyond alive capacity (lost).
+	// Alive capacity, per node in a pairwise-summed tree, and the
+	// number of nodes up.
+	capacity capTree
+	alive    int
+
+	// The load scale every alive node runs at, as a fraction of its own
+	// capacity, and the lazily integrated flows: G = ∫ scale dt, the
+	// offered load, and the part of it beyond alive capacity (lost).
+	scale        float64
+	g            loadIntegral
 	offeredRate  float64
 	lostRate     float64
 	flowLastT    float64
@@ -254,20 +260,25 @@ func New(spec Spec) (*Simulator, error) {
 	s.aliveGauge = reg.Gauge("fleet.alive_nodes")
 	s.powerGauge = reg.Gauge("fleet.power_watts")
 
-	slab := make([]node, spec.NodeCount())
-	s.nodes = make([]*node, 0, len(slab))
-	for ti, g := range spec.Templates {
+	s.nodes = make([]node, 0, spec.NodeCount())
+	prefix := chaosPrefix(spec.Seed)
+	for _, g := range spec.Templates {
 		d, err := spec.Workload.Demand(g.Type.Name)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < g.Count; i++ {
-			n := &slab[len(s.nodes)]
-			initNode(n, len(s.nodes), ti, g, d, spec.Workload, spec.Seed)
-			s.nominalRate += n.nominalRate
-			s.nodes = append(s.nodes, n)
+		healthy := healthyNode(g, d, spec.Workload)
+		for range g.Count {
+			i := len(s.nodes)
+			s.nodes = append(s.nodes, healthy)
+			n := &s.nodes[i]
+			n.index = i
+			n.rng.Seed(chaosStream(prefix, i))
 		}
 	}
+	s.capacity = newCapTree(len(s.nodes), func(i int) float64 { return s.nodes[i].capacity() })
+	s.alive = len(s.nodes)
+	s.nominalRate = s.capacity.sum()
 	if s.nominalRate <= 0 {
 		return nil, errors.New("fleet: fleet has zero processing capacity for this workload")
 	}
@@ -286,59 +297,50 @@ func (s *Simulator) Run() (*Result, error) {
 	defer span.End()
 	reg.Counter("fleet.runs").Inc()
 
-	// Seed the schedule: per node, its first heartbeat's seq (the time
-	// is the grid's) and its chaos processes, then the timed scenario
-	// events and the power sampler.
-	s.beatSeq = make([]uint64, len(s.nodes))
-	for _, n := range s.nodes {
-		s.beatSeq[n.index] = s.cal.next()
-		s.armChaos(n)
-	}
-	for i := range s.spec.Events {
-		s.after(float64(s.spec.Events[i].At)-s.now, 0, evTimed, i)
-	}
-	s.after(0, 0, evSample, 0)
-	s.rebalance(0)
-	s.beatT = s.now + s.slice
-
-	// The shared-clock loop. The next heartbeat is node beatNode's at
-	// beatT, keyed (beatT, beatNode+1, its seq); it runs unless the
-	// calendar head comes first under the same key. Every calendar
-	// event is due by the horizon (after drops later ones), so the run
-	// ends when the calendar is empty and the grid has passed the
-	// horizon.
+	// Every calendar event is due by the horizon (after drops later
+	// ones), so the run ends when the calendar is empty.
+	s.start()
 	events := uint64(0)
-	for {
-		beat := event{t: s.beatT, engine: s.beatNode + 1, seq: s.beatSeq[s.beatNode]}
-		if len(s.cal.q) > 0 && s.cal.q[0].before(&beat) {
-			ev := s.cal.pop()
-			s.now = ev.t
-			s.fire(ev)
-		} else {
-			if s.beatT > s.horizon {
-				break
-			}
-			s.nodes[s.beatNode].advanceTo(s.beatT)
-			s.beatSeq[s.beatNode] = s.cal.next()
-			if s.beatNode++; s.beatNode == len(s.nodes) {
-				s.beatNode, s.beatT = 0, s.beatT+s.slice
-			}
-		}
+	for len(s.cal.q) > 0 {
+		s.step()
 		events++
 	}
 	reg.Counter("fleet.events").Add(events)
 
 	// Close the books at the horizon.
-	for _, n := range s.nodes {
-		n.advanceTo(s.horizon)
+	s.now = s.horizon
+	s.integrate()
+	for i := range s.nodes {
+		s.nodes[i].advanceTo(s.horizon, s.g)
 	}
-	s.integrateFlows(s.horizon)
 
 	res := s.summarize(events)
 	res.ChaosLog = s.log
 	res.PowerTrace = s.powerSample
 	s.nodes = nil
 	return res, nil
+}
+
+// start seeds the schedule: each node's chaos processes, then the
+// timed scenario events and the power sampler, and sets the opening
+// load scale.
+func (s *Simulator) start() {
+	for i := range s.nodes {
+		s.armChaos(&s.nodes[i])
+	}
+	for i := range s.spec.Events {
+		s.after(float64(s.spec.Events[i].At)-s.now, 0, evTimed, i)
+	}
+	s.after(0, 0, evSample, 0)
+	s.rebalance()
+}
+
+// step runs the earliest calendar event; the calendar must not be
+// empty.
+func (s *Simulator) step() {
+	ev := s.cal.pop()
+	s.now = ev.t
+	s.fire(ev)
 }
 
 // after books an event of kind on engine delay seconds after now. An
@@ -349,111 +351,121 @@ func (s *Simulator) after(delay float64, engine int, kind eventKind, arg int) {
 	}
 }
 
-// fire runs one calendar event at s.now. A background chaos episode
-// books its successor with a draw from the node's own stream, so each
-// stream's draws follow its node's event order.
+// fire runs one calendar event at s.now.
 func (s *Simulator) fire(ev event) {
-	c := &s.spec.Chaos
-	var n *node
-	if ev.engine > 0 {
-		n = s.nodes[ev.engine-1]
-	}
 	switch ev.kind {
 	case evSample:
 		s.sample()
-	case evTimed:
-		s.applyTimedEvent(s.spec.Events[ev.arg], int(ev.arg))
-	case evRevert:
-		rev := s.spec.Events[ev.arg]
-		rev.Action, _ = revertAction(rev.Action)
-		rev.For = 0
-		s.applyTimedEvent(rev, int(ev.arg))
+	case evTimed, evRevert:
+		s.applyTimedEvent(s.timedEvent(ev), int(ev.arg))
+	default:
+		n := &s.nodes[ev.engine-1]
+		act, v := s.episode(ev, n)
+		s.applyChaos(n, act, v)
+	}
+}
+
+// timedEvent returns the intervention a timed or revert event applies:
+// Spec.Events[arg], or its inverse.
+func (s *Simulator) timedEvent(ev event) TimedEvent {
+	e := s.spec.Events[ev.arg]
+	if ev.kind == evRevert {
+		e.Action, _ = revertAction(e.Action)
+		e.For = 0
+	}
+	return e
+}
+
+// episode returns the state change background chaos episode ev applies
+// to its node n, and books the episode's successor with a draw from
+// n's own stream, so each stream's draws follow its node's event order.
+func (s *Simulator) episode(ev event, n *node) (Action, float64) {
+	c := &s.spec.Chaos
+	switch ev.kind {
 	case evFail:
-		s.applyChaos(n, ActionFail, 0)
 		s.after(n.rng.ExpFloat64(1/float64(c.MTTR)), ev.engine, evRepair, 0)
+		return ActionFail, 0
 	case evRepair:
-		s.applyChaos(n, ActionRepair, 0)
 		s.after(n.rng.ExpFloat64(1/float64(c.MTBF)), ev.engine, evFail, 0)
+		return ActionRepair, 0
 	case evThrottle:
-		s.applyChaos(n, ActionThrottle, c.ThrottleFactor)
 		s.after(float64(c.ThrottleFor), ev.engine, evUnthrottle, 0)
+		return ActionThrottle, c.ThrottleFactor
 	case evUnthrottle:
-		s.applyChaos(n, ActionUnthrottle, 1)
 		s.after(n.rng.ExpFloat64(1/float64(c.ThrottleEvery)), ev.engine, evThrottle, 0)
+		return ActionUnthrottle, 1
 	case evCap:
-		s.applyChaos(n, ActionPowerCap, c.CapFraction*float64(n.group.Type.NominalPeak))
 		s.after(float64(c.CapFor), ev.engine, evUncap, 0)
-	case evUncap:
-		s.applyChaos(n, ActionUncap, 0)
+		return ActionPowerCap, c.CapFraction * float64(n.group.Type.NominalPeak)
+	default: // evUncap
 		s.after(n.rng.ExpFloat64(1/float64(c.CapEvery)), ev.engine, evCap, 0)
+		return ActionUncap, 0
 	}
 }
 
-// rebalance redistributes the offered load over the currently alive
-// capacity, rate-matched exactly as the paper's static mapping: every
-// alive node runs at the same fraction of its own (possibly degraded)
-// capacity, so all absorb the chaos proportionally. Must be called with
-// every node's accounting already advanced to now.
-func (s *Simulator) rebalance(now float64) {
-	offered := s.utilization * s.nominalRate
-	aliveCap := 0.0
-	alive := 0
-	for _, n := range s.nodes {
-		aliveCap += n.capacity()
-		if !n.failed {
-			alive++
-		}
-	}
-	scale := 0.0
-	if aliveCap > 0 {
-		scale = offered / aliveCap
-		if scale > 1 {
-			scale = 1
-		}
-	}
-	for _, n := range s.nodes {
-		n.setLoad(scale)
-	}
-	s.integrateFlows(now)
-	s.offeredRate = offered
-	s.lostRate = offered - aliveCap*scale
-	if s.lostRate < 0 {
-		s.lostRate = 0
-	}
-	s.aliveGauge.Set(float64(alive))
-}
-
-// advanceAll brings every node's lazy accounting to now; required
-// before any state change that alters load distribution.
-func (s *Simulator) advanceAll(now float64) {
-	for _, n := range s.nodes {
-		n.advanceTo(now)
-	}
-}
-
-// integrateFlows accrues the offered and lost work integrals at the
-// current rates up to now.
-func (s *Simulator) integrateFlows(now float64) {
-	if dt := now - s.flowLastT; dt > 0 {
+// integrate accrues G and the offered and lost work at the current
+// rates up to now. Every change of the scale, the utilization or a
+// node's state comes after it.
+func (s *Simulator) integrate() {
+	if dt := s.now - s.flowLastT; dt > 0 {
+		s.g.add(s.scale * dt)
 		s.offeredUnits.Add(s.offeredRate * dt)
 		s.lostUnits.Add(s.lostRate * dt)
 	}
-	s.flowLastT = now
+	s.flowLastT = s.now
 }
 
-// sample reads fleet-wide power draw every slice, tracking the peak and
-// an optional trace, and books the next sample. The trace is capped so
-// multi-day scenarios cannot exhaust memory.
-func (s *Simulator) sample() {
-	const maxSamples = 100000
-	total := 0.0
-	alive := 0
-	for _, n := range s.nodes {
-		total += n.power
-		if !n.failed {
-			alive++
-		}
+// change applies act with value v to n at now through the one mutator,
+// closing n's accounts at its old state first and then rederiving it
+// and its leaf of the capacity tree. The caller integrates before and
+// rebalances after.
+func (s *Simulator) change(n *node, act Action, v float64) {
+	if n.inState(act, v) {
+		return
 	}
+	n.advanceTo(s.now, s.g)
+	s.mutate(n, act, v)
+	n.recalc()
+	s.capacity.set(n.index, n.capacity())
+}
+
+// rebalance sets the load scale from the offered load and the alive
+// capacity, rate-matched exactly as the paper's static mapping: every
+// alive node runs at the same fraction of its own (possibly degraded)
+// capacity, so all absorb the chaos proportionally. Load beyond alive
+// capacity is lost; within it, nothing is, so the rounding of
+// aliveCap·scale against the offered rate is never booked as lost work.
+func (s *Simulator) rebalance() {
+	offered := s.utilization * s.nominalRate
+	aliveCap := s.capacity.sum()
+	s.scale = 0
+	if aliveCap > 0 {
+		s.scale = min(offered/aliveCap, 1)
+	}
+	s.offeredRate = offered
+	s.lostRate = max(offered-aliveCap, 0)
+	s.aliveGauge.Set(float64(s.alive))
+}
+
+// sample reads fleet-wide power draw every slice: each node's draw at
+// the current scale, its rate-matched busy fraction maxU·scale above
+// its idle floor, folded in node order. A failed node's derivatives
+// are all 0, so it draws 0.
+func (s *Simulator) sample() {
+	total := 0.0
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		total += n.idlePower + n.maxU*s.scale*n.dynPower
+	}
+	s.record(total, s.capacity.sum(), s.alive)
+}
+
+// record takes one power sample of total watts, with aliveCap units/s
+// over alive nodes up: it tracks the peak and an optional trace, runs
+// the latency probe and books the next sample. The trace is capped so
+// multi-day scenarios cannot exhaust memory.
+func (s *Simulator) record(total, aliveCap float64, alive int) {
+	const maxSamples = 100000
 	if total > s.peakPower {
 		s.peakPower = total
 	}
@@ -462,10 +474,6 @@ func (s *Simulator) sample() {
 		s.powerSample = append(s.powerSample, PowerSample{Time: s.now, Power: total, Alive: alive})
 	}
 	if s.spec.Latency != nil {
-		aliveCap := 0.0
-		for _, n := range s.nodes {
-			aliveCap += n.capacity()
-		}
 		s.sampleLatency(aliveCap, alive)
 	}
 	s.after(s.slice, 0, evSample, 0)

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -22,8 +21,9 @@ var fuzzActions = []Action{
 // FuzzFleetRun runs small fleets over fuzzed seeds, loads, slices, fleet
 // sizes, chaos rates and one timed event. Every parameter is decoded
 // into its valid range, so each input is a runnable spec. The run must
-// not panic, must conserve work (offered == completed + lost) and must
-// marshal the same summary bytes when run again.
+// not panic, must agree with the serial oracle and conserve work
+// (CheckReference), and must marshal the same summary bytes when run
+// again.
 func FuzzFleetRun(f *testing.F) {
 	catalog := hardware.DefaultCatalog()
 	registry, err := workload.PaperRegistry(catalog)
@@ -104,27 +104,16 @@ func FuzzFleetRun(f *testing.F) {
 		}
 		spec.Events = []TimedEvent{ev}
 
-		run := func() []byte {
-			sim, err := New(spec)
-			if err != nil {
-				t.Fatalf("valid spec rejected: %v", err)
-			}
-			res, err := sim.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := res.Summary
-			lhs, rhs := s.OfferedUnits, s.CompletedUnits+s.LostUnits
-			if math.Abs(lhs-rhs) > 1e-9*math.Max(math.Abs(lhs), 1) {
-				t.Fatalf("offered %v != completed %v + lost %v", s.OfferedUnits, s.CompletedUnits, s.LostUnits)
-			}
-			b, err := json.Marshal(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
+		res, _ := CheckReference(t, spec)
+		first, err := json.Marshal(res.Summary)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if first, second := run(), run(); !bytes.Equal(first, second) {
+		second, err := json.Marshal(runSpec(t, spec).Summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
 			t.Fatalf("same spec, different summaries:\n%s\n%s", first, second)
 		}
 	})

@@ -58,7 +58,7 @@ func TestLatencyProbeSteadyState(t *testing.T) {
 	if s.TailLatencySeconds <= 0 || math.Abs(s.TailLatencySeconds-s.AvgTailLatencySeconds) > 1e-12 {
 		t.Fatalf("steady run max %g != avg %g", s.TailLatencySeconds, s.AvgTailLatencySeconds)
 	}
-	k, err := queueing.DefaultSpec().Build(0.6, 1/rate)
+	k, err := queueing.Spec{}.Build(0.6, 1/rate)
 	if err != nil {
 		t.Fatal(err)
 	}

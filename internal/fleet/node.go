@@ -13,18 +13,22 @@ import (
 // running at the template's (cores, frequency) operating point, with
 // its own chaos stream.
 //
-// Work and power are integrated lazily: the node keeps the current
-// (power, unit-completion) derivatives and accrues energy and units on
-// every state change and heartbeat. Between changes the node is in
-// steady state, so the integration is exact — the heartbeat only bounds
-// how stale the accumulators can get and feeds the power sampler.
+// Work and power are integrated lazily. Every alive node runs at the
+// fleet's one load scale of its own capacity (Simulator.rebalance), so
+// between the node's own state changes its draw is idle + maxU·dyn·scale
+// and its completion rate maxU·rate·scale: affine in the scale, with
+// coefficients that change only when the node's own chaos state does.
+// The node therefore keeps the time and the fleet's load integral G at
+// its last change and accrues idle·Δt + maxU·dyn·ΔG joules and
+// maxU·rate·ΔG units only at its next change and at the horizon. The
+// integration is exact, not approximate, and a chaos or timed event
+// advances only the nodes it changes.
 type node struct {
-	index    int
-	template int
-	group    cluster.Group
-	demand   workload.Demand
-	wl       *workload.Profile
-	rng      *stats.RNG // chaos stream, derived from (seed, index) only
+	index  int
+	group  cluster.Group
+	demand workload.Demand
+	wl     *workload.Profile
+	rng    stats.RNG // chaos stream, derived from (seed, index) only
 
 	// Chaos state. The zero state is a healthy node: factor 1, no cap.
 	failed          bool
@@ -40,65 +44,54 @@ type node struct {
 	idlePower   float64
 	dynPower    float64 // watts above idle at full utilization
 	maxU        float64 // power-cap-limited max busy fraction
-	u           float64 // assigned busy fraction
-	power       float64 // current draw, watts
-	unitsPerSec float64 // current completion rate
 
-	// Accounting.
+	// Accounting, closed up to lastT, when the load integral read lastG.
 	lastT     float64
+	lastG     loadIntegral
 	energy    stats.KahanSum // joules
 	done      stats.KahanSum // completed units
-	busyTime  stats.KahanSum // node-seconds busy
 	down      float64        // node-seconds failed
 	failures  int
-	repairs   int
-	throttles int
-	caps      int
 	straggler bool
 }
 
-// chaosStream derives the per-node PRNG seed by FNV-1a mixing the run
-// seed with the node index, so stream i is independent of how many
-// nodes exist and of every other stream.
-func chaosStream(seed uint64, index int) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	for i := 0; i < 8; i++ {
-		mix(byte(seed >> (8 * i)))
-	}
+// chaosPrefix hashes the run seed and the stream label with FNV-1a:
+// the part of every node's chaos-stream seed that does not depend on
+// the node.
+func chaosPrefix(seed uint64) uint64 {
+	h := fnvWord(14695981039346656037, seed) // FNV-1a offset basis
 	for _, b := range []byte("fleet.chaos") {
-		mix(b)
-	}
-	for i := 0; i < 8; i++ {
-		mix(byte(uint64(index) >> (8 * i)))
+		h = (h ^ uint64(b)) * fnvPrime
 	}
 	return h
 }
 
-// initNode sets n up as fleet member index, healthy and unloaded.
-func initNode(n *node, index, template int, g cluster.Group, d workload.Demand, wl *workload.Profile, seed uint64) {
-	*n = node{
-		index:           index,
-		template:        template,
-		group:           g,
-		demand:          d,
-		wl:              wl,
-		rng:             stats.NewRNG(chaosStream(seed, index)),
-		throttleFactor:  1,
-		stragglerFactor: 1,
+// chaosStream finishes node index's PRNG seed from the run's
+// chaosPrefix, so stream i is independent of how many nodes exist and
+// of every other stream.
+func chaosStream(prefix uint64, index int) uint64 { return fnvWord(prefix, uint64(index)) }
+
+const fnvPrime = 1099511628211
+
+// fnvWord folds v's eight bytes, low byte first, into the FNV-1a hash h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v>>(8*i))&0xff) * fnvPrime
 	}
+	return h
+}
+
+// healthyNode returns a template's node, healthy and unloaded, with its
+// derived state computed once; New copies it into every member of the
+// template and seeds each copy's stream.
+func healthyNode(g cluster.Group, d workload.Demand, wl *workload.Profile) node {
+	n := node{group: g, demand: d, wl: wl, throttleFactor: 1, stragglerFactor: 1}
 	n.recalc()
 	n.nominalRate = n.rate
 	if n.rate > 0 {
 		n.idealUnitJ = n.unitTime * (n.idlePower + n.dynPower)
 	}
+	return n
 }
 
 // recalc rebuilds the per-unit time and power derivatives from the
@@ -118,7 +111,6 @@ func (n *node) recalc() {
 		n.dynPower = 0
 		n.idlePower = 0 // a failed node is powered off
 		n.maxU = 0
-		n.setLoad(0)
 		return
 	}
 
@@ -171,33 +163,6 @@ func (n *node) recalc() {
 			n.maxU = headroom
 		}
 	}
-	if n.u > n.maxU {
-		n.u = n.maxU
-	}
-	n.setLoad(n.loadScale())
-}
-
-// loadScale recovers the fleet-wide scale from the node's current
-// assignment so recalc can preserve it; setLoad applies a new one.
-func (n *node) loadScale() float64 {
-	if n.maxU <= 0 {
-		return 0
-	}
-	return n.u / n.maxU
-}
-
-// setLoad assigns the fleet-wide load scale: the node runs at scale of
-// its own (possibly degraded) capacity, the rate-matched share.
-func (n *node) setLoad(scale float64) {
-	if n.failed {
-		n.u = 0
-		n.power = 0
-		n.unitsPerSec = 0
-		return
-	}
-	n.u = n.maxU * scale
-	n.power = n.idlePower + n.u*n.dynPower
-	n.unitsPerSec = n.u * n.rate
 }
 
 // capacity is the node's current sustainable completion rate.
@@ -208,19 +173,72 @@ func (n *node) capacity() float64 {
 	return n.rate * n.maxU
 }
 
-// advanceTo integrates the steady-state derivatives from the last
-// update to now.
-func (n *node) advanceTo(now float64) {
+// advanceTo closes the node's accounts from its last change to now,
+// when the fleet's load integral reads g.
+func (n *node) advanceTo(now float64, g loadIntegral) {
 	dt := now - n.lastT
 	if dt <= 0 {
 		return
 	}
-	n.lastT = now
+	dg := g.since(n.lastG)
+	n.lastT, n.lastG = now, g
 	if n.failed {
 		n.down += dt
 		return
 	}
-	n.energy.Add(n.power * dt)
-	n.done.Add(n.unitsPerSec * dt)
-	n.busyTime.Add(n.u * dt)
+	n.energy.Add(n.idlePower*dt + n.maxU*n.dynPower*dg)
+	n.done.Add(n.maxU * n.rate * dg)
 }
+
+// loadIntegral is the fleet's G(t) = ∫ scale dt, held as the
+// unevaluated sum hi + lo of Knuth's two-sum, so that the difference of
+// two readings keeps its relative precision however many scale changes
+// G has absorbed in between.
+type loadIntegral struct{ hi, lo float64 }
+
+// add accrues v.
+func (g *loadIntegral) add(v float64) {
+	s := g.hi + v
+	b := s - g.hi
+	g.lo += (g.hi - (s - b)) + (v - b)
+	g.hi = s
+}
+
+// since returns g minus an earlier reading.
+func (g loadIntegral) since(then loadIntegral) float64 {
+	return (g.hi - then.hi) + (g.lo - then.lo)
+}
+
+// capTree holds the per-node capacities in a pairwise-summed tree:
+// leaves at [n, 2n), node i the sum of nodes 2i and 2i+1, the root at 1.
+// Every update recomputes the sums above the changed leaf from their
+// children, so the root is a function of the current leaves alone, not
+// of the order they changed in: a fleet with every node failed reads
+// exactly 0.
+type capTree []float64
+
+// newCapTree builds the tree over leaves leaf(0), ..., leaf(n-1) in
+// O(n).
+func newCapTree(n int, leaf func(i int) float64) capTree {
+	t := make(capTree, 2*n)
+	for i := range n {
+		t[n+i] = leaf(i)
+	}
+	for i := n - 1; i >= 1; i-- {
+		t[i] = t[2*i] + t[2*i+1]
+	}
+	return t
+}
+
+// set replaces leaf i and the O(log n) sums above it.
+func (t capTree) set(i int, v float64) {
+	i += len(t) / 2
+	t[i] = v
+	for i > 1 {
+		i /= 2
+		t[i] = t[2*i] + t[2*i+1]
+	}
+}
+
+// sum is the total over every leaf.
+func (t capTree) sum() float64 { return t[1] }

@@ -30,8 +30,9 @@ type Summary struct {
 	Nodes    int    `json:"nodes"`
 	// DurationSeconds is the virtual horizon.
 	DurationSeconds float64 `json:"duration_seconds"`
-	// Events counts the discrete events processed: heartbeats, power
-	// samples, timed events and chaos episodes.
+	// Events counts the calendar events run: power samples, timed
+	// events and their reverts, and background chaos episodes (those
+	// that find their node already in the target state included).
 	Events uint64 `json:"events"`
 
 	// Work accounting. Offered = Completed + Lost up to float error.
@@ -235,7 +236,8 @@ func (s *Simulator) summarize(events uint64) *Result {
 	var energy, done, ideal, down stats.KahanSum
 	byType := make(map[string]*TypeSummary)
 	order := []string{}
-	for _, n := range s.nodes {
+	for i := range s.nodes {
+		n := &s.nodes[i]
 		e := n.energy.Sum()
 		u := n.done.Sum()
 		energy.Add(e)

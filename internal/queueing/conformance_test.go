@@ -264,7 +264,7 @@ func TestKernelConformanceBatchRejectsBeforeSolving(t *testing.T) {
 			k.WaitPercentilesContext, k.ResponsePercentilesContext,
 		}
 		for _, batch := range batches {
-			for _, ps := range [][]float64{{50, 100}, {95, 99, -1}} {
+			for _, ps := range [][]float64{{50, 100}, {95, 99, -1}, {95, math.NaN()}} {
 				before := searches.Value()
 				if _, err := batch(ctx, ps); err == nil {
 					t.Errorf("%v: batch %v succeeded", spec, ps)
@@ -303,7 +303,7 @@ func TestKernelConformanceStability(t *testing.T) {
 			if err := k.Validate(); err != nil {
 				t.Errorf("Validate on a stable queue: %v", err)
 			}
-			for _, p := range []float64{-1, 100, 120} {
+			for _, p := range []float64{-1, 100, 120, math.NaN()} {
 				if _, err := k.WaitPercentile(p); err == nil {
 					t.Errorf("WaitPercentile(%g) succeeded", p)
 				}
@@ -312,6 +312,17 @@ func TestKernelConformanceStability(t *testing.T) {
 				}
 			}
 		})
+	}
+	// The closed-form M/M/1 the limit tests compare against takes the
+	// same range check.
+	mm1 := MM1{Lambda: 0.5, D: 1}
+	for _, p := range []float64{-1, 100, math.NaN()} {
+		if _, err := mm1.WaitPercentile(p); err == nil {
+			t.Errorf("M/M/1 WaitPercentile(%g) succeeded", p)
+		}
+		if _, err := mm1.ResponsePercentile(p); err == nil {
+			t.Errorf("M/M/1 ResponsePercentile(%g) succeeded", p)
+		}
 	}
 }
 
@@ -590,10 +601,10 @@ func TestKernelNamesAndSpecRoundTrip(t *testing.T) {
 			t.Errorf("spec string %q, want %q", got, want)
 		}
 	}
-	if got := fmt.Sprint(DefaultSpec()); got != "md1" {
+	if got := fmt.Sprint(Spec{}); got != "md1" {
 		t.Errorf("default spec renders %q", got)
 	}
-	if !DefaultSpec().IsDefault() {
-		t.Error("DefaultSpec not default")
+	if !(Spec{}).IsDefault() {
+		t.Error("zero Spec not default")
 	}
 }

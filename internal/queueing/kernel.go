@@ -107,9 +107,6 @@ type Spec struct {
 	Servers int
 }
 
-// DefaultSpec returns the M/D/1 default.
-func DefaultSpec() Spec { return Spec{Kind: KindMD1} }
-
 // IsDefault reports whether the spec selects the M/D/1 default, whose
 // responses and golden outputs carry no kernel fields.
 func (s Spec) IsDefault() bool { return s.Kind == KindMD1 }

@@ -101,7 +101,7 @@ func (q MD1) WaitPercentile(p float64) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	if p < 0 || p >= 100 {
+	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
 	ins := instruments()
@@ -190,7 +190,7 @@ func (q MM1) WaitPercentile(p float64) (float64, error) {
 	if rho >= 1 || q.D <= 0 {
 		return 0, errors.New("queueing: unstable M/M/1")
 	}
-	if p < 0 || p >= 100 {
+	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
 	target := p / 100
@@ -207,7 +207,7 @@ func (q MM1) ResponsePercentile(p float64) (float64, error) {
 	if rho >= 1 || q.D <= 0 {
 		return 0, errors.New("queueing: unstable M/M/1")
 	}
-	if p < 0 || p >= 100 {
+	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
 	return -math.Log(1-p/100) * q.D / (1 - rho), nil

@@ -163,7 +163,7 @@ func (q MG1) WaitPercentile(p float64) (float64, error) {
 	if q.SCV <= 0 {
 		return q.md1().WaitPercentile(p)
 	}
-	if p < 0 || p >= 100 {
+	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
 	ins := instruments()
@@ -217,7 +217,7 @@ func (q MG1) ResponsePercentile(p float64) (float64, error) {
 	if q.SCV <= 0 {
 		return q.md1().ResponsePercentile(p)
 	}
-	if p < 0 || p >= 100 {
+	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
 	ins := instruments()

@@ -171,7 +171,7 @@ func (q MMK) WaitPercentile(p float64) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	if p < 0 || p >= 100 {
+	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
 	ins := instruments()
@@ -191,7 +191,7 @@ func (q MMK) ResponsePercentile(p float64) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	if p < 0 || p >= 100 {
+	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
 	ins := instruments()

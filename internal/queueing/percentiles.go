@@ -21,7 +21,7 @@ func percentiles(ctx context.Context, invalid error, ps []float64, solve func(p 
 		return nil, invalid
 	}
 	for _, p := range ps {
-		if p < 0 || p >= 100 {
+		if !(p >= 0 && p < 100) {
 			return nil, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 		}
 	}

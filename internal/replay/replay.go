@@ -58,7 +58,7 @@ func (o Options) withDefaults() Options {
 	if o.SLOPercentile <= 0 {
 		o.SLOPercentile = 95
 	}
-	if o.Policy.MaxUtilization <= 0 || o.Policy.MaxUtilization >= 1 {
+	if !(o.Policy.MaxUtilization > 0 && o.Policy.MaxUtilization < 1) {
 		o.Policy.MaxUtilization = defaultMaxUtilization
 	}
 	if o.SLO > 0 && o.Policy.SLO == 0 {

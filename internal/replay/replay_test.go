@@ -292,26 +292,31 @@ func TestHysteresisSuppressesSwitches(t *testing.T) {
 func TestSaturationClampsAndViolates(t *testing.T) {
 	cands := ladderCandidates(t)
 	tr := Trace{Points: []Point{{0, 1}, {300, 1}, {600, 0.3}}}
-	res, err := Run(context.Background(), cands, tr, Options{SLO: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.SaturatedSteps != 2 {
-		t.Fatalf("saturated steps = %d, want 2", res.Summary.SaturatedSteps)
-	}
-	if res.Summary.SLOViolations < 2 {
-		t.Fatalf("SLO violations = %d, want >= 2", res.Summary.SLOViolations)
-	}
-	for i, st := range res.Steps[:2] {
-		if !st.Saturated || !st.SLOViolated {
-			t.Fatalf("step %d: saturated=%v violated=%v", i, st.Saturated, st.SLOViolated)
+	// A NaN utilization cap is out of range like a zero one and falls
+	// back to the 0.95 default.
+	for _, maxU := range []float64{0, math.NaN()} {
+		opt := Options{SLO: 10, Policy: adaptive.Policy{MaxUtilization: maxU}}
+		res, err := Run(context.Background(), cands, tr, opt)
+		if err != nil {
+			t.Fatalf("cap %g: %v", maxU, err)
 		}
-		if st.Utilization != 0.95 {
-			t.Fatalf("step %d utilization %g, want clamp at 0.95", i, st.Utilization)
+		if res.Summary.SaturatedSteps != 2 {
+			t.Fatalf("cap %g: saturated steps = %d, want 2", maxU, res.Summary.SaturatedSteps)
 		}
-	}
-	if res.Steps[2].Saturated {
-		t.Fatal("in-range step marked saturated")
+		if res.Summary.SLOViolations < 2 {
+			t.Fatalf("cap %g: SLO violations = %d, want >= 2", maxU, res.Summary.SLOViolations)
+		}
+		for i, st := range res.Steps[:2] {
+			if !st.Saturated || !st.SLOViolated {
+				t.Fatalf("cap %g: step %d: saturated=%v violated=%v", maxU, i, st.Saturated, st.SLOViolated)
+			}
+			if st.Utilization != 0.95 {
+				t.Fatalf("cap %g: step %d utilization %g, want clamp at 0.95", maxU, i, st.Utilization)
+			}
+		}
+		if res.Steps[2].Saturated {
+			t.Fatalf("cap %g: in-range step marked saturated", maxU)
+		}
 	}
 }
 

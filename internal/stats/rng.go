@@ -25,6 +25,14 @@ type RNG struct {
 // guarantees a well-mixed state even for small consecutive seeds.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the state NewRNG(seed) starts in, so a generator
+// held by value needs no allocation of its own.
+func (r *RNG) Seed(seed uint64) {
+	*r = RNG{}
 	sm := seed
 	next := func() uint64 {
 		sm += 0x9e3779b97f4a7c15
@@ -40,7 +48,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
