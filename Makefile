@@ -66,12 +66,13 @@ test-race:
 
 # Alias: the observability docs and CI refer to `make race`. The extra
 # invocations hammer concurrent percentile solves (which must share no
-# state) and the full serve path specifically — what concurrent HTTP
-# load exercises.
+# state), the full serve path — what concurrent HTTP load exercises —
+# and concurrent frontier sweeps replacing one table's space slot.
 race: test-race
 	$(GO) test -race -run TestPercentileConcurrentSameBits -count 2 ./internal/queueing/
 	$(GO) test -race -run TestServeRaceHammer -count 2 ./internal/serve/
 	$(GO) test -race -count 2 ./internal/replay/
+	$(GO) test -race -run TestFrontierSharedSlotConcurrent -count 10 ./internal/pareto/
 
 # ci is the full gate the workflow runs: formatting, vet, tier-1
 # build+test, targeted race runs over the concurrency-heavy packages
@@ -118,23 +119,26 @@ bench-queueing:
 	@echo wrote BENCH_queueing.json
 
 # Frontier-engine benchmarks over the paper's footnote-4 space (36,380
-# configurations), distilled into BENCH_frontier.json: sweep and
-# per-evaluation speedups of the memoized engine versus the serial
-# per-config reference, configs/s throughput, and the allocs/op proof
-# that the hot path stays off the heap.
+# configurations), distilled by benchjson into BENCH_frontier.json:
+# sweep and per-evaluation speedups of the memoized engine versus the
+# serial per-config reference, configs/s throughput, the allocs/op
+# proof that the hot path stays off the heap, and the GOMAXPROCS, Go
+# version and commit they were measured at.
 bench-frontier:
-	$(GO) test -bench 'BenchmarkFrontierSweep|BenchmarkEvaluate(Fast|Reference)$$' \
-		-benchmem -run '^$$' ./internal/pareto/ | tee bench_frontier.out
-	$(GO) run ./internal/tools/benchfrontier bench_frontier.out > BENCH_frontier.json
+	{ echo "goversion: $$($(GO) env GOVERSION)"; \
+	  echo "commit: $$(git rev-parse HEAD 2>/dev/null || echo unknown)"; \
+	  $(GO) test -bench 'BenchmarkFrontierSweep|BenchmarkEvaluate(Fast|Reference)$$' \
+		-benchmem -run '^$$' ./internal/pareto/; } | tee bench_frontier.out
+	$(GO) run ./internal/tools/benchjson bench_frontier.out > BENCH_frontier.json
 	@echo wrote BENCH_frontier.json
 
 # bench-frontier-smoke is the CI variant: one iteration each of the
-# sweep benchmarks (cold, warm-table, NoPrune and reference) piped
-# through the benchfrontier distiller — proves the measurement harness
+# sweep benchmarks (cold, warm-table, alternating, NoPrune and
+# reference) piped through benchjson — proves the measurement harness
 # and the engine end to end without committing numbers.
 bench-frontier-smoke:
 	$(GO) test -bench 'BenchmarkFrontierSweep' -benchmem -benchtime=1x \
-		-run '^$$' ./internal/pareto/ | $(GO) run ./internal/tools/benchfrontier > /dev/null
+		-run '^$$' ./internal/pareto/ | $(GO) run ./internal/tools/benchjson > /dev/null
 	@echo bench-frontier smoke ok
 
 # Fleet-simulator benchmarks: chaos-fleet.yaml cut to 180 simulated

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/hardware"
@@ -150,15 +151,20 @@ func (c Config) Key() string {
 // String renders the configuration in the paper's "32 A9: 12 K10" style,
 // annotating cores/frequency only when they deviate from the maximum.
 func (c Config) String() string {
-	parts := make([]string, len(c.Groups))
+	var buf [64]byte
+	b := buf[:0]
 	for i, g := range c.Groups {
-		s := fmt.Sprintf("%d %s", g.Count, g.Type.Name)
-		if g.Cores != g.Type.Cores || g.Freq != g.Type.FMax() {
-			s += fmt.Sprintf("(%dc@%v)", g.Cores, g.Freq)
+		if i > 0 {
+			b = append(b, ": "...)
 		}
-		parts[i] = s
+		b = strconv.AppendInt(b, int64(g.Count), 10)
+		b = append(append(b, ' '), g.Type.Name...)
+		if g.Cores != g.Type.Cores || g.Freq != g.Type.FMax() {
+			b = strconv.AppendInt(append(b, '('), int64(g.Cores), 10)
+			b = append(g.Freq.Append(append(b, "c@"...)), ')')
+		}
 	}
-	return strings.Join(parts, ": ")
+	return string(b)
 }
 
 // Validate checks every group.

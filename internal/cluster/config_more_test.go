@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -70,5 +72,76 @@ func TestNewConfigDropsEmptyGroups(t *testing.T) {
 	}
 	if c.Degree() != 1 {
 		t.Errorf("zero-count group not dropped: degree %d", c.Degree())
+	}
+}
+
+// fmtConfigString is the fmt form Config.String replaced, the frequency
+// included (Hertz.String's %.4g with an SI prefix).
+func fmtConfigString(c Config) string {
+	hz := func(v float64) string {
+		switch abs := math.Abs(v); {
+		case abs == 0:
+			return "0Hz"
+		case abs >= 1e9:
+			return fmt.Sprintf("%.4gGHz", v/1e9)
+		case abs >= 1e6:
+			return fmt.Sprintf("%.4gMHz", v/1e6)
+		case abs >= 1e3:
+			return fmt.Sprintf("%.4gkHz", v/1e3)
+		case abs >= 1:
+			return fmt.Sprintf("%.4gHz", v)
+		case abs >= 1e-3:
+			return fmt.Sprintf("%.4gmHz", v*1e3)
+		case abs >= 1e-6:
+			return fmt.Sprintf("%.4guHz", v*1e6)
+		default:
+			return fmt.Sprintf("%.4gnHz", v*1e9)
+		}
+	}
+	parts := make([]string, len(c.Groups))
+	for i, g := range c.Groups {
+		s := fmt.Sprintf("%d %s", g.Count, g.Type.Name)
+		if g.Cores != g.Type.Cores || g.Freq != g.Type.FMax() {
+			s += fmt.Sprintf("(%dc@%s)", g.Cores, hz(float64(g.Freq)))
+		}
+		parts[i] = s
+	}
+	return strings.Join(parts, ": ")
+}
+
+// TestConfigStringMatchesFmt: Config.String prints what its fmt form
+// printed for every catalog type at every (cores, freq) pair, alone and
+// beside every other type's pairs, at small and huge node counts.
+func TestConfigStringMatchesFmt(t *testing.T) {
+	cat := hardware.DefaultCatalog()
+	var groups []Group
+	for _, name := range cat.Names() {
+		nt, err := cat.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 1; c <= nt.Cores; c++ {
+			for _, f := range nt.Freq.Steps {
+				groups = append(groups, Group{Type: nt, Count: 1, Cores: c, Freq: f})
+			}
+		}
+	}
+	check := func(c Config) {
+		t.Helper()
+		if got, want := c.String(), fmtConfigString(c); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+	check(Config{})
+	for _, count := range []int{1, 7, 128, math.MaxInt} {
+		for i, a := range groups {
+			a.Count = count
+			check(Config{Groups: []Group{a}})
+			for _, b := range groups[i+1:] {
+				if b.Type != a.Type {
+					check(Config{Groups: []Group{a, b}})
+				}
+			}
+		}
 	}
 }

@@ -80,6 +80,19 @@ type Spec struct {
 	Events []TimedEvent
 }
 
+// Size caps of one run. New allocates a node slab of NodeCount nodes,
+// and the power sampler folds every node at every sample, so a run
+// costs memory in its nodes and time in nodes × samples. The node cap
+// is 100 times BENCH_fleet.json's largest fleet (10,000 nodes); the
+// node-samples cap is over 40,000 times the largest golden run
+// (chaos-fleet: 1,200 nodes × 180 samples).
+const (
+	// maxNodes caps a fleet's node total (about 300 MB of node slab).
+	maxNodes = 1_000_000
+	// maxNodeSamples caps nodes × power samples over a run.
+	maxNodeSamples = 1e10
+)
+
 // Validate checks the spec without running it.
 func (s *Spec) Validate() error {
 	if s.Workload == nil {
@@ -88,6 +101,7 @@ func (s *Spec) Validate() error {
 	if len(s.Templates) == 0 {
 		return errors.New("fleet: spec has no node templates")
 	}
+	nodes := 0
 	for i, g := range s.Templates {
 		if err := g.Validate(); err != nil {
 			return fmt.Errorf("fleet: template %d: %w", i, err)
@@ -96,6 +110,12 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("fleet: workload %s has no demand for node type %s",
 				s.Workload.Name, g.Type.Name)
 		}
+		// Each count is checked against what is left of the cap before
+		// it is added, so the sum cannot overflow.
+		if g.Count > maxNodes-nodes {
+			return fmt.Errorf("fleet: template %d takes the fleet past %d nodes", i, maxNodes)
+		}
+		nodes += g.Count
 	}
 	if !(s.Duration > 0) || !s.Duration.IsFinite() {
 		return fmt.Errorf("fleet: non-positive duration %v", s.Duration)
@@ -105,6 +125,13 @@ func (s *Spec) Validate() error {
 	}
 	if s.Slice > 0 && s.Duration/s.Slice > 50e6 {
 		return fmt.Errorf("fleet: slice %v yields more than 50M power samples over %v", s.Slice, s.Duration)
+	}
+	slice := s.Slice
+	if slice == 0 {
+		slice = 1
+	}
+	if samples := float64(s.Duration / slice); float64(nodes)*samples > maxNodeSamples {
+		return fmt.Errorf("fleet: %d nodes x %.4g power samples exceeds %.0e node-samples", nodes, samples, maxNodeSamples)
 	}
 	if s.Utilization < 0 || math.IsNaN(s.Utilization) {
 		return fmt.Errorf("fleet: negative utilization %g", s.Utilization)

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/hardware"
@@ -69,9 +70,12 @@ type tableKey struct {
 	freq  units.Hertz
 }
 
-// Table memoizes UnitCalc entries for one (workload, Options) sweep.
-// It is safe for concurrent use; the /v1/frontier handler shares one
-// table across concurrent requests.
+// Table memoizes UnitCalc entries for one (workload, Options) pair,
+// and keeps one slot for the last reduced configuration space a
+// frontier sweep built on it (Space, SetSpace), so repeated sweeps of
+// one space skip rebuilding it. It is safe for concurrent use; the
+// /v1/frontier handler shares one table per workload across concurrent
+// requests.
 type Table struct {
 	wl       *workload.Profile
 	opt      Options
@@ -80,6 +84,8 @@ type Table struct {
 
 	mu    sync.RWMutex
 	calcs map[tableKey]*UnitCalc
+
+	space atomic.Value
 }
 
 // NewTable builds an empty table for the workload. An invalid profile
@@ -117,6 +123,17 @@ func (t *Table) Snapshot(limits []cluster.Limit) {
 		}
 	}
 }
+
+// Space returns the value the last SetSpace stored, or nil. The value
+// is opaque here: the frontier sweep (internal/pareto) keeps its
+// reduced space there, an immutable value holding its own lookup key,
+// pointers into this table's memo and nothing of a request.
+func (t *Table) Space() any { return t.space.Load() }
+
+// SetSpace replaces the slot's value atomically: a reader holds either
+// the old value or v, never a mix. Every value stored in one table must
+// have the same concrete type, and v must not be nil.
+func (t *Table) SetSpace(v any) { t.space.Store(v) }
 
 // Calc returns the memoized UnitCalc for the group's operating point,
 // computing it on first use. The group must be valid (enumeration

@@ -84,9 +84,9 @@ func BenchmarkFrontierSweepFast(b *testing.B) {
 }
 
 // BenchmarkFrontierSweepFastWarm is the steady-state number: a sweep
-// with a caller-provided warm table, so the memo is already populated
-// and the scratch pool is hot — the configuration the allocation guard
-// pins.
+// with a caller-provided warm table, so the memo is populated, the
+// table's slot holds the reduced space and the scratch pool is hot —
+// the configuration the allocation guard pins.
 func BenchmarkFrontierSweepFastWarm(b *testing.B) {
 	_, wl := paperBenchSpace(b)
 	benchSweep(b, FrontierSweep, SweepOptions{Table: model.NewTable(wl, model.Options{})})
@@ -143,17 +143,17 @@ func BenchmarkEvaluateReference(b *testing.B) {
 }
 
 // TestFrontierSweepFastAllocs pins the steady-state allocation budget
-// of the fast sweep: with a warm shared table and a hot scratch pool,
-// a full footnote-4 sweep (36,380 configurations) must stay within a
-// small fixed number of allocations — the frontier materialization
-// (two per point), the operating-point lists and telemetry scaffolding
-// (32 at the time of writing; the bound keeps the 90/70 headroom it had
-// before). The per-type reduction sorts in pooled scratch and
-// allocates nothing. A per-configuration engine
-// costs ~4,300 allocs per sweep; a regression back to per-configuration
-// or per-admission allocation would blow through this bound. Under the race detector the sweep
-// still runs, but the bound is not asserted: the detector makes the
-// scratch pool miss.
+// of the fast sweep: with a warm shared table, whose slot already holds
+// the reduced space, and a hot scratch pool, a full footnote-4 sweep
+// (36,380 configurations) allocates only the frontier materialization
+// (the point slice, then two per point: 25 for EP's 12 points) and
+// telemetry scaffolding: 28 objects, the bound.
+// The space is neither rebuilt nor reduced, and the walk allocates
+// nothing. A per-configuration engine costs ~4,300 allocs per sweep; a
+// regression back to per-sweep builds or to per-configuration or
+// per-admission allocation would blow through this bound. Under the
+// race detector the sweep still runs, but the bound is not asserted:
+// the detector makes the scratch pool miss.
 func TestFrontierSweepFastAllocs(t *testing.T) {
 	limits, wl := paperBenchSpace(t)
 	table := model.NewTable(wl, model.Options{})
@@ -173,7 +173,7 @@ func TestFrontierSweepFastAllocs(t *testing.T) {
 		t.Logf("race detector drops sync.Pool items; bound not asserted (%.0f allocs/op)", allocs)
 		return
 	}
-	if allocs > 41 {
-		t.Errorf("fast sweep allocates %.0f objects/op warm, want <= 41 (~32 expected)", allocs)
+	if allocs > 28 {
+		t.Errorf("fast sweep allocates %.0f objects/op warm, want <= 28", allocs)
 	}
 }

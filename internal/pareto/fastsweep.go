@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -23,14 +24,16 @@ import (
 //
 //  1. memoizes a model.UnitCalc per distinct (type, cores, freq)
 //     operating point (tens of entries for tens of thousands of
-//     configurations), resolved once per sweep into the columns below,
-//     so the walk never touches the table's map or lock,
+//     configurations), resolved into the columns below when the space
+//     is built, so the walk never touches the table's map or lock,
 //  2. reduces each node type's (count, cores, freq) choices to its
 //     dominance staircase (below) and flattens the survivors into
 //     columnar (structure-of-arrays) slices — count, rate, budget
 //     shares, unit-calc pointer — so the walk covers only the product of
 //     the staircases (about a thousand of the footnote-4 space's
-//     36,380 configurations) through cache-linear arrays,
+//     36,380 configurations) through cache-linear arrays; a shared
+//     table keeps the last space built on it, so repeated sweeps of
+//     one space build and reduce it once (spaceFor),
 //  3. evaluates each walked configuration allocation-free through
 //     model.EvaluateCalcs, whose scalars are bitwise-identical to
 //     model.Evaluate (same expression shapes and accumulation order),
@@ -118,13 +121,46 @@ func grow[T any](s []T, n int) []T {
 // zero execution rate. Node counts multiply each alike.
 type typeClass struct{ ops, sup, zero int64 }
 
+// spaceKey is what a walked space depends on besides its table: each
+// limit's shape (a private copy, Freqs included), the budget's presence
+// and switch model, and NoPrune. The budget's cap is not part of it:
+// only tally and the walk's peakCap read the cap.
+type spaceKey struct {
+	limits   []cluster.Limit
+	budget   bool
+	switched string
+	sw       hardware.SwitchModel
+	noPrune  bool
+}
+
+// matches reports whether a sweep of (limits, b, noPrune) walks the
+// space built for k, by field equality: no key string, no allocation.
+func (k *spaceKey) matches(limits []cluster.Limit, b *cluster.PowerBudget, noPrune bool) bool {
+	if k.noPrune != noPrune || k.budget != (b != nil) || len(k.limits) != len(limits) {
+		return false
+	}
+	if b != nil && (k.switched != b.Switched || k.sw != b.Switch) {
+		return false
+	}
+	for i := range limits {
+		l, m := &limits[i], &k.limits[i]
+		if l.Type != m.Type || l.MaxNodes != m.MaxNodes || l.MaxCores != m.MaxCores ||
+			l.FixCoresAndFreq != m.FixCoresAndFreq || !slices.Equal(l.Freqs, m.Freqs) {
+			return false
+		}
+	}
+	return true
+}
+
 // spaceSoA is the columnar (structure-of-arrays) form of the walked
 // configuration space: every walked per-type choice flattened into
-// parallel slices, segmented by typeOff. It is built once per sweep
-// and read only by the walk, whose evaluations need nothing of the
-// table but its job size.
+// parallel slices, segmented by typeOff. Walked choice j is the group
+// of count[j] nodes at calcs[j]'s operating point. A space published on
+// a shared table (spaceFor) is immutable: concurrent sweeps read it,
+// and the walk's mutable state lives in the pooled fastEngine.
 type spaceSoA struct {
-	table  *model.Table
+	// key is set on published spaces only.
+	key    spaceKey
 	nTypes int
 
 	// byRank walks type indices in node-type-name order — the canonical
@@ -139,9 +175,43 @@ type spaceSoA struct {
 	// their rated peak, and its switches; both 0 without a budget.
 	nodesW, switchW []float64
 	calcs           []*model.UnitCalc
-	// groups keeps the AoS form for Config materialization.
-	groups []cluster.Group
-	cls    []typeClass
+	cls             []typeClass
+}
+
+// group returns walked choice j as a cluster.Group.
+func (sp *spaceSoA) group(j int32) cluster.Group {
+	uc := sp.calcs[j]
+	return cluster.Group{Type: uc.Type, Count: int(sp.count[j]), Cores: uc.Cores, Freq: uc.Freq}
+}
+
+// publish returns a right-sized copy of the walked columns, keyed for
+// spaceFor's lookup. It shares nothing mutable with sp or the caller.
+func (sp *spaceSoA) publish(limits []cluster.Limit, b *cluster.PowerBudget, noPrune bool) *spaceSoA {
+	n := sp.typeOff[sp.nTypes]
+	out := &spaceSoA{
+		key:     spaceKey{limits: slices.Clone(limits), budget: b != nil, noPrune: noPrune},
+		nTypes:  sp.nTypes,
+		byRank:  slices.Clone(sp.byRank),
+		typeOff: slices.Clone(sp.typeOff),
+		count:   slices.Clone(sp.count[:n]),
+		rate:    slices.Clone(sp.rate[:n]),
+		nodesW:  slices.Clone(sp.nodesW[:n]),
+		switchW: slices.Clone(sp.switchW[:n]),
+		calcs:   slices.Clone(sp.calcs[:n]),
+		cls:     slices.Clone(sp.cls),
+	}
+	for i := range out.key.limits {
+		out.key.limits[i].Freqs = slices.Clone(out.key.limits[i].Freqs)
+	}
+	if b != nil {
+		out.key.switched, out.key.sw = b.Switched, b.Switch
+	}
+	return out
+}
+
+// spaceBuilder is the pooled scratch a space is built and reduced in.
+type spaceBuilder struct {
+	spaceSoA
 
 	// Reduction scratch: each choice's p = rate * EnergyPerUnit, one
 	// type's resolved operating points, and reduce's sort order, cost
@@ -149,7 +219,7 @@ type spaceSoA struct {
 	p       []float64
 	opCalcs []*model.UnitCalc
 	order   []int32
-	key     []int32
+	costKey []int32
 	minP    []float64
 	keep    []bool
 }
@@ -157,25 +227,24 @@ type spaceSoA struct {
 // build lays out the walked choices of every type in enumeration order
 // (count, then cores, then frequency, as Limit.Choices lists them):
 // each type's dominance staircase when reduce is set, else every
-// supported choice.
-func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table, b *cluster.PowerBudget, reduce bool) {
+// supported choice. The result lives in bld's scratch.
+func (bld *spaceBuilder) build(limits []cluster.Limit, table *model.Table, b *cluster.PowerBudget, reduce bool) *spaceSoA {
+	sp := &bld.spaceSoA
 	n := len(limits)
 	sp.nTypes = n
-	sp.table = table
 	sp.typeOff = grow(sp.typeOff, n+1)
 	sp.cls = grow(sp.cls, n)
-	sp.count, sp.rate, sp.p = sp.count[:0], sp.rate[:0], sp.p[:0]
-	sp.nodesW, sp.switchW = sp.nodesW[:0], sp.switchW[:0]
-	sp.calcs, sp.groups = sp.calcs[:0], sp.groups[:0]
+	sp.count, sp.rate, bld.p = sp.count[:0], sp.rate[:0], bld.p[:0]
+	sp.nodesW, sp.switchW, sp.calcs = sp.nodesW[:0], sp.switchW[:0], sp.calcs[:0]
 	var rMax, pMax float64
 	for i, l := range limits {
-		sp.typeOff[i] = int32(len(sp.groups))
+		sp.typeOff[i] = int32(len(sp.count))
 		ops := l.OperatingPoints()
 		c := typeClass{ops: int64(len(ops))}
-		sp.opCalcs = sp.opCalcs[:0]
+		bld.opCalcs = bld.opCalcs[:0]
 		for _, op := range ops {
 			uc := table.Calc(op)
-			sp.opCalcs = append(sp.opCalcs, uc)
+			bld.opCalcs = append(bld.opCalcs, uc)
 			if uc.Supported {
 				c.sup++
 				if !(uc.NodeRate > 0) {
@@ -190,33 +259,31 @@ func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table, b *cluster
 			if b != nil {
 				nodesW, switchW = b.Shares(l.Type, cnt)
 			}
-			for k, uc := range sp.opCalcs {
+			for _, uc := range bld.opCalcs {
 				// The group rate exactly as the model computes it.
 				rate := uc.NodeRate * float64(cnt)
 				if !uc.Supported || reduce && !(rate > 0) {
 					continue
 				}
-				g, p := ops[k], rate*uc.EnergyPerUnit
-				g.Count = cnt
-				sp.groups = append(sp.groups, g)
+				p := rate * uc.EnergyPerUnit
 				sp.calcs = append(sp.calcs, uc)
 				sp.count = append(sp.count, int32(cnt))
 				sp.rate = append(sp.rate, rate)
 				sp.nodesW = append(sp.nodesW, float64(nodesW))
 				sp.switchW = append(sp.switchW, float64(switchW))
-				sp.p = append(sp.p, p)
+				bld.p = append(bld.p, p)
 				typeR, typeP = max(typeR, rate), max(typeP, p)
 			}
 		}
 		rMax, pMax = rMax+typeR, pMax+typeP
 	}
-	sp.typeOff[n] = int32(len(sp.groups))
+	sp.typeOff[n] = int32(len(sp.count))
 	if reduce {
 		dst := int32(0)
 		for i := range n {
 			lo, hi := sp.typeOff[i], sp.typeOff[i+1]
 			sp.typeOff[i] = dst
-			dst = sp.reduce(lo, hi, dst, domSlack*rMax, domSlack*pMax)
+			dst = bld.reduce(lo, hi, dst, domSlack*rMax, domSlack*pMax)
 		}
 		sp.typeOff[n] = dst
 	}
@@ -228,6 +295,7 @@ func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table, b *cluster
 	slices.SortStableFunc(sp.byRank, func(a, b int32) int {
 		return strings.Compare(limits[a].Type.Name, limits[b].Type.Name)
 	})
+	return sp
 }
 
 // reduce keeps the choices of the segment [lo,hi) that no other choice
@@ -252,9 +320,10 @@ func (sp *spaceSoA) build(limits []cluster.Limit, table *model.Table, b *cluster
 // Testing against every earlier choice keeps what testing against the
 // survivors would, since dominance is transitive. The pass is
 // O(n log n).
-func (sp *spaceSoA) reduce(lo, hi, dst int32, dR, dP float64) int32 {
+func (bld *spaceBuilder) reduce(lo, hi, dst int32, dR, dP float64) int32 {
+	sp := &bld.spaceSoA
 	n := int(hi - lo)
-	key, keep := grow(sp.key, n), grow(sp.keep, n)
+	key, keep := grow(bld.costKey, n), grow(bld.keep, n)
 	mono := true
 	for i := range n {
 		key[i], keep[i] = 0, true
@@ -266,7 +335,7 @@ func (sp *spaceSoA) reduce(lo, hi, dst int32, dR, dP float64) int32 {
 			}
 		}
 	}
-	ord := sp.order[:0]
+	ord, p := bld.order[:0], bld.p
 	if mono && n > 0 {
 		for j := lo; j < hi; j++ {
 			ord = append(ord, j)
@@ -276,9 +345,9 @@ func (sp *spaceSoA) reduce(lo, hi, dst int32, dR, dP float64) int32 {
 				return c // rates rarely tie: spare the other keys
 			}
 			return cmp.Or(cmp.Compare(sp.count[a], sp.count[b]), cmp.Compare(sp.calcs[a].UnitTotal, sp.calcs[b].UnitTotal),
-				cmp.Compare(sp.p[a], sp.p[b]), cmp.Compare(a, b))
+				cmp.Compare(p[a], p[b]), cmp.Compare(a, b))
 		})
-		minP := grow(sp.minP, int(key[n-1])+1)
+		minP := grow(bld.minP, int(key[n-1])+1)
 		for k := range minP {
 			minP[k] = math.Inf(1)
 		}
@@ -287,28 +356,28 @@ func (sp *spaceSoA) reduce(lo, hi, dst int32, dR, dP float64) int32 {
 			for ; fed < i && sp.rate[ord[fed]]-sp.rate[a] > dR; fed++ {
 				b := ord[fed]
 				for k := int(key[b-lo]); k < len(minP); k |= k + 1 {
-					minP[k] = min(minP[k], sp.p[b])
+					minP[k] = min(minP[k], p[b])
 				}
 			}
 			if prev := ord[max(i-1, 0)]; sp.count[a] != sp.count[prev] || sp.calcs[a].UnitTotal != sp.calcs[prev].UnitTotal {
 				cls = i
 			}
-			best := sp.p[ord[cls]]
+			best := p[ord[cls]]
 			for k := int(key[a-lo]); k >= 0; k = k&(k+1) - 1 {
 				best = min(best, minP[k])
 			}
-			keep[a-lo] = !(sp.p[a]-best > dP)
+			keep[a-lo] = !(p[a]-best > dP)
 		}
-		sp.minP = minP
+		bld.minP = minP
 	}
 	for j := lo; j < hi; j++ {
 		if keep[j-lo] {
-			sp.count[dst], sp.rate[dst], sp.calcs[dst], sp.groups[dst] = sp.count[j], sp.rate[j], sp.calcs[j], sp.groups[j]
+			sp.count[dst], sp.rate[dst], sp.calcs[dst] = sp.count[j], sp.rate[j], sp.calcs[j]
 			sp.nodesW[dst], sp.switchW[dst] = sp.nodesW[j], sp.switchW[j]
 			dst++
 		}
 	}
-	sp.order, sp.key, sp.keep = ord, key, keep
+	bld.order, bld.costKey, bld.keep = ord, key, keep
 	return dst
 }
 
@@ -358,9 +427,11 @@ type fastPoint struct {
 	sel int32
 }
 
-// fastEngine is one sweep's depth-first walk over a spaceSoA.
+// fastEngine is one sweep's depth-first walk over a spaceSoA, and all
+// of the sweep's mutable state.
 type fastEngine struct {
-	sp *spaceSoA
+	sp    *spaceSoA
+	table *model.Table
 	// peakCap is the budget's cap, +Inf without a budget (whose share
 	// columns are all 0).
 	peakCap float64
@@ -387,8 +458,8 @@ type fastEngine struct {
 	nEvaluated int64
 }
 
-func (e *fastEngine) reset(sp *spaceSoA, sw *SweepOptions, cancel <-chan struct{}) {
-	*e = fastEngine{sp: sp, peakCap: math.Inf(1), pr: sw.Progress, cancel: cancel,
+func (e *fastEngine) reset(sp *spaceSoA, table *model.Table, sw *SweepOptions, cancel <-chan struct{}) {
+	*e = fastEngine{sp: sp, table: table, peakCap: math.Inf(1), pr: sw.Progress, cancel: cancel,
 		sel: grow(e.sel, sp.nTypes), gcsBuf: slices.Grow(e.gcsBuf[:0], sp.nTypes), front: e.front[:0], sels: e.sels[:0]}
 	if sw.Budget != nil {
 		e.peakCap = float64(sw.Budget.Cap)
@@ -399,9 +470,11 @@ func (e *fastEngine) reset(sp *spaceSoA, sw *SweepOptions, cancel <-chan struct{
 }
 
 // release drops references into caller-owned state so pooled scratch
-// does not pin progress reporters or the space across sweeps.
+// does not pin progress reporters, the space or the table across
+// sweeps.
 func (e *fastEngine) release() {
 	e.sp = nil
+	e.table = nil
 	e.pr = nil
 	e.cancel = nil
 }
@@ -506,7 +579,7 @@ func (e *fastEngine) configOf(sel []int32) cluster.Config {
 	groups := make([]cluster.Group, 0, sp.nTypes)
 	for _, ti := range sp.byRank {
 		if j := sel[ti]; j >= 0 {
-			groups = append(groups, sp.groups[j])
+			groups = append(groups, sp.group(j))
 		}
 	}
 	return cluster.Config{Groups: groups}
@@ -532,7 +605,7 @@ func (e *fastEngine) leaf() {
 	if !(nodesW+switchW <= e.peakCap) {
 		return
 	}
-	if fr, ok := sp.table.EvaluateCalcs(gcs); ok {
+	if fr, ok := e.table.EvaluateCalcs(gcs); ok {
 		e.nEvaluated++
 		e.admit(fr.Time, fr.Energy)
 	}
@@ -544,7 +617,7 @@ func (e *fastEngine) leaf() {
 // points that make the cut. The staircase holds one point per time
 // class, each its class's first lowest-energy representative, so no
 // sort is needed.
-func (e *fastEngine) frontier(table *model.Table) []Point {
+func (e *fastEngine) frontier() []Point {
 	out := slices.Grow([]Point(nil), len(e.front))
 	bestEnergy := units.Joules(0)
 	for _, p := range e.front {
@@ -554,7 +627,7 @@ func (e *fastEngine) frontier(table *model.Table) []Point {
 		base := int(p.sel) * e.sp.nTypes
 		cfg := e.configOf(e.sels[base : base+e.sp.nTypes])
 		pt := Point{Config: cfg, Time: p.t, Energy: p.e}
-		if res, err := table.Materialize(cfg); err == nil {
+		if res, err := e.table.Materialize(cfg); err == nil {
 			pt.Result = res
 		}
 		out = append(out, pt)
@@ -566,11 +639,34 @@ func (e *fastEngine) frontier(table *model.Table) []Point {
 // sweepScratch is the pooled per-sweep state. Steady-state sweeps
 // reuse its buffers, keeping allocations near zero.
 type sweepScratch struct {
-	sp  spaceSoA
+	bld spaceBuilder
 	eng fastEngine
 }
 
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
+
+// spaceFor returns the space a sweep of (limits, b, noPrune) walks on
+// table. On a shared table it is the table's published space when that
+// space's key matches; a miss builds in bld, publishes a right-sized
+// copy and replaces the table's slot with it. A sweep on a table of its
+// own walks bld's build in place: nothing could read a slot on a table
+// the sweep throws away. Every build counts in pareto.spaces_built.
+func spaceFor(bld *spaceBuilder, limits []cluster.Limit, table *model.Table, b *cluster.PowerBudget, noPrune, shared bool) *spaceSoA {
+	if shared {
+		if sp, ok := table.Space().(*spaceSoA); ok && sp.key.matches(limits, b, noPrune) {
+			return sp
+		}
+	}
+	telemetry.Global().Counter("pareto.spaces_built").Inc()
+	// An invalid profile leaves every operating point unsupported, so
+	// the closed form skips the whole space, as the reference path does.
+	sp := bld.build(limits, table, b, !noPrune)
+	if shared {
+		sp = sp.publish(limits, b, noPrune)
+		table.SetSpace(sp)
+	}
+	return sp
+}
 
 // frontierSweepFast is the memoized closed-form sweep behind
 // FrontierSweep: identical results to the reference path, orders of
@@ -603,12 +699,8 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 
 	sc := sweepScratchPool.Get().(*sweepScratch)
 	defer sweepScratchPool.Put(sc)
-	defer func() { sc.sp.table = nil }()
 
-	sp := &sc.sp
-	// An invalid profile leaves every operating point unsupported, so
-	// the closed form skips the whole space, as the reference path does.
-	sp.build(limits, table, sw.Budget, !sw.NoPrune)
+	sp := spaceFor(&sc.bld, limits, table, sw.Budget, sw.NoPrune, sw.Table != nil)
 	var st SweepStats
 	sp.tally(limits, sw.Budget, 0, false, 0, 0, 1, 1, 1, &st)
 	product := int64(1) // configurations the walk visits, plus the empty one
@@ -617,7 +709,7 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 	}
 
 	e := &sc.eng
-	e.reset(sp, &sw, ctx.Done())
+	e.reset(sp, table, &sw, ctx.Done())
 	defer e.release()
 	// Tick what the closed form counted and the walk will not visit.
 	e.account(st.Evaluated + st.Skipped + st.Filtered - (product - 1))
@@ -629,7 +721,7 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 		return nil, err
 	}
 	st.Evaluated, st.Pruned = e.nEvaluated, st.Evaluated-e.nEvaluated
-	out := e.frontier(table)
+	out := e.frontier()
 
 	evaluated.Add(uint64(st.Evaluated))
 	skipped.Add(uint64(st.Skipped))

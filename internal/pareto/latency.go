@@ -27,10 +27,10 @@ func AnnotateLatencies(ctx context.Context, points []Point, u, p float64, spec q
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("pareto: latency annotation: %w", err)
 	}
-	if u <= 0 || u >= 1 {
+	if !(u > 0 && u < 1) {
 		return nil, fmt.Errorf("pareto: latency annotation needs utilization in (0,1), got %g", u)
 	}
-	if p < 0 || p >= 100 {
+	if !(p >= 0 && p < 100) {
 		return nil, fmt.Errorf("pareto: latency annotation needs percentile in [0,100), got %g", p)
 	}
 	out := make([]float64, len(points))

@@ -59,3 +59,22 @@ func TestAnnotateLatenciesBitwise(t *testing.T) {
 		t.Fatalf("cancelled annotation: %v, want context.Canceled", err)
 	}
 }
+
+// TestAnnotateLatenciesRejectsNaN: a NaN utilization or percentile fails
+// the annotation's own checks before any point is solved, so even an
+// empty frontier rejects it, and a NaN utilization is never solved into
+// a NaN latency.
+func TestAnnotateLatenciesRejectsNaN(t *testing.T) {
+	front, err := FrontierSweep(paperLimits(t, 2, 1, false), paperWorkloads(t)[0], model.Options{}, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pts  []Point
+		u, p float64
+	}{{nil, math.NaN(), 95}, {nil, 0.5, math.NaN()}, {front, math.NaN(), 95}} {
+		if lat, err := AnnotateLatencies(context.Background(), c.pts, c.u, c.p, queueing.Spec{}, 0); err == nil {
+			t.Errorf("%d points, u=%g p=%g: annotated %v, want an error", len(c.pts), c.u, c.p, lat)
+		}
+	}
+}

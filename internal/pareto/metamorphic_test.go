@@ -176,10 +176,8 @@ func TestFrontierStaircaseMembership(t *testing.T) {
 		limits, wl := randomSpace(t, rng)
 		budget := &cluster.PowerBudget{Cap: units.Watts(50 + rng.Float64()*400)}
 		for _, b := range []*cluster.PowerBudget{nil, budget} {
-			sp := &spaceSoA{}
-			sp.build(limits, model.NewTable(wl, model.Options{}), b, true)
 			on := map[cluster.Group]bool{}
-			for _, g := range sp.groups[:sp.typeOff[sp.nTypes]] {
+			for _, g := range walkedGroups(buildSpace(limits, wl, b, true)) {
 				on[g] = true
 			}
 			for _, p := range referenceSweep(t, limits, wl, b) {
@@ -263,6 +261,21 @@ func TestFastSweepUnrunnableAccounting(t *testing.T) {
 	}
 }
 
+// buildSpace builds the walked space of limits on a fresh table, as a
+// sweep on a table of its own does.
+func buildSpace(limits []cluster.Limit, wl *workload.Profile, b *cluster.PowerBudget, reduce bool) *spaceSoA {
+	return new(spaceBuilder).build(limits, model.NewTable(wl, model.Options{}), b, reduce)
+}
+
+// walkedGroups returns the walked choices of sp, in column order.
+func walkedGroups(sp *spaceSoA) []cluster.Group {
+	out := make([]cluster.Group, sp.typeOff[sp.nTypes])
+	for j := range out {
+		out[j] = sp.group(int32(j))
+	}
+	return out
+}
+
 // undominated is the reduction's definition checked choice against
 // choice, quadratically: the supported positive-rate choices of each
 // type of an unreduced build that no other choice of the type
@@ -270,15 +283,15 @@ func TestFastSweepUnrunnableAccounting(t *testing.T) {
 // class, cheaper in p by more than the slack, and, under a budget, no
 // larger in either share).
 func undominated(limits []cluster.Limit, wl *workload.Profile, b *cluster.PowerBudget) []cluster.Group {
-	full := &spaceSoA{}
-	full.build(limits, model.NewTable(wl, model.Options{}), b, false)
+	full := buildSpace(limits, wl, b, false)
+	p := func(j int32) float64 { return full.rate[j] * full.calcs[j].EnergyPerUnit }
 	var rMax, pMax float64
 	for i := range full.nTypes {
-		var r, p float64
+		var r, pm float64
 		for j := full.typeOff[i]; j < full.typeOff[i+1]; j++ {
-			r, p = max(r, full.rate[j]), max(p, full.p[j])
+			r, pm = max(r, full.rate[j]), max(pm, p(j))
 		}
-		rMax, pMax = rMax+r, pMax+p
+		rMax, pMax = rMax+r, pMax+pm
 	}
 	dR, dP := domSlack*rMax, domSlack*pMax
 	var out []cluster.Group
@@ -291,14 +304,14 @@ func undominated(limits []cluster.Limit, wl *workload.Profile, b *cluster.PowerB
 			dominated := false
 			for c := lo; c < hi; c++ {
 				sameTime := full.count[c] == full.count[a] && full.calcs[c].UnitTotal == full.calcs[a].UnitTotal
-				if full.rate[c] > 0 && (full.rate[c]-full.rate[a] > dR || sameTime) && full.p[a]-full.p[c] > dP &&
+				if full.rate[c] > 0 && (full.rate[c]-full.rate[a] > dR || sameTime) && p(a)-p(c) > dP &&
 					full.nodesW[c] <= full.nodesW[a] && full.switchW[c] <= full.switchW[a] {
 					dominated = true
 					break
 				}
 			}
 			if !dominated {
-				out = append(out, full.groups[a])
+				out = append(out, full.group(a))
 			}
 		}
 	}
@@ -312,9 +325,7 @@ func undominated(limits []cluster.Limit, wl *workload.Profile, b *cluster.PowerB
 func TestFrontierStaircaseUndominatedSet(t *testing.T) {
 	check := func(label string, limits []cluster.Limit, wl *workload.Profile, b *cluster.PowerBudget) {
 		t.Helper()
-		sp := &spaceSoA{}
-		sp.build(limits, model.NewTable(wl, model.Options{}), b, true)
-		got, want := sp.groups[:sp.typeOff[sp.nTypes]], undominated(limits, wl, b)
+		got, want := walkedGroups(buildSpace(limits, wl, b, true)), undominated(limits, wl, b)
 		if len(got) != len(want) {
 			t.Fatalf("%s: kept %d choices, want %d", label, len(got), len(want))
 		}
@@ -352,8 +363,7 @@ func TestFrontierStaircaseSizes(t *testing.T) {
 	}
 	limits := paperLimits(t, 10, 10, true)
 	for _, wl := range paperWorkloads(t) {
-		sp := &spaceSoA{}
-		sp.build(limits, model.NewTable(wl, model.Options{}), nil, true)
+		sp := buildSpace(limits, wl, nil, true)
 		a9, k10 := sp.typeOff[1]-sp.typeOff[0], sp.typeOff[2]-sp.typeOff[1]
 		if got := [3]int32{a9, k10, (1+a9)*(1+k10) - 1}; got != want[wl.Name] {
 			t.Errorf("%s: kept A9/K10 and walked %v, want %v", wl.Name, got, want[wl.Name])

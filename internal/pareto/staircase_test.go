@@ -25,10 +25,11 @@ func staircaseRun(t *testing.T, pts []Point, check func(e *fastEngine, n int)) *
 		t.Fatal(err)
 	}
 	sp := &spaceSoA{nTypes: 1, byRank: []int32{0}}
+	full := &model.UnitCalc{Type: a9, Cores: a9.Cores, Freq: a9.FMax()}
 	for i := range pts {
-		g := cluster.FullNodes(a9, i+1)
-		sp.groups = append(sp.groups, g)
-		pts[i].Config = cluster.MustConfig(g)
+		sp.calcs = append(sp.calcs, full)
+		sp.count = append(sp.count, int32(i+1))
+		pts[i].Config = cluster.MustConfig(cluster.FullNodes(a9, i+1))
 	}
 	e := &fastEngine{sp: sp, sel: []int32{-1}}
 	for i, p := range pts {
@@ -93,7 +94,8 @@ func nonDominatedPrefix(pts []Point, n int) []int {
 // every input point, config identity included.
 func checkOutputWalk(t *testing.T, label string, e *fastEngine, pts []Point) {
 	t.Helper()
-	got := e.frontier(model.NewTable(staircaseWorkload(t), model.Options{}))
+	e.table = model.NewTable(staircaseWorkload(t), model.Options{})
+	got := e.frontier()
 	frontiersEqual(t, label+" output walk", got, Frontier(pts))
 }
 

@@ -26,13 +26,13 @@ type BatchMD1 struct {
 // NewBatchMD1FromUtilization builds the batch queue for a target
 // utilization rho = BatchRate * Batch * D.
 func NewBatchMD1FromUtilization(rho float64, batch int, serviceTime float64) (BatchMD1, error) {
-	if serviceTime <= 0 {
-		return BatchMD1{}, errors.New("queueing: service time must be positive")
+	if !finitePositive(serviceTime) {
+		return BatchMD1{}, errServiceTime
 	}
 	if batch < 1 {
 		return BatchMD1{}, errors.New("queueing: batch size must be at least 1")
 	}
-	if rho < 0 || rho >= 1 {
+	if !(rho >= 0 && rho < 1) {
 		return BatchMD1{}, fmt.Errorf("queueing: utilization %g outside [0, 1)", rho)
 	}
 	return BatchMD1{BatchRate: rho / (float64(batch) * serviceTime), Batch: batch, D: serviceTime}, nil
@@ -43,16 +43,16 @@ func (q BatchMD1) Rho() float64 { return q.BatchRate * float64(q.Batch) * q.D }
 
 // Validate checks stability.
 func (q BatchMD1) Validate() error {
-	if q.D <= 0 {
-		return errors.New("queueing: service time must be positive")
+	if !finitePositive(q.D) {
+		return errServiceTime
 	}
 	if q.Batch < 1 {
 		return errors.New("queueing: batch size must be at least 1")
 	}
-	if q.BatchRate < 0 {
-		return errors.New("queueing: negative batch rate")
+	if !(q.BatchRate >= 0) {
+		return errors.New("queueing: negative or NaN batch rate")
 	}
-	if q.Rho() >= 1 {
+	if !(q.Rho() < 1) {
 		return fmt.Errorf("queueing: unstable queue, rho = %g >= 1", q.Rho())
 	}
 	return nil

@@ -251,15 +251,7 @@ func TestKernelConformanceBatchRejectsBeforeSolving(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range ConformanceSpecs() {
 		k := buildKernel(t, spec, 0.7, 2.5)
-		var unstable Kernel
-		switch spec.Kind {
-		case KindMD1:
-			unstable = MD1{Lambda: 1, D: 1}
-		case KindMG1:
-			unstable = MG1{Lambda: 1, D: 1, SCV: spec.SCV}
-		case KindMMK:
-			unstable = MMK{Lambda: 1, D: float64(spec.Servers), K: spec.Servers}
-		}
+		unstable := rawKernel(spec, 1, 1)
 		batches := []func(context.Context, []float64) ([]float64, error){
 			k.WaitPercentilesContext, k.ResponsePercentilesContext,
 		}
@@ -284,20 +276,47 @@ func TestKernelConformanceBatchRejectsBeforeSolving(t *testing.T) {
 	}
 }
 
+// rawKernel builds spec's kernel at arrival rate lambda and aggregate
+// service time d without Build's checks.
+func rawKernel(spec Spec, lambda, d float64) Kernel {
+	switch spec.Kind {
+	case KindMG1:
+		return MG1{Lambda: lambda, D: d, SCV: spec.SCV}
+	case KindMMK:
+		return MMK{Lambda: lambda, D: d * float64(spec.Servers), K: spec.Servers}
+	}
+	return MD1{Lambda: lambda, D: d}
+}
+
 // TestKernelConformanceStability checks the stability contract: builds
 // and validation reject rho >= 1, bad service times and bad percentile
-// arguments uniformly across kernels.
+// arguments uniformly across kernels, NaN and infinite ones included
+// (a NaN fails no test written as rho >= 1 or d <= 0).
 func TestKernelConformanceStability(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, spec := range ConformanceSpecs() {
 		spec := spec
 		t.Run(spec.String(), func(t *testing.T) {
-			for _, rho := range []float64{-0.1, 1, 1.5} {
+			for _, rho := range []float64{-0.1, 1, 1.5, nan} {
 				if _, err := spec.Build(rho, 1); err == nil {
 					t.Errorf("Build(rho=%g) succeeded", rho)
 				}
 			}
-			if _, err := spec.Build(0.5, 0); err == nil {
-				t.Error("Build(serviceTime=0) succeeded")
+			for _, d := range []float64{0, nan, inf} {
+				if _, err := spec.Build(0.5, d); err == nil {
+					t.Errorf("Build(serviceTime=%g) succeeded", d)
+				}
+			}
+			// Queues whose rho is NaN: a NaN arrival rate or service time,
+			// or no arrivals at an infinite service time.
+			for _, q := range [][2]float64{{nan, 1}, {0.5, nan}, {0, inf}} {
+				k := rawKernel(spec, q[0], q[1])
+				if err := k.Validate(); err == nil {
+					t.Errorf("Validate(lambda=%g, d=%g) succeeded", q[0], q[1])
+				}
+				if v, err := k.ResponsePercentile(95); err == nil {
+					t.Errorf("ResponsePercentile(95) at lambda=%g, d=%g = %g, want an error", q[0], q[1], v)
+				}
 			}
 			k := buildKernel(t, spec, 0.5, 1)
 			if err := k.Validate(); err != nil {
@@ -313,8 +332,27 @@ func TestKernelConformanceStability(t *testing.T) {
 			}
 		})
 	}
+	// The batch-arrival M/D/1 takes the same checks.
+	for _, q := range [][2]float64{{nan, 1}, {0.5, nan}, {0.5, inf}} {
+		if _, err := NewBatchMD1FromUtilization(q[0], 2, q[1]); err == nil {
+			t.Errorf("NewBatchMD1FromUtilization(rho=%g, d=%g) succeeded", q[0], q[1])
+		}
+	}
+	for _, q := range []BatchMD1{{BatchRate: nan, Batch: 2, D: 1}, {BatchRate: 0.1, Batch: 2, D: nan}, {Batch: 2, D: inf}} {
+		if err := q.Validate(); err == nil {
+			t.Errorf("%+v: Validate succeeded", q)
+		}
+	}
 	// The closed-form M/M/1 the limit tests compare against takes the
 	// same range check.
+	for _, q := range []MM1{{Lambda: nan, D: 1}, {Lambda: 0.5, D: nan}, {D: inf}} {
+		if _, err := q.WaitPercentile(95); err == nil {
+			t.Errorf("%+v: M/M/1 WaitPercentile succeeded", q)
+		}
+		if _, err := q.ResponsePercentile(95); err == nil {
+			t.Errorf("%+v: M/M/1 ResponsePercentile succeeded", q)
+		}
+	}
 	mm1 := MM1{Lambda: 0.5, D: 1}
 	for _, p := range []float64{-1, 100, math.NaN()} {
 		if _, err := mm1.WaitPercentile(p); err == nil {

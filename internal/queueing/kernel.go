@@ -22,7 +22,7 @@ type Kernel interface {
 	// Rho returns the (per-server) utilization.
 	Rho() float64
 	// Validate checks the parameters for stability: rho < 1 and a
-	// positive service time.
+	// finite, positive service time; NaN fails every check.
 	Validate() error
 	// MeanWait returns the mean queueing delay before service.
 	MeanWait() float64
@@ -50,6 +50,14 @@ var (
 	_ Kernel = MG1{}
 	_ Kernel = MMK{}
 )
+
+// errServiceTime rejects a service time that is not finite and positive.
+var errServiceTime = errors.New("queueing: service time must be finite and positive")
+
+// finitePositive reports whether v is a usable service time: finite and
+// positive. NaN fails, as it fails every range check written in the
+// form !(lo <= v && v < hi), the form the kernels' checks take.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Kind names a kernel family. The zero value is M/D/1, so the zero Spec
 // reproduces the paper's model and every pre-kernel call site keeps its

@@ -38,10 +38,10 @@ type MD1 struct {
 // impact of utilization on the server or cluster by varying the arrival
 // rate").
 func NewMD1FromUtilization(rho, serviceTime float64) (MD1, error) {
-	if serviceTime <= 0 {
-		return MD1{}, errors.New("queueing: service time must be positive")
+	if !finitePositive(serviceTime) {
+		return MD1{}, errServiceTime
 	}
-	if rho < 0 || rho >= 1 {
+	if !(rho >= 0 && rho < 1) {
 		return MD1{}, fmt.Errorf("queueing: utilization %g outside [0, 1)", rho)
 	}
 	return MD1{Lambda: rho / serviceTime, D: serviceTime}, nil
@@ -52,13 +52,13 @@ func (q MD1) Name() string { return "md1" }
 
 // Validate checks queue parameters for stability.
 func (q MD1) Validate() error {
-	if q.D <= 0 {
-		return errors.New("queueing: service time must be positive")
+	if !finitePositive(q.D) {
+		return errServiceTime
 	}
-	if q.Lambda < 0 {
-		return errors.New("queueing: negative arrival rate")
+	if !(q.Lambda >= 0) {
+		return errors.New("queueing: negative or NaN arrival rate")
 	}
-	if q.Rho() >= 1 {
+	if !(q.Rho() < 1) {
 		return fmt.Errorf("queueing: unstable queue, rho = %g >= 1", q.Rho())
 	}
 	return nil
@@ -187,7 +187,7 @@ func (q MM1) MeanResponse() float64 {
 // tests pin M/G/1@SCV=1 and M/M/k@k=1 to this.
 func (q MM1) WaitPercentile(p float64) (float64, error) {
 	rho := q.Rho()
-	if rho >= 1 || q.D <= 0 {
+	if !(rho < 1) || !finitePositive(q.D) {
 		return 0, errors.New("queueing: unstable M/M/1")
 	}
 	if !(p >= 0 && p < 100) {
@@ -204,7 +204,7 @@ func (q MM1) WaitPercentile(p float64) (float64, error) {
 // time, which is exponential with rate (1-rho)/D.
 func (q MM1) ResponsePercentile(p float64) (float64, error) {
 	rho := q.Rho()
-	if rho >= 1 || q.D <= 0 {
+	if !(rho < 1) || !finitePositive(q.D) {
 		return 0, errors.New("queueing: unstable M/M/1")
 	}
 	if !(p >= 0 && p < 100) {

@@ -37,10 +37,10 @@ type MG1 struct {
 // NewMG1FromUtilization builds the queue for a target utilization
 // rho = Lambda*D at the given mean service time and service-time SCV.
 func NewMG1FromUtilization(rho, serviceTime, scv float64) (MG1, error) {
-	if serviceTime <= 0 {
-		return MG1{}, errors.New("queueing: service time must be positive")
+	if !finitePositive(serviceTime) {
+		return MG1{}, errServiceTime
 	}
-	if rho < 0 || rho >= 1 {
+	if !(rho >= 0 && rho < 1) {
 		return MG1{}, fmt.Errorf("queueing: utilization %g outside [0, 1)", rho)
 	}
 	q := MG1{Lambda: rho / serviceTime, D: serviceTime, SCV: scv}
@@ -55,16 +55,16 @@ func (q MG1) Name() string { return "mg1" }
 
 // Validate checks queue parameters for stability.
 func (q MG1) Validate() error {
-	if q.D <= 0 {
-		return errors.New("queueing: service time must be positive")
+	if !finitePositive(q.D) {
+		return errServiceTime
 	}
-	if q.Lambda < 0 {
-		return errors.New("queueing: negative arrival rate")
+	if !(q.Lambda >= 0) {
+		return errors.New("queueing: negative or NaN arrival rate")
 	}
 	if q.SCV < 0 || math.IsInf(q.SCV, 0) || math.IsNaN(q.SCV) {
 		return fmt.Errorf("queueing: scv %g must be finite and >= 0", q.SCV)
 	}
-	if q.Rho() >= 1 {
+	if !(q.Rho() < 1) {
 		return fmt.Errorf("queueing: unstable queue, rho = %g >= 1", q.Rho())
 	}
 	return nil

@@ -32,13 +32,13 @@ type MMK struct {
 // preserving total capacity 1/serviceTime and making MMK at k = 1 the
 // exact M/M/1 counterpart of the single-server kernels.
 func NewMMKFromUtilization(rho, serviceTime float64, k int) (MMK, error) {
-	if serviceTime <= 0 {
-		return MMK{}, errors.New("queueing: service time must be positive")
+	if !finitePositive(serviceTime) {
+		return MMK{}, errServiceTime
 	}
 	if k < 1 {
 		return MMK{}, fmt.Errorf("queueing: mmk needs servers >= 1, got %d", k)
 	}
-	if rho < 0 || rho >= 1 {
+	if !(rho >= 0 && rho < 1) {
 		return MMK{}, fmt.Errorf("queueing: utilization %g outside [0, 1)", rho)
 	}
 	return MMK{Lambda: rho / serviceTime, D: serviceTime * float64(k), K: k}, nil
@@ -49,16 +49,16 @@ func (q MMK) Name() string { return "mmk" }
 
 // Validate checks queue parameters for stability.
 func (q MMK) Validate() error {
-	if q.D <= 0 {
-		return errors.New("queueing: service time must be positive")
+	if !finitePositive(q.D) {
+		return errServiceTime
 	}
 	if q.K < 1 {
 		return fmt.Errorf("queueing: mmk needs servers >= 1, got %d", q.K)
 	}
-	if q.Lambda < 0 {
-		return errors.New("queueing: negative arrival rate")
+	if !(q.Lambda >= 0) {
+		return errors.New("queueing: negative or NaN arrival rate")
 	}
-	if q.Rho() >= 1 {
+	if !(q.Rho() < 1) {
 		return fmt.Errorf("queueing: unstable queue, rho = %g >= 1", q.Rho())
 	}
 	return nil

@@ -1,15 +1,16 @@
 // Command benchjson turns `go test -bench` output into the small JSON
-// summaries committed as BENCH_queueing.json and BENCH_fleet.json:
-// per-benchmark ns/op, B/op and allocs/op, every custom b.ReportMetric
-// column (the fleet's node-s/s and events/op), the headline speedups of
-// the queueing fast paths over the preserved reference implementation,
-// and how the numbers were measured: GOMAXPROCS (go test's -N name
-// suffix; absent means 1), the Go version and the commit. The last two
-// come from `goversion:` and `commit:` header lines, which the Makefile
-// writes ahead of the benchmark output the way go test writes `cpu:`.
-// Invoked by `make bench-queueing` and `make bench-fleet`; reads the
-// benchmark output on stdin (or a file argument) and writes JSON to
-// stdout.
+// summaries committed as BENCH_queueing.json, BENCH_frontier.json and
+// BENCH_fleet.json: per-benchmark ns/op, B/op and allocs/op, every
+// custom b.ReportMetric column (the frontier's configs/s, the fleet's
+// node-s/s and events/op), the headline speedups of the queueing fast
+// paths and the frontier engine over their preserved reference
+// implementations, and how the numbers were measured: GOMAXPROCS (go
+// test's -N name suffix; absent means 1), the Go version and the
+// commit. The last two come from `goversion:` and `commit:` header
+// lines, which the Makefile writes ahead of the benchmark output the
+// way go test writes `cpu:`. Invoked by `make bench-queueing`,
+// `make bench-frontier` and `make bench-fleet`; reads the benchmark
+// output on stdin (or a file argument) and writes JSON to stdout.
 package main
 
 import (
@@ -43,8 +44,9 @@ type summary struct {
 	GoVersion  string `json:"goversion,omitempty"`
 	Commit     string `json:"commit,omitempty"`
 	CPU        string `json:"cpu,omitempty"`
-	// Speedups pit the preserved pre-PR reference implementation
-	// against the rewritten kernel on the same inputs.
+	// Speedups pit a preserved reference implementation (the queueing
+	// kernels' slow solves, the frontier's per-configuration sweep and
+	// model.Evaluate) against the fast path on the same inputs.
 	Speedups map[string]float64 `json:"speedups,omitempty"`
 	Results  []result           `json:"results"`
 }
@@ -142,6 +144,10 @@ func main() {
 		"wait_cdf":                  {"BenchmarkWaitCDFReference", "BenchmarkWaitCDF"},
 		"response_percentile_cold":  {"BenchmarkResponsePercentileReference", "BenchmarkResponsePercentileCold"},
 		"response_percentile_batch": {"BenchmarkResponsePercentileReference", "BenchmarkResponsePercentilesBatch"},
+		"frontier_sweep":            {"BenchmarkFrontierSweepReference", "BenchmarkFrontierSweepFast"},
+		"frontier_sweep_warm":       {"BenchmarkFrontierSweepReference", "BenchmarkFrontierSweepFastWarm"},
+		"frontier_sweep_noprune":    {"BenchmarkFrontierSweepReference", "BenchmarkFrontierSweepFastNoPrune"},
+		"evaluate":                  {"BenchmarkEvaluateReference", "BenchmarkEvaluateFast"},
 	} {
 		if v, ok := ratio(pair[0], pair[1]); ok {
 			if sum.Speedups == nil {

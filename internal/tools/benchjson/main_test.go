@@ -17,6 +17,7 @@ func TestParseKeepsMetricsAndEnvironment(t *testing.T) {
 		"cpu: Test CPU",
 		"BenchmarkFleetRun/nodes=1200-2   \t     752\t   1686043 ns/op\t     21659 events/op\t 128110893 node-s/s\t  492449 B/op\t    2443 allocs/op",
 		"BenchmarkWaitCDF-2   \t  982352\t      1357 ns/op\t       0 B/op\t       0 allocs/op",
+		"BenchmarkFrontierSweepFastWarm-2   \t   14204\t     84008 ns/op\t 433053180 configs/s\t    6167 B/op\t      28 allocs/op",
 		"PASS",
 	}, "\n")
 	sum, err := parse(strings.NewReader(in))
@@ -26,8 +27,8 @@ func TestParseKeepsMetricsAndEnvironment(t *testing.T) {
 	if sum.GoMaxProcs != 2 || sum.GoVersion != "go1.24.0" || sum.Commit != "abc123" || sum.CPU != "Test CPU" {
 		t.Fatalf("environment %+v", sum)
 	}
-	if len(sum.Results) != 2 {
-		t.Fatalf("%d results, want 2", len(sum.Results))
+	if len(sum.Results) != 3 {
+		t.Fatalf("%d results, want 3", len(sum.Results))
 	}
 	r := sum.Results[0]
 	if r.Name != "BenchmarkFleetRun/nodes=1200" || r.Iterations != 752 || r.NsPerOp != 1686043 ||
@@ -39,5 +40,10 @@ func TestParseKeepsMetricsAndEnvironment(t *testing.T) {
 	}
 	if sum.Results[1].Metrics != nil {
 		t.Fatalf("no custom columns, got %v", sum.Results[1].Metrics)
+	}
+	// The frontier sweeps print configs/s between ns/op and B/op.
+	if r := sum.Results[2]; r.Name != "BenchmarkFrontierSweepFastWarm" || r.NsPerOp != 84008 ||
+		r.Metrics["configs/s"] != 433053180 || len(r.Metrics) != 1 || r.BytesPerOp != 6167 || r.AllocsPerOp != 28 {
+		t.Fatalf("frontier result %+v", r)
 	}
 }

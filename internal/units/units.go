@@ -9,8 +9,8 @@
 package units
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Watts is electrical power in watts.
@@ -128,41 +128,56 @@ func (r PerSecond) String() string {
 func (s Seconds) String() string {
 	v := float64(s)
 	abs := math.Abs(v)
+	prec, suffix := 4, "h"
 	switch {
 	case abs == 0:
 		return "0s"
 	case abs < 1e-6:
-		return fmt.Sprintf("%.3gns", v*1e9)
+		v, prec, suffix = v*1e9, 3, "ns"
 	case abs < 1e-3:
-		return fmt.Sprintf("%.3gus", v*1e6)
+		v, prec, suffix = v*1e6, 3, "us"
 	case abs < 1:
-		return fmt.Sprintf("%.3gms", v*1e3)
+		v, prec, suffix = v*1e3, 3, "ms"
 	case abs < 3600:
-		return fmt.Sprintf("%.4gs", v)
+		suffix = "s"
 	default:
-		return fmt.Sprintf("%.4gh", v/3600)
+		v /= 3600
 	}
+	var buf [32]byte
+	return string(append(strconv.AppendFloat(buf[:0], v, 'g', prec, 64), suffix...))
 }
+
+// Append appends f.String() to dst and returns the extended slice.
+func (f Hertz) Append(dst []byte) []byte { return appendScaled(dst, float64(f), "Hz") }
 
 // formatScaled renders v with an SI prefix chosen from its magnitude.
 func formatScaled(v float64, unit string) string {
+	var buf [32]byte
+	return string(appendScaled(buf[:0], v, unit))
+}
+
+// appendScaled appends v with an SI prefix chosen from its magnitude and
+// four significant digits, byte for byte what fmt's %.4g prints.
+func appendScaled(dst []byte, v float64, unit string) []byte {
 	abs := math.Abs(v)
+	prefix := ""
 	switch {
 	case abs == 0:
-		return "0" + unit
+		return append(append(dst, '0'), unit...)
 	case abs >= 1e9:
-		return fmt.Sprintf("%.4gG%s", v/1e9, unit)
+		v, prefix = v/1e9, "G"
 	case abs >= 1e6:
-		return fmt.Sprintf("%.4gM%s", v/1e6, unit)
+		v, prefix = v/1e6, "M"
 	case abs >= 1e3:
-		return fmt.Sprintf("%.4gk%s", v/1e3, unit)
+		v, prefix = v/1e3, "k"
 	case abs >= 1:
-		return fmt.Sprintf("%.4g%s", v, unit)
 	case abs >= 1e-3:
-		return fmt.Sprintf("%.4gm%s", v*1e3, unit)
+		v, prefix = v*1e3, "m"
 	case abs >= 1e-6:
-		return fmt.Sprintf("%.4gu%s", v*1e6, unit)
+		v, prefix = v*1e6, "u"
 	default:
-		return fmt.Sprintf("%.4gn%s", v*1e9, unit)
+		v, prefix = v*1e9, "n"
 	}
+	dst = strconv.AppendFloat(dst, v, 'g', 4, 64)
+	return append(append(dst, prefix...), unit...)
 }

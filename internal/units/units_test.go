@@ -1,7 +1,9 @@
 package units
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -127,5 +129,85 @@ func TestConstants(t *testing.T) {
 	}
 	if float64(KWh) != 3.6e6 {
 		t.Error("kWh constant wrong")
+	}
+}
+
+// fmtScaled and fmtSeconds are the fmt forms the strconv formatters
+// replaced; the formatters must print their bytes exactly.
+func fmtScaled(v float64, unit string) string {
+	abs := math.Abs(v)
+	switch {
+	case abs == 0:
+		return "0" + unit
+	case abs >= 1e9:
+		return fmt.Sprintf("%.4gG%s", v/1e9, unit)
+	case abs >= 1e6:
+		return fmt.Sprintf("%.4gM%s", v/1e6, unit)
+	case abs >= 1e3:
+		return fmt.Sprintf("%.4gk%s", v/1e3, unit)
+	case abs >= 1:
+		return fmt.Sprintf("%.4g%s", v, unit)
+	case abs >= 1e-3:
+		return fmt.Sprintf("%.4gm%s", v*1e3, unit)
+	case abs >= 1e-6:
+		return fmt.Sprintf("%.4gu%s", v*1e6, unit)
+	default:
+		return fmt.Sprintf("%.4gn%s", v*1e9, unit)
+	}
+}
+
+func fmtSeconds(v float64) string {
+	abs := math.Abs(v)
+	switch {
+	case abs == 0:
+		return "0s"
+	case abs < 1e-6:
+		return fmt.Sprintf("%.3gns", v*1e9)
+	case abs < 1e-3:
+		return fmt.Sprintf("%.3gus", v*1e6)
+	case abs < 1:
+		return fmt.Sprintf("%.3gms", v*1e3)
+	case abs < 3600:
+		return fmt.Sprintf("%.4gs", v)
+	default:
+		return fmt.Sprintf("%.4gh", v/3600)
+	}
+}
+
+// TestFormattersMatchFmt: every String method prints what its fmt form
+// printed, over a sweep of magnitudes from subnormals to the float64
+// range (both signs, each SI boundary and its neighbours, values that
+// round up across a boundary) plus zeros, ±Inf and NaN.
+func TestFormattersMatchFmt(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, 2.5e-310, math.MaxFloat64, 0.99995, 999.95, 9999.5, 3599.99, 3600}
+	for e := -320; e <= 308; e++ {
+		base := math.Pow(10, float64(e))
+		for _, m := range []float64{1, 1.2345, 2.5, 5, 9.9995, 9.99949} {
+			v := m * base
+			vals = append(vals, v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 20000 {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+	for _, v := range vals {
+		for _, x := range []float64{v, -v} {
+			checks := []struct{ got, want string }{
+				{Watts(x).String(), fmtScaled(x, "W")},
+				{Joules(x).String(), fmtScaled(x, "J")},
+				{Hertz(x).String(), fmtScaled(x, "Hz")},
+				{string(Hertz(x).Append([]byte("f="))), "f=" + fmtScaled(x, "Hz")},
+				{Bytes(x).String(), fmtScaled(x, "B")},
+				{PerSecond(x).String(), fmtScaled(x, "/s")},
+				{Seconds(x).String(), fmtSeconds(x)},
+			}
+			for _, c := range checks {
+				if c.got != c.want {
+					t.Fatalf("%v (bits %#x): got %q, want %q", x, math.Float64bits(x), c.got, c.want)
+				}
+			}
+		}
 	}
 }
