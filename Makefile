@@ -111,10 +111,13 @@ bench:
 # Queueing-kernel benchmarks with the headline speedups distilled into
 # BENCH_queueing.json (the float64 M/D/1 kernel versus the preserved
 # reference implementation, plus the M/G/1 and Erlang-C kernels behind
-# the same interface).
+# the same interface), with the GOMAXPROCS, Go version and commit they
+# were measured at.
 bench-queueing:
-	$(GO) test -bench 'BenchmarkWaitCDF|BenchmarkResponsePercentile|BenchmarkMG1|BenchmarkMMK|BenchmarkErlangC' \
-		-benchmem -run '^$$' ./internal/queueing/ | tee bench_queueing.out
+	{ echo "goversion: $$($(GO) env GOVERSION)"; \
+	  echo "commit: $$(git rev-parse HEAD 2>/dev/null || echo unknown)"; \
+	  $(GO) test -bench 'BenchmarkWaitCDF|BenchmarkResponsePercentile|BenchmarkMG1|BenchmarkMMK|BenchmarkErlangC' \
+		-benchmem -run '^$$' ./internal/queueing/; } | tee bench_queueing.out
 	$(GO) run ./internal/tools/benchjson bench_queueing.out > BENCH_queueing.json
 	@echo wrote BENCH_queueing.json
 

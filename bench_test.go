@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/queueing"
+	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -324,9 +325,14 @@ func BenchmarkAblationMD1VsSim(b *testing.B) {
 		}
 	})
 	b.Run("lindley-200k", func(b *testing.B) {
+		service, err := queueing.ServiceSampler(q.D, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		arrival := func(rng *stats.RNG) float64 { return rng.ExpFloat64(q.Lambda) }
 		var approx float64
 		for i := 0; i < b.N; i++ {
-			sim, err := queueing.SimulateMD1(q, queueing.SimOptions{Jobs: 200000, Warmup: 5000, Seed: uint64(i + 1)})
+			sim, err := queueing.SimulateGG1(arrival, service, queueing.SimOptions{Jobs: 200000, Warmup: 5000, Seed: uint64(i + 1)})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -110,9 +110,8 @@ func Plan(candidates []*energyprop.Analysis, policy Policy, grid []float64) (*En
 	// controller shows a high switch or suppression rate) — all no-ops
 	// without an installed registry.
 	reg := telemetry.Global()
-	span := reg.Tracer().Start("adaptive.plan").
-		Arg("candidates", len(candidates)).Arg("grid", len(grid))
-	defer span.End()
+	defer telemetry.StartSpan("adaptive.plan").
+		Arg("candidates", len(candidates)).Arg("grid", len(grid)).End()
 
 	st, err := NewStepper(candidates, policy)
 	if err != nil {

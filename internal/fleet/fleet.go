@@ -87,8 +87,9 @@ type Spec struct {
 // node-samples cap is over 40,000 times the largest golden run
 // (chaos-fleet: 1,200 nodes × 180 samples).
 const (
-	// maxNodes caps a fleet's node total (about 300 MB of node slab).
-	maxNodes = 1_000_000
+	// MaxNodes caps a fleet's node total (about 300 MB of node slab).
+	// The scenario decoder checks it too, where it can name the line.
+	MaxNodes = 1_000_000
 	// maxNodeSamples caps nodes × power samples over a run.
 	maxNodeSamples = 1e10
 )
@@ -112,8 +113,8 @@ func (s *Spec) Validate() error {
 		}
 		// Each count is checked against what is left of the cap before
 		// it is added, so the sum cannot overflow.
-		if g.Count > maxNodes-nodes {
-			return fmt.Errorf("fleet: template %d takes the fleet past %d nodes", i, maxNodes)
+		if g.Count > MaxNodes-nodes {
+			return fmt.Errorf("fleet: template %d takes the fleet past %d nodes", i, MaxNodes)
 		}
 		nodes += g.Count
 	}
@@ -319,9 +320,8 @@ func (s *Simulator) Run() (*Result, error) {
 		return nil, errors.New("fleet: simulator already ran")
 	}
 	reg := telemetry.Global()
-	span := reg.Tracer().Start("fleet.run").
-		Arg("name", s.spec.Name).Arg("nodes", s.spec.NodeCount())
-	defer span.End()
+	defer telemetry.StartSpan("fleet.run").
+		Arg("name", s.spec.Name).Arg("nodes", s.spec.NodeCount()).End()
 	reg.Counter("fleet.runs").Inc()
 
 	// Every calendar event is due by the horizon (after drops later

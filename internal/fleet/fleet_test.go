@@ -240,11 +240,11 @@ func TestSpecValidation(t *testing.T) {
 		{"power cap with both levels", func(s *Spec) {
 			s.Events = []TimedEvent{{At: 1, Action: ActionPowerCap, Target: EveryNode(), Watts: 3, Fraction: 0.5}}
 		}},
-		// Size caps: a node total past maxNodes, counts whose sum
+		// Size caps: a node total past MaxNodes, counts whose sum
 		// overflows int, and nodes x power samples past maxNodeSamples.
 		{"100M nodes", func(s *Spec) { s.Templates = []cluster.Group{cluster.FullNodes(a9, 100_000_000)} }},
 		{"one node past the cap", func(s *Spec) {
-			s.Templates = []cluster.Group{cluster.FullNodes(a9, maxNodes/2), cluster.FullNodes(a9, maxNodes/2+1)}
+			s.Templates = []cluster.Group{cluster.FullNodes(a9, MaxNodes/2), cluster.FullNodes(a9, MaxNodes/2+1)}
 		}},
 		{"overflowing node total", func(s *Spec) {
 			s.Templates = []cluster.Group{cluster.FullNodes(a9, 1<<62), cluster.FullNodes(a9, 1<<62)}
@@ -254,7 +254,7 @@ func TestSpecValidation(t *testing.T) {
 			s.Duration, s.Slice = 13*3600, 0.001
 		}},
 		{"1M nodes at the default slice over 3h", func(s *Spec) {
-			s.Templates = []cluster.Group{cluster.FullNodes(a9, maxNodes)}
+			s.Templates = []cluster.Group{cluster.FullNodes(a9, MaxNodes)}
 			s.Duration = 3 * 3600
 		}},
 		{"unsupported node type", func(s *Spec) {
@@ -280,10 +280,10 @@ func TestSpecValidation(t *testing.T) {
 	// The caps themselves are admitted, and New fails an overflowing
 	// fleet with an error instead of a makeslice panic.
 	edge := base
-	edge.Templates = []cluster.Group{cluster.FullNodes(a9, maxNodes/2), cluster.FullNodes(a9, maxNodes/2)}
-	edge.Duration = maxNodeSamples / maxNodes
+	edge.Templates = []cluster.Group{cluster.FullNodes(a9, MaxNodes/2), cluster.FullNodes(a9, MaxNodes/2)}
+	edge.Duration = maxNodeSamples / MaxNodes
 	if err := edge.Validate(); err != nil {
-		t.Errorf("fleet of exactly maxNodes nodes and maxNodeSamples node-samples rejected: %v", err)
+		t.Errorf("fleet of exactly MaxNodes nodes and maxNodeSamples node-samples rejected: %v", err)
 	}
 	huge := base
 	huge.Templates = []cluster.Group{cluster.FullNodes(a9, 1<<62), cluster.FullNodes(a9, 1<<62)}

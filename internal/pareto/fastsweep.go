@@ -673,10 +673,9 @@ func spaceFor(bld *spaceBuilder, limits []cluster.Limit, table *model.Table, b *
 // magnitude faster (see the exactness argument at the top of this
 // file).
 func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
-	span := telemetry.StartSpan("pareto.frontier_sweep").
+	span := telemetry.Start(sw.Context, "pareto.frontier_sweep").
 		Arg("workload", wl.Name).Arg("engine", "fast")
 	defer span.End()
-	defer sw.Request.Phase("pareto.frontier_sweep")()
 	if err := cluster.ValidateLimits(limits); err != nil {
 		return nil, err
 	}
@@ -727,9 +726,10 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 	skipped.Add(uint64(st.Skipped))
 	filtered.Add(uint64(st.Filtered))
 	pruned.Add(uint64(st.Pruned))
-	sw.Request.Add(telemetry.AttrConfigsEvaluated, st.Evaluated)
-	sw.Request.Add(telemetry.AttrConfigsFiltered, st.Filtered)
-	sw.Request.Add(telemetry.AttrConfigsPruned, st.Pruned)
+	rc := telemetry.RequestFrom(ctx)
+	rc.Add(telemetry.AttrConfigsEvaluated, st.Evaluated)
+	rc.Add(telemetry.AttrConfigsFiltered, st.Filtered)
+	rc.Add(telemetry.AttrConfigsPruned, st.Pruned)
 	if sw.Stats != nil {
 		*sw.Stats = st
 	}

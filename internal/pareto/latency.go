@@ -16,14 +16,12 @@ import (
 // frontier configurations by how their time-energy trade-off holds up
 // once queueing delay is priced in. The points are solved in order on
 // the caller's goroutine, a microsecond or two each, checking ctx
-// between them; the result is aligned with points. A request-scoped
-// caller sees the annotation as the pareto.annotate_latencies phase.
-// workers is ignored.
+// between them; the result is aligned with points. The annotation is
+// one pareto.annotate_latencies span (see telemetry.Start): a phase on a
+// request-scoped ctx's timeline. workers is ignored.
 func AnnotateLatencies(ctx context.Context, points []Point, u, p float64, spec queueing.Spec, workers int) ([]float64, error) {
-	span := telemetry.StartSpan("pareto.annotate_latencies").
-		Arg("points", len(points)).Arg("u", u).Arg("p", p).Arg("kernel", spec.String())
-	defer span.End()
-	defer telemetry.RequestFrom(ctx).Phase("pareto.annotate_latencies")()
+	defer telemetry.Start(ctx, "pareto.annotate_latencies").
+		Arg("points", len(points)).Arg("u", u).Arg("p", p).Arg("kernel", spec.String()).End()
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("pareto: latency annotation: %w", err)
 	}

@@ -14,10 +14,9 @@ import (
 // configuration, apply the Budget, evaluate the survivors through
 // model.Evaluate and take the Frontier of the evaluated points.
 func frontierSweepReference(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
-	span := telemetry.StartSpan("pareto.frontier_sweep").
+	span := telemetry.Start(sw.Context, "pareto.frontier_sweep").
 		Arg("workload", wl.Name).Arg("engine", "reference")
 	defer span.End()
-	defer sw.Request.Phase("pareto.frontier_sweep")()
 	reg := telemetry.Global()
 	evaluated := reg.Counter("pareto.configs_evaluated")
 	skipped := reg.Counter("pareto.configs_skipped")
@@ -50,8 +49,9 @@ func frontierSweepReference(limits []cluster.Limit, wl *workload.Profile, opt mo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sw.Request.Add(telemetry.AttrConfigsEvaluated, st.Evaluated)
-	sw.Request.Add(telemetry.AttrConfigsFiltered, st.Filtered)
+	rc := telemetry.RequestFrom(ctx)
+	rc.Add(telemetry.AttrConfigsEvaluated, st.Evaluated)
+	rc.Add(telemetry.AttrConfigsFiltered, st.Filtered)
 	if sw.Stats != nil {
 		*sw.Stats = st
 	}

@@ -51,16 +51,13 @@ type SweepOptions struct {
 	// benchmark's full-walk comparison and goes with Workers once that
 	// benchmark stops setting both.
 	NoPrune bool
-	// Request, when non-nil, receives request-scoped attribution
-	// (configurations evaluated/pruned/filtered and the sweep phase on
-	// the request timeline) beside the process-global pareto.* counters.
-	// Request-serving callers set it from telemetry.RequestFrom(ctx);
-	// batch CLIs leave it nil.
-	Request *telemetry.RequestContext
 	// Context, when non-nil, cancels the sweep: the walk polls it every
 	// few thousand configurations. A cancelled sweep returns the
 	// context's error with no partial frontier; the fast engine flushes
-	// nothing into the global counters or Stats.
+	// nothing into the global counters or Stats. When it carries a
+	// telemetry.RequestContext, that request also receives the sweep's
+	// attribution (configurations evaluated, pruned and filtered) and
+	// its pareto.frontier_sweep phase.
 	Context context.Context
 	// Table, when non-nil, is a pre-built unit-calc table the sweep
 	// uses instead of building its own. It must have been built by

@@ -2,11 +2,15 @@ package pareto
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/hardware"
 	"repro/internal/model"
+	"repro/internal/queueing"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -152,6 +156,77 @@ func TestFastSweepAccounting(t *testing.T) {
 	}
 	if sum := c3.evaluated + c3.skipped + c3.filtered + c3.pruned; sum != uint64(total) {
 		t.Errorf("filtered sweep counters sum %d != space %d", sum, total)
+	}
+}
+
+// TestSweepSpans: under an installed registry an unscoped sweep and an
+// unscoped latency annotation each record exactly one span, with the
+// args a CLI trace shows, and the annotation's solves record none;
+// under a request scope both are phases on the request's timeline and
+// the process tracer keeps nothing.
+func TestSweepSpans(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
+	limits, wl := sweepSpace(t)
+	front, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnnotateLatencies(context.Background(), front, 0.5, 95, queueing.Spec{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.Tracer().WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string         `json:"name"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"pareto.frontier_sweep":     {"workload", "engine", "evaluated", "pruned"},
+		"pareto.annotate_latencies": {"points", "u", "p", "kernel"},
+	}
+	if len(events) != len(want) {
+		t.Fatalf("trace holds %d spans, want one sweep and one annotation:\n%s", len(events), buf.String())
+	}
+	for _, ev := range events {
+		for _, arg := range want[ev.Name] {
+			if _, ok := ev.Args[arg]; !ok {
+				t.Errorf("span %s lacks arg %q: %v", ev.Name, arg, ev.Args)
+			}
+		}
+		delete(want, ev.Name)
+	}
+	if len(want) != 0 {
+		t.Fatalf("trace lacks %v:\n%s", want, buf.String())
+	}
+
+	rc := telemetry.NewRequestContext("", "frontier")
+	ctx := telemetry.WithRequest(context.Background(), rc)
+	var st SweepStats
+	if front, err = FrontierSweep(limits, wl, model.Options{}, SweepOptions{Context: ctx, Stats: &st}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnnotateLatencies(ctx, front, 0.5, 95, queueing.Spec{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Tracer().Len(); n != 2 {
+		t.Fatalf("request-scoped sweep and annotation left %d spans, want the 2 unscoped ones", n)
+	}
+	var names []string
+	for _, ev := range rc.Timeline() {
+		names = append(names, ev.Name)
+	}
+	if got := strings.Join(names, " "); got != "pareto.frontier_sweep pareto.annotate_latencies" {
+		t.Fatalf("request timeline %q", got)
+	}
+	if got := rc.Attr(telemetry.AttrConfigsEvaluated); got != st.Evaluated {
+		t.Fatalf("request attributes %d configurations evaluated, sweep %d", got, st.Evaluated)
 	}
 }
 

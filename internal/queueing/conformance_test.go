@@ -239,6 +239,49 @@ func TestKernelConformanceBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestKernelConformanceSpans: under an installed registry a scalar
+// solve counts its search but records no span, while a batch is one
+// queueing.percentiles span: on an unscoped context the process
+// tracer's, under a request scope a phase on the request's timeline
+// and nothing on the tracer.
+func TestKernelConformanceSpans(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
+	searches := reg.Counter("queueing.percentile_searches")
+	for _, spec := range ConformanceSpecs() {
+		k := buildKernel(t, spec, 0.7, 2.5)
+		spans, before := reg.Tracer().Len(), searches.Value()
+		for _, solve := range []func(float64) (float64, error){k.WaitPercentile, k.ResponsePercentile} {
+			if _, err := solve(99); err != nil {
+				t.Fatalf("%v: %v", spec, err)
+			}
+		}
+		if n := reg.Tracer().Len() - spans; n != 0 {
+			t.Errorf("%v: two scalar solves recorded %d spans, want 0", spec, n)
+		}
+		if searches.Value() == before {
+			t.Errorf("%v: scalar solves counted no percentile search", spec)
+		}
+		if _, err := k.ResponsePercentilesContext(context.Background(), []float64{95, 99}); err != nil {
+			t.Fatalf("%v: %v", spec, err)
+		}
+		if n := reg.Tracer().Len() - spans; n != 1 {
+			t.Errorf("%v: an unscoped batch recorded %d spans, want 1", spec, n)
+		}
+		rc := telemetry.NewRequestContext("", "percentiles")
+		if _, err := k.WaitPercentilesContext(telemetry.WithRequest(context.Background(), rc), []float64{95, 99}); err != nil {
+			t.Fatalf("%v: %v", spec, err)
+		}
+		if n := reg.Tracer().Len() - spans; n != 1 {
+			t.Errorf("%v: a request-scoped batch reached the process tracer (%d spans)", spec, n-1)
+		}
+		if tl := rc.Timeline(); len(tl) != 1 || tl[0].Name != "queueing.percentiles" {
+			t.Errorf("%v: request timeline %+v, want one queueing.percentiles phase", spec, tl)
+		}
+	}
+}
+
 // TestKernelConformanceBatchRejectsBeforeSolving: every kernel's batch
 // checks the queue and every p before its first solve, so a bad entry
 // anywhere in the list fails the batch with no solve counted, and an
@@ -371,9 +414,10 @@ func simulateSpec(t testing.TB, spec Spec, k Kernel, opt SimOptions) SimResult {
 		sim SimResult
 		err error
 	)
+	if q, ok := k.(MD1); ok {
+		k = MG1{Lambda: q.Lambda, D: q.D} // SCV 0: deterministic service
+	}
 	switch q := k.(type) {
-	case MD1:
-		sim, err = SimulateMD1(q, opt)
 	case MG1:
 		service, serr := ServiceSampler(q.D, q.SCV)
 		if serr != nil {

@@ -16,7 +16,6 @@ type queueingInstruments struct {
 	reg      *telemetry.Registry
 	cdfCalls *telemetry.Counter
 	searches *telemetry.Counter
-	tracer   *telemetry.Tracer
 }
 
 var instrumentsCache atomic.Pointer[queueingInstruments]
@@ -33,7 +32,6 @@ func instruments() *queueingInstruments {
 		reg:      reg,
 		cdfCalls: reg.Counter("queueing.wait_cdf_calls"),
 		searches: reg.Counter("queueing.percentile_searches"),
-		tracer:   reg.Tracer(),
 	}
 	instrumentsCache.Store(ins)
 	return ins

@@ -104,15 +104,7 @@ func (q MD1) WaitPercentile(p float64) (float64, error) {
 	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
-	ins := instruments()
-	ins.searches.Inc()
-	span := ins.tracer.Start("queueing.wait_percentile")
-	if span != nil {
-		// Attach only on a live span: boxing p into `any` unconditionally
-		// would cost the solve its zero-allocation guarantee.
-		span.Arg("p", p)
-	}
-	defer span.End()
+	instruments().searches.Inc()
 	target := p / 100
 	rho := q.Rho()
 	// The distribution has the atom P(W = 0) = 1-rho.

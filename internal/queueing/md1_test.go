@@ -87,6 +87,17 @@ func TestWaitCDFContinuityAtD(t *testing.T) {
 	}
 }
 
+// simulateMD1 runs the M/D/1 Lindley recursion through SimulateGG1:
+// exponential gaps at q.Lambda and the deterministic ServiceSampler(q.D, 0).
+func simulateMD1(t *testing.T, q MD1, opt SimOptions) (SimResult, error) {
+	t.Helper()
+	service, err := ServiceSampler(q.D, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return SimulateGG1(func(rng *stats.RNG) float64 { return rng.ExpFloat64(q.Lambda) }, service, opt)
+}
+
 // TestCrommelinMatchesSimulation cross-validates the analytic CDF against
 // the Lindley-recursion Monte-Carlo across utilizations.
 func TestCrommelinMatchesSimulation(t *testing.T) {
@@ -95,7 +106,7 @@ func TestCrommelinMatchesSimulation(t *testing.T) {
 	}
 	for _, rho := range []float64{0.3, 0.5, 0.7, 0.9} {
 		q := MD1{Lambda: rho, D: 1}
-		sim, err := SimulateMD1(q, SimOptions{Jobs: 400000, Warmup: 10000, Seed: 42})
+		sim, err := simulateMD1(t, q, SimOptions{Jobs: 400000, Warmup: 10000, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,10 +211,10 @@ func TestSimulateGG1DeterministicArrivals(t *testing.T) {
 
 func TestSimulateMD1InvalidOptions(t *testing.T) {
 	q := MD1{Lambda: 0.5, D: 1}
-	if _, err := SimulateMD1(q, SimOptions{Jobs: 0}); err == nil {
+	if _, err := simulateMD1(t, q, SimOptions{Jobs: 0}); err == nil {
 		t.Error("expected error for zero jobs")
 	}
-	if _, err := SimulateMD1(q, SimOptions{Jobs: 10, Warmup: 10}); err == nil {
+	if _, err := simulateMD1(t, q, SimOptions{Jobs: 10, Warmup: 10}); err == nil {
 		t.Error("expected error for warmup >= jobs")
 	}
 }

@@ -166,13 +166,7 @@ func (q MG1) WaitPercentile(p float64) (float64, error) {
 	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
-	ins := instruments()
-	ins.searches.Inc()
-	span := ins.tracer.Start("queueing.wait_percentile")
-	if span != nil {
-		span.Arg("p", p)
-	}
-	defer span.End()
+	instruments().searches.Inc()
 	target := p / 100
 	rho := q.Rho()
 	// Every branch keeps the atom P(W = 0) = 1-rho.
@@ -220,13 +214,7 @@ func (q MG1) ResponsePercentile(p float64) (float64, error) {
 	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
-	ins := instruments()
-	ins.searches.Inc()
-	span := ins.tracer.Start("queueing.response_percentile")
-	if span != nil {
-		span.Arg("p", p)
-	}
-	defer span.End()
+	instruments().searches.Inc()
 	target := p / 100
 	if target <= 0 {
 		return 0, nil

@@ -174,8 +174,7 @@ func (q MMK) WaitPercentile(p float64) (float64, error) {
 	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
-	ins := instruments()
-	ins.searches.Inc()
+	instruments().searches.Inc()
 	target := p / 100
 	c := q.ErlangC()
 	if 1-c >= target {
@@ -194,8 +193,7 @@ func (q MMK) ResponsePercentile(p float64) (float64, error) {
 	if !(p >= 0 && p < 100) {
 		return 0, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 	}
-	ins := instruments()
-	ins.searches.Inc()
+	instruments().searches.Inc()
 	target := p / 100
 	if target <= 0 {
 		return 0, nil

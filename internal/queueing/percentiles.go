@@ -13,9 +13,8 @@ import (
 // (invalid is the kernel's Validate result) and every p outside [0, 100)
 // before the first solve, and checks ctx before each entry, so
 // cancellation granularity is one solve (a few microseconds at any
-// utilization). A request-scoped ctx (the epserve handlers) times the
-// batch as one queueing.percentiles phase; outside a request scope the
-// phase is a no-op.
+// utilization). The batch is one queueing.percentiles span (see
+// telemetry.Start): a phase on a request-scoped ctx's timeline.
 func percentiles(ctx context.Context, invalid error, ps []float64, solve func(p float64) (float64, error)) ([]float64, error) {
 	if invalid != nil {
 		return nil, invalid
@@ -25,7 +24,7 @@ func percentiles(ctx context.Context, invalid error, ps []float64, solve func(p 
 			return nil, fmt.Errorf("queueing: percentile %g outside [0, 100)", p)
 		}
 	}
-	defer telemetry.RequestFrom(ctx).Phase("queueing.percentiles")()
+	defer telemetry.Start(ctx, "queueing.percentiles").End()
 	out := make([]float64, len(ps))
 	for i, p := range ps {
 		if err := ctx.Err(); err != nil {

@@ -33,55 +33,6 @@ func (r SimResult) Percentile(p float64) (float64, error) {
 	return stats.PercentileSorted(r.Responses, p)
 }
 
-// SimulateMD1 runs a Lindley-recursion simulation of the M/D/1 queue:
-// W_{n+1} = max(0, W_n + D - A_n), where A_n is the exponential
-// inter-arrival gap. It is the cross-check for Crommelin's formula and
-// the fallback for regimes outside its numerical comfort zone.
-func SimulateMD1(q MD1, opt SimOptions) (SimResult, error) {
-	if err := q.Validate(); err != nil {
-		return SimResult{}, err
-	}
-	if opt.Jobs <= 0 {
-		return SimResult{}, errors.New("queueing: simulation needs at least one job")
-	}
-	if opt.Warmup >= opt.Jobs {
-		return SimResult{}, errors.New("queueing: warmup must leave jobs to measure")
-	}
-	reg := telemetry.Global()
-	span := reg.Tracer().Start("queueing.simulate_md1").Arg("jobs", opt.Jobs)
-	defer span.End()
-	reg.Counter("queueing.jobs_simulated").Add(uint64(opt.Jobs))
-	rng := stats.NewRNG(opt.Seed)
-	kept := make([]float64, 0, opt.Jobs-opt.Warmup)
-	var sum stats.KahanSum
-	w := 0.0
-	for i := 0; i < opt.Jobs; i++ {
-		if i >= opt.Warmup {
-			resp := w + q.D
-			kept = append(kept, resp)
-			sum.Add(resp)
-		}
-		var gap float64
-		if q.Lambda > 0 {
-			gap = rng.ExpFloat64(q.Lambda)
-		} else {
-			// Zero arrival rate: a single job never queues.
-			gap = 0
-			w = 0
-			continue
-		}
-		w += q.D - gap
-		if w < 0 {
-			w = 0
-		}
-	}
-	sort.Float64s(kept)
-	return SimResult{
-		Responses:    kept,
-		MeanResponse: sum.Sum() / float64(len(kept)),
-	}, nil
-}
-
 // ServiceSampler returns a service-time sampler with mean d and the
 // given squared coefficient of variation, built from the standard
 // moment-matching phase-type recipes:
@@ -151,10 +102,8 @@ func SimulateMMK(q MMK, opt SimOptions) (SimResult, error) {
 	if opt.Warmup >= opt.Jobs {
 		return SimResult{}, errors.New("queueing: warmup must leave jobs to measure")
 	}
-	reg := telemetry.Global()
-	span := reg.Tracer().Start("queueing.simulate_mmk").Arg("jobs", opt.Jobs)
-	defer span.End()
-	reg.Counter("queueing.jobs_simulated").Add(uint64(opt.Jobs))
+	defer telemetry.StartSpan("queueing.simulate_mmk").Arg("jobs", opt.Jobs).End()
+	telemetry.Global().Counter("queueing.jobs_simulated").Add(uint64(opt.Jobs))
 	rng := stats.NewRNG(opt.Seed)
 	mu := 1 / q.D
 	free := make([]float64, q.K)
@@ -196,8 +145,11 @@ func SimulateMMK(q MMK, opt SimOptions) (SimResult, error) {
 }
 
 // SimulateGG1 runs a Lindley-recursion simulation with caller-supplied
-// inter-arrival and service samplers, for sensitivity studies beyond
-// M/D/1 (e.g. service-time jitter from the cluster simulator).
+// inter-arrival and service samplers: W_{n+1} = max(0, W_n + S_n - A_n).
+// With exponential gaps and ServiceSampler(D, 0) it is the M/D/1
+// cross-check for Crommelin's formula; other samplers serve
+// sensitivity studies (e.g. service-time jitter from the cluster
+// simulator).
 func SimulateGG1(arrival, service func(*stats.RNG) float64, opt SimOptions) (SimResult, error) {
 	if opt.Jobs <= 0 {
 		return SimResult{}, errors.New("queueing: simulation needs at least one job")
@@ -205,10 +157,8 @@ func SimulateGG1(arrival, service func(*stats.RNG) float64, opt SimOptions) (Sim
 	if opt.Warmup >= opt.Jobs {
 		return SimResult{}, errors.New("queueing: warmup must leave jobs to measure")
 	}
-	reg := telemetry.Global()
-	span := reg.Tracer().Start("queueing.simulate_gg1").Arg("jobs", opt.Jobs)
-	defer span.End()
-	reg.Counter("queueing.jobs_simulated").Add(uint64(opt.Jobs))
+	defer telemetry.StartSpan("queueing.simulate_gg1").Arg("jobs", opt.Jobs).End()
+	telemetry.Global().Counter("queueing.jobs_simulated").Add(uint64(opt.Jobs))
 	rng := stats.NewRNG(opt.Seed)
 	kept := make([]float64, 0, opt.Jobs-opt.Warmup)
 	var sum stats.KahanSum

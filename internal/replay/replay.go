@@ -206,15 +206,13 @@ func Run(ctx context.Context, candidates []*energyprop.Analysis, tr Trace, opt O
 	ref := stepper.Reference()
 	refPeak := float64(candidates[ref].Result.BusyPower)
 
+	// A request-scoped replay (POST /v1/replay) times its run on the
+	// owning request's timeline and attributes its stepped trace there;
+	// a CLI run's span goes to the process tracer.
+	defer telemetry.Start(ctx, "replay.run").
+		Arg("steps", tr.Steps()).Arg("candidates", len(candidates)).Arg("adaptive", opt.Adaptive).End()
+	telemetry.RequestFrom(ctx).Add(telemetry.AttrReplaySteps, int64(tr.Steps()))
 	reg := telemetry.Global()
-	span := reg.Tracer().Start("replay.run").
-		Arg("steps", tr.Steps()).Arg("candidates", len(candidates)).Arg("adaptive", opt.Adaptive)
-	defer span.End()
-	// A request-scoped replay (POST /v1/replay) attributes its stepped
-	// trace and run phase to the owning request; rc is nil for CLI runs.
-	rc := telemetry.RequestFrom(ctx)
-	defer rc.Phase("replay.run")()
-	rc.Add(telemetry.AttrReplaySteps, int64(tr.Steps()))
 	stepCnt := reg.Counter("replay.steps")
 	violationCnt := reg.Counter("replay.slo_violations")
 	switchCnt := reg.Counter("replay.switches")

@@ -1,7 +1,9 @@
 package replay
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -492,8 +494,13 @@ func TestDiurnalReplaySolvesTwicePerStep(t *testing.T) {
 
 // TestReplayTimelineHoldsRun: a request-scoped replay records one phase,
 // replay.run, however many steps it solves; per-step solves would fill
-// the request's bounded timeline and drop the run phase itself.
+// the request's bounded timeline and drop the run phase itself. It
+// leaves nothing on the process tracer, where an unscoped (CLI) run
+// records exactly one replay.run span with its args.
 func TestReplayTimelineHoldsRun(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
 	rc := telemetry.NewRequestContext("", "replay")
 	ctx := telemetry.WithRequest(context.Background(), rc)
 	for _, adapt := range []bool{false, true} {
@@ -511,5 +518,27 @@ func TestReplayTimelineHoldsRun(t *testing.T) {
 		}
 		t.Fatalf("timeline holds %d phases (%s), %d dropped; want two replay.run phases and none dropped",
 			len(names), got, rc.DroppedPhases())
+	}
+	if n := reg.Tracer().Len(); n != 0 {
+		t.Fatalf("request-scoped replays left %d spans on the process tracer, want 0", n)
+	}
+
+	if _, err := Run(context.Background(), ladderCandidates(t), diurnalTrace(t, 288), Options{Adaptive: true, SLO: 0.05}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.Tracer().WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string         `json:"name"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 || events[0].Name != "replay.run" ||
+		events[0].Args["steps"] != float64(288) || events[0].Args["candidates"] != float64(5) || events[0].Args["adaptive"] != true {
+		t.Fatalf("an unscoped 288-step run traced %s, want one replay.run span with its args", buf.String())
 	}
 }

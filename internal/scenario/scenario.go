@@ -288,7 +288,7 @@ func (d *decoder) scenario(root yamlValue) *Scenario {
 		case "utilization":
 			sc.Utilization = d.float(v, "utilization")
 		case "nodes":
-			sc.Nodes = d.integer(v, "nodes")
+			sc.Nodes = d.nodeCount(v, "nodes", 0)
 		case "fleet":
 			sc.Fleet = d.fleetTemplates(v)
 		case "chaos":
@@ -319,9 +319,22 @@ func (d *decoder) scenario(root yamlValue) *Scenario {
 	return sc
 }
 
+// nodeCount decodes a node count (the nodes: total or a template's
+// count:) that adds to the taken nodes already counted. Where the sum
+// passes fleet.MaxNodes it fails on the count's own line, so the cap
+// is reported where the fault is rather than by the built fleet.
+func (d *decoder) nodeCount(v yamlValue, path string, taken int) int {
+	n := d.integer(v, path)
+	if d.err == nil && n > fleet.MaxNodes-taken {
+		d.fail(path, "line %d: %d takes the fleet past %d nodes", v.(scalar).line, n, fleet.MaxNodes)
+	}
+	return n
+}
+
 func (d *decoder) fleetTemplates(v yamlValue) []Template {
 	seq := d.sequence(v, "fleet")
 	out := make([]Template, 0, len(seq))
+	counted := 0 // nodes of the explicit counts so far
 	for i, item := range seq {
 		path := fmt.Sprintf("fleet[%d]", i)
 		m := d.mapping(item, path)
@@ -336,7 +349,7 @@ func (d *decoder) fleetTemplates(v yamlValue) []Template {
 			case "type":
 				t.Type = d.str(fv, p)
 			case "count":
-				t.Count = d.integer(fv, p)
+				t.Count = d.nodeCount(fv, p, counted)
 			case "weight":
 				t.Weight = d.float(fv, p)
 			case "cores":
@@ -360,6 +373,7 @@ func (d *decoder) fleetTemplates(v yamlValue) []Template {
 			d.fail(path, "count and weight must be positive")
 			return nil
 		}
+		counted += t.Count
 		out = append(out, t)
 	}
 	return out

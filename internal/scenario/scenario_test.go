@@ -291,6 +291,35 @@ func TestNonFiniteDurations(t *testing.T) {
 	}
 }
 
+// TestFleetSizeCapLines: a nodes total, one template count, or counts
+// that together pass fleet.MaxNodes fail at parse time, on the line
+// where the fleet passes the cap; a fleet of exactly the cap parses.
+func TestFleetSizeCapLines(t *testing.T) {
+	chaos, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "chaos-fleet.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := strings.Replace(string(chaos), "\nnodes: 1200\n", "\nnodes: 100000000\n", 1)
+	if huge == string(chaos) {
+		t.Fatal("chaos-fleet.yaml has no nodes: 1200 line")
+	}
+	head := "workload: EP\nduration: 10s\nfleet:\n"
+	for _, tc := range []struct{ name, src, want string }{
+		{"nodes total", huge, "nodes: line 13: 100000000 takes the fleet past 1000000 nodes"},
+		{"one count", head + "  - type: A9\n    count: 1000001\n",
+			"fleet[0].count: line 5: 1000001 takes the fleet past 1000000 nodes"},
+		{"two counts", head + "  - type: A9\n    count: 600000\n  - type: K10\n    count: 400001\n",
+			"fleet[1].count: line 7: 400001 takes the fleet past 1000000 nodes"},
+	} {
+		if _, err := Parse([]byte(tc.src)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := Parse([]byte(head + "  - type: A9\n    count: 600000\n  - type: K10\n    count: 400000\n")); err != nil {
+		t.Errorf("a fleet of exactly %d nodes: %v", fleet.MaxNodes, err)
+	}
+}
+
 func TestBuildErrors(t *testing.T) {
 	catalog, registry := testEnv(t)
 	cases := []struct {

@@ -46,6 +46,10 @@ const maxBatchItems = 1024
 // decoding.
 const maxBatchBodyBytes = 1 << 20
 
+// maxFrontierConfigs caps the configuration-space size a single
+// /v1/frontier item may ask to sweep, and each of its node counts.
+const maxFrontierConfigs = 1 << 17
+
 // frontierAdmissionUnit converts a frontier sweep's configuration-space
 // size into admission units: one unit per 4096 configurations, matching
 // roughly the cost ratio between one memoized-table sweep block and one
@@ -702,8 +706,8 @@ func (s *Server) planFrontier(fi *frontierItem, it *FrontierBatchItem) error {
 		name string
 		n    int
 	}{{"max_a9", fi.maxA9}, {"max_k10", fi.maxK10}} {
-		if c.n < 0 || c.n > s.cfg.MaxFrontierConfigs {
-			return fmt.Errorf("invalid %s=%d: want a non-negative integer at most %d", c.name, c.n, s.cfg.MaxFrontierConfigs)
+		if c.n < 0 || c.n > maxFrontierConfigs {
+			return fmt.Errorf("invalid %s=%d: want a non-negative integer at most %d", c.name, c.n, maxFrontierConfigs)
 		}
 	}
 	if fi.deadline < 0 {
@@ -741,9 +745,9 @@ func (s *Server) planFrontier(fi *frontierItem, it *FrontierBatchItem) error {
 		{Type: k10, MaxNodes: fi.maxK10, FixCoresAndFreq: !fi.dvfs},
 	}
 	space := cluster.SpaceSize(fi.limits)
-	if space > s.cfg.MaxFrontierConfigs {
+	if space > maxFrontierConfigs {
 		return fmt.Errorf("configuration space %d exceeds the per-request cap %d; lower max_a9/max_k10 or disable dvfs",
-			space, s.cfg.MaxFrontierConfigs)
+			space, maxFrontierConfigs)
 	}
 	fi.space = space
 	return nil

@@ -410,11 +410,10 @@ func (s *Server) tableFor(wl *workload.Profile) *model.Table {
 // kernel.
 func (s *Server) sweepFrontier(ctx context.Context, fp *frontierItem) (*FrontierResponse, error) {
 	wlName, powerW, deadline, energy := fp.workload, fp.powerW, fp.deadline, fp.energy
-	// On the singleflight leader's request the sweep is attributed to its
-	// RequestContext (followers only record coalesced=1); nil-safe
-	// no-ops otherwise.
-	rc := telemetry.RequestFrom(ctx)
-	defer rc.Phase("serve.frontier_sweep")()
+	// On the singleflight leader's request the sweep is timed and
+	// attributed on its RequestContext (followers only record
+	// coalesced=1).
+	defer telemetry.Start(ctx, "serve.frontier_sweep").End()
 	wl, err := s.cfg.Workloads.Lookup(wlName)
 	if err != nil {
 		return nil, err
@@ -427,8 +426,8 @@ func (s *Server) sweepFrontier(ctx context.Context, fp *frontierItem) (*Frontier
 	}
 
 	// The engine attributes configs_evaluated/filtered/pruned and the
-	// sweep phase to rc itself. Pruned configurations fit the budget
-	// and can run, so the response counts them as evaluated: the
+	// sweep phase to ctx's request itself. Pruned configurations fit the
+	// budget and can run, so the response counts them as evaluated: the
 	// documented meaning of evaluated is every in-budget configuration
 	// the model can run.
 	var st pareto.SweepStats
@@ -436,7 +435,6 @@ func (s *Server) sweepFrontier(ctx context.Context, fp *frontierItem) (*Frontier
 		Budget:  budget,
 		Context: ctx,
 		Table:   s.tableFor(wl),
-		Request: rc,
 		Stats:   &st,
 	})
 	if err != nil {

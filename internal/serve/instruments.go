@@ -4,8 +4,8 @@ import "repro/internal/telemetry"
 
 // instruments holds the service-level instruments, resolved once at
 // server construction. Per-route request counters and latency
-// histograms come from telemetry.HTTPMiddleware; these cover the
-// cross-cutting admission, coalescing and failure paths.
+// histograms belong to the request scope (requestScope); these cover
+// the cross-cutting admission, coalescing and failure paths.
 type instruments struct {
 	// admitted counts requests that acquired execution units.
 	admitted *telemetry.Counter

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"log/slog"
 	"net/http"
 	"sync/atomic"
@@ -15,21 +16,33 @@ import (
 // amplify exactly the load that caused the slowness.
 const slowLogInterval = time.Second
 
+// latencyBounds are the http.<route>.seconds buckets: 10 µs up to
+// ~2.6 s in powers of four, bracketing everything from a warm cache hit
+// to a full frontier sweep.
+var latencyBounds = telemetry.ExponentialBuckets(1e-5, 4, 10)
+
 // requestScope is the outermost middleware on every route: it mints the
 // request's telemetry.RequestContext (honoring a well-formed inbound
 // X-Request-ID so IDs survive proxy hops), stamps the ID on the
-// response header, and — after the inner chain returns — feeds the SLO
-// tracker and writes the one access-log line that summarizes the
+// response header, and — after the inner chain returns — measures the
+// request once: that one duration feeds the route's
+// http.<route>.seconds histogram (with the request ID as exemplar),
+// the SLO tracker and the one access-log line that summarizes the
 // request: route, status, duration, bytes, outcome, and the
 // attribution the layers below accumulated (configurations evaluated,
-// coalescing, replay steps). Requests slower than the
-// configured threshold additionally get a sampled warn line with the
-// request's phase timeline inlined.
-//
-// It sits outside the telemetry middleware on purpose: the latency
-// histogram inside can then read the RequestContext off the request
-// context and stamp the request ID on its sample as an exemplar.
+// coalescing, replay steps). It counts the route's requests into
+// http.<route>.requests and their status classes into
+// http.<route>.status_Nxx. Requests slower than the configured
+// threshold additionally get a sampled warn line with the request's
+// phase timeline inlined.
 func (s *Server) requestScope(route string, probe bool, next http.Handler) http.Handler {
+	reg := s.cfg.Telemetry
+	requests := reg.Counter("http." + route + ".requests")
+	seconds := reg.Histogram("http."+route+".seconds", latencyBounds)
+	var statuses [5]*telemetry.Counter // status_1xx .. status_5xx
+	for i := range statuses {
+		statuses[i] = reg.Counter(fmt.Sprintf("http.%s.status_%dxx", route, i+1))
+	}
 	slo := s.slos[route] // nil for probes and unlisted routes: no SLO
 	level := slog.LevelInfo
 	if probe {
@@ -39,6 +52,7 @@ func (s *Server) requestScope(route string, probe bool, next http.Handler) http.
 	}
 	var slowLast atomic.Int64 // unix nanos of the route's last slow log
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
 		rc := telemetry.NewRequestContext(sanitizeRequestID(r.Header.Get("X-Request-ID")), route)
 		w.Header().Set("X-Request-ID", rc.ID())
 		ctx := telemetry.WithRequest(r.Context(), rc)
@@ -47,6 +61,10 @@ func (s *Server) requestScope(route string, probe bool, next http.Handler) http.
 
 		dur := rc.Elapsed()
 		status := rec.Status()
+		seconds.ObserveExemplar(dur.Seconds(), rc.ID())
+		if class := status/100 - 1; class >= 0 && class < len(statuses) {
+			statuses[class].Inc()
+		}
 		slo.observe(dur, status)
 
 		if s.logger.Enabled(ctx, level) {

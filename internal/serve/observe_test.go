@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -73,6 +74,14 @@ func do(t *testing.T, srv *Server, method, target string, hdr map[string]string)
 	}
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
+// send issues one synchronous request with a body through the full
+// handler chain.
+func send(srv *Server, method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
 	return rec
 }
 
@@ -212,30 +221,166 @@ func slowLine(t *testing.T, buf *logBuffer) map[string]any {
 	return slow
 }
 
+// replay288Body replays the 1 kW budget ladder over one day of
+// 5-minute steps.
+const replay288Body = `{"budget":true,"adaptive":true,"slo_seconds":0.5,` +
+	`"shape":{"kind":"diurnal","mean":0.35,"amplitude":0.3,"step_seconds":300,"steps":288}}`
+
 // TestSlowRequestLogFires: with a tiny threshold every request is
-// "slow"; the sampled warn line with the phase timeline must appear.
-// A plain frontier request shows the sweep phase; an annotated one
-// also shows its latency annotation.
+// "slow"; the sampled warn line with the phase timeline must appear and
+// name the phases the layers below timed on the request: the sweep
+// phases of a frontier request, the latency annotation of an annotated
+// one, a replay's run and a percentiles batch.
 func TestSlowRequestLogFires(t *testing.T) {
 	for _, tc := range []struct {
-		query, phase string
+		method, target, body string
+		phases               []string
 	}{
-		{"workload=EP&max_a9=2&max_k10=1", "pareto.frontier_sweep@"},
-		{"workload=EP&max_a9=2&max_k10=1&u=0.5", "pareto.annotate_latencies@"},
+		{http.MethodGet, "/v1/frontier?workload=EP&max_a9=2&max_k10=1", "",
+			[]string{"serve.frontier_sweep@", "pareto.frontier_sweep@"}},
+		{http.MethodGet, "/v1/frontier?workload=EP&max_a9=2&max_k10=1&u=0.5", "",
+			[]string{"serve.frontier_sweep@", "pareto.frontier_sweep@", "pareto.annotate_latencies@"}},
+		{http.MethodPost, "/v1/replay", replay288Body, []string{"replay.run@"}},
+		{http.MethodPost, "/v1/percentiles", `{"p":[95,99],"items":[{"d":1,"u":[0.5,0.9]}]}`,
+			[]string{"queueing.percentiles@"}},
 	} {
 		srv, buf := newLoggedServer(t, Config{SlowRequest: time.Nanosecond})
-		do(t, srv, http.MethodGet, "/v1/frontier?"+tc.query, nil)
+		rec := send(srv, tc.method, tc.target, tc.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", tc.method, tc.target, rec.Code, rec.Body)
+		}
 		slow := slowLine(t, buf)
 		if slow["level"] != "WARN" {
 			t.Fatalf("slow request logged at %v, want WARN", slow["level"])
 		}
 		timeline, _ := slow["timeline"].(string)
-		if !strings.Contains(timeline, tc.phase) {
-			t.Fatalf("%s: slow-request timeline %q missing %s", tc.query, timeline, tc.phase)
+		for _, phase := range tc.phases {
+			if !strings.Contains(timeline, phase) {
+				t.Fatalf("%s %s: slow-request timeline %q missing %s", tc.method, tc.target, timeline, phase)
+			}
 		}
 		if _, ok := slow["request_id"]; !ok {
 			t.Fatalf("slow-request line missing request_id: %v", slow)
 		}
+	}
+}
+
+// TestServerKeepsNoSpanLog: a server built the way cmd/epserve builds
+// it — one registry installed globally and passed as Config.Telemetry —
+// times request work on each request's own timeline, so the process
+// tracer keeps no span however many requests it answers.
+func TestServerKeepsNoSpanLog(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
+	srv, err := New(Config{Telemetry: reg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv.ready.Store(true)
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodGet, "/v1/percentiles?d=1&u=0.7&p=95&p=99", ""},
+		{http.MethodGet, "/v1/percentiles?d=1&u=0.7&p=95&kernel=mg1&scv=0.5", ""},
+		{http.MethodGet, "/v1/percentiles?d=1&u=0.7&p=95&kernel=mmk&servers=4", ""},
+		{http.MethodPost, "/v1/percentiles", `{"p":[95,99],"items":[{"d":1,"u":[0.5,0.9]}]}`},
+		{http.MethodPost, "/v1/percentiles", `{"p":[95],"kernel":"mg1","scv":0.5,"items":[{"d":1,"u":[0.7]}]}`},
+		{http.MethodPost, "/v1/percentiles", `{"p":[95],"items":[{"d":1,"u":[0.7],"kernel":"mmk","servers":4}]}`},
+		{http.MethodGet, "/v1/epmetrics?workload=EP&mix=16xA9,2xK10&ref=32xA9,12xK10", ""},
+		{http.MethodGet, "/v1/frontier?workload=EP&max_a9=4&max_k10=2&dvfs=true&u=0.6&p=95", ""},
+		{http.MethodPost, "/v1/replay", replay288Body},
+		{http.MethodGet, "/v1/healthz", ""},
+		{http.MethodGet, "/v1/readyz", ""},
+		{http.MethodGet, "/v1/version", ""},
+		{http.MethodGet, "/v1/debug/stats", ""},
+		{http.MethodGet, "/metrics", ""},
+	} {
+		rec := send(srv, tc.method, tc.target, tc.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", tc.method, tc.target, rec.Code, rec.Body)
+		}
+		if n := reg.Tracer().Len(); n != 0 {
+			t.Fatalf("%s %s left %d spans on the process tracer, want 0", tc.method, tc.target, n)
+		}
+	}
+}
+
+// TestRouteInstruments: the request scope counts a route's requests and
+// their status classes (a handled 4xx and a recovered panic's 5xx
+// included), observes each request once into the route's latency
+// histogram with its request ID as exemplar, and that observation is
+// the access log's duration.
+func TestRouteInstruments(t *testing.T) {
+	reg := telemetry.New()
+	srv, buf := newLoggedServer(t, Config{Telemetry: reg})
+	h := srv.api("demo", func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/fail":
+			writeError(w, http.StatusBadRequest, "bad_request", "fail")
+		case "/boom":
+			panic("kaboom")
+		default:
+			w.Write([]byte("ok")) //nolint:errcheck
+		}
+	})
+	seconds := reg.Histogram("http.demo.seconds", nil)
+	for i, path := range []string{"/", "/", "/fail", "/boom"} {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("X-Request-ID", fmt.Sprintf("demo-%d", i))
+		h.ServeHTTP(httptest.NewRecorder(), req)
+		if i == 0 {
+			// One request: the histogram holds exactly its duration.
+			ns, _ := accessLine(t, buf, "demo")["duration"].(float64)
+			if got, want := seconds.Sum(), time.Duration(ns).Seconds(); seconds.Count() != 1 || got != want {
+				t.Fatalf("after one request: count %d, sum %v s; access log duration %v s", seconds.Count(), got, want)
+			}
+			ex := seconds.Exemplars()
+			if len(ex) != 1 || ex[0].RequestID != "demo-0" {
+				t.Fatalf("exemplars %+v, want one labelled demo-0", ex)
+			}
+		}
+	}
+	for name, want := range map[string]uint64{
+		"http.demo.requests": 4, "http.demo.status_2xx": 2, "http.demo.status_4xx": 1, "http.demo.status_5xx": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := seconds.Count(); got != 4 {
+		t.Errorf("latency observations = %d, want 4 (one per request)", got)
+	}
+}
+
+// TestServeWithoutRegistry: with no registry installed or passed, every
+// instrument is a nil no-op and every route still answers.
+func TestServeWithoutRegistry(t *testing.T) {
+	if telemetry.Global() != nil {
+		t.Fatal("a global registry is installed")
+	}
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv.ready.Store(true)
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodGet, "/v1/percentiles?d=1&u=0.7&p=95", ""},
+		{http.MethodPost, "/v1/percentiles", `{"p":[95],"items":[{"d":1,"u":[0.7]}]}`},
+		{http.MethodGet, "/v1/epmetrics?workload=EP&mix=16xA9,2xK10&ref=32xA9,12xK10", ""},
+		{http.MethodGet, "/v1/frontier?workload=EP&max_a9=4&max_k10=2&u=0.6", ""},
+		{http.MethodPost, "/v1/replay", smallShapeBody},
+		{http.MethodGet, "/v1/healthz", ""},
+		{http.MethodGet, "/v1/readyz", ""},
+		{http.MethodGet, "/v1/version", ""},
+		{http.MethodGet, "/v1/debug/stats", ""},
+		{http.MethodGet, "/metrics", ""},
+	} {
+		rec := send(srv, tc.method, tc.target, tc.body)
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s %s: status %d: %s", tc.method, tc.target, rec.Code, rec.Body)
+		}
+	}
+	if rec := do(t, srv, http.MethodGet, "/v1/percentiles?d=1&u=1.5", nil); rec.Code != http.StatusBadRequest {
+		t.Errorf("bad u: status %d, want 400", rec.Code)
 	}
 }
 

@@ -16,6 +16,10 @@ import (
 	"repro/internal/telemetry"
 )
 
+// maxReplaySteps caps the trace length a single /v1/replay request may
+// replay (each step costs percentile solves).
+const maxReplaySteps = 1 << 16
+
 // maxReplayBody bounds a /v1/replay request body; a maximum-size
 // explicit trace (maxReplaySteps points) fits comfortably.
 const maxReplayBody = 64 << 20
@@ -235,7 +239,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 }
 
 // replayTrace resolves the request's utilization series: the explicit
-// trace or the sampled shape, validated and bounded by MaxReplaySteps.
+// trace or the sampled shape, validated and bounded by maxReplaySteps.
 func (s *Server) replayTrace(w http.ResponseWriter, req ReplayRequest) (replay.Trace, bool) {
 	var tr replay.Trace
 	switch {
@@ -250,9 +254,9 @@ func (s *Server) replayTrace(w http.ResponseWriter, req ReplayRequest) (replay.T
 			return tr, false
 		}
 	case req.Shape != nil:
-		if req.Shape.Steps > s.cfg.MaxReplaySteps {
+		if req.Shape.Steps > maxReplaySteps {
 			writeError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("shape steps %d exceeds the per-request cap %d", req.Shape.Steps, s.cfg.MaxReplaySteps))
+				fmt.Sprintf("shape steps %d exceeds the per-request cap %d", req.Shape.Steps, maxReplaySteps))
 			return tr, false
 		}
 		shape, err := req.Shape.shape()
@@ -270,9 +274,9 @@ func (s *Server) replayTrace(w http.ResponseWriter, req ReplayRequest) (replay.T
 			"missing trace (explicit points) or shape (synthetic)")
 		return tr, false
 	}
-	if n := tr.Steps(); n > s.cfg.MaxReplaySteps {
+	if n := tr.Steps(); n > maxReplaySteps {
 		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("trace steps %d exceeds the per-request cap %d", n, s.cfg.MaxReplaySteps))
+			fmt.Sprintf("trace steps %d exceeds the per-request cap %d", n, maxReplaySteps))
 		return tr, false
 	}
 	return tr, true

@@ -111,7 +111,7 @@ func TestReplaySummaryOnly(t *testing.T) {
 // TestReplayValidation: every malformed body fails before the stream
 // starts, with the uniform JSON error envelope and the right status.
 func TestReplayValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxReplaySteps: 100})
+	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name, body string
 		status     int
@@ -132,7 +132,7 @@ func TestReplayValidation(t *testing.T) {
 		{"unknown shape kind", `{"mixes":["32xA9"],"shape":{"kind":"square","step_seconds":1,"steps":4}}`, 400, "unknown shape kind"},
 		{"steps without levels", `{"mixes":["32xA9"],"shape":{"kind":"steps","step_seconds":1,"steps":4}}`, 400, "needs levels"},
 		{"zero shape step", `{"mixes":["32xA9"],"shape":{"kind":"ramp","step_seconds":0,"steps":4}}`, 400, "step must be positive"},
-		{"shape over cap", `{"mixes":["32xA9"],"shape":{"kind":"ramp","step_seconds":1,"steps":101}}`, 400, "exceeds the per-request cap"},
+		{"shape over cap", `{"mixes":["32xA9"],"shape":{"kind":"ramp","step_seconds":1,"steps":65537}}`, 400, "exceeds the per-request cap"},
 		{"bad percentile", `{"mixes":["32xA9"],"percentiles":[120],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "outside [0, 100)"},
 		{"too many mixes", fmt.Sprintf(`{"mixes":[%s],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, strings.Repeat(`"1xA9",`, 32)+`"2xA9"`), 400, "at most 32 mixes"},
 	}
@@ -155,12 +155,12 @@ func TestReplayValidation(t *testing.T) {
 	}
 }
 
-// TestReplayTraceOverCap: an explicit trace longer than MaxReplaySteps
+// TestReplayTraceOverCap: an explicit trace longer than maxReplaySteps
 // is rejected before any evaluation.
 func TestReplayTraceOverCap(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxReplaySteps: 10})
+	_, ts := newTestServer(t, Config{})
 	var pts []string
-	for i := 0; i < 11; i++ {
+	for i := 0; i <= maxReplaySteps; i++ {
 		pts = append(pts, fmt.Sprintf(`{"t":%d,"load":0.2}`, i))
 	}
 	body := fmt.Sprintf(`{"mixes":["32xA9"],"trace":{"points":[%s]}}`, strings.Join(pts, ","))
@@ -187,7 +187,7 @@ func TestReplayMethodNotAllowed(t *testing.T) {
 func TestReplayDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	reg := telemetry.New()
-	_, ts := newTestServer(t, Config{Telemetry: reg, DefaultTimeout: 50 * time.Millisecond, MaxReplaySteps: 1 << 16})
+	_, ts := newTestServer(t, Config{Telemetry: reg, DefaultTimeout: 50 * time.Millisecond})
 	body := `{
 		"budget": true,
 		"adaptive": true,
@@ -214,7 +214,7 @@ func TestReplayDeadline(t *testing.T) {
 // not leave the replay running or goroutines behind.
 func TestReplayClientDisconnect(t *testing.T) {
 	before := runtime.NumGoroutine()
-	_, ts := newTestServer(t, Config{DefaultTimeout: 30 * time.Second, MaxReplaySteps: 1 << 16})
+	_, ts := newTestServer(t, Config{DefaultTimeout: 30 * time.Second})
 	body := `{
 		"budget": true,
 		"shape": {"kind": "diurnal", "mean": 0.4, "amplitude": 0.3, "step_seconds": 60, "steps": 20000}

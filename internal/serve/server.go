@@ -61,10 +61,6 @@ type Config struct {
 	// is logged at warn level with its phase timeline (sampled to at most
 	// one line per route per second); 0 means 1s, negative disables.
 	SlowRequest time.Duration
-	// SLOTargets overrides the per-route latency objectives, keyed by
-	// route label ("percentiles", "frontier", ...); nil uses
-	// DefaultSLOTargets. Routes absent from the map get no SLO tracking.
-	SLOTargets map[string]SLOTarget
 
 	// MaxInflight bounds concurrently executing model requests;
 	// 0 means 2*GOMAXPROCS (the endpoints are CPU-bound, so admitting
@@ -79,13 +75,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested ?timeout= values; 0 means 60s.
 	MaxTimeout time.Duration
-	// MaxFrontierConfigs caps the configuration-space size a single
-	// /v1/frontier request may ask to sweep; 0 means 131072.
-	MaxFrontierConfigs int
-	// MaxReplaySteps caps the trace length a single /v1/replay request
-	// may ask to replay (each step costs percentile solves); 0 means
-	// 65536.
-	MaxReplaySteps int
 }
 
 // withDefaults returns cfg with every zero field resolved.
@@ -118,20 +107,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
 	}
-	if c.MaxFrontierConfigs <= 0 {
-		c.MaxFrontierConfigs = 1 << 17
-	}
-	if c.MaxReplaySteps <= 0 {
-		c.MaxReplaySteps = 1 << 16
-	}
 	if c.Logger == nil {
 		c.Logger = telemetry.DiscardLogger()
 	}
 	if c.SlowRequest == 0 {
 		c.SlowRequest = time.Second
-	}
-	if c.SLOTargets == nil {
-		c.SLOTargets = DefaultSLOTargets()
 	}
 	return c, nil
 }
@@ -181,8 +161,8 @@ func New(cfg Config) (*Server, error) {
 	// built.
 	s.logger = slog.New(telemetry.NewContextHandler(cfg.Logger.Handler()))
 	s.lim = newLimiter(cfg.MaxInflight, cfg.MaxQueue, &s.ins)
-	s.slos = make(map[string]*sloTracker, len(cfg.SLOTargets))
-	for route, target := range cfg.SLOTargets {
+	s.slos = make(map[string]*sloTracker, len(sloTargets))
+	for route, target := range sloTargets {
 		s.slos[route] = newSLOTracker(cfg.Telemetry, route, target)
 	}
 
@@ -258,11 +238,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // api assembles the middleware chain of a model endpoint, outermost
-// first: the request scope (request ID, access log, SLO accounting —
-// outermost so everything below shares its RequestContext), per-route
-// telemetry (so even shed requests are counted and timed, with the
-// request ID as exemplar), panic recovery, the per-request deadline,
-// then admission at the default cost of 1 unit.
+// first: the request scope (request ID, per-route counters and latency
+// histogram, access log, SLO accounting — outermost so even shed
+// requests are counted and timed, and everything below shares its
+// RequestContext), panic recovery, the per-request deadline, then
+// admission at the default cost of 1 unit.
 func (s *Server) api(route string, h http.HandlerFunc) http.Handler {
 	return s.apiWeighted(route, nil, func(w http.ResponseWriter, r *http.Request, _ any) { h(w, r) })
 }
@@ -273,20 +253,17 @@ func (s *Server) api(route string, h http.HandlerFunc) http.Handler {
 // it decoded.
 func (s *Server) apiWeighted(route string, weigh admissionWeigher, h decodedHandler) http.Handler {
 	s.routes = append(s.routes, route)
-	inner := s.deadline(s.admission(weigh, h))
-	return s.requestScope(route, false,
-		s.cfg.Telemetry.HTTPMiddleware(route, s.recovery(inner)))
+	return s.requestScope(route, false, s.recovery(s.deadline(s.admission(weigh, h))))
 }
 
 // probe assembles the chain of a health/metrics endpoint: request
-// scope, telemetry and panic recovery only — probes must keep answering
+// scope and panic recovery only — probes must keep answering
 // under overload and during drain, so they bypass admission and
 // deadlines. Probe access logs sit at debug level so scrapes do not
 // drown the real traffic log.
 func (s *Server) probe(route string, h http.HandlerFunc) http.Handler {
 	s.routes = append(s.routes, route)
-	return s.requestScope(route, true,
-		s.cfg.Telemetry.HTTPMiddleware(route, s.recovery(h)))
+	return s.requestScope(route, true, s.recovery(h))
 }
 
 // recovery converts a handler panic into a 500 response and counts it,

@@ -20,16 +20,15 @@ type SLOTarget struct {
 	Goal float64 `json:"goal"`
 }
 
-// DefaultSLOTargets returns the built-in per-route objectives: tight
-// for the cached point queries, loose for the sweep-shaped endpoints
-// whose work scales with the requested space.
-func DefaultSLOTargets() map[string]SLOTarget {
-	return map[string]SLOTarget{
-		"percentiles": {P99: 25 * time.Millisecond, Goal: 0.999},
-		"epmetrics":   {P99: 25 * time.Millisecond, Goal: 0.999},
-		"frontier":    {P99: 2 * time.Second, Goal: 0.99},
-		"replay":      {P99: 30 * time.Second, Goal: 0.99},
-	}
+// sloTargets are the per-route objectives, keyed by route label: tight
+// for the point queries, loose for the sweep-shaped endpoints whose
+// work scales with the requested space. Routes absent from the map
+// (the probes) get no SLO tracking.
+var sloTargets = map[string]SLOTarget{
+	"percentiles": {P99: 25 * time.Millisecond, Goal: 0.999},
+	"epmetrics":   {P99: 25 * time.Millisecond, Goal: 0.999},
+	"frontier":    {P99: 2 * time.Second, Goal: 0.99},
+	"replay":      {P99: 30 * time.Second, Goal: 0.99},
 }
 
 // sloTracker accounts one route's requests against its SLOTarget. The

@@ -1,14 +1,6 @@
 package telemetry
 
-import (
-	"net/http"
-	"time"
-)
-
-// httpLatencyBounds are the request-latency histogram buckets: 10 µs up
-// to ~2.6 s in powers of four, bracketing everything from a warm cache
-// hit to a full frontier sweep.
-var httpLatencyBounds = ExponentialBuckets(1e-5, 4, 10)
+import "net/http"
 
 // StatusRecorder is an http.ResponseWriter wrapper that captures the
 // response status code for instrumentation. The zero status means no
@@ -63,50 +55,4 @@ func (s *StatusRecorder) Status() int {
 		return http.StatusOK
 	}
 	return s.status
-}
-
-// httpInstruments holds the per-route instruments an HTTPMiddleware
-// resolves once at wrap time, so the per-request path touches only
-// (possibly nil) instrument pointers.
-type httpInstruments struct {
-	requests *Counter
-	status   [5]*Counter // status_1xx .. status_5xx
-	seconds  *Histogram
-	tracer   *Tracer
-	span     string
-}
-
-// HTTPMiddleware instruments an HTTP handler under the given route
-// label: it counts requests into "http.<route>.requests", counts
-// responses per status class into "http.<route>.status_Nxx", observes
-// wall-clock latency into the "http.<route>.seconds" histogram, and
-// opens one tracer span named "http.<route>" per request. A nil
-// registry returns a wrapper whose instruments are all no-ops, so
-// handlers can be built once regardless of whether collection is on.
-func (r *Registry) HTTPMiddleware(route string, next http.Handler) http.Handler {
-	ins := httpInstruments{
-		requests: r.Counter("http." + route + ".requests"),
-		seconds:  r.Histogram("http."+route+".seconds", httpLatencyBounds),
-		tracer:   r.Tracer(),
-		span:     "http." + route,
-	}
-	classes := [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
-	for i, c := range classes {
-		ins.status[i] = r.Counter("http." + route + ".status_" + c)
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		ins.requests.Inc()
-		span := ins.tracer.Start(ins.span).Arg("method", req.Method)
-		rec := NewStatusRecorder(w)
-		began := time.Now()
-		next.ServeHTTP(rec, req)
-		// A request-scoped call stamps its request ID on the latency
-		// sample as an exemplar; RequestFrom returns nil (and ID "")
-		// outside the serve middleware, degrading to a plain observation.
-		ins.seconds.ObserveExemplar(time.Since(began).Seconds(), RequestFrom(req.Context()).ID())
-		span.Arg("status", rec.Status()).End()
-		if class := rec.Status()/100 - 1; class >= 0 && class < len(ins.status) {
-			ins.status[class].Inc()
-		}
-	})
 }

@@ -65,42 +65,3 @@ func TestPrometheusHandler(t *testing.T) {
 		t.Fatalf("body missing x_y 1:\n%s", rec.Body.String())
 	}
 }
-
-func TestHTTPMiddleware(t *testing.T) {
-	r := New()
-	h := r.HTTPMiddleware("demo", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/fail" {
-			w.WriteHeader(http.StatusBadRequest)
-			return
-		}
-		w.Write([]byte("ok")) //nolint:errcheck
-	}))
-	for _, path := range []string{"/", "/", "/fail"} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-	}
-	if got := r.Counter("http.demo.requests").Value(); got != 3 {
-		t.Fatalf("requests = %d, want 3", got)
-	}
-	if got := r.Counter("http.demo.status_2xx").Value(); got != 2 {
-		t.Fatalf("status_2xx = %d, want 2", got)
-	}
-	if got := r.Counter("http.demo.status_4xx").Value(); got != 1 {
-		t.Fatalf("status_4xx = %d, want 1", got)
-	}
-	if got := r.Histogram("http.demo.seconds", httpLatencyBounds).Count(); got != 3 {
-		t.Fatalf("latency observations = %d, want 3", got)
-	}
-}
-
-func TestHTTPMiddlewareNilRegistry(t *testing.T) {
-	var r *Registry
-	h := r.HTTPMiddleware("demo", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
-	if rec.Code != http.StatusTeapot {
-		t.Fatalf("nil-registry middleware altered response: %d", rec.Code)
-	}
-}

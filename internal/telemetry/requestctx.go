@@ -16,10 +16,11 @@ import (
 // ONE request — an epserve /v1/frontier call, a /v1/replay stream —
 // through admission, singleflight, the frontier sweep and the
 // queueing kernel, accumulating named attribute counts (configurations
-// evaluated and pruned, replay steps) and a bounded phase
-// timeline. The serve middleware mints one per request, stamps its ID
-// on the X-Request-ID response header and the access-log line, and
-// attaches the same ID as a Prometheus exemplar on the route's latency
+// evaluated and pruned, replay steps) and a bounded phase timeline,
+// which the spans opened by Start under its scope fill. The serve
+// request scope mints one per request, stamps its ID on the
+// X-Request-ID response header and the access-log line, and attaches
+// the same ID as a Prometheus exemplar on the route's latency
 // histogram, so a log line, a metric sample and a timeline all join on
 // one identifier.
 //
@@ -28,8 +29,7 @@ import (
 // nil when no request scope is attached, and every method is a no-op on
 // a nil receiver — hot paths (Table.EvaluateFast, the percentile solves)
 // stay allocation-free when nobody is watching. All methods are safe
-// for concurrent use: a frontier sweep's workers attribute into the
-// same RequestContext from many goroutines.
+// for concurrent use.
 type RequestContext struct {
 	id    string
 	route string
@@ -90,14 +90,6 @@ func (rc *RequestContext) Route() string {
 		return ""
 	}
 	return rc.route
-}
-
-// Start returns the request's start time (zero on a nil receiver).
-func (rc *RequestContext) Start() time.Time {
-	if rc == nil {
-		return time.Time{}
-	}
-	return rc.start
 }
 
 // Elapsed returns the time since the request started.
@@ -175,36 +167,22 @@ func (rc *RequestContext) Outcome() string {
 	return rc.outcome
 }
 
-// Phase opens a named phase on the request's timeline and returns its
-// closer; defer it around the work:
-//
-//	defer rc.Phase("frontier.sweep")()
-//
-// Phases past the timeline cap are dropped (and counted); the closer
-// of a nil receiver is a shared no-op, costing nothing on unscoped
-// paths.
-func (rc *RequestContext) Phase(name string) func() {
-	if rc == nil {
-		return noopPhase
+// record appends a phase that ran from began to end to the timeline:
+// Span.End of a span opened by Start under this request scope. Phases
+// past the timeline cap are dropped (and counted).
+func (rc *RequestContext) record(name string, began, end time.Time) {
+	rc.mu.Lock()
+	if len(rc.events) >= maxTimelineEvents {
+		rc.dropped++
+	} else {
+		rc.events = append(rc.events, TimelineEvent{
+			Name:  name,
+			Start: began.Sub(rc.start),
+			Dur:   end.Sub(began),
+		})
 	}
-	began := time.Now()
-	return func() {
-		end := time.Now()
-		rc.mu.Lock()
-		if len(rc.events) >= maxTimelineEvents {
-			rc.dropped++
-		} else {
-			rc.events = append(rc.events, TimelineEvent{
-				Name:  name,
-				Start: began.Sub(rc.start),
-				Dur:   end.Sub(began),
-			})
-		}
-		rc.mu.Unlock()
-	}
+	rc.mu.Unlock()
 }
-
-var noopPhase = func() {}
 
 // Timeline returns a copy of the recorded phases in completion order.
 func (rc *RequestContext) Timeline() []TimelineEvent {

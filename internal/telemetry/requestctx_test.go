@@ -59,7 +59,7 @@ func TestRequestContextNilSafety(t *testing.T) {
 	var rc *RequestContext
 	rc.Add("k", 1)
 	rc.SetOutcome("x")
-	rc.Phase("p")()
+	Start(WithRequest(context.Background(), rc), "p").End()
 	if rc.ID() != "" || rc.Route() != "" || rc.Attr("k") != 0 ||
 		rc.Outcome() != "" || rc.Attrs() != nil || rc.Timeline() != nil ||
 		rc.DroppedPhases() != 0 || rc.TimelineString() != "" || rc.Elapsed() != 0 {
@@ -79,10 +79,11 @@ func TestRequestContextNilSafety(t *testing.T) {
 
 func TestRequestContextTimeline(t *testing.T) {
 	rc := NewRequestContext("", "frontier")
-	done := rc.Phase("sweep.blocks")
+	ctx := WithRequest(context.Background(), rc)
+	span := Start(ctx, "sweep.blocks")
 	time.Sleep(time.Millisecond)
-	done()
-	rc.Phase("pareto.frontier_sweep")()
+	span.End()
+	Start(ctx, "pareto.frontier_sweep").End()
 	events := rc.Timeline()
 	if len(events) != 2 {
 		t.Fatalf("timeline has %d events, want 2", len(events))
@@ -97,7 +98,7 @@ func TestRequestContextTimeline(t *testing.T) {
 
 	// Past the cap, phases are counted as dropped, not recorded.
 	for i := 0; i < maxTimelineEvents+10; i++ {
-		rc.Phase("spam")()
+		Start(ctx, "spam").End()
 	}
 	if len(rc.Timeline()) != maxTimelineEvents {
 		t.Fatalf("timeline grew to %d, cap is %d", len(rc.Timeline()), maxTimelineEvents)
@@ -111,10 +112,11 @@ func TestRequestContextTimeline(t *testing.T) {
 }
 
 // TestRequestContextConcurrent hammers one RequestContext from many
-// goroutines — the frontier sweep shape, where every pool worker
-// attributes into the leader's scope. Run with -race.
+// goroutines, each ending spans on its timeline and attributing into
+// its bag. Run with -race.
 func TestRequestContextConcurrent(t *testing.T) {
 	rc := NewRequestContext("", "frontier")
+	ctx := WithRequest(context.Background(), rc)
 	const workers, perWorker = 16, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -123,7 +125,7 @@ func TestRequestContextConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				rc.Add(AttrConfigsEvaluated, 1)
-				rc.Phase("work")()
+				Start(ctx, "work").End()
 				rc.SetOutcome("done")
 				_ = rc.Attr(AttrConfigsEvaluated)
 				_ = rc.TimelineString()

@@ -25,8 +25,10 @@
 package telemetry
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Registry is a concurrency-safe namespace of instruments. Instruments
@@ -126,7 +128,21 @@ func Global() *Registry {
 }
 
 // StartSpan opens a span on the global registry's tracer; it returns a
-// nil (no-op) span when telemetry is disabled.
+// nil (no-op) span when telemetry is disabled. Code with no context
+// (a CLI run, a simulation) opens its spans here.
 func StartSpan(name string) *Span {
 	return Global().Tracer().Start(name)
+}
+
+// Start is the one timing primitive of code that takes a context. When
+// ctx carries a RequestContext the span ends on that request's
+// timeline, so a long-running server keeps no span log; otherwise it is
+// StartSpan's span on the global tracer (nil when telemetry is off).
+//
+//	defer telemetry.Start(ctx, "pareto.annotate_latencies").End()
+func Start(ctx context.Context, name string) *Span {
+	if rc := RequestFrom(ctx); rc != nil {
+		return &Span{rc: rc, name: name, begin: time.Now()}
+	}
+	return StartSpan(name)
 }

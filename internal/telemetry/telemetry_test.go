@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -225,7 +227,7 @@ func TestRegistrySharing(t *testing.T) {
 }
 
 // TestGlobal: SetGlobal installs and removes the process registry, and
-// StartSpan routes through it.
+// StartSpan, and Start on an unscoped context, route through it.
 func TestGlobal(t *testing.T) {
 	if Global() != nil {
 		t.Fatal("global registry must start nil")
@@ -239,6 +241,28 @@ func TestGlobal(t *testing.T) {
 	StartSpan("phase").End()
 	if r.Tracer().Len() != 1 {
 		t.Fatal("StartSpan did not record on the global tracer")
+	}
+	Start(context.Background(), "unscoped").Arg("k", 1).End()
+	if r.Tracer().Len() != 2 {
+		t.Fatal("Start on an unscoped context did not record on the global tracer")
+	}
+	var buf bytes.Buffer
+	if err := r.Tracer().WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"name":"unscoped"`) || !strings.Contains(buf.String(), `"args":{"k":1}`) {
+		t.Fatalf("unscoped span or its args missing from the trace:\n%s", buf.String())
+	}
+
+	// Under a request scope the span ends on the request's timeline and
+	// the process tracer keeps nothing, even with a registry installed.
+	rc := NewRequestContext("", "frontier")
+	Start(WithRequest(context.Background(), rc), "scoped").Arg("k", 2).End()
+	if r.Tracer().Len() != 2 {
+		t.Fatalf("a request-scoped span reached the process tracer (%d spans)", r.Tracer().Len())
+	}
+	if tl := rc.Timeline(); len(tl) != 1 || tl[0].Name != "scoped" {
+		t.Fatalf("request timeline = %+v, want one scoped phase", tl)
 	}
 	SetGlobal(nil)
 	if Global() != nil {

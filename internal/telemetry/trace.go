@@ -15,9 +15,10 @@ const maxTraceEvents = 1 << 20
 
 // Tracer records named, possibly nested and concurrent, timed phases
 // ("spans") and exports them in the Chrome trace-event format, which
-// chrome://tracing and https://ui.perfetto.dev load directly. Spans on
-// the same track (tid) that overlap in time render as a nesting stack.
-// All methods are safe for concurrent use and no-ops on a nil receiver.
+// chrome://tracing and https://ui.perfetto.dev load directly. Every
+// span is on track 0, so spans that overlap in time render as a
+// nesting stack. All methods are safe for concurrent use and no-ops on
+// a nil receiver.
 type Tracer struct {
 	mu      sync.Mutex
 	start   time.Time
@@ -34,7 +35,7 @@ type traceEvent struct {
 	Ts   float64        `json:"ts"` // microseconds since trace start
 	Dur  float64        `json:"dur"`
 	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
+	Tid  int            `json:"tid"` // always 0: one track
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -58,39 +59,34 @@ func (t *Tracer) SetClock(now func() time.Time) {
 	t.start = now()
 }
 
-// Span is one in-flight phase; End closes it. A nil span (from a nil
-// or disabled tracer) no-ops.
+// Span is one in-flight phase; End closes it. A span opened under a
+// request scope (see Start) ends on that request's timeline, any other
+// on its tracer. A nil span (from a nil or disabled tracer) no-ops.
 type Span struct {
 	t     *Tracer
+	rc    *RequestContext
 	name  string
-	tid   int
 	begin time.Time
 	args  map[string]any
 }
 
-// Start opens a span named name on track 0.
+// Start opens a span named name on the tracer.
 func (t *Tracer) Start(name string) *Span {
-	return t.StartOn(0, name)
-}
-
-// StartOn opens a span on an explicit track; parallel workers use their
-// worker index so their spans render side by side instead of falsely
-// nesting.
-func (t *Tracer) StartOn(tid int, name string) *Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	now := t.now()
 	t.mu.Unlock()
-	return &Span{t: t, name: name, tid: tid, begin: now}
+	return &Span{t: t, name: name, begin: now}
 }
 
 // Arg attaches a key/value pair shown in the trace viewer's detail
-// pane. It returns the span for chaining and no-ops on a nil span.
+// pane. It returns the span for chaining and no-ops on a nil span and
+// on a request span, whose timeline keeps no args.
 func (s *Span) Arg(key string, value any) *Span {
-	if s == nil {
-		return nil
+	if s == nil || s.rc != nil {
+		return s
 	}
 	if s.args == nil {
 		s.args = make(map[string]any)
@@ -102,6 +98,10 @@ func (s *Span) Arg(key string, value any) *Span {
 // End closes the span and records it.
 func (s *Span) End() {
 	if s == nil {
+		return
+	}
+	if s.rc != nil {
+		s.rc.record(s.name, s.begin, time.Now())
 		return
 	}
 	t := s.t
@@ -119,7 +119,6 @@ func (s *Span) End() {
 		Ts:   float64(s.begin.Sub(t.start)) / float64(time.Microsecond),
 		Dur:  float64(end.Sub(s.begin)) / float64(time.Microsecond),
 		Pid:  1,
-		Tid:  s.tid,
 		Args: s.args,
 	})
 }
@@ -145,9 +144,9 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // WriteChromeTrace writes the recorded spans as a JSON array of Chrome
-// trace events, one per line, sorted by start time (then track). The
-// output is valid JSON and loads in chrome://tracing and Perfetto. A
-// nil tracer writes an empty array.
+// trace events, one per line, sorted by start time. The output is
+// valid JSON and loads in chrome://tracing and Perfetto. A nil tracer
+// writes an empty array.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	var events []traceEvent
 	if t != nil {
@@ -156,12 +155,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		copy(events, t.events)
 		t.mu.Unlock()
 	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Ts != events[j].Ts {
-			return events[i].Ts < events[j].Ts
-		}
-		return events[i].Tid < events[j].Tid
-	})
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
 	if len(events) == 0 {
 		_, err := io.WriteString(w, "[]\n")
 		return err

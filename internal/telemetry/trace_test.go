@@ -32,12 +32,10 @@ func TestChromeTraceGolden(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0), step: 10 * time.Microsecond}
 	tr.SetClock(clk.Now)
 	// Clock readings (µs): SetClock origin=0; root begins 10; child
-	// begins 20, ends 30; worker begins 40, ends 50; root ends 60.
+	// begins 20, ends 30; root ends 40.
 	root := tr.Start("run")
 	child := tr.Start("evaluate").Arg("configs", 42)
 	child.End()
-	w := tr.StartOn(3, "worker")
-	w.End()
 	root.End()
 
 	var buf bytes.Buffer
@@ -45,9 +43,8 @@ func TestChromeTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `[
-{"name":"run","cat":"telemetry","ph":"X","ts":10,"dur":50,"pid":1,"tid":0},
-{"name":"evaluate","cat":"telemetry","ph":"X","ts":20,"dur":10,"pid":1,"tid":0,"args":{"configs":42}},
-{"name":"worker","cat":"telemetry","ph":"X","ts":40,"dur":10,"pid":1,"tid":3}
+{"name":"run","cat":"telemetry","ph":"X","ts":10,"dur":30,"pid":1,"tid":0},
+{"name":"evaluate","cat":"telemetry","ph":"X","ts":20,"dur":10,"pid":1,"tid":0,"args":{"configs":42}}
 ]
 `
 	if buf.String() != want {
@@ -58,8 +55,8 @@ func TestChromeTraceGolden(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(events) != 3 {
-		t.Fatalf("parsed %d events, want 3", len(events))
+	if len(events) != 2 {
+		t.Fatalf("parsed %d events, want 2", len(events))
 	}
 	for _, ev := range events {
 		if ev["ph"] != "X" || ev["name"] == "" {
@@ -68,9 +65,9 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestTraceConcurrent: spans opened and closed from many goroutines on
-// distinct tracks record exactly once each and still serialize to valid
-// JSON (run under -race via `make race`).
+// TestTraceConcurrent: spans opened and closed from many goroutines
+// record exactly once each and still serialize to valid JSON (run
+// under -race via `make race`).
 func TestTraceConcurrent(t *testing.T) {
 	tr := NewTracer()
 	const workers, spansPer = 8, 200
@@ -81,7 +78,7 @@ func TestTraceConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < spansPer; i++ {
-				tr.StartOn(w, fmt.Sprintf("w%d", w)).End()
+				tr.Start(fmt.Sprintf("w%d", w)).End()
 			}
 		}()
 	}

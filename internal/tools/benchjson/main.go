@@ -30,11 +30,14 @@ import (
 var procsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 type result struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	Name       string  `json:"name"`
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// BytesPerOp and AllocsPerOp are set exactly when the row carried
+	// -benchmem's columns, so a measured 0 is written as 0 and a row
+	// without them writes neither.
+	BytesPerOp  *int64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds the custom columns, keyed by unit.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
@@ -92,9 +95,11 @@ func parse(r io.Reader) (summary, error) {
 			case "ns/op":
 				res.NsPerOp = v
 			case "B/op":
-				res.BytesPerOp = int64(v)
+				n := int64(v)
+				res.BytesPerOp = &n
 			case "allocs/op":
-				res.AllocsPerOp = int64(v)
+				n := int64(v)
+				res.AllocsPerOp = &n
 			default:
 				if res.Metrics == nil {
 					res.Metrics = map[string]float64{}

@@ -1,9 +1,18 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
+
+// val reads an optional -benchmem column; -1 stands for absent.
+func val(p *int64) int64 {
+	if p == nil {
+		return -1
+	}
+	return *p
+}
 
 // TestParseKeepsMetricsAndEnvironment: a result row keeps every custom
 // ReportMetric column by unit beside ns/op, B/op and allocs/op, the
@@ -32,7 +41,7 @@ func TestParseKeepsMetricsAndEnvironment(t *testing.T) {
 	}
 	r := sum.Results[0]
 	if r.Name != "BenchmarkFleetRun/nodes=1200" || r.Iterations != 752 || r.NsPerOp != 1686043 ||
-		r.BytesPerOp != 492449 || r.AllocsPerOp != 2443 {
+		val(r.BytesPerOp) != 492449 || val(r.AllocsPerOp) != 2443 {
 		t.Fatalf("result %+v", r)
 	}
 	if r.Metrics["events/op"] != 21659 || r.Metrics["node-s/s"] != 128110893 || len(r.Metrics) != 2 {
@@ -43,7 +52,32 @@ func TestParseKeepsMetricsAndEnvironment(t *testing.T) {
 	}
 	// The frontier sweeps print configs/s between ns/op and B/op.
 	if r := sum.Results[2]; r.Name != "BenchmarkFrontierSweepFastWarm" || r.NsPerOp != 84008 ||
-		r.Metrics["configs/s"] != 433053180 || len(r.Metrics) != 1 || r.BytesPerOp != 6167 || r.AllocsPerOp != 28 {
+		r.Metrics["configs/s"] != 433053180 || len(r.Metrics) != 1 || val(r.BytesPerOp) != 6167 || val(r.AllocsPerOp) != 28 {
 		t.Fatalf("frontier result %+v", r)
+	}
+}
+
+// TestParseKeepsMeasuredZeros: a row whose -benchmem columns read 0 B/op
+// and 0 allocs/op is written with both fields at 0, and a row without
+// those columns is written with neither.
+func TestParseKeepsMeasuredZeros(t *testing.T) {
+	sum, err := parse(strings.NewReader(strings.Join([]string{
+		"BenchmarkEvaluateFast-2   \t 9856437\t       121.2 ns/op\t       0 B/op\t       0 allocs/op",
+		"BenchmarkNoBenchmem-2   \t  1000\t      2500 ns/op",
+	}, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{
+		`{"name":"BenchmarkEvaluateFast","iterations":9856437,"ns_per_op":121.2,"bytes_per_op":0,"allocs_per_op":0}`,
+		`{"name":"BenchmarkNoBenchmem","iterations":1000,"ns_per_op":2500}`,
+	} {
+		raw, err := json.Marshal(sum.Results[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != want {
+			t.Errorf("row written as %s, want %s", raw, want)
+		}
 	}
 }
