@@ -66,25 +66,28 @@ test-race:
 
 # Alias: the observability docs and CI refer to `make race`. The extra
 # invocations hammer concurrent percentile solves (which must share no
-# state), the full serve path — what concurrent HTTP load exercises —
-# and concurrent frontier sweeps replacing one table's space slot.
+# state), the full serve path (what concurrent HTTP load exercises),
+# identical concurrent frontier requests, each sweeping under its own
+# deadline, and concurrent frontier sweeps replacing one table's space
+# slot.
 race: test-race
 	$(GO) test -race -run TestPercentileConcurrentSameBits -count 2 ./internal/queueing/
 	$(GO) test -race -run TestServeRaceHammer -count 2 ./internal/serve/
+	$(GO) test -race -run TestFrontierRequestsAreIndependent -count 5 ./internal/serve/
 	$(GO) test -race -count 2 ./internal/replay/
 	$(GO) test -race -run TestFrontierSharedSlotConcurrent -count 10 ./internal/pareto/
 
 # ci is the full gate the workflow runs: formatting, vet, tier-1
 # build+test, targeted race runs over the concurrency-heavy packages
-# (concurrent percentile solves, serve streaming and its frontier
-# flight, replay, and the memoized frontier engine's shared unit-calc
-# table), the frontier
+# (concurrent percentile solves, serve streaming and its concurrent
+# frontier sweeps, replay, and the memoized frontier engine's shared
+# unit-calc table), the frontier
 # fast-vs-reference differential smoke over the full footnote-4 space,
 # one iteration of the frontier and fleet benchmarks, the epserve
 # end-to-end smoke, the fleet-scenario smoke (schema checks plus
 # race-detected runs), and a short fuzz smoke over the parser, kernel
-# differential, epserve GET and POST, fleet-run, scenario-parse and
-# lazy-stepper targets.
+# differential, epserve GET, POST and replay, fleet-run, scenario-parse
+# and lazy-stepper targets.
 ci:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -199,6 +202,7 @@ fuzz:
 	$(GO) test -run '^$$' ./internal/queueing/ -fuzz FuzzKernelDifferential -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServeGET -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServePOST -fuzztime $(FUZZTIME)
+	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServeReplay -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/fleet/ -fuzz FuzzFleetRun -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/scenario/ -fuzz FuzzScenarioParse -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/adaptive/ -fuzz FuzzStepper -fuzztime $(FUZZTIME)

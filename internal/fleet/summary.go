@@ -91,69 +91,47 @@ type TypeSummary struct {
 	DownNodeSeconds float64 `json:"down_node_seconds"`
 }
 
-// Metric exposes summary fields by assertion name. The names are the
-// JSON tags of the scalar fields; docs/SCENARIOS.md documents the set.
+// summaryMetrics maps each assertable summary field, named by its JSON
+// tag, to its value; docs/SCENARIOS.md documents the set.
+var summaryMetrics = map[string]func(*Summary) float64{
+	"duration_seconds":          func(s *Summary) float64 { return s.DurationSeconds },
+	"nodes":                     func(s *Summary) float64 { return float64(s.Nodes) },
+	"events":                    func(s *Summary) float64 { return float64(s.Events) },
+	"offered_units":             func(s *Summary) float64 { return s.OfferedUnits },
+	"completed_units":           func(s *Summary) float64 { return s.CompletedUnits },
+	"lost_units":                func(s *Summary) float64 { return s.LostUnits },
+	"energy_joules":             func(s *Summary) float64 { return s.EnergyJoules },
+	"energy_per_unit_joules":    func(s *Summary) float64 { return s.EnergyPerUnitJoules },
+	"ideal_energy_joules":       func(s *Summary) float64 { return s.IdealEnergyJoules },
+	"energy_proportionality":    func(s *Summary) float64 { return s.EnergyProportionality },
+	"avg_power_watts":           func(s *Summary) float64 { return s.AvgPowerWatts },
+	"peak_power_watts":          func(s *Summary) float64 { return s.PeakPowerWatts },
+	"failures":                  func(s *Summary) float64 { return float64(s.Failures) },
+	"repairs":                   func(s *Summary) float64 { return float64(s.Repairs) },
+	"throttle_events":           func(s *Summary) float64 { return float64(s.ThrottleEvents) },
+	"powercap_events":           func(s *Summary) float64 { return float64(s.PowerCapEvents) },
+	"stragglers":                func(s *Summary) float64 { return float64(s.Stragglers) },
+	"down_node_seconds":         func(s *Summary) float64 { return s.DownNodeSeconds },
+	"availability":              func(s *Summary) float64 { return s.Availability },
+	"tail_latency_seconds":      func(s *Summary) float64 { return s.TailLatencySeconds },
+	"avg_tail_latency_seconds":  func(s *Summary) float64 { return s.AvgTailLatencySeconds },
+	"latency_saturated_samples": func(s *Summary) float64 { return float64(s.LatencySaturatedSamples) },
+}
+
+// Metric exposes summary fields by assertion name (see MetricNames).
 func (s *Summary) Metric(name string) (float64, bool) {
-	switch name {
-	case "duration_seconds":
-		return s.DurationSeconds, true
-	case "nodes":
-		return float64(s.Nodes), true
-	case "events":
-		return float64(s.Events), true
-	case "offered_units":
-		return s.OfferedUnits, true
-	case "completed_units":
-		return s.CompletedUnits, true
-	case "lost_units":
-		return s.LostUnits, true
-	case "energy_joules":
-		return s.EnergyJoules, true
-	case "energy_per_unit_joules":
-		return s.EnergyPerUnitJoules, true
-	case "ideal_energy_joules":
-		return s.IdealEnergyJoules, true
-	case "energy_proportionality":
-		return s.EnergyProportionality, true
-	case "avg_power_watts":
-		return s.AvgPowerWatts, true
-	case "peak_power_watts":
-		return s.PeakPowerWatts, true
-	case "failures":
-		return float64(s.Failures), true
-	case "repairs":
-		return float64(s.Repairs), true
-	case "throttle_events":
-		return float64(s.ThrottleEvents), true
-	case "powercap_events":
-		return float64(s.PowerCapEvents), true
-	case "stragglers":
-		return float64(s.Stragglers), true
-	case "down_node_seconds":
-		return s.DownNodeSeconds, true
-	case "availability":
-		return s.Availability, true
-	case "tail_latency_seconds":
-		return s.TailLatencySeconds, true
-	case "avg_tail_latency_seconds":
-		return s.AvgTailLatencySeconds, true
-	case "latency_saturated_samples":
-		return float64(s.LatencySaturatedSamples), true
+	get, ok := summaryMetrics[name]
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return get(s), true
 }
 
 // MetricNames lists the assertable summary fields, sorted.
 func MetricNames() []string {
-	names := []string{
-		"duration_seconds", "nodes", "events",
-		"offered_units", "completed_units", "lost_units",
-		"energy_joules", "energy_per_unit_joules", "ideal_energy_joules",
-		"energy_proportionality", "avg_power_watts", "peak_power_watts",
-		"failures", "repairs", "throttle_events", "powercap_events",
-		"stragglers", "down_node_seconds", "availability",
-		"tail_latency_seconds", "avg_tail_latency_seconds",
-		"latency_saturated_samples",
+	names := make([]string, 0, len(summaryMetrics))
+	for name := range summaryMetrics {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names

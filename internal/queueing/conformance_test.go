@@ -643,8 +643,8 @@ func TestServiceSamplerMoments(t *testing.T) {
 }
 
 // TestKernelNamesAndSpecRoundTrip checks the registry plumbing: names
-// round-trip through ParseKind, specs render stably, and Build returns
-// the matching concrete type.
+// round-trip through ParseKind, specs render, and Build returns the
+// concrete type of the spec's kind.
 func TestKernelNamesAndSpecRoundTrip(t *testing.T) {
 	for _, spec := range ConformanceSpecs() {
 		kind, err := ParseKind(spec.Kind.String())
@@ -654,12 +654,22 @@ func TestKernelNamesAndSpecRoundTrip(t *testing.T) {
 		if kind != spec.Kind {
 			t.Errorf("ParseKind(%q) = %v", spec.Kind.String(), kind)
 		}
-		k := buildKernel(t, spec, 0.5, 1)
-		if k.Name() != spec.Kind.String() {
-			t.Errorf("kernel name %q for spec %v", k.Name(), spec)
+		var built Kind
+		switch k := buildKernel(t, spec, 0.5, 1); k.(type) {
+		case MD1:
+			built = KindMD1
+		case MG1:
+			built = KindMG1
+		case MMK:
+			built = KindMMK
+		default:
+			t.Fatalf("Build(%v) returned %T", spec, k)
 		}
-		if spec.CacheTag() == "" || spec.String() == "" {
-			t.Errorf("empty tag for %v", spec)
+		if built != spec.Kind {
+			t.Errorf("Build(%v) returned a %v kernel", spec, built)
+		}
+		if spec.String() == "" {
+			t.Errorf("empty rendering for %v", spec)
 		}
 	}
 	if kind, err := ParseKind(""); err != nil || kind != KindMD1 {

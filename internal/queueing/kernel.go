@@ -17,10 +17,6 @@ import (
 // DES simulation, CDF/percentile inversion, monotonicity in rho and p,
 // and scale invariance in the service time.
 type Kernel interface {
-	// Name returns the kernel's registry name ("md1", "mg1", "mmk").
-	Name() string
-	// Rho returns the (per-server) utilization.
-	Rho() float64
 	// Validate checks the parameters for stability: rho < 1 and a
 	// finite, positive service time; NaN fails every check.
 	Validate() error
@@ -159,19 +155,6 @@ func (s Spec) String() string {
 		return fmt.Sprintf("mmk(k=%d)", s.Servers)
 	}
 	return s.Kind.String()
-}
-
-// CacheTag returns a stable token naming the kernel identity, for
-// callers that build coalescing keys above the kernel (the epserve
-// frontier flight).
-func (s Spec) CacheTag() string {
-	switch s.Kind {
-	case KindMG1:
-		return fmt.Sprintf("mg1:%g", s.SCV)
-	case KindMMK:
-		return fmt.Sprintf("mmk:%d", s.Servers)
-	}
-	return "md1"
 }
 
 // Build instantiates the kernel at utilization rho with the given

@@ -47,9 +47,6 @@ func NewMD1FromUtilization(rho, serviceTime float64) (MD1, error) {
 	return MD1{Lambda: rho / serviceTime, D: serviceTime}, nil
 }
 
-// Name returns the kernel registry name.
-func (q MD1) Name() string { return "md1" }
-
 // Validate checks queue parameters for stability.
 func (q MD1) Validate() error {
 	if !finitePositive(q.D) {
@@ -167,11 +164,6 @@ type MM1 struct {
 
 // Rho returns the utilization.
 func (q MM1) Rho() float64 { return q.Lambda * q.D }
-
-// MeanResponse returns D/(1-rho).
-func (q MM1) MeanResponse() float64 {
-	return q.D / (1 - q.Rho())
-}
 
 // WaitPercentile returns the p-th percentile of the M/M/1 waiting time
 // in closed form: the distribution has the atom P(W = 0) = 1-rho, above

@@ -50,9 +50,6 @@ func NewMG1FromUtilization(rho, serviceTime, scv float64) (MG1, error) {
 	return q, nil
 }
 
-// Name returns the kernel registry name.
-func (q MG1) Name() string { return "mg1" }
-
 // Validate checks queue parameters for stability.
 func (q MG1) Validate() error {
 	if !finitePositive(q.D) {

@@ -44,9 +44,6 @@ func NewMMKFromUtilization(rho, serviceTime float64, k int) (MMK, error) {
 	return MMK{Lambda: rho / serviceTime, D: serviceTime * float64(k), K: k}, nil
 }
 
-// Name returns the kernel registry name.
-func (q MMK) Name() string { return "mmk" }
-
 // Validate checks queue parameters for stability.
 func (q MMK) Validate() error {
 	if !finitePositive(q.D) {

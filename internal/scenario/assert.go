@@ -101,12 +101,12 @@ func (d *decoder) assertions(v yamlValue) []Assertion {
 	for i, item := range seq {
 		path := fmt.Sprintf("assertions[%d]", i)
 		m := d.mapping(item, path)
-		d.knownKeys(m, path, "metric", "op", "value", "tolerance")
 		var a Assertion
-		for key, fv := range m {
+		for _, key := range d.knownKeys(m, path, "metric", "op", "value", "tolerance") {
 			if d.err != nil {
 				return nil
 			}
+			fv := m[key]
 			p := path + "." + key
 			switch key {
 			case "metric":

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,41 +234,41 @@ func (d *decoder) frequency(v yamlValue, path string) float64 {
 	return f * mult
 }
 
-// knownKeys rejects misspelled fields instead of ignoring them.
-func (d *decoder) knownKeys(m map[string]yamlValue, path string, known ...string) {
-	if d.err != nil {
-		return
+// knownKeys rejects misspelled fields instead of ignoring them, and
+// returns the keys m holds in the order known lists them. A block
+// decodes its fields in that fixed order, so a block with several
+// faults always reports the same first one.
+func (d *decoder) knownKeys(m map[string]yamlValue, path string, known ...string) []string {
+	keys := make([]string, 0, len(m))
+	for _, k := range known {
+		if _, ok := m[k]; ok {
+			keys = append(keys, k)
+		}
 	}
-	var bad []string
-	for k := range m {
-		found := false
-		for _, ok := range known {
-			if k == ok {
-				found = true
-				break
+	if len(keys) < len(m) {
+		var bad []string
+		for k := range m {
+			if !slices.Contains(known, k) {
+				bad = append(bad, k)
 			}
 		}
-		if !found {
-			bad = append(bad, k)
-		}
+		d.fail(path, "unknown field %q (known fields: %s)", slices.Min(bad), strings.Join(known, ", "))
+		return nil
 	}
-	if len(bad) > 0 {
-		sort.Strings(bad)
-		d.fail(path, "unknown field %q (known fields: %s)", bad[0], strings.Join(known, ", "))
-	}
+	return keys
 }
 
 func (d *decoder) scenario(root yamlValue) *Scenario {
 	m := d.mapping(root, "scenario")
-	d.knownKeys(m, "scenario",
+	sc := &Scenario{Seed: 1, Utilization: 1, Slice: 1}
+	for _, key := range d.knownKeys(m, "scenario",
 		"name", "description", "workload", "seed", "duration", "slice",
 		"utilization", "nodes", "fleet", "chaos", "events", "latency",
-		"assertions")
-	sc := &Scenario{Seed: 1, Utilization: 1, Slice: 1}
-	for key, v := range m {
+		"assertions") {
 		if d.err != nil {
 			return nil
 		}
+		v := m[key]
 		switch key {
 		case "name":
 			sc.Name = d.str(v, "name")
@@ -278,7 +279,7 @@ func (d *decoder) scenario(root yamlValue) *Scenario {
 		case "seed":
 			n := d.integer(v, "seed")
 			if n < 0 {
-				d.fail("seed", "must be non-negative, got %d", n)
+				d.fail("seed", "line %d: must be non-negative, got %d", v.(scalar).line, n)
 			}
 			sc.Seed = uint64(n)
 		case "duration":
@@ -338,12 +339,12 @@ func (d *decoder) fleetTemplates(v yamlValue) []Template {
 	for i, item := range seq {
 		path := fmt.Sprintf("fleet[%d]", i)
 		m := d.mapping(item, path)
-		d.knownKeys(m, path, "type", "count", "weight", "cores", "freq")
 		var t Template
-		for key, fv := range m {
+		for _, key := range d.knownKeys(m, path, "type", "count", "weight", "cores", "freq") {
 			if d.err != nil {
 				return nil
 			}
+			fv := m[key]
 			p := path + "." + key
 			switch key {
 			case "type":
@@ -381,16 +382,16 @@ func (d *decoder) fleetTemplates(v yamlValue) []Template {
 
 func (d *decoder) chaos(v yamlValue) fleet.Chaos {
 	m := d.mapping(v, "chaos")
-	d.knownKeys(m, "chaos",
-		"enabled", "mtbf", "mttr", "throttle_every", "throttle_for",
-		"throttle_factor", "cap_every", "cap_for", "cap_fraction",
-		"straggler_prob", "straggler_slowdown")
 	var c fleet.Chaos
 	c.Enabled = true // presence of the block enables the layer
-	for key, fv := range m {
+	for _, key := range d.knownKeys(m, "chaos",
+		"enabled", "mtbf", "mttr", "throttle_every", "throttle_for",
+		"throttle_factor", "cap_every", "cap_for", "cap_fraction",
+		"straggler_prob", "straggler_slowdown") {
 		if d.err != nil {
 			return c
 		}
+		fv := m[key]
 		p := "chaos." + key
 		switch key {
 		case "enabled":
@@ -426,14 +427,14 @@ func (d *decoder) events(v yamlValue) []fleet.TimedEvent {
 	for i, item := range seq {
 		path := fmt.Sprintf("events[%d]", i)
 		m := d.mapping(item, path)
-		d.knownKeys(m, path,
-			"at", "action", "target", "factor", "slowdown", "watts",
-			"fraction", "utilization", "for")
 		ev := fleet.TimedEvent{Target: fleet.EveryNode()}
-		for key, fv := range m {
+		for _, key := range d.knownKeys(m, path,
+			"at", "action", "target", "factor", "slowdown", "watts",
+			"fraction", "utilization", "for") {
 			if d.err != nil {
 				return nil
 			}
+			fv := m[key]
 			p := path + "." + key
 			switch key {
 			case "at":
@@ -474,12 +475,12 @@ func (d *decoder) events(v yamlValue) []fleet.TimedEvent {
 // count), percentile the probed response-time percentile (default 95).
 func (d *decoder) latency(v yamlValue) *fleet.LatencySpec {
 	m := d.mapping(v, "latency")
-	d.knownKeys(m, "latency", "kernel", "scv", "servers", "percentile")
 	ls := &fleet.LatencySpec{}
-	for key, fv := range m {
+	for _, key := range d.knownKeys(m, "latency", "kernel", "scv", "servers", "percentile") {
 		if d.err != nil {
 			return nil
 		}
+		fv := m[key]
 		p := "latency." + key
 		switch key {
 		case "kernel":
@@ -518,12 +519,12 @@ func (d *decoder) target(v yamlValue, path string) fleet.Target {
 		return fleet.EveryNode()
 	}
 	m := d.mapping(v, path)
-	d.knownKeys(m, path, "type", "node", "count", "fraction")
 	t := fleet.EveryNode()
-	for key, fv := range m {
+	for _, key := range d.knownKeys(m, path, "type", "node", "count", "fraction") {
 		if d.err != nil {
 			return t
 		}
+		fv := m[key]
 		p := path + "." + key
 		switch key {
 		case "type":

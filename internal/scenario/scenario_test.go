@@ -320,6 +320,35 @@ func TestFleetSizeCapLines(t *testing.T) {
 	}
 }
 
+// TestFirstFaultIsStable: a file with several faults reports the same
+// one on every parse, on its line. The decoder used to range over Go
+// maps, so chaos-fleet.yaml with a negative seed, a node count over the
+// cap and a non-numeric utilization reported any of the three.
+func TestFirstFaultIsStable(t *testing.T) {
+	chaos, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "chaos-fleet.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(chaos)
+	for _, r := range [][2]string{
+		{"\nseed: 42\n", "\nseed: -1\n"},
+		{"\nnodes: 1200\n", "\nnodes: 100000000\n"},
+		{"\nutilization: 0.7\n", "\nutilization: x\n"},
+	} {
+		faulty := strings.Replace(src, r[0], r[1], 1)
+		if faulty == src {
+			t.Fatalf("chaos-fleet.yaml has no %q line", strings.TrimSpace(r[0]))
+		}
+		src = faulty
+	}
+	const want = "seed: line 9: must be non-negative, got -1"
+	for i := 0; i < 100; i++ {
+		if _, err := Parse([]byte(src)); err == nil || err.Error() != want {
+			t.Fatalf("parse %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestBuildErrors(t *testing.T) {
 	catalog, registry := testEnv(t)
 	cases := []struct {

@@ -119,8 +119,7 @@ type BatchItemError struct {
 }
 
 // statusError is an evaluation error that maps to a status other than
-// 400: a lookup that found nothing (404), or a coalesced computation
-// that panicked (500).
+// 400: a lookup that found nothing (404).
 type statusError struct {
 	status int
 	err    error
@@ -144,8 +143,6 @@ func failure(err error) (int, *BatchItemError) {
 	switch status {
 	case http.StatusNotFound:
 		code = "not_found"
-	case http.StatusInternalServerError:
-		code = "internal"
 	case http.StatusGatewayTimeout:
 		code = "deadline_exceeded"
 	}
@@ -660,15 +657,13 @@ func (req *FrontierBatchRequest) price(s *Server) (int64, error) {
 }
 
 // frontierItem is one /v1/frontier item after resolution: the canonical
-// sweep parameters, which also key its flight, and the sweep plan — or
-// the error that fails the item.
+// sweep parameters and the sweep plan — or the error that fails the
+// item.
 type frontierItem struct {
-	workload      string
-	maxA9, maxK10 int
-	dvfs          bool
-	powerW        float64
-	deadline      float64
-	energy        float64
+	workload string
+	powerW   float64
+	deadline float64
+	energy   float64
 	// u > 0 enables the tail-latency annotation: every frontier point
 	// gains the pct-th percentile response time at utilization u under
 	// the spec kernel.
@@ -684,28 +679,29 @@ type frontierItem struct {
 // range checks, and the sweep plan under the per-request
 // configuration-space cap.
 func (s *Server) resolveFrontier(it *FrontierBatchItem) frontierItem {
-	fi := frontierItem{workload: cmp.Or(it.Workload, "EP"), maxA9: 32, maxK10: 12, dvfs: it.DVFS,
+	fi := frontierItem{workload: cmp.Or(it.Workload, "EP"),
 		powerW: it.PowerWatts, deadline: it.DeadlineSeconds, energy: it.EnergyJoules}
-	if it.MaxA9 != nil {
-		fi.maxA9 = *it.MaxA9
-	}
-	if it.MaxK10 != nil {
-		fi.maxK10 = *it.MaxK10
-	}
 	fi.err = s.planFrontier(&fi, it)
 	return fi
 }
 
-// planFrontier range-checks the counts and deadline of fi and the
-// annotation fields of it, then fills in fi's annotation and sweep plan.
+// planFrontier range-checks the counts and annotation fields of it and
+// the deadline of fi, then fills in fi's annotation and sweep plan.
 func (s *Server) planFrontier(fi *frontierItem, it *FrontierBatchItem) error {
+	maxA9, maxK10 := 32, 12
+	if it.MaxA9 != nil {
+		maxA9 = *it.MaxA9
+	}
+	if it.MaxK10 != nil {
+		maxK10 = *it.MaxK10
+	}
 	// Node counts are bounded before they multiply into
 	// cluster.SpaceSize: a count above the space cap already implies a
 	// space above it, and the bound keeps the product far from overflow.
 	for _, c := range []struct {
 		name string
 		n    int
-	}{{"max_a9", fi.maxA9}, {"max_k10", fi.maxK10}} {
+	}{{"max_a9", maxA9}, {"max_k10", maxK10}} {
 		if c.n < 0 || c.n > maxFrontierConfigs {
 			return fmt.Errorf("invalid %s=%d: want a non-negative integer at most %d", c.name, c.n, maxFrontierConfigs)
 		}
@@ -741,8 +737,8 @@ func (s *Server) planFrontier(fi *frontierItem, it *FrontierBatchItem) error {
 		return &statusError{http.StatusNotFound, err}
 	}
 	fi.limits = []cluster.Limit{
-		{Type: a9, MaxNodes: fi.maxA9, FixCoresAndFreq: !fi.dvfs},
-		{Type: k10, MaxNodes: fi.maxK10, FixCoresAndFreq: !fi.dvfs},
+		{Type: a9, MaxNodes: maxA9, FixCoresAndFreq: !it.DVFS},
+		{Type: k10, MaxNodes: maxK10, FixCoresAndFreq: !it.DVFS},
 	}
 	space := cluster.SpaceSize(fi.limits)
 	if space > maxFrontierConfigs {
@@ -765,7 +761,7 @@ func (s *Server) weighFrontier(w http.ResponseWriter, r *http.Request) (int64, a
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request, decoded any) {
 	req := decoded.(*FrontierBatchRequest)
 	if r.Method != http.MethodPost {
-		v, err := s.frontierShared(r.Context(), &req.plans[0])
+		v, err := s.sweepFrontier(r.Context(), &req.plans[0])
 		s.answer(w, r, v, err)
 		return
 	}
@@ -773,7 +769,7 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request, decoded 
 	s.runBatch(w, r, len(results),
 		func(ctx context.Context, i int) (err error) {
 			results[i].Item = i
-			results[i].Result, err = s.frontierShared(ctx, &req.plans[i])
+			results[i].Result, err = s.sweepFrontier(ctx, &req.plans[i])
 			return err
 		},
 		func(i int, e *BatchItemError) { results[i].Error = e },

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -214,8 +213,8 @@ func TestEpmetricsBatch(t *testing.T) {
 	}
 }
 
-// TestFrontierBatch: the frontier batch answers per item, coalescing
-// identical sweeps, and defaults MaxA9/MaxK10 like the GET form.
+// TestFrontierBatch: the frontier batch answers per item and defaults
+// MaxA9/MaxK10 like the GET form.
 func TestFrontierBatch(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Telemetry: telemetry.New()})
 	four, two := 4, 2
@@ -376,83 +375,6 @@ func TestFrontierAdmissionWeight(t *testing.T) {
 	w, _, ok = srv.weighFrontier(httptest.NewRecorder(), preq)
 	if !ok || w != 2 {
 		t.Fatalf("frontier batch weight = %d ok=%t, want 2", w, ok)
-	}
-}
-
-// TestScalarBatchCoalescing: a scalar GET and a one-item POST asking
-// for the same frontier sweep while an identical sweep is in flight
-// both join it as followers — the flight key is canonical across
-// transports.
-func TestScalarBatchCoalescing(t *testing.T) {
-	reg := telemetry.New()
-	srv, ts := newTestServer(t, Config{Telemetry: reg})
-
-	// Install a gated leader under the flight key both the GET query and
-	// the POST item resolve to. The sentinel explored count is
-	// impossible for a real sweep of this space.
-	two, one := 2, 1
-	fi := srv.resolveFrontier(&FrontierBatchItem{MaxA9: &two, MaxK10: &one})
-	if fi.err != nil {
-		t.Fatal(fi.err)
-	}
-	key := fi.flightKey()
-	gate := make(chan struct{})
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		srv.flights.do(context.Background(), key, func() (any, error) { //nolint:errcheck // sentinel flight
-			<-gate
-			return &FrontierResponse{Workload: "EP", Explored: 123456, Frontier: []FrontierPoint{}}, nil
-		})
-	}()
-	waitFor(t, "leader in flight", func() bool {
-		srv.flights.mu.Lock()
-		_, ok := srv.flights.m[key]
-		srv.flights.mu.Unlock()
-		return ok
-	})
-
-	type result struct {
-		status int
-		body   string
-	}
-	results := make(chan result, 2)
-	go func() { // scalar follower
-		status, body := get(t, ts.URL+"/v1/frontier?workload=EP&max_a9=2&max_k10=1")
-		results <- result{status, body}
-	}()
-	go func() { // batch follower
-		raw, _ := json.Marshal(map[string]any{
-			"items": []map[string]any{{"max_a9": 2, "max_k10": 1}},
-		})
-		resp, err := http.Post(ts.URL+"/v1/frontier", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			results <- result{-1, err.Error()}
-			return
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		results <- result{resp.StatusCode, string(body)}
-	}()
-
-	// Both requests must be blocked on the leader before it finishes.
-	waitFor(t, "two followers on the flight", func() bool {
-		return srv.flights.waiting(key) >= 2
-	})
-	close(gate)
-	<-leaderDone
-
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.status != http.StatusOK {
-			t.Fatalf("follower status %d: %s", r.status, r.body)
-		}
-		if !strings.Contains(r.body, "123456") {
-			t.Fatalf("follower did not coalesce onto the leader's result: %s", r.body)
-		}
-	}
-	if got := srv.ins.coalesced.Value(); got != 2 {
-		t.Fatalf("serve.coalesced = %d, want 2", got)
 	}
 }
 

@@ -110,7 +110,6 @@ type AdmissionStats struct {
 	Admitted         uint64 `json:"admitted"`
 	Shed             uint64 `json:"shed"`
 	QueueWaits       uint64 `json:"queue_waits"`
-	Coalesced        uint64 `json:"coalesced"`
 	Panics           uint64 `json:"panics"`
 	DeadlineExceeded uint64 `json:"deadline_exceeded"`
 }
@@ -152,7 +151,6 @@ func (s *Server) handleDebugStats(w http.ResponseWriter, r *http.Request) {
 			Admitted:         s.ins.admitted.Value(),
 			Shed:             s.ins.shed.Value(),
 			QueueWaits:       s.ins.queueWaits.Value(),
-			Coalesced:        s.ins.coalesced.Value(),
 			Panics:           s.ins.panics.Value(),
 			DeadlineExceeded: s.ins.deadlineExceeded.Value(),
 		},

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/replay"
 	"repro/internal/telemetry"
 )
 
@@ -158,6 +160,75 @@ func FuzzServePOST(f *testing.F) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 		if rec.Code >= 500 {
 			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// FuzzServeReplay drives arbitrary /v1/replay bodies through the full
+// handler chain under a 50 ms request deadline, which bounds every run.
+// No body may draw a panic or a 5xx other than that deadline's own 504,
+// and every 200 is a well-formed NDJSON stream: each line decodes to
+// one frame, and the last line is the one summary or error frame, with
+// no frame after it.
+func FuzzServeReplay(f *testing.F) {
+	for _, tc := range replayValidationCases {
+		f.Add(tc.body)
+	}
+	for _, body := range []string{
+		smallShapeBody,
+		`{"budget":true,"summary_only":true,"trace":{"points":[{"t":0,"load":0.2},{"t":600,"load":0.5},{"t":1200,"load":0.3}]}}`,
+		`{"mixes":["32xA9,12xK10","16xA9"],"percentiles":[50,99],"trace":{"points":[{"t":0,"load":0},{"t":1,"load":1},{"t":2,"load":0.5}]}}`,
+		`{"mixes":["32xA9","8xK10"],"shape":{"kind":"ramp","from":0.1,"to":0.9,"step_seconds":60,"steps":16}}`,
+		`{"budget":true,"adaptive":true,"hysteresis":0.1,"switch_energy_joules":50,"shape":{"kind":"diurnal","mean":0.4,"amplitude":0.3,"step_seconds":300,"steps":288}}`,
+		`{"workload":"x264","mixes":["25xA9,5xK10"],"shape":{"kind":"flashcrowd","base":0.2,"peak":0.95,"start_seconds":120,"half_life_seconds":60,"step_seconds":30,"steps":40}}`,
+		`{"mixes":["32xA9,12xK10","4xK10"],"adaptive":true,"slo_seconds":0.05,"slo_percentile":99,"shape":{"kind":"steps","levels":[0.1,0.8,0.4],"dwell_seconds":90,"step_seconds":30,"steps":30}}`,
+		// Runs longer than the deadline: a stream that ends in an error
+		// frame, and a summary-only run that answers 504 before any frame.
+		`{"budget":true,"adaptive":true,"shape":{"kind":"ramp","from":0.1,"to":0.9,"step_seconds":1,"steps":65536}}`,
+		`{"mixes":["32xA9"],"summary_only":true,"shape":{"kind":"ramp","from":0.1,"to":0.9,"step_seconds":1,"steps":65536}}`,
+	} {
+		f.Add(body)
+	}
+	srv, err := New(Config{Telemetry: telemetry.New()})
+	if err != nil {
+		f.Fatalf("New: %v", err)
+	}
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/replay?timeout=50ms", strings.NewReader(body)))
+		if n := srv.ins.panics.Value(); n != 0 {
+			t.Fatalf("POST /v1/replay %q: serve.panics = %d", body, n)
+		}
+		if rec.Code >= 500 && !(rec.Code == http.StatusGatewayTimeout && strings.Contains(rec.Body.String(), `"deadline_exceeded"`)) {
+			t.Fatalf("POST /v1/replay %q: status %d: %s", body, rec.Code, rec.Body.String())
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+		for i, line := range lines {
+			var frame struct {
+				Step    *replay.Step    `json:"step"`
+				Summary *replay.Summary `json:"summary"`
+				Error   *errorBody      `json:"error"`
+			}
+			if err := json.Unmarshal([]byte(line), &frame); err != nil {
+				t.Fatalf("POST /v1/replay %q: line %d does not decode: %v: %s", body, i, err, line)
+			}
+			// A line is a step frame before the last line and a summary
+			// or error frame on it, never two frames at once.
+			ends := 0
+			if frame.Summary != nil {
+				ends++
+			}
+			if frame.Error != nil {
+				ends++
+			}
+			last := i == len(lines)-1
+			if last && (ends != 1 || frame.Step != nil) || !last && (ends != 0 || frame.Step == nil) {
+				t.Fatalf("POST /v1/replay %q: line %d of %d is out of place: %s", body, i, len(lines), line)
+			}
 		}
 	})
 }

@@ -177,9 +177,8 @@ func kernelSpecFrom(kernel string, scv float64, servers int) (queueing.Spec, err
 // computePercentiles is the percentile evaluation core of
 // /v1/percentiles: build the selected kernel at (u, serviceTime), run
 // the batched percentile solves under ctx, and materialize the
-// response. Identical questions are not coalesced: the solves cost a
-// few microseconds, less than a flight's key and lock. With the default
-// spec the output is byte-identical to the pre-kernel M/D/1 path.
+// response. With the default spec the output is byte-identical to the
+// pre-kernel M/D/1 path.
 //
 // Service is deterministic under M/D/1 and under M/G/1 at SCV 0, which
 // is M/D/1: there the sojourn percentile is the wait percentile plus
@@ -351,42 +350,6 @@ type FrontierResponse struct {
 	Recommended *FrontierPoint `json:"recommended,omitempty"`
 }
 
-// frontierShared runs a resolved item's sweep under the singleflight
-// group, or returns the item's resolution error. The key is built from
-// the canonical parameters, so a GET and a batch item asking for the
-// same sweep coalesce onto one computation. It is the server's one
-// flight: a sweep costs hundreds of microseconds, a percentile solve
-// microseconds.
-func (s *Server) frontierShared(ctx context.Context, fi *frontierItem) (*FrontierResponse, error) {
-	if fi.err != nil {
-		return nil, fi.err
-	}
-	v, shared, err := s.flights.do(ctx, fi.flightKey(), func() (any, error) {
-		return s.sweepFrontier(ctx, fi)
-	})
-	if shared {
-		s.ins.coalesced.Inc()
-		telemetry.RequestFrom(ctx).Add(telemetry.AttrCoalesced, 1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v.(*FrontierResponse), nil
-}
-
-// flightKey is the singleflight key of a resolved frontier item, built
-// from its canonical parameters.
-func (fi *frontierItem) flightKey() string {
-	key := fmt.Sprintf("frontier|%s|%d|%d|%t|%g|%g|%g",
-		fi.workload, fi.maxA9, fi.maxK10, fi.dvfs, fi.powerW, fi.deadline, fi.energy)
-	if fi.u > 0 {
-		// Annotated sweeps key on the annotation point and kernel too, so
-		// they never coalesce with (or poison) an unannotated sweep.
-		key += fmt.Sprintf("|lat|%g|%g|%s", fi.u, fi.pct, fi.spec.CacheTag())
-	}
-	return key
-}
-
 // tableFor returns the server's shared memoized unit-calc table for
 // wl, building it on first use. Entries are keyed by the registry's
 // profile pointer — exactly what SweepOptions.Table's identity check
@@ -401,18 +364,18 @@ func (s *Server) tableFor(wl *workload.Profile) *model.Table {
 	return t.(*model.Table)
 }
 
-// sweepFrontier runs the memoized frontier engine over the space
-// under ctx — peak-power budget applied before evaluation, per-workload
-// unit-calc table shared across requests, explored/evaluated/filtered
-// counted over the full space — and folds the results into the
-// frontier and sweet region. When the params ask for it, every
-// frontier point is annotated with its tail latency under the selected
-// kernel.
+// sweepFrontier returns a resolved item's resolution error, or runs
+// the memoized frontier engine over its space under ctx — peak-power
+// budget applied before evaluation, per-workload unit-calc table shared
+// across requests, explored/evaluated/filtered counted over the full
+// space — and folds the results into the frontier and sweet region.
+// When the params ask for it, every frontier point is annotated with
+// its tail latency under the selected kernel.
 func (s *Server) sweepFrontier(ctx context.Context, fp *frontierItem) (*FrontierResponse, error) {
+	if fp.err != nil {
+		return nil, fp.err
+	}
 	wlName, powerW, deadline, energy := fp.workload, fp.powerW, fp.deadline, fp.energy
-	// On the singleflight leader's request the sweep is timed and
-	// attributed on its RequestContext (followers only record
-	// coalesced=1).
 	defer telemetry.Start(ctx, "serve.frontier_sweep").End()
 	wl, err := s.cfg.Workloads.Lookup(wlName)
 	if err != nil {

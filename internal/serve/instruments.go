@@ -5,7 +5,7 @@ import "repro/internal/telemetry"
 // instruments holds the service-level instruments, resolved once at
 // server construction. Per-route request counters and latency
 // histograms belong to the request scope (requestScope); these cover
-// the cross-cutting admission, coalescing and failure paths.
+// the cross-cutting admission and failure paths.
 type instruments struct {
 	// admitted counts requests that acquired execution units.
 	admitted *telemetry.Counter
@@ -19,9 +19,6 @@ type instruments struct {
 	// queueWaits counts requests that found every slot busy and had to
 	// wait in the admission queue before executing.
 	queueWaits *telemetry.Counter
-	// coalesced counts requests served from another identical in-flight
-	// request's result instead of computing their own.
-	coalesced *telemetry.Counter
 	// panics counts handler panics converted into 500 responses.
 	panics *telemetry.Counter
 	// deadlineExceeded counts requests that ran out of deadline — while
@@ -47,7 +44,6 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		admittedUnits:    reg.Counter("serve.admitted_units"),
 		shed:             reg.Counter("serve.shed"),
 		queueWaits:       reg.Counter("serve.queue_waits"),
-		coalesced:        reg.Counter("serve.coalesced"),
 		panics:           reg.Counter("serve.panics"),
 		deadlineExceeded: reg.Counter("serve.deadline_exceeded"),
 		inflight:         reg.Gauge("serve.inflight"),

@@ -30,8 +30,8 @@ var latencyBounds = telemetry.ExponentialBuckets(1e-5, 4, 10)
 // the SLO tracker and the one access-log line that summarizes the
 // request: route, status, duration, bytes, outcome, and the
 // attribution the layers below accumulated (configurations evaluated,
-// coalescing, replay steps). It counts the route's requests into
-// http.<route>.requests and their status classes into
+// pruned and filtered, replay steps). It counts the route's requests
+// into http.<route>.requests and their status classes into
 // http.<route>.status_Nxx. Requests slower than the configured
 // threshold additionally get a sampled warn line with the request's
 // phase timeline inlined.
@@ -80,12 +80,10 @@ func (s *Server) requestScope(route string, probe bool, next http.Handler) http.
 			)
 			if !probe {
 				// The model endpoints always carry the core attribution —
-				// zeros included, so every line has the same shape — plus
+				// zero included, so every line has the same shape — plus
 				// any sweep/replay attribution that actually occurred.
 				attrs = append(attrs,
-					slog.Int64(telemetry.AttrConfigsEvaluated, rc.Attr(telemetry.AttrConfigsEvaluated)),
-					slog.Int64(telemetry.AttrCoalesced, rc.Attr(telemetry.AttrCoalesced)),
-				)
+					slog.Int64(telemetry.AttrConfigsEvaluated, rc.Attr(telemetry.AttrConfigsEvaluated)))
 				for _, key := range []string{
 					telemetry.AttrConfigsPruned, telemetry.AttrConfigsFiltered, telemetry.AttrReplaySteps,
 				} {

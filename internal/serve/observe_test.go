@@ -126,7 +126,7 @@ func TestRequestIDEndToEnd(t *testing.T) {
 		t.Fatalf("access log request_id %v, want %q", line["request_id"], inbound)
 	}
 	for _, key := range []string{"status", "duration", "bytes", "outcome",
-		"configs_evaluated", "coalesced"} {
+		"configs_evaluated"} {
 		if _, ok := line[key]; !ok {
 			t.Errorf("access log missing %q: %v", key, line)
 		}

@@ -108,35 +108,38 @@ func TestReplaySummaryOnly(t *testing.T) {
 	}
 }
 
+// replayValidationCases are malformed /v1/replay bodies, each with the
+// status and error text it must draw; FuzzServeReplay seeds from them.
+var replayValidationCases = []struct {
+	name, body string
+	status     int
+	contains   string
+}{
+	{"empty body", ``, 400, "decoding request body"},
+	{"not json", `hello`, 400, "decoding request body"},
+	{"unknown field", `{"bogus": 1}`, 400, "decoding request body"},
+	{"no trace or shape", `{"mixes": ["32xA9"]}`, 400, "missing trace"},
+	{"both trace and shape", `{"mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]},"shape":{"kind":"ramp","step_seconds":1,"steps":4}}`, 400, "not both"},
+	{"no candidates", `{"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "missing candidate set"},
+	{"budget and mixes", `{"budget":true,"mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "not both"},
+	{"bad mix", `{"mixes":["wat"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "invalid mix"},
+	{"unknown workload", `{"workload":"nope","mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 404, "nope"},
+	{"non-monotonic trace", `{"mixes":["32xA9"],"trace":{"points":[{"t":5,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "non-monotonic timestamps"},
+	{"load out of range", `{"mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":1.7}]}}`, 400, "outside [0, 1]"},
+	{"single point", `{"mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1}]}}`, 400, "at least 2 points"},
+	{"unknown shape kind", `{"mixes":["32xA9"],"shape":{"kind":"square","step_seconds":1,"steps":4}}`, 400, "unknown shape kind"},
+	{"steps without levels", `{"mixes":["32xA9"],"shape":{"kind":"steps","step_seconds":1,"steps":4}}`, 400, "needs levels"},
+	{"zero shape step", `{"mixes":["32xA9"],"shape":{"kind":"ramp","step_seconds":0,"steps":4}}`, 400, "step must be positive"},
+	{"shape over cap", `{"mixes":["32xA9"],"shape":{"kind":"ramp","step_seconds":1,"steps":65537}}`, 400, "exceeds the per-request cap"},
+	{"bad percentile", `{"mixes":["32xA9"],"percentiles":[120],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "outside [0, 100)"},
+	{"too many mixes", fmt.Sprintf(`{"mixes":[%s],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, strings.Repeat(`"1xA9",`, 32)+`"2xA9"`), 400, "at most 32 mixes"},
+}
+
 // TestReplayValidation: every malformed body fails before the stream
 // starts, with the uniform JSON error envelope and the right status.
 func TestReplayValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name, body string
-		status     int
-		contains   string
-	}{
-		{"empty body", ``, 400, "decoding request body"},
-		{"not json", `hello`, 400, "decoding request body"},
-		{"unknown field", `{"bogus": 1}`, 400, "decoding request body"},
-		{"no trace or shape", `{"mixes": ["32xA9"]}`, 400, "missing trace"},
-		{"both trace and shape", `{"mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]},"shape":{"kind":"ramp","step_seconds":1,"steps":4}}`, 400, "not both"},
-		{"no candidates", `{"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "missing candidate set"},
-		{"budget and mixes", `{"budget":true,"mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "not both"},
-		{"bad mix", `{"mixes":["wat"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "invalid mix"},
-		{"unknown workload", `{"workload":"nope","mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 404, "nope"},
-		{"non-monotonic trace", `{"mixes":["32xA9"],"trace":{"points":[{"t":5,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "non-monotonic timestamps"},
-		{"load out of range", `{"mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":1.7}]}}`, 400, "outside [0, 1]"},
-		{"single point", `{"mixes":["32xA9"],"trace":{"points":[{"t":0,"load":0.1}]}}`, 400, "at least 2 points"},
-		{"unknown shape kind", `{"mixes":["32xA9"],"shape":{"kind":"square","step_seconds":1,"steps":4}}`, 400, "unknown shape kind"},
-		{"steps without levels", `{"mixes":["32xA9"],"shape":{"kind":"steps","step_seconds":1,"steps":4}}`, 400, "needs levels"},
-		{"zero shape step", `{"mixes":["32xA9"],"shape":{"kind":"ramp","step_seconds":0,"steps":4}}`, 400, "step must be positive"},
-		{"shape over cap", `{"mixes":["32xA9"],"shape":{"kind":"ramp","step_seconds":1,"steps":65537}}`, 400, "exceeds the per-request cap"},
-		{"bad percentile", `{"mixes":["32xA9"],"percentiles":[120],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "outside [0, 100)"},
-		{"too many mixes", fmt.Sprintf(`{"mixes":[%s],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, strings.Repeat(`"1xA9",`, 32)+`"2xA9"`), 400, "at most 32 mixes"},
-	}
-	for _, tc := range cases {
+	for _, tc := range replayValidationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			status, body := postReplay(t, ts.URL, tc.body)
 			if status != tc.status {

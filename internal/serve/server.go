@@ -9,12 +9,10 @@
 // semaphore sized off GOMAXPROCS with queue-depth load shedding
 // (429 + Retry-After), per-request deadlines propagated through
 // context.Context into the queueing kernel and the frontier engine,
-// singleflight coalescing of identical in-flight frontier sweeps,
-// panic recovery that
-// converts handler panics into 500s without killing the process, and
-// graceful shutdown in which readiness flips before the listener
-// drains. See docs/API.md for the endpoint reference and
-// docs/METRICS.md for every metric the service emits.
+// panic recovery that converts handler panics into 500s without
+// killing the process, and graceful shutdown in which readiness flips
+// before the listener drains. See docs/API.md for the endpoint
+// reference and docs/METRICS.md for every metric the service emits.
 package serve
 
 import (
@@ -122,7 +120,6 @@ type Server struct {
 	cfg      Config
 	ins      instruments
 	lim      *limiter
-	flights  flightGroup
 	analyses analysisCache
 	mux      *http.ServeMux
 	hs       *http.Server

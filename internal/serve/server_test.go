@@ -481,138 +481,86 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-func TestFlightGroupCoalesces(t *testing.T) {
-	var g flightGroup
-	release := make(chan struct{})
-	leaderIn := make(chan struct{})
-	var calls int
-
-	type res struct {
-		v      any
-		shared bool
-		err    error
+// TestFrontierRequestsAreIndependent: a frontier request sweeps under
+// its own deadline only. Each round sends 16 concurrent, identical
+// default-space GETs (428 configurations, one admission unit each, so
+// four run side by side), every other one with timeout=1ns: each live
+// request answers the serial GET's bytes, each expired one 504, and
+// only the expired ones count as deadline_exceeded.
+func TestFrontierRequestsAreIndependent(t *testing.T) {
+	srv, err := New(Config{Telemetry: telemetry.New(), MaxInflight: 4, MaxQueue: 16})
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	results := make(chan res, 4)
-	go func() {
-		v, shared, err := g.do(context.Background(), "k", func() (any, error) {
-			close(leaderIn)
-			<-release
-			calls++
-			return 42, nil
-		})
-		results <- res{v, shared, err}
-	}()
-	<-leaderIn
-	const followers = 3
-	for i := 0; i < followers; i++ {
-		go func() {
-			v, shared, err := g.do(context.Background(), "k", func() (any, error) {
-				calls++
-				return -1, nil
-			})
-			results <- res{v, shared, err}
-		}()
+	const target = "/v1/frontier?workload=EP"
+	serial := send(srv, http.MethodGet, target, "")
+	if serial.Code != http.StatusOK {
+		t.Fatalf("serial GET: status %d: %s", serial.Code, serial.Body)
 	}
-	// Followers must be registered before the leader finishes.
-	waitFor(t, "followers parked", func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return g.m["k"] != nil
-	})
-	time.Sleep(10 * time.Millisecond) // let followers reach the select
-	close(release)
+	want := serial.Body.String()
 
-	shared := 0
-	for i := 0; i < followers+1; i++ {
-		r := <-results
-		if r.err != nil || r.v != 42 {
-			t.Fatalf("flight result = (%v, %v), want (42, nil)", r.v, r.err)
+	const herd = 16
+	rounds := 20
+	if testing.Short() {
+		rounds = 5
+	}
+	expired := 0
+	for round := 0; round < rounds; round++ {
+		recs := make([]*httptest.ResponseRecorder, herd)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range recs {
+			url := target
+			if i%2 == 1 {
+				url += "&timeout=1ns"
+			}
+			wg.Add(1)
+			go func(i int, url string) {
+				defer wg.Done()
+				<-start
+				recs[i] = send(srv, http.MethodGet, url, "")
+			}(i, url)
 		}
-		if r.shared {
-			shared++
+		close(start)
+		wg.Wait()
+		for i, rec := range recs {
+			if i%2 == 1 {
+				expired++
+				if rec.Code != http.StatusGatewayTimeout {
+					t.Fatalf("round %d: expired request %d answered %d, want 504: %s", round, i, rec.Code, rec.Body)
+				}
+				continue
+			}
+			if rec.Code != http.StatusOK || rec.Body.String() != want {
+				t.Fatalf("round %d: live request %d answered %d, want 200 with the serial bytes: %s", round, i, rec.Code, rec.Body)
+			}
 		}
 	}
-	if calls != 1 {
-		t.Fatalf("fn ran %d times, want 1", calls)
-	}
-	if shared != followers {
-		t.Fatalf("%d shared results, want %d", shared, followers)
-	}
-
-	// A follower with an expired context must not hang.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	release2 := make(chan struct{})
-	go g.do(context.Background(), "k2", func() (any, error) { <-release2; return nil, nil }) //nolint:errcheck
-	waitFor(t, "second leader in flight", func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return g.m["k2"] != nil
-	})
-	if _, _, err := g.do(ctx, "k2", func() (any, error) { return nil, nil }); err != context.Canceled {
-		t.Fatalf("cancelled follower err = %v, want context.Canceled", err)
-	}
-	close(release2)
-}
-
-// TestFlightGroupLeaderPanic: a panicking leader must not poison its
-// key. The panic still reaches the leader's caller, a blocked follower
-// is released promptly with a 500-class error, and the next do on the
-// key runs its own fn.
-func TestFlightGroupLeaderPanic(t *testing.T) {
-	var g flightGroup
-	release := make(chan struct{})
-	leaderIn := make(chan struct{})
-	leaderPanic := make(chan any, 1)
-	go func() {
-		defer func() { leaderPanic <- recover() }()
-		g.do(context.Background(), "k", func() (any, error) { //nolint:errcheck // panics
-			close(leaderIn)
-			<-release
-			panic("kaboom")
-		})
-	}()
-	<-leaderIn
-	followerErr := make(chan error, 1)
-	go func() {
-		_, _, err := g.do(context.Background(), "k", func() (any, error) { return nil, nil })
-		followerErr <- err
-	}()
-	waitFor(t, "follower parked", func() bool { return g.waiting("k") == 1 })
-	close(release)
-
-	if got := <-leaderPanic; got != "kaboom" {
-		t.Fatalf("leader recovered %v, want the fn's panic", got)
-	}
-	select {
-	case err := <-followerErr:
-		if status, e := failure(err); status != http.StatusInternalServerError || e.Code != "internal" {
-			t.Fatalf("follower err %v maps to %d %q, want 500 internal", err, status, e.Code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("follower still blocked after the leader panicked")
-	}
-	v, shared, err := g.do(context.Background(), "k", func() (any, error) { return 7, nil })
-	if v != 7 || shared || err != nil {
-		t.Fatalf("next do on the key = (%v, %v, %v), want its own (7, false, nil)", v, shared, err)
+	if got := srv.ins.deadlineExceeded.Value(); got != uint64(expired) {
+		t.Fatalf("serve.deadline_exceeded = %d, want the %d expired requests", got, expired)
 	}
 }
 
 // TestServeRaceHammer drives the full serve path from many goroutines;
 // run under -race it is the regression test for the percentile-cache
-// counter race and any handler-state races.
+// counter race and any handler-state races, including identical
+// frontier sweeps sharing one model.Table and its space slot.
 func TestServeRaceHammer(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	const workers = 16
+	// A queue as deep as the worker count sheds nothing, so every
+	// request must answer 200.
+	_, ts := newTestServer(t, Config{MaxQueue: workers})
 	paths := []string{
 		"/v1/percentiles?d=1&u=0.9",
-		"/v1/percentiles?d=1&u=0.9", // repeat: exercise cache hits and coalescing
+		"/v1/percentiles?d=1&u=0.9", // repeat: identical concurrent solves
 		"/v1/percentiles?d=0.004&u=0.9&p=50,95,99,99.9",
 		"/v1/percentiles?workload=EP&mix=32xA9,12xK10&u=0.5",
 		"/v1/epmetrics?workload=EP&mix=32xA9,12xK10",
+		"/v1/frontier?workload=EP&max_a9=16&max_k10=8&dvfs=1&u=0.5&p=95",
+		"/v1/frontier?workload=EP&power=800",
 		"/v1/readyz",
 		"/metrics",
 	}
-	const workers = 16
 	perWorker := 12
 	if testing.Short() {
 		perWorker = 4
@@ -632,7 +580,7 @@ func TestServeRaceHammer(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body) //nolint:errcheck
 				resp.Body.Close()
-				if resp.StatusCode >= 500 {
+				if resp.StatusCode != http.StatusOK {
 					errCh <- fmt.Errorf("%s: status %d", url, resp.StatusCode)
 				}
 			}

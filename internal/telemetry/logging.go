@@ -21,9 +21,6 @@ const (
 	// AttrConfigsFiltered counts configurations over a sweep's
 	// peak-power budget.
 	AttrConfigsFiltered = "configs_filtered"
-	// AttrCoalesced marks a request served from another identical
-	// in-flight request's result (singleflight follower).
-	AttrCoalesced = "coalesced"
 	// AttrReplaySteps counts trace steps replayed for the request.
 	AttrReplaySteps = "replay_steps"
 	// AttrBatchItems counts the expanded per-item evaluations a batch

@@ -14,10 +14,10 @@ import (
 // RequestContext is the request-scoped half of the observability layer:
 // where the Registry aggregates process-wide, a RequestContext follows
 // ONE request — an epserve /v1/frontier call, a /v1/replay stream —
-// through admission, singleflight, the frontier sweep and the
-// queueing kernel, accumulating named attribute counts (configurations
-// evaluated and pruned, replay steps) and a bounded phase timeline,
-// which the spans opened by Start under its scope fill. The serve
+// through admission, the frontier sweep and the queueing kernel,
+// accumulating named attribute counts (configurations evaluated and
+// pruned, replay steps) and a bounded phase timeline, which the spans
+// opened by Start under its scope fill. The serve
 // request scope mints one per request, stamps its ID on the
 // X-Request-ID response header and the access-log line, and attaches
 // the same ID as a Prometheus exemplar on the route's latency

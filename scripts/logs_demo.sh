@@ -5,7 +5,7 @@
 # drives a short loadgen burst (default mix), then prints the captured
 # structured log so the access-log shape is visible: one "request" line
 # per request with request_id, route, status, duration, and the
-# attribution fields (configs_evaluated, coalesced, ...), plus any
+# attribution fields (configs_evaluated, ...), plus any
 # sampled "slow request" lines with their phase timeline.
 #
 # Usage: scripts/logs_demo.sh [duration] [concurrency]
