@@ -86,8 +86,8 @@ race: test-race
 # one iteration of the frontier and fleet benchmarks, the epserve
 # end-to-end smoke, the fleet-scenario smoke (schema checks plus
 # race-detected runs), and a short fuzz smoke over the parser, kernel
-# differential, epserve GET, POST and replay, fleet-run, scenario-parse
-# and lazy-stepper targets.
+# differential, epserve GET, POST and replay, frontier-sweep, fleet-run,
+# scenario-parse and lazy-stepper targets.
 ci:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -198,11 +198,12 @@ fuzz:
 	$(GO) test -run '^$$' ./internal/cli/ -fuzz FuzzParseMix -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/replay/ -fuzz FuzzParseCSV -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/replay/ -fuzz FuzzParseJSON -fuzztime $(FUZZTIME)
-	$(GO) test -run '^$$' ./internal/queueing/ -fuzz FuzzPercentileCacheDifferential -fuzztime $(FUZZTIME)
+	$(GO) test -run '^$$' ./internal/queueing/ -fuzz FuzzWaitPercentileDifferential -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/queueing/ -fuzz FuzzKernelDifferential -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServeGET -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServePOST -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/serve/ -fuzz FuzzServeReplay -fuzztime $(FUZZTIME)
+	$(GO) test -run '^$$' ./internal/pareto/ -fuzz FuzzFrontierSweep -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/fleet/ -fuzz FuzzFleetRun -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/scenario/ -fuzz FuzzScenarioParse -fuzztime $(FUZZTIME)
 	$(GO) test -run '^$$' ./internal/adaptive/ -fuzz FuzzStepper -fuzztime $(FUZZTIME)

@@ -275,6 +275,16 @@ func TestEnumerateAllPreallocatesExactly(t *testing.T) {
 		t.Errorf("EnumerateAll capacity %d, want exactly SpaceSize %d (preallocated, no growth)",
 			cap(out), want)
 	}
+	// A type with no nodes, or a negative node cap, adds no choices.
+	for _, n := range []int{0, -1} {
+		none := append([]Limit{{Type: xeon, MaxNodes: n}}, limits[:2]...)
+		if got, want := SpaceSize(none), (1+30)*(1+24)-1; got != want {
+			t.Errorf("SpaceSize with a MaxNodes %d type = %d, want %d", n, got, want)
+		}
+		if all, err := EnumerateAll(none); err != nil || len(all) != SpaceSize(none) {
+			t.Errorf("MaxNodes %d: EnumerateAll yielded %d configs (err %v), SpaceSize says %d", n, len(all), err, SpaceSize(none))
+		}
+	}
 	// Choices must expose the same per-type space Enumerate consumes.
 	if got := len(limits[0].Choices()); got != 30 {
 		t.Errorf("A9 Choices = %d, want 30", got)

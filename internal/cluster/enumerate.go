@@ -97,13 +97,13 @@ func (l Limit) perTypeChoices() []Group {
 // without materializing them: the product over every non-empty subset of
 // types of their per-type choice counts. For the paper's footnote-4
 // space (10 ARM nodes x 5 freqs x 4 cores, 10 AMD nodes x 3 freqs x 6
-// cores) this is 36,380.
+// cores) this is 36,380. A type with MaxNodes <= 0 has no choices.
 func SpaceSize(limits []Limit) int {
 	// sum over non-empty subsets of product of per-type counts
 	// = prod (1 + n_i) - 1, where n_i is the per-type choice count.
 	total := 1
 	for _, l := range limits {
-		perType := l.MaxNodes * len(l.cores()) * len(l.freqs())
+		perType := max(l.MaxNodes, 0) * len(l.cores()) * len(l.freqs())
 		total *= 1 + perType
 	}
 	return total - 1

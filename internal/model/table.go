@@ -57,10 +57,13 @@ type UnitCalc struct {
 	// in joules: in real arithmetic exactly what Evaluate charges a node
 	// per unit (core, stall, memory, NIC and idle energy over the unit
 	// time), computed free-form rather than bitwise against Evaluate, so
-	// it rounds differently within a few ulps. The frontier sweep's
-	// per-type reduction ranks operating points by it and relies on that
-	// rounding staying far below its 1e-9 dominance margin; it never
-	// feeds a reported result.
+	// it rounds differently within a few ulps. The frontier sweep has
+	// two readers: its per-type reduction ranks operating points by it,
+	// and its certificate bounds a configuration's energy from below by
+	// (JobUnits/R) * sum(rate * EnergyPerUnit) to skip the model where
+	// the running staircase already covers that bound. Both rely on the
+	// rounding staying far below their 1e-9 margin; it never feeds a
+	// reported result.
 	EnergyPerUnit float64
 }
 
@@ -109,6 +112,10 @@ func NewTable(wl *workload.Profile, opt Options) *Table {
 func (t *Table) Matches(wl *workload.Profile, opt Options) bool {
 	return t.wl == wl && t.opt == opt
 }
+
+// JobUnits is the job size the table's evaluations divide among the
+// groups.
+func (t *Table) JobUnits() float64 { return t.jobUnits }
 
 // Snapshot warms the table with every (type, cores, freq) operating
 // point reachable under limits, so later sweeps find each UnitCalc

@@ -28,21 +28,27 @@ import (
 //     is built, so the walk never touches the table's map or lock,
 //  2. reduces each node type's (count, cores, freq) choices to its
 //     dominance staircase (below) and flattens the survivors into
-//     columnar (structure-of-arrays) slices — count, rate, budget
+//     columnar (structure-of-arrays) slices — count, rate, p, budget
 //     shares, unit-calc pointer — so the walk covers only the product of
 //     the staircases (about a thousand of the footnote-4 space's
 //     36,380 configurations) through cache-linear arrays; a shared
 //     table keeps the last space built on it, so repeated sweeps of
 //     one space build and reduce it once (spaceFor),
-//  3. evaluates each walked configuration allocation-free through
-//     model.EvaluateCalcs, whose scalars are bitwise-identical to
-//     model.Evaluate (same expression shapes and accumulation order),
-//  4. tests every evaluated point against a running Pareto staircase
+//  3. certifies, from two sums and one division, each walked
+//     configuration that the running staircase (5) covers by the
+//     model's closed form (below), and counts it as evaluated without
+//     running the model — 54-95% of the walk on the paper's six
+//     workloads,
+//  4. evaluates every other walked configuration allocation-free
+//     through model.EvaluateCalcs, whose scalars are bitwise-identical
+//     to model.Evaluate (same expression shapes and accumulation order),
+//  5. tests every evaluated point against a running Pareto staircase
 //     that is updated on every admission (time strictly ascending,
-//     energy strictly descending): a binary search rejects a covered
-//     point, and an admitted point evicts the contiguous run of
-//     staircase points it strictly dominates,
-//  5. counts the rest of the space in closed form (tally): how many
+//     energy strictly descending): one search, continuing the
+//     certificate's, rejects a covered point or finds where an
+//     admitted point goes, and an admitted point evicts the contiguous
+//     run of staircase points it strictly dominates,
+//  6. counts the rest of the space in closed form (tally): how many
 //     configurations a walk of all of them would have filtered,
 //     skipped or evaluated, so the accounting still partitions
 //     cluster.SpaceSize and the evaluated ones the walk left out are
@@ -53,11 +59,25 @@ import (
 // workloads — where it pays; partitioning one sweep across workers
 // measured slower than the serial walk even on two real cores.
 //
-// Why the per-type reduction is exact. The model's rate-matched split
+// The closed form and its rounding. The model's rate-matched split
 // gives every group the same finish time, so a configuration has
-// T = J/R and E = J*P/R, where R and P sum, over its groups, the rate
-// (NodeRate * count) and p = rate * EnergyPerUnit. Choice b of a type
-// dominates choice a of the same type when
+// T = J/R and E = J*P/R in real arithmetic, where J is the table's job
+// size and R and P sum, over its groups, the rate (NodeRate * count)
+// and p = rate * EnergyPerUnit. Both the reduction and the certificate
+// compare these real values and rely on the model's computed T and E
+// lying within ~1e-15 of them, relative. That holds on a bounded space
+// (spaceSoA.certifiable): the job size and every choice's unit times
+// and power terms are 0 or inside float32's range, so no step of the
+// model's arithmetic overflows or underflows and each rounds by at most
+// 2^-53; every energy term is non-negative; and a choice whose stall
+// time is a near-cancelling difference keeps its error within a
+// quarter of the margin. A space outside the bound walks every runnable
+// choice through the model: a frequency ladder whose energies
+// underflow to 0 J makes the computed values tie where the real ones
+// do not.
+//
+// Why the per-type reduction is exact. Choice b of a type dominates
+// choice a of the same type when
 //
 //   - rate_b - rate_a > domSlack*Rmax, or b has a's node count and a
 //     bitwise-equal UnitTotal (then every configuration's computed T is
@@ -85,21 +105,40 @@ import (
 // every configuration holding one fails, and neither do zero-rate ones
 // (a unit time past float64's range), which take no share of the work.
 //
+// Why the certificate is exact. On a bounded space the model's
+// computed T and E are each at least (1 - ~1e-15) of J/R and J*P/R
+// (the stall's cancellation costs at most a quarter of domSlack more,
+// and the idle-extension pass only adds energy). The leaf sums R, in
+// the order EvaluateCalcs sums its total rate, and P, and takes
+// t = J/R and e = t*P. When the staircase covers (t*(1-domSlack),
+// e*(1-domSlack)), a staircase point is no later than
+// t*(1-domSlack) < T and no costlier than e*(1-domSlack) <= E: admit
+// would reject the exact point, so skipping it leaves the staircase as
+// it was. Otherwise every point the search passed is no later than T,
+// so admit's search goes on from there. The margin puts
+// the bound strictly before the exact point, so an exact tie is never
+// certified and the first representative still wins. The model would
+// have run, and returned, on every such configuration (R > 0), so it
+// counts as evaluated. A configuration with R = 0 (a NoPrune walk's
+// all-zero-rate mix), or on a space outside the bound, runs the model.
+//
 // Why the walk is exact. A walked point is dropped only when a point
 // retained at that moment weakly dominates it: q.Time <= p.Time and
 // q.Energy <= p.Energy, with q enumerated first (admission, which also
-// rejects exact duplicates so the first representative wins), or q
-// strictly better on one axis (eviction). Domination is transitive, so
-// the final staircase weakly dominates every dropped point. In
-// Frontier's scan, acceptance of p would require p.Energy <
-// bestEnergy*(1-1e-9) <= q.Energy — a contradiction — and rejected
-// points never mutate the scan state (bestEnergy, lastTime), so
-// removing them leaves the output unchanged: the result equals
-// Frontier over every evaluated point, which (by bitwise-equal
-// scalars) equals the reference path's frontier point for point.
+// rejects exact duplicates so the first representative wins, and the
+// certificate, which places only such points), or q strictly better on
+// one axis (eviction). Domination is transitive, so the final staircase
+// weakly dominates every dropped point. In Frontier's scan, acceptance
+// of p would require p.Energy < bestEnergy*(1-1e-9) <= q.Energy — a
+// contradiction — and rejected points never mutate the scan state
+// (bestEnergy, lastTime), so removing them leaves the output
+// unchanged: the result equals Frontier over every evaluated point,
+// which (by bitwise-equal scalars) equals the reference path's
+// frontier point for point. A point with a NaN coordinate joins
+// neither the staircase nor Frontier's output.
 
-// domSlack is the relative dominance margin of the per-type reduction,
-// eight orders of magnitude above the model's rounding.
+// domSlack is the relative margin of the per-type reduction and of the
+// certificate, eight orders of magnitude above the model's rounding.
 const domSlack = 1e-9
 
 // cancelCheckEvery is how many accounted configurations pass between
@@ -171,11 +210,15 @@ type spaceSoA struct {
 	typeOff []int32
 	count   []int32
 	rate    []float64 // NodeRate * Count, the choice's rate contribution
+	p       []float64 // rate * EnergyPerUnit, its energy rate at full load
 	// The choice's two budget shares (PowerBudget.Shares): its nodes at
 	// their rated peak, and its switches; both 0 without a budget.
 	nodesW, switchW []float64
 	calcs           []*model.UnitCalc
 	cls             []typeClass
+	// bounded says the rounding bound the reduction and the
+	// certificate rest on holds on the space (certifiable).
+	bounded bool
 }
 
 // group returns walked choice j as a cluster.Group.
@@ -195,10 +238,12 @@ func (sp *spaceSoA) publish(limits []cluster.Limit, b *cluster.PowerBudget, noPr
 		typeOff: slices.Clone(sp.typeOff),
 		count:   slices.Clone(sp.count[:n]),
 		rate:    slices.Clone(sp.rate[:n]),
+		p:       slices.Clone(sp.p[:n]),
 		nodesW:  slices.Clone(sp.nodesW[:n]),
 		switchW: slices.Clone(sp.switchW[:n]),
 		calcs:   slices.Clone(sp.calcs[:n]),
 		cls:     slices.Clone(sp.cls),
+		bounded: sp.bounded,
 	}
 	for i := range out.key.limits {
 		out.key.limits[i].Freqs = slices.Clone(out.key.limits[i].Freqs)
@@ -213,10 +258,8 @@ func (sp *spaceSoA) publish(limits []cluster.Limit, b *cluster.PowerBudget, noPr
 type spaceBuilder struct {
 	spaceSoA
 
-	// Reduction scratch: each choice's p = rate * EnergyPerUnit, one
-	// type's resolved operating points, and reduce's sort order, cost
-	// keys, prefix minima and verdicts.
-	p       []float64
+	// Reduction scratch: one type's resolved operating points, and
+	// reduce's sort order, cost keys, prefix minima and verdicts.
 	opCalcs []*model.UnitCalc
 	order   []int32
 	costKey []int32
@@ -234,7 +277,7 @@ func (bld *spaceBuilder) build(limits []cluster.Limit, table *model.Table, b *cl
 	sp.nTypes = n
 	sp.typeOff = grow(sp.typeOff, n+1)
 	sp.cls = grow(sp.cls, n)
-	sp.count, sp.rate, bld.p = sp.count[:0], sp.rate[:0], bld.p[:0]
+	sp.count, sp.rate, sp.p = sp.count[:0], sp.rate[:0], sp.p[:0]
 	sp.nodesW, sp.switchW, sp.calcs = sp.nodesW[:0], sp.switchW[:0], sp.calcs[:0]
 	var rMax, pMax float64
 	for i, l := range limits {
@@ -271,14 +314,17 @@ func (bld *spaceBuilder) build(limits []cluster.Limit, table *model.Table, b *cl
 				sp.rate = append(sp.rate, rate)
 				sp.nodesW = append(sp.nodesW, float64(nodesW))
 				sp.switchW = append(sp.switchW, float64(switchW))
-				bld.p = append(bld.p, p)
+				sp.p = append(sp.p, p)
 				typeR, typeP = max(typeR, rate), max(typeP, p)
 			}
 		}
 		rMax, pMax = rMax+typeR, pMax+typeP
 	}
 	sp.typeOff[n] = int32(len(sp.count))
-	if reduce {
+	// The reduction rests on the rounding bound the certificate does,
+	// so a space outside it walks every runnable choice.
+	sp.bounded = sp.certifiable(table.JobUnits())
+	if reduce && sp.bounded {
 		dst := int32(0)
 		for i := range n {
 			lo, hi := sp.typeOff[i], sp.typeOff[i+1]
@@ -315,9 +361,7 @@ func (bld *spaceBuilder) build(limits []cluster.Limit, table *model.Table, b *cl
 // choice into prefix minima of p over cost keys (a Fenwick tree) once
 // it clears the current choice's slack. A choice is dominated when the
 // minimum up to its key, or the p of its equal-time class's first
-// member, beats its own by more than dP; a NaN p (from an overflowed
-// rate) poisons the minima it enters, which only keeps more choices.
-// Testing against every earlier choice keeps what testing against the
+// member, beats its own by more than dP. Testing against every earlier choice keeps what testing against the
 // survivors would, since dominance is transitive. The pass is
 // O(n log n).
 func (bld *spaceBuilder) reduce(lo, hi, dst int32, dR, dP float64) int32 {
@@ -335,7 +379,7 @@ func (bld *spaceBuilder) reduce(lo, hi, dst int32, dR, dP float64) int32 {
 			}
 		}
 	}
-	ord, p := bld.order[:0], bld.p
+	ord, p := bld.order[:0], sp.p
 	if mono && n > 0 {
 		for j := lo; j < hi; j++ {
 			ord = append(ord, j)
@@ -372,13 +416,43 @@ func (bld *spaceBuilder) reduce(lo, hi, dst int32, dR, dP float64) int32 {
 	}
 	for j := lo; j < hi; j++ {
 		if keep[j-lo] {
-			sp.count[dst], sp.rate[dst], sp.calcs[dst] = sp.count[j], sp.rate[j], sp.calcs[j]
+			sp.count[dst], sp.rate[dst], sp.p[dst], sp.calcs[dst] = sp.count[j], sp.rate[j], sp.p[j], sp.calcs[j]
 			sp.nodesW[dst], sp.switchW[dst] = sp.nodesW[j], sp.switchW[j]
 			dst++
 		}
 	}
 	bld.order, bld.costKey, bld.keep = ord, key, keep
 	return dst
+}
+
+// certifiable reports whether the rounding bound holds on the built
+// space: the job size is positive and every built choice's unit times
+// and power terms are 0 or lie in float32's range, so no step of the
+// model's arithmetic leaves float64's normal range (no overflow, no
+// underflow) and every step rounds by at most 2^-53 relative; and a
+// choice whose memory time exceeds its core time keeps the stall
+// time's cancellation, 2^-53 (UnitMem+UnitCore) per unit at most,
+// within a quarter of the margin of its energy per unit. A NaN,
+// infinite or negative term fails the range test.
+func (sp *spaceSoA) certifiable(jobUnits float64) bool {
+	inRange := func(v float64) bool {
+		return v == 0 || math.SmallestNonzeroFloat32 <= v && v <= math.MaxFloat32
+	}
+	if !(jobUnits > 0 && inRange(jobUnits)) {
+		return false
+	}
+	for _, uc := range sp.calcs[:sp.typeOff[sp.nTypes]] {
+		for _, v := range [...]float64{float64(uc.UnitCore), float64(uc.UnitMem), float64(uc.UnitIO), float64(uc.UnitTotal),
+			uc.CoefAct, uc.CoefStall, float64(uc.MemW), float64(uc.NetW), float64(uc.IdleW)} {
+			if !inRange(v) {
+				return false
+			}
+		}
+		if uc.UnitMem > uc.UnitCore && !(0x1p-53*uc.CoefStall*float64(uc.UnitMem+uc.UnitCore) <= domSlack/4*uc.EnergyPerUnit) {
+			return false
+		}
+	}
+	return true
 }
 
 // tally counts, in closed form, how a walk of every configuration
@@ -455,7 +529,9 @@ type fastEngine struct {
 	front []fastPoint
 	sels  []int32
 
-	nEvaluated int64
+	// nEvaluated counts the walked runnable configurations: those run
+	// through the model plus the nCertified the certificate placed.
+	nEvaluated, nCertified int64
 }
 
 func (e *fastEngine) reset(sp *spaceSoA, table *model.Table, sw *SweepOptions, cancel <-chan struct{}) {
@@ -498,12 +574,21 @@ func (e *fastEngine) account(n int64) {
 	}
 }
 
-// covered reports whether some staircase point is at least as good as
-// (t, en) on both axes: the last point with time <= t has the lowest
-// energy among all such points.
-func (e *fastEngine) covered(t, en float64) bool {
+// upTo returns how many staircase points have time <= t, given that
+// the first lo of them do. It gallops from lo, so a search that starts
+// where the certificate's search left off costs a step or two, and one
+// from 0 costs O(log n). The last of those points has the lowest energy of
+// them all, so (t, en) is covered exactly when it exists and its
+// energy is <= en.
+func (e *fastEngine) upTo(t float64, lo int) int {
 	f := e.front
-	lo, hi := 0, len(f)
+	hi, step := lo, 1
+	for hi < len(f) && float64(f[hi].t) <= t {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(f))
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		if float64(f[m].t) <= t {
@@ -512,30 +597,30 @@ func (e *fastEngine) covered(t, en float64) bool {
 			hi = m
 		}
 	}
-	return lo > 0 && float64(f[lo-1].e) <= en
+	return lo
 }
 
 // admit places (t, en), with the DFS's current selection, on the
-// staircase unless a staircase point covers it. From k, the first
-// index with time >= t, the new point evicts the contiguous run whose
-// energy is >= en — each strictly dominated by it, since the point
-// before k (and a same-time point at k) has energy > en when the new
-// point is uncovered.
-func (e *fastEngine) admit(t units.Seconds, en units.Joules) {
-	if e.covered(float64(t), float64(en)) {
+// staircase unless a staircase point covers it or a coordinate is NaN
+// (such a point never joins Frontier's output). lo counts staircase
+// points known to be no later than t (0 when none is known). From k,
+// the first index with time >= t, the new point evicts the contiguous
+// run whose energy is >= en — each strictly dominated by it, since the
+// point before k (and a same-time point at k) has energy > en when the
+// new point is uncovered.
+func (e *fastEngine) admit(t units.Seconds, en units.Joules, lo int) {
+	if math.IsNaN(float64(t)) || math.IsNaN(float64(en)) {
 		return
 	}
 	f := e.front
-	lo, hi := 0, len(f)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if f[m].t < t {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+	k := e.upTo(float64(t), lo)
+	if k > 0 && f[k-1].e <= en {
+		return
 	}
-	k, end := lo, lo
+	if k > 0 && f[k-1].t == t {
+		k--
+	}
+	end := k
 	for end < len(f) && f[end].e >= en {
 		end++
 	}
@@ -587,27 +672,46 @@ func (e *fastEngine) configOf(sel []int32) cluster.Config {
 
 // leaf evaluates the selected configuration. One over the budget, or
 // with no positive rate (walked only under NoPrune), is left to the
-// closed-form count.
+// closed-form count. One the certificate shows covered is counted as
+// evaluated without running the model; the rest run it.
 func (e *fastEngine) leaf() {
 	sp := e.sp
-	gcs := e.gcsBuf[:0]
 	// The peak as PowerBudget.Peak sums it: only the switched type has
-	// a nonzero switch share, so switchW sums exactly.
-	nodesW, switchW := 0.0, 0.0
+	// a nonzero switch share, so switchW sums exactly. r sums the rates
+	// as evaluateCalcs sums its total rate, bit for bit.
+	nodesW, switchW, r, p := 0.0, 0.0, 0.0, 0.0
 	for _, ti := range sp.byRank {
 		if j := e.sel[ti]; j >= 0 {
-			gcs = append(gcs, model.GroupCalc{Calc: sp.calcs[j], Count: int(sp.count[j])})
 			nodesW += sp.nodesW[j]
 			switchW += sp.switchW[j]
+			r += sp.rate[j]
+			p += sp.p[j]
 		}
 	}
 	e.account(1)
 	if !(nodesW+switchW <= e.peakCap) {
 		return
 	}
+	// k counts the staircase points no later than the exact point, as
+	// far as the certificate's search found them; admit goes on from it.
+	k := 0
+	if t := e.table.JobUnits() / r; sp.bounded && r > 0 {
+		k = e.upTo(t*(1-domSlack), 0)
+		if k > 0 && float64(e.front[k-1].e) <= t*p*(1-domSlack) {
+			e.nEvaluated++
+			e.nCertified++
+			return
+		}
+	}
+	gcs := e.gcsBuf[:0]
+	for _, ti := range sp.byRank {
+		if j := e.sel[ti]; j >= 0 {
+			gcs = append(gcs, model.GroupCalc{Calc: sp.calcs[j], Count: int(sp.count[j])})
+		}
+	}
 	if fr, ok := e.table.EvaluateCalcs(gcs); ok {
 		e.nEvaluated++
-		e.admit(fr.Time, fr.Energy)
+		e.admit(fr.Time, fr.Energy, k)
 	}
 }
 
@@ -673,9 +777,11 @@ func spaceFor(bld *spaceBuilder, limits []cluster.Limit, table *model.Table, b *
 // magnitude faster (see the exactness argument at the top of this
 // file).
 func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
-	span := telemetry.Start(sw.Context, "pareto.frontier_sweep").
-		Arg("workload", wl.Name).Arg("engine", "fast")
+	span := telemetry.Start(sw.Context, "pareto.frontier_sweep")
 	defer span.End()
+	if span.KeepsArgs() {
+		span.Arg("workload", wl.Name).Arg("engine", "fast")
+	}
 	if err := cluster.ValidateLimits(limits); err != nil {
 		return nil, err
 	}
@@ -684,6 +790,7 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 	skipped := reg.Counter("pareto.configs_skipped")
 	filtered := reg.Counter("pareto.configs_filtered")
 	pruned := reg.Counter("pareto.configs_pruned")
+	certified := reg.Counter("pareto.configs_certified")
 
 	table := sw.Table
 	if table == nil {
@@ -726,6 +833,7 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 	skipped.Add(uint64(st.Skipped))
 	filtered.Add(uint64(st.Filtered))
 	pruned.Add(uint64(st.Pruned))
+	certified.Add(uint64(e.nCertified))
 	rc := telemetry.RequestFrom(ctx)
 	rc.Add(telemetry.AttrConfigsEvaluated, st.Evaluated)
 	rc.Add(telemetry.AttrConfigsFiltered, st.Filtered)
@@ -733,7 +841,9 @@ func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.O
 	if sw.Stats != nil {
 		*sw.Stats = st
 	}
-	span.Arg("evaluated", st.Evaluated).Arg("pruned", st.Pruned)
+	if span.KeepsArgs() {
+		span.Arg("evaluated", st.Evaluated).Arg("pruned", st.Pruned)
+	}
 	sw.Progress.Done()
 	return out, nil
 }

@@ -89,3 +89,23 @@ func TestFrontierEnergyNoise1Ulp(t *testing.T) {
 		t.Fatalf("head tie: got %+v, want the lower-energy 7-node point", f)
 	}
 }
+
+// TestFrontierDropsNaN: a point with a NaN energy or time orders against
+// nothing, so it never joins the frontier, wherever it sits in the
+// input; the other points keep the frontier they have without it.
+func TestFrontierDropsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, points := range [][]Point{
+		{markedPoint(t, 1, 1.0, nan), markedPoint(t, 2, 1.0, 5.0), markedPoint(t, 3, 2.0, 4.0)},
+		{markedPoint(t, 2, 1.0, 5.0), markedPoint(t, 1, 1.0, nan), markedPoint(t, 3, 2.0, 4.0)},
+		{markedPoint(t, 2, 1.0, 5.0), markedPoint(t, 1, nan, 1.0), markedPoint(t, 3, 2.0, 4.0), markedPoint(t, 4, 2.0, nan)},
+	} {
+		f := Frontier(points)
+		if len(f) != 2 || f[0].Config.Nodes() != 2 || f[1].Config.Nodes() != 3 {
+			t.Fatalf("Frontier(%v) = %+v, want the 2-node then the 3-node point", points, f)
+		}
+	}
+	if f := Frontier([]Point{markedPoint(t, 1, 1.0, nan)}); f != nil {
+		t.Fatalf("all-NaN input: got %+v, want nil", f)
+	}
+}

@@ -20,8 +20,11 @@ import (
 // one pareto.annotate_latencies span (see telemetry.Start): a phase on a
 // request-scoped ctx's timeline. workers is ignored.
 func AnnotateLatencies(ctx context.Context, points []Point, u, p float64, spec queueing.Spec, workers int) ([]float64, error) {
-	defer telemetry.Start(ctx, "pareto.annotate_latencies").
-		Arg("points", len(points)).Arg("u", u).Arg("p", p).Arg("kernel", spec.String()).End()
+	span := telemetry.Start(ctx, "pareto.annotate_latencies")
+	defer span.End()
+	if span.KeepsArgs() {
+		span.Arg("points", len(points)).Arg("u", u).Arg("p", p).Arg("kernel", spec.String())
+	}
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("pareto: latency annotation: %w", err)
 	}

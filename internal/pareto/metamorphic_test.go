@@ -8,6 +8,7 @@ import (
 	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -354,19 +355,32 @@ func TestFrontierStaircaseUndominatedSet(t *testing.T) {
 }
 
 // TestFrontierStaircaseSizes pins the per-type staircases of the
-// paper's 10x10 DVFS space (DESIGN.md §16): kept A9/K10 choices and the
-// configurations the walk visits, of 36,380.
+// paper's 10x10 DVFS space (DESIGN.md §16): kept A9/K10 choices, the
+// configurations the walk visits, of 36,380, and those of them the
+// model runs on. The certificate places the rest: they count as
+// evaluated, as a model run would, and pareto.configs_certified counts
+// them apart.
 func TestFrontierStaircaseSizes(t *testing.T) {
-	want := map[string][3]int32{
-		workload.NameEP: {28, 30, 898}, "memcached": {43, 31, 1407}, workload.NameX264: {35, 28, 1043},
-		"blackscholes": {28, 30, 898}, "Julius": {32, 30, 1022}, "RSA-2048": {29, 32, 989},
+	want := map[string][4]int64{
+		workload.NameEP: {28, 30, 898, 278}, "memcached": {43, 31, 1407, 651}, workload.NameX264: {35, 28, 1043, 57},
+		"blackscholes": {28, 30, 898, 281}, "Julius": {32, 30, 1022, 318}, "RSA-2048": {29, 32, 989, 51},
 	}
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
+	certified := reg.Counter("pareto.configs_certified")
 	limits := paperLimits(t, 10, 10, true)
 	for _, wl := range paperWorkloads(t) {
 		sp := buildSpace(limits, wl, nil, true)
-		a9, k10 := sp.typeOff[1]-sp.typeOff[0], sp.typeOff[2]-sp.typeOff[1]
-		if got := [3]int32{a9, k10, (1+a9)*(1+k10) - 1}; got != want[wl.Name] {
-			t.Errorf("%s: kept A9/K10 and walked %v, want %v", wl.Name, got, want[wl.Name])
+		a9, k10 := int64(sp.typeOff[1]-sp.typeOff[0]), int64(sp.typeOff[2]-sp.typeOff[1])
+		walked := (1+a9)*(1+k10) - 1
+		before := certified.Value()
+		_, st := fastSweep(t, limits, wl, nil)
+		if got := [4]int64{a9, k10, walked, walked - int64(certified.Value()-before)}; got != want[wl.Name] {
+			t.Errorf("%s: kept A9/K10, walked and run through the model %v, want %v", wl.Name, got, want[wl.Name])
+		}
+		if st.Evaluated != walked {
+			t.Errorf("%s: evaluated %d, want every walked configuration (%d)", wl.Name, st.Evaluated, walked)
 		}
 	}
 }

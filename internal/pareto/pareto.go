@@ -6,6 +6,7 @@
 package pareto
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/cluster"
@@ -24,13 +25,20 @@ type Point struct {
 
 // Frontier extracts the Pareto-optimal subset of points, sorted by
 // ascending time (and therefore descending energy along the frontier).
-// Duplicate (time, energy) pairs keep their first representative.
+// Duplicate (time, energy) pairs keep their first representative. A
+// point with a NaN time or energy (the model's 0*Inf on an overflowed
+// unit time) orders against no other point, so it never joins the
+// frontier.
 func Frontier(points []Point) []Point {
-	if len(points) == 0 {
+	sorted := make([]Point, 0, len(points))
+	for _, p := range points {
+		if !math.IsNaN(float64(p.Time)) && !math.IsNaN(float64(p.Energy)) {
+			sorted = append(sorted, p)
+		}
+	}
+	if len(sorted) == 0 {
 		return nil
 	}
-	sorted := make([]Point, len(points))
-	copy(sorted, points)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		if sorted[i].Time != sorted[j].Time {
 			return sorted[i].Time < sorted[j].Time
@@ -42,9 +50,7 @@ func Frontier(points []Point) []Point {
 	// position after the sort: the head of the sorted slice used to be
 	// accepted unconditionally, so a leading point whose Time ties a
 	// strictly cheaper later point could never be displaced through the
-	// bestEnergy epsilon path (the same-Time branch skipped it). With
-	// NaN energies the comparator is not even a strict weak order, so
-	// position is no guarantee of minimality at the head.
+	// bestEnergy epsilon path (the same-Time branch skipped it).
 	var out []Point
 	bestEnergy := units.Joules(0)
 	i := 0

@@ -34,7 +34,7 @@ func staircaseRun(t *testing.T, pts []Point, check func(e *fastEngine, n int)) *
 	e := &fastEngine{sp: sp, sel: []int32{-1}}
 	for i, p := range pts {
 		e.sel[0] = int32(i)
-		e.admit(p.Time, p.Energy)
+		e.admit(p.Time, p.Energy, 0)
 		check(e, i+1)
 	}
 	return e

@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// FuzzPercentileCacheDifferential drives the fast percentile kernel —
+// FuzzWaitPercentileDifferential drives the fast percentile kernel —
 // rho on its 2^-40 lattice, the normalized-queue float64 solve — against
 // the original big.Float reference search at the *exact* rho, across
 // randomized (rho, p, D). The 1e-9 relative budget covers both the
 // solver tolerance and the lattice (see quantizeRho for the sensitivity
 // bound). `make fuzz` runs this as a short smoke; longer -fuzztime runs
 // explore deeper.
-func FuzzPercentileCacheDifferential(f *testing.F) {
+func FuzzWaitPercentileDifferential(f *testing.F) {
 	f.Add(0.5, 95.0, 1.0)
 	f.Add(0.7, 99.0, 0.008765)
 	f.Add(0.1, 50.0, 123.0)

@@ -209,8 +209,11 @@ func Run(ctx context.Context, candidates []*energyprop.Analysis, tr Trace, opt O
 	// A request-scoped replay (POST /v1/replay) times its run on the
 	// owning request's timeline and attributes its stepped trace there;
 	// a CLI run's span goes to the process tracer.
-	defer telemetry.Start(ctx, "replay.run").
-		Arg("steps", tr.Steps()).Arg("candidates", len(candidates)).Arg("adaptive", opt.Adaptive).End()
+	span := telemetry.Start(ctx, "replay.run")
+	defer span.End()
+	if span.KeepsArgs() {
+		span.Arg("steps", tr.Steps()).Arg("candidates", len(candidates)).Arg("adaptive", opt.Adaptive)
+	}
 	telemetry.RequestFrom(ctx).Add(telemetry.AttrReplaySteps, int64(tr.Steps()))
 	reg := telemetry.Global()
 	stepCnt := reg.Counter("replay.steps")

@@ -12,15 +12,16 @@ import (
 
 // Allocation regression guards for the serving hot path. The bounds are
 // measured warm values plus ~40% headroom, not aspirations: the warm
-// scalar request (cache hit, pooled encode buffer, no logging) sits
-// near 76 allocations end to end, and the batch path amortizes its
-// fixed cost so far that one warm item costs ~15 — the alloc-level
-// counterpart of the batch throughput win. If either number jumps, a
-// pooled buffer or pre-sized slice on the hot path has regressed.
+// scalar request (one percentile solve, pooled encode buffer, no
+// logging) sits at 56 allocations end to end, the batch path amortizes
+// its fixed cost so far that one warm item costs ~15 — the alloc-level
+// counterpart of the batch throughput win — and an annotated DVFS
+// frontier request on a warm table sits at 128. If a number jumps, a
+// pooled buffer or pre-sized slice on the hot path has regressed. Each
+// count includes the test's own httptest request and recorder.
 
 // allocServer builds a server with deterministic allocation behavior:
-// one sweep worker (inline fan-out), ample admission units, discard
-// logging.
+// ample admission units, discard logging.
 func allocServer(t *testing.T) *Server {
 	t.Helper()
 	srv, err := New(Config{Telemetry: telemetry.New(), MaxInflight: 256})
@@ -48,10 +49,38 @@ func TestScalarPercentilesAllocs(t *testing.T) {
 			panic("scalar request failed")
 		}
 	})
-	// Measured ~76 warm; the recorder and request construction are part
+	// Measured 56 warm; the recorder and request construction are part
 	// of the run, so the handler's own share is lower still.
 	if avg > 110 {
 		t.Fatalf("warm scalar GET = %.1f allocs/request, want <= 110", avg)
+	}
+}
+
+// TestFrontierAnnotatedAllocs pins a warm annotated GET of the paper's
+// footnote-4 DVFS frontier: the sweep reuses the workload's table and
+// its reduced space, so what allocates is the request, the frontier's
+// points, their latency annotation and the response. A span arg boxed
+// for a request span that drops it, or a per-configuration allocation
+// in the walk, would show here.
+func TestFrontierAnnotatedAllocs(t *testing.T) {
+	srv := allocServer(t)
+	run := func() int {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+			"/v1/frontier?workload=EP&max_a9=10&max_k10=10&dvfs=1&u=0.6&p=95", nil))
+		return rec.Code
+	}
+	if code := run(); code != http.StatusOK {
+		t.Fatalf("warmup status %d", code)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if run() != http.StatusOK {
+			panic("frontier request failed")
+		}
+	})
+	// Measured 128 warm.
+	if avg > 180 {
+		t.Fatalf("warm annotated DVFS frontier GET = %.1f allocs/request, want <= 180", avg)
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 const maxPercentiles = 32
 
 // analysisCacheMax bounds the (workload, mix) -> Analysis memo; past it
-// the map is dropped and refilled.
+// the map is dropped and refilled, and serve.analysis_cache_resets
+// counts the drop.
 const analysisCacheMax = 4096
 
 // analysisCache memoizes model evaluations per (workload, mix): the
@@ -37,8 +38,9 @@ const analysisCacheMax = 4096
 // /v1/epmetrics into a map lookup plus percentile solves. The
 // key is the (workload, mix) pair itself, so a lookup allocates nothing.
 type analysisCache struct {
-	mu sync.Mutex
-	m  map[[2]string]*energyprop.Analysis
+	mu     sync.Mutex
+	m      map[[2]string]*energyprop.Analysis
+	resets *telemetry.Counter
 }
 
 func (c *analysisCache) get(key [2]string) (*energyprop.Analysis, bool) {
@@ -53,6 +55,7 @@ func (c *analysisCache) put(key [2]string, a *energyprop.Analysis) {
 	defer c.mu.Unlock()
 	if len(c.m) >= analysisCacheMax {
 		c.m = nil
+		c.resets.Inc()
 	}
 	if c.m == nil {
 		c.m = make(map[[2]string]*energyprop.Analysis)

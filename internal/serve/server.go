@@ -149,6 +149,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:           cfg,
 		ins:           newInstruments(cfg.Telemetry),
+		analyses:      analysisCache{resets: cfg.Telemetry.Counter("serve.analysis_cache_resets")},
 		slowThreshold: cfg.SlowRequest,
 		build:         ReadBuildInfo(),
 		started:       time.Now(),

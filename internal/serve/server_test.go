@@ -651,3 +651,30 @@ func checkGoroutines(t *testing.T, before int) {
 	}
 	t.Fatalf("goroutine leak: %d before, %d after", before, now)
 }
+
+// TestAnalysisCacheResets: the (workload, mix) memo holds 4,096
+// analyses; the 4,097th distinct pair drops the full memo and counts
+// one serve.analysis_cache_resets, and a lookup that hits counts none.
+func TestAnalysisCacheResets(t *testing.T) {
+	reg := telemetry.New()
+	srv, err := New(Config{Telemetry: reg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	resets := reg.Counter("serve.analysis_cache_resets")
+	mix := func(i int) string { return fmt.Sprintf("%dxA9,%dxK10", 1+i%64, 1+i/64) }
+	for i := range analysisCacheMax + 1 {
+		if _, err := srv.analysisFor("EP", mix(i)); err != nil {
+			t.Fatalf("%s: %v", mix(i), err)
+		}
+		if want := uint64(max(0, i+1-analysisCacheMax)); resets.Value() != want {
+			t.Fatalf("after %d distinct pairs: %d resets, want %d", i+1, resets.Value(), want)
+		}
+	}
+	if _, err := srv.analysisFor("EP", mix(analysisCacheMax)); err != nil {
+		t.Fatal(err)
+	}
+	if resets.Value() != 1 {
+		t.Fatalf("a memo hit counted a reset: %d resets, want 1", resets.Value())
+	}
+}

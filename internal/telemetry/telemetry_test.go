@@ -379,3 +379,50 @@ func TestProgressConcurrent(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(b []byte) (int, error) { return f(b) }
+
+// TestSpanArgsAllocs: a span guarded by KeepsArgs and carrying the args
+// the frontier sweep, its latency annotation and a replay attach
+// (strings, integers past the runtime's small-value cache, floats)
+// allocates no more than a bare span when it would drop them: on a
+// request-scoped context, and with no tracer installed. A process span
+// still records every arg.
+func TestSpanArgsAllocs(t *testing.T) {
+	name, kernel := "memcached", "mg1(scv=0.5)"
+	n, u, p := int64(1407), 0.6, 95.0
+	span := func(ctx context.Context, args bool) {
+		sp := Start(ctx, "phase")
+		if args && sp.KeepsArgs() {
+			sp.Arg("workload", name).Arg("evaluated", n).Arg("pruned", 35*n).
+				Arg("u", u).Arg("p", p).Arg("kernel", kernel).Arg("steps", 288)
+		}
+		sp.End()
+	}
+	for _, tc := range []struct {
+		label string
+		ctx   context.Context
+	}{
+		{"request span", WithRequest(context.Background(), NewRequestContext("", "frontier"))},
+		{"no tracer", context.Background()},
+	} {
+		bare := testing.AllocsPerRun(200, func() { span(tc.ctx, false) })
+		with := testing.AllocsPerRun(200, func() { span(tc.ctx, true) })
+		if with > bare {
+			t.Errorf("%s: %.0f allocs with args, %.0f bare", tc.label, with, bare)
+		}
+	}
+
+	r := New()
+	SetGlobal(r)
+	defer SetGlobal(nil)
+	span(context.Background(), true)
+	var buf bytes.Buffer
+	if err := r.Tracer().WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, arg := range []string{`"workload":"memcached"`, `"evaluated":1407`, `"pruned":49245`,
+		`"u":0.6`, `"p":95`, `"kernel":"mg1(scv=0.5)"`, `"steps":288`} {
+		if !strings.Contains(buf.String(), arg) {
+			t.Errorf("process span trace lacks %s:\n%s", arg, buf.String())
+		}
+	}
+}

@@ -81,11 +81,20 @@ func (t *Tracer) Start(name string) *Span {
 	return &Span{t: t, name: name, begin: now}
 }
 
+// KeepsArgs reports whether Arg keeps what it is given: true for a
+// process span, false for a nil span and for a request span, whose
+// timeline keeps no args. A caller tests it before computing or boxing
+// an arg, so a span that drops its args costs nothing for them:
+//
+//	if span.KeepsArgs() {
+//		span.Arg("evaluated", n)
+//	}
+func (s *Span) KeepsArgs() bool { return s != nil && s.rc == nil }
+
 // Arg attaches a key/value pair shown in the trace viewer's detail
-// pane. It returns the span for chaining and no-ops on a nil span and
-// on a request span, whose timeline keeps no args.
+// pane. It returns the span for chaining and no-ops unless KeepsArgs.
 func (s *Span) Arg(key string, value any) *Span {
-	if s == nil || s.rc != nil {
+	if !s.KeepsArgs() {
 		return s
 	}
 	if s.args == nil {
