@@ -133,7 +133,7 @@ bench-queueing:
 bench-frontier:
 	{ echo "goversion: $$($(GO) env GOVERSION)"; \
 	  echo "commit: $$(git rev-parse HEAD 2>/dev/null || echo unknown)"; \
-	  $(GO) test -bench 'BenchmarkFrontierSweep|BenchmarkEvaluate(Fast|Reference)$$' \
+	  $(GO) test -bench 'BenchmarkFrontierSweep|BenchmarkEvaluate(Calcs|Reference)$$' \
 		-benchmem -run '^$$' ./internal/pareto/; } | tee bench_frontier.out
 	$(GO) run ./internal/tools/benchjson bench_frontier.out > BENCH_frontier.json
 	@echo wrote BENCH_frontier.json

@@ -285,7 +285,10 @@ func BenchmarkAblationWorkSplit(b *testing.B) {
 		}
 		// Naive split: each node gets the same number of units; the
 		// makespan is set by the slowest node type.
-		totalNodes := cfg.Nodes()
+		totalNodes := 0
+		for _, g := range cfg.Groups {
+			totalNodes += g.Count
+		}
 		perNode := wl.JobUnits / float64(totalNodes)
 		worst := units.Seconds(0)
 		for _, g := range cfg.Groups {

@@ -178,16 +178,6 @@ func evaluateCandidate(c *energyprop.Analysis, arrival float64, policy Policy) c
 	return candEval{power: c.PowerAt(rho), rho: rho, resp: resp, ok: true}
 }
 
-// Feasible reports whether every grid point found a configuration.
-func (e *Ensemble) Feasible() bool {
-	for _, d := range e.Decisions {
-		if d.Chosen < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Curve returns the ensemble power curve on [0,1]: at zero load the
 // plan parks on the lowest-idle candidate; above the last grid point it
 // extends with the reference at full load. Infeasible points carry the

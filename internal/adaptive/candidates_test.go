@@ -51,7 +51,7 @@ func TestFrontierCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Feasible() {
+	if !feasible(plan) {
 		t.Error("frontier candidates left grid points infeasible")
 	}
 

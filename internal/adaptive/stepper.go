@@ -63,10 +63,6 @@ func NewStepper(candidates []*energyprop.Analysis, policy Policy) (*Stepper, err
 // candidate, whose capacity defines load fraction 1.
 func (s *Stepper) Reference() int { return s.ref }
 
-// RefRate returns the reference candidate's saturation job rate
-// (jobs per second at utilization 1).
-func (s *Stepper) RefRate() float64 { return s.refRate }
-
 // Percentile returns the response-time percentile every Decision's
 // Response is taken at: the policy's, defaulted.
 func (s *Stepper) Percentile() float64 { return s.policy.Percentile }

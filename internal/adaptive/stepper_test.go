@@ -140,8 +140,8 @@ func TestStepperValidation(t *testing.T) {
 			t.Fatalf("load %g accepted: %+v", load, d)
 		}
 	}
-	if st.Reference() < 0 || st.RefRate() <= 0 {
-		t.Fatalf("reference %d, rate %g", st.Reference(), st.RefRate())
+	if st.Reference() < 0 || st.refRate <= 0 {
+		t.Fatalf("reference %d, rate %g", st.Reference(), st.refRate)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/hardware"
 	"repro/internal/microbench"
-	"repro/internal/model"
 	"repro/internal/powermeter"
 	"repro/internal/simulator"
 	"repro/internal/units"
@@ -186,31 +185,4 @@ func Demands(node *hardware.NodeType, wl *workload.Profile, fitted hardware.Powe
 		return DemandResult{}, fmt.Errorf("characterize: %w", err)
 	}
 	return DemandResult{Node: node.Name, Workload: wl.Name, Demand: d, Units: u}, nil
-}
-
-// RoundTrip characterizes a workload on a node and evaluates the model
-// with the *fitted* parameters and demands, returning the fitted-model
-// result — the full Figure 1 pipeline end to end. Comparing it to the
-// simulator run of the same workload gives the validation error a user
-// of the methodology would see.
-func RoundTrip(node *hardware.NodeType, wl *workload.Profile, opt Options) (model.Result, error) {
-	pw, err := PowerParams(node, opt)
-	if err != nil {
-		return model.Result{}, err
-	}
-	dm, err := Demands(node, wl, pw.Params, opt)
-	if err != nil {
-		return model.Result{}, err
-	}
-	// Build a fitted node type and profile.
-	fittedNode := *node
-	fittedNode.Name = node.Name
-	fittedNode.Power = pw.Params
-	fitted := workload.NewProfile(wl.Name, wl.Domain, wl.Unit, wl.JobUnits)
-	fitted.IORate = wl.IORate
-	if err := fitted.SetDemand(node.Name, dm.Demand); err != nil {
-		return model.Result{}, err
-	}
-	cfg := cluster.MustConfig(cluster.FullNodes(&fittedNode, 1))
-	return model.Evaluate(cfg, fitted, model.Options{})
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/hardware"
+	"repro/internal/model"
 	"repro/internal/simulator"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -85,8 +86,9 @@ func TestDemandsRecoverProfile(t *testing.T) {
 	}
 }
 
-// TestRoundTripValidation: the full fitted pipeline must predict the
-// simulator within the paper's validation band.
+// TestRoundTripValidation: the full fitted pipeline (fit the power
+// parameters, extract the demands under them, evaluate the model with
+// both) must predict the simulator within the paper's validation band.
 func TestRoundTripValidation(t *testing.T) {
 	cat := hardware.DefaultCatalog()
 	reg, err := workload.PaperRegistry(cat)
@@ -103,7 +105,22 @@ func TestRoundTripValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fitted, err := RoundTrip(node, wl, opt)
+		pw, err := PowerParams(node, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm, err := Demands(node, wl, pw.Params, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fittedNode := *node
+		fittedNode.Power = pw.Params
+		fittedWl := workload.NewProfile(wl.Name, wl.Domain, wl.Unit, wl.JobUnits)
+		fittedWl.IORate = wl.IORate
+		if err := fittedWl.SetDemand(node.Name, dm.Demand); err != nil {
+			t.Fatal(err)
+		}
+		fitted, err := model.Evaluate(cluster.MustConfig(cluster.FullNodes(&fittedNode, 1)), fittedWl, model.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

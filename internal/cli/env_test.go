@@ -20,11 +20,11 @@ func TestLoadEnvironmentDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if catalog.Len() != 4 {
-		t.Errorf("default catalog has %d types", catalog.Len())
+	if n := len(catalog.Names()); n != 4 {
+		t.Errorf("default catalog has %d types", n)
 	}
-	if registry.Len() != 6 {
-		t.Errorf("default registry has %d workloads", registry.Len())
+	if n := len(registry.Names()); n != 6 {
+		t.Errorf("default registry has %d workloads", n)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestLoadEnvironmentWithOverlays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Nodes() != 12 {
-		t.Errorf("mixed custom config has %d nodes", cfg.Nodes())
+	if n := cfg.Count("Edge") + cfg.Count("A9"); n != 12 {
+		t.Errorf("mixed custom config has %d nodes", n)
 	}
 	if !p.Supports("Edge") || !p.Supports("A9") {
 		t.Error("custom workload does not cover its node types")

@@ -34,7 +34,11 @@ func FuzzParseMix(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("ParseMix(%q, %d, %g) returned invalid config: %v", mix, cores, freqGHz, err)
 		}
-		if cfg.Nodes() <= 0 {
+		nodes := 0
+		for _, g := range cfg.Groups {
+			nodes += g.Count
+		}
+		if nodes <= 0 {
 			t.Fatalf("ParseMix(%q) returned empty config without error", mix)
 		}
 	})

@@ -121,37 +121,6 @@ func (b BudgetSpec) Ladder() ([]Mix, error) {
 	return mixes, nil
 }
 
-// MaximalMixes enumerates every (wimpy, brawny) pair within the budget
-// that cannot take one more node of either type — the full Pareto set of
-// budget-filling mixes, a superset of the ladder.
-func (b BudgetSpec) MaximalMixes() []Mix {
-	var mixes []Mix
-	maxBrawny := int(float64(b.Budget) / float64(b.Brawny.NominalPeak))
-	for nBrawny := 0; nBrawny <= maxBrawny; nBrawny++ {
-		// Largest wimpy count that still fits beside nBrawny.
-		nWimpy := 0
-		for b.Fits(nWimpy+1, nBrawny) {
-			nWimpy++
-		}
-		if nWimpy == 0 && nBrawny == 0 {
-			continue
-		}
-		var groups []Group
-		if nWimpy > 0 {
-			groups = append(groups, FullNodes(b.Wimpy, nWimpy))
-		}
-		if nBrawny > 0 {
-			groups = append(groups, FullNodes(b.Brawny, nBrawny))
-		}
-		cfg, err := NewConfig(groups...)
-		if err != nil {
-			continue
-		}
-		mixes = append(mixes, Mix{Wimpy: nWimpy, Brawny: nBrawny, Config: cfg})
-	}
-	return mixes
-}
-
 // PowerBudget caps a configuration's budget-accounted peak power, as
 // Section III-C holds mixes under a fixed envelope: every node at its
 // rated peak, plus the switches that connect the nodes of the Switched

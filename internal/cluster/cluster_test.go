@@ -185,26 +185,6 @@ func TestPowerBudgetPeak(t *testing.T) {
 	}
 }
 
-func TestBudgetMaximalMixesWithinBudget(t *testing.T) {
-	cat := hardware.DefaultCatalog()
-	spec, err := DefaultBudget(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixes := spec.MaximalMixes()
-	if len(mixes) == 0 {
-		t.Fatal("no maximal mixes")
-	}
-	for _, m := range mixes {
-		if !spec.Fits(m.Wimpy, m.Brawny) {
-			t.Errorf("mix %dA9:%dK10 does not fit budget", m.Wimpy, m.Brawny)
-		}
-		if spec.Fits(m.Wimpy+1, m.Brawny) {
-			t.Errorf("mix %dA9:%dK10 is not maximal (one more wimpy node fits)", m.Wimpy, m.Brawny)
-		}
-	}
-}
-
 // TestIdlePowerAdditive is a property: idle power of a config equals the
 // sum over groups of count*idle.
 func TestIdlePowerAdditive(t *testing.T) {
@@ -285,12 +265,12 @@ func TestEnumerateAllPreallocatesExactly(t *testing.T) {
 			t.Errorf("MaxNodes %d: EnumerateAll yielded %d configs (err %v), SpaceSize says %d", n, len(all), err, SpaceSize(none))
 		}
 	}
-	// Choices must expose the same per-type space Enumerate consumes.
-	if got := len(limits[0].Choices()); got != 30 {
-		t.Errorf("A9 Choices = %d, want 30", got)
+	// The per-type choices are the space Enumerate consumes.
+	if got := len(limits[0].perTypeChoices()); got != 30 {
+		t.Errorf("A9 choices = %d, want 30", got)
 	}
-	if got := len(limits[2].Choices()); got != 4 {
-		t.Errorf("fixed XeonE5 Choices = %d, want 4", got)
+	if got := len(limits[2].perTypeChoices()); got != 4 {
+		t.Errorf("fixed XeonE5 choices = %d, want 4", got)
 	}
 }
 
@@ -305,6 +285,44 @@ func TestEnumerateAllInvalidLimits(t *testing.T) {
 	}
 }
 
+// TestValidateLimitsRejectsUnbuildableSpaces: limits whose space holds
+// configurations NewConfig refuses — a frequency off the type's
+// ladder, a second limit on one node type — fail validation, so
+// Enumerate and EnumerateAll return an error instead of panicking
+// mid-walk; and SpaceSize, which callers may run before validating,
+// counts no choices for a type that is nil or has no cores.
+func TestValidateLimitsRejectsUnbuildableSpaces(t *testing.T) {
+	a9 := hardware.NewA9()
+	noCores := hardware.NewA9()
+	noCores.Cores = -1
+	for _, c := range []struct {
+		name   string
+		limits []Limit
+		size   int
+	}{
+		{"frequency off the ladder", []Limit{{Type: a9, MaxNodes: 1, Freqs: []units.Hertz{123}}}, a9.Cores},
+		{"ladder and off-ladder frequencies", []Limit{{Type: a9, MaxNodes: 2, Freqs: []units.Hertz{a9.FMax(), 123}}}, 2 * a9.Cores * 2},
+		{"two limits on one type", []Limit{{Type: a9, MaxNodes: 2, FixCoresAndFreq: true}, {Type: a9, MaxNodes: 2, FixCoresAndFreq: true}}, 8},
+		{"two types of one name", []Limit{{Type: a9, MaxNodes: 1, FixCoresAndFreq: true}, {Type: hardware.NewA9(), MaxNodes: 1, FixCoresAndFreq: true}}, 3},
+		{"negative cores", []Limit{{Type: noCores, MaxNodes: 2}}, 0},
+		{"negative cores, fixed", []Limit{{Type: noCores, MaxNodes: 2, FixCoresAndFreq: true}}, 0},
+		{"nil type", []Limit{{Type: nil, MaxNodes: 3}}, 0},
+	} {
+		if got := SpaceSize(c.limits); got != c.size {
+			t.Errorf("%s: SpaceSize = %d, want %d", c.name, got, c.size)
+		}
+		if err := ValidateLimits(c.limits); err == nil {
+			t.Errorf("%s: ValidateLimits accepted the limits", c.name)
+		}
+		if err := Enumerate(c.limits, func(Config) bool { return true }); err == nil {
+			t.Errorf("%s: Enumerate accepted the limits", c.name)
+		}
+		if _, err := EnumerateAll(c.limits); err == nil {
+			t.Errorf("%s: EnumerateAll accepted the limits", c.name)
+		}
+	}
+}
+
 // TestOperatingPoints: the per-unit operating points are exactly the
 // distinct (cores, freq) pairs of the limit — the count-independent
 // set the model table memoizes on — with count pinned to one node.
@@ -316,7 +334,7 @@ func TestOperatingPoints(t *testing.T) {
 	}
 	l := Limit{Type: a9, MaxNodes: 7}
 	ops := l.OperatingPoints()
-	choices := l.Choices()
+	choices := l.perTypeChoices()
 	if len(ops)*l.MaxNodes != len(choices) {
 		t.Fatalf("%d operating points x %d nodes != %d choices", len(ops), l.MaxNodes, len(choices))
 	}

@@ -96,15 +96,6 @@ func MustConfig(groups ...Group) Config {
 	return c
 }
 
-// Nodes returns the total node count.
-func (c Config) Nodes() int {
-	n := 0
-	for _, g := range c.Groups {
-		n += g.Count
-	}
-	return n
-}
-
 // Degree returns the degree of inter-node heterogeneity (number of
 // distinct node types, d in the paper).
 func (c Config) Degree() int { return len(c.Groups) }

@@ -15,8 +15,8 @@ func TestConfigAccessors(t *testing.T) {
 	k10, _ := cat.Lookup("K10")
 	c := MustConfig(FullNodes(a9, 32), FullNodes(k10, 12))
 
-	if got := c.Nodes(); got != 44 {
-		t.Errorf("Nodes = %d, want 44", got)
+	if got := c.Count("A9") + c.Count("K10"); got != 44 {
+		t.Errorf("nodes = %d, want 44", got)
 	}
 	if got := c.Degree(); got != 2 {
 		t.Errorf("Degree = %d, want 2", got)

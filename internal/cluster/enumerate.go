@@ -48,17 +48,11 @@ func (l Limit) freqs() []units.Hertz {
 	return l.Type.Freq.Steps
 }
 
-// Choices returns every (count, cores, freq) Group choice for the type
-// with count >= 1, in the deterministic order Enumerate consumes them.
-// The fast frontier engine iterates these directly instead of
-// re-deriving the per-type space.
-func (l Limit) Choices() []Group { return l.perTypeChoices() }
-
 // OperatingPoints returns one single-node Group per distinct
 // (cores, freq) pair of the type — the set of per-unit operating points
 // the limit can reach, independent of node count. The memoized model
 // table is keyed on exactly these, so pre-warming iterates
-// OperatingPoints rather than the count-expanded Choices.
+// OperatingPoints rather than the count-expanded choices.
 func (l Limit) OperatingPoints() []Group {
 	if l.MaxNodes <= 0 {
 		return nil
@@ -97,14 +91,17 @@ func (l Limit) perTypeChoices() []Group {
 // without materializing them: the product over every non-empty subset of
 // types of their per-type choice counts. For the paper's footnote-4
 // space (10 ARM nodes x 5 freqs x 4 cores, 10 AMD nodes x 3 freqs x 6
-// cores) this is 36,380. A type with MaxNodes <= 0 has no choices.
+// cores) this is 36,380. A type with MaxNodes <= 0 has no choices, nor
+// does a limit whose type is nil or has no cores (ValidateLimits
+// rejects both), so SpaceSize is safe to call before validation.
 func SpaceSize(limits []Limit) int {
 	// sum over non-empty subsets of product of per-type counts
 	// = prod (1 + n_i) - 1, where n_i is the per-type choice count.
 	total := 1
 	for _, l := range limits {
-		perType := max(l.MaxNodes, 0) * len(l.cores()) * len(l.freqs())
-		total *= 1 + perType
+		if l.MaxNodes > 0 && l.Type != nil && l.Type.Cores > 0 {
+			total *= 1 + l.MaxNodes*len(l.cores())*len(l.freqs())
+		}
 	}
 	return total - 1
 }
@@ -158,15 +155,27 @@ func Enumerate(limits []Limit, visit func(Config) bool) error {
 	return nil
 }
 
-// ValidateLimits checks that every limit carries a valid node type —
-// the precondition Enumerate and the fast frontier engine share.
+// ValidateLimits checks that every limit carries a valid node type of
+// its own, and lists only frequencies on that type's ladder — the
+// precondition Enumerate and the fast frontier engine share: every
+// configuration the limits span is then one NewConfig accepts.
 func ValidateLimits(limits []Limit) error {
-	for _, l := range limits {
+	for i, l := range limits {
 		if l.Type == nil {
 			return fmt.Errorf("cluster: enumeration limit with nil type")
 		}
 		if err := l.Type.Validate(); err != nil {
 			return err
+		}
+		for _, f := range l.Freqs {
+			if !l.Type.HasFreq(f) {
+				return fmt.Errorf("cluster: limit for %s lists unsupported frequency %v", l.Type.Name, f)
+			}
+		}
+		for _, m := range limits[:i] {
+			if m.Type.Name == l.Type.Name {
+				return fmt.Errorf("cluster: two limits for node type %s", l.Type.Name)
+			}
 		}
 	}
 	return nil

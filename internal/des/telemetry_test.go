@@ -6,8 +6,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestEngineTelemetry: the engine reports scheduled/fired/cancelled
-// event counts and queue-depth watermarks into an installed registry.
+// TestEngineTelemetry: the engine reports scheduled/fired event counts
+// and queue-depth watermarks into an installed registry.
 func TestEngineTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	telemetry.SetGlobal(reg)
@@ -16,16 +16,14 @@ func TestEngineTelemetry(t *testing.T) {
 	e := New()
 	var fired int
 	for i := 0; i < 5; i++ {
-		if _, err := e.Schedule(float64(i), func() { fired++ }); err != nil {
+		if err := e.Schedule(float64(i), func() { fired++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ev, err := e.Schedule(10, func() { fired++ })
-	if err != nil {
+	// The sixth event lies past the horizon: scheduled, never fired.
+	if err := e.Schedule(200, func() { fired++ }); err != nil {
 		t.Fatal(err)
 	}
-	e.Cancel(ev)
-	e.Cancel(ev) // double cancel must count once
 	e.Run(100)
 
 	if got := reg.Counter("des.events_scheduled").Value(); got != 6 {
@@ -34,14 +32,11 @@ func TestEngineTelemetry(t *testing.T) {
 	if got := reg.Counter("des.events_fired").Value(); got != 5 {
 		t.Errorf("events_fired = %d, want 5", got)
 	}
-	if got := reg.Counter("des.events_cancelled").Value(); got != 1 {
-		t.Errorf("events_cancelled = %d, want 1", got)
-	}
 	if got := reg.Gauge("des.queue_depth_max").Value(); got != 6 {
 		t.Errorf("queue_depth_max = %g, want 6", got)
 	}
-	if got := reg.Gauge("des.queue_depth").Value(); got != 0 {
-		t.Errorf("queue_depth after drain = %g, want 0", got)
+	if got := reg.Gauge("des.queue_depth").Value(); got != 1 {
+		t.Errorf("queue_depth after the horizon = %g, want 1", got)
 	}
 	if fired != 5 {
 		t.Fatalf("fired = %d, want 5", fired)
@@ -53,7 +48,7 @@ func TestEngineTelemetry(t *testing.T) {
 func TestEngineUninstrumented(t *testing.T) {
 	e := New()
 	ran := false
-	if _, err := e.Schedule(1, func() { ran = true }); err != nil {
+	if err := e.Schedule(1, func() { ran = true }); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.Run(2); n != 1 || !ran {

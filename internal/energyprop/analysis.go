@@ -102,18 +102,6 @@ func (a *Analysis) ResponsePercentilesAt(grid []float64, p float64) ([]float64, 
 	return out, nil
 }
 
-// EnergyOverWindow returns the energy consumed during an observation
-// window of length window at utilization u: the busy fraction draws
-// P_busy, the remainder draws P_idle (Section II-B's E over period T).
-func (a *Analysis) EnergyOverWindow(u, window float64) float64 {
-	if window < 0 {
-		return 0
-	}
-	busy := u * window
-	idle := window - busy
-	return busy*float64(a.Result.BusyPower) + idle*float64(a.Result.IdlePower)
-}
-
 // String summarizes the analysis.
 func (a *Analysis) String() string {
 	m := a.Metrics()

@@ -85,28 +85,6 @@ func TestAnalysisSweep(t *testing.T) {
 	}
 }
 
-// TestEnergyOverWindow: the Section II-B window accounting — E(u) =
-// u*T*P_busy + (1-u)*T*P_idle — with its endpoints and linearity.
-func TestEnergyOverWindow(t *testing.T) {
-	a := epAnalysis(t)
-	const T = 100.0
-	idle := a.EnergyOverWindow(0, T)
-	if stats.RelErr(idle, float64(a.Result.IdlePower)*T) > 1e-12 {
-		t.Errorf("E(0) = %g", idle)
-	}
-	full := a.EnergyOverWindow(1, T)
-	if stats.RelErr(full, float64(a.Result.BusyPower)*T) > 1e-12 {
-		t.Errorf("E(1) = %g", full)
-	}
-	mid := a.EnergyOverWindow(0.5, T)
-	if stats.RelErr(mid, (idle+full)/2) > 1e-12 {
-		t.Errorf("E(0.5) = %g not the midpoint", mid)
-	}
-	if got := a.EnergyOverWindow(0.5, -1); got != 0 {
-		t.Errorf("negative window = %g, want 0", got)
-	}
-}
-
 func TestAnalysisString(t *testing.T) {
 	a := epAnalysis(t)
 	s := a.String()

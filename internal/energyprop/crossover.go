@@ -1,10 +1,5 @@
 package energyprop
 
-import (
-	"errors"
-	"math"
-)
-
 // SublinearCrossover returns the utilization u* at which a linear
 // configuration curve crosses the reference's ideal proportionality
 // line and becomes sub-linear: for u > u* the configuration consumes
@@ -60,65 +55,4 @@ func (r Reference) CrossoverNumeric(c Curve, tol float64) (float64, bool) {
 		}
 	}
 	return (a + b) / 2, true
-}
-
-// EnergySavedBelowIdeal integrates max(0, ideal - P(u)) over [0,1]: the
-// area by which the configuration undercuts the reference's ideal
-// proportional system, in watt-units of utilization. It quantifies "how
-// far the proportionality wall was scaled" for Figures 9/10.
-func (r Reference) EnergySavedBelowIdeal(c Curve) float64 {
-	if len(c.U) < 2 {
-		return 0
-	}
-	total := 0.0
-	for i := 1; i < len(c.U); i++ {
-		// Integrate the clamped difference on this panel with the
-		// trapezoid rule; panels are fine enough that clamping at the
-		// endpoints is adequate.
-		d0 := r.PeakPower*c.U[i-1] - c.P[i-1]
-		d1 := r.PeakPower*c.U[i] - c.P[i]
-		if d0 < 0 {
-			d0 = 0
-		}
-		if d1 < 0 {
-			d1 = 0
-		}
-		total += (c.U[i] - c.U[i-1]) * (d0 + d1) / 2
-	}
-	return total
-}
-
-// WallScaling summarizes how a set of configuration curves relates to a
-// shared reference: which are sub-linear, from which utilization, and
-// by how much area.
-type WallScaling struct {
-	// Crossover is the sub-linear onset utilization per curve
-	// (NaN when never sub-linear).
-	Crossover []float64
-	// Area is EnergySavedBelowIdeal per curve.
-	Area []float64
-	// SublinearCount is the number of sub-linear curves.
-	SublinearCount int
-}
-
-// AnalyzeWall evaluates the wall-scaling summary for the curves.
-func (r Reference) AnalyzeWall(curves []Curve) (WallScaling, error) {
-	if len(curves) == 0 {
-		return WallScaling{}, errors.New("energyprop: no curves")
-	}
-	w := WallScaling{
-		Crossover: make([]float64, len(curves)),
-		Area:      make([]float64, len(curves)),
-	}
-	for i, c := range curves {
-		u, ok := r.SublinearCrossover(c)
-		if ok {
-			w.Crossover[i] = u
-			w.SublinearCount++
-		} else {
-			w.Crossover[i] = math.NaN()
-		}
-		w.Area[i] = r.EnergySavedBelowIdeal(c)
-	}
-	return w, nil
 }

@@ -109,51 +109,6 @@ func TestCrossoverMonotoneInBrawnyCount(t *testing.T) {
 	}
 }
 
-// TestEnergySavedBelowIdealProperties: the saved area is zero for the
-// reference's own ideal line, positive for any curve strictly below it,
-// and grows as the curve is scaled down.
-func TestEnergySavedBelowIdealProperties(t *testing.T) {
-	r := Reference{PeakPower: 100}
-	ideal := Linear(0, 100, 100)
-	if a := r.EnergySavedBelowIdeal(ideal); a > 1e-9 {
-		t.Errorf("ideal line saved area %g, want 0", a)
-	}
-	low := Linear(5, 40, 100)
-	a1 := r.EnergySavedBelowIdeal(low)
-	if a1 <= 0 {
-		t.Errorf("low curve saved area %g, want > 0", a1)
-	}
-	lower := low.Scale(0.5)
-	if a2 := r.EnergySavedBelowIdeal(lower); a2 <= a1 {
-		t.Errorf("halving the curve should grow the area: %g vs %g", a2, a1)
-	}
-}
-
-func TestAnalyzeWall(t *testing.T) {
-	r := Reference{PeakPower: 100}
-	curves := []Curve{
-		Linear(0, 100, 50),  // the ideal itself: never strictly sub-linear
-		Linear(10, 40, 50),  // small config: sub-linear from some u
-		Linear(50, 120, 50), // too steep: never sub-linear
-	}
-	w, err := r.AnalyzeWall(curves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.SublinearCount != 1 {
-		t.Errorf("sublinear count = %d, want 1", w.SublinearCount)
-	}
-	if !math.IsNaN(w.Crossover[2]) {
-		t.Errorf("steep curve crossover = %g, want NaN", w.Crossover[2])
-	}
-	if w.Area[1] <= 0 {
-		t.Errorf("small config area = %g, want > 0", w.Area[1])
-	}
-	if _, err := r.AnalyzeWall(nil); err == nil {
-		t.Error("empty curve list accepted")
-	}
-}
-
 // TestCrossoverNumericFlat: a zero-idle proportional-but-cheaper curve
 // is sub-linear everywhere.
 func TestCrossoverNumericFlat(t *testing.T) {

@@ -113,33 +113,3 @@ func (c Curve) NormalizedAt(u float64) float64 {
 	}
 	return c.At(u) / peak
 }
-
-// Scale returns the curve with every power multiplied by f (e.g. to
-// aggregate n identical nodes).
-func (c Curve) Scale(f float64) Curve {
-	p := make([]float64, len(c.P))
-	for i, v := range c.P {
-		p[i] = v * f
-	}
-	return Curve{U: append([]float64(nil), c.U...), P: p}
-}
-
-// Add composes two curves sampled on the same utilization grid — the
-// cluster-wide curve of a heterogeneous mix whose node groups share a
-// common idling schedule (Section II-D: "the idling period of all nodes
-// in a system configuration is approximately the same").
-func (c Curve) Add(o Curve) (Curve, error) {
-	if len(c.U) != len(o.U) {
-		return Curve{}, errors.New("energyprop: cannot add curves on different grids")
-	}
-	for i := range c.U {
-		if c.U[i] != o.U[i] {
-			return Curve{}, errors.New("energyprop: cannot add curves on different grids")
-		}
-	}
-	p := make([]float64, len(c.P))
-	for i := range p {
-		p[i] = c.P[i] + o.P[i]
-	}
-	return Curve{U: append([]float64(nil), c.U...), P: p}, nil
-}

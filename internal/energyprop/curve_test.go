@@ -78,47 +78,13 @@ func TestCurveAtMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCurveScale(t *testing.T) {
-	c := Linear(5, 10, 4)
-	s := c.Scale(3)
-	if s.Idle() != 15 || s.Peak() != 30 {
-		t.Errorf("scaled endpoints %g/%g", s.Idle(), s.Peak())
-	}
-	// Original untouched.
-	if c.Idle() != 5 || c.Peak() != 10 {
-		t.Error("Scale mutated the receiver")
-	}
-	// Metrics are scale-invariant.
-	a, b := ComputeMetrics(c), ComputeMetrics(s)
-	if math.Abs(a.IPR-b.IPR) > 1e-12 || math.Abs(a.EPM-b.EPM) > 1e-12 {
-		t.Error("metrics changed under scaling")
-	}
-}
-
-func TestCurveAdd(t *testing.T) {
-	a := Linear(1, 2, 10)
-	b := Linear(10, 20, 10)
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Idle() != 11 || sum.Peak() != 22 {
-		t.Errorf("sum endpoints %g/%g", sum.Idle(), sum.Peak())
-	}
-	// Mismatched grids are rejected.
-	c := Linear(1, 2, 7)
-	if _, err := a.Add(c); err == nil {
-		t.Error("mismatched grids accepted")
-	}
-}
-
 // TestClusterCurveComposition: the cluster curve of n identical nodes is
 // the single-node curve scaled by n, so the normalized curves (and
 // therefore the metrics) coincide — why Table 8's homogeneous columns
 // equal Table 7.
 func TestClusterCurveComposition(t *testing.T) {
 	single := Linear(units.Watts(1.8), units.Watts(2.43), 64)
-	clusterCurve := single.Scale(128)
+	clusterCurve := scaled(single, 128)
 	ms, mc := ComputeMetrics(single), ComputeMetrics(clusterCurve)
 	if math.Abs(ms.DPR-mc.DPR) > 1e-9 || math.Abs(ms.EPM-mc.EPM) > 1e-9 {
 		t.Error("homogeneous scaling changed proportionality metrics")
@@ -135,4 +101,14 @@ func TestNormalizedAtZeroPeak(t *testing.T) {
 	if got := c.NormalizedAt(0.5); got != 0 {
 		t.Errorf("zero-peak normalized = %g", got)
 	}
+}
+
+// scaled returns c with every power multiplied by f, as aggregating f
+// identical nodes does.
+func scaled(c Curve, f float64) Curve {
+	p := make([]float64, len(c.P))
+	for i, v := range c.P {
+		p[i] = v * f
+	}
+	return Curve{U: c.U, P: p}
 }

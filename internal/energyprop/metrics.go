@@ -110,15 +110,6 @@ func PG(c Curve, u float64) float64 {
 	return (c.At(u) - ideal) / ideal
 }
 
-// SublinearAt reports whether the curve consumes less than the ideal
-// proportional power at utilization u, i.e. falls below the ideal line.
-// For curves normalized against their own peak this never happens at
-// u=1; it is meaningful for reference-normalized cluster curves
-// (see Reference below).
-func SublinearAt(c Curve, u float64) bool {
-	return PG(c, u) < 0
-}
-
 // Reference normalizes a configuration's power curve against a
 // *reference* peak power — the mechanism behind Figures 9 and 10, where
 // Pareto-frontier configurations are drawn against the ideal

@@ -225,7 +225,7 @@ func TestReferenceNormalizationExposesSublinear(t *testing.T) {
 	small := analyze(t, cat, reg, "EP", cluster.FullNodes(a9, 25), cluster.FullNodes(k10, 5))
 	r := Reference{PeakPower: float64(ref.Result.BusyPower)}
 	// Against its own peak the small config is never sub-linear...
-	if SublinearAt(small.CurveRes, 0.5) {
+	if PG(small.CurveRes, 0.5) < 0 {
 		t.Error("config sub-linear against its own peak; linear curves cannot be")
 	}
 	// ...but against the reference peak it must dip below ideal at high

@@ -178,7 +178,7 @@ func TestMetricsScaleInvariance(t *testing.T) {
 		idle := peak * rng.Float64()
 		c := randMonotoneCurve(rng, 2+rng.Intn(60), idle, peak)
 		f := math.Exp(10 * (rng.Float64() - 0.5)) // factors across ~4 decades
-		cs := c.Scale(f)
+		cs := scaled(c, f)
 
 		m, ms := ComputeMetrics(c), ComputeMetrics(cs)
 		if !closeRel(m.IPR, ms.IPR) || !closeRel(m.DPR, ms.DPR) ||

@@ -188,10 +188,3 @@ func (c *Catalog) Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Len returns the number of registered types.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.types)
-}

@@ -11,8 +11,8 @@ import (
 
 func TestCatalogDefaults(t *testing.T) {
 	c := DefaultCatalog()
-	if c.Len() != 4 {
-		t.Fatalf("catalog has %d types, want 4", c.Len())
+	if len(c.types) != 4 {
+		t.Fatalf("catalog has %d types, want 4", len(c.types))
 	}
 	want := []string{"A15", "A9", "K10", "XeonE5"}
 	names := c.Names()
@@ -147,13 +147,11 @@ func TestPowerAtMonotone(t *testing.T) {
 }
 
 func TestMaxBusyPowerComposition(t *testing.T) {
-	// MaxBusyPower is the component sum at full activity.
-	for _, n := range []*NodeType{NewA9(), NewK10(), NewA15(), NewXeonE5()} {
-		want := n.Power.Idle + units.Watts(float64(n.Power.CPUActPerCore)*float64(n.Cores)) +
-			n.Power.Mem + n.Power.Net
-		if got := n.MaxBusyPower(n.FMax()); math.Abs(float64(got-want)) > 1e-9 {
-			t.Errorf("%s: max busy power %v, want %v", n.Name, got, want)
-		}
+	// The max busy power is the component sum at full activity: all
+	// cores active at FMax plus memory and NIC activity on top of idle.
+	maxBusy := func(n *NodeType) units.Watts {
+		p := n.PowerAt(n.FMax())
+		return p.Idle + units.Watts(float64(p.CPUActPerCore)*float64(n.Cores)) + p.Mem + p.Net
 	}
 	// The wimpy A9 stays under its 5 W rating even fully loaded. The K10
 	// deliberately does NOT: the paper's own Table 7 IPRs imply busy
@@ -161,11 +159,11 @@ func TestMaxBusyPowerComposition(t *testing.T) {
 	// footnote uses — an inconsistency the calibration inherits. Keep
 	// the overshoot bounded so the budget math stays meaningful.
 	a9 := NewA9()
-	if got := a9.MaxBusyPower(a9.FMax()); got > a9.NominalPeak {
+	if got := maxBusy(a9); got > a9.NominalPeak {
 		t.Errorf("A9 max busy power %v exceeds its 5 W rating", got)
 	}
 	k10 := NewK10()
-	if got := k10.MaxBusyPower(k10.FMax()); float64(got) > 1.5*float64(k10.NominalPeak) {
+	if got := maxBusy(k10); float64(got) > 1.5*float64(k10.NominalPeak) {
 		t.Errorf("K10 max busy power %v further than 1.5x from its rating", got)
 	}
 }

@@ -16,8 +16,8 @@ func TestCatalogJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != orig.Len() {
-		t.Fatalf("round trip lost types: %d vs %d", back.Len(), orig.Len())
+	if len(back.types) != len(orig.types) {
+		t.Fatalf("round trip lost types: %d vs %d", len(back.types), len(orig.types))
 	}
 	for _, name := range orig.Names() {
 		a, err := orig.Lookup(name)

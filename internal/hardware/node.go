@@ -28,7 +28,6 @@ type ISA string
 const (
 	ISAARMv7 ISA = "ARMv7-A"
 	ISAx86   ISA = "x86_64"
-	ISAARMv8 ISA = "ARMv8-A"
 )
 
 // PowerParams holds the power-model parameters of one node type at its
@@ -178,15 +177,6 @@ func (n *NodeType) PowerAt(f units.Hertz) PowerParams {
 	p.CPUActPerCore = units.Watts(float64(p.CPUActPerCore) * s)
 	p.CPUStallPerCore = units.Watts(float64(p.CPUStallPerCore) * s)
 	return p
-}
-
-// MaxBusyPower returns an upper bound on whole-node power: all cores
-// active at frequency f plus memory and NIC activity on top of idle.
-func (n *NodeType) MaxBusyPower(f units.Hertz) units.Watts {
-	p := n.PowerAt(f)
-	return p.Idle +
-		units.Watts(float64(p.CPUActPerCore)*float64(n.Cores)) +
-		p.Mem + p.Net
 }
 
 func (n *NodeType) String() string {

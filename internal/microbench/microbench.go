@@ -7,8 +7,6 @@
 package microbench
 
 import (
-	"fmt"
-
 	"repro/internal/hardware"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -75,20 +73,4 @@ func NetBlast(node *hardware.NodeType, duration units.Seconds) (*workload.Profil
 		return nil, err
 	}
 	return p, nil
-}
-
-// Suite returns all three micro-benchmarks for a node type, each sized
-// to run for the given duration.
-func Suite(node *hardware.NodeType, duration units.Seconds) ([]*workload.Profile, error) {
-	var out []*workload.Profile
-	for _, build := range []func(*hardware.NodeType, units.Seconds) (*workload.Profile, error){
-		CPUBurn, MemStall, NetBlast,
-	} {
-		p, err := build(node, duration)
-		if err != nil {
-			return nil, fmt.Errorf("microbench: %w", err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }

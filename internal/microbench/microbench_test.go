@@ -8,27 +8,23 @@ import (
 	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 func TestSuiteBuilds(t *testing.T) {
 	node := hardware.NewA9()
-	profiles, err := Suite(node, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profiles) != 3 {
-		t.Fatalf("suite has %d benchmarks, want 3", len(profiles))
-	}
-	names := map[string]bool{}
-	for _, p := range profiles {
-		names[p.Name] = true
+	for want, build := range map[string]func(*hardware.NodeType, units.Seconds) (*workload.Profile, error){
+		NameCPUBurn: CPUBurn, NameMemStall: MemStall, NameNetBlast: NetBlast,
+	} {
+		p, err := build(node, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name != want {
+			t.Errorf("benchmark %s is named %s", want, p.Name)
+		}
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s invalid: %v", p.Name, err)
-		}
-	}
-	for _, want := range []string{NameCPUBurn, NameMemStall, NameNetBlast} {
-		if !names[want] {
-			t.Errorf("suite missing %s", want)
 		}
 	}
 }
@@ -147,8 +143,5 @@ func TestMicrobenchRejectsInvalidNode(t *testing.T) {
 	}
 	if _, err := NetBlast(bad, 1); err == nil {
 		t.Error("NetBlast accepted invalid node")
-	}
-	if _, err := Suite(bad, 1); err == nil {
-		t.Error("Suite accepted invalid node")
 	}
 }

@@ -216,11 +216,6 @@ func Evaluate(cfg cluster.Config, p *workload.Profile, opt Options) (Result, err
 	return res, nil
 }
 
-// PeakPower returns the modeled peak power of the configuration for this
-// workload: the average power when utilization is 1 (Section II-B,
-// P_peak = E(U=1)/T).
-func (r Result) PeakPower() units.Watts { return r.BusyPower }
-
 // PPR returns the performance-to-power ratio at full utilization:
 // throughput per watt of busy power (Section II-B).
 func (r Result) PPR() float64 {
@@ -228,14 +223,6 @@ func (r Result) PPR() float64 {
 		return 0
 	}
 	return float64(r.Throughput) / float64(r.BusyPower)
-}
-
-// EnergyPerUnit returns joules per unit of work.
-func (r Result) EnergyPerUnit(jobUnits float64) units.Joules {
-	if jobUnits <= 0 {
-		return 0
-	}
-	return units.Joules(float64(r.Energy) / jobUnits)
 }
 
 // EDP returns the energy-delay product E_P * T_P in joule-seconds — the

@@ -67,7 +67,7 @@ func TestCalibrationRoundTripIPR(t *testing.T) {
 				t.Fatalf("%s on %s: %v", wl, node, err)
 			}
 			want := workload.PaperIPR[wl][node]
-			got := float64(res.IdlePower) / float64(res.PeakPower())
+			got := float64(res.IdlePower) / float64(res.BusyPower)
 			if stats.RelErr(got, want) > 0.01 {
 				t.Errorf("%s on %s: IPR = %.4f, want %.4f (Table 7)", wl, node, got, want)
 			}

@@ -216,47 +216,21 @@ type GroupCalc struct {
 // allocation; real catalogs have at most a handful of node types.
 const maxStackGroups = 16
 
-// EvaluateFast runs the model for one configuration through the
-// memoized table, returning ok=false exactly when Evaluate would fail
-// (missing demand vector, zero execution rate, invalid workload). The
-// caller is responsible for cfg being valid — enumeration-produced
-// configurations always are — since no per-config Validate runs here.
-// Scalars are bitwise-identical to Evaluate's; see EvaluateCalcs.
-func (t *Table) EvaluateFast(cfg cluster.Config) (FastResult, bool) {
-	var buf [maxStackGroups]GroupCalc
-	gcs := buf[:0]
-	if len(cfg.Groups) > maxStackGroups {
-		gcs = make([]GroupCalc, 0, len(cfg.Groups))
-	}
-	for _, g := range cfg.Groups {
-		uc := t.Calc(g)
-		if !uc.Supported {
-			return FastResult{}, false
-		}
-		gcs = append(gcs, GroupCalc{Calc: uc, Count: g.Count})
-	}
-	if len(gcs) == 0 {
-		return FastResult{}, false
-	}
-	return evaluateCalcs(t.jobUnits, gcs)
-}
-
-// EvaluateCalcs is EvaluateFast for pre-resolved groups. The entries
-// MUST be ordered by node-type name — the canonical cluster.NewConfig
-// order — with Count >= 1 each: floating-point accumulation follows
-// the group order, and matching Evaluate bit for bit requires the same
-// order. Unsupported entries yield ok=false.
+// EvaluateCalcs runs the model allocation-free for one configuration
+// given as groups pre-resolved through the table (Calc), returning
+// ok=false exactly when Evaluate would fail: an unsupported entry
+// (missing demand vector, invalid workload) or no positive execution
+// rate. The entries MUST be ordered by node-type name — the canonical
+// cluster.NewConfig order — with Count >= 1 each, and no per-config
+// Validate runs here.
+//
+// It mirrors Evaluate statement for statement — the same expression
+// shapes, explicit conversions and accumulation order — so that every
+// intermediate rounding matches and the returned scalars are
+// bitwise-equal to the reference, not merely close. That exactness is
+// what lets the sweep engine's frontier (and the goldens derived from
+// it) coincide with the reference path down to the last bit.
 func (t *Table) EvaluateCalcs(gcs []GroupCalc) (FastResult, bool) {
-	return evaluateCalcs(t.jobUnits, gcs)
-}
-
-// evaluateCalcs mirrors Evaluate statement for statement — the same
-// expression shapes, explicit conversions and accumulation order — so
-// that every intermediate rounding matches and the returned scalars
-// are bitwise-equal to the reference, not merely close. That exactness
-// is what lets the sweep engine's frontier (and the goldens derived
-// from it) coincide with the reference path down to the last bit.
-func evaluateCalcs(jobUnits float64, gcs []GroupCalc) (FastResult, bool) {
 	var rateBuf, tBuf [maxStackGroups]float64
 	groupRate := rateBuf[:0]
 	groupT := tBuf[:0]
@@ -284,7 +258,7 @@ func evaluateCalcs(jobUnits float64, gcs []GroupCalc) (FastResult, bool) {
 	for i, gc := range gcs {
 		uc := gc.Calc
 		share := groupRate[i] / totalRate
-		unitsGroup := jobUnits * share
+		unitsGroup := t.jobUnits * share
 		upn := unitsGroup / float64(gc.Count)
 		tCore := units.Seconds(float64(uc.UnitCore) * upn)
 		tMem := units.Seconds(float64(uc.UnitMem) * upn)

@@ -45,6 +45,17 @@ func relDiff(a, b float64) float64 {
 	return d / m
 }
 
+// calcsOf resolves cfg's groups through the table in the canonical
+// group order EvaluateCalcs requires: the form the frontier sweep's
+// leaf evaluates.
+func calcsOf(t *Table, cfg cluster.Config) []GroupCalc {
+	gcs := make([]GroupCalc, len(cfg.Groups))
+	for i, g := range cfg.Groups {
+		gcs[i] = GroupCalc{Calc: t.Calc(g), Count: g.Count}
+	}
+	return gcs
+}
+
 // TestTableDifferentialPaperSpace pins the fast path to the reference
 // model over the full footnote-4 space for every paper workload: the
 // ok bit must agree with Evaluate's error, and Time/Energy/BusyPower/
@@ -61,7 +72,7 @@ func TestTableDifferentialPaperSpace(t *testing.T) {
 		n, exact := 0, 0
 		err = cluster.Enumerate(limits, func(cfg cluster.Config) bool {
 			n++
-			fast, ok := table.EvaluateFast(cfg)
+			fast, ok := table.EvaluateCalcs(calcsOf(table, cfg))
 			ref, refErr := Evaluate(cfg, wl, Options{})
 			if ok != (refErr == nil) {
 				t.Fatalf("%s %s: fast ok=%v, reference err=%v", name, cfg, ok, refErr)
@@ -107,7 +118,7 @@ func TestTableOptionsAndUnsupported(t *testing.T) {
 	table := NewTable(wl, opt)
 	checked := 0
 	err = cluster.Enumerate(limits, func(cfg cluster.Config) bool {
-		fast, ok := table.EvaluateFast(cfg)
+		fast, ok := table.EvaluateCalcs(calcsOf(table, cfg))
 		ref, refErr := Evaluate(cfg, wl, opt)
 		if ok != (refErr == nil) {
 			t.Fatalf("%s: fast ok=%v, reference err=%v", cfg, ok, refErr)
@@ -134,11 +145,11 @@ func TestTableOptionsAndUnsupported(t *testing.T) {
 	}
 	nt := NewTable(narrow, Options{})
 	mixed := cluster.MustConfig(cluster.FullNodes(a9, 2), cluster.FullNodes(k10, 1))
-	if _, ok := nt.EvaluateFast(mixed); ok {
+	if _, ok := nt.EvaluateCalcs(calcsOf(nt, mixed)); ok {
 		t.Error("mixed configuration with missing K10 demand reported ok")
 	}
 	pure := cluster.MustConfig(cluster.FullNodes(a9, 2))
-	fast, ok := nt.EvaluateFast(pure)
+	fast, ok := nt.EvaluateCalcs(calcsOf(nt, pure))
 	if !ok {
 		t.Fatal("supported configuration reported not ok")
 	}
@@ -194,9 +205,9 @@ func TestTableUnitCalcInvariants(t *testing.T) {
 	}
 }
 
-// TestEvaluateFastZeroAllocs asserts the hot path allocates nothing —
+// TestEvaluateCalcsZeroAllocs asserts the hot path allocates nothing —
 // the property the sweep engine's throughput rests on.
-func TestEvaluateFastZeroAllocs(t *testing.T) {
+func TestEvaluateCalcsZeroAllocs(t *testing.T) {
 	_, reg := footnote4Limits(t)
 	wl, err := reg.Lookup(workload.NameEP)
 	if err != nil {
@@ -207,15 +218,16 @@ func TestEvaluateFastZeroAllocs(t *testing.T) {
 	k10, _ := cat.Lookup("K10")
 	cfg := cluster.MustConfig(cluster.FullNodes(a9, 7), cluster.FullNodes(k10, 3))
 	table := NewTable(wl, Options{})
-	if _, ok := table.EvaluateFast(cfg); !ok {
+	gcs := calcsOf(table, cfg)
+	if _, ok := table.EvaluateCalcs(gcs); !ok {
 		t.Fatal("configuration not evaluable")
 	}
 	var sink FastResult
 	allocs := testing.AllocsPerRun(1000, func() {
-		sink, _ = table.EvaluateFast(cfg)
+		sink, _ = table.EvaluateCalcs(gcs)
 	})
 	if allocs != 0 {
-		t.Errorf("EvaluateFast allocates %.1f objects per call, want 0", allocs)
+		t.Errorf("EvaluateCalcs allocates %.1f objects per call, want 0", allocs)
 	}
 	if sink.Time <= 0 || sink.Energy <= 0 {
 		t.Errorf("suspicious result %+v", sink)
@@ -243,9 +255,11 @@ func TestTableSnapshotAndMatches(t *testing.T) {
 	points := 0
 	for _, l := range limits {
 		points += len(l.OperatingPoints())
-		for _, g := range l.Choices() {
-			if uc := table.Calc(g); !warmed[uc] {
-				t.Fatalf("Calc(%v) was not warmed by Snapshot", g)
+		for _, g := range l.OperatingPoints() {
+			for g.Count = 1; g.Count <= l.MaxNodes; g.Count++ {
+				if uc := table.Calc(g); !warmed[uc] {
+					t.Fatalf("Calc(%v) was not warmed by Snapshot", g)
+				}
 			}
 		}
 	}

@@ -104,22 +104,27 @@ func BenchmarkFrontierSweepReference(b *testing.B) {
 	benchSweep(b, frontierSweepReference, SweepOptions{})
 }
 
-// BenchmarkEvaluateFast measures the allocation-free hot path on a
-// two-type configuration; allocs/op must report 0.
-func BenchmarkEvaluateFast(b *testing.B) {
+// BenchmarkEvaluateCalcs measures the allocation-free hot path on a
+// two-type configuration, its groups resolved through the table as the
+// sweep's leaf holds them; allocs/op must report 0.
+func BenchmarkEvaluateCalcs(b *testing.B) {
 	_, wl := paperBenchSpace(b)
 	cat := hardware.DefaultCatalog()
 	a9, _ := cat.Lookup("A9")
 	k10, _ := cat.Lookup("K10")
 	cfg := cluster.MustConfig(cluster.FullNodes(a9, 7), cluster.FullNodes(k10, 3))
 	table := model.NewTable(wl, model.Options{})
-	if _, ok := table.EvaluateFast(cfg); !ok {
+	gcs := make([]model.GroupCalc, len(cfg.Groups))
+	for i, g := range cfg.Groups {
+		gcs[i] = model.GroupCalc{Calc: table.Calc(g), Count: g.Count}
+	}
+	if _, ok := table.EvaluateCalcs(gcs); !ok {
 		b.Fatal("configuration not evaluable")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := table.EvaluateFast(cfg); !ok {
+		if _, ok := table.EvaluateCalcs(gcs); !ok {
 			b.Fatal("evaluation failed")
 		}
 	}

@@ -268,7 +268,7 @@ type spaceBuilder struct {
 }
 
 // build lays out the walked choices of every type in enumeration order
-// (count, then cores, then frequency, as Limit.Choices lists them):
+// (count, then cores, then frequency, as Enumerate takes them):
 // each type's dominance staircase when reduce is set, else every
 // supported choice. The result lives in bld's scratch.
 func (bld *spaceBuilder) build(limits []cluster.Limit, table *model.Table, b *cluster.PowerBudget, reduce bool) *spaceSoA {
@@ -772,11 +772,14 @@ func spaceFor(bld *spaceBuilder, limits []cluster.Limit, table *model.Table, b *
 	return sp
 }
 
-// frontierSweepFast is the memoized closed-form sweep behind
-// FrontierSweep: identical results to the reference path, orders of
-// magnitude faster (see the exactness argument at the top of this
-// file).
-func frontierSweepFast(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
+// FrontierSweep is the instrumented frontier pipeline: the memoized
+// closed-form engine this file implements, with per-type dominance
+// staircases over a memoized unit-calc table, an allocation-free walk of
+// their product and a running Pareto staircase. Its results are
+// identical, point for point, to evaluating the full space through
+// model.Evaluate (see the exactness argument at the top of this file);
+// the serial oracle that does so lives in the package's tests.
+func FrontierSweep(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
 	span := telemetry.Start(sw.Context, "pareto.frontier_sweep")
 	defer span.End()
 	if span.KeepsArgs() {

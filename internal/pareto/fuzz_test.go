@@ -1,13 +1,16 @@
 package pareto
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/hardware"
 	"repro/internal/model"
+	"repro/internal/queueing"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -56,8 +59,8 @@ type fuzzSweep struct {
 
 // decodeFuzzSpace decodes 1-3 custom node types, their limits, a
 // workload with a demand vector on some of them, and an optional
-// budget. Frequency restrictions are prefixes of the type's own
-// ladder, as cluster.Limit requires.
+// budget. Frequency restrictions here are prefixes of the type's own
+// ladder; unbuildable decodes the limits validation rejects.
 func decodeFuzzSpace(in *fuzzInput) (fuzzSweep, *workload.Profile) {
 	nTypes := 1 + in.pick(3)
 	wl := workload.NewProfile("fuzz", workload.DomainSynthetic, "units", in.value(1e6))
@@ -153,22 +156,104 @@ func (s fuzzSweep) variant(in *fuzzInput) fuzzSweep {
 	return v
 }
 
+// unbuildable sometimes makes s's limits ones cluster.ValidateLimits
+// rejects: a limit lists a frequency that may be off its type's ladder,
+// or a type gets a second limit. Zero bytes change nothing.
+func (s *fuzzSweep) unbuildable(in *fuzzInput) {
+	l := &s.limits[in.pick(len(s.limits))]
+	switch in.pick(4) {
+	case 1:
+		f := units.Hertz(in.value(1e9))
+		if steps := l.Type.Freq.Steps; in.pick(2) == 0 {
+			f = steps[in.pick(len(steps))]
+		}
+		l.Freqs = append(l.Freqs[:len(l.Freqs):len(l.Freqs)], f)
+	case 2:
+		s.limits = append(s.limits, *l)
+	}
+}
+
+// fuzzAnnotation is a latency annotation of a fuzzed frontier.
+type fuzzAnnotation struct {
+	spec queueing.Spec
+	u, p float64
+}
+
+// decodeFuzzAnnotation decodes the M/D/1 default, M/G/1 with an SCV or
+// M/M/k with a server count, at a utilization in (0,1) and a
+// percentile in [0,100), either of which is sometimes any value
+// instead. Zero bytes decode M/D/1 at u = 1/257 and p = 0.
+func decodeFuzzAnnotation(in *fuzzInput) fuzzAnnotation {
+	var a fuzzAnnotation
+	switch in.pick(3) {
+	case 1:
+		a.spec = queueing.Spec{Kind: queueing.KindMG1, SCV: in.value(1)}
+	case 2:
+		a.spec = queueing.Spec{Kind: queueing.KindMMK, Servers: in.pick(10) - 1}
+	}
+	a.u = (1 + float64(in.byte())) / 257
+	if in.pick(8) == 7 {
+		a.u = in.value(0.5)
+	}
+	a.p = float64(in.byte()%100) + float64(in.byte())/256
+	if in.pick(8) == 7 {
+		a.p = in.value(50)
+	}
+	return a
+}
+
+// checkFuzzAnnotation annotates a frontier: each point must carry its
+// own kernel's answer, spec.Build(u, t).ResponsePercentile(p), bit for
+// bit, or the error must name the first point that has none.
+func checkFuzzAnnotation(t *testing.T, label string, front []Point, a fuzzAnnotation) {
+	t.Helper()
+	got, err := AnnotateLatencies(context.Background(), front, a.u, a.p, a.spec, 0)
+	if a.spec.Validate() != nil || !(a.u > 0 && a.u < 1) || !(a.p >= 0 && a.p < 100) {
+		if err == nil {
+			t.Fatalf("%s: annotation %+v accepted", label, a)
+		}
+		return
+	}
+	for i, pt := range front {
+		tm := float64(pt.Result.Time)
+		k, werr := a.spec.Build(a.u, tm)
+		var want float64
+		if werr == nil {
+			want, werr = k.ResponsePercentile(a.p)
+		}
+		if tm <= 0 || werr != nil {
+			if err == nil || !strings.Contains(err.Error(), pt.Config.String()) {
+				t.Fatalf("%s: point %d (%s) has no latency (%v), annotation error %v", label, i, pt.Config, werr, err)
+			}
+			return
+		}
+		if err == nil && math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("%s: point %d (%s) annotated %.17g, own solve %.17g", label, i, pt.Config, got[i], want)
+		}
+	}
+	if err != nil {
+		t.Fatalf("%s: annotation error %v, yet every point solves", label, err)
+	}
+}
+
 // checkFuzzSweep asserts one fast sweep against the reference sweep of
-// the same space: both fail, or the frontiers are bitwise equal,
-// configs included, and the accounting partitions the space as the
-// reference's does field by field (NoPrune evaluates exactly what the
-// reference evaluates and prunes nothing).
-func checkFuzzSweep(t *testing.T, label string, s fuzzSweep, wl *workload.Profile, table *model.Table, want []Point, wantSt SweepStats, wantErr error) {
+// the same space: both fail with the same error, or the frontiers are
+// bitwise equal, configs included, and the accounting partitions the
+// space as the reference's does field by field (NoPrune evaluates
+// exactly what the reference evaluates and prunes nothing); the fast
+// frontier is then annotated with latencies.
+func checkFuzzSweep(t *testing.T, label string, s fuzzSweep, wl *workload.Profile, table *model.Table, ann fuzzAnnotation, want []Point, wantSt SweepStats, wantErr error) {
 	t.Helper()
 	var st SweepStats
 	got, err := FrontierSweep(s.limits, wl, model.Options{}, SweepOptions{Budget: s.budget, NoPrune: s.noPrune, Table: table, Stats: &st})
-	if (err != nil) != (wantErr != nil) {
+	if (err != nil) != (wantErr != nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("%s: error %v, reference error %v", label, err, wantErr)
 	}
 	if err != nil {
 		return
 	}
 	frontiersBitIdentical(t, label, got, want)
+	checkFuzzAnnotation(t, label, got, ann)
 	if st.Skipped != wantSt.Skipped || st.Filtered != wantSt.Filtered || st.Evaluated+st.Pruned != wantSt.Evaluated ||
 		s.noPrune && st != wantSt {
 		t.Fatalf("%s: stats %+v, reference %+v", label, st, wantSt)
@@ -184,24 +269,41 @@ func checkFuzzSweep(t *testing.T, label string, s fuzzSweep, wl *workload.Profil
 // huge values, so the certificate's preconditions both hold and fail),
 // their limits, an optional budget and NoPrune, and a variant B that
 // differs in one field the table's space slot keys on (or only in the
-// cap). It sweeps one shared table A, A, B, A — so the slot both hits
-// and misses — then A on a table of its own. Every sweep must return
-// the serial oracle's frontier bit for bit, configs included, with the
-// oracle's accounting; nothing may panic.
+// cap); then, for A, sometimes a frequency off the ladder or a second
+// limit on one type, and a latency annotation. It sweeps one shared
+// table A, A, B, A — so the slot both hits and misses — then A on a
+// table of its own. Every sweep must return the serial oracle's
+// frontier bit for bit, configs included, with the oracle's accounting,
+// or the oracle's error; every frontier's annotation must match each
+// point's own solve; nothing may panic.
 func FuzzFrontierSweep(f *testing.F) {
 	f.Add([]byte{})
 	// Two types of ordinary magnitudes, NoPrune: 26 configurations, 16
 	// of them certified.
-	f.Add([]byte("\x04\x1c\xc7\xd84\x1c\f<<\xdd$4<U\x1c$(\x04\x1c<\x04<\x1c\f\x99$\x1c,\f\x04<\xbe\f\f$D`\xfc\x144\xd64\x8b\xca$$$" +
-		"\f\x04,\x1c4\x14\x0444\x04\f\xe0\xfcd4\x14,\x92,\x02\x1c\x14\x1c\xe54\x0e\x14\x04$\xc6ѕ\x1aD$\xbf"))
+	const twoTypes = "\x04\x1c\xc7\xd84\x1c\f<<\xdd$4<U\x1c$(\x04\x1c<\x04<\x1c\f\x99$\x1c,\f\x04<\xbe\f\f$D`\xfc\x144\xd64\x8b\xca$$$" +
+		"\f\x04,\x1c4\x14\x0444\x04\f\xe0\xfcd4\x14,\x92,\x02\x1c\x14\x1c\xe54\x0e\x14\x04$\xc6ѕ\x1aD$\xbf"
+	f.Add([]byte(twoTypes))
 	// The same types under a switched budget, NoPrune, and B with
 	// another switch model: A filters 12 configurations, B 16.
 	f.Add([]byte("\x04\x1c\xc7\xd84\x1c\f<<\xdd$4<U\x1c$(\x04\x1c<\x04<\x1c\f\x99$\x1c,\f\x04<\xbe\f\f$D`\xfc\x144\xd64\x8b\xca$$$" +
 		"\f\x04,\x1c4\x14\x0444\x04\f\xe0\xfcd4\x14,\x92,\x02\x1c\x14\x1c\xe5}HD\x04Dn$\xe6\xfa4\x96ΠЩD"))
 	// Two types, reduced: 19 of 44 configurations walked, 12 of them
 	// certified.
-	f.Add([]byte("\x04\xf6\f\xde$wD\x1cD\x144\f\x04\x8d$D\x14$D\xf7$,\x04$`Q\xb0\x8dDm\x1c`D\x1c\x1c$\x1c4D<d\xbe\x11\xa8" +
-		"\x1c,$\xa2D<<D<\x8b\x14$\xac,4\x14<\xf7\a\x14\xf9e,\x1c44\x83\x14\x04\x1c\xb75\x14<\x04"))
+	const reduced = "\x04\xf6\f\xde$wD\x1cD\x144\f\x04\x8d$D\x14$D\xf7$,\x04$`Q\xb0\x8dDm\x1c`D\x1c\x1c$\x1c4D<d\xbe\x11\xa8" +
+		"\x1c,$\xa2D<<D<\x8b\x14$\xac,4\x14<\xf7\a\x14\xf9e,\x1c44\x83\x14\x04\x1c\xb75\x14<\x04"
+	f.Add([]byte(reduced))
+	// The same space with T0 limited to 62.5 MHz, off its ladder: both
+	// sweeps fail validation with one error.
+	f.Add([]byte(reduced + "\x00\x01\x05\x00\x01"))
+	// T0 limited to its upper step alone, a restriction that is not a
+	// prefix of its ladder, and the 4-point frontier annotated with
+	// M/G/1 (SCV 1/16) at u = 129/257 and p = 95.
+	f.Add([]byte(reduced + "\x00\x01\x00\x00\x00\x01" + "\x01\x05\x00\x80\x00\x5f\x00\x00"))
+	// The first space with a second limit on T1: both sweeps fail
+	// validation with one error.
+	f.Add([]byte(twoTypes + "\x01\x02"))
+	// The first space annotated with M/M/3 at u = 193/257 and p = 99.5.
+	f.Add([]byte(twoTypes + "\x00\x00" + "\x02\x04\xc0\x00\x63\x80\x00"))
 	// 3 T0 at 2 cores and 2 T0 at 3 cores, each beside 1 T1, have the
 	// same time in real arithmetic and the model's differ by one ulp:
 	// the certificate's margin keeps the faster, later one.
@@ -219,11 +321,11 @@ func FuzzFrontierSweep(f *testing.F) {
 		in := fuzzInput(data)
 		a, wl := decodeFuzzSpace(&in)
 		b := a.variant(&in)
+		a.unbuildable(&in)
+		ann := decodeFuzzAnnotation(&in)
 		for _, s := range []fuzzSweep{a, b} {
-			// SpaceSize needs valid limits; the sweeps must reject
-			// invalid ones.
-			if cluster.ValidateLimits(s.limits) == nil && cluster.SpaceSize(s.limits) > 8192 {
-				t.Skipf("space of %d configurations", cluster.SpaceSize(s.limits))
+			if n := cluster.SpaceSize(s.limits); n > 8192 {
+				t.Skipf("space of %d configurations", n)
 			}
 		}
 		oracle := func(s fuzzSweep) ([]Point, SweepStats, error) {
@@ -239,8 +341,8 @@ func FuzzFrontierSweep(f *testing.F) {
 			if i == 2 {
 				want, st, err = wantB, stB, errB
 			}
-			checkFuzzSweep(t, fmt.Sprintf("shared table, sweep %d", i+1), s, wl, table, want, st, err)
+			checkFuzzSweep(t, fmt.Sprintf("shared table, sweep %d", i+1), s, wl, table, ann, want, st, err)
 		}
-		checkFuzzSweep(t, "private table", a, wl, nil, wantA, stA, errA)
+		checkFuzzSweep(t, "private table", a, wl, nil, ann, wantA, stA, errA)
 	})
 }

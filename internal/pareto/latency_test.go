@@ -46,7 +46,7 @@ func TestAnnotateLatenciesBitwise(t *testing.T) {
 		}
 	}
 
-	rc := telemetry.NewRequestContext("r1", "frontier")
+	rc := telemetry.NewRequestContext("r1")
 	if _, err := AnnotateLatencies(telemetry.WithRequest(context.Background(), rc), front, u, p, queueing.Spec{}, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // SweepStats is one sweep's accounting, filled through
@@ -69,15 +68,4 @@ type SweepOptions struct {
 	// Stats, when non-nil, receives this sweep's own accounting —
 	// per-call counts beside the process-global pareto.* counters.
 	Stats *SweepStats
-}
-
-// FrontierSweep is the instrumented frontier pipeline: the memoized
-// closed-form engine (see fastsweep.go), with per-type dominance
-// staircases over a memoized unit-calc table, an allocation-free walk of
-// their product and a running Pareto staircase. Its results are
-// identical, point for point, to evaluating the full space through
-// model.Evaluate; the serial oracle that does so lives in the package's
-// tests.
-func FrontierSweep(limits []cluster.Limit, wl *workload.Profile, opt model.Options, sw SweepOptions) ([]Point, error) {
-	return frontierSweepFast(limits, wl, opt, sw)
 }

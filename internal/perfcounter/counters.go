@@ -34,23 +34,6 @@ func (c *Counters) Add(o Counters) {
 	c.Instructions += o.Instructions
 }
 
-// IPC returns instructions per work cycle, or zero without cycles.
-func (c Counters) IPC() float64 {
-	if c.WorkCycles <= 0 {
-		return 0
-	}
-	return c.Instructions / c.WorkCycles
-}
-
-// StallRatio returns the fraction of CPU cycles spent stalled.
-func (c Counters) StallRatio() float64 {
-	total := c.WorkCycles + c.StallCycles
-	if total <= 0 {
-		return 0
-	}
-	return c.StallCycles / total
-}
-
 func (c Counters) String() string {
 	return fmt.Sprintf("work=%.3g stall=%.3g mem=%.3g misses=%.3g io=%.3gB/%.3greq instr=%.3g",
 		c.WorkCycles, c.StallCycles, c.MemCycles, c.CacheMisses, c.IOBytes, c.IORequests, c.Instructions)

@@ -47,26 +47,6 @@ func TestAddCommutative(t *testing.T) {
 	}
 }
 
-func TestIPC(t *testing.T) {
-	c := Counters{WorkCycles: 100, Instructions: 90}
-	if got := c.IPC(); got != 0.9 {
-		t.Errorf("IPC = %g, want 0.9", got)
-	}
-	if got := (Counters{}).IPC(); got != 0 {
-		t.Errorf("IPC of empty counters = %g, want 0", got)
-	}
-}
-
-func TestStallRatio(t *testing.T) {
-	c := Counters{WorkCycles: 60, StallCycles: 40}
-	if got := c.StallRatio(); got != 0.4 {
-		t.Errorf("stall ratio = %g, want 0.4", got)
-	}
-	if got := (Counters{}).StallRatio(); got != 0 {
-		t.Errorf("stall ratio of empty = %g, want 0", got)
-	}
-}
-
 func TestString(t *testing.T) {
 	c := Counters{WorkCycles: 1e9, IOBytes: 5e6}
 	s := c.String()

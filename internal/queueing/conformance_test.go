@@ -269,7 +269,7 @@ func TestKernelConformanceSpans(t *testing.T) {
 		if n := reg.Tracer().Len() - spans; n != 1 {
 			t.Errorf("%v: an unscoped batch recorded %d spans, want 1", spec, n)
 		}
-		rc := telemetry.NewRequestContext("", "percentiles")
+		rc := telemetry.NewRequestContext("")
 		if _, err := k.WaitPercentilesContext(telemetry.WithRequest(context.Background(), rc), []float64{95, 99}); err != nil {
 			t.Fatalf("%v: %v", spec, err)
 		}

@@ -501,7 +501,7 @@ func TestReplayTimelineHoldsRun(t *testing.T) {
 	reg := telemetry.New()
 	telemetry.SetGlobal(reg)
 	defer telemetry.SetGlobal(nil)
-	rc := telemetry.NewRequestContext("", "replay")
+	rc := telemetry.NewRequestContext("")
 	ctx := telemetry.WithRequest(context.Background(), rc)
 	for _, adapt := range []bool{false, true} {
 		if _, err := Run(ctx, ladderCandidates(t), diurnalTrace(t, 288), Options{Adaptive: adapt, SLO: 0.05}); err != nil {

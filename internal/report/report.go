@@ -39,9 +39,6 @@ func (t *Table) MustAddRow(cells ...string) {
 	}
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render writes the table.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
@@ -79,37 +76,6 @@ func (t *Table) Render(w io.Writer) error {
 	b.WriteByte('\n')
 	for _, row := range t.rows {
 		line(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// RenderMarkdown writes the table as GitHub-flavored Markdown, for
-// README snippets and generated reports.
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.Title != "" {
-		b.WriteString("**")
-		b.WriteString(t.Title)
-		b.WriteString("**\n\n")
-	}
-	row := func(cells []string) {
-		b.WriteString("|")
-		for _, c := range cells {
-			b.WriteByte(' ')
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	row(t.Headers)
-	b.WriteString("|")
-	for range t.Headers {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		row(r)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

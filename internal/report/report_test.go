@@ -28,8 +28,8 @@ func TestTableRendering(t *testing.T) {
 	if got := strings.Index(lines[4], "45"); got != col {
 		t.Errorf("row 2 value at col %d, header at %d\n%s", got, col, out)
 	}
-	if tab.Rows() != 2 {
-		t.Errorf("Rows = %d", tab.Rows())
+	if len(tab.rows) != 2 {
+		t.Errorf("Rows = %d", len(tab.rows))
 	}
 }
 
@@ -44,28 +44,6 @@ func TestTableArityChecked(t *testing.T) {
 		}
 	}()
 	tab.MustAddRow("x")
-}
-
-func TestRenderMarkdown(t *testing.T) {
-	tab := NewTable("My Title", "Program", "Value")
-	tab.MustAddRow("EP", "1.23")
-	tab.MustAddRow("a|b", "45")
-	var b strings.Builder
-	if err := tab.RenderMarkdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, frag := range []string{
-		"**My Title**",
-		"| Program | Value |",
-		"|---|---|",
-		"| EP | 1.23 |",
-		`| a\|b | 45 |`, // pipes escaped
-	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("markdown missing %q:\n%s", frag, out)
-		}
-	}
 }
 
 func TestWriteDATBlocks(t *testing.T) {

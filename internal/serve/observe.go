@@ -53,7 +53,7 @@ func (s *Server) requestScope(route string, probe bool, next http.Handler) http.
 	var slowLast atomic.Int64 // unix nanos of the route's last slow log
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
-		rc := telemetry.NewRequestContext(sanitizeRequestID(r.Header.Get("X-Request-ID")), route)
+		rc := telemetry.NewRequestContext(sanitizeRequestID(r.Header.Get("X-Request-ID")))
 		w.Header().Set("X-Request-ID", rc.ID())
 		ctx := telemetry.WithRequest(r.Context(), rc)
 		rec := telemetry.NewStatusRecorder(w)

@@ -197,10 +197,6 @@ func New(cfg Config) (*Server, error) {
 // mounting the service under an outer mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Ready reports whether the service is accepting work (true between
-// Serve and Shutdown).
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // Serve marks the service ready and serves connections on ln until
 // Shutdown. It returns nil after a clean Shutdown.
 func (s *Server) Serve(ln net.Listener) error {

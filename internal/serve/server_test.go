@@ -397,7 +397,7 @@ func TestGracefulShutdown(t *testing.T) {
 	go func() { serveErr <- srv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 
-	waitFor(t, "server ready", func() bool { return srv.Ready() })
+	waitFor(t, "server ready", func() bool { return srv.ready.Load() })
 	if status, body := get(t, base+"/v1/readyz"); status != 200 {
 		t.Fatalf("readyz before shutdown: %d %s", status, body)
 	}
@@ -420,7 +420,7 @@ func TestGracefulShutdown(t *testing.T) {
 	go func() { shutdownErr <- srv.Shutdown(ctx) }()
 
 	// Readiness flips immediately, while the in-flight request still runs.
-	waitFor(t, "readiness flipped", func() bool { return !srv.Ready() })
+	waitFor(t, "readiness flipped", func() bool { return !srv.ready.Load() })
 	select {
 	case status := <-inflight:
 		t.Fatalf("in-flight request finished (%d) before release; drain did not wait", status)

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // KahanSum accumulates floating point values with compensated summation,
@@ -61,24 +60,9 @@ func IntegrateFunc(f func(float64) float64, a, b float64, n int) float64 {
 	return k.Sum() * h
 }
 
-// Percentile returns the p-th percentile (p in [0,100]) of data using
-// linear interpolation between closest ranks (the same "type 7" estimator
-// as numpy's default). data is not modified.
-func Percentile(data []float64, p float64) (float64, error) {
-	if len(data) == 0 {
-		return 0, errors.New("stats: Percentile of empty data")
-	}
-	if p < 0 || p > 100 || math.IsNaN(p) {
-		return 0, errors.New("stats: Percentile p out of range")
-	}
-	sorted := make([]float64, len(data))
-	copy(sorted, data)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
-}
-
-// PercentileSorted is Percentile for data already in ascending order.
-// It avoids the copy and sort for hot paths such as queueing simulations.
+// PercentileSorted returns the p-th percentile (p in [0,100]) of data
+// already in ascending order, using linear interpolation between closest
+// ranks (the same "type 7" estimator as numpy's default).
 func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	if len(sorted) == 0 {
 		return 0, errors.New("stats: Percentile of empty data")
@@ -86,55 +70,17 @@ func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	if p < 0 || p > 100 || math.IsNaN(p) {
 		return 0, errors.New("stats: Percentile p out of range")
 	}
-	return percentileSorted(sorted, p), nil
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
-		return sorted[0]
+		return sorted[0], nil
 	}
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return sorted[lo], nil
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Bisect finds a root of f in [a, b] to within tol using bisection.
-// f(a) and f(b) must bracket a root (opposite signs, or one of them zero).
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.IsNaN(fa) || math.IsNaN(fb) {
-		return 0, errors.New("stats: Bisect endpoint is NaN")
-	}
-	if fa*fb > 0 {
-		return 0, errors.New("stats: Bisect endpoints do not bracket a root")
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	for i := 0; i < 200; i++ {
-		mid := (a + b) / 2
-		fm := f(mid)
-		if fm == 0 || (b-a)/2 < tol {
-			return mid, nil
-		}
-		if fa*fm < 0 {
-			b = mid
-		} else {
-			a, fa = mid, fm
-		}
-	}
-	return (a + b) / 2, nil
+	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
 // Clamp limits v to [lo, hi].
@@ -170,18 +116,4 @@ func RelErr(got, want float64) float64 {
 		return math.Abs(got)
 	}
 	return math.Abs(got-want) / math.Abs(want)
-}
-
-// AlmostEqual reports whether a and b agree within relative tolerance tol
-// (with an absolute floor of tol for values near zero).
-func AlmostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		scale = 1
-	}
-	return diff <= tol*scale
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates streaming moments of a sequence using Welford's
@@ -49,113 +48,7 @@ func (s *Summary) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Min returns the smallest accumulated value (0 if empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest accumulated value (0 if empty).
-func (s *Summary) Max() float64 { return s.max }
-
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g",
 		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
-
-// Reservoir keeps a bounded uniform sample of a stream so that percentiles
-// of very long simulations can be estimated in constant memory
-// (Vitter's algorithm R).
-type Reservoir struct {
-	cap  int
-	seen int
-	data []float64
-	rng  *RNG
-}
-
-// NewReservoir returns a reservoir holding at most capacity samples,
-// drawing replacement positions from rng.
-func NewReservoir(capacity int, rng *RNG) *Reservoir {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Reservoir{cap: capacity, data: make([]float64, 0, capacity), rng: rng}
-}
-
-// Add offers v to the reservoir.
-func (r *Reservoir) Add(v float64) {
-	r.seen++
-	if len(r.data) < r.cap {
-		r.data = append(r.data, v)
-		return
-	}
-	j := r.rng.Intn(r.seen)
-	if j < r.cap {
-		r.data[j] = v
-	}
-}
-
-// Seen returns how many values have been offered.
-func (r *Reservoir) Seen() int { return r.seen }
-
-// Percentile estimates the p-th percentile from the retained sample.
-func (r *Reservoir) Percentile(p float64) (float64, error) {
-	sorted := make([]float64, len(r.data))
-	copy(sorted, r.data)
-	sort.Float64s(sorted)
-	return PercentileSorted(sorted, p)
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi); values
-// outside the range are counted in the under/overflow buckets.
-type Histogram struct {
-	lo, hi float64
-	width  float64
-	counts []int
-	under  int
-	over   int
-	total  int
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), counts: make([]int, n)}
-}
-
-// Add counts v.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.hi:
-		h.over++
-	default:
-		i := int((v - h.lo) / h.width)
-		if i >= len(h.counts) { // guard the hi boundary under rounding
-			i = len(h.counts) - 1
-		}
-		h.counts[i]++
-	}
-}
-
-// Count returns the number of values in bucket i.
-func (h *Histogram) Count(i int) int { return h.counts[i] }
-
-// Buckets returns the number of regular buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Total returns the number of values added, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// BucketBounds returns the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	lo = h.lo + float64(i)*h.width
-	return lo, lo + h.width
 }

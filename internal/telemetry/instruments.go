@@ -138,18 +138,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	return h
 }
 
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns n ascending bounds start, start*factor, ...
 func ExponentialBuckets(start, factor float64, n int) []float64 {
 	if n <= 0 {

@@ -63,14 +63,6 @@ func (p *Progress) Done() {
 	}
 }
 
-// Count returns how many ticks have been recorded.
-func (p *Progress) Count() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.n.Load()
-}
-
 func (p *Progress) report(n int64) {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()

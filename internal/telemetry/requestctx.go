@@ -27,12 +27,11 @@ import (
 // Like the rest of the package, absence is free: code below the
 // middleware asks the context.Context via RequestFrom, which returns
 // nil when no request scope is attached, and every method is a no-op on
-// a nil receiver — hot paths (Table.EvaluateFast, the percentile solves)
+// a nil receiver — hot paths (Table.EvaluateCalcs, the percentile solves)
 // stay allocation-free when nobody is watching. All methods are safe
 // for concurrent use.
 type RequestContext struct {
 	id    string
-	route string
 	start time.Time
 
 	mu      sync.Mutex
@@ -55,14 +54,14 @@ type TimelineEvent struct {
 	Dur   time.Duration `json:"dur"`
 }
 
-// NewRequestContext mints a request scope for the given route with a
-// fresh random ID (see NewRequestID). Pass a non-empty id to adopt one
-// from an upstream proxy's X-Request-ID header instead.
-func NewRequestContext(id, route string) *RequestContext {
+// NewRequestContext mints a request scope with a fresh random ID (see
+// NewRequestID). Pass a non-empty id to adopt one from an upstream
+// proxy's X-Request-ID header instead.
+func NewRequestContext(id string) *RequestContext {
 	if id == "" {
 		id = NewRequestID()
 	}
-	return &RequestContext{id: id, route: route, start: time.Now()}
+	return &RequestContext{id: id, start: time.Now()}
 }
 
 // NewRequestID returns a fresh 16-hex-character random request ID.
@@ -82,14 +81,6 @@ func (rc *RequestContext) ID() string {
 		return ""
 	}
 	return rc.id
-}
-
-// Route returns the route label the request was minted under.
-func (rc *RequestContext) Route() string {
-	if rc == nil {
-		return ""
-	}
-	return rc.route
 }
 
 // Elapsed returns the time since the request started.
@@ -123,23 +114,6 @@ func (rc *RequestContext) Attr(key string) int64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.attrs[key]
-}
-
-// Attrs returns a copy of the attribute bag (nil when empty).
-func (rc *RequestContext) Attrs() map[string]int64 {
-	if rc == nil {
-		return nil
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if len(rc.attrs) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(rc.attrs))
-	for k, v := range rc.attrs {
-		out[k] = v
-	}
-	return out
 }
 
 // SetOutcome records the request's terminal disposition ("shed",

@@ -13,14 +13,11 @@ import (
 )
 
 func TestRequestContextBasics(t *testing.T) {
-	rc := NewRequestContext("", "frontier")
+	rc := NewRequestContext("")
 	if len(rc.ID()) != 16 {
 		t.Fatalf("minted ID %q, want 16 hex chars", rc.ID())
 	}
-	if rc.Route() != "frontier" {
-		t.Fatalf("route %q", rc.Route())
-	}
-	adopted := NewRequestContext("proxy-id-1", "replay")
+	adopted := NewRequestContext("proxy-id-1")
 	if adopted.ID() != "proxy-id-1" {
 		t.Fatalf("adopted ID %q, want proxy-id-1", adopted.ID())
 	}
@@ -31,19 +28,13 @@ func TestRequestContextBasics(t *testing.T) {
 	if got := rc.Attr(AttrConfigsEvaluated); got != 8 {
 		t.Fatalf("configs_evaluated = %d, want 8", got)
 	}
-	attrs := rc.Attrs()
-	if attrs[AttrReplaySteps] != 1 || len(attrs) != 2 {
-		t.Fatalf("attrs = %v", attrs)
-	}
-	// The copy must not alias the live bag.
-	attrs[AttrReplaySteps] = 99
-	if rc.Attr(AttrReplaySteps) != 1 {
-		t.Fatal("Attrs returned an aliased map")
+	if rc.Attr(AttrReplaySteps) != 1 || len(rc.attrs) != 2 {
+		t.Fatalf("attrs = %v", rc.attrs)
 	}
 }
 
 func TestRequestContextOutcomeFirstWins(t *testing.T) {
-	rc := NewRequestContext("", "percentiles")
+	rc := NewRequestContext("")
 	if rc.Outcome() != "" {
 		t.Fatalf("fresh outcome %q", rc.Outcome())
 	}
@@ -60,8 +51,8 @@ func TestRequestContextNilSafety(t *testing.T) {
 	rc.Add("k", 1)
 	rc.SetOutcome("x")
 	Start(WithRequest(context.Background(), rc), "p").End()
-	if rc.ID() != "" || rc.Route() != "" || rc.Attr("k") != 0 ||
-		rc.Outcome() != "" || rc.Attrs() != nil || rc.Timeline() != nil ||
+	if rc.ID() != "" || rc.Attr("k") != 0 ||
+		rc.Outcome() != "" || rc.Timeline() != nil ||
 		rc.DroppedPhases() != 0 || rc.TimelineString() != "" || rc.Elapsed() != 0 {
 		t.Fatal("nil RequestContext methods must all be no-ops")
 	}
@@ -78,7 +69,7 @@ func TestRequestContextNilSafety(t *testing.T) {
 }
 
 func TestRequestContextTimeline(t *testing.T) {
-	rc := NewRequestContext("", "frontier")
+	rc := NewRequestContext("")
 	ctx := WithRequest(context.Background(), rc)
 	span := Start(ctx, "sweep.blocks")
 	time.Sleep(time.Millisecond)
@@ -115,7 +106,7 @@ func TestRequestContextTimeline(t *testing.T) {
 // goroutines, each ending spans on its timeline and attributing into
 // its bag. Run with -race.
 func TestRequestContextConcurrent(t *testing.T) {
-	rc := NewRequestContext("", "frontier")
+	rc := NewRequestContext("")
 	ctx := WithRequest(context.Background(), rc)
 	const workers, perWorker = 16, 500
 	var wg sync.WaitGroup
@@ -161,7 +152,7 @@ func TestContextHandlerNoBleed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rc := NewRequestContext(fmt.Sprintf("req-%04d", i), "percentiles")
+			rc := NewRequestContext(fmt.Sprintf("req-%04d", i))
 			ctx := WithRequest(context.Background(), rc)
 			rc.Add(AttrReplaySteps, int64(i))
 			logger.InfoContext(ctx, "request",

@@ -67,7 +67,7 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 // exact and bucket totals consistent.
 func TestHistogramConcurrent(t *testing.T) {
 	r := New()
-	h := r.Histogram("hammer", LinearBuckets(1, 1, 8))
+	h := r.Histogram("hammer", []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	const workers, perWorker = 8, 4000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -103,7 +103,11 @@ func TestHistogramQuantileMatchesStats(t *testing.T) {
 	rng := stats.NewRNG(7)
 	const n = 20000
 	const width = 0.05
-	h := NewHistogram(LinearBuckets(width, width, 200)) // covers (0, 10]
+	bounds := make([]float64, 200) // covers (0, 10]
+	for i := range bounds {
+		bounds[i] = width * float64(i+1)
+	}
+	h := NewHistogram(bounds)
 	samples := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		v := rng.ExpFloat64(1) // mean 1, tail into the overflow bucket
@@ -195,9 +199,6 @@ func TestNilSafety(t *testing.T) {
 	p.Tick()
 	p.Add(3)
 	p.Done()
-	if p.Count() != 0 {
-		t.Fatal("nil progress count != 0")
-	}
 	snap := r.Snapshot()
 	if snap.Counters != nil || snap.Gauges != nil || snap.Histograms != nil {
 		t.Fatal("nil registry snapshot must be empty")
@@ -220,7 +221,7 @@ func TestRegistrySharing(t *testing.T) {
 	if r.Gauge("a") != r.Gauge("a") {
 		t.Fatal("gauge not shared by name")
 	}
-	h := r.Histogram("a", LinearBuckets(1, 1, 3))
+	h := r.Histogram("a", []float64{1, 2, 3})
 	if r.Histogram("a", nil) != h {
 		t.Fatal("histogram not shared by name")
 	}
@@ -256,7 +257,7 @@ func TestGlobal(t *testing.T) {
 
 	// Under a request scope the span ends on the request's timeline and
 	// the process tracer keeps nothing, even with a registry installed.
-	rc := NewRequestContext("", "frontier")
+	rc := NewRequestContext("")
 	Start(WithRequest(context.Background(), rc), "scoped").Arg("k", 2).End()
 	if r.Tracer().Len() != 2 {
 		t.Fatalf("a request-scoped span reached the process tracer (%d spans)", r.Tracer().Len())
@@ -277,7 +278,7 @@ func TestSnapshotJSON(t *testing.T) {
 	r := New()
 	r.Counter("c1").Add(7)
 	r.Gauge("g1").Set(2.5)
-	h := r.Histogram("h1", LinearBuckets(1, 1, 4))
+	h := r.Histogram("h1", []float64{1, 2, 3, 4})
 	for _, v := range []float64{0.5, 1.5, 2.5, 3.5, 4.5} {
 		h.Observe(v)
 	}
@@ -324,9 +325,6 @@ func TestProgressSequential(t *testing.T) {
 	want := "sweep: 4/10 configs\nsweep: 8/10 configs\nsweep: 10/10 configs\n"
 	if buf.String() != want {
 		t.Fatalf("progress output:\n%q\nwant:\n%q", buf.String(), want)
-	}
-	if p.Count() != 10 {
-		t.Fatalf("count = %d, want 10", p.Count())
 	}
 }
 
@@ -401,7 +399,7 @@ func TestSpanArgsAllocs(t *testing.T) {
 		label string
 		ctx   context.Context
 	}{
-		{"request span", WithRequest(context.Background(), NewRequestContext("", "frontier"))},
+		{"request span", WithRequest(context.Background(), NewRequestContext(""))},
 		{"no tracer", context.Background()},
 	} {
 		bare := testing.AllocsPerRun(200, func() { span(tc.ctx, false) })

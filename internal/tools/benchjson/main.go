@@ -152,7 +152,7 @@ func main() {
 		"frontier_sweep":            {"BenchmarkFrontierSweepReference", "BenchmarkFrontierSweepFast"},
 		"frontier_sweep_warm":       {"BenchmarkFrontierSweepReference", "BenchmarkFrontierSweepFastWarm"},
 		"frontier_sweep_noprune":    {"BenchmarkFrontierSweepReference", "BenchmarkFrontierSweepFastNoPrune"},
-		"evaluate":                  {"BenchmarkEvaluateReference", "BenchmarkEvaluateFast"},
+		"evaluate":                  {"BenchmarkEvaluateReference", "BenchmarkEvaluateCalcs"},
 	} {
 		if v, ok := ratio(pair[0], pair[1]); ok {
 			if sum.Speedups == nil {

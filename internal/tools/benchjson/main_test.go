@@ -62,14 +62,14 @@ func TestParseKeepsMetricsAndEnvironment(t *testing.T) {
 // those columns is written with neither.
 func TestParseKeepsMeasuredZeros(t *testing.T) {
 	sum, err := parse(strings.NewReader(strings.Join([]string{
-		"BenchmarkEvaluateFast-2   \t 9856437\t       121.2 ns/op\t       0 B/op\t       0 allocs/op",
+		"BenchmarkEvaluateCalcs-2   \t 9856437\t       121.2 ns/op\t       0 B/op\t       0 allocs/op",
 		"BenchmarkNoBenchmem-2   \t  1000\t      2500 ns/op",
 	}, "\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []string{
-		`{"name":"BenchmarkEvaluateFast","iterations":9856437,"ns_per_op":121.2,"bytes_per_op":0,"allocs_per_op":0}`,
+		`{"name":"BenchmarkEvaluateCalcs","iterations":9856437,"ns_per_op":121.2,"bytes_per_op":0,"allocs_per_op":0}`,
 		`{"name":"BenchmarkNoBenchmem","iterations":1000,"ns_per_op":2500}`,
 	} {
 		raw, err := json.Marshal(sum.Results[i])

@@ -43,18 +43,9 @@ type PerSecond float64
 
 // Common scale factors.
 const (
-	KHz Hertz = 1e3
-	MHz Hertz = 1e6
-	GHz Hertz = 1e9
-
-	KB Bytes = 1e3
-	MB Bytes = 1e6
-	GB Bytes = 1e9
-
-	Millisecond Seconds = 1e-3
+	GHz         Hertz   = 1e9
+	GB          Bytes   = 1e9
 	Microsecond Seconds = 1e-6
-
-	KWh Joules = 3.6e6
 )
 
 // Energy returns the energy consumed by drawing power p for duration d.
@@ -91,25 +82,6 @@ func (b Bytes) TransferTime(r BytesPerSecond) Seconds {
 		return Seconds(math.Inf(1))
 	}
 	return Seconds(float64(b) / float64(r))
-}
-
-// Interval returns the inter-event interval of the rate: 1/r.
-func (r PerSecond) Interval() Seconds {
-	if r <= 0 {
-		return Seconds(math.Inf(1))
-	}
-	return Seconds(1 / float64(r))
-}
-
-// MaxSeconds returns the maximum of its arguments.
-func MaxSeconds(first Seconds, rest ...Seconds) Seconds {
-	m := first
-	for _, s := range rest {
-		if s > m {
-			m = s
-		}
-	}
-	return m
 }
 
 // IsFinite reports whether s is neither NaN nor infinite.

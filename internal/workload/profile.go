@@ -130,16 +130,6 @@ func (p *Profile) Supports(nodeType string) bool {
 	return ok
 }
 
-// NodeTypes returns the node types the profile covers, sorted.
-func (p *Profile) NodeTypes() []string {
-	out := make([]string, 0, len(p.demands))
-	for k := range p.demands {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Validate checks the profile for completeness against the node types it
 // claims to support.
 func (p *Profile) Validate() error {
@@ -163,23 +153,6 @@ func (p *Profile) Validate() error {
 func (p *Profile) String() string {
 	return fmt.Sprintf("%s(%s, %g %s/job, %d node types)",
 		p.Name, p.Domain, p.JobUnits, p.Unit, len(p.demands))
-}
-
-// WithJobUnits returns a copy of the profile whose job carries the given
-// amount of work — the paper's P_s, "program P with smaller input size"
-// (Table 1). Per-unit demands are shared (they do not depend on the
-// input size under the model's linearity).
-func (p *Profile) WithJobUnits(name string, jobUnits float64) (*Profile, error) {
-	if jobUnits <= 0 {
-		return nil, fmt.Errorf("workload %s: job units must be positive", p.Name)
-	}
-	out := NewProfile(name, p.Domain, p.Unit, jobUnits)
-	out.IORate = p.IORate
-	out.Irregularity = p.Irregularity
-	for nt, d := range p.demands {
-		out.demands[nt] = d
-	}
-	return out, nil
 }
 
 // Structure describes the shape of one work unit relative to its total
@@ -256,9 +229,6 @@ func (r *Registry) Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Len returns the number of registered profiles.
-func (r *Registry) Len() int { return len(r.profiles) }
 
 // nodeTypeOrErr is a helper shared by the calibration code.
 func nodeTypeOrErr(n *hardware.NodeType) error {

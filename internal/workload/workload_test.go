@@ -17,8 +17,8 @@ func TestPaperRegistryComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.Len() != 6 {
-		t.Fatalf("registry has %d workloads, want 6", reg.Len())
+	if len(reg.profiles) != 6 {
+		t.Fatalf("registry has %d workloads, want 6", len(reg.profiles))
 	}
 	for _, name := range PaperNames() {
 		p, err := reg.Lookup(name)
@@ -146,8 +146,8 @@ func TestProfileDemandAccess(t *testing.T) {
 	if err != nil || d.CoreCycles != 5 {
 		t.Errorf("demand round-trip failed: %v %v", d, err)
 	}
-	if got := p.NodeTypes(); len(got) != 1 || got[0] != "A9" {
-		t.Errorf("NodeTypes = %v", got)
+	if _, ok := p.demands["A9"]; len(p.demands) != 1 || !ok {
+		t.Errorf("node types = %v", p.demands)
 	}
 }
 
@@ -310,36 +310,6 @@ func TestProfileString(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Errorf("String %q missing %q", s, frag)
 		}
-	}
-}
-
-func TestWithJobUnits(t *testing.T) {
-	cat := hardware.DefaultCatalog()
-	reg, err := PaperRegistry(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := reg.Lookup(NameEP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := ep.WithJobUnits("EPs", ep.JobUnits/10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Name != "EPs" || small.JobUnits != ep.JobUnits/10 {
-		t.Errorf("scaled profile wrong: %v", small)
-	}
-	dBig, _ := ep.Demand("A9")
-	dSmall, _ := small.Demand("A9")
-	if dBig != dSmall {
-		t.Error("per-unit demands changed under input scaling")
-	}
-	if small.Irregularity != ep.Irregularity || small.IORate != ep.IORate {
-		t.Error("workload attributes not carried over")
-	}
-	if _, err := ep.WithJobUnits("bad", 0); err == nil {
-		t.Error("zero job units accepted")
 	}
 }
 
