@@ -111,6 +111,14 @@ ci:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./... | tee bench.out
 
+# BENCH_COMMIT writes the `commit:` header line benchjson reads: the
+# commit the numbers were measured at, with +dirty appended when tracked
+# files differ from it (as perfbench/run.sh marks its runs), so numbers
+# regenerated on an uncommitted tree do not claim to measure HEAD.
+BENCH_COMMIT = c=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
+	if [ "$$c" != unknown ] && ! git diff --quiet HEAD -- 2>/dev/null; then c="$$c+dirty"; fi; \
+	echo "commit: $$c"
+
 # Queueing-kernel benchmarks with the headline speedups distilled into
 # BENCH_queueing.json (the float64 M/D/1 kernel versus the preserved
 # reference implementation, plus the M/G/1 and Erlang-C kernels behind
@@ -118,7 +126,7 @@ bench:
 # were measured at.
 bench-queueing:
 	{ echo "goversion: $$($(GO) env GOVERSION)"; \
-	  echo "commit: $$(git rev-parse HEAD 2>/dev/null || echo unknown)"; \
+	  $(BENCH_COMMIT); \
 	  $(GO) test -bench 'BenchmarkWaitCDF|BenchmarkResponsePercentile|BenchmarkMG1|BenchmarkMMK|BenchmarkErlangC' \
 		-benchmem -run '^$$' ./internal/queueing/; } | tee bench_queueing.out
 	$(GO) run ./internal/tools/benchjson bench_queueing.out > BENCH_queueing.json
@@ -127,21 +135,24 @@ bench-queueing:
 # Frontier-engine benchmarks over the paper's footnote-4 space (36,380
 # configurations), distilled by benchjson into BENCH_frontier.json:
 # sweep and per-evaluation speedups of the memoized engine versus the
-# serial per-config reference, configs/s throughput, the allocs/op
-# proof that the hot path stays off the heap, and the GOMAXPROCS, Go
-# version and commit they were measured at.
+# serial per-config reference (a cold sweep, a walk of a warm table's
+# kept space, a repeated sweep that reuses that walk, and the full
+# NoPrune walk), configs/s throughput, the allocs/op proof that the hot
+# path stays off the heap, and the GOMAXPROCS, Go version and commit
+# they were measured at.
 bench-frontier:
 	{ echo "goversion: $$($(GO) env GOVERSION)"; \
-	  echo "commit: $$(git rev-parse HEAD 2>/dev/null || echo unknown)"; \
+	  $(BENCH_COMMIT); \
 	  $(GO) test -bench 'BenchmarkFrontierSweep|BenchmarkEvaluate(Calcs|Reference)$$' \
 		-benchmem -run '^$$' ./internal/pareto/; } | tee bench_frontier.out
 	$(GO) run ./internal/tools/benchjson bench_frontier.out > BENCH_frontier.json
 	@echo wrote BENCH_frontier.json
 
 # bench-frontier-smoke is the CI variant: one iteration each of the
-# sweep benchmarks (cold, warm-table, alternating, NoPrune and
-# reference) piped through benchjson — proves the measurement harness
-# and the engine end to end without committing numbers.
+# sweep benchmarks (cold, repeated on a warm table, warm walk,
+# alternating, NoPrune and reference) piped through benchjson — proves
+# the measurement harness and the engine end to end without committing
+# numbers.
 bench-frontier-smoke:
 	$(GO) test -bench 'BenchmarkFrontierSweep' -benchmem -benchtime=1x \
 		-run '^$$' ./internal/pareto/ | $(GO) run ./internal/tools/benchjson > /dev/null
@@ -155,7 +166,7 @@ bench-frontier-smoke:
 # through the distiller, committing nothing.
 bench-fleet:
 	{ echo "goversion: $$($(GO) env GOVERSION)"; \
-	  echo "commit: $$(git rev-parse HEAD 2>/dev/null || echo unknown)"; \
+	  $(BENCH_COMMIT); \
 	  $(GO) test -bench 'BenchmarkFleetRun' -benchmem -run '^$$' ./internal/fleet/; } | tee bench_fleet.out
 	$(GO) run ./internal/tools/benchjson bench_fleet.out > BENCH_fleet.json
 	@echo wrote BENCH_fleet.json

@@ -289,8 +289,10 @@ func TestEnumerateAllInvalidLimits(t *testing.T) {
 // configurations NewConfig refuses — a frequency off the type's
 // ladder, a second limit on one node type — fail validation, so
 // Enumerate and EnumerateAll return an error instead of panicking
-// mid-walk; and SpaceSize, which callers may run before validating,
-// counts no choices for a type that is nil or has no cores.
+// mid-walk; so do limits listing a frequency twice, whose space would
+// hold every configuration at that frequency twice; and SpaceSize,
+// which callers may run before validating, counts no choices for a
+// type that is nil or has no cores.
 func TestValidateLimitsRejectsUnbuildableSpaces(t *testing.T) {
 	a9 := hardware.NewA9()
 	noCores := hardware.NewA9()
@@ -302,6 +304,7 @@ func TestValidateLimitsRejectsUnbuildableSpaces(t *testing.T) {
 	}{
 		{"frequency off the ladder", []Limit{{Type: a9, MaxNodes: 1, Freqs: []units.Hertz{123}}}, a9.Cores},
 		{"ladder and off-ladder frequencies", []Limit{{Type: a9, MaxNodes: 2, Freqs: []units.Hertz{a9.FMax(), 123}}}, 2 * a9.Cores * 2},
+		{"frequency listed twice", []Limit{{Type: a9, MaxNodes: 1, Freqs: []units.Hertz{a9.FMax(), a9.FMax()}}}, a9.Cores * 2},
 		{"two limits on one type", []Limit{{Type: a9, MaxNodes: 2, FixCoresAndFreq: true}, {Type: a9, MaxNodes: 2, FixCoresAndFreq: true}}, 8},
 		{"two types of one name", []Limit{{Type: a9, MaxNodes: 1, FixCoresAndFreq: true}, {Type: hardware.NewA9(), MaxNodes: 1, FixCoresAndFreq: true}}, 3},
 		{"negative cores", []Limit{{Type: noCores, MaxNodes: 2}}, 0},

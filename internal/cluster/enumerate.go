@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hardware"
 	"repro/internal/units"
@@ -156,9 +157,10 @@ func Enumerate(limits []Limit, visit func(Config) bool) error {
 }
 
 // ValidateLimits checks that every limit carries a valid node type of
-// its own, and lists only frequencies on that type's ladder — the
-// precondition Enumerate and the fast frontier engine share: every
-// configuration the limits span is then one NewConfig accepts.
+// its own, and lists only frequencies on that type's ladder, each once —
+// the precondition Enumerate and the fast frontier engine share: every
+// configuration the limits span is then one NewConfig accepts, and
+// Enumerate yields it, and SpaceSize counts it, once.
 func ValidateLimits(limits []Limit) error {
 	for i, l := range limits {
 		if l.Type == nil {
@@ -167,9 +169,12 @@ func ValidateLimits(limits []Limit) error {
 		if err := l.Type.Validate(); err != nil {
 			return err
 		}
-		for _, f := range l.Freqs {
+		for j, f := range l.Freqs {
 			if !l.Type.HasFreq(f) {
 				return fmt.Errorf("cluster: limit for %s lists unsupported frequency %v", l.Type.Name, f)
+			}
+			if slices.Contains(l.Freqs[:j], f) {
+				return fmt.Errorf("cluster: limit for %s lists frequency %v twice", l.Type.Name, f)
 			}
 		}
 		for _, m := range limits[:i] {

@@ -133,8 +133,12 @@ func (t *Table) Snapshot(limits []cluster.Limit) {
 
 // Space returns the value the last SetSpace stored, or nil. The value
 // is opaque here: the frontier sweep (internal/pareto) keeps its
-// reduced space there, an immutable value holding its own lookup key,
-// pointers into this table's memo and nothing of a request.
+// reduced space there, a value holding its own lookup key, pointers
+// into this table's memo and nothing of a request. Its columns are
+// immutable; besides them it keeps, behind an atomic pointer, the
+// immutable outcome of its last complete walk and the budget cap that
+// walk ran at, which a later sweep of the space at that cap reuses
+// instead of walking. Replacing the value drops that outcome with it.
 func (t *Table) Space() any { return t.space.Load() }
 
 // SetSpace replaces the slot's value atomically: a reader holds either

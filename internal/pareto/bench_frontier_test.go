@@ -56,13 +56,15 @@ func paperBenchSpace(tb testing.TB) ([]cluster.Limit, *workload.Profile) {
 	return benchSpaceLimits, benchSpaceWL
 }
 
-func benchSweep(b *testing.B, sweep func([]cluster.Limit, *workload.Profile, model.Options, SweepOptions) ([]Point, error), sw SweepOptions) {
+// benchSweep times sweeps of the footnote-4 space, cycling through
+// sws.
+func benchSweep(b *testing.B, sweep func([]cluster.Limit, *workload.Profile, model.Options, SweepOptions) ([]Point, error), sws ...SweepOptions) {
 	limits, wl := paperBenchSpace(b)
 	total := cluster.SpaceSize(limits)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		front, err := sweep(limits, wl, model.Options{}, sw)
+		front, err := sweep(limits, wl, model.Options{}, sws[i%len(sws)])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,13 +85,25 @@ func BenchmarkFrontierSweepFast(b *testing.B) {
 	benchSweep(b, FrontierSweep, SweepOptions{})
 }
 
-// BenchmarkFrontierSweepFastWarm is the steady-state number: a sweep
-// with a caller-provided warm table, so the memo is populated, the
-// table's slot holds the reduced space and the scratch pool is hot —
-// the configuration the allocation guard pins.
+// BenchmarkFrontierSweepFastWarm is the steady-state number of a
+// repeated sweep: a caller-provided warm table whose slot holds the
+// reduced space and its last walk, so the sweep walks nothing and only
+// materializes the frontier — the configuration the allocation guard
+// pins at 25.
 func BenchmarkFrontierSweepFastWarm(b *testing.B) {
 	_, wl := paperBenchSpace(b)
 	benchSweep(b, FrontierSweep, SweepOptions{Table: model.NewTable(wl, model.Options{})})
+}
+
+// BenchmarkFrontierSweepWarmWalk is the warm walk: two budget caps
+// above every configuration's peak (690 W) alternate on one warm table,
+// so each sweep finds its space kept but its last walk at the other
+// cap, and walks the kept space.
+func BenchmarkFrontierSweepWarmWalk(b *testing.B) {
+	_, wl := paperBenchSpace(b)
+	table := model.NewTable(wl, model.Options{})
+	benchSweep(b, FrontierSweep, SweepOptions{Table: table, Budget: paperBudget(1000)},
+		SweepOptions{Table: table, Budget: paperBudget(2000)})
 }
 
 // BenchmarkFrontierSweepFastNoPrune isolates the reduction's
@@ -148,36 +162,51 @@ func BenchmarkEvaluateReference(b *testing.B) {
 }
 
 // TestFrontierSweepFastAllocs pins the steady-state allocation budget
-// of the fast sweep: with a warm shared table, whose slot already holds
-// the reduced space, and a hot scratch pool, a full footnote-4 sweep
-// (36,380 configurations) allocates only the frontier materialization
-// (the point slice, then two per point: 25 for EP's 12 points), the
-// bound. The space is neither rebuilt nor reduced, the walk allocates
-// nothing, and with telemetry off the sweep's span boxes no args. A per-configuration engine costs ~4,300 allocs per sweep; a
-// regression back to per-sweep builds or to per-configuration or
-// per-admission allocation would blow through this bound. Under the
-// race detector the sweep still runs, but the bound is not asserted:
-// the detector makes the scratch pool miss.
+// of the fast sweep over the footnote-4 space (36,380 configurations),
+// with a warm shared table and a hot scratch pool. A repeated sweep,
+// whose slot holds the reduced space and its last walk, allocates only
+// the frontier materialization (the point slice, then two per point: 25
+// for EP's 12 points), the bound. Two budget caps alternating on the
+// table make every sweep walk the kept space: the walk itself allocates
+// nothing, and its record adds three allocations (the record, its
+// staircase and its selection blocks) to the materialization. Neither
+// rebuilds nor reduces the space, and with telemetry off the sweep's
+// span boxes no args. A per-configuration engine costs ~4,300 allocs
+// per sweep; a regression back to per-sweep builds or to
+// per-configuration or per-admission allocation would blow through
+// these bounds. Under the race detector the sweeps still run, but the
+// bounds are not asserted: the detector makes the scratch pool miss.
 func TestFrontierSweepFastAllocs(t *testing.T) {
 	limits, wl := paperBenchSpace(t)
-	table := model.NewTable(wl, model.Options{})
-	sweep := func() {
-		front, err := FrontierSweep(limits, wl, model.Options{},
-			SweepOptions{Table: table})
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		label   string
+		budgets []*cluster.PowerBudget
+		bound   float64
+	}{
+		{"repeated sweep", []*cluster.PowerBudget{nil}, 25},
+		{"walk of the kept space", []*cluster.PowerBudget{paperBudget(1000), paperBudget(2000)}, 28},
+	} {
+		table := model.NewTable(wl, model.Options{})
+		i := 0
+		sweep := func() {
+			front, err := FrontierSweep(limits, wl, model.Options{},
+				SweepOptions{Table: table, Budget: c.budgets[i%len(c.budgets)]})
+			i++
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(front) == 0 {
+				t.Fatal("empty frontier")
+			}
 		}
-		if len(front) == 0 {
-			t.Fatal("empty frontier")
+		sweep() // warm the memo table, the slot and the scratch pool
+		allocs := testing.AllocsPerRun(10, sweep)
+		if raceEnabled {
+			t.Logf("%s: race detector drops sync.Pool items; bound not asserted (%.0f allocs/op)", c.label, allocs)
+			continue
 		}
-	}
-	sweep() // warm the memo table and the scratch pool
-	allocs := testing.AllocsPerRun(10, sweep)
-	if raceEnabled {
-		t.Logf("race detector drops sync.Pool items; bound not asserted (%.0f allocs/op)", allocs)
-		return
-	}
-	if allocs > 25 {
-		t.Errorf("fast sweep allocates %.0f objects/op warm, want <= 25", allocs)
+		if allocs > c.bound {
+			t.Errorf("%s allocates %.0f objects/op warm, want <= %.0f", c.label, allocs, c.bound)
+		}
 	}
 }

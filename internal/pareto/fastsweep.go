@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/hardware"
@@ -33,7 +34,9 @@ import (
 //     the staircases (about a thousand of the footnote-4 space's
 //     36,380 configurations) through cache-linear arrays; a shared
 //     table keeps the last space built on it, so repeated sweeps of
-//     one space build and reduce it once (spaceFor),
+//     one space build and reduce it once (spaceFor), and that space
+//     keeps the outcome of its last complete walk, so a repeated sweep
+//     at the same budget cap does not walk at all (walkRecord),
 //  3. certifies, from two sums and one division, each walked
 //     configuration that the running staircase (5) covers by the
 //     model's closed form (below), and counts it as evaluated without
@@ -136,6 +139,14 @@ import (
 // which (by bitwise-equal scalars) equals the reference path's
 // frontier point for point. A point with a NaN coordinate joins
 // neither the staircase nor Frontier's output.
+//
+// Why the reuse is exact. A walk reads only its space's columns, the
+// table's job size and the budget's cap, and the accounting besides
+// reads only the limits and the budget, which the space's key holds
+// but for the cap. So two walks of one published space at an equal cap
+// leave the same staircase and the same accounting, and a sweep that
+// finds its space's last complete walk at its own cap materializes that
+// walk's staircase instead of walking again.
 
 // domSlack is the relative margin of the per-type reduction and of the
 // certificate, eight orders of magnitude above the model's rounding.
@@ -195,11 +206,14 @@ func (k *spaceKey) matches(limits []cluster.Limit, b *cluster.PowerBudget, noPru
 // configuration space: every walked per-type choice flattened into
 // parallel slices, segmented by typeOff. Walked choice j is the group
 // of count[j] nodes at calcs[j]'s operating point. A space published on
-// a shared table (spaceFor) is immutable: concurrent sweeps read it,
-// and the walk's mutable state lives in the pooled fastEngine.
+// a shared table (spaceFor) is immutable but for last, which a complete
+// walk replaces atomically with an immutable record: concurrent sweeps
+// read it, and the walk's mutable state lives in the pooled fastEngine.
 type spaceSoA struct {
-	// key is set on published spaces only.
+	// key and last are set on published spaces only: last holds the
+	// outcome of the space's last complete walk.
 	key    spaceKey
+	last   atomic.Pointer[walkRecord]
 	nTypes int
 
 	// byRank walks type indices in node-type-name order — the canonical
@@ -534,12 +548,9 @@ type fastEngine struct {
 	nEvaluated, nCertified int64
 }
 
-func (e *fastEngine) reset(sp *spaceSoA, table *model.Table, sw *SweepOptions, cancel <-chan struct{}) {
-	*e = fastEngine{sp: sp, table: table, peakCap: math.Inf(1), pr: sw.Progress, cancel: cancel,
+func (e *fastEngine) reset(sp *spaceSoA, table *model.Table, peakCap float64, pr *telemetry.Progress, cancel <-chan struct{}) {
+	*e = fastEngine{sp: sp, table: table, peakCap: peakCap, pr: pr, cancel: cancel,
 		sel: grow(e.sel, sp.nTypes), gcsBuf: slices.Grow(e.gcsBuf[:0], sp.nTypes), front: e.front[:0], sels: e.sels[:0]}
-	if sw.Budget != nil {
-		e.peakCap = float64(sw.Budget.Cap)
-	}
 	for i := range e.sel {
 		e.sel[i] = -1
 	}
@@ -659,8 +670,7 @@ func (e *fastEngine) rec(i int, nonEmpty bool) {
 
 // configOf materializes a selection block as a canonical Config
 // (groups in node-type-name order).
-func (e *fastEngine) configOf(sel []int32) cluster.Config {
-	sp := e.sp
+func (sp *spaceSoA) configOf(sel []int32) cluster.Config {
 	groups := make([]cluster.Group, 0, sp.nTypes)
 	for _, ti := range sp.byRank {
 		if j := sel[ti]; j >= 0 {
@@ -715,23 +725,70 @@ func (e *fastEngine) leaf() {
 	}
 }
 
-// frontier applies Frontier's admission rule to the staircase — the
-// first point, then any point improving energy by more than the 1e-9
-// noise margin — materializing Configs and Results only for the
-// points that make the cut. The staircase holds one point per time
-// class, each its class's first lowest-energy representative, so no
-// sort is needed.
-func (e *fastEngine) frontier() []Point {
-	out := slices.Grow([]Point(nil), len(e.front))
+// walkRecord is the outcome of one complete walk of a space at one
+// budget cap: the staircase it left, whose point i selects the block
+// sels[i*nTypes:(i+1)*nTypes], the walk's accounting and its certified
+// count. It shares nothing with the pooled engine that walked it and is
+// immutable, so a published space can keep it for later sweeps.
+type walkRecord struct {
+	peakCap   float64
+	front     []fastPoint
+	sels      []int32
+	stats     SweepStats
+	certified int64
+}
+
+// walk runs the engine over sp at peakCap and returns what the walk
+// left, or the context's error when it was cancelled: a walk stopped by
+// cancellation is incomplete, and one cancelled after its last poll
+// fails too, so a cancelled context always yields its error.
+func (e *fastEngine) walk(ctx context.Context, sp *spaceSoA, limits []cluster.Limit, table *model.Table, sw *SweepOptions, peakCap float64) (*walkRecord, error) {
+	var st SweepStats
+	sp.tally(limits, sw.Budget, 0, false, 0, 0, 1, 1, 1, &st)
+	product := int64(1) // configurations the walk visits, plus the empty one
+	for i := range sp.nTypes {
+		product *= int64(1 + sp.typeOff[i+1] - sp.typeOff[i])
+	}
+	e.reset(sp, table, peakCap, sw.Progress, ctx.Done())
+	defer e.release()
+	// Tick what the closed form counted and the walk will not visit.
+	e.account(st.Evaluated + st.Skipped + st.Filtered - (product - 1))
+	e.rec(0, false)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	st.Evaluated, st.Pruned = e.nEvaluated, st.Evaluated-e.nEvaluated
+	// Copy the staircase's own selection blocks out of the pooled
+	// buffers, which the next reset appends into; evicted points' blocks
+	// stay behind.
+	n := sp.nTypes
+	w := &walkRecord{peakCap: peakCap, front: slices.Clone(e.front), sels: make([]int32, 0, len(e.front)*n),
+		stats: st, certified: e.nCertified}
+	for i := range w.front {
+		base := int(w.front[i].sel) * n
+		w.sels = append(w.sels, e.sels[base:base+n]...)
+		w.front[i].sel = int32(i)
+	}
+	return w, nil
+}
+
+// frontier applies Frontier's admission rule to the staircase w left on
+// sp — the first point, then any point improving energy by more than
+// the 1e-9 noise margin — materializing fresh, caller-owned Configs and
+// Results only for the points that make the cut. The staircase holds
+// one point per time class, each its class's first lowest-energy
+// representative, so no sort is needed.
+func (w *walkRecord) frontier(sp *spaceSoA, table *model.Table) []Point {
+	out := slices.Grow([]Point(nil), len(w.front))
 	bestEnergy := units.Joules(0)
-	for _, p := range e.front {
+	for _, p := range w.front {
 		if len(out) > 0 && !(float64(p.e) < float64(bestEnergy)*(1-1e-9)) {
 			continue
 		}
-		base := int(p.sel) * e.sp.nTypes
-		cfg := e.configOf(e.sels[base : base+e.sp.nTypes])
+		base := int(p.sel) * sp.nTypes
+		cfg := sp.configOf(w.sels[base : base+sp.nTypes])
 		pt := Point{Config: cfg, Time: p.t, Energy: p.e}
-		if res, err := e.table.Materialize(cfg); err == nil {
+		if res, err := table.Materialize(cfg); err == nil {
 			pt.Result = res
 		}
 		out = append(out, pt)
@@ -794,6 +851,7 @@ func FrontierSweep(limits []cluster.Limit, wl *workload.Profile, opt model.Optio
 	filtered := reg.Counter("pareto.configs_filtered")
 	pruned := reg.Counter("pareto.configs_pruned")
 	certified := reg.Counter("pareto.configs_certified")
+	reused := reg.Counter("pareto.configs_reused")
 
 	table := sw.Table
 	if table == nil {
@@ -809,34 +867,42 @@ func FrontierSweep(limits []cluster.Limit, wl *workload.Profile, opt model.Optio
 	sc := sweepScratchPool.Get().(*sweepScratch)
 	defer sweepScratchPool.Put(sc)
 
-	sp := spaceFor(&sc.bld, limits, table, sw.Budget, sw.NoPrune, sw.Table != nil)
-	var st SweepStats
-	sp.tally(limits, sw.Budget, 0, false, 0, 0, 1, 1, 1, &st)
-	product := int64(1) // configurations the walk visits, plus the empty one
-	for i := range sp.nTypes {
-		product *= int64(1 + sp.typeOff[i+1] - sp.typeOff[i])
+	shared := sw.Table != nil
+	sp := spaceFor(&sc.bld, limits, table, sw.Budget, sw.NoPrune, shared)
+	peakCap := math.Inf(1) // without a budget every share column is 0
+	if sw.Budget != nil {
+		peakCap = float64(sw.Budget.Cap)
 	}
-
-	e := &sc.eng
-	e.reset(sp, table, &sw, ctx.Done())
-	defer e.release()
-	// Tick what the closed form counted and the walk will not visit.
-	e.account(st.Evaluated + st.Skipped + st.Filtered - (product - 1))
-	e.rec(0, false)
-	// A walk stopped by cancellation is incomplete; one cancelled after
-	// its last poll fails too, so a cancelled context always yields its
-	// error.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// A published space keeps its last complete walk; at the same cap
+	// that walk is this sweep's (see the reuse argument above).
+	var w *walkRecord
+	if shared {
+		w = sp.last.Load()
 	}
-	st.Evaluated, st.Pruned = e.nEvaluated, st.Evaluated-e.nEvaluated
-	out := e.frontier()
+	if w != nil && w.peakCap == peakCap {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sw.Progress.Add(w.stats.Evaluated + w.stats.Skipped + w.stats.Filtered + w.stats.Pruned)
+		reused.Add(uint64(w.stats.Evaluated))
+	} else {
+		var err error
+		if w, err = sc.eng.walk(ctx, sp, limits, table, &sw, peakCap); err != nil {
+			return nil, err
+		}
+		// walk returned, so it ran to its end under a live context.
+		if shared {
+			sp.last.Store(w)
+		}
+		certified.Add(uint64(w.certified))
+	}
+	out := w.frontier(sp, table)
 
+	st := w.stats
 	evaluated.Add(uint64(st.Evaluated))
 	skipped.Add(uint64(st.Skipped))
 	filtered.Add(uint64(st.Filtered))
 	pruned.Add(uint64(st.Pruned))
-	certified.Add(uint64(e.nCertified))
 	rc := telemetry.RequestFrom(ctx)
 	rc.Add(telemetry.AttrConfigsEvaluated, st.Evaluated)
 	rc.Add(telemetry.AttrConfigsFiltered, st.Filtered)

@@ -157,8 +157,9 @@ func (s fuzzSweep) variant(in *fuzzInput) fuzzSweep {
 }
 
 // unbuildable sometimes makes s's limits ones cluster.ValidateLimits
-// rejects: a limit lists a frequency that may be off its type's ladder,
-// or a type gets a second limit. Zero bytes change nothing.
+// rejects: a limit lists a frequency that may be off its type's ladder
+// or already listed, or a type gets a second limit. Zero bytes change
+// nothing.
 func (s *fuzzSweep) unbuildable(in *fuzzInput) {
 	l := &s.limits[in.pick(len(s.limits))]
 	switch in.pick(4) {
@@ -241,8 +242,9 @@ func checkFuzzAnnotation(t *testing.T, label string, front []Point, a fuzzAnnota
 // bitwise equal, configs included, and the accounting partitions the
 // space as the reference's does field by field (NoPrune evaluates
 // exactly what the reference evaluates and prunes nothing); the fast
-// frontier is then annotated with latencies.
-func checkFuzzSweep(t *testing.T, label string, s fuzzSweep, wl *workload.Profile, table *model.Table, ann fuzzAnnotation, want []Point, wantSt SweepStats, wantErr error) {
+// frontier is then annotated with latencies. It returns the sweep's
+// accounting.
+func checkFuzzSweep(t *testing.T, label string, s fuzzSweep, wl *workload.Profile, table *model.Table, ann fuzzAnnotation, want []Point, wantSt SweepStats, wantErr error) SweepStats {
 	t.Helper()
 	var st SweepStats
 	got, err := FrontierSweep(s.limits, wl, model.Options{}, SweepOptions{Budget: s.budget, NoPrune: s.noPrune, Table: table, Stats: &st})
@@ -250,7 +252,7 @@ func checkFuzzSweep(t *testing.T, label string, s fuzzSweep, wl *workload.Profil
 		t.Fatalf("%s: error %v, reference error %v", label, err, wantErr)
 	}
 	if err != nil {
-		return
+		return st
 	}
 	frontiersBitIdentical(t, label, got, want)
 	checkFuzzAnnotation(t, label, got, ann)
@@ -261,6 +263,17 @@ func checkFuzzSweep(t *testing.T, label string, s fuzzSweep, wl *workload.Profil
 	if sum := st.Evaluated + st.Skipped + st.Filtered + st.Pruned; sum != int64(cluster.SpaceSize(s.limits)) {
 		t.Fatalf("%s: evaluated+skipped+filtered+pruned = %d, space %d", label, sum, cluster.SpaceSize(s.limits))
 	}
+	return st
+}
+
+// lastWalk returns the walk kept by the space in table's slot, or nil.
+// A sweep that walks a shared table's space stores a new record, so a
+// sweep that leaves the record in place reused it.
+func lastWalk(table *model.Table) *walkRecord {
+	if sp, ok := table.Space().(*spaceSoA); ok {
+		return sp.last.Load()
+	}
+	return nil
 }
 
 // FuzzFrontierSweep is the frontier engine's differential target. It
@@ -269,13 +282,16 @@ func checkFuzzSweep(t *testing.T, label string, s fuzzSweep, wl *workload.Profil
 // huge values, so the certificate's preconditions both hold and fail),
 // their limits, an optional budget and NoPrune, and a variant B that
 // differs in one field the table's space slot keys on (or only in the
-// cap); then, for A, sometimes a frequency off the ladder or a second
-// limit on one type, and a latency annotation. It sweeps one shared
-// table A, A, B, A — so the slot both hits and misses — then A on a
-// table of its own. Every sweep must return the serial oracle's
-// frontier bit for bit, configs included, with the oracle's accounting,
-// or the oracle's error; every frontier's annotation must match each
-// point's own solve; nothing may panic.
+// cap); then, for A, sometimes a frequency off the ladder, a frequency
+// listed twice or a second limit on one type, and a latency
+// annotation. It sweeps one shared table A, A, B, A — so the slot both
+// hits and misses — then A on a table of its own. Every sweep must
+// return the serial oracle's frontier bit for bit, configs included,
+// with the oracle's accounting, or the oracle's error; every frontier's
+// annotation must match each point's own solve; nothing may panic. The
+// second A must reuse the first's walk, with its accounting field by
+// field, and the last A must walk again unless B left that walk in
+// place (B failed, or swept A's space at A's cap).
 func FuzzFrontierSweep(f *testing.F) {
 	f.Add([]byte{})
 	// Two types of ordinary magnitudes, NoPrune: 26 configurations, 16
@@ -302,6 +318,10 @@ func FuzzFrontierSweep(f *testing.F) {
 	// The first space with a second limit on T1: both sweeps fail
 	// validation with one error.
 	f.Add([]byte(twoTypes + "\x01\x02"))
+	// The first space with T0's cores and frequency free (byte 29) but
+	// its frequencies limited to its lower step, listed again: both
+	// sweeps fail validation with one error.
+	f.Add([]byte(twoTypes[:29] + "\x01" + twoTypes[30:] + "\x00\x01\x00\x00\x00\x00"))
 	// The first space annotated with M/M/3 at u = 193/257 and p = 99.5.
 	f.Add([]byte(twoTypes + "\x00\x00" + "\x02\x04\xc0\x00\x63\x80\x00"))
 	// 3 T0 at 2 cores and 2 T0 at 3 cores, each beside 1 T1, have the
@@ -336,12 +356,23 @@ func FuzzFrontierSweep(f *testing.F) {
 		wantA, stA, errA := oracle(a)
 		wantB, stB, errB := oracle(b)
 		table := model.NewTable(wl, model.Options{})
+		var stats [4]SweepStats
+		var walks [4]*walkRecord
 		for i, s := range []fuzzSweep{a, a, b, a} {
 			want, st, err := wantA, stA, errA
 			if i == 2 {
 				want, st, err = wantB, stB, errB
 			}
-			checkFuzzSweep(t, fmt.Sprintf("shared table, sweep %d", i+1), s, wl, table, ann, want, st, err)
+			stats[i] = checkFuzzSweep(t, fmt.Sprintf("shared table, sweep %d", i+1), s, wl, table, ann, want, st, err)
+			walks[i] = lastWalk(table)
+		}
+		if errA == nil {
+			if walks[1] != walks[0] || stats[1] != stats[0] {
+				t.Fatalf("second A walked again (%v) or reported %+v after %+v", walks[1] != walks[0], stats[1], stats[0])
+			}
+			if (walks[3] == walks[2]) != (walks[2] == walks[0]) {
+				t.Fatalf("last A reused %v, yet B left A's walk in place %v", walks[3] == walks[2], walks[2] == walks[0])
+			}
 		}
 		checkFuzzSweep(t, "private table", a, wl, nil, ann, wantA, stA, errA)
 	})

@@ -1,6 +1,8 @@
 package pareto
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -98,19 +100,27 @@ func TestFrontierSharedSlotConcurrent(t *testing.T) {
 	}
 }
 
-// TestFrontierSlotReuse: read through pareto.spaces_built, a sweep
-// reuses its table's space exactly when nothing the space depends on
-// changed — a different budget cap reuses it; a different MaxNodes,
-// MaxCores, Freqs, FixCoresAndFreq, budget presence, Switched, Switch
-// or NoPrune replaces it — and every answer equals a fresh table's.
-// Mutating the caller's Limit.Freqs after a sweep changes the next
-// sweep's answer as it would on a fresh table: the slot keeps its own
-// copy. A sweep on a table of its own builds every time.
+// TestFrontierSlotReuse: read through pareto.spaces_built and
+// pareto.configs_reused, a sweep reuses its table's space exactly when
+// nothing the space depends on changed, and the space's last complete
+// walk exactly when the budget's cap did not change either — a
+// repeated sweep walks nothing; a different cap walks the kept space; a
+// different MaxNodes, MaxCores, Freqs, FixCoresAndFreq, budget
+// presence, Switched, Switch or NoPrune replaces the space and walks it
+// — and every answer, SweepStats included, equals a fresh table's. A
+// reuse adds its evaluated count to configs_reused and nothing to
+// configs_certified. Mutating the caller's Limit.Freqs after a sweep
+// changes the next sweep's answer as it would on a fresh table: the
+// slot keeps its own copy. A walk on another table between a walk and
+// its reuse leaves the reuse's answer intact. A sweep on a table of its
+// own builds and walks every time.
 func TestFrontierSlotReuse(t *testing.T) {
 	reg := telemetry.New()
 	telemetry.SetGlobal(reg)
 	defer telemetry.SetGlobal(nil)
 	built := reg.Counter("pareto.spaces_built")
+	reused := reg.Counter("pareto.configs_reused")
+	certified := reg.Counter("pareto.configs_certified")
 
 	wl := paperWorkloads(t)[0]
 	table := model.NewTable(wl, model.Options{})
@@ -125,30 +135,43 @@ func TestFrontierSlotReuse(t *testing.T) {
 	otherSwitch.Switch.PowerPerSwitch++
 	otherSwitched := paperBudget(300)
 	otherSwitched.Switched = "K10"
+	// Each step builds a space, walks the kept one, or reuses its walk.
+	const build, walk, reuse = "build", "walk", "reuse"
 	steps := []struct {
-		c     slotCase
-		build bool
+		c    slotCase
+		want string
 	}{
-		{slotCase{"first sweep", base, nil, false}, true},
-		{slotCase{"same sweep", base, nil, false}, false},
-		{slotCase{"budget on", base, paperBudget(300), false}, true},
-		{slotCase{"other cap", base, paperBudget(450), false}, false},
-		{slotCase{"cap below every configuration", base, paperBudget(1), false}, false},
-		{slotCase{"other Switch", base, otherSwitch, false}, true},
-		{slotCase{"other Switched", base, otherSwitched, false}, true},
-		{slotCase{"budget off", base, nil, false}, true},
-		{slotCase{"NoPrune", base, nil, true}, true},
-		{slotCase{"pruned again", base, nil, false}, true},
-		{slotCase{"other MaxNodes", with(func(l *cluster.Limit) { l.MaxNodes++ }), nil, false}, true},
-		{slotCase{"other MaxCores", with(func(l *cluster.Limit) { l.MaxCores = 2 }), nil, false}, true},
-		{slotCase{"other Freqs", with(func(l *cluster.Limit) { l.Freqs = a9.Freq.Steps[:2] }), nil, false}, true},
-		{slotCase{"FixCoresAndFreq", with(func(l *cluster.Limit) { l.FixCoresAndFreq = true }), nil, false}, true},
+		{slotCase{"first sweep", base, nil, false}, build},
+		{slotCase{"same sweep", base, nil, false}, reuse},
+		{slotCase{"budget on", base, paperBudget(300), false}, build},
+		{slotCase{"same cap", base, paperBudget(300), false}, reuse},
+		{slotCase{"other cap", base, paperBudget(450), false}, walk},
+		{slotCase{"other cap again", base, paperBudget(450), false}, reuse},
+		{slotCase{"first cap again", base, paperBudget(300), false}, walk},
+		{slotCase{"cap below every configuration", base, paperBudget(1), false}, walk},
+		{slotCase{"cap below every configuration again", base, paperBudget(1), false}, reuse},
+		{slotCase{"other Switch", base, otherSwitch, false}, build},
+		{slotCase{"other Switched", base, otherSwitched, false}, build},
+		{slotCase{"budget off", base, nil, false}, build},
+		{slotCase{"NoPrune", base, nil, true}, build},
+		{slotCase{"NoPrune again", base, nil, true}, reuse},
+		{slotCase{"pruned again", base, nil, false}, build},
+		{slotCase{"other MaxNodes", with(func(l *cluster.Limit) { l.MaxNodes++ }), nil, false}, build},
+		{slotCase{"other MaxCores", with(func(l *cluster.Limit) { l.MaxCores = 2 }), nil, false}, build},
+		{slotCase{"other Freqs", with(func(l *cluster.Limit) { l.Freqs = a9.Freq.Steps[:2] }), nil, false}, build},
+		{slotCase{"FixCoresAndFreq", with(func(l *cluster.Limit) { l.FixCoresAndFreq = true }), nil, false}, build},
 	}
 	for _, s := range steps {
-		before := built.Value()
+		b0, r0, c0 := built.Value(), reused.Value(), certified.Value()
 		got, gotSt := s.c.sweep(t, wl, table)
-		if n := built.Value() - before; n != map[bool]uint64{false: 0, true: 1}[s.build] {
-			t.Errorf("%s: built %d spaces, want build=%v", s.c.label, n, s.build)
+		b, r, c := built.Value()-b0, reused.Value()-r0, certified.Value()-c0
+		switch {
+		case s.want == build && b != 1, s.want != build && b != 0:
+			t.Errorf("%s: built %d spaces, want a %s", s.c.label, b, s.want)
+		case s.want == reuse && (r != uint64(gotSt.Evaluated) || c != 0):
+			t.Errorf("%s: reused %d and certified %d configurations, want %d and 0", s.c.label, r, c, gotSt.Evaluated)
+		case s.want != reuse && r != 0:
+			t.Errorf("%s: reused %d configurations, want a %s", s.c.label, r, s.want)
 		}
 		want, wantSt := s.c.sweep(t, wl, nil)
 		frontiersBitIdentical(t, s.c.label, got, want)
@@ -157,26 +180,89 @@ func TestFrontierSlotReuse(t *testing.T) {
 		}
 	}
 
+	// A walk of another table's space between a walk and its reuse:
+	// the kept walk shares no buffer with the pooled engine that ran it.
+	first := slotCase{"reuse after another table's walk", base, paperBudget(300), false}
+	first.sweep(t, wl, table)
+	slotCase{"another table", with(func(l *cluster.Limit) { l.MaxNodes++ }), nil, false}.sweep(t, wl, model.NewTable(wl, model.Options{}))
+	r0 := reused.Value()
+	got, gotSt := first.sweep(t, wl, table)
+	if reused.Value() == r0 {
+		t.Errorf("%s: walked, want a reuse", first.label)
+	}
+	want, wantSt := first.sweep(t, wl, nil)
+	frontiersBitIdentical(t, first.label, got, want)
+	if gotSt != wantSt {
+		t.Errorf("%s: stats %+v, fresh table %+v", first.label, gotSt, wantSt)
+	}
+
 	// The caller's Freqs mutated in place after a sweep.
 	freqs := []units.Hertz{a9.Freq.Steps[0], a9.Freq.Steps[1]}
 	limits := []cluster.Limit{{Type: a9, MaxNodes: 3, Freqs: freqs}, base[1]}
 	c := slotCase{"caller's Freqs", limits, nil, false}
 	c.sweep(t, wl, table)
 	freqs[1] = a9.Freq.Steps[len(a9.Freq.Steps)-1]
-	before := built.Value()
-	got, _ := c.sweep(t, wl, table)
-	if n := built.Value() - before; n != 1 {
-		t.Errorf("sweep after mutating the caller's Freqs built %d spaces, want 1", n)
+	b0, r0 := built.Value(), reused.Value()
+	got, _ = c.sweep(t, wl, table)
+	if b, r := built.Value()-b0, reused.Value()-r0; b != 1 || r != 0 {
+		t.Errorf("sweep after mutating the caller's Freqs built %d spaces and reused %d configurations, want 1 and 0", b, r)
 	}
-	want, _ := c.sweep(t, wl, nil)
+	want, _ = c.sweep(t, wl, nil)
 	frontiersBitIdentical(t, "after mutating the caller's Freqs", got, want)
 
-	before = built.Value()
+	b0, r0 = built.Value(), reused.Value()
 	for range 3 {
 		c.sweep(t, wl, nil)
 	}
-	if n := built.Value() - before; n != 3 {
-		t.Errorf("3 sweeps on tables of their own built %d spaces, want 3", n)
+	if b, r := built.Value()-b0, reused.Value()-r0; b != 3 || r != 0 {
+		t.Errorf("3 sweeps on tables of their own built %d spaces and reused %d configurations, want 3 and 0", b, r)
+	}
+}
+
+// TestFrontierCancelledSweepStoresNothing: a sweep under a cancelled
+// context returns the context's error whether it would walk or reuse,
+// and leaves no walk behind: the next live sweep walks the kept space,
+// and only the one after it reuses.
+func TestFrontierCancelledSweepStoresNothing(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetGlobal(reg)
+	defer telemetry.SetGlobal(nil)
+	built := reg.Counter("pareto.spaces_built")
+	reused := reg.Counter("pareto.configs_reused")
+
+	limits, wl := paperBenchSpace(t)
+	table := model.NewTable(wl, model.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := func(label string) {
+		t.Helper()
+		front, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Context: ctx, Table: table})
+		if !errors.Is(err, context.Canceled) || front != nil {
+			t.Fatalf("%s: %d points, error %v; want none and context.Canceled", label, len(front), err)
+		}
+	}
+	live := func(label string, wantReused bool) {
+		t.Helper()
+		r0 := reused.Value()
+		var st SweepStats
+		if _, err := FrontierSweep(limits, wl, model.Options{}, SweepOptions{Table: table, Stats: &st}); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if r := reused.Value() - r0; r != map[bool]uint64{false: 0, true: uint64(st.Evaluated)}[wantReused] {
+			t.Errorf("%s: reused %d configurations, want reuse %v (%d evaluated)", label, r, wantReused, st.Evaluated)
+		}
+	}
+
+	cancelled("cancelled first sweep")
+	if sp, ok := table.Space().(*spaceSoA); !ok || sp.last.Load() != nil {
+		t.Fatalf("cancelled first sweep: slot %T, want a space with no walk", table.Space())
+	}
+	b0 := built.Value()
+	live("first live sweep", false)
+	cancelled("cancelled repeat")
+	live("second live sweep", true)
+	if b := built.Value() - b0; b != 0 {
+		t.Errorf("live sweeps after the cancelled one built %d spaces, want 0", b)
 	}
 }
 

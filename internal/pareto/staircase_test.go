@@ -94,8 +94,8 @@ func nonDominatedPrefix(pts []Point, n int) []int {
 // every input point, config identity included.
 func checkOutputWalk(t *testing.T, label string, e *fastEngine, pts []Point) {
 	t.Helper()
-	e.table = model.NewTable(staircaseWorkload(t), model.Options{})
-	got := e.frontier()
+	w := &walkRecord{front: e.front, sels: e.sels}
+	got := w.frontier(e.sp, model.NewTable(staircaseWorkload(t), model.Options{}))
 	frontiersEqual(t, label+" output walk", got, Frontier(pts))
 }
 

@@ -11,9 +11,14 @@ import (
 // SweepStats is one sweep's accounting, filled through
 // SweepOptions.Stats. The four counts always sum to
 // cluster.SpaceSize(limits) (the invariant the pareto.configs_*
-// counters obey globally).
+// counters obey globally). A sweep that reuses its shared table's last
+// walk (see SweepOptions.Table) reports that walk's accounting, field
+// for field: the counts describe the space and the budget, not the
+// work this call did.
 type SweepStats struct {
-	// Evaluated configurations reached the model and produced a result.
+	// Evaluated configurations are those the walk reached that the
+	// model can run: run through it, or certified covered by the
+	// running staircase without a run (pareto.configs_certified).
 	Evaluated int64
 	// Skipped configurations fit the budget but cannot run: a group has
 	// no demand vector, or no group has a positive execution rate.
@@ -36,8 +41,9 @@ type SweepOptions struct {
 	// Deprecated: ignored; the sweep runs on the caller's goroutine.
 	Workers int
 	// Progress, when non-nil, is ticked once per configuration of the
-	// space (in bulk for those the fast engine counts in closed form) —
-	// the count-based reporter behind the CLIs' -progress flag.
+	// space (in bulk for those the fast engine counts in closed form,
+	// and for the whole space when the sweep reuses a walk) — the
+	// count-based reporter behind the CLIs' -progress flag.
 	Progress *telemetry.Progress
 	// Budget, when non-nil, caps the configurations' peak power: those
 	// over the cap are counted as filtered and never reach the model.
@@ -63,7 +69,13 @@ type SweepOptions struct {
 	// model.NewTable for exactly this sweep's workload pointer and
 	// options (checked; mismatch is an error). Serving callers use it
 	// to amortize table construction and memo warm-up across repeated
-	// sweeps of the same workload.
+	// sweeps of the same workload. The table keeps the last reduced
+	// space swept on it, and that space the outcome of its last
+	// complete walk: a sweep of the same limits, budget switch model
+	// and NoPrune skips the build, and one at the same budget cap as
+	// well skips the walk and only materializes fresh Points. The
+	// answer is the same either way (pareto.spaces_built counts
+	// builds; pareto.configs_reused, reused evaluations).
 	Table *model.Table
 	// Stats, when non-nil, receives this sweep's own accounting —
 	// per-call counts beside the process-global pareto.* counters.

@@ -66,11 +66,11 @@ type batchRequest[Req any] interface {
 }
 
 // weigh is the admission weigher of every model route. It decodes the
-// request once — a POST's JSON body, or a GET's (or HEAD's) query as a
-// batch of one — and prices it; the route's handler receives the
-// decoded request. Decode and structure failures answer 400 before
-// admission, other methods 405.
-func weigh[Req any, P batchRequest[Req]](s *Server, w http.ResponseWriter, r *http.Request, query func(url.Values) (P, error)) (int64, any, bool) {
+// request once — a POST's JSON body, or a GET's (or HEAD's) query q,
+// which the deadline parsed, as a batch of one — and prices it; the
+// route's handler receives the decoded request. Decode and structure
+// failures answer 400 before admission, other methods 405.
+func weigh[Req any, P batchRequest[Req]](s *Server, w http.ResponseWriter, r *http.Request, q url.Values, query func(url.Values) (P, error)) (int64, any, bool) {
 	var req P
 	var err error
 	switch r.Method {
@@ -81,7 +81,7 @@ func weigh[Req any, P batchRequest[Req]](s *Server, w http.ResponseWriter, r *ht
 			err = fmt.Errorf("invalid JSON body: %v", err)
 		}
 	case http.MethodGet, http.MethodHead:
-		req, err = query(r.URL.Query())
+		req, err = query(q)
 	default:
 		w.Header().Set("Allow", "GET, HEAD, POST")
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
@@ -420,8 +420,8 @@ func (s *Server) evalPercentiles(ctx context.Context, pi *pctItem, u float64) (*
 	return v, nil
 }
 
-func (s *Server) weighPercentiles(w http.ResponseWriter, r *http.Request) (int64, any, bool) {
-	return weigh(s, w, r, percentilesQuery)
+func (s *Server) weighPercentiles(w http.ResponseWriter, r *http.Request, q url.Values) (int64, any, bool) {
+	return weigh(s, w, r, q, percentilesQuery)
 }
 
 // handlePercentiles serves /v1/percentiles: waiting/response-time
@@ -511,8 +511,8 @@ func (s *Server) epmetricsItem(req *EPMetricsBatchRequest, i int) (*EPMetricsRes
 	return s.epmetricsFor(cmp.Or(it.Workload, req.Workload, "EP"), it.Mix, cmp.Or(it.Ref, req.Ref))
 }
 
-func (s *Server) weighEpmetrics(w http.ResponseWriter, r *http.Request) (int64, any, bool) {
-	return weigh(s, w, r, epmetricsQuery)
+func (s *Server) weighEpmetrics(w http.ResponseWriter, r *http.Request, q url.Values) (int64, any, bool) {
+	return weigh(s, w, r, q, epmetricsQuery)
 }
 
 // handleEpmetrics serves /v1/epmetrics: the Table 3 energy
@@ -749,8 +749,8 @@ func (s *Server) planFrontier(fi *frontierItem, it *FrontierBatchItem) error {
 	return nil
 }
 
-func (s *Server) weighFrontier(w http.ResponseWriter, r *http.Request) (int64, any, bool) {
-	return weigh(s, w, r, frontierQuery)
+func (s *Server) weighFrontier(w http.ResponseWriter, r *http.Request, q url.Values) (int64, any, bool) {
+	return weigh(s, w, r, q, frontierQuery)
 }
 
 // handleFrontier serves /v1/frontier: the energy-deadline Pareto

@@ -340,7 +340,7 @@ func TestFrontierAdmissionWeight(t *testing.T) {
 
 	// Small sweep: space below one admission unit -> weight 1.
 	req := httptest.NewRequest(http.MethodGet, "/v1/frontier?max_a9=4&max_k10=2", nil)
-	w, _, ok := srv.weighFrontier(httptest.NewRecorder(), req)
+	w, _, ok := srv.weighFrontier(httptest.NewRecorder(), req, req.URL.Query())
 	if !ok || w != 1 {
 		t.Fatalf("small sweep weight = %d ok=%t, want 1", w, ok)
 	}
@@ -357,7 +357,7 @@ func TestFrontierAdmissionWeight(t *testing.T) {
 		t.Fatalf("resolveFrontier: %v", plan.err)
 	}
 	space := plan.space
-	w, _, ok = srv.weighFrontier(httptest.NewRecorder(), req)
+	w, _, ok = srv.weighFrontier(httptest.NewRecorder(), req, req.URL.Query())
 	if !ok || w != frontierUnits(space) {
 		t.Fatalf("dvfs sweep weight = %d, want %d (space %d)", w, frontierUnits(space), space)
 	}
@@ -372,7 +372,7 @@ func TestFrontierAdmissionWeight(t *testing.T) {
 		{MaxA9: &four, MaxK10: &two},
 	}})
 	preq := httptest.NewRequest(http.MethodPost, "/v1/frontier", bytes.NewReader(body))
-	w, _, ok = srv.weighFrontier(httptest.NewRecorder(), preq)
+	w, _, ok = srv.weighFrontier(httptest.NewRecorder(), preq, preq.URL.Query())
 	if !ok || w != 2 {
 		t.Fatalf("frontier batch weight = %d ok=%t, want 2", w, ok)
 	}

@@ -25,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -243,8 +244,8 @@ func (s *Server) api(route string, h http.HandlerFunc) http.Handler {
 
 // apiWeighted is api with a per-route admission weigher: weigh runs
 // inside the deadline but before admission, decodes the request exactly
-// once and computes its admission cost, and the handler receives what
-// it decoded.
+// once — from the query the deadline parsed — and computes its
+// admission cost, and the handler receives what it decoded.
 func (s *Server) apiWeighted(route string, weigh admissionWeigher, h decodedHandler) http.Handler {
 	s.routes = append(s.routes, route)
 	return s.requestScope(route, false, s.recovery(s.deadline(s.admission(weigh, h))))
@@ -282,11 +283,13 @@ func (s *Server) recovery(next http.HandlerFunc) http.HandlerFunc {
 // the client's ?timeout= (clamped to MaxTimeout) or DefaultTimeout.
 // Handlers pass the context into the kernel and the frontier engine,
 // and batches check it between items, so the deadline cancels
-// percentile batches and frontier sweeps mid-flight.
-func (s *Server) deadline(next http.HandlerFunc) http.HandlerFunc {
+// percentile batches and frontier sweeps mid-flight. It parses the
+// query once and hands it on, so the weigher does not parse it again.
+func (s *Server) deadline(next queryHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
 		d := s.cfg.DefaultTimeout
-		if raw := r.URL.Query().Get("timeout"); raw != "" {
+		if raw := q.Get("timeout"); raw != "" {
 			parsed, err := time.ParseDuration(raw)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, "bad_request",
@@ -302,15 +305,20 @@ func (s *Server) deadline(next http.HandlerFunc) http.HandlerFunc {
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
-		next(w, r.WithContext(ctx))
+		next(w, r.WithContext(ctx), q)
 	}
 }
 
-// admissionWeigher decodes a request and computes its admission cost
-// before the semaphore is consulted. It may reject the request itself
-// (writing the error and returning ok=false); what it decoded goes to
-// the route's handler. A nil weigher costs 1 unit and decodes nothing.
-type admissionWeigher func(w http.ResponseWriter, r *http.Request) (weight int64, decoded any, ok bool)
+// queryHandler is the part of a model route's chain below the
+// deadline: it receives the request's query as the deadline parsed it.
+type queryHandler func(w http.ResponseWriter, r *http.Request, q url.Values)
+
+// admissionWeigher decodes a request, a GET from its parsed query q,
+// and computes its admission cost before the semaphore is consulted. It
+// may reject the request itself (writing the error and returning
+// ok=false); what it decoded goes to the route's handler. A nil weigher
+// costs 1 unit and decodes nothing.
+type admissionWeigher func(w http.ResponseWriter, r *http.Request, q url.Values) (weight int64, decoded any, ok bool)
 
 // decodedHandler is a route handler that receives what its weigher
 // decoded (nil without a weigher).
@@ -320,12 +328,12 @@ type decodedHandler func(w http.ResponseWriter, r *http.Request, decoded any)
 // Retry-After when the queue is full, 504 when the deadline expires
 // while queued. The weigher runs first, so a batch of N items charges
 // N units and sheds exactly like N scalar requests would.
-func (s *Server) admission(weigh admissionWeigher, next decodedHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+func (s *Server) admission(weigh admissionWeigher, next decodedHandler) queryHandler {
+	return func(w http.ResponseWriter, r *http.Request, q url.Values) {
 		weight, decoded := int64(1), any(nil)
 		if weigh != nil {
 			var ok bool
-			if weight, decoded, ok = weigh(w, r); !ok {
+			if weight, decoded, ok = weigh(w, r, q); !ok {
 				return
 			}
 		}

@@ -81,6 +81,8 @@ func TestEndpoints(t *testing.T) {
 		{"index", "/", 200, "epserve"},
 		{"unknown path", "/v2/nope", 404, "no such endpoint"},
 		{"bad timeout", "/v1/percentiles?d=1&u=0.5&timeout=zzz", 400, "invalid timeout"},
+		{"non-positive timeout", "/v1/frontier?workload=EP&max_a9=4&max_k10=2&timeout=0s", 400, "timeout must be positive"},
+		{"timeout checked before the query decodes", "/v1/epmetrics?mix=zzz&timeout=-1s", 400, "timeout must be positive"},
 		{"percentile overflows float64", "/v1/percentiles?d=1e308&u=0.5&p=95", 400, "percentiles[0].wait_seconds is +Inf"},
 		{"mean wait overflows float64", "/v1/percentiles?d=1e308&u=0.99&p=99", 400, "mean_wait_seconds is +Inf"},
 		{"frontier latency overflows float64", "/v1/frontier?max_a9=4&max_k10=2&u=0.9999999999999999&p=99.99999999999999&kernel=mg1&scv=1e300", 400, "frontier[0].response_seconds is +Inf"},
