@@ -83,7 +83,8 @@ race: test-race
 # frontier sweeps, replay, and the memoized frontier engine's shared
 # unit-calc table), the frontier
 # fast-vs-reference differential smoke over the full footnote-4 space,
-# one iteration of the frontier and fleet benchmarks, the epserve
+# one iteration of the frontier and fleet benchmarks, every example
+# program run to completion, the epserve
 # end-to-end smoke, the fleet-scenario smoke (schema checks plus
 # race-detected runs), and a short fuzz smoke over the parser, kernel
 # differential, epserve GET, POST and replay, frontier-sweep, fleet-run,
@@ -100,6 +101,7 @@ ci:
 	$(GO) test -race -short -run 'TestFastSweep|TestFrontier' ./internal/pareto/
 	$(MAKE) bench-frontier-smoke
 	$(MAKE) bench-fleet-smoke
+	$(MAKE) examples
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) bench-serve-smoke
@@ -199,6 +201,7 @@ examples:
 	$(GO) run ./examples/customnode
 	$(GO) run ./examples/adaptive
 	$(GO) run ./examples/diurnal
+	$(GO) run ./examples/biglittle
 
 # fuzz runs each target for 30s; fuzz-smoke is the CI variant, a few
 # seconds per target — enough to replay the corpus and catch gross

@@ -7,6 +7,7 @@ package repro_test
 // sensitivity generalization of the Section III-E PPR asymmetry.
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/loadtrace"
 	"repro/internal/model"
 	"repro/internal/queueing"
+	"repro/internal/replay"
 	"repro/internal/simulator"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -239,21 +241,26 @@ func BenchmarkExtensionDiurnalTrace(b *testing.B) {
 		}
 		cands = append(cands, a)
 	}
-	shape := loadtrace.Diurnal{Mean: 0.30, Amplitude: 0.25, Period: 86400, PeakAt: 14 * 3600}
+	tr, err := replay.FromShape(loadtrace.Diurnal{Mean: 0.30, Amplitude: 0.25, Period: 86400, PeakAt: 14 * 3600}, 900, 96)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var saving float64
 	var switches int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		static, adapted, err := loadtrace.Evaluate(cands, shape, loadtrace.TraceOptions{
-			Duration: 86400,
-			Step:     900,
-			Policy:   adaptive.Policy{Hysteresis: 0.05},
-		})
+		opt := replay.Options{Policy: adaptive.Policy{Hysteresis: 0.05}, DiscardSteps: true}
+		static, err := replay.Run(context.Background(), cands, tr, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		saving = loadtrace.Saving(static, adapted)
-		switches = adapted.Switches
+		opt.Adaptive = true
+		adapted, err := replay.Run(context.Background(), cands, tr, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		saving = 1 - adapted.Summary.TotalEnergyJoules/static.Summary.TotalEnergyJoules
+		switches = adapted.Summary.Switches
 	}
 	b.ReportMetric(100*saving, "energy-saving-%")
 	b.ReportMetric(float64(switches), "switches-per-day")

@@ -9,12 +9,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro"
 	"repro/internal/adaptive"
 	"repro/internal/loadtrace"
+	"repro/internal/replay"
 )
 
 func main() {
@@ -55,27 +57,33 @@ func main() {
 		loadtrace.Steps{Levels: []float64{0.15, 0.55, 0.85, 0.45}, Dwell: 6 * 3600},
 	}
 
-	opt := loadtrace.TraceOptions{
-		Duration: 86400,
-		Step:     900, // reconfigure at most every 15 minutes
-		Policy:   adaptive.Policy{Hysteresis: 0.05},
-	}
-
 	fmt.Println("24-hour EP traces: static 32A9:12K10 vs adaptive switching")
 	fmt.Printf("%-28s %12s %12s %9s %9s %11s\n",
 		"load shape", "static kWh", "adaptive kWh", "saving", "switches", "violations")
 	for _, shape := range shapes {
-		static, adapted, err := loadtrace.Evaluate(cands, shape, opt)
+		// Reconfigure at most every 15 minutes: 96 steps over the day.
+		tr, err := replay.FromShape(shape, 900, 96)
 		if err != nil {
 			log.Fatal(err)
 		}
+		opt := replay.Options{Policy: adaptive.Policy{Hysteresis: 0.05}, DiscardSteps: true}
+		static, err := replay.Run(context.Background(), cands, tr, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		opt.Adaptive = true
+		adapted, err := replay.Run(context.Background(), cands, tr, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		s, a := static.Summary, adapted.Summary
 		fmt.Printf("%-28s %12.2f %12.2f %8.1f%% %9d %11d\n",
 			shape.Name(),
-			static.Energy/3.6e6,
-			adapted.Energy/3.6e6,
-			100*loadtrace.Saving(static, adapted),
-			adapted.Switches,
-			adapted.SLOViolations)
+			s.TotalEnergyJoules/3.6e6,
+			a.TotalEnergyJoules/3.6e6,
+			100*(1-a.TotalEnergyJoules/s.TotalEnergyJoules),
+			a.Switches,
+			a.SLOViolations)
 	}
 
 	fmt.Println("\nThe diurnal row is the paper's energy-proportionality problem in")

@@ -1,19 +1,16 @@
 // Package loadtrace models how datacenter load varies over time — the
 // context behind the paper's motivation that "most servers operate at
 // 30% utilization on an average" (Section II-B, citing Barroso et al.).
-// It provides synthetic load-shape generators (diurnal sine, flash
-// crowd, plateau steps) and evaluates what a static configuration and a
-// dynamically adapted one (internal/adaptive) spend over a trace:
-// energy, mean utilization, and SLO compliance.
+// It provides synthetic load shapes (diurnal sine, flash crowd, ramp,
+// plateau steps); replay.FromShape samples one into a trace, and
+// replay.Run prices that trace for a static configuration or an
+// adaptively re-provisioned one.
 package loadtrace
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"repro/internal/adaptive"
-	"repro/internal/energyprop"
 	"repro/internal/stats"
 )
 
@@ -115,122 +112,3 @@ func (s Steps) At(t float64) float64 {
 
 // Name implements Shape.
 func (s Steps) Name() string { return fmt.Sprintf("steps(%d levels)", len(s.Levels)) }
-
-// TraceOptions configures a trace evaluation.
-type TraceOptions struct {
-	// Duration is the trace length in seconds.
-	Duration float64
-	// Step is the evaluation interval; the load is held constant within
-	// a step (a reconfiguration epoch for the adaptive plan).
-	Step float64
-	// Policy constrains the adaptive plan (SLO, hysteresis).
-	Policy adaptive.Policy
-}
-
-// Result summarizes one strategy's cost over a trace.
-type Result struct {
-	Strategy string
-	// Energy is the total energy over the trace in joules.
-	Energy float64
-	// MeanPower is Energy / Duration.
-	MeanPower float64
-	// MeanLoad is the average offered load fraction.
-	MeanLoad float64
-	// SLOViolations counts steps whose load had no feasible
-	// configuration under the policy (the strategy runs its largest
-	// configuration and eats the latency).
-	SLOViolations int
-	// Switches counts configuration changes (0 for static).
-	Switches int
-}
-
-// Evaluate plays the shape against a static reference configuration and
-// the adaptive ensemble over the same candidates, returning both costs.
-// candidates[0..n) are the available configurations; the reference for
-// load normalization is the fastest one, as in adaptive.Plan.
-func Evaluate(candidates []*energyprop.Analysis, shape Shape, opt TraceOptions) (static, adapted Result, err error) {
-	if len(candidates) == 0 {
-		return Result{}, Result{}, errors.New("loadtrace: no candidates")
-	}
-	if opt.Duration <= 0 || opt.Step <= 0 || opt.Step > opt.Duration {
-		return Result{}, Result{}, errors.New("loadtrace: invalid duration/step")
-	}
-	// Reference = fastest candidate.
-	ref := 0
-	for i, c := range candidates {
-		if c.Result.Time <= 0 {
-			return Result{}, Result{}, fmt.Errorf("loadtrace: candidate %d has no service time", i)
-		}
-		if c.Result.Time < candidates[ref].Result.Time {
-			ref = i
-		}
-	}
-
-	steps := int(opt.Duration / opt.Step)
-	if steps < 1 {
-		steps = 1
-	}
-	static = Result{Strategy: "static " + candidates[ref].Result.Config.String()}
-	adapted = Result{Strategy: "adaptive over " + fmt.Sprint(len(candidates)) + " configs"}
-
-	var loadSum, staticE, adaptE stats.KahanSum
-	prevChoice := -2
-	refRate := 1 / float64(candidates[ref].Result.Time)
-	for i := 0; i < steps; i++ {
-		t := (float64(i) + 0.5) * opt.Step
-		load := shape.At(t)
-		loadSum.Add(load)
-
-		// Static: the reference serves the load at its own utilization.
-		staticE.Add(candidates[ref].PowerAt(load) * opt.Step)
-
-		// Adaptive: plan a single-point grid at this load.
-		if load <= 0 {
-			// Idle step: park on the cheapest idle configuration.
-			minIdle := math.Inf(1)
-			for _, c := range candidates {
-				if v := float64(c.Result.IdlePower); v < minIdle {
-					minIdle = v
-				}
-			}
-			adaptE.Add(minIdle * opt.Step)
-			continue
-		}
-		plan, err := adaptive.Plan(candidates, opt.Policy, []float64{load})
-		if err != nil {
-			return Result{}, Result{}, err
-		}
-		d := plan.Decisions[0]
-		if d.Chosen < 0 {
-			// No feasible configuration under the policy: fall back to
-			// the reference and count the violation.
-			rho := load * refRate * float64(candidates[ref].Result.Time)
-			adaptE.Add(candidates[ref].PowerAt(rho) * opt.Step)
-			adapted.SLOViolations++
-			prevChoice = ref
-			continue
-		}
-		adaptE.Add(d.Power * opt.Step)
-		if prevChoice >= 0 && prevChoice != d.Chosen {
-			adapted.Switches++
-		}
-		prevChoice = d.Chosen
-	}
-
-	static.Energy = staticE.Sum()
-	static.MeanPower = static.Energy / opt.Duration
-	static.MeanLoad = loadSum.Sum() / float64(steps)
-	adapted.Energy = adaptE.Sum()
-	adapted.MeanPower = adapted.Energy / opt.Duration
-	adapted.MeanLoad = static.MeanLoad
-	return static, adapted, nil
-}
-
-// Saving returns the adaptive strategy's fractional energy saving over
-// the static one.
-func Saving(static, adapted Result) float64 {
-	if static.Energy <= 0 {
-		return 0
-	}
-	return 1 - adapted.Energy/static.Energy
-}

@@ -4,45 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/adaptive"
-	"repro/internal/cluster"
-	"repro/internal/energyprop"
-	"repro/internal/hardware"
-	"repro/internal/model"
-	"repro/internal/workload"
 )
-
-func candidates(t *testing.T) []*energyprop.Analysis {
-	t.Helper()
-	cat := hardware.DefaultCatalog()
-	reg, err := workload.PaperRegistry(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := reg.Lookup(workload.NameEP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a9, _ := cat.Lookup("A9")
-	k10, _ := cat.Lookup("K10")
-	var out []*energyprop.Analysis
-	for _, m := range [][2]int{{32, 12}, {25, 8}, {25, 5}, {25, 2}} {
-		var groups []cluster.Group
-		if m[0] > 0 {
-			groups = append(groups, cluster.FullNodes(a9, m[0]))
-		}
-		if m[1] > 0 {
-			groups = append(groups, cluster.FullNodes(k10, m[1]))
-		}
-		a, err := energyprop.Analyze(cluster.MustConfig(groups...), p, model.Options{}, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, a)
-	}
-	return out
-}
 
 // TestShapesWithinBounds: every shape stays in [0,1] across time.
 func TestShapesWithinBounds(t *testing.T) {
@@ -94,86 +56,5 @@ func TestStepsCycle(t *testing.T) {
 	s := Steps{Levels: []float64{0.1, 0.9}, Dwell: 10}
 	if s.At(5) != 0.1 || s.At(15) != 0.9 || s.At(25) != 0.1 {
 		t.Error("step cycle wrong")
-	}
-}
-
-// TestDiurnalAdaptationSaves: over a day at ~30% mean load, adaptation
-// saves a large fraction of the static reference's energy — the
-// quantified version of the paper's over-provisioning motivation.
-func TestDiurnalAdaptationSaves(t *testing.T) {
-	cands := candidates(t)
-	shape := Diurnal{Mean: 0.3, Amplitude: 0.25, Period: 86400, PeakAt: 14 * 3600}
-	static, adapted, err := Evaluate(cands, shape, TraceOptions{
-		Duration: 86400,
-		Step:     900, // 15-minute reconfiguration epochs
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Saving(static, adapted)
-	if s < 0.10 || s > 0.70 {
-		t.Errorf("diurnal saving %.3f outside plausible band", s)
-	}
-	if adapted.Switches == 0 {
-		t.Error("no configuration switches over a full diurnal cycle")
-	}
-	if adapted.SLOViolations != 0 {
-		t.Errorf("%d violations without an SLO policy", adapted.SLOViolations)
-	}
-	if math.Abs(static.MeanLoad-0.3) > 0.02 {
-		t.Errorf("mean load %.3f, want ~0.3", static.MeanLoad)
-	}
-}
-
-// TestFlashCrowdFeasibility: the adaptive plan must ride the surge on
-// the big configuration and come back down afterwards.
-func TestFlashCrowdAdaptation(t *testing.T) {
-	cands := candidates(t)
-	shape := FlashCrowd{Base: 0.15, Peak: 0.85, Start: 6 * 3600, HalfLife: 3600}
-	static, adapted, err := Evaluate(cands, shape, TraceOptions{
-		Duration: 86400,
-		Step:     600,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adapted.Energy >= static.Energy {
-		t.Errorf("adaptation did not save energy: %.0f vs %.0f J", adapted.Energy, static.Energy)
-	}
-	if adapted.Switches < 2 {
-		t.Errorf("expected up- and down-switches around the surge, got %d", adapted.Switches)
-	}
-}
-
-// TestTightSLOForcesViolationsAtPeak: with an SLO no configuration can
-// hold at peak load, violations are counted and energy falls back to
-// the reference.
-func TestTightSLOForcesViolations(t *testing.T) {
-	cands := candidates(t)
-	shape := Diurnal{Mean: 0.5, Amplitude: 0.45, Period: 86400, PeakAt: 12 * 3600}
-	_, adapted, err := Evaluate(cands, shape, TraceOptions{
-		Duration: 86400,
-		Step:     900,
-		Policy:   adaptive.Policy{SLO: 0.05, MaxUtilization: 0.95},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adapted.SLOViolations == 0 {
-		t.Error("expected SLO violations near the 95% peak")
-	}
-}
-
-func TestEvaluateValidation(t *testing.T) {
-	cands := candidates(t)
-	shape := Steps{Levels: []float64{0.5}, Dwell: 10}
-	if _, _, err := Evaluate(nil, shape, TraceOptions{Duration: 100, Step: 10}); err == nil {
-		t.Error("no candidates accepted")
-	}
-	if _, _, err := Evaluate(cands, shape, TraceOptions{Duration: 0, Step: 10}); err == nil {
-		t.Error("zero duration accepted")
-	}
-	if _, _, err := Evaluate(cands, shape, TraceOptions{Duration: 10, Step: 100}); err == nil {
-		t.Error("step > duration accepted")
 	}
 }

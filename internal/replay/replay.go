@@ -121,8 +121,9 @@ type Summary struct {
 	SwitchEnergyJoules float64 `json:"switch_energy_joules"`
 	IdealEnergyJoules  float64 `json:"ideal_energy_joules"`
 	EnergyGap          float64 `json:"energy_gap"`
-	// Switches counts configuration changes; SuppressedSwitches how many
-	// the hysteresis held back.
+	// Switches counts configuration changes, the steps marked Switched
+	// (moves into and out of the adaptive infeasible fallback included);
+	// SuppressedSwitches how many the hysteresis held back.
 	Switches           int `json:"switches"`
 	SuppressedSwitches int `json:"suppressed_switches"`
 	// SLOViolations counts violating steps; SLOViolationFrac is the
@@ -166,9 +167,9 @@ type decision struct {
 // every step; in adaptive mode a planner stepper re-decides each step.
 // Each step is decided, solved, booked and emitted before the next is
 // decided, so a run that fails has emitted every step before the
-// failing one. Per-step response percentiles come from the same
-// queueing batch APIs the static sweeps use, so a replayed step matches
-// a direct point evaluation exactly.
+// failing one. Each per-step response percentile is one scalar M/D/1
+// solve at the step's utilization, so a replayed step matches a direct
+// point evaluation exactly.
 func Run(ctx context.Context, candidates []*energyprop.Analysis, tr Trace, opt Options) (*Result, error) {
 	if len(candidates) == 0 {
 		return nil, errors.New("replay: no candidates")
@@ -293,6 +294,7 @@ func Run(ctx context.Context, candidates []*energyprop.Analysis, tr Trace, opt O
 			res.Summary.SaturatedSteps++
 		}
 		if st.Switched {
+			res.Summary.Switches++
 			switchCnt.Inc()
 		}
 		stepCnt.Inc()
@@ -306,7 +308,6 @@ func Run(ctx context.Context, candidates []*energyprop.Analysis, tr Trace, opt O
 		}
 	}
 
-	res.Summary.Switches = stepper.Switches()
 	res.Summary.SuppressedSwitches = stepper.Suppressed()
 	res.Summary.SwitchEnergyJoules = float64(res.Summary.Switches) * opt.SwitchEnergy
 	totalE.Add(res.Summary.SwitchEnergyJoules)
@@ -346,8 +347,7 @@ func decideStep(stepper *adaptive.Stepper, candidates []*energyprop.Analysis, lo
 			return decision{chosen: d.Chosen, rho: d.Utilization, power: d.Power,
 				resp: d.Response, solved: true}, nil
 		}
-		// No feasible candidate: keep the reference running and eat the
-		// latency, as loadtrace.Evaluate does.
+		// No feasible candidate: run the reference and eat the latency.
 		dec := referenceDecision(candidates[ref], ref, load, opt)
 		dec.infeasible = true
 		return dec, nil

@@ -56,13 +56,21 @@ func ladderCandidates(t *testing.T) []*energyprop.Analysis {
 	return out
 }
 
+// scalingMixes (A9, K10 counts) shed brawny nodes one or two at a time;
+// wideMixes reach down to two K10s, so their smallest mix is cheaper at
+// low load and saturates sooner.
+var (
+	scalingMixes = [][2]int{{32, 12}, {25, 10}, {25, 8}, {25, 7}, {25, 5}}
+	wideMixes    = [][2]int{{32, 12}, {25, 8}, {25, 5}, {25, 2}}
+)
+
 // scalingCandidates builds an ensemble of *different-capacity* mixes
 // (progressively fewer brawny nodes), the shape that gives the adaptive
 // planner real crossover points: small mixes are cheaper at low load and
 // saturate as it rises. The paper's fixed-budget ladder does not switch
 // for the EP workload — its all-wimpy mix is both fastest and cheapest
-// everywhere — so switch-churn tests use this set instead.
-func scalingCandidates(t *testing.T) []*energyprop.Analysis {
+// everywhere — so switch-churn tests use these sets instead.
+func scalingCandidates(t *testing.T, mixes [][2]int) []*energyprop.Analysis {
 	t.Helper()
 	cat := hardware.DefaultCatalog()
 	reg, err := workload.PaperRegistry(cat)
@@ -76,7 +84,7 @@ func scalingCandidates(t *testing.T) []*energyprop.Analysis {
 	a9, _ := cat.Lookup("A9")
 	k10, _ := cat.Lookup("K10")
 	var out []*energyprop.Analysis
-	for _, m := range [][2]int{{32, 12}, {25, 10}, {25, 8}, {25, 7}, {25, 5}} {
+	for _, m := range mixes {
 		groups := []cluster.Group{cluster.FullNodes(a9, m[0]), cluster.FullNodes(k10, m[1])}
 		a, err := energyprop.Analyze(cluster.MustConfig(groups...), p, model.Options{}, 100)
 		if err != nil {
@@ -89,9 +97,15 @@ func scalingCandidates(t *testing.T) []*energyprop.Analysis {
 
 func diurnalTrace(t *testing.T, steps int) Trace {
 	t.Helper()
-	tr, err := FromShape(loadtrace.Diurnal{
+	return shapeTrace(t, loadtrace.Diurnal{
 		Mean: 0.35, Amplitude: 0.3, Period: 86400, PeakAt: 14 * 3600,
-	}, 86400/float64(steps), steps)
+	}, steps)
+}
+
+// shapeTrace samples a shape over one day in the given number of steps.
+func shapeTrace(t *testing.T, shape loadtrace.Shape, steps int) Trace {
+	t.Helper()
+	tr, err := FromShape(shape, 86400/float64(steps), steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,61 +216,133 @@ func TestStaticLedger(t *testing.T) {
 
 // TestAdaptiveBeatsStaticOnDiurnal: re-provisioning through a trough-y
 // diurnal day must not spend more energy than pinning the reference, and
-// must actually switch configurations as the load moves.
+// must switch configurations up as the load rises and back down as it
+// falls. At the paper's ~30% mean load adaptation saves a large share of
+// the reference's energy, and a flash crowd's surge and decay take the
+// same round trip. Under an SLO that no mix holds at a 95% peak, the
+// steps without a feasible mix count as violations.
 func TestAdaptiveBeatsStaticOnDiurnal(t *testing.T) {
-	cands := scalingCandidates(t)
-	tr := diurnalTrace(t, 288)
-
-	static, err := Run(context.Background(), cands, tr, Options{DiscardSteps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapt, err := Run(context.Background(), cands, tr, Options{Adaptive: true, DiscardSteps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adapt.Summary.TotalEnergyJoules > static.Summary.TotalEnergyJoules {
-		t.Fatalf("adaptive energy %g > static %g",
-			adapt.Summary.TotalEnergyJoules, static.Summary.TotalEnergyJoules)
-	}
-	if adapt.Summary.Switches == 0 {
-		t.Fatal("adaptive replay over a diurnal day made no switches")
-	}
-	if static.Summary.Switches != 0 {
-		t.Fatalf("static replay reported %d switches", static.Summary.Switches)
+	for _, tc := range []struct {
+		name           string
+		mixes          [][2]int
+		tr             Trace
+		policy         adaptive.Policy
+		minSaving      float64
+		maxSaving      float64
+		meanLoad       float64 // checked when nonzero
+		wantViolations bool
+	}{
+		{name: "scaling", mixes: scalingMixes, tr: diurnalTrace(t, 288), maxSaving: 1},
+		{name: "mean 0.3", mixes: wideMixes, meanLoad: 0.3, minSaving: 0.10, maxSaving: 0.70,
+			tr: shapeTrace(t, loadtrace.Diurnal{Mean: 0.3, Amplitude: 0.25, Period: 86400, PeakAt: 14 * 3600}, 96)},
+		{name: "flash crowd", mixes: wideMixes, maxSaving: 1,
+			tr: shapeTrace(t, loadtrace.FlashCrowd{Base: 0.15, Peak: 0.85, Start: 6 * 3600, HalfLife: 3600}, 144)},
+		{name: "tight SLO", mixes: wideMixes, maxSaving: 1, wantViolations: true,
+			policy: adaptive.Policy{SLO: 0.05, MaxUtilization: 0.95},
+			tr:     shapeTrace(t, loadtrace.Diurnal{Mean: 0.5, Amplitude: 0.45, Period: 86400, PeakAt: 12 * 3600}, 96)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cands := scalingCandidates(t, tc.mixes)
+			static, err := Run(context.Background(), cands, tc.tr, Options{DiscardSteps: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			adapt, err := Run(context.Background(), cands, tc.tr, Options{Adaptive: true, Policy: tc.policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			saving := 1 - adapt.Summary.TotalEnergyJoules/static.Summary.TotalEnergyJoules
+			if saving < tc.minSaving || saving > tc.maxSaving {
+				t.Fatalf("adaptive saving %.3f outside [%g, %g] (adaptive %g J, static %g J)", saving,
+					tc.minSaving, tc.maxSaving, adapt.Summary.TotalEnergyJoules, static.Summary.TotalEnergyJoules)
+			}
+			if static.Summary.Switches != 0 {
+				t.Fatalf("static replay reported %d switches", static.Summary.Switches)
+			}
+			if v := adapt.Summary.SLOViolations; (v > 0) != tc.wantViolations {
+				t.Fatalf("%d SLO violations, want some: %v", v, tc.wantViolations)
+			}
+			if tc.meanLoad != 0 && math.Abs(adapt.Summary.MeanLoad-tc.meanLoad) > 0.02 {
+				t.Fatalf("mean load %.3f, want ~%g", adapt.Summary.MeanLoad, tc.meanLoad)
+			}
+			// Some switch moves to a faster candidate and a later one
+			// back to a slower candidate.
+			up, upDown := false, false
+			for i := 1; i < len(adapt.Steps); i++ {
+				prev, st := adapt.Steps[i-1], adapt.Steps[i]
+				if st.Switched != (st.Chosen != prev.Chosen) {
+					t.Fatalf("step %d: switched=%v, chosen %d after %d", i, st.Switched, st.Chosen, prev.Chosen)
+				}
+				if st.Switched {
+					faster := cands[st.Chosen].Result.Time < cands[prev.Chosen].Result.Time
+					up = up || faster
+					upDown = upDown || (up && !faster)
+				}
+			}
+			if !upDown {
+				t.Fatalf("no switch up then back down over %d switches", adapt.Summary.Switches)
+			}
+		})
 	}
 }
 
 // TestSwitchEnergyCharged: the per-switch energy surcharge lands in the
-// ledger exactly switches * SwitchEnergy above the free-switching run.
+// ledger exactly switches * SwitchEnergy above the free-switching run,
+// and Summary.Switches is the number of steps marked Switched, which the
+// replay.switches counter also counts. On the alternating trace every
+// 0.99 hour has no feasible mix, so the reference serves it as the
+// fallback, and only the moves into and out of that fallback switch.
 func TestSwitchEnergyCharged(t *testing.T) {
-	cands := scalingCandidates(t)
-	tr := diurnalTrace(t, 96)
+	for _, tc := range []struct {
+		name  string
+		mixes [][2]int
+		tr    Trace
+	}{
+		{"diurnal", scalingMixes, diurnalTrace(t, 96)},
+		{"fallback", wideMixes, shapeTrace(t, loadtrace.Steps{Levels: []float64{0.15, 0.99}, Dwell: 3600}, 96)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.New()
+			telemetry.SetGlobal(reg)
+			defer telemetry.SetGlobal(nil)
+			cands := scalingCandidates(t, tc.mixes)
 
-	free, err := Run(context.Background(), cands, tr, Options{Adaptive: true, DiscardSteps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.Summary.Switches == 0 {
-		t.Fatal("no switches; cannot exercise switch energy")
-	}
-	const perSwitch = 5000.0
-	paid, err := Run(context.Background(), cands, tr, Options{
-		Adaptive: true, SwitchEnergy: perSwitch, DiscardSteps: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paid.Summary.Switches != free.Summary.Switches {
-		t.Fatalf("switch count changed: %d vs %d", paid.Summary.Switches, free.Summary.Switches)
-	}
-	wantSurcharge := float64(free.Summary.Switches) * perSwitch
-	if got := paid.Summary.SwitchEnergyJoules; got != wantSurcharge {
-		t.Fatalf("switch energy %g, want %g", got, wantSurcharge)
-	}
-	diff := paid.Summary.TotalEnergyJoules - free.Summary.TotalEnergyJoules
-	if math.Abs(diff-wantSurcharge) > 1e-6 {
-		t.Fatalf("total energy surcharge %g, want %g", diff, wantSurcharge)
+			free, err := Run(context.Background(), cands, tc.tr, Options{Adaptive: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switched := 0
+			for _, st := range free.Steps {
+				if st.Switched {
+					switched++
+				}
+			}
+			if switched == 0 {
+				t.Fatal("no switches; cannot exercise switch energy")
+			}
+			if n := reg.Counter("replay.switches").Value(); free.Summary.Switches != switched || n != uint64(switched) {
+				t.Fatalf("Summary.Switches %d, replay.switches %d, want the %d steps marked Switched",
+					free.Summary.Switches, n, switched)
+			}
+			const perSwitch = 5000.0
+			paid, err := Run(context.Background(), cands, tc.tr, Options{
+				Adaptive: true, SwitchEnergy: perSwitch, DiscardSteps: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if paid.Summary.Switches != switched {
+				t.Fatalf("switch count changed: %d vs %d", paid.Summary.Switches, switched)
+			}
+			wantSurcharge := float64(switched) * perSwitch
+			if got := paid.Summary.SwitchEnergyJoules; got != wantSurcharge {
+				t.Fatalf("switch energy %g, want %g", got, wantSurcharge)
+			}
+			diff := paid.Summary.TotalEnergyJoules - free.Summary.TotalEnergyJoules
+			if math.Abs(diff-wantSurcharge) > 1e-6 {
+				t.Fatalf("total energy surcharge %g, want %g", diff, wantSurcharge)
+			}
+		})
 	}
 }
 
@@ -264,7 +350,7 @@ func TestSwitchEnergyCharged(t *testing.T) {
 // switch churn versus the greedy planner on the same trace and report
 // the held-back switches.
 func TestHysteresisSuppressesSwitches(t *testing.T) {
-	cands := scalingCandidates(t)
+	cands := scalingCandidates(t, scalingMixes)
 	tr := diurnalTrace(t, 288)
 
 	greedy, err := Run(context.Background(), cands, tr, Options{Adaptive: true, DiscardSteps: true})

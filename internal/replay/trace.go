@@ -106,9 +106,7 @@ func (tr Trace) MeanLoad() float64 {
 }
 
 // FromShape samples a loadtrace shape into a uniform trace: steps
-// intervals of the given length, each sampled at its midpoint (the same
-// convention loadtrace.Evaluate uses, so a replay over the sampled trace
-// and a direct shape evaluation see identical loads).
+// intervals of the given length, each sampled at its midpoint.
 func FromShape(shape loadtrace.Shape, step float64, steps int) (Trace, error) {
 	if step <= 0 {
 		return Trace{}, errors.New("replay: step must be positive")

@@ -25,7 +25,9 @@ import (
 	"repro/internal/workload"
 )
 
-// maxPercentiles bounds the percentile list of one /v1/percentiles item.
+// maxPercentiles bounds the percentile list of one /v1/percentiles item
+// and of one /v1/replay request, whose steps each solve every listed
+// percentile.
 const maxPercentiles = 32
 
 // analysisCacheMax bounds the (workload, mix) -> Analysis memo; past it

@@ -112,7 +112,8 @@ type ReplayRequest struct {
 	// violation accounting; 0 disables.
 	SLOSeconds    float64 `json:"slo_seconds,omitempty"`
 	SLOPercentile float64 `json:"slo_percentile,omitempty"`
-	// Percentiles are the response percentiles per step (default 95, 99).
+	// Percentiles are the response percentiles per step (default 95, 99;
+	// at most maxPercentiles).
 	Percentiles []float64 `json:"percentiles,omitempty"`
 	// SwitchEnergyJoules is charged per configuration switch.
 	SwitchEnergyJoules float64 `json:"switch_energy_joules,omitempty"`
@@ -180,6 +181,11 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		},
 		SwitchEnergy: req.SwitchEnergyJoules,
 		DiscardSteps: true,
+	}
+	if np := len(req.Percentiles); np > maxPercentiles {
+		writeError(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("%d percentiles, more than the cap %d", np, maxPercentiles))
+		return
 	}
 	for _, p := range req.Percentiles {
 		if p < 0 || p >= 100 {

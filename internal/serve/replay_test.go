@@ -132,6 +132,7 @@ var replayValidationCases = []struct {
 	{"zero shape step", `{"mixes":["32xA9"],"shape":{"kind":"ramp","step_seconds":0,"steps":4}}`, 400, "step must be positive"},
 	{"shape over cap", `{"mixes":["32xA9"],"shape":{"kind":"ramp","step_seconds":1,"steps":65537}}`, 400, "exceeds the per-request cap"},
 	{"bad percentile", `{"mixes":["32xA9"],"percentiles":[120],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, 400, "outside [0, 100)"},
+	{"too many percentiles", fmt.Sprintf(`{"mixes":["32xA9"],"percentiles":[%s],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, strings.Repeat("50,", 32)+"99"), 400, "33 percentiles, more than the cap 32"},
 	{"too many mixes", fmt.Sprintf(`{"mixes":[%s],"trace":{"points":[{"t":0,"load":0.1},{"t":1,"load":0.2}]}}`, strings.Repeat(`"1xA9",`, 32)+`"2xA9"`), 400, "at most 32 mixes"},
 }
 
